@@ -155,8 +155,11 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_bytes,
         default=None,
         metavar="BYTES",
-        help="logical device-memory budget (suffixes K/M/G); exceeding it "
-        "fails with exit code 5 unless --resilient is given",
+        help="logical device-memory budget (suffixes K/M/G); a serial run "
+        "that exceeds it fails with exit code 5, while sharded runs "
+        "(--workers N>1, --plan auto) and --resilient halve the "
+        "over-budget tile-row range until it fits, failing with exit "
+        "code 8 when a single tile row does not",
     )
     parser.add_argument(
         "--resilient",
@@ -434,7 +437,6 @@ def _run(args, device, tracer, metrics) -> int:
                 "workers": result.stats.get("workers"),
                 "shards": result.stats.get("shards"),
                 "executor": result.stats.get("executor"),
-                "fallback": bool(result.stats.get("parallel_fallback", False)),
             }
         elif resolve_workers(args.workers) > 1:
             result = parallel_tile_spgemm(
@@ -453,7 +455,6 @@ def _run(args, device, tracer, metrics) -> int:
                 "workers": result.stats.get("workers"),
                 "shards": result.stats.get("shards"),
                 "executor": result.stats.get("executor"),
-                "fallback": bool(result.stats.get("parallel_fallback", False)),
             }
         else:
             result = tile_spgemm(at, bt, budget_bytes=args.memory_budget)

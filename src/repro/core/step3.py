@@ -92,6 +92,10 @@ class NumericResult:
     #: (``None`` only for hand-built results) — the workload profiler's
     #: tnnz-decision capture reads it from ``collect_stats``
     tnnz: Optional[int] = field(default=None)
+    #: cumulative intermediate products per matched pair (``num_pairs + 1``
+    #: entries, leading 0): ``np.diff(product_csum[pairs.pair_ptr])`` is
+    #: the per-candidate-tile product count ``collect_stats`` reports
+    product_csum: Optional[np.ndarray] = field(default=None)
 
 
 def c_indices_from_masks(
@@ -255,6 +259,7 @@ def step3_numeric(
         dense_tiles=num_dense,
         use_dense=use_dense,
         tnnz=int(tnnz),
+        product_csum=csum,
     )
 
 

@@ -367,15 +367,8 @@ def collect_stats(
     ``products_per_tile`` — numeric work per candidate tile.
     """
     pairs_per_tile = np.diff(pairs.pair_ptr)
-    # Numeric products per candidate tile: rebuild from per-pair counts.
-    from repro.core.step3 import _pair_product_counts
-    from repro.util.bits import popcount16
-
-    b_row_len = popcount16(b.mask).astype(np.int64)
-    pair_products = _pair_product_counts(a, b_row_len, pairs, a.tile_nnz_counts())
-    products_per_tile = np.zeros(pairs.num_c_tiles, dtype=np.int64)
-    if pair_products.size:
-        np.add.at(products_per_tile, pairs.pair_c_slot(), pair_products)
+    # Numeric products per candidate tile, from step 3's per-pair sums.
+    products_per_tile = np.diff(num.product_csum[pairs.pair_ptr])
 
     return {
         "num_products": num.num_products,

@@ -6,6 +6,10 @@ The production-facing wrapper around the SpGEMM engines:
   device memory budget and the active fault plan;
 * :mod:`repro.runtime.faults` — deterministic seeded fault injection
   (:class:`FaultPlan`);
+* :mod:`repro.runtime.shards` — the one shard engine behind every entry
+  point: a tile-row range state machine (OOM re-split, transient retry,
+  pool replacement), a replaceable thread/process pool, and blocking
+  and async drivers;
 * :mod:`repro.runtime.chunked` — chunked tile-row re-execution under a
   budget, stitching a bit-identical result;
 * :mod:`repro.runtime.policy` — retry/backoff/fallback engine
@@ -23,7 +27,7 @@ The production-facing wrapper around the SpGEMM engines:
 
 See ``docs/RESILIENCE.md`` and ``docs/PARALLEL.md`` for the designs.
 
-``chunked``, ``policy`` and ``parallel`` import the core algorithm, so
+``shards``, ``chunked``, ``policy`` and ``parallel`` import the core algorithm, so
 they are loaded lazily (PEP 562) — the core itself can import
 :mod:`~repro.runtime.context` without a cycle.
 """
@@ -62,7 +66,6 @@ __all__ = [
     "plan_execution",
     "weighted_bounds",
     "RetryPolicy",
-    "ParallelPolicy",
     "AttemptRecord",
     "ResilienceReport",
     "ResilientResult",
@@ -88,7 +91,6 @@ _LAZY = {
     "plan_execution": "repro.runtime.planner",
     "weighted_bounds": "repro.runtime.planner",
     "RetryPolicy": "repro.runtime.policy",
-    "ParallelPolicy": "repro.runtime.policy",
     "AttemptRecord": "repro.runtime.policy",
     "ResilienceReport": "repro.runtime.policy",
     "ResilientResult": "repro.runtime.policy",

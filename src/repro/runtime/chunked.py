@@ -26,10 +26,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.tile_matrix import TileMatrix
-from repro.core.tilespgemm import TileSpGEMMResult, tile_spgemm
+from repro.core.tilespgemm import TileSpGEMMResult
 from repro.errors import InvalidInputError
 from repro.obs.context import current_obs
-from repro.obs.profile import current_row_offset, profile_row_offset
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -156,6 +155,10 @@ def chunked_tile_spgemm(
 ) -> TileSpGEMMResult:
     """Run TileSpGEMM in ``num_batches`` tile-row batches and stitch ``C``.
 
+    The shard engine (:mod:`repro.runtime.shards`) with one worker: the
+    batches run inline, one after another, and a batch that blows the
+    budget is halved and requeued like any other shard.
+
     Parameters
     ----------
     a, b:
@@ -183,65 +186,18 @@ def chunked_tile_spgemm(
         phase timer, and a merged ledger whose peak is the maximum
         per-batch peak (batch buffers are freed at each batch boundary).
     """
-    if a.tile_size != b.tile_size:
-        raise InvalidInputError("A and B must use the same tile size")
-    if a.shape[1] != b.shape[0]:
-        raise InvalidInputError(
-            f"dimension mismatch: A is {a.shape[0]}x{a.shape[1]}, "
-            f"B is {b.shape[0]}x{b.shape[1]}"
-        )
-    num_tile_rows = a.num_tile_rows
+    # Deferred: the shard engine builds on this module's helpers.
+    from repro.runtime.shards import ShardRun, run_blocking
+
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=np.int64)
-        validate_bounds(bounds, num_tile_rows)
-        num_batches = len(bounds) - 1
+        validate_bounds(bounds, a.num_tile_rows)
     else:
-        num_batches = max(1, min(int(num_batches), max(num_tile_rows, 1)))
-    if num_batches <= 1:
-        result = tile_spgemm(
-            a,
-            b,
-            keep_empty_tiles=keep_empty_tiles,
-            budget_bytes=budget_bytes,
-            fault_plan=fault_plan,
-            **kwargs,
-        )
-        result.stats["batches"] = 1
-        return result
-
-    obs = current_obs()
-    if bounds is None:
-        bounds = batch_bounds(num_tile_rows, num_batches)
-    batch_results: List[TileSpGEMMResult] = []
-    with obs.tracer.span(
-        "chunked_tile_spgemm", cat="chunked", batches=num_batches
-    ):
-        for k in range(num_batches):
-            r0, r1 = int(bounds[k]), int(bounds[k + 1])
-            a_k = slice_tile_rows(a, r0, r1)
-            with obs.tracer.span(
-                f"batch {k + 1}/{num_batches}",
-                cat="chunked.batch",
-                tile_rows=[r0, r1],
-            ):
-                # Batches are 0-based slices of A's tile rows; rebase the
-                # workload profiler so band attribution stays global (a
-                # chunked run nested under a shard composes both offsets).
-                with profile_row_offset(current_row_offset() + r0):
-                    batch_results.append(
-                        tile_spgemm(
-                            a_k,
-                            b,
-                            keep_empty_tiles=True,
-                            budget_bytes=budget_bytes,
-                            fault_plan=fault_plan,
-                            **kwargs,
-                        )
-                    )
-            if obs.enabled:
-                obs.metrics.inc("chunked_batches_total")
-
-    return stitch_results(batch_results, a, b, keep_empty_tiles)
+        bounds = batch_bounds(a.num_tile_rows, num_batches)
+    run = ShardRun(a, b, bounds)
+    opts = dict(kwargs, budget_bytes=budget_bytes, fault_plan=fault_plan)
+    with current_obs().tracer.span("chunked_tile_spgemm", cat="chunked", batches=run.pieces):
+        return run_blocking([run], opts, keep_empty_tiles=keep_empty_tiles)[0]
 
 
 def stitch_results(
@@ -254,9 +210,18 @@ def stitch_results(
 
     The pieces must cover ``a``'s tile rows contiguously in order; the
     assembled arrays are then byte-identical to a single-shot run's (see
-    the module docstring).  Shared by :func:`chunked_tile_spgemm` and the
-    order-preserving merge of :mod:`repro.runtime.parallel`.
+    the module docstring).  The shard engine (:mod:`repro.runtime.shards`)
+    calls it for every entry point.
+
+    One piece already covers every tile row: it is returned as it is,
+    without copying ``C`` or replaying its ledger.
     """
+    if len(batches) == 1:
+        (only,) = batches
+        c = only.c if keep_empty_tiles else only.c.drop_empty_tiles()
+        stats = dict(only.stats, batches=1)
+        return TileSpGEMMResult(c=c, timer=only.timer, alloc=only.alloc, stats=stats)
+
     T = a.tile_size
 
     # --- C: concatenate the per-batch pieces (already in global order).

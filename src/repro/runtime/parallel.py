@@ -1,94 +1,59 @@
-"""Sharded parallel execution engine: TileSpGEMM on a worker pool.
+"""Sharded parallel execution: TileSpGEMM on a worker pool.
 
 The candidate-C-tile space shards exactly like it chunks: tile row ``i``
-of ``C`` depends only on tile row ``i`` of ``A`` (and all of ``B``), so
-the engine cuts ``A``'s tile rows into contiguous shards with the same
-boundary rule as chunked re-execution
-(:func:`~repro.runtime.chunked.batch_bounds`), runs each shard's
-step-2 symbolic + step-3 numeric phases as an independent task on a
-:mod:`concurrent.futures` pool, and merges the per-shard results with the
-order-preserving stitch (:func:`~repro.runtime.chunked.stitch_results`).
+of ``C`` depends only on tile row ``i`` of ``A`` (and all of ``B``).
+:func:`parallel_tile_spgemm` resolves the execution configuration — an
+optional plan, the worker count, executor, shard boundaries and kernel
+backend — and hands the multiply to the shard engine
+(:mod:`repro.runtime.shards`): inline on one worker (the planner's
+``"serial"`` and ``"chunked"`` modes), on a
+:class:`~repro.runtime.shards.ShardPool` otherwise.
+:func:`spgemm_batch` runs many multiplies as engine runs sharing one
+pool.
 
 **Determinism.**  The merged result is byte-identical to the serial run —
 indices, values and tile structure.  Two properties make that true: the
 stitch concatenates shard outputs in tile-row order, and the numeric
 phase chunks its product stream at C-tile boundaries
 (:func:`repro.core.step3.step3_numeric`), so each tile's accumulation
-order is independent of how the tile-row space was partitioned.  The
-test suite asserts exact equality of all eight output arrays for both
-executors.
+order is independent of how the tile-row space was partitioned — or
+re-split after an OOM.  The test suite asserts exact equality of all
+eight output arrays for both executors.
 
-**Executors.**  ``executor="thread"`` shares the operands by reference;
-``executor="process"`` ships ``B`` and the options to each worker once
-via the pool initializer and sends only the per-task ``A`` shard.  Pool
-workers run with an empty ambient context (both context stacks are
-thread-local), so budgets and fault plans reach a shard only as the
-explicit arguments the engine forwards, and workers never race on the
-coordinator's tracer.
+**Backends.**  The kernel-backend spec is resolved to a registry *name*
+in the coordinator (covering the process default, which is module state
+and does not survive ``spawn``) and forwarded inside the shard options;
+each pool worker re-resolves the name through its own freshly-imported
+registry (:mod:`repro.backend`).  A worker that runs with no explicit
+spec falls back to ``REPRO_BACKEND`` from its inherited environment.
+Every shard of a run therefore executes the same backend, and the
+conformance suite pins the merged result against the serial ``numpy``
+run per the backend's declared tier — sharding and stitching never add
+error of their own because chunk boundaries align with C tile rows.
 
-**Tracing.**  When the ambient tracer is live each shard travels with a
-:class:`~repro.obs.propagate.TraceContext`; the worker records its spans
-into a local tracer (:func:`~repro.obs.propagate.run_with_worker_obs`)
-and ships them back with the result, and the coordinator merges them
-(:func:`~repro.obs.propagate.absorb_telemetry`) onto its own timeline
-with resolvable ``span_id``/``parent_span_id`` links: request/parallel
-span → coordinator shard span → worker-side step spans.  The summary
-``parallel.shard`` spans recorded from worker-reported timings are kept
-— they are the cheap always-on view; the absorbed worker spans add the
-inside-the-shard breakdown.
-
-**Backends.**  The engine resolves its kernel-backend spec to a registry
-*name* in the coordinator (covering the process default, which is module
-state and does not survive ``spawn``) and forwards the name inside the
-shard options; each pool worker re-resolves the name through its own
-freshly-imported registry (:mod:`repro.backend`).  A worker that runs
-with no explicit spec — and any child the engine did not configure —
-falls back to ``REPRO_BACKEND`` from its inherited environment.  Every
-shard of a run therefore executes the same backend, and the conformance
-suite pins the merged result against the serial ``numpy`` run per the
-backend's declared tier: byte-identical for exact-tier backends, and
-byte-identical *structure* with values inside the declared
-:class:`~repro.backend.ValueTolerance` for fast-math (tier-2) backends
-— sharding and stitching never add error of their own because chunk
-boundaries align with C tile rows.
-
-**Failure.**  A shard raising
-:class:`~repro.errors.TransientKernelError`, or the pool breaking
-outright, is handled by the :class:`~repro.runtime.policy.ParallelPolicy`:
-retry the shard, then fall back to the serial engine (or raise).  See
-``docs/PARALLEL.md``.
+**Failure.**  A failing shard gets the engine's rules — an OOM halves
+it, a transient fault retries it after backoff, a broken pool is
+replaced once — and never reruns the whole matrix.  See
+``docs/RESILIENCE.md``.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import backend_tier, resolve_backend_name
+from repro.backend import resolve_backend_name
 from repro.core.tile_matrix import TileMatrix
-from repro.core.tilespgemm import TileSpGEMMResult, _record_obs_metrics, tile_spgemm
-from repro.errors import ConfigurationError, InvalidInputError, TransientKernelError
+from repro.core.tilespgemm import TileSpGEMMResult
+from repro.errors import ConfigurationError, InvalidInputError
 from repro.obs.context import current_obs
-from repro.obs.profile import current_row_offset
-from repro.obs.propagate import (
-    TraceContext,
-    absorb_telemetry,
-    new_trace_id,
-    run_with_worker_obs,
-)
-from repro.runtime.chunked import (
-    batch_bounds,
-    chunked_tile_spgemm,
-    slice_tile_rows,
-    stitch_results,
-    validate_bounds,
-)
-from repro.runtime.policy import ParallelPolicy
+from repro.obs.propagate import new_trace_id
+from repro.runtime.chunked import batch_bounds, validate_bounds
+from repro.runtime.policy import RetryPolicy
+from repro.runtime.shards import EXECUTORS, ShardPool, ShardRun, run_blocking
 from repro.runtime.tilecache import get_tile_cache
 
 __all__ = [
@@ -103,8 +68,6 @@ __all__ = [
 #: Environment knobs consulted when the caller passes ``None``.
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_EXECUTOR = "REPRO_EXECUTOR"
-
-_EXECUTORS = ("thread", "process")
 
 #: Shards per worker: a little oversharding evens out load imbalance
 #: between tile rows without shrinking shards into stitch overhead.
@@ -162,76 +125,16 @@ def resolve_executor(executor: Optional[str] = None) -> str:
         executor = os.environ.get(ENV_EXECUTOR, "").strip() or "thread"
         from_env = True
     executor = executor.lower()
-    if executor not in _EXECUTORS:
+    if executor not in EXECUTORS:
         if from_env:
             raise ConfigurationError(
-                f"must be one of {_EXECUTORS}, got {executor!r}",
+                f"must be one of {EXECUTORS}, got {executor!r}",
                 source=ENV_EXECUTOR,
             )
         raise InvalidInputError(
-            f"executor must be one of {_EXECUTORS}, got {executor!r}"
+            f"executor must be one of {EXECUTORS}, got {executor!r}"
         )
     return executor
-
-
-# ----------------------------------------------------------------------
-# Worker-side task bodies
-# ----------------------------------------------------------------------
-# Process workers receive B and the shared options once, through the pool
-# initializer, so each task pickles only its A shard.
-_WORKER_B: Optional[TileMatrix] = None
-_WORKER_OPTS: Dict[str, object] = {}
-
-
-def _init_worker(b: TileMatrix, opts: Dict[str, object]) -> None:
-    global _WORKER_B, _WORKER_OPTS
-    _WORKER_B = b
-    _WORKER_OPTS = opts
-
-
-def _run_shard(
-    a_shard: TileMatrix,
-    b: TileMatrix,
-    opts: Dict[str, object],
-    ctx: Optional[TraceContext] = None,
-):
-    """One shard's multiply, timed with the system-wide monotonic clock.
-
-    Returns ``(result, start, end, track, telemetry)`` where ``track``
-    names the worker (thread name or worker PID) for the per-shard trace
-    span and ``telemetry`` is the worker-recorded
-    :class:`~repro.obs.propagate.WorkerTelemetry` (``None`` when the run
-    is untraced, i.e. ``ctx is None``).  ``pairs``/``symbolic`` are
-    dropped: the stitch never reads them and they dominate the pickling
-    cost on the process pool.
-    """
-
-    def _body():
-        res = tile_spgemm(a_shard, b, keep_empty_tiles=True, **opts)
-        res.pairs = None
-        res.symbolic = None
-        return res
-
-    start = time.perf_counter()
-    res, telemetry = run_with_worker_obs(ctx, _body)
-    dur = time.perf_counter() - start
-    if _WORKER_B is not None:  # a process-pool worker
-        track = f"worker-pid-{os.getpid()}"
-    else:
-        track = threading.current_thread().name
-    return res, start, dur, track, telemetry
-
-
-def _run_shard_in_process(a_shard: TileMatrix, ctx: Optional[TraceContext] = None):
-    return _run_shard(a_shard, _WORKER_B, _WORKER_OPTS, ctx)
-
-
-def _run_pair_in_process(pair: Tuple[TileMatrix, TileMatrix]):
-    a, b = pair
-    res = tile_spgemm(a, b, **_WORKER_OPTS)
-    res.pairs = None
-    res.symbolic = None
-    return res
 
 
 def _record_plan(plan_dict: Dict[str, object]) -> None:
@@ -242,9 +145,6 @@ def _record_plan(plan_dict: Dict[str, object]) -> None:
         profile.record_plan(plan_dict)
 
 
-# ----------------------------------------------------------------------
-# The engine
-# ----------------------------------------------------------------------
 def parallel_tile_spgemm(
     a: TileMatrix,
     b: TileMatrix,
@@ -252,7 +152,7 @@ def parallel_tile_spgemm(
     executor: Optional[str] = None,
     shards: Optional[int] = None,
     plan=None,
-    policy: Optional[ParallelPolicy] = None,
+    policy: Optional[RetryPolicy] = None,
     budget_bytes: Optional[int] = None,
     fault_plan=None,
     keep_empty_tiles: bool = True,
@@ -268,14 +168,14 @@ def parallel_tile_spgemm(
         Tiled operands, as for :func:`repro.core.tilespgemm.tile_spgemm`.
     workers:
         Pool size; ``None`` consults ``REPRO_WORKERS``, ``0`` means one
-        per available CPU, and ``1`` (the overall default) runs serially.
+        per available CPU, and ``1`` (the overall default) runs inline.
     executor:
         ``"thread"`` or ``"process"``; ``None`` consults
         ``REPRO_EXECUTOR`` and defaults to ``"thread"``.
     shards:
         Number of contiguous tile-row shards (clamped to
         ``a.num_tile_rows``); defaults to ``workers * 2`` so stragglers
-        can be balanced.
+        can be balanced, and to one shard on one worker.
     plan:
         An :class:`~repro.runtime.planner.ExecutionPlan` (duck-typed:
         ``workers`` / ``executor`` / ``bounds`` / ``tnnz`` / ``backend``
@@ -286,47 +186,41 @@ def parallel_tile_spgemm(
         and the ambient workload profiler.  Explicit arguments still
         win.
     policy:
-        A :class:`~repro.runtime.policy.ParallelPolicy` governing shard
-        retries and the serial fallback (defaults apply when ``None``).
+        The :class:`~repro.runtime.policy.RetryPolicy` governing
+        transient-fault retries of a shard (defaults apply when
+        ``None``).
     budget_bytes, fault_plan:
         Forwarded to every shard explicitly — pool workers inherit no
         ambient context.  On the process pool the fault plan is pickled
         per worker, so its counters advance independently per process.
+        A shard over the budget is halved and requeued.
     keep_empty_tiles:
         As for ``tile_spgemm``; applied to the merged matrix.
     backend:
         Kernel backend spec (name, :class:`~repro.backend.KernelSet`, or
-        ``None`` for the ambient default).  Resolved to a registry name
-        *here*, in the coordinator, and shipped by name to the pool
-        workers — process workers cannot see the coordinator's module
-        state, only the registry they import themselves and the
-        environment they inherit.
+        ``None`` for the ambient default), resolved to a registry name
+        here and shipped by name to the workers.
     mp_context:
         Optional :mod:`multiprocessing` context for the process pool
         (e.g. ``multiprocessing.get_context("spawn")``); ``None`` uses
-        the platform default.  The propagation tests use this to pin the
-        start method the trace must survive.
+        the platform default.
     **kwargs:
         Remaining ``tile_spgemm`` options (``tnnz``, methods, dtype...).
 
     Returns
     -------
     TileSpGEMMResult
-        With ``stats["shards"]``, ``stats["workers"]`` and
-        ``stats["executor"]`` describing the pool, and
-        ``stats["parallel_fallback"]`` set when a worker failure forced
-        the serial fallback.
+        With ``stats["shards"]`` (stitched shards, re-splits included),
+        ``stats["workers"]`` and ``stats["executor"]`` — ``"serial"`` or
+        ``"chunked"`` when the shards ran inline.
+
+    Raises
+    ------
+    ResilienceExhausted
+        When a shard cannot be recovered (see ``docs/RESILIENCE.md``).
     """
-    if a.tile_size != b.tile_size:
-        raise InvalidInputError("A and B must use the same tile size")
-    if a.shape[1] != b.shape[0]:
-        raise InvalidInputError(
-            f"dimension mismatch: A is {a.shape[0]}x{a.shape[1]}, "
-            f"B is {b.shape[0]}x{b.shape[1]}"
-        )
     plan_dict: Optional[Dict[str, object]] = None
-    num_tile_rows = a.num_tile_rows
-    plan_bounds: Optional[np.ndarray] = None
+    bounds = None
     if plan is not None:
         # The plan supplies whatever the caller left open; its choices
         # already honoured the env knobs at planning time.
@@ -340,279 +234,81 @@ def parallel_tile_spgemm(
         if getattr(plan, "tnnz", None) is not None:
             kwargs.setdefault("tnnz", int(plan.tnnz))
         if shards is None and len(plan.bounds) >= 2:
-            plan_bounds = np.asarray(plan.bounds, dtype=np.int64)
-            validate_bounds(plan_bounds, num_tile_rows)
+            bounds = np.asarray(plan.bounds, dtype=np.int64)
+            validate_bounds(bounds, a.num_tile_rows)
     workers = resolve_workers(workers)
     executor = resolve_executor(executor)
-    policy = policy or ParallelPolicy()
-    # Resolve the backend spec to a pickle-safe registry name up front:
-    # the process default (module state) does not survive spawn, so the
-    # name — not the KernelSet — is what travels to the workers.
-    backend_name = resolve_backend_name(backend)
-    kwargs["backend"] = backend_name
-
-    explicit_shards = plan_bounds is not None or shards is not None
-    if plan_bounds is not None:
-        num_shards = len(plan_bounds) - 1
-    else:
+    if bounds is None:
         if shards is None:
-            shards = workers * _SHARDS_PER_WORKER
-        num_shards = max(1, min(int(shards), max(num_tile_rows, 1)))
-
-    if workers <= 1 or num_shards <= 1:
-        if workers <= 1 and num_shards > 1 and explicit_shards:
-            # One worker but a multi-shard plan: run the shards serially
-            # through the chunked engine.  Sharding pays even without
-            # parallelism — each shard's intermediate arrays are smaller,
-            # so the working set stays cache-resident (the planner's
-            # "chunked" mode) — and the stitched result remains
-            # byte-identical to the monolithic run.
-            res = chunked_tile_spgemm(
-                a,
-                b,
-                bounds=plan_bounds,
-                num_batches=num_shards,
-                keep_empty_tiles=keep_empty_tiles,
-                budget_bytes=budget_bytes,
-                fault_plan=fault_plan,
-                **kwargs,
-            )
-            res.stats.update(shards=num_shards, workers=1, executor="chunked")
-        else:
-            res = tile_spgemm(
-                a,
-                b,
-                keep_empty_tiles=keep_empty_tiles,
-                budget_bytes=budget_bytes,
-                fault_plan=fault_plan,
-                **kwargs,
-            )
-            res.stats.update(shards=1, workers=1, executor="serial")
-        if plan_dict is not None:
-            res.stats["plan"] = plan_dict
-            _record_plan(plan_dict)
-        return res
-
-    opts = dict(kwargs)
-    opts["budget_bytes"] = budget_bytes
-    opts["fault_plan"] = fault_plan
-    bounds = (
-        plan_bounds
-        if plan_bounds is not None
-        else batch_bounds(num_tile_rows, num_shards)
+            shards = workers * _SHARDS_PER_WORKER if workers > 1 else 1
+        bounds = batch_bounds(a.num_tile_rows, shards)
+    # The process default backend (module state) does not survive spawn,
+    # so the resolved name — not the KernelSet — travels to the workers.
+    opts = dict(
+        kwargs,
+        backend=resolve_backend_name(backend),
+        budget_bytes=budget_bytes,
+        fault_plan=fault_plan,
     )
-    shard_inputs = [
-        slice_tile_rows(a, int(bounds[k]), int(bounds[k + 1]))
-        for k in range(num_shards)
-    ]
 
+    if workers <= 1 or len(bounds) <= 2:
+        # Inline.  Several shards pay even without parallelism: each
+        # shard's intermediates are smaller, so the working set stays
+        # cache-resident (the planner's "chunked" mode).
+        run = ShardRun(a, b, bounds, policy)
+        res = run_blocking([run], opts, keep_empty_tiles=keep_empty_tiles)[0]
+        res.stats.update(workers=1, executor="chunked" if run.pieces > 1 else "serial")
+    else:
+        res = _run_pooled(a, b, bounds, policy, opts, workers, executor, mp_context, keep_empty_tiles)
+    res.stats["shards"] = res.stats["batches"]
+    if plan_dict is not None:
+        res.stats["plan"] = plan_dict
+        _record_plan(plan_dict)
+    return res
+
+
+def _run_pooled(a, b, bounds, policy, opts, workers, executor, mp_context, keep_empty_tiles):
+    """One engine run on a pool of its own, traced under one
+    ``parallel_tile_spgemm`` span with a ``parallel.shard`` span per shard."""
     obs = current_obs()
-    # Trace propagation: when the tracer is live, every shard travels
-    # with a TraceContext.  Span identity lives in span args; ids are
-    # pre-assigned here so the coordinator's after-the-fact shard spans
-    # and the worker-recorded spans link up in the merged trace.
-    trace_live = bool(getattr(obs.tracer, "enabled", False))
-    profile_live = bool(getattr(obs.profile, "enabled", False))
     ambient = obs.trace_ctx
-    shard_ctxs: Optional[List[TraceContext]] = None
-    span_attrs: Dict[str, object] = {}
-    parallel_span_id = ""
-    trace_id = ""
-    if trace_live or profile_live:
-        # A live profiler also needs the shard contexts: they carry the
-        # tile-row offset the worker rebases its workload profile by,
-        # and the profile payload rides home inside WorkerTelemetry.
-        trace_id = ambient.trace_id if ambient is not None else new_trace_id()
-        parallel_span_id = f"{trace_id}/{new_trace_id('par')}"
-        if trace_live:
-            span_attrs = {
-                "trace_id": trace_id,
-                "span_id": parallel_span_id,
-                "parent_span_id": ambient.parent_span_id if ambient is not None else "",
-            }
-        row_base = current_row_offset()
-        shard_ctxs = [
-            TraceContext(
-                trace_id,
-                parent_span_id=f"{parallel_span_id}/shard{k}",
-                row_offset=row_base + int(bounds[k]),
-            )
-            for k in range(num_shards)
-        ]
+    trace_id = ambient.trace_id if ambient is not None else new_trace_id()
+    root_span_id = f"{trace_id}/{new_trace_id('par')}"
+    links: Dict[str, object] = {}
+    if obs.tracer.enabled:
+        links = {
+            "trace_id": trace_id,
+            "span_id": root_span_id,
+            "parent_span_id": ambient.parent_span_id if ambient is not None else "",
+        }
     with obs.tracer.span(
         "parallel_tile_spgemm",
         cat="parallel",
         workers=workers,
-        shards=num_shards,
+        shards=len(bounds) - 1,
         executor=executor,
-        **span_attrs,
+        **links,
     ) as span:
-        pool_t0 = time.perf_counter()
-        try:
-            shard_outputs = _run_pool(
-                executor,
-                workers,
-                b,
-                opts,
-                shard_inputs,
-                policy,
-                ctxs=shard_ctxs,
-                mp_context=mp_context,
-            )
-        except (TransientKernelError, BrokenExecutor) as exc:
-            if policy.on_worker_failure == "raise":
-                raise
-            if obs.enabled:
-                obs.metrics.inc("parallel_fallbacks_total", executor=executor)
-                obs.tracer.instant(
-                    "parallel_fallback",
-                    cat="parallel",
-                    executor=executor,
-                    error=type(exc).__name__,
-                )
-                obs.log.emit(
-                    "parallel_fallback",
-                    trace_id=trace_id or None,
-                    executor=executor,
-                    error=type(exc).__name__,
-                    detail=str(exc),
-                )
-            res = tile_spgemm(
-                a,
-                b,
-                keep_empty_tiles=keep_empty_tiles,
-                budget_bytes=budget_bytes,
-                fault_plan=fault_plan,
-                **kwargs,
-            )
-            res.stats.update(
-                shards=1, workers=1, executor="serial", parallel_fallback=True
-            )
-            if plan_dict is not None:
-                res.stats["plan"] = plan_dict
-                _record_plan(plan_dict)
-            return res
-
-        if obs.enabled:
-            base = getattr(span, "start_s", 0.0) or 0.0
-            for k, (_, w_start, w_dur, track, telemetry) in enumerate(
-                shard_outputs
-            ):
-                r0, r1 = int(bounds[k]), int(bounds[k + 1])
-                link_attrs: Dict[str, object] = {}
-                if trace_live:
-                    link_attrs = {
-                        "trace_id": trace_id,
-                        "span_id": f"{parallel_span_id}/shard{k}",
-                        "parent_span_id": parallel_span_id,
-                    }
-                obs.tracer.add_complete(
-                    f"shard {k + 1}/{num_shards}",
-                    base + max(w_start - pool_t0, 0.0),
-                    w_dur,
-                    pid="parallel",
-                    tid=track,
-                    cat="parallel.shard",
-                    tile_rows=[r0, r1],
-                    **link_attrs,
-                )
-                # Merge the worker-recorded spans onto this timeline.
-                # ``epoch_s`` maps the worker's absolute clock onto the
-                # same zero the summary span above uses, so the two views
-                # line up even under a test-injected coordinator clock.
-                # Counters stay worker-local: the coordinator records the
-                # merged stats itself (below) and must not double-count.
-                # Workload profiles are the opposite: recorded only
-                # worker-side, so absorbing them here is the one merge.
-                absorb_telemetry(
-                    obs.tracer,
-                    telemetry,
-                    epoch_s=pool_t0 - base,
-                    metrics=None,
-                    profile=obs.profile,
-                    pid="parallel.workers",
-                )
-
-    merged = stitch_results(
-        [out[0] for out in shard_outputs], a, b, keep_empty_tiles
-    )
-    merged.stats.update(
-        shards=num_shards,
-        workers=workers,
-        executor=executor,
-        backend=backend_name,
-        backend_tier=backend_tier(backend_name).value,
-    )
-    if plan_dict is not None:
-        merged.stats["plan"] = plan_dict
-        _record_plan(plan_dict)
+        run = ShardRun(
+            a,
+            b,
+            bounds,
+            policy,
+            track="parallel",
+            trace_id=trace_id,
+            root_span_id=root_span_id,
+            # Shard spans and absorbed worker spans share this span's zero.
+            epoch_s=time.perf_counter() - (getattr(span, "start_s", 0.0) or 0.0),
+        )
+        with ShardPool(workers, executor, mp_context, b=b, opts=opts) as pool:
+            res = run_blocking([run], opts, pool, keep_empty_tiles)[0]
+    res.stats.update(workers=workers, executor=executor)
     if obs.enabled:
         obs.metrics.inc("parallel_runs_total", executor=executor)
-        obs.metrics.inc("parallel_shards_total", num_shards)
+        obs.metrics.inc("parallel_shards_total", run.shards_run)
         obs.metrics.set_gauge("parallel_workers", workers)
-        obs.metrics.inc(
-            "parallel_shard_seconds_total",
-            sum(out[2] for out in shard_outputs),
-        )
-        _record_obs_metrics(obs.metrics, merged.stats)
-    return merged
-
-
-def _run_pool(
-    executor: str,
-    workers: int,
-    b: TileMatrix,
-    opts: Dict[str, object],
-    shard_inputs: List[TileMatrix],
-    policy: ParallelPolicy,
-    ctxs: Optional[List[TraceContext]] = None,
-    mp_context=None,
-):
-    """Submit every shard, collect results in shard order, retry per policy.
-
-    ``ctxs`` (one :class:`~repro.obs.propagate.TraceContext` per shard,
-    or ``None`` for an untraced run) rides along with each submission —
-    including retries, so a retried shard's spans still land under its
-    own shard span.  Raises the last shard error once retries are
-    exhausted, and :class:`~concurrent.futures.BrokenExecutor` as-is (a
-    broken pool cannot run retries) — the caller maps both onto the
-    fallback.
-    """
-    if executor == "process":
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=mp_context,
-            initializer=_init_worker,
-            initargs=(b, opts),
-        )
-        submit = lambda k: pool.submit(
-            _run_shard_in_process, shard_inputs[k], ctxs[k] if ctxs else None
-        )
-    else:
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-        submit = lambda k: pool.submit(
-            _run_shard, shard_inputs[k], b, opts, ctxs[k] if ctxs else None
-        )
-
-    with pool:
-        futures = [submit(k) for k in range(len(shard_inputs))]
-        outputs = []
-        for k, fut in enumerate(futures):
-            attempt = 0
-            while True:
-                try:
-                    outputs.append(fut.result())
-                    break
-                except (InvalidInputError, BrokenExecutor):
-                    raise  # caller's bug / dead pool: retrying cannot help
-                except TransientKernelError:
-                    if attempt >= policy.max_shard_retries:
-                        raise
-                    attempt += 1
-                    fut = submit(k)
-    return outputs
+        obs.metrics.inc("parallel_shard_seconds_total", run.shard_seconds)
+    return res
 
 
 # ----------------------------------------------------------------------
@@ -622,7 +318,7 @@ def spgemm_batch(
     pairs: Sequence[Tuple[object, object]],
     workers: Optional[int] = None,
     executor: Optional[str] = None,
-    policy: Optional[ParallelPolicy] = None,
+    policy: Optional[RetryPolicy] = None,
     tile_size: Optional[int] = None,
     backend=None,
     **kwargs,
@@ -630,10 +326,11 @@ def spgemm_batch(
     """Run many small multiplies on one pool, preserving input order.
 
     The dual of sharding: instead of splitting one large multiply, each
-    ``(a, b)`` pair becomes one pool task — the natural shape for an AMG
-    setup phase (many small Galerkin products) or a batch of independent
-    graph contractions.  Results arrive in input order and each equals
-    its serial ``tile_spgemm(a, b, **kwargs)`` byte for byte.
+    ``(a, b)`` pair is one shard-engine run, and the runs share one pool
+    — the natural shape for an AMG setup phase (many small Galerkin
+    products) or a batch of independent graph contractions.  Results
+    arrive in input order and each equals its serial
+    ``tile_spgemm(a, b, **kwargs)`` byte for byte.
 
     Parameters
     ----------
@@ -646,12 +343,10 @@ def spgemm_batch(
     workers, executor:
         Pool configuration, resolved like
         :func:`parallel_tile_spgemm` (``workers=1`` runs the batch
-        serially in order).
+        inline, in order).
     policy:
-        A :class:`~repro.runtime.policy.ParallelPolicy`; a task that
-        keeps failing after its retries is rerun serially on the
-        coordinating thread (or the error is raised, per
-        ``on_worker_failure``).
+        The :class:`~repro.runtime.policy.RetryPolicy` every run's
+        failure rules use.
     tile_size:
         Tile size used when tiling CSR operands (default
         :data:`~repro.core.tile_matrix.TILE`).
@@ -664,70 +359,27 @@ def spgemm_batch(
     """
     workers = resolve_workers(workers)
     executor = resolve_executor(executor)
-    policy = policy or ParallelPolicy()
-    kwargs["backend"] = resolve_backend_name(backend)
+    keep_empty_tiles = kwargs.pop("keep_empty_tiles", True)
+    opts = dict(kwargs, backend=resolve_backend_name(backend))
     cache = get_tile_cache()
     ts = {} if tile_size is None else {"tile_size": tile_size}
-    tiled_pairs = [(cache.tile(a, **ts), cache.tile(b, **ts)) for a, b in pairs]
+    runs = [
+        ShardRun(cache.tile(a, **ts), cache.tile(b, **ts), policy=policy, track="parallel")
+        for a, b in pairs
+    ]
+    if workers <= 1 or len(runs) <= 1:
+        return run_blocking(runs, opts, keep_empty_tiles=keep_empty_tiles)
 
     obs = current_obs()
-    if workers <= 1 or len(tiled_pairs) <= 1:
-        out = []
-        for a, b in tiled_pairs:
-            out.append(tile_spgemm(a, b, **kwargs))
-        return out
-
-    def _run_pair_local(pair):
-        a, b = pair
-        res = tile_spgemm(a, b, **kwargs)
-        res.pairs = None
-        res.symbolic = None
-        return res
-
-    if executor == "process":
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(None, kwargs)
-        )
-        submit = lambda pair: pool.submit(_run_pair_in_process, pair)
-    else:
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-batch"
-        )
-        submit = lambda pair: pool.submit(_run_pair_local, pair)
-
     with obs.tracer.span(
         "spgemm_batch",
         cat="parallel",
-        size=len(tiled_pairs),
+        size=len(runs),
         workers=workers,
         executor=executor,
-    ):
-        with pool:
-            futures = [submit(pair) for pair in tiled_pairs]
-            out = []
-            for k, fut in enumerate(futures):
-                attempt = 0
-                while True:
-                    try:
-                        out.append(fut.result())
-                        break
-                    except InvalidInputError:
-                        raise
-                    except (TransientKernelError, BrokenExecutor) as exc:
-                        broken = isinstance(exc, BrokenExecutor)
-                        if not broken and attempt < policy.max_shard_retries:
-                            attempt += 1
-                            fut = submit(tiled_pairs[k])
-                            continue
-                        if policy.on_worker_failure == "raise":
-                            raise
-                        if obs.enabled:
-                            obs.metrics.inc(
-                                "parallel_fallbacks_total", executor=executor
-                            )
-                        out.append(_run_pair_local(tiled_pairs[k]))
-                        break
+    ), ShardPool(workers, executor) as pool:
+        out = run_blocking(runs, opts, pool, keep_empty_tiles)
     if obs.enabled:
         obs.metrics.inc("spgemm_batch_runs_total", executor=executor)
-        obs.metrics.inc("spgemm_batch_tasks_total", len(tiled_pairs))
+        obs.metrics.inc("spgemm_batch_tasks_total", len(runs))
     return out

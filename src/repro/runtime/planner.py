@@ -23,8 +23,8 @@ that say whether operand conversion is already amortised.
   products per shard* (:data:`DEFAULT_SHARD_PRODUCTS`): a shard's
   intermediate arrays scale with its product count, so sharding keeps
   the working set cache-resident and pays off even with one worker (the
-  plan's ``"chunked"`` mode, executed serially through
-  :func:`~repro.runtime.chunked.chunked_tile_spgemm`).
+  plan's ``"chunked"`` mode, whose shards the shard engine runs inline,
+  one after another — :mod:`repro.runtime.shards`).
   :func:`weighted_bounds` then equalises predicted products per shard
   instead of tile-row counts, so a power-law row distribution no longer
   leaves one straggler shard holding most of the work.

@@ -4,9 +4,10 @@
 applied in order of increasing cost:
 
 1. **Chunked re-execution** on :class:`~repro.errors.DeviceOOMError` —
-   the batch count doubles until the run fits the budget (or the tile-row
-   space cannot be split further).  The result stays bit-identical to the
-   single-shot product.
+   the ``tilespgemm`` rung is one inline run of the shard engine
+   (:mod:`repro.runtime.shards`), which halves the over-budget tile-row
+   range until it fits (or a single tile row still does not).  The
+   result stays bit-identical to the single-shot product.
 2. **Exponential backoff** on :class:`~repro.errors.TransientKernelError`
    (and :class:`~repro.errors.CommFailure`) — the modelled wait time is
    charged to the result's timer and to the estimated runtime, because a
@@ -42,7 +43,6 @@ from repro.runtime.context import execution_context
 
 __all__ = [
     "RetryPolicy",
-    "ParallelPolicy",
     "AttemptRecord",
     "ResilienceReport",
     "ResilientResult",
@@ -62,7 +62,8 @@ class RetryPolicy:
     Attributes
     ----------
     max_retries:
-        Transient-fault retries per ladder rung before falling back.
+        Transient-fault retries per tile-row range (shard engine) or per
+        baseline rung before giving up.
     backoff_base_s, backoff_factor, max_backoff_s:
         Exponential backoff: retry ``k`` waits
         ``min(base * factor**k, max)`` modelled seconds.
@@ -85,8 +86,6 @@ class RetryPolicy:
         instead of blocking it.
     ladder:
         Method names tried in order; the first is the primary.
-    max_batches:
-        Upper bound on chunked re-execution's batch count.
     """
 
     max_retries: int = 3
@@ -97,46 +96,10 @@ class RetryPolicy:
     jitter_seed: int = 0
     sleep: Optional[Callable[[float], None]] = None
     ladder: Tuple[str, ...] = DEFAULT_LADDER
-    max_batches: int = 64
-
-
-@dataclass(frozen=True)
-class ParallelPolicy:
-    """How the sharded parallel engine reacts when a worker dies.
-
-    The engine (:func:`repro.runtime.parallel.parallel_tile_spgemm`)
-    treats two events as "worker death": a shard raising
-    :class:`~repro.errors.TransientKernelError` (the injectable fault) and
-    the pool itself breaking (a process worker killed mid-task).  The
-    response mirrors :class:`RetryPolicy`'s ladder in miniature — retry
-    the shard, then degrade to the serial engine, which is always correct
-    because the parallel result is byte-identical to it by construction.
-
-    Attributes
-    ----------
-    max_shard_retries:
-        Times a failed shard is resubmitted to the pool before the run
-        falls back.  Resubmission is pointless once the pool is broken,
-        so a broken pool skips straight to the fallback.
-    on_worker_failure:
-        ``"serial"`` (default) reruns the whole multiply serially on the
-        coordinating thread; ``"raise"`` propagates the failure to the
-        caller instead.
-    """
-
-    max_shard_retries: int = 1
-    on_worker_failure: str = "serial"
 
     def __post_init__(self) -> None:
-        if self.on_worker_failure not in ("serial", "raise"):
-            raise InvalidInputError(
-                "on_worker_failure must be 'serial' or 'raise', "
-                f"got {self.on_worker_failure!r}"
-            )
-        if self.max_shard_retries < 0:
-            raise InvalidInputError(
-                f"max_shard_retries must be >= 0, got {self.max_shard_retries}"
-            )
+        if self.max_retries < 0:
+            raise InvalidInputError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
 @dataclass(frozen=True)
@@ -243,44 +206,32 @@ def run_resilient(
     ResilienceExhausted
         When every ladder rung failed; chains the last underlying error.
     """
-    from repro.baselines import get_algorithm  # deferred: registry import is heavy
-    from repro.core.tile_matrix import TileMatrix
-    from repro.core.tilespgemm import tile_spgemm
-    from repro.runtime.chunked import chunked_tile_spgemm
-
     policy = policy or RetryPolicy()
     if budget_bytes is None and device is not None:
         budget_bytes = device.dram_capacity_bytes
-
-    at = a if isinstance(a, TileMatrix) else None
-    bt = b if isinstance(b, TileMatrix) else None
-    a_csr = None if isinstance(a, TileMatrix) else a
-    b_csr = None if isinstance(b, TileMatrix) else b
-
     report = ResilienceReport(budget_bytes=budget_bytes)
-    last_error: Optional[BaseException] = None
     obs = current_obs()
 
     with obs.tracer.span(
         "run_resilient", cat="resilience", ladder=list(policy.ladder)
     ):
         return _run_ladder(
-            a, b, at, bt, a_csr, b_csr, device, policy, budget_bytes,
-            fault_plan, report, last_error, obs, tile_kwargs,
+            a, b, device, policy, budget_bytes, fault_plan, report, obs, tile_kwargs
         )
 
 
-def _run_ladder(
-    a, b, at, bt, a_csr, b_csr, device, policy, budget_bytes,
-    fault_plan, report, last_error, obs, tile_kwargs,
-):
+def _run_ladder(a, b, device, policy, budget_bytes, fault_plan, report, obs, tile_kwargs):
     """The ladder walk of :func:`run_resilient` (split out so the whole
     recovery story nests under one ``run_resilient`` span)."""
     from repro.baselines import get_algorithm  # deferred: registry import is heavy
     from repro.core.tile_matrix import TileMatrix
-    from repro.core.tilespgemm import tile_spgemm
-    from repro.runtime.chunked import chunked_tile_spgemm
+    from repro.runtime.shards import ShardRun, run_blocking
 
+    at = a if isinstance(a, TileMatrix) else None
+    bt = b if isinstance(b, TileMatrix) else None
+    a_csr = None if at is not None else a
+    b_csr = None if bt is not None else b
+    last_error: Optional[BaseException] = None
     trace_id = getattr(obs.trace_ctx, "trace_id", None)
     for rung, method in enumerate(policy.ladder):
         if rung > 0 and obs.enabled:
@@ -296,94 +247,57 @@ def _run_ladder(
             if at is None:
                 at = TileMatrix.from_csr(a)
                 bt = at if b is a else TileMatrix.from_csr(b)
-            max_split = max(at.num_tile_rows, 1)
-            batches = 1
-            retries = 0
-            while True:
-                try:
-                    with obs.tracer.span(
-                        "attempt:" + method,
-                        cat="resilience",
-                        rung=rung,
-                        batches=batches,
-                        attempt=report.num_attempts + 1,
-                    ):
-                        if batches <= 1:
-                            res = tile_spgemm(
-                                at, bt, budget_bytes=budget_bytes, fault_plan=fault_plan, **tile_kwargs
-                            )
-                        else:
-                            res = chunked_tile_spgemm(
-                                at,
-                                bt,
-                                num_batches=batches,
-                                budget_bytes=budget_bytes,
-                                fault_plan=fault_plan,
-                                **tile_kwargs,
-                            )
-                    report.attempts.append(AttemptRecord(method, batches, "ok"))
-                    return _finish(res, res.c, method, rung, batches, report, device)
-                except InvalidInputError:
-                    raise
-                except DeviceOOMError as exc:
-                    last_error = exc
-                    _record_failure(report, method, batches, exc)
-                    if batches >= min(policy.max_batches, max_split):
-                        break  # cannot split further: fall down the ladder
-                    batches = min(batches * 2, policy.max_batches, max_split)
-                    if obs.enabled:
-                        obs.log.emit(
-                            "oom_resplit",
-                            trace_id=trace_id,
-                            method=method,
-                            batches=batches,
-                            requested_bytes=exc.requested_bytes,
-                            budget_bytes=exc.budget_bytes,
-                        )
-                except TransientKernelError as exc:
-                    last_error = exc
-                    if retries >= policy.max_retries:
-                        _record_failure(report, method, batches, exc)
-                        break
-                    wait = _backoff(policy, retries)
-                    _record_failure(report, method, batches, exc, backoff_s=wait)
-                    report.backoff_s += wait
-                    retries += 1
-        else:
-            if a_csr is None:
-                a_csr = a.to_csr()
-                b_csr = a_csr if b is a else b.to_csr()
-            algorithm = get_algorithm(method)
-            retries = 0
-            while True:
-                try:
-                    with obs.tracer.span(
-                        "attempt:" + method,
-                        cat="resilience",
-                        rung=rung,
-                        batches=1,
-                        attempt=report.num_attempts + 1,
-                    ):
-                        with execution_context(budget_bytes=budget_bytes, fault_plan=fault_plan):
-                            res = algorithm(a_csr, b_csr)
-                    report.attempts.append(AttemptRecord(method, 1, "ok"))
-                    return _finish(res, res.c, method, rung, 1, report, device)
-                except InvalidInputError:
-                    raise
-                except DeviceOOMError as exc:
-                    # The baselines have no chunked mode; go down a rung.
-                    last_error = exc
-                    _record_failure(report, method, 1, exc)
+            # One inline shard-engine run: an OOM halves the failing
+            # tile-row range, a transient fault retries it after backoff.
+            run = ShardRun(at, bt, policy=policy)
+            opts = dict(tile_kwargs, budget_bytes=budget_bytes, fault_plan=fault_plan)
+            try:
+                with obs.tracer.span(
+                    "attempt:" + method,
+                    cat="resilience",
+                    rung=rung,
+                    attempt=report.num_attempts + 1,
+                ):
+                    res = run_blocking([run], opts)[0]
+            except ResilienceExhausted as exc:
+                last_error = exc.__cause__ or exc
+                continue
+            finally:
+                for record in run.attempts:
+                    _record_failure(report, record)
+            report.attempts.append(AttemptRecord(method, run.pieces, "ok"))
+            return _finish(res, method, rung, run.pieces, report, device)
+
+        if a_csr is None:
+            a_csr = a.to_csr()
+            b_csr = a_csr if b is a else b.to_csr()
+        algorithm = get_algorithm(method)
+        retries = 0
+        while True:
+            try:
+                with obs.tracer.span(
+                    "attempt:" + method,
+                    cat="resilience",
+                    rung=rung,
+                    attempt=report.num_attempts + 1,
+                ):
+                    with execution_context(budget_bytes=budget_bytes, fault_plan=fault_plan):
+                        res = algorithm(a_csr, b_csr)
+                report.attempts.append(AttemptRecord(method, 1, "ok"))
+                return _finish(res, method, rung, 1, report, device)
+            except (DeviceOOMError, TransientKernelError) as exc:
+                # The baselines have no chunked mode: an OOM, or a
+                # transient fault past its retries, goes down a rung.
+                last_error = exc
+                retry = isinstance(exc, TransientKernelError) and retries < policy.max_retries
+                wait = _backoff(policy, retries) if retry else 0.0
+                _record_failure(
+                    report,
+                    AttemptRecord(method, 1, type(exc).__name__, error=str(exc), backoff_s=wait),
+                )
+                if not retry:
                     break
-                except TransientKernelError as exc:
-                    last_error = exc
-                    if retries >= policy.max_retries:
-                        _record_failure(report, method, 1, exc)
-                        break
-                    wait = _backoff(policy, retries)
-                    _record_failure(report, method, 1, exc, backoff_s=wait)
-                    report.backoff_s += wait
-                    retries += 1
+                retries += 1
 
     if obs.enabled:
         obs.metrics.inc("resilience_exhausted_total")
@@ -425,35 +339,28 @@ def _backoff(policy: RetryPolicy, retry: int) -> float:
     return wait
 
 
-def _record_failure(
-    report: ResilienceReport,
-    method: str,
-    batches: int,
-    exc: BaseException,
-    backoff_s: float = 0.0,
-) -> None:
-    report.attempts.append(
-        AttemptRecord(method, batches, type(exc).__name__, error=str(exc), backoff_s=backoff_s)
-    )
-    report.faults.append(f"{type(exc).__name__}: {exc}")
+def _record_failure(report: ResilienceReport, record: AttemptRecord) -> None:
+    report.attempts.append(record)
+    report.faults.append(f"{record.outcome}: {record.error}")
+    report.backoff_s += record.backoff_s
     obs = current_obs()
     if obs.enabled:
-        kind = type(exc).__name__
+        method, kind, backoff_s = record.method, record.outcome, record.backoff_s
         obs.metrics.inc("resilience_failed_attempts_total", method=method, error=kind)
         obs.tracer.instant(
             "fault:" + kind,
             cat="resilience",
             method=method,
-            batches=batches,
+            batches=record.batches,
             backoff_s=backoff_s,
         )
         obs.log.emit(
             "attempt_failed",
             trace_id=getattr(obs.trace_ctx, "trace_id", None),
             method=method,
-            batches=batches,
+            batches=record.batches,
             error=kind,
-            detail=str(exc),
+            detail=record.error,
             backoff_s=backoff_s or None,
         )
         if backoff_s > 0:
@@ -461,7 +368,7 @@ def _record_failure(
             obs.metrics.inc("resilience_backoff_seconds_total", backoff_s)
 
 
-def _finish(res, c, method: str, rung: int, batches: int, report: ResilienceReport, device):
+def _finish(res, method: str, rung: int, batches: int, report: ResilienceReport, device):
     report.method = method
     report.degraded = rung > 0
     report.batches = batches
@@ -471,9 +378,12 @@ def _finish(res, c, method: str, rung: int, batches: int, report: ResilienceRepo
         obs.metrics.inc("resilience_attempts_total", report.num_attempts)
         if report.degraded:
             obs.metrics.inc("resilience_degraded_runs_total", method=method)
-    if report.backoff_s > 0:
-        # The wait is real time a production run would spend; charge it.
-        res.timer.add("backoff", report.backoff_s)
+    # The wait is real time a production run would spend; charge what the
+    # winning rung's timer does not carry yet (the shard engine charges
+    # its own retries).
+    uncharged = report.backoff_s - res.timer.seconds.get("backoff", 0.0)
+    if uncharged > 0:
+        res.timer.add("backoff", uncharged)
 
     estimate = None
     estimated_seconds = None
@@ -487,7 +397,7 @@ def _finish(res, c, method: str, rung: int, batches: int, report: ResilienceRepo
         estimated_seconds = estimate.seconds + report.backoff_s
 
     return ResilientResult(
-        c=c,
+        c=res.c,
         result=res,
         report=report,
         estimate=estimate,

@@ -6,9 +6,10 @@ asks at the same time".  It puts an asyncio front door on the tiled
 engines: a bounded request queue with backpressure, estimation-driven
 admission control (OCEAN-style upfront pricing against the device
 budget), per-request deadlines with cooperative cancellation,
-per-request memory budgets whose blow-ups degrade gracefully (the shard
-re-splits along :func:`~repro.runtime.chunked.batch_bounds` and stays on
-the pool — never a silent fall-back to serial), per-tenant response
+per-request memory budgets whose blow-ups degrade gracefully (each
+request is one async run of the shard engine, :mod:`repro.runtime.shards`:
+an over-budget shard is halved and stays on the pool — never a silent
+fall-back to serial), per-tenant response
 ordering, and full accounting: every submitted request terminates in
 exactly one typed outcome, and the Prometheus export of
 :mod:`repro.obs.metrics` sums to the submission count.
@@ -44,7 +45,6 @@ from repro.serve.request import (
     outcome_for,
 )
 from repro.serve.service import LATENCY_BUCKETS, SpGEMMService
-from repro.serve.worker import WorkerBridge, default_run_shard
 
 __all__ = [
     "SpGEMMService",
@@ -64,8 +64,6 @@ __all__ = [
     "Deadline",
     "CancelToken",
     "ShardCancelled",
-    "WorkerBridge",
-    "default_run_shard",
     "LoadReport",
     "make_workload",
     "run_closed_loop",

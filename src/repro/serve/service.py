@@ -8,27 +8,21 @@ own deadline, its own fault plan, its own recovery state.
 
 The life of a request::
 
-    submit ──▶ admission ──▶ bounded queue ──▶ shard loop ──▶ response
-                 │ shed                            │
-                 ▼                                 ├─ OOM: re-split the shard
-              response                             │   (batch_bounds) + requeue
-              (typed error)                        ├─ transient: retry with
-                                                   │   awaited seeded backoff
-                                                   ├─ pool broken: replace the
-                                                   │   pool, re-run the shard
-                                                   └─ deadline: cancel token,
-                                                       typed error
+    submit ──▶ admission ──▶ bounded queue ──▶ shard engine ──▶ response
+                 │ shed                          (async driver)
+                 ▼
+              response (typed error)
 
-**Graceful degradation, not serialisation.**  A shard that blows its
-per-request budget is split with the same
-:func:`~repro.runtime.chunked.batch_bounds` boundary rule as chunked
-re-execution and both halves are *requeued to the pool* — the progressive
-re-allocation scheme of Liu & Vinter's framework (PAPERS.md,
-arXiv:1504.05022) applied at the serving tier, keeping the request
-parallel instead of degrading it to the serial engine.  Because the
-stitch is order-preserving and the numeric phase chunks at C-tile
-boundaries, the served product is byte-identical to a serial
-``tile_spgemm`` run no matter how many re-splits it took.
+**Graceful degradation, not serialisation.**  Each request is one run of
+the shard engine's async driver (:func:`repro.runtime.shards.run_async`)
+on the service's pool, under the failure rules every entry point shares
+(``docs/RESILIENCE.md``): a shard that blows its per-request budget is
+halved and both halves are *requeued to the pool*, a transient fault
+retries after an **awaited** backoff, a broken pool is replaced once,
+and a deadline cancels the request.  Because the stitch is
+order-preserving and the numeric phase chunks at C-tile boundaries, the
+served product is byte-identical to a serial ``tile_spgemm`` run no
+matter how many re-splits it took.
 
 **Ordering.**  Responses resolve in submission order per tenant: each
 request chains on the previous one's gate, so a client iterating its
@@ -47,38 +41,33 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.backend import ConformanceTier, backend_tier, resolve_backend_name
 from repro.core.tile_matrix import TileMatrix
 from repro.errors import (
     DeadlineExceededError,
-    DeviceOOMError,
     InvalidInputError,
     ResilienceExhausted,
     ServiceOverloadError,
-    TransientKernelError,
 )
 from repro.obs.context import current_obs
-from repro.obs.propagate import TraceContext, absorb_telemetry, new_trace_id
+from repro.obs.propagate import new_trace_id
 from repro.obs.slo import SLOPolicy, SLOTracker
-from repro.runtime.chunked import batch_bounds, slice_tile_rows, stitch_results
-from repro.runtime.policy import ParallelPolicy, RetryPolicy, backoff_wait
+from repro.runtime.chunked import batch_bounds
+from repro.runtime.policy import RetryPolicy
+from repro.runtime.shards import ShardPool, ShardRun, check_operands, run_async
 from repro.runtime.tilecache import get_tile_cache
 from repro.serve.admission import AdmissionController
-from repro.serve.deadline import CancelToken, Deadline, ShardCancelled
+from repro.serve.deadline import CancelToken, Deadline
 from repro.serve.queue import BoundedRequestQueue
 from repro.serve.request import (
-    OUTCOME_DEADLINE,
     OUTCOME_SERVED,
     OUTCOME_SHED,
     ServeRequest,
     ServeResponse,
     outcome_for,
 )
-from repro.serve.worker import BrokenExecutor, WorkerBridge
 
 __all__ = ["SpGEMMService", "LATENCY_BUCKETS"]
 
@@ -89,14 +78,28 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 
-@dataclass
-class _ExecStats:
-    """Recovery bookkeeping of one request's shard loop."""
+def _copy_on_loop(c: TileMatrix) -> TileMatrix:
+    """``c`` with its arrays copied by the calling (event-loop) thread.
 
-    shards_run: int = 0
-    resplits: int = 0
-    retries: int = 0
-    pool_replacements: int = 0
+    A one-shard product arrives as the pool thread allocated it.  Held by
+    a client, it pins that thread's malloc arena between the step
+    buffers each later shard allocates and frees there: on the
+    serve-open-loop benchmark, peak RSS rose 13-15% (about 257 MB
+    against 224 MB).  One copy on the loop keeps pool memory transient.
+    """
+    return TileMatrix(
+        c.shape,
+        c.tile_size,
+        c.tileptr.copy(),
+        c.tilecolidx.copy(),
+        c.tilennz.copy(),
+        c.rowptr.copy(),
+        c.rowidx.copy(),
+        c.colidx.copy(),
+        c.val.copy(),
+        c.mask.copy(),
+        check=False,
+    )
 
 
 class SpGEMMService:
@@ -108,7 +111,8 @@ class SpGEMMService:
         Hard bound of the request queue; requests arriving at the bound
         are shed (or block, for ``backpressure="wait"`` submitters).
     workers:
-        Threads in the compute pool (>= 1).
+        Workers in the compute pool (>= 1; anything else raises
+        :class:`~repro.errors.InvalidInputError`).
     device:
         Optional :class:`~repro.gpu.device.DeviceModel`; its Table-1
         DRAM capacity becomes the admission budget and the default
@@ -137,20 +141,14 @@ class SpGEMMService:
         recovery.  The waits are computed by
         :func:`~repro.runtime.policy.backoff_wait` and **awaited** on
         the event loop, never slept.
-    parallel_policy:
-        A :class:`~repro.runtime.policy.ParallelPolicy`;
-        ``on_worker_failure="raise"`` turns a broken pool into an
-        immediate ``exhausted`` outcome instead of pool replacement.
-    max_pool_replacements:
-        Broken pools replaced per request before giving up.
     max_inflight:
         Requests executing concurrently (default: ``workers``).
     executor:
-        ``"thread"`` (default) or ``"process"`` — the kind of compute
-        pool the :class:`~repro.serve.worker.WorkerBridge` owns.  With
-        ``"process"``, shard spans are still recorded where the work ran
-        and shipped back (see :mod:`repro.obs.propagate`); ``run_fn``
-        must then be a module-level (picklable) function.
+        ``"thread"`` (default) or ``"process"`` — the kind of
+        :class:`~repro.runtime.shards.ShardPool` the requests share.
+        With ``"process"``, shard spans are still recorded where the
+        work ran and shipped back (see :mod:`repro.obs.propagate`);
+        ``run_fn`` must then be a module-level (picklable) function.
     mp_context:
         Optional :mod:`multiprocessing` context for the process pool
         (e.g. ``get_context("spawn")``).
@@ -168,8 +166,8 @@ class SpGEMMService:
     clock:
         Monotonic clock injectable for queue/latency/deadline timing.
     run_fn:
-        Shard-body injectable forwarded to the
-        :class:`~repro.serve.worker.WorkerBridge` (fault-path tests).
+        Shard-body injectable of every request's
+        :class:`~repro.runtime.shards.ShardRun` (fault-path tests).
     """
 
     def __init__(
@@ -185,8 +183,6 @@ class SpGEMMService:
         default_budget_bytes: Optional[int] = None,
         initial_shards: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
-        parallel_policy: Optional[ParallelPolicy] = None,
-        max_pool_replacements: int = 1,
         max_inflight: Optional[int] = None,
         executor: str = "thread",
         mp_context=None,
@@ -212,12 +208,9 @@ class SpGEMMService:
             calibration=calibration,
         )
         self._queue = BoundedRequestQueue(max_queue_depth)
-        self._bridge = WorkerBridge(
-            workers=workers, run_fn=run_fn, executor=executor, mp_context=mp_context
-        )
+        self._pool = ShardPool(workers, executor, mp_context)
+        self._run_fn = run_fn
         self._retry = retry_policy or RetryPolicy()
-        self._parallel = parallel_policy or ParallelPolicy()
-        self._max_pool_replacements = int(max_pool_replacements)
         self._initial_shards = int(initial_shards)
         self._default_deadline_s = default_deadline_s
         self._default_budget_bytes = default_budget_bytes
@@ -289,7 +282,7 @@ class SpGEMMService:
             except asyncio.CancelledError:
                 pass
             self._dispatcher = None
-        self._bridge.shutdown(wait=True)
+        self._pool.shutdown(wait=True)
         self._running = False
 
     async def __aenter__(self) -> "SpGEMMService":
@@ -338,13 +331,7 @@ class SpGEMMService:
             )
         a_t = self._cache.tile(a)
         b_t = self._cache.tile(b)
-        if a_t.tile_size != b_t.tile_size:
-            raise InvalidInputError("A and B must use the same tile size")
-        if a_t.shape[1] != b_t.shape[0]:
-            raise InvalidInputError(
-                f"dimension mismatch: A is {a_t.shape[0]}x{a_t.shape[1]}, "
-                f"B is {b_t.shape[0]}x{b_t.shape[1]}"
-            )
+        check_operands(a_t, b_t)
 
         seq = self._tenant_seq.get(tenant, 0)
         self._tenant_seq[tenant] = seq + 1
@@ -465,13 +452,37 @@ class SpGEMMService:
             seq=req.seq,
             queue_s=start - req.submitted_s,
         )
-        stats = _ExecStats()
         deadline = Deadline(req.deadline_s, clock=self._clock)
         # The deadline clock started at submission, not at dequeue.
         deadline._start = req.submitted_s
+        run = ShardRun(
+            req.a,
+            req.b,
+            batch_bounds(req.a.num_tile_rows, self._initial_shards),
+            self._retry,
+            name=f"request {req.name}",
+            track="serve",
+            labels={"tenant": req.tenant},
+            trace_id=req.trace_id,
+            root_span_id=f"req:{req.trace_id}",
+            epoch_s=self._epoch,
+            run_fn=self._run_fn,
+        )
+        opts = {
+            "budget_bytes": req.budget_bytes,
+            "fault_plan": req.fault_plan,
+            "backend": self._backend_name,
+        }
         try:
             deadline.check()  # queued past the deadline: no compute at all
-            c = await self._execute(req, deadline, stats)
+            res = await run_async(
+                run, self._pool, opts, deadline, CancelToken(), self._sleep
+            )
+            c = _copy_on_loop(res.c)
+            del res  # the pool-allocated original must not outlive _deliver
+            self._obs.metrics.inc(
+                "serve_shards_total", run.shards_run, tenant=req.tenant
+            )
             outcome, error = OUTCOME_SERVED, None
         except (
             ServiceOverloadError,
@@ -499,10 +510,10 @@ class SpGEMMService:
             trace_id=req.trace_id,
             latency_s=now - req.submitted_s,
             queue_s=start - req.submitted_s,
-            shards_run=stats.shards_run,
-            resplits=stats.resplits,
-            retries=stats.retries,
-            pool_replacements=stats.pool_replacements,
+            shards_run=run.shards_run,
+            resplits=run.resplits,
+            retries=run.retries,
+            pool_replacements=run.pool_replacements,
         )
         self._record_response(resp, trace_t0)
         await self._deliver(req, resp)
@@ -517,167 +528,6 @@ class SpGEMMService:
                 req.done.set_result(resp)
             if req.order_gate is not None and not req.order_gate.done():
                 req.order_gate.set_result(None)
-
-    # ------------------------------------------------------------ execution
-    async def _execute(
-        self, req: ServeRequest, deadline: Deadline, stats: _ExecStats
-    ) -> TileMatrix:
-        """The shard loop: schedule, recover, re-split, stitch."""
-        a, b = req.a, req.b
-        n = a.num_tile_rows
-        if n <= 0:
-            ranges: Deque[Tuple[int, int, int]] = deque([(0, 0, 0)])
-        else:
-            bounds = batch_bounds(n, min(self._initial_shards, n))
-            ranges = deque(
-                (int(bounds[k]), int(bounds[k + 1]), 0)
-                for k in range(len(bounds) - 1)
-            )
-        opts = {
-            "budget_bytes": req.budget_bytes,
-            "fault_plan": req.fault_plan,
-            "backend": self._backend_name,
-        }
-        token = CancelToken()
-        results: Dict[int, object] = {}
-        running: Dict[asyncio.Future, Tuple[int, int, int]] = {}
-        metrics = self._obs.metrics
-        log = self._obs.log
-        # Shards travel with the request's trace identity; the worker
-        # records real spans locally and ships them back with the result
-        # (None when tracing and profiling are both off — the bridge then
-        # skips the harness).  The shard's start tile row rides along so
-        # worker-side profiles attribute bands in whole-matrix coordinates.
-        trace_live = bool(getattr(self._obs.tracer, "enabled", False))
-        profile_live = bool(getattr(self._obs.profile, "enabled", False))
-        ctx_live = trace_live or profile_live
-
-        try:
-            while ranges or running:
-                if deadline.expired():
-                    raise DeadlineExceededError(
-                        deadline.budget_s, deadline.elapsed()
-                    )
-                while ranges:
-                    r0, r1, retries = ranges.popleft()
-                    shard = slice_tile_rows(a, r0, r1) if n > 0 else a
-                    shard_ctx = (
-                        TraceContext(
-                            req.trace_id,
-                            parent_span_id=f"req:{req.trace_id}",
-                            row_offset=r0,
-                        )
-                        if ctx_live
-                        else None
-                    )
-                    fut = asyncio.ensure_future(
-                        self._bridge.run(shard, b, opts, token, shard_ctx)
-                    )
-                    running[fut] = (r0, r1, retries)
-                done, _ = await asyncio.wait(
-                    set(running),
-                    timeout=deadline.remaining(),
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                for fut in done:
-                    r0, r1, retries = running.pop(fut)
-                    try:
-                        res, telemetry = fut.result()
-                        results[r0] = res
-                        stats.shards_run += 1
-                        # Worker spans join the request's timeline (epoch
-                        # = the service's trace zero) and worker counters
-                        # accumulate into the live registry — the service
-                        # never re-records merged stats itself.
-                        absorb_telemetry(
-                            self._obs.tracer,
-                            telemetry,
-                            epoch_s=self._epoch,
-                            metrics=metrics if telemetry else None,
-                            profile=self._obs.profile if telemetry else None,
-                            pid="serve.workers",
-                        )
-                    except ShardCancelled:
-                        pass  # lost the race with a cancellation below
-                    except DeviceOOMError as exc:
-                        if r1 - r0 <= 1:
-                            raise ResilienceExhausted(
-                                f"request {req.name}: tile-row shard "
-                                f"[{r0}, {r1}) is over budget and cannot "
-                                "split further"
-                            ) from exc
-                        # Progressive re-split: halve the shard's tile-row
-                        # range with the chunking boundary rule and requeue
-                        # both halves — the request stays on the pool.
-                        sub = batch_bounds(r1 - r0, 2) + r0
-                        ranges.append((int(sub[0]), int(sub[1]), 0))
-                        ranges.append((int(sub[1]), int(sub[2]), 0))
-                        stats.resplits += 1
-                        metrics.inc("serve_resplits_total", tenant=req.tenant)
-                        log.emit(
-                            "shard_oom_resplit",
-                            trace_id=req.trace_id,
-                            tenant=req.tenant,
-                            seq=req.seq,
-                            tile_rows=[r0, r1],
-                            requested_bytes=exc.requested_bytes,
-                            budget_bytes=exc.budget_bytes,
-                        )
-                    except TransientKernelError as exc:
-                        if retries >= self._retry.max_retries:
-                            raise ResilienceExhausted(
-                                f"request {req.name}: shard [{r0}, {r1}) "
-                                f"still failing after {retries} retries"
-                            ) from exc
-                        wait = backoff_wait(self._retry, retries)
-                        stats.retries += 1
-                        metrics.inc("serve_retries_total", tenant=req.tenant)
-                        log.emit(
-                            "shard_retry",
-                            trace_id=req.trace_id,
-                            tenant=req.tenant,
-                            seq=req.seq,
-                            tile_rows=[r0, r1],
-                            retry=retries + 1,
-                            backoff_s=wait,
-                            error=type(exc).__name__,
-                        )
-                        await self._sleep(wait)  # awaited, never blocking
-                        ranges.append((r0, r1, retries + 1))
-                    except BrokenExecutor as exc:
-                        if (
-                            self._parallel.on_worker_failure == "raise"
-                            or stats.pool_replacements
-                            >= self._max_pool_replacements
-                        ):
-                            raise ResilienceExhausted(
-                                f"request {req.name}: worker pool broken "
-                                f"(replacements exhausted)"
-                            ) from exc
-                        self._bridge.replace_pool()
-                        stats.pool_replacements += 1
-                        metrics.inc("serve_pool_replacements_total")
-                        log.emit(
-                            "pool_replaced",
-                            trace_id=req.trace_id,
-                            tenant=req.tenant,
-                            seq=req.seq,
-                            tile_rows=[r0, r1],
-                            replacement=stats.pool_replacements,
-                        )
-                        ranges.append((r0, r1, retries))
-        except BaseException:
-            # Stop shards still queued on the pool, then collect every
-            # in-flight future so no exception goes unretrieved.
-            token.set()
-            if running:
-                await asyncio.gather(*running, return_exceptions=True)
-            raise
-
-        metrics.inc("serve_shards_total", stats.shards_run, tenant=req.tenant)
-        ordered = [results[r0] for r0 in sorted(results)]
-        merged = stitch_results(ordered, a, b, keep_empty_tiles=True)
-        return merged.c
 
     # ------------------------------------------------------------ accounting
     def _release_admitted(self, req: ServeRequest) -> None:
@@ -841,11 +691,11 @@ class SpGEMMService:
             "uptime_s": (
                 time.perf_counter() - self._epoch if self._running else 0.0
             ),
-            "workers": self._bridge.workers,
-            "executor": self._bridge.executor,
+            "workers": self._pool.workers,
+            "executor": self._pool.executor,
             "backend": self._backend_name,
             "backend_tier": self._backend_tier.value,
-            "pool_replacements": self._bridge.pool_replacements,
+            "pool_replacements": self._pool.generation,
             "queue": {
                 "depth": self._queue.depth,
                 "bound": self._queue.bound,

@@ -106,9 +106,24 @@ class TestCLIErrorHandling:
         assert "check passed: yes" in capsys.readouterr().out
 
     def test_budget_oom_exit_code(self, mtx_file, capsys):
-        assert main(["--memory-budget", "1K", mtx_file]) == EXIT_OOM
+        # One worker: the serial kernel, no recovery.
+        assert main(["--workers", "1", "--memory-budget", "1K", mtx_file]) == EXIT_OOM
         err = self._assert_one_line_error(capsys)
         assert "OOM" in err
+
+    def test_sharded_run_recovers_from_budget(self, mtx_file, capsys):
+        # The sharded engine halves an over-budget shard instead of dying.
+        a = TileMatrix.from_csr(read_mtx(mtx_file).to_csr())
+        peak = tile_spgemm(a, a).alloc.peak_bytes
+        budget = str(int(peak * 0.6))
+        assert main(["--workers", "2", "--memory-budget", budget, mtx_file]) == 0
+        assert "check passed: yes" in capsys.readouterr().out
+
+    def test_sharded_run_exhausts_on_hopeless_budget(self, mtx_file, capsys):
+        # Not even one tile row fits: recovery runs out of road.
+        assert main(["--workers", "2", "--memory-budget", "1K", mtx_file]) == EXIT_EXHAUSTED
+        err = self._assert_one_line_error(capsys)
+        assert "cannot split further" in err
 
     def test_bad_budget_is_usage_error(self, mtx_file):
         with pytest.raises(SystemExit) as excinfo:
@@ -147,7 +162,10 @@ class TestCLIObservability:
 
     def test_trace_written_even_when_run_fails(self, mtx_file, tmp_path, capsys):
         trace = tmp_path / "t.json"
-        assert main(["--memory-budget", "1K", "--trace", str(trace), mtx_file]) == EXIT_OOM
+        assert (
+            main(["--workers", "1", "--memory-budget", "1K", "--trace", str(trace), mtx_file])
+            == EXIT_OOM
+        )
         from repro.analysis.profiling import load_chrome_trace
 
         assert load_chrome_trace(str(trace))["traceEvents"]

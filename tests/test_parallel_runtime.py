@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TileMatrix, tile_spgemm
-from repro.errors import InvalidInputError, TransientKernelError
+from repro.errors import InvalidInputError, ResilienceExhausted, TransientKernelError
 from repro.obs.context import make_obs, obs_context
 from repro.runtime.chunked import batch_bounds, chunked_tile_spgemm, stitch_results
 from repro.runtime.faults import FaultPlan
@@ -14,7 +14,7 @@ from repro.runtime.parallel import (
     resolve_workers,
     spgemm_batch,
 )
-from repro.runtime.policy import ParallelPolicy
+from repro.runtime.policy import RetryPolicy
 from repro.runtime.tilecache import (
     TileCache,
     cached_algorithm,
@@ -153,35 +153,32 @@ class TestShardGeometry:
 
 
 class TestFailurePolicy:
-    def test_transient_fault_falls_back_to_serial(self, operands, serial):
+    """The shard engine's failure rules through the pool: a failing shard
+    is recovered on its own, never by rerunning the whole matrix."""
+
+    def test_transient_fault_retries_only_the_shard(self, operands, serial):
         a, b = operands
         plan = FaultPlan().transient_at_step(match="step3", at=1)
         obs = make_obs()
         with obs_context(tracer=obs.tracer, metrics=obs.metrics):
-            res = parallel_tile_spgemm(
-                a,
-                b,
-                workers=2,
-                executor="thread",
-                policy=ParallelPolicy(max_shard_retries=0),
-                fault_plan=plan,
-            )
-        assert res.stats["parallel_fallback"] is True
-        assert res.stats["executor"] == "serial"
-        assert obs.metrics.counter_value("parallel_fallbacks_total", executor="thread") == 1
+            res = parallel_tile_spgemm(a, b, workers=2, executor="thread", fault_plan=plan)
+        assert res.stats["executor"] == "thread"  # stayed on the pool
+        assert obs.metrics.counter_value("parallel_retries_total") >= 1
+        assert res.timer.seconds["backoff"] > 0  # the modelled wait is charged
         assert_bytes_identical(serial.c, res.c)
 
-    def test_raise_mode_propagates(self, operands):
+    def test_retries_exhausted_raise_typed(self, operands):
         a, b = operands
-        with pytest.raises(TransientKernelError):
+        with pytest.raises(ResilienceExhausted, match="still failing after 0 retries") as ei:
             parallel_tile_spgemm(
                 a,
                 b,
                 workers=2,
                 executor="thread",
-                policy=ParallelPolicy(max_shard_retries=0, on_worker_failure="raise"),
-                fault_plan=FaultPlan().transient_at_step(match="step3", at=1),
+                policy=RetryPolicy(max_retries=0),
+                fault_plan=FaultPlan().transient_at_step(match="step3", every=1),
             )
+        assert isinstance(ei.value.__cause__, TransientKernelError)
 
     def test_shard_retry_absorbs_one_shot_fault(self, operands, serial):
         a, b = operands
@@ -190,17 +187,14 @@ class TestFailurePolicy:
             b,
             workers=2,
             executor="thread",
-            policy=ParallelPolicy(max_shard_retries=1),
+            policy=RetryPolicy(max_retries=1),
             fault_plan=FaultPlan().transient_at_step(match="step3", at=1),
         )
-        assert "parallel_fallback" not in res.stats
         assert_bytes_identical(serial.c, res.c)
 
     def test_policy_validation(self):
         with pytest.raises(InvalidInputError):
-            ParallelPolicy(on_worker_failure="panic")
-        with pytest.raises(InvalidInputError):
-            ParallelPolicy(max_shard_retries=-1)
+            RetryPolicy(max_retries=-1)
 
     def test_caller_bugs_never_fall_back(self, operands):
         # A non-transient error raised inside a shard is the caller's bug:
@@ -306,20 +300,31 @@ class TestSpgemmBatch:
         assert stats["misses"] == 2  # a and b each tiled exactly once
         assert stats["hits"] == 6
 
-    def test_batch_task_fault_falls_back_per_task(self):
+    def test_batch_task_fault_is_retried_per_task(self):
         a = random_csr(70, 70, 0.1, seed=57)
         ref = tile_spgemm(_tiled(a), _tiled(a))
         plan = FaultPlan().transient_at_step(match="step3", at=1)
-        out = spgemm_batch(
-            [(a, a), (a, a)],
-            workers=2,
-            executor="thread",
-            policy=ParallelPolicy(max_shard_retries=0),
-            fault_plan=plan,
-        )
+        obs = make_obs()
+        with obs_context(metrics=obs.metrics):
+            out = spgemm_batch(
+                [(a, a), (a, a)], workers=2, executor="thread", fault_plan=plan
+            )
+        assert obs.metrics.counter_value("parallel_retries_total") >= 1
         assert len(out) == 2
         for got in out:
             assert_bytes_identical(ref.c, got.c)
+
+    def test_batch_task_past_its_retries_raises_typed(self):
+        a = random_csr(70, 70, 0.1, seed=58)
+        with pytest.raises(ResilienceExhausted) as ei:
+            spgemm_batch(
+                [(a, a), (a, a)],
+                workers=2,
+                executor="thread",
+                policy=RetryPolicy(max_retries=0),
+                fault_plan=FaultPlan().transient_at_step(match="step3", every=1),
+            )
+        assert isinstance(ei.value.__cause__, TransientKernelError)
 
 
 class TestTileCache:
@@ -479,12 +484,13 @@ class TestPlanner:
         assert res.stats["plan"]["mode"] == "parallel"
 
     def test_planned_chunked_byte_identical(self, operands):
-        # A multi-shard plan on one worker runs through the chunked
-        # engine — still byte-identical to the monolithic serial run.
+        # A multi-shard plan on one worker runs the shards inline — still
+        # byte-identical to the monolithic serial run.  One worker is
+        # pinned so a REPRO_WORKERS environment cannot turn it parallel.
         from repro.runtime.planner import plan_execution
 
         a, b = operands
-        plan = plan_execution(a, b, shard_products=10_000)
+        plan = plan_execution(a, b, workers=1, shard_products=10_000)
         assert plan.mode == "chunked"
         assert plan.workers == 1 and plan.shards > 1
         res = parallel_tile_spgemm(a, b, plan=plan)

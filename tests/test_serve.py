@@ -20,6 +20,7 @@ from repro.core import TileMatrix, tile_spgemm
 from repro.errors import (
     EXIT_CONFIG,
     EXIT_DEADLINE,
+    EXIT_INVALID_INPUT,
     EXIT_SHED,
     ConfigurationError,
     DeadlineExceededError,
@@ -411,6 +412,13 @@ class TestServeCLI:
             ]
         )
         assert code == EXIT_DEADLINE
+
+    def test_zero_workers_is_invalid_input_exit_3(self, capsys):
+        code = serve_main(["run", "--requests", "1", "--n", "64", "--workers", "0"])
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workers must be >= 1" in err
+        assert "Traceback" not in err
 
     def test_dispatch_through_main(self, capsys):
         from repro.cli import main

@@ -30,9 +30,9 @@ from repro.errors import (
 )
 from repro.obs.context import make_obs, obs_context
 from repro.runtime.faults import FaultPlan
-from repro.runtime.policy import ParallelPolicy, RetryPolicy, backoff_wait
+from repro.runtime.policy import RetryPolicy, backoff_wait
+from repro.runtime.shards import BrokenExecutor, default_run_shard
 from repro.serve import OUTCOMES, SpGEMMService
-from repro.serve.worker import BrokenExecutor, default_run_shard
 from tests.conftest import random_csr
 
 
@@ -56,18 +56,19 @@ def _assert_same_product(got, ref):
 def _faulty_run_fn(a_shard, b, opts):
     """Shard body honouring test-only markers stashed on the fault plan.
 
-    ``_test_slow_s`` delays the shard (deadline tests); a true
-    ``_test_break_once`` raises :class:`BrokenExecutor` exactly once
-    (worker-death tests).  Everything else delegates to the real body,
-    so faults injected via the plan proper still flow through the engine.
+    ``_test_slow_s`` delays the shard (deadline tests); ``_test_breaks``
+    raises :class:`BrokenExecutor` that many times (worker-death tests).
+    Everything else delegates to the real body, so faults injected via
+    the plan proper still flow through the engine.
     """
     plan = opts.get("fault_plan")
     if plan is not None:
         slow = getattr(plan, "_test_slow_s", 0.0)
         if slow:
             time.sleep(slow)
-        if getattr(plan, "_test_break_once", False):
-            plan._test_break_once = False
+        breaks = getattr(plan, "_test_breaks", 0)
+        if breaks:
+            plan._test_breaks = breaks - 1
             raise BrokenExecutor("worker died mid-shard (injected)")
     return default_run_shard(a_shard, b, opts)
 
@@ -179,44 +180,45 @@ class TestTransientRetry:
 
 
 class TestWorkerDeath:
+    """The shard engine's ``BrokenExecutor`` rule: replace the pool once
+    per request and rerun only the lost shard; a second break exhausts."""
+
     def test_broken_pool_is_replaced_and_shard_rerun(self):
         a, b = _pair(seed=75, n=96)
         plan = FaultPlan(seed=6)
-        plan._test_break_once = True
+        plan._test_breaks = 1
 
         async def run():
             async with SpGEMMService(
-                max_queue_depth=4,
-                workers=2,
-                run_fn=_faulty_run_fn,
-                parallel_policy=ParallelPolicy(on_worker_failure="serial"),
+                max_queue_depth=4, workers=2, run_fn=_faulty_run_fn
             ) as svc:
                 resp = await svc.submit(a, b, fault_plan=plan)
                 sibling = await svc.submit(a, b)  # pool must still work
-                return resp, sibling
+                return resp, sibling, svc.varz()
 
-        resp, sibling = asyncio.run(run())
+        resp, sibling, varz = asyncio.run(run())
         assert resp.ok and resp.pool_replacements == 1
+        assert resp.shards_run == 1  # only the lost shard ran again
         _assert_same_product(resp.result_or_raise(), _serial_c(a, b))
         assert sibling.ok and sibling.pool_replacements == 0
+        assert varz["pool_replacements"] == 1
 
-    def test_raise_policy_turns_broken_pool_into_exhausted(self):
+    def test_second_break_in_one_request_exhausts(self):
         a, b = _pair(seed=77, n=64)
         plan = FaultPlan(seed=7)
-        plan._test_break_once = True
+        plan._test_breaks = 2
 
         async def run():
             async with SpGEMMService(
-                max_queue_depth=4,
-                workers=2,
-                run_fn=_faulty_run_fn,
-                parallel_policy=ParallelPolicy(on_worker_failure="raise"),
+                max_queue_depth=4, workers=2, run_fn=_faulty_run_fn
             ) as svc:
                 return await svc.submit(a, b, fault_plan=plan)
 
         resp = asyncio.run(run())
         assert resp.outcome == "exhausted"
+        assert resp.pool_replacements == 1
         assert "worker pool broken" in str(resp.error)
+        assert isinstance(resp.error.__cause__, BrokenExecutor)
 
 
 class TestDeadlines:
