@@ -6,6 +6,12 @@ ablation sweeps the threshold from always-dense (0) to always-sparse (256)
 and reports the accumulator mix, the modelled step-3 time, and wall time —
 demonstrating that the adaptive middle beats both extremes on a mixed
 workload.
+
+On the CPU the choice is a recorded statistic only: one address path
+serves both accumulator kinds, so ``tnnz`` and ``force_accumulator`` no
+longer change wall time here.  The GPU cost model (``estimate_run``)
+still prices the two kinds differently, which is what the modelled
+columns and the shape tests compare.
 """
 
 import time

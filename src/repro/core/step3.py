@@ -5,19 +5,25 @@ values.  For every matched pair ``(A_ik, B_kj)`` and every nonzero
 ``a = (r, c, v)`` of the ``A`` tile, the products ``v * B_kj[c, *]`` are
 accumulated into row ``r`` of the ``C`` tile.
 
-The paper's *adaptive accumulator* is reproduced faithfully:
+The paper's *adaptive accumulator* picks, per ``C`` tile, a **sparse**
+accumulator (``nnz <= tnnz``, default 192 = 75 % of 256: each product goes
+straight to ``rowptr[r] + rank`` in the compacted tile, ``rank`` being the
+popcount of the row's mask bits below the product's column) or a **dense**
+one (a ``T*T`` scratch tile, compacted through the mask afterwards).  Both
+give every product the same final slot, so on the CPU one address path
+serves both: per ``A`` nonzero, gather its ``C`` row's base offset
+``tilennz[slot] + rowptr[slot, r]`` and mask; per product, add the
+popcount rank of its column.  The sparse/dense choice is still made and
+recorded per tile (``NumericResult.use_dense``) for the cost model, the
+profiler and the ablations.
 
-* **sparse accumulator** (tiles with ``nnz <= tnnz``, default 192 = 75 % of
-  256): each product's destination offset inside the compacted tile is
-  computed as ``rowptr[r] + rank`` where ``rank`` is the popcount of the
-  tile row's mask bits below the product's column — the paper's
-  mask-indexed direct accumulation;
-* **dense accumulator** (denser tiles): products scatter-add into a dense
-  ``T*T`` scratch tile, which is compacted through the mask afterwards.
-
-The CUDA ``AtomicAdd`` becomes a ``np.bincount``-with-weights scatter-add.
-Product expansion is chunked so peak temporary memory stays bounded — the
-Python analogue of the kernels' bounded shared-memory working set.
+The CUDA ``AtomicAdd`` becomes one ``np.bincount``-with-weights scatter-add
+per chunk.  Product expansion is chunked so peak temporary memory stays
+bounded — the Python analogue of the kernels' bounded shared-memory
+working set.  The ambient tracer gets the sub-phases as spans:
+``step3.expand`` (once for the pairs, then per chunk for the products),
+``step3.address`` and ``step3.scatter`` per chunk, and ``step3.compact``
+for ``C``'s local indices.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from repro.backend import resolve_backend
 from repro.core.pairs import TilePairs
 from repro.core.step2 import SymbolicResult
 from repro.core.tile_matrix import TileMatrix
+from repro.obs.context import current_obs
 from repro.util.arrays import concat_ranges, segment_positions
 
 __all__ = [
@@ -76,8 +83,9 @@ class NumericResult:
     num_products:
         Total intermediate products accumulated (``flops / 2``).
     sparse_tiles, dense_tiles:
-        How many candidate tiles used each accumulator (cost-model input
-        and ablation output).
+        How many candidate tiles the selection assigned each accumulator
+        (cost-model input and ablation output; the values do not depend
+        on it).
     """
 
     rowidx: np.ndarray
@@ -152,7 +160,8 @@ def step3_numeric(
         Upper bound on intermediate products expanded at once.
     force_accumulator:
         ``"sparse"`` or ``"dense"`` to disable the adaptive selection
-        (ablation hook); ``None`` keeps the paper's behaviour.
+        (ablation hook); ``None`` keeps the paper's behaviour.  Only the
+        recorded choice changes: the values are byte-identical.
     mask_filter:
         When true, products whose destination bit is absent from the
         step-2 masks are *dropped* instead of accumulated.  Plain SpGEMM
@@ -174,14 +183,16 @@ def step3_numeric(
         never the result.
     """
     kernels = resolve_backend(backend)
+    tracer = current_obs().tracer
     T = a.tile_size
     if tnnz is None:
         tnnz = default_tnnz(T)
     num_c = pairs.num_c_tiles
-    nnz_c = sym.nnz
-    val_c = np.zeros(nnz_c, dtype=np.float64)
+    val_c = np.zeros(sym.nnz, dtype=np.float64)
 
     # --- accumulator selection per candidate tile -----------------------
+    # Recorded for the cost model, the profiler and the ablations; on the
+    # CPU both kinds share the one address path below.
     if force_accumulator == "sparse":
         use_dense = np.zeros(num_c, dtype=bool)
     elif force_accumulator == "dense":
@@ -190,21 +201,10 @@ def step3_numeric(
         use_dense = sym.tile_nnz_counts > tnnz
     else:
         raise ValueError(f"force_accumulator must be 'sparse', 'dense' or None")
-    dense_slot = np.cumsum(use_dense) - 1  # compacted id among dense tiles
     num_dense = int(use_dense.sum())
-    dense_buf = np.zeros(num_dense * T * T, dtype=np.float64)
 
-    # --- per-pair product counts for chunking ---------------------------
-    b_counts = b.tile_nnz_counts()
-    # Row lengths of every B tile: popcount of its masks.
-    b_row_len = kernels.popcount(b.mask).astype(np.int64)  # (num_tiles_B, T)
-    # Global start of row c of B tile t: tilennz_B[t] + rowptr_B[t, c].
-    b_row_start = b.tilennz[:-1, None] + b.rowptr.astype(np.int64)
-
-    pair_c_slot = pairs.pair_c_slot()
-    a_counts = a.tile_nnz_counts()
-    pair_products = _pair_product_counts(a, b_row_len, pairs, a_counts)
-    total_products = int(pair_products.sum())
+    with tracer.span("step3.expand", cat="substep"):
+        a_idx, pair_of, row_len, entry_ptr, csum = _live_entries(a, b, pairs, kernels)
 
     # --- chunked expansion + scatter-add --------------------------------
     # Chunk ends are rounded down to C-tile boundaries (``pairs.pair_ptr``)
@@ -217,9 +217,8 @@ def step3_numeric(
     # offsets, which are equally partition-invariant.
     start = 0
     num_pairs = pairs.num_pairs
-    csum = np.zeros(num_pairs + 1, dtype=np.int64)
-    np.cumsum(pair_products, out=csum[1:])
     tile_bounds = pairs.pair_ptr
+    pair_c_slot = pairs.pair_c_slot()
     while start < num_pairs:
         end = int(np.searchsorted(csum, csum[start] + chunk_products, side="left"))
         end = max(end, start + 1)
@@ -230,31 +229,21 @@ def step3_numeric(
             )
             if aligned > start:
                 end = aligned
-        _accumulate_chunk(
-            a, b, pairs, sym, val_c, dense_buf, use_dense, dense_slot,
-            pair_c_slot, a_counts, b_row_len, b_row_start, start, end, T,
-            mask_filter, value_dtype, kernels,
-        )
+        live = slice(entry_ptr[start], entry_ptr[end])
+        if live.stop > live.start:
+            _accumulate_chunk(
+                a, b, pairs, sym, val_c, pair_c_slot, a_idx[live], pair_of[live],
+                row_len[live], mask_filter, value_dtype, kernels, tracer,
+            )
         start = end
 
-    # --- compact the dense scratch tiles through the masks --------------
-    rowidx_c, colidx_c = c_indices_from_masks(sym, T, backend=kernels)
-    if num_dense:
-        tile_of_nnz = np.repeat(np.arange(num_c, dtype=np.int64), sym.tile_nnz_counts)
-        in_dense = use_dense[tile_of_nnz]
-        d_slot = dense_slot[tile_of_nnz[in_dense]]
-        pos = (
-            d_slot * T * T
-            + rowidx_c[in_dense].astype(np.int64) * T
-            + colidx_c[in_dense].astype(np.int64)
-        )
-        val_c[in_dense] = dense_buf[pos]
-
+    with tracer.span("step3.compact", cat="substep"):
+        rowidx_c, colidx_c = c_indices_from_masks(sym, T, backend=kernels)
     return NumericResult(
         rowidx=rowidx_c,
         colidx=colidx_c,
         val=val_c,
-        num_products=total_products,
+        num_products=int(csum[-1]),
         sparse_tiles=int(num_c - num_dense),
         dense_tiles=num_dense,
         use_dense=use_dense,
@@ -263,20 +252,52 @@ def step3_numeric(
     )
 
 
-def _pair_product_counts(
-    a: TileMatrix, b_row_len: np.ndarray, pairs: TilePairs, a_counts: np.ndarray
-) -> np.ndarray:
-    """Number of intermediate products generated by each matched pair."""
-    if pairs.num_pairs == 0:
-        return np.zeros(0, dtype=np.int64)
-    counts = np.zeros(pairs.num_pairs, dtype=np.int64)
-    # For pair p, sum over A-tile nonzeros (r, c) of len(B_tile row c).
-    pair_a_nnz = a_counts[pairs.pair_a]
-    a_nnz_idx = concat_ranges(a.tilennz[pairs.pair_a], pair_a_nnz)
-    pair_of_nnz = np.repeat(np.arange(pairs.num_pairs, dtype=np.int64), pair_a_nnz)
-    lengths = b_row_len[pairs.pair_b[pair_of_nnz], a.colidx[a_nnz_idx].astype(np.int64)]
-    np.add.at(counts, pair_of_nnz, lengths)
-    return counts
+def _live_entries(a: TileMatrix, b: TileMatrix, pairs: TilePairs, kernels):
+    """Expand the pairs into the A-tile nonzeros that generate products.
+
+    A nonzero ``(r, c)`` of a pair's ``A`` tile generates one product per
+    entry of row ``c`` of the pair's ``B`` tile.  A pair whose ``A`` tile
+    has no column meeting a nonempty ``B`` row generates none; such pairs
+    are dropped on tile-level masks before any expansion, and the
+    surviving pairs' nonzeros whose ``B`` row is empty are dropped next.
+
+    Returns ``(a_idx, pair_of, row_len, entry_ptr, csum)``: the ``A``
+    nonzero, pair and ``B`` row length of every live entry; the pointer
+    giving pair ``p`` the live entries ``[entry_ptr[p], entry_ptr[p + 1])``;
+    and the cumulative product count per pair (``num_pairs + 1`` entries,
+    leading 0).
+    """
+    T = a.tile_size
+    b_row_len = kernels.popcount(b.mask)
+    a_cols = np.bitwise_or.reduce(a.mask, axis=1)
+    b_rows = np.bitwise_or.reduce((b_row_len != 0) << np.arange(T, dtype=a_cols.dtype), axis=1)
+    live_pairs = np.flatnonzero(a_cols[pairs.pair_a] & b_rows[pairs.pair_b])
+    pa = pairs.pair_a[live_pairs]
+    pair_a_nnz = a.tile_nnz_counts()[pa]
+    a_idx = concat_ranges(a.tilennz[pa], pair_a_nnz)
+    row_len = b_row_len.reshape(-1)[
+        np.repeat(pairs.pair_b[live_pairs] * T, pair_a_nnz) + a.colidx[a_idx]
+    ]
+    live = row_len != 0
+    ptr = np.zeros(live.size + 1, dtype=np.int64)
+    np.cumsum(live, out=ptr[1:])
+    bounds = np.zeros(live_pairs.size + 1, dtype=np.int64)
+    np.cumsum(pair_a_nnz, out=bounds[1:])
+    ptr = ptr[bounds]  # live pair i owns live entries [ptr[i], ptr[i + 1])
+    live = np.flatnonzero(live)
+    row_len = row_len[live].astype(np.int64)
+    entry_csum = np.zeros(live.size + 1, dtype=np.int64)
+    np.cumsum(row_len, out=entry_csum[1:])
+    # Entries and products of every pair (zero for dropped ones), summed
+    # exactly in int64.
+    entry_ptr = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
+    entry_ptr[live_pairs + 1] = np.diff(ptr)
+    csum = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
+    csum[live_pairs + 1] = np.diff(entry_csum[ptr])
+    pair_of = np.repeat(live_pairs, entry_ptr[live_pairs + 1])
+    np.cumsum(entry_ptr, out=entry_ptr)
+    np.cumsum(csum, out=csum)
+    return a_idx[live], pair_of, row_len, entry_ptr, csum
 
 
 def _accumulate_chunk(
@@ -285,81 +306,44 @@ def _accumulate_chunk(
     pairs: TilePairs,
     sym: SymbolicResult,
     val_c: np.ndarray,
-    dense_buf: np.ndarray,
-    use_dense: np.ndarray,
-    dense_slot: np.ndarray,
     pair_c_slot: np.ndarray,
-    a_counts: np.ndarray,
-    b_row_len: np.ndarray,
-    b_row_start: np.ndarray,
-    start: int,
-    end: int,
-    T: int,
-    mask_filter: bool = False,
-    value_dtype=np.float64,
-    kernels=None,
+    a_idx: np.ndarray,
+    pair_of: np.ndarray,
+    row_len: np.ndarray,
+    mask_filter: bool,
+    value_dtype,
+    kernels,
+    tracer,
 ) -> None:
-    """Expand pairs [start, end) into products and scatter-add them."""
-    kernels = resolve_backend(kernels)
-    p_slice = slice(start, end)
-    pa = pairs.pair_a[p_slice]
-    pb = pairs.pair_b[p_slice]
-    slots = pair_c_slot[p_slice]
-
-    # Level 1: expand pairs into A-tile nonzeros.
-    nnz_a = a_counts[pa]
-    a_idx = concat_ranges(a.tilennz[pa], nnz_a)
-    local_pair = np.repeat(np.arange(pa.size, dtype=np.int64), nnz_a)
-    r = a.rowidx[a_idx].astype(np.int64)
-    c = a.colidx[a_idx].astype(np.int64)
-    va = a.val[a_idx]
-    b_tile = pb[local_pair]
-    slot_of_nnz = slots[local_pair]
-
-    # Level 2: expand each A nonzero into B's matching tile row.
-    seg_len = b_row_len[b_tile, c]
-    b_idx = concat_ranges(b_row_start[b_tile, c], seg_len)
-    src = np.repeat(np.arange(a_idx.size, dtype=np.int64), seg_len)
-    if np.dtype(value_dtype) == np.float64:
-        products = va[src] * b.val[b_idx]
-    else:
-        # Reduced-precision multiply, wider accumulate (tensor-core style).
-        products = (
-            va[src].astype(value_dtype) * b.val[b_idx].astype(value_dtype)
-        ).astype(np.float64)
-    prod_slot = slot_of_nnz[src]
-    prod_r = r[src]
-    prod_col = b.colidx[b_idx].astype(np.int64)
-
-    if mask_filter:
-        # Masked SpGEMM: drop products whose destination is outside the
-        # (already mask-ANDed) step-2 structure.
-        in_mask = (
-            sym.mask[prod_slot, prod_r].astype(np.int64) >> prod_col
-        ) & 1 == 1
-        products = products[in_mask]
-        prod_slot = prod_slot[in_mask]
-        prod_r = prod_r[in_mask]
-        prod_col = prod_col[in_mask]
-
-    dense_sel = use_dense[prod_slot]
-    if dense_sel.any():
-        sel = dense_sel
-        pos = (
-            dense_slot[prod_slot[sel]] * T * T
-            + prod_r[sel] * T
-            + prod_col[sel]
-        )
-        kernels.scatter_add_into(dense_buf, pos, products[sel])
-    if not dense_sel.all():
-        sel = ~dense_sel
-        slot_s = prod_slot[sel]
-        r_s = prod_r[sel]
-        col_s = prod_col[sel]
-        rank = kernels.prefix_popcount(sym.mask[slot_s, r_s], col_s).astype(np.int64)
-        pos = (
-            sym.tilennz[slot_s]
-            + sym.rowptr[slot_s, r_s].astype(np.int64)
-            + rank
-        )
-        kernels.scatter_add_into(val_c, pos, products[sel])
+    """Expand a chunk's live entries into products and scatter-add them."""
+    with tracer.span("step3.expand", cat="substep"):
+        slot = pair_c_slot[pair_of]
+        b_tile = pairs.pair_b[pair_of]
+        r = a.rowidx[a_idx]
+        c = a.colidx[a_idx]
+        b_idx = concat_ranges(b.tilennz[b_tile] + b.rowptr[b_tile, c], row_len)
+        if np.dtype(value_dtype) == np.float64:
+            products = np.repeat(a.val[a_idx], row_len)
+            products *= b.val[b_idx]
+        else:
+            # Reduced-precision multiply, wider accumulate (tensor-core style).
+            products = (
+                np.repeat(a.val[a_idx].astype(value_dtype), row_len)
+                * b.val[b_idx].astype(value_dtype)
+            ).astype(np.float64)
+        b_col = b.colidx[b_idx]
+        del b_idx  # before the address temporaries: lowers the peak
+    # The sparse accumulator's address, for every product: the base offset
+    # of its destination C row plus the rank of its column among that
+    # row's mask bits.
+    with tracer.span("step3.address", cat="substep"):
+        row_mask = np.repeat(sym.mask[slot, r], row_len)
+        pos = np.repeat(sym.tilennz[slot] + sym.rowptr[slot, r], row_len)
+        pos += kernels.prefix_popcount(row_mask, b_col)
+        if mask_filter:
+            # Masked SpGEMM: drop products whose destination is outside the
+            # (already mask-ANDed) step-2 structure.
+            in_mask = (row_mask >> b_col) & 1 == 1
+            pos, products = pos[in_mask], products[in_mask]
+    with tracer.span("step3.scatter", cat="substep"):
+        kernels.scatter_add_into(val_c, pos, products)

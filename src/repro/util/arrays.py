@@ -36,20 +36,15 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         raise ValueError("starts and lengths must have identical shapes")
     if np.any(lengths < 0):
         raise ValueError("negative segment length")
-    total = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    nonempty = lengths > 0
-    seg_starts = ends[nonempty] - lengths[nonempty]
-    out[seg_starts[0]] = starts[nonempty][0]
-    if seg_starts.size > 1:
-        # At each later segment start, jump from the previous segment's last
-        # value +1 to the new segment's start value.
-        prev_last = starts[nonempty][:-1] + lengths[nonempty][:-1] - 1
-        out[seg_starts[1:]] = starts[nonempty][1:] - prev_last
-    return np.cumsum(out)
+    # Output element k of segment i is k shifted by starts[i] minus the
+    # segment's own output offset.
+    out = np.repeat(starts - (ends - lengths), lengths)
+    out += np.arange(total, dtype=np.int64)
+    return out
 
 
 def segment_ids(lengths: np.ndarray) -> np.ndarray:

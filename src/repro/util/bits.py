@@ -87,8 +87,10 @@ def prefix_popcount(masks: np.ndarray, cols: np.ndarray) -> np.ndarray:
     cols:
         Column indices in [0, 16), broadcastable against ``masks``.
     """
-    table = _prefix_table()
-    return table[np.asarray(masks, dtype=np.uint32), np.asarray(cols, dtype=np.uint32)]
+    # One flat gather: row ``mask`` of the (65536, 16) table starts at
+    # ``mask << 4``.
+    flat = _prefix_table().reshape(-1)
+    return flat[(np.asarray(masks).astype(np.intp) << 4) | np.asarray(cols)]
 
 
 def mask_nonzero_columns(mask: int) -> np.ndarray:

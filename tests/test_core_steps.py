@@ -192,7 +192,7 @@ class TestStep3:
         _, _, _, sym2, num_dense = self._full(71, force="dense")
         assert np.array_equal(num_sparse.rowidx, num_dense.rowidx)
         assert np.array_equal(num_sparse.colidx, num_dense.colidx)
-        assert np.allclose(num_sparse.val, num_dense.val)
+        assert num_sparse.val.tobytes() == num_dense.val.tobytes()
         assert num_sparse.dense_tiles == 0
         assert num_dense.sparse_tiles == 0
 

@@ -50,6 +50,25 @@ class TestConcatRanges:
         got = concat_ranges(starts, lengths)
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_naive_with_zero_length_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 400
+        starts = rng.integers(0, 10**6, size=n)
+        lengths = rng.integers(0, 17, size=n)
+        # Runs of empty segments at the front, in the middle and at the end.
+        lengths[:7] = 0
+        lengths[150:190] = 0
+        lengths[-5:] = 0
+        expected = np.concatenate([np.arange(s, s + l) for s, l in zip(starts, lengths)])
+        got = concat_ranges(starts, lengths)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_all_zero_lengths(self):
+        got = concat_ranges(np.array([3, 8, 1]), np.zeros(3, dtype=np.int64))
+        assert got.dtype == np.int64 and got.size == 0
+
 
 class TestSegmentIds:
     def test_basic(self):

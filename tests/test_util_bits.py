@@ -60,6 +60,28 @@ class TestPrefixPopcount:
         ranks = prefix_popcount(np.full(4, mask), cols)
         assert ranks.tolist() == [0, 1, 2, 3]
 
+    def test_every_mask_and_column_matches_naive_rank(self):
+        masks = np.arange(1 << 16, dtype=np.uint16)
+        cols = np.arange(16, dtype=np.uint8)
+        expected = np.zeros((masks.size, 16), dtype=np.int64)
+        for col in range(16):
+            for bit in range(col):
+                expected[:, col] += (masks >> bit) & 1
+        got = prefix_popcount(masks[:, None], cols[None, :])
+        assert got.dtype == np.uint8
+        assert got.shape == (1 << 16, 16)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("mask_dtype", [np.uint16, np.uint32, np.int64])
+    @pytest.mark.parametrize("col_dtype", [np.uint8, np.uint32, np.int64])
+    def test_input_dtypes_agree(self, mask_dtype, col_dtype):
+        rng = np.random.default_rng(17)
+        masks = rng.integers(0, 1 << 16, size=500)
+        cols = rng.integers(0, 16, size=500)
+        ref = prefix_popcount(masks.astype(np.uint16), cols.astype(np.uint8))
+        got = prefix_popcount(masks.astype(mask_dtype), cols.astype(col_dtype))
+        assert np.array_equal(got, ref)
+
 
 class TestNthSetBit:
     @given(st.integers(min_value=1, max_value=(1 << 16) - 1))
