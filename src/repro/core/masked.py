@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.pairs import TilePairs, enumerate_pairs_expand
+from repro.core.pairs import TilePairs, enumerate_pairs_expand, live_entries
 from repro.core.step2 import SymbolicResult, step2_symbolic
 from repro.core.step3 import step3_numeric
 from repro.core.tile_matrix import TileMatrix
@@ -121,7 +121,8 @@ def masked_tile_spgemm(
     # --------------------------------------------- step 2 + bit-mask ANDing
     alloc.set_phase("step2")
     with timer.phase("step2"):
-        sym = step2_symbolic(a, b, pairs)
+        live = live_entries(a, b, pairs)
+        sym = step2_symbolic(a, b, pairs, live=live)
         sym.mask &= mask.mask[mask_tile_of_cand]
         counts_per_row = popcount16(sym.mask).astype(np.int64)
         rowptr = np.zeros_like(counts_per_row)
@@ -145,7 +146,7 @@ def masked_tile_spgemm(
     # ------------------------------------------------------------- step 3
     alloc.set_phase("step3")
     with timer.phase("step3"):
-        num = step3_numeric(a, b, pairs, sym, tnnz=tnnz, mask_filter=True)
+        num = step3_numeric(a, b, pairs, sym, tnnz=tnnz, mask_filter=True, live=live)
 
     c = TileMatrix(
         (a.shape[0], b.shape[1]),

@@ -19,7 +19,9 @@ Two equivalent strategies are provided:
   but bit-for-bit identical in its output.
 
 The tests assert the two agree; the GPU cost model consumes the per-tile
-intersection lengths either way.
+intersection lengths either way.  Step 1 keeps the pairs its join finds;
+:func:`live_entries` expands them into the one list of ``A`` nonzeros
+that feeds both step 2's symbolic OR and step 3's numeric scatter.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from typing import Optional
 
 import numpy as np
 
+from repro.backend import resolve_backend
 from repro.core.intersect import intersect
 from repro.core.tile_matrix import TileMatrix
 from repro.util.arrays import concat_ranges, segment_ids
 
-__all__ = ["TilePairs", "enumerate_pairs_expand", "enumerate_pairs_intersect"]
+__all__ = ["LiveEntries", "TilePairs", "enumerate_pairs_expand", "enumerate_pairs_intersect",
+           "live_entries"]
 
 
 @dataclass
@@ -181,3 +185,53 @@ def enumerate_pairs_intersect(
         np.concatenate(pair_b_parts) if pair_b_parts else np.empty(0, dtype=np.int64)
     )
     return TilePairs(c_tilerow, c_tilecol, pair_ptr, pair_a, pair_b, len_a, len_b)
+
+
+@dataclass
+class LiveEntries:
+    """The entries of :func:`live_entries`, grouped by pair in pair order."""
+
+    a_idx: np.ndarray  # the A nonzero of every live entry
+    pair_of: np.ndarray  # its pair
+    row_len: np.ndarray  # its B row's length (uint8): the products it makes
+    entry_ptr: np.ndarray  # pair p owns entries [entry_ptr[p], entry_ptr[p + 1])
+    csum: np.ndarray  # cumulative products per pair (num_pairs + 1, leading 0)
+
+
+def live_entries(a: TileMatrix, b: TileMatrix, pairs: TilePairs, kernels=None) -> LiveEntries:
+    """Expand the pairs into the ``A``-tile nonzeros that meet a nonempty ``B`` row.
+
+    A nonzero ``(r, c)`` of a pair's ``A`` tile ORs row ``c`` of the pair's
+    ``B`` tile into row ``r`` of the ``C`` tile and makes one product per
+    entry of that row; with an empty ``B`` row it does neither.  Dead pairs
+    are dropped on tile-level masks first, then the dead nonzeros.
+    """
+    kernels = resolve_backend(kernels)
+    T = a.tile_size
+    b_row_len = kernels.popcount(b.mask)
+    a_cols = np.bitwise_or.reduce(a.mask, axis=1)
+    b_rows = np.bitwise_or.reduce((b_row_len != 0) << np.arange(T, dtype=a_cols.dtype), axis=1)
+    live_pairs = np.flatnonzero(a_cols[pairs.pair_a] & b_rows[pairs.pair_b])
+    pa = pairs.pair_a[live_pairs]
+    pair_a_nnz = a.tile_nnz_counts()[pa]
+    a_idx = concat_ranges(a.tilennz[pa], pair_a_nnz)
+    b_row = np.repeat(pairs.pair_b[live_pairs] * T, pair_a_nnz)
+    b_row += a.colidx[a_idx]
+    row_len = b_row_len.reshape(-1)[b_row]
+    live = np.flatnonzero(row_len)
+    bounds = np.zeros(live_pairs.size + 1, dtype=np.int64)
+    np.cumsum(pair_a_nnz, out=bounds[1:])
+    ptr = np.searchsorted(live, bounds)  # live pair i owns [ptr[i], ptr[i + 1])
+    row_len = row_len[live]
+    entry_csum = np.zeros(live.size + 1, dtype=np.int64)
+    np.cumsum(row_len, dtype=np.int64, out=entry_csum[1:])
+    # Entries and products of every pair (zero for dropped ones), summed
+    # exactly in int64.
+    entry_ptr = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
+    entry_ptr[live_pairs + 1] = np.diff(ptr)
+    csum = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
+    csum[live_pairs + 1] = np.diff(entry_csum[ptr])
+    pair_of = np.repeat(live_pairs, entry_ptr[live_pairs + 1])
+    np.cumsum(entry_ptr, out=entry_ptr)
+    np.cumsum(csum, out=csum)
+    return LiveEntries(a_idx[live], pair_of, row_len, entry_ptr, csum)

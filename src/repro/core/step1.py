@@ -8,11 +8,11 @@ to hold zero nonzeros after step 2, and the final ``C`` is allowed to keep
 (or drop) such tiles.
 
 The paper delegates this step to the NSPARSE library because the tile-level
-problem is small and NSPARSE is fast on small cases.  We mirror that
-layering: the default implementation here is the hash-based symbolic kernel
-shared with our NSPARSE-like baseline, with a vectorised expand-and-sort
-variant (``method="expand"``) that the fast path uses, and the tests assert
-that both produce identical layouts.
+problem is small and NSPARSE is fast on small cases.  ``tile_spgemm``'s
+default instead takes the layout from the tile-pair join
+(:func:`repro.core.pairs.enumerate_pairs_expand`) and keeps its pairs for
+step 2.  This module holds the NSPARSE-like hash kernel (``"hash"``) and its
+ESC twin (``"expand"``); the tests assert both give identical layouts.
 """
 
 from __future__ import annotations

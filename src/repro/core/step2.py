@@ -8,9 +8,11 @@ values.
 The kernel is the paper's Figure 5 verbatim, vectorised: for every matched
 pair, every nonzero of the ``A`` tile (local position ``(r, c)``) ORs the
 ``c``-th row mask of the ``B`` tile onto the ``r``-th row mask of the ``C``
-tile.  The CUDA ``AtomicOr`` becomes an unbuffered ``np.bitwise_or.at``
-scatter; the per-tile row pointers then fall out of mask popcounts plus a
-prefix scan, exactly as in the paper.
+tile.  An OR with an empty ``B`` row is a no-op, so only step 3's live
+entries (:func:`repro.core.pairs.live_entries`) are ORed; ``symbolic_ops``
+still counts one per (pair, ``A``-tile nonzero).  The CUDA ``AtomicOr``
+becomes an unbuffered ``np.bitwise_or.at`` scatter; the per-tile row
+pointers then fall out of mask popcounts plus a prefix scan, as in the paper.
 
 All working state of this step is bounded by ``num_c_tiles * tile_size``
 mask words — the Python analogue of the paper's claim that step 2 runs
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.pairs import TilePairs
+from repro.core.pairs import LiveEntries, TilePairs, live_entries
 from repro.core.tile_matrix import TileMatrix, mask_dtype_for
-from repro.util.arrays import concat_ranges
 
 __all__ = ["SymbolicResult", "step2_symbolic"]
 
@@ -68,13 +69,14 @@ class SymbolicResult:
 
 
 def step2_symbolic(
-    a: TileMatrix, b: TileMatrix, pairs: TilePairs, backend=None
+    a: TileMatrix, b: TileMatrix, pairs: TilePairs, backend=None, live: LiveEntries | None = None
 ) -> SymbolicResult:
     """Run the symbolic phase over all candidate tiles at once.
 
     ``backend`` selects the kernel set for the mask OR-accumulate and the
     popcounts (a name, a :class:`~repro.backend.KernelSet`, or ``None``
     for the ambient default — see :func:`repro.backend.resolve_backend`).
+    ``live`` (the pairs' :func:`~repro.core.pairs.live_entries`) is built if ``None``.
     """
     kernels = resolve_backend(backend)
     T = a.tile_size
@@ -89,21 +91,18 @@ def step2_symbolic(
     a_counts = a.tile_nnz_counts()
     pair_a_nnz = a_counts[pairs.pair_a] if pairs.num_pairs else np.empty(0, dtype=np.int64)
 
-    if pairs.num_pairs:
-        # Expand every pair into its A tile's nonzeros.
-        a_nnz_idx = concat_ranges(a.tilennz[pairs.pair_a], pair_a_nnz)
-        pair_of_nnz = np.repeat(np.arange(pairs.num_pairs, dtype=np.int64), pair_a_nnz)
-        c_slot = pairs.pair_c_slot()[pair_of_nnz]
-        b_tile = pairs.pair_b[pair_of_nnz]
-
-        r = a.rowidx[a_nnz_idx].astype(np.int64)
-        c = a.colidx[a_nnz_idx].astype(np.int64)
-        # AtomicOr(mask_C[slot, r], mask_B[b_tile, c]) for every A nonzero.
-        flat = mask_c.reshape(-1)
-        kernels.mask_or_into(flat, c_slot * T + r, b.mask[b_tile, c])
-        symbolic_ops = int(a_nnz_idx.size)
-    else:
-        symbolic_ops = 0
+    if live is None:
+        live = live_entries(a, b, pairs, kernels)
+    # AtomicOr(mask_C[slot, r], mask_B[b_tile, c]) for every live A nonzero.
+    tile_entries = np.diff(live.entry_ptr[pairs.pair_ptr])
+    dst = np.repeat(np.arange(num_c, dtype=np.int64) * T, tile_entries)
+    dst += a.rowidx[live.a_idx]
+    src = pairs.pair_b[live.pair_of]
+    src *= T
+    src += a.colidx[live.a_idx]
+    kernels.mask_or_into(mask_c.reshape(-1), dst, b.mask.reshape(-1)[src])
+    del dst, src
+    symbolic_ops = int(pair_a_nnz.sum())
 
     counts_per_row = kernels.popcount(mask_c).astype(np.int64)
     rowptr = np.zeros_like(counts_per_row)

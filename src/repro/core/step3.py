@@ -15,15 +15,15 @@ serves both: per ``A`` nonzero, gather its ``C`` row's base offset
 ``tilennz[slot] + rowptr[slot, r]`` and mask; per product, add the
 popcount rank of its column.  The sparse/dense choice is still made and
 recorded per tile (``NumericResult.use_dense``) for the cost model, the
-profiler and the ablations.
+profiler and the ablations.  Products come from the live entries step 2
+also ORs (:func:`repro.core.pairs.live_entries`), built once per multiply.
 
 The CUDA ``AtomicAdd`` becomes one ``np.bincount``-with-weights scatter-add
 per chunk.  Product expansion is chunked so peak temporary memory stays
 bounded — the Python analogue of the kernels' bounded shared-memory
 working set.  The ambient tracer gets the sub-phases as spans:
-``step3.expand`` (once for the pairs, then per chunk for the products),
-``step3.address`` and ``step3.scatter`` per chunk, and ``step3.compact``
-for ``C``'s local indices.
+``step3.expand``, ``step3.address`` and ``step3.scatter`` per chunk, and
+``step3.compact`` for ``C``'s local indices.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.pairs import TilePairs
+from repro.core.pairs import LiveEntries, TilePairs, live_entries
 from repro.core.step2 import SymbolicResult
 from repro.core.tile_matrix import TileMatrix
 from repro.obs.context import current_obs
@@ -115,18 +115,14 @@ def c_indices_from_masks(
     (see :func:`repro.backend.resolve_backend`).
     """
     kernels = resolve_backend(backend)
-    T = tile_size
-    pc_flat = _row_popcounts(sym, kernels).reshape(-1)
-    num_c = sym.mask.shape[0]
-    rowidx = np.repeat(np.tile(np.arange(T, dtype=np.uint8), num_c), pc_flat)
-    mask_rep = np.repeat(sym.mask.reshape(-1), pc_flat)
-    rank = segment_positions(pc_flat)
-    colidx = kernels.nth_set_bit(mask_rep, rank)
+    pc_flat = kernels.popcount(sym.mask).reshape(-1)
+    # Only the non-empty mask rows hold entries.
+    rows = np.flatnonzero(pc_flat)
+    pc = pc_flat[rows]
+    rowidx = np.repeat((rows % tile_size).astype(np.uint8), pc)
+    mask_rep = np.repeat(sym.mask.reshape(-1)[rows], pc)
+    colidx = kernels.nth_set_bit(mask_rep, segment_positions(pc))
     return rowidx, colidx
-
-
-def _row_popcounts(sym: SymbolicResult, kernels) -> np.ndarray:
-    return kernels.popcount(sym.mask).astype(np.int64)
 
 
 def step3_numeric(
@@ -140,6 +136,7 @@ def step3_numeric(
     mask_filter: bool = False,
     value_dtype=np.float64,
     backend=None,
+    live: LiveEntries | None = None,
 ) -> NumericResult:
     """Run the numeric phase.
 
@@ -181,6 +178,8 @@ def step3_numeric(
         ambient default (:func:`repro.backend.resolve_backend`).
         Conformant backends are byte-identical, so this changes speed,
         never the result.
+    live:
+        The pairs' :func:`~repro.core.pairs.live_entries`; built if ``None``.
     """
     kernels = resolve_backend(backend)
     tracer = current_obs().tracer
@@ -203,8 +202,8 @@ def step3_numeric(
         raise ValueError(f"force_accumulator must be 'sparse', 'dense' or None")
     num_dense = int(use_dense.sum())
 
-    with tracer.span("step3.expand", cat="substep"):
-        a_idx, pair_of, row_len, entry_ptr, csum = _live_entries(a, b, pairs, kernels)
+    live = live_entries(a, b, pairs, kernels) if live is None else live
+    entry_ptr, csum = live.entry_ptr, live.csum
 
     # --- chunked expansion + scatter-add --------------------------------
     # Chunk ends are rounded down to C-tile boundaries (``pairs.pair_ptr``)
@@ -229,11 +228,12 @@ def step3_numeric(
             )
             if aligned > start:
                 end = aligned
-        live = slice(entry_ptr[start], entry_ptr[end])
-        if live.stop > live.start:
+        part = slice(entry_ptr[start], entry_ptr[end])
+        if part.stop > part.start:
             _accumulate_chunk(
-                a, b, pairs, sym, val_c, pair_c_slot, a_idx[live], pair_of[live],
-                row_len[live], mask_filter, value_dtype, kernels, tracer,
+                a, b, pairs, sym, val_c, pair_c_slot, live.a_idx[part],
+                live.pair_of[part], live.row_len[part], mask_filter, value_dtype,
+                kernels, tracer,
             )
         start = end
 
@@ -250,54 +250,6 @@ def step3_numeric(
         tnnz=int(tnnz),
         product_csum=csum,
     )
-
-
-def _live_entries(a: TileMatrix, b: TileMatrix, pairs: TilePairs, kernels):
-    """Expand the pairs into the A-tile nonzeros that generate products.
-
-    A nonzero ``(r, c)`` of a pair's ``A`` tile generates one product per
-    entry of row ``c`` of the pair's ``B`` tile.  A pair whose ``A`` tile
-    has no column meeting a nonempty ``B`` row generates none; such pairs
-    are dropped on tile-level masks before any expansion, and the
-    surviving pairs' nonzeros whose ``B`` row is empty are dropped next.
-
-    Returns ``(a_idx, pair_of, row_len, entry_ptr, csum)``: the ``A``
-    nonzero, pair and ``B`` row length of every live entry; the pointer
-    giving pair ``p`` the live entries ``[entry_ptr[p], entry_ptr[p + 1])``;
-    and the cumulative product count per pair (``num_pairs + 1`` entries,
-    leading 0).
-    """
-    T = a.tile_size
-    b_row_len = kernels.popcount(b.mask)
-    a_cols = np.bitwise_or.reduce(a.mask, axis=1)
-    b_rows = np.bitwise_or.reduce((b_row_len != 0) << np.arange(T, dtype=a_cols.dtype), axis=1)
-    live_pairs = np.flatnonzero(a_cols[pairs.pair_a] & b_rows[pairs.pair_b])
-    pa = pairs.pair_a[live_pairs]
-    pair_a_nnz = a.tile_nnz_counts()[pa]
-    a_idx = concat_ranges(a.tilennz[pa], pair_a_nnz)
-    row_len = b_row_len.reshape(-1)[
-        np.repeat(pairs.pair_b[live_pairs] * T, pair_a_nnz) + a.colidx[a_idx]
-    ]
-    live = row_len != 0
-    ptr = np.zeros(live.size + 1, dtype=np.int64)
-    np.cumsum(live, out=ptr[1:])
-    bounds = np.zeros(live_pairs.size + 1, dtype=np.int64)
-    np.cumsum(pair_a_nnz, out=bounds[1:])
-    ptr = ptr[bounds]  # live pair i owns live entries [ptr[i], ptr[i + 1])
-    live = np.flatnonzero(live)
-    row_len = row_len[live].astype(np.int64)
-    entry_csum = np.zeros(live.size + 1, dtype=np.int64)
-    np.cumsum(row_len, out=entry_csum[1:])
-    # Entries and products of every pair (zero for dropped ones), summed
-    # exactly in int64.
-    entry_ptr = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
-    entry_ptr[live_pairs + 1] = np.diff(ptr)
-    csum = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
-    csum[live_pairs + 1] = np.diff(entry_csum[ptr])
-    pair_of = np.repeat(live_pairs, entry_ptr[live_pairs + 1])
-    np.cumsum(entry_ptr, out=entry_ptr)
-    np.cumsum(csum, out=csum)
-    return a_idx[live], pair_of, row_len, entry_ptr, csum
 
 
 def _accumulate_chunk(

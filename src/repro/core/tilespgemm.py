@@ -3,12 +3,14 @@
 ``tile_spgemm(A, B)`` runs:
 
 1. **step 1** — symbolic tile-level SpGEMM on the high-level layouts to
-   find the candidate tiles of ``C`` (:mod:`repro.core.step1`);
+   find the candidate tiles of ``C`` (:mod:`repro.core.step1`), by
+   default with the tile-pair join whose pairs step 2 keeps;
 2. **step 2** — per-tile set intersection plus bit-mask symbolic phase to
    size and allocate ``C`` (:mod:`repro.core.pairs`,
    :mod:`repro.core.step2`);
 3. **step 3** — the numeric phase with the adaptive sparse/dense
-   accumulator (:mod:`repro.core.step3`).
+   accumulator (:mod:`repro.core.step3`), on the live-entry list
+   (:func:`repro.core.pairs.live_entries`) step 2 ORs.
 
 Every run records the paper's observables: wall time per step and for
 memory allocation (Figures 10/14), a logical device-allocation ledger
@@ -25,6 +27,7 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.core.pairs import TilePairs, enumerate_pairs_expand, enumerate_pairs_intersect
+from repro.core.pairs import live_entries
 from repro.core.step1 import TileLayout, step1_tile_layout
 from repro.core.step2 import SymbolicResult, step2_symbolic
 from repro.core.step3 import NumericResult, default_tnnz, step3_numeric
@@ -210,9 +213,17 @@ def _tile_spgemm_under_context(
         alloc.set_phase("step1")
         note_step("step1")
         with timer.phase("step1"), tracer.span("step1", cat="step", method=step1_method):
-            layout = step1_tile_layout(
-                a.tile_pattern_csr(), b.tile_pattern_csr(), method=step1_method
-            )
+            if step1_method == "expand":
+                # The tile-pair join finds C's layout; step 2 keeps its pairs.
+                pairs = enumerate_pairs_expand(a, b)
+                tileptr = _tileptr_from_rows(pairs.c_tilerow, a.num_tile_rows)
+                layout = TileLayout(a.num_tile_rows, max(b.num_tile_cols, 1), tileptr,
+                                    pairs.c_tilecol, tile_flops=pairs.num_pairs)
+            else:
+                pairs = None
+                layout = step1_tile_layout(
+                    a.tile_pattern_csr(), b.tile_pattern_csr(), method=step1_method
+                )
         with timer.phase("malloc"), tracer.span("malloc", cat="step"):
             alloc.alloc("tilePtr_C", layout.tileptr.size * 4)
             alloc.alloc("tileColIdx_C", layout.num_tiles * 4)
@@ -223,9 +234,7 @@ def _tile_spgemm_under_context(
         with timer.phase("step2"), tracer.span(
             "step2", cat="step", method=intersect_method, backend=kernels.name
         ):
-            if intersect_method == "expand":
-                pairs = enumerate_pairs_expand(a, b)
-            else:
+            if intersect_method != "expand":
                 pairs = enumerate_pairs_intersect(
                     a,
                     b,
@@ -233,8 +242,12 @@ def _tile_spgemm_under_context(
                     c_tilecol=layout.tilecolidx,
                     method=intersect_method,
                 )
+            elif pairs is None:
+                pairs = enumerate_pairs_expand(a, b)
             _check_layout_matches(layout, pairs)
-            sym = step2_symbolic(a, b, pairs, backend=kernels)
+            with tracer.span("step2.expand", cat="substep"):
+                live = live_entries(a, b, pairs, kernels)
+            sym = step2_symbolic(a, b, pairs, backend=kernels, live=live)
         with timer.phase("malloc"), tracer.span("malloc", cat="step"):
             alloc.alloc("tileNnz_C", (pairs.num_c_tiles + 1) * 4)
             alloc.alloc("rowPtr_C", pairs.num_c_tiles * T)
@@ -257,6 +270,7 @@ def _tile_spgemm_under_context(
                 force_accumulator=force_accumulator,
                 value_dtype=value_dtype,
                 backend=kernels,
+                live=live,
             )
 
     c = TileMatrix(

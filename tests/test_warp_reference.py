@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import TileMatrix, tile_spgemm
-from repro.core.pairs import enumerate_pairs_expand
+from repro.core.pairs import enumerate_pairs_expand, live_entries
 from repro.core.step2 import step2_symbolic
 from repro.core.warp_reference import warp_step2_symbolic, warp_step3_numeric
+from repro.formats.csr import CSRMatrix
 from tests.conftest import random_csr
+from tests.corpus import CORPUS
 
 
 @pytest.fixture(scope="module", params=[0, 1, 2])
@@ -39,6 +41,74 @@ class TestWarpStep2:
         a_counts = a.tile_nnz_counts()
         expected = int(np.ceil(a_counts[pairs.pair_a] / 32.0).sum())
         assert stats.waves == expected
+
+
+def _hypersparse():
+    """~1 nonzero per tile: most pairs' A column misses every B row."""
+    a = TileMatrix.from_csr(random_csr(480, 480, 0.0015, seed=297))
+    b = TileMatrix.from_csr(random_csr(480, 480, 0.0015, seed=298))
+    return a, b, enumerate_pairs_expand(a, b)
+
+
+def _dead_pair_frac(a, b, pairs):
+    live = live_entries(a, b, pairs)
+    return 1.0 - np.count_nonzero(np.diff(live.entry_ptr)) / pairs.num_pairs
+
+
+class TestLiveEntryOr:
+    """Step 2 ORs only the live entries; the warp interpreter ORs all."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus_masks_equal_full_or(self, name):
+        case = CORPUS[name]
+        a, b = TileMatrix.from_csr(case.a), TileMatrix.from_csr(case.b)
+        pairs = enumerate_pairs_expand(a, b)
+        sym = step2_symbolic(a, b, pairs, live=live_entries(a, b, pairs))
+        warp_masks, _ = warp_step2_symbolic(a, b, pairs)
+        assert sym.mask.tobytes() == warp_masks.astype(sym.mask.dtype).tobytes()
+
+    def test_hypersparse_masks_equal_full_or(self):
+        a, b, pairs = _hypersparse()
+        assert _dead_pair_frac(a, b, pairs) > 0.8
+        sym = step2_symbolic(a, b, pairs, live=live_entries(a, b, pairs))
+        warp_masks, stats = warp_step2_symbolic(a, b, pairs)
+        assert sym.mask.tobytes() == warp_masks.astype(sym.mask.dtype).tobytes()
+        assert sym.symbolic_ops == stats.mask_or_ops
+
+    def test_zero_pairs(self):
+        # A's only tile column (0) meets no tile row of B (B lives in row 1).
+        dense_a = np.zeros((32, 32))
+        dense_a[0, 0] = 1.0
+        dense_b = np.zeros((32, 32))
+        dense_b[20, 3] = 1.0
+        a = TileMatrix.from_csr(CSRMatrix.from_dense(dense_a))
+        b = TileMatrix.from_csr(CSRMatrix.from_dense(dense_b))
+        pairs = enumerate_pairs_expand(a, b)
+        assert pairs.num_pairs == 0
+        live = live_entries(a, b, pairs)
+        assert live.a_idx.size == live.pair_of.size == live.row_len.size == 0
+        assert live.entry_ptr.tolist() == [0] and live.csum.tolist() == [0]
+        sym = step2_symbolic(a, b, pairs, live=live)
+        assert sym.mask.shape == (0, a.tile_size) and sym.symbolic_ops == 0
+
+    def test_all_pairs_dead(self):
+        # A's nonzero sits in column 0 of its tile, B's in row 1 of its tile:
+        # the pair exists but no A column meets a nonempty B row.
+        dense_a = np.zeros((16, 16))
+        dense_a[3, 0] = 2.0
+        dense_b = np.zeros((16, 16))
+        dense_b[1, 5] = 3.0
+        a = TileMatrix.from_csr(CSRMatrix.from_dense(dense_a))
+        b = TileMatrix.from_csr(CSRMatrix.from_dense(dense_b))
+        pairs = enumerate_pairs_expand(a, b)
+        assert pairs.num_pairs == 1
+        live = live_entries(a, b, pairs)
+        assert live.a_idx.size == 0
+        assert live.entry_ptr.tolist() == [0, 0] and live.csum.tolist() == [0, 0]
+        sym = step2_symbolic(a, b, pairs, live=live)
+        assert not sym.mask.any() and sym.symbolic_ops == 1
+        result = tile_spgemm(a, b)
+        assert result.stats["num_products"] == 0 and result.c.nnz == 0
 
 
 class TestWarpStep3:
