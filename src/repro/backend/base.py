@@ -226,6 +226,11 @@ class KernelSet:
         The partial sums must be accumulated in input order into a fresh
         zero buffer which is then added onto ``out`` — see the module
         docstring's conformance contract.
+
+        ``out`` may be a contiguous slice view of ``C``'s values: step 3
+        passes each chunk its window ``val_c[lo:hi]``, and ``positions``
+        are relative to the view (``0 <= position < out.size``).  Only
+        the view's elements may be written.
         """
         raise NotImplementedError
 

@@ -19,11 +19,21 @@ profiler and the ablations.  Products come from the live entries step 2
 also ORs (:func:`repro.core.pairs.live_entries`), built once per multiply.
 
 The CUDA ``AtomicAdd`` becomes one ``np.bincount``-with-weights scatter-add
-per chunk.  Product expansion is chunked so peak temporary memory stays
-bounded — the Python analogue of the kernels' bounded shared-memory
-working set.  The ambient tracer gets the sub-phases as spans:
-``step3.expand``, ``step3.address`` and ``step3.scatter`` per chunk, and
-``step3.compact`` for ``C``'s local indices.
+per chunk.  Product expansion is chunked so the working set stays
+cache-resident — the CPU analogue of the kernels' on-chip shared-memory
+accumulator.  A chunk makes ~44 B of temporaries per product, so the
+default budget of ``1 << 18`` products keeps them near 11 MB.  Timed over
+the numeric-bound benchmark matrices (one core of a 2-vCPU VM), step 3 is
+flat between 2^17 and 2^19; below that the fixed per-chunk cost (a few
+dozen numpy calls) shows (2^16: 9 % slower, 2^14: 28 %), and above it the
+temporaries fall out of cache and are freshly page-faulted on every
+chunk (2^20: 6 % slower, ``1 << 22``: 43 %).  Each chunk scatters into
+its own window ``val_c[lo:hi]`` — the values of the C tiles its pairs
+cover — with positions relative to ``lo``, so a chunk's ``bincount``
+spans its window, not all of ``C``.  The ambient tracer gets the
+sub-phases as spans: ``step3.expand``, ``step3.address`` and
+``step3.scatter`` per chunk, and ``step3.compact`` for ``C``'s local
+indices.
 """
 
 from __future__ import annotations
@@ -131,7 +141,7 @@ def step3_numeric(
     pairs: TilePairs,
     sym: SymbolicResult,
     tnnz: Optional[int] = None,
-    chunk_products: int = 1 << 22,
+    chunk_products: int = 1 << 18,
     force_accumulator: str | None = None,
     mask_filter: bool = False,
     value_dtype=np.float64,
@@ -154,7 +164,13 @@ def step3_numeric(
         same 75 %-of-capacity ratio for other tile sizes, matching the
         cost model's sparse/dense prediction.
     chunk_products:
-        Upper bound on intermediate products expanded at once.
+        Upper bound on intermediate products expanded at once.  The
+        default ``1 << 18`` keeps a chunk's temporaries cache-resident:
+        smaller budgets pay the per-chunk overhead more often, larger
+        ones pay cache misses and page faults (see the module docstring).
+        A tile whose products exceed the budget is split at pair
+        boundaries, which changes its accumulation order; the default
+        keeps whole every 16x16 tile of at most 64 fully dense pairs.
     force_accumulator:
         ``"sparse"`` or ``"dense"`` to disable the adaptive selection
         (ablation hook); ``None`` keeps the paper's behaviour.  Only the
@@ -230,8 +246,12 @@ def step3_numeric(
                 end = aligned
         part = slice(entry_ptr[start], entry_ptr[end])
         if part.stop > part.start:
+            # The chunk's window of C's values, from its first and last
+            # *pair* (a first live entry would skip leading dead pairs).
+            lo = int(sym.tilennz[pair_c_slot[start]])
+            hi = int(sym.tilennz[pair_c_slot[end - 1] + 1])
             _accumulate_chunk(
-                a, b, pairs, sym, val_c, pair_c_slot, live.a_idx[part],
+                a, b, pairs, sym, val_c[lo:hi], lo, pair_c_slot, live.a_idx[part],
                 live.pair_of[part], live.row_len[part], mask_filter, value_dtype,
                 kernels, tracer,
             )
@@ -257,7 +277,8 @@ def _accumulate_chunk(
     b: TileMatrix,
     pairs: TilePairs,
     sym: SymbolicResult,
-    val_c: np.ndarray,
+    window: np.ndarray,
+    lo: int,
     pair_c_slot: np.ndarray,
     a_idx: np.ndarray,
     pair_of: np.ndarray,
@@ -267,7 +288,11 @@ def _accumulate_chunk(
     kernels,
     tracer,
 ) -> None:
-    """Expand a chunk's live entries into products and scatter-add them."""
+    """Expand a chunk's live entries into products and scatter-add them.
+
+    ``window`` is the view ``val_c[lo:hi]`` of the C tiles the chunk
+    touches; positions are computed relative to ``lo``.
+    """
     with tracer.span("step3.expand", cat="substep"):
         slot = pair_c_slot[pair_of]
         b_tile = pairs.pair_b[pair_of]
@@ -290,7 +315,7 @@ def _accumulate_chunk(
     # row's mask bits.
     with tracer.span("step3.address", cat="substep"):
         row_mask = np.repeat(sym.mask[slot, r], row_len)
-        pos = np.repeat(sym.tilennz[slot] + sym.rowptr[slot, r], row_len)
+        pos = np.repeat(sym.tilennz[slot] - lo + sym.rowptr[slot, r], row_len)
         pos += kernels.prefix_popcount(row_mask, b_col)
         if mask_filter:
             # Masked SpGEMM: drop products whose destination is outside the
@@ -298,4 +323,4 @@ def _accumulate_chunk(
             in_mask = (row_mask >> b_col) & 1 == 1
             pos, products = pos[in_mask], products[in_mask]
     with tracer.span("step3.scatter", cat="substep"):
-        kernels.scatter_add_into(val_c, pos, products)
+        kernels.scatter_add_into(window, pos, products)

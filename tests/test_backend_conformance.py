@@ -650,6 +650,19 @@ class TestKernelUnitConformance:
         got_k.scatter_add_into(got, pos, w)
         assert ref.tobytes() == got.tobytes()
 
+    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    def test_scatter_add_into_offset_view(self, backend):
+        # Step 3 scatters each chunk into its window of C's values, with
+        # positions relative to the window's start.
+        pos, w = _scatter_inputs()
+        ref = np.zeros(7)
+        get_backend("numpy").scatter_add_into(ref, pos, w)
+        full = np.full(12, 3.5)
+        get_backend(backend).scatter_add_into(full[3:10], pos, w)
+        expected = np.full(12, 3.5)
+        expected[3:10] += ref
+        assert full.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_scatter_add_within_declared_tolerance(self, backend):
         ref_k = get_backend("numpy")
