@@ -24,9 +24,11 @@ equalising *predicted products* (not row counts) across shards is what
 removes stragglers from the sharded parallel engine.
 
 This module is deliberately dependency-light: it accepts CSR or tiled
-operands in any mix (same duck-typing contract as
-:mod:`repro.serve.admission`) and imports nothing from the runtime or
-serving layers, so both can build on it without cycles.
+operands in any mix, and imports nothing from the runtime or serving
+layers, so both can build on it without cycles.  Its sort-free
+:func:`row_nnz` / :func:`col_indices` reconstruction is also what the
+serving tier's admission gate (:mod:`repro.serve.admission`) prices
+with.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from repro.analysis.calibration import compression_band
 __all__ = [
     "MultiplyEstimate",
     "estimate_multiply",
+    "row_nnz",
+    "col_indices",
     "row_products",
     "tile_row_products",
     "DEFAULT_SAMPLE_ROWS",
@@ -53,26 +57,49 @@ DEFAULT_SAMPLE_ROWS = 64
 
 
 # --------------------------------------------------------------- row views
+def _element_rows(m) -> np.ndarray:
+    """Global row of every stored element of tiled ``m``: element ``e``
+    of a tile in tile row ``r`` lives at row ``r * T + rowidx[e]``."""
+    tile_row = np.repeat(np.arange(m.num_tile_rows, dtype=np.int64), np.diff(m.tileptr))
+    return np.repeat(tile_row * m.tile_size, np.diff(m.tilennz)) + m.rowidx
+
+
+def row_nnz(m) -> np.ndarray:
+    """Nonzeros per row of ``m`` (CSR or tiled), length ``m.shape[0]``.
+
+    Sort-free O(nnz) for tiled operands, so the serving tier's admission
+    gate can call it on the event loop.
+    """
+    if hasattr(m, "indptr"):
+        return np.diff(m.indptr).astype(np.int64)
+    return np.bincount(_element_rows(m), minlength=m.shape[0]).astype(np.int64)
+
+
+def col_indices(m) -> np.ndarray:
+    """Global column of every stored element of ``m`` (CSR or tiled).
+
+    Tiled elements come in storage order: element ``e`` of tile ``t``
+    lives at column ``tilecolidx[t] * T + colidx[e]``.  Sort-free.
+    """
+    if hasattr(m, "indices"):
+        return m.indices
+    tile_col = m.tilecolidx.astype(np.int64) * m.tile_size
+    return np.repeat(tile_col, np.diff(m.tilennz)) + m.colidx
+
+
 def _csr_view(m):
     """``(indptr, indices)`` row view of ``m`` (CSR or tiled).
 
     CSR operands are viewed in place.  Tiled operands reconstruct the
-    per-row column lists once, in O(nnz) vectorised work: element ``e``
-    of tile ``t`` in tile row ``r`` lives at global row
-    ``r * T + rowidx[e]`` and global column
-    ``tilecolidx[t] * T + colidx[e]``.
+    per-row column lists once: :func:`col_indices` ordered by
+    :func:`_element_rows` with a stable sort.
     """
     if hasattr(m, "indptr"):
         return m.indptr, m.indices
-    tiles_per_row = np.diff(m.tileptr)
-    tile_row_of_tile = np.repeat(np.arange(m.num_tile_rows), tiles_per_row)
-    elem_tile = np.repeat(np.arange(m.num_tiles), np.diff(m.tilennz))
-    rows = tile_row_of_tile[elem_tile] * m.tile_size + m.rowidx.astype(np.int64)
-    cols = m.tilecolidx[elem_tile].astype(np.int64) * m.tile_size + m.colidx
-    order = np.argsort(rows, kind="stable")
+    rows = _element_rows(m)
     indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=m.shape[0]), out=indptr[1:])
-    return indptr, cols[order]
+    return indptr, col_indices(m)[np.argsort(rows, kind="stable")]
 
 
 def _tile_size_of(m, tile_size: Optional[int]) -> int:

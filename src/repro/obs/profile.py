@@ -676,6 +676,7 @@ def render_profile(doc: Dict[str, Any], top: int = 10) -> str:
                 f"(est {est.get('products', '?')} products, "
                 f"band {est.get('band', '?')})"
             )
+            lines.extend(f"    {note}" for note in plan.get("notes", []))
     samples = doc.get("calibration", [])
     if samples:
         families = sorted({s.get("family", "?") for s in samples})

@@ -19,8 +19,8 @@ The production-facing wrapper around the SpGEMM engines:
   byte-identical to serial;
 * :mod:`repro.runtime.planner` — estimation-driven execution planning
   (:func:`plan_execution` → :class:`ExecutionPlan`): worker count,
-  cost-weighted shard bounds, accumulator threshold and backend derived
-  per run from the row-sampled estimate of
+  executor, cost-weighted shard bounds and backend derived per run from
+  the row-sampled estimate of
   :mod:`repro.analysis.estimate`;
 * :mod:`repro.runtime.tilecache` — content-hash-keyed LRU cache of tiled
   operands for repeated multiplies.

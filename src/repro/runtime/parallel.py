@@ -6,8 +6,8 @@ of ``C`` depends only on tile row ``i`` of ``A`` (and all of ``B``).
 optional plan, the worker count, executor, shard boundaries and kernel
 backend — and hands the multiply to the shard engine
 (:mod:`repro.runtime.shards`): inline on one worker (the planner's
-``"serial"`` and ``"chunked"`` modes), on a
-:class:`~repro.runtime.shards.ShardPool` otherwise.
+``"serial"`` mode), on a :class:`~repro.runtime.shards.ShardPool`
+otherwise (``"parallel"``).
 :func:`spgemm_batch` runs many multiplies as engine runs sharing one
 pool.
 
@@ -74,37 +74,55 @@ ENV_EXECUTOR = "REPRO_EXECUTOR"
 _SHARDS_PER_WORKER = 2
 
 
+def _resolve_knob(value, name: str, env_name: str, default, parse):
+    """One deployment knob: the argument, else ``env_name``, else ``default``.
+
+    ``parse`` normalises a raw value, raising :class:`ValueError` with a
+    "must be ..." message.  A malformed environment value raises
+    :class:`~repro.errors.ConfigurationError` naming the variable (exit
+    code 10 at the CLI); a malformed *argument* stays the caller's
+    :class:`~repro.errors.InvalidInputError`.
+    """
+    if value is not None:
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise InvalidInputError(f"{name} {exc}") from None
+    raw = os.environ.get(env_name, "").strip()
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc), source=env_name) from None
+
+
+def _parse_workers(raw) -> int:
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {raw!r}") from None
+    if workers < 0:
+        raise ValueError(f"must be >= 0, got {workers}")
+    return workers
+
+
+def _parse_executor(raw) -> str:
+    executor = str(raw).lower()
+    if executor not in EXECUTORS:
+        raise ValueError(f"must be one of {EXECUTORS}, got {executor!r}")
+    return executor
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """The effective worker count: argument, else ``REPRO_WORKERS``, else 1.
 
     ``0`` (from either source) means "auto": the number of CPUs this
     process may run on.  The result is always >= 1; ``1`` selects the
-    serial engine.
-
-    A malformed environment value raises
-    :class:`~repro.errors.ConfigurationError` naming the variable (exit
-    code 10 at the CLI); a malformed *argument* stays the caller's
-    :class:`~repro.errors.InvalidInputError`.
+    serial engine.  Malformed values raise as :func:`_resolve_knob`
+    describes.
     """
-    from_env = False
-    if workers is None:
-        env = os.environ.get(ENV_WORKERS, "").strip()
-        if not env:
-            return 1
-        from_env = True
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"must be an integer, got {env!r}", source=ENV_WORKERS
-            ) from None
-    workers = int(workers)
-    if workers < 0:
-        if from_env:
-            raise ConfigurationError(
-                f"must be >= 0, got {workers}", source=ENV_WORKERS
-            )
-        raise InvalidInputError(f"workers must be >= 0, got {workers}")
+    workers = _resolve_knob(workers, "workers", ENV_WORKERS, 1, _parse_workers)
     if workers == 0:
         try:
             return max(1, len(os.sched_getaffinity(0)))
@@ -115,26 +133,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 def resolve_executor(executor: Optional[str] = None) -> str:
     """The effective executor kind: argument, else ``REPRO_EXECUTOR``,
-    else ``"thread"``.
-
-    Like :func:`resolve_workers`, a malformed environment value raises
-    :class:`~repro.errors.ConfigurationError` naming the variable.
+    else ``"thread"``.  Malformed values raise as :func:`_resolve_knob`
+    describes.
     """
-    from_env = False
-    if executor is None:
-        executor = os.environ.get(ENV_EXECUTOR, "").strip() or "thread"
-        from_env = True
-    executor = executor.lower()
-    if executor not in EXECUTORS:
-        if from_env:
-            raise ConfigurationError(
-                f"must be one of {EXECUTORS}, got {executor!r}",
-                source=ENV_EXECUTOR,
-            )
-        raise InvalidInputError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    return executor
+    return _resolve_knob(executor, "executor", ENV_EXECUTOR, "thread", _parse_executor)
 
 
 def _record_plan(plan_dict: Dict[str, object]) -> None:
@@ -178,8 +180,8 @@ def parallel_tile_spgemm(
         can be balanced, and to one shard on one worker.
     plan:
         An :class:`~repro.runtime.planner.ExecutionPlan` (duck-typed:
-        ``workers`` / ``executor`` / ``bounds`` / ``tnnz`` / ``backend``
-        / ``to_dict()``).  Fills in every option the caller left
+        ``workers`` / ``executor`` / ``bounds`` / ``backend`` /
+        ``to_dict()``).  Fills in every option the caller left
         ``None`` — including the cost-weighted shard boundaries, used
         whenever ``shards`` is not given and the plan's bounds match
         ``a``'s tile rows.  The plan record lands in ``stats["plan"]``
@@ -211,8 +213,9 @@ def parallel_tile_spgemm(
     -------
     TileSpGEMMResult
         With ``stats["shards"]`` (stitched shards, re-splits included),
-        ``stats["workers"]`` and ``stats["executor"]`` — ``"serial"`` or
-        ``"chunked"`` when the shards ran inline.
+        ``stats["workers"]`` and ``stats["executor"]`` — ``"serial"``
+        when one worker ran one shard inline, ``"chunked"`` when it ran
+        several (explicit ``shards`` or an OOM re-split).
 
     Raises
     ------
@@ -231,8 +234,6 @@ def parallel_tile_spgemm(
             executor = plan.executor
         if backend is None:
             backend = plan.backend
-        if getattr(plan, "tnnz", None) is not None:
-            kwargs.setdefault("tnnz", int(plan.tnnz))
         if shards is None and len(plan.bounds) >= 2:
             bounds = np.asarray(plan.bounds, dtype=np.int64)
             validate_bounds(bounds, a.num_tile_rows)
@@ -252,9 +253,6 @@ def parallel_tile_spgemm(
     )
 
     if workers <= 1 or len(bounds) <= 2:
-        # Inline.  Several shards pay even without parallelism: each
-        # shard's intermediates are smaller, so the working set stays
-        # cache-resident (the planner's "chunked" mode).
         run = ShardRun(a, b, bounds, policy)
         res = run_blocking([run], opts, keep_empty_tiles=keep_empty_tiles)[0]
         res.stats.update(workers=1, executor="chunked" if run.pieces > 1 else "serial")

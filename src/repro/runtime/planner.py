@@ -1,45 +1,38 @@
 """Estimation-driven execution planning for TileSpGEMM runs.
 
-The paper fixes its execution decisions statically: the accumulator
-threshold ``tnnz`` is a constant ratio of tile capacity, tile rows are
-split uniformly, and the caller chooses worker count and backend by
-hand.  This module makes those decisions per run, from the cheap
-upfront estimate of :mod:`repro.analysis.estimate` (OCEAN-style
-row-sampled nnz(C)/compression) combined with whatever calibrated
-ground truth is available — a :mod:`repro.analysis.calibration` report
-mapping predicted cost to measured cost on this machine, and the
-process-wide :class:`~repro.runtime.tilecache.TileCache` hit statistics
-that say whether operand conversion is already amortised.
+The paper fixes its execution decisions statically: the caller chooses
+worker count, shard split and backend by hand, and tile rows are split
+uniformly.  This module makes, per run, the decisions that change the run,
+from the cheap upfront estimate of :mod:`repro.analysis.estimate`
+(OCEAN-style row-sampled nnz(C)/compression).
 
 :func:`plan_execution` produces an :class:`ExecutionPlan` choosing
 
-* **workers / executor** — serial below a products threshold (pool
-  startup and stitch overhead dominate tiny multiplies), scaling up to
-  the available CPUs as predicted work grows.  A calibration report
-  whose measured times run slower than predicted lowers the bar for
-  parallelism proportionally; a warm tile cache does too (conversion
-  cost is already paid).
-* **shard count and boundaries** — the shard count bounds *predicted
-  products per shard* (:data:`DEFAULT_SHARD_PRODUCTS`): a shard's
-  intermediate arrays scale with its product count, so sharding keeps
-  the working set cache-resident and pays off even with one worker (the
-  plan's ``"chunked"`` mode, whose shards the shard engine runs inline,
-  one after another — :mod:`repro.runtime.shards`).
-  :func:`weighted_bounds` then equalises predicted products per shard
-  instead of tile-row counts, so a power-law row distribution no longer
-  leaves one straggler shard holding most of the work.
-* **tnnz** — the sparse/dense accumulator threshold, from the estimated
-  compression rate: heavy reuse (band ``8+``) means each output nonzero
-  absorbs many products, which is exactly when the dense accumulator's
-  O(1) scatter amortises its initialisation, so the threshold drops to
-  half the tile capacity; otherwise the paper's 75 % default stands.
+* **workers / executor** — serial below a products threshold
+  (:data:`DEFAULT_SERIAL_PRODUCTS`: pool startup and stitch overhead
+  dominate tiny multiplies), scaling up to the available CPUs as
+  predicted work grows.
+* **shard count and boundaries** — shards exist for concurrency only:
+  ``workers * _SHARDS_PER_WORKER`` shards on a pool, one shard on one
+  worker (step 3 keeps its own working set cache-resident, so splitting
+  a serial run buys nothing; a memory budget splits further through the
+  shard engine's OOM halving).  :func:`weighted_bounds` equalises
+  predicted products per shard instead of tile-row counts, so a
+  power-law row distribution no longer leaves one straggler shard
+  holding most of the work.
 * **backend** — the explicit request if any, else the ambient
   registry default, resolved to a pickle-safe name once.
 
-Every decision is a deterministic function of the operands (the
-estimator samples deterministically), so a plan is reproducible and the
-planned parallel run stays byte-identical to a serial run with the same
-``tnnz`` — asserted by the determinism tests.
+The plan also records the paper's accumulator threshold
+``default_tnnz(tile_size)`` as ``tnnz``; it only selects which tiles
+the ``use_dense`` statistic counts, since both accumulators share one
+address path.
+
+Every decision is a deterministic function of the operands and the
+explicit arguments / environment knobs (the estimator samples
+deterministically), so a plan is reproducible and the planned parallel
+run stays byte-identical to a serial run — asserted by the determinism
+tests.
 
 The plan is recorded in ``stats["plan"]`` of the result and in
 ``repro.profile/1`` artifacts (:class:`~repro.obs.profile.WorkloadProfiler`),
@@ -54,15 +47,11 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.estimate import (
-    DEFAULT_SAMPLE_ROWS,
-    MultiplyEstimate,
-    estimate_multiply,
-)
+from repro.analysis.estimate import estimate_multiply
 from repro.backend import backend_tier, resolve_backend_name
 from repro.core.step3 import default_tnnz
 from repro.errors import InvalidInputError
-from repro.runtime.chunked import batch_bounds, validate_bounds
+from repro.runtime.chunked import batch_bounds
 from repro.runtime.parallel import (
     _SHARDS_PER_WORKER,
     ENV_EXECUTOR,
@@ -70,14 +59,12 @@ from repro.runtime.parallel import (
     resolve_executor,
     resolve_workers,
 )
-from repro.runtime.tilecache import get_tile_cache
 
 __all__ = [
     "ExecutionPlan",
     "plan_execution",
     "weighted_bounds",
     "DEFAULT_SERIAL_PRODUCTS",
-    "DEFAULT_SHARD_PRODUCTS",
 ]
 
 #: Predicted intermediate products below which one worker is the plan:
@@ -85,19 +72,6 @@ __all__ = [
 #: multiply this small finishes serially before a pool warms up.  Each
 #: additional worker must bring at least this many products with it.
 DEFAULT_SERIAL_PRODUCTS = 200_000
-
-#: Predicted intermediate products each shard should carry.  Sharding
-#: pays even without parallelism: a shard's step-2/step-3 intermediates
-#: scale with its product count, so bounding products per shard keeps
-#: the working set cache-resident (measured ~1.5x on the ext matrices
-#: against the monolithic serial run).  The planner therefore shards by
-#: this bar first and only then asks how many workers the machine can
-#: put under the shards.
-DEFAULT_SHARD_PRODUCTS = 1_000_000
-
-#: Calibration correction is clamped to this factor range so one noisy
-#: calibration cell cannot push the planner to an extreme.
-_MAX_CALIBRATION_SKEW = 4.0
 
 
 @dataclass(frozen=True)
@@ -107,9 +81,8 @@ class ExecutionPlan:
     Attributes
     ----------
     mode:
-        ``"serial"`` (one shard, one worker), ``"chunked"`` (one worker
-        running multiple shards serially — the cache-residency win
-        without pool overhead) or ``"parallel"`` (a worker pool).
+        ``"serial"`` (one worker; one shard unless the caller asked for
+        more) or ``"parallel"`` (a worker pool).
     workers, executor, shards:
         Pool shape (``workers=1``/``shards=1`` in serial mode).
     bounds:
@@ -117,9 +90,8 @@ class ExecutionPlan:
         :func:`weighted_bounds`; always covers ``[0, num_tile_rows)``
         exactly with no empty shard.
     tnnz:
-        The accumulator threshold every shard must use (determinism:
-        sparse and dense accumulation orders differ, so the threshold is
-        fixed per plan, never per shard).
+        The paper's accumulator threshold, ``default_tnnz(tile_size)``;
+        it selects the tiles the ``use_dense`` statistic counts.
     backend:
         Resolved kernel-backend registry name.
     backend_tier:
@@ -129,12 +101,9 @@ class ExecutionPlan:
     estimate:
         Native-typed :meth:`~repro.analysis.estimate.MultiplyEstimate.to_dict`
         summary the decisions were derived from.
-    cache:
-        :meth:`~repro.runtime.tilecache.TileCache.stats` snapshot at
-        planning time.
     notes:
-        Human-readable derivation notes ("serial: products below bar",
-        "calibration skew 1.7x", ...) surfaced by ``obs profile``.
+        Human-readable derivation notes ("workers 2: explicit", ...)
+        surfaced by ``obs profile``.
     """
 
     mode: str
@@ -146,7 +115,6 @@ class ExecutionPlan:
     backend: str
     backend_tier: str = "exact"
     estimate: Dict[str, Any] = field(default_factory=dict)
-    cache: Dict[str, Any] = field(default_factory=dict)
     notes: Tuple[str, ...] = ()
 
     @property
@@ -165,7 +133,6 @@ class ExecutionPlan:
             "backend": self.backend,
             "backend_tier": self.backend_tier,
             "estimate": dict(self.estimate),
-            "cache": dict(self.cache),
             "notes": list(self.notes),
         }
 
@@ -213,27 +180,6 @@ def weighted_bounds(weights, num_shards: int) -> np.ndarray:
     return bounds
 
 
-def _calibration_skew(calibration: Optional[Dict[str, Any]]) -> float:
-    """Measured-vs-predicted slowdown of the tilespgemm family.
-
-    ``> 1`` means this machine runs the family slower than the cost
-    model predicts — parallelism pays off sooner, so the serial bar is
-    divided by the skew.  Missing/empty reports return 1.0.
-    """
-    if not calibration:
-        return 1.0
-    fam = calibration.get("families", {}).get("tilespgemm")
-    if not fam:
-        return 1.0
-    total = fam.get("total", {})
-    predicted = float(total.get("predicted_s", 0.0))
-    measured = float(total.get("measured_s", 0.0))
-    if predicted <= 0.0 or measured <= 0.0:
-        return 1.0
-    skew = measured / predicted
-    return float(min(max(skew, 1.0 / _MAX_CALIBRATION_SKEW), _MAX_CALIBRATION_SKEW))
-
-
 def plan_execution(
     a,
     b,
@@ -242,19 +188,12 @@ def plan_execution(
     shards: Optional[int] = None,
     backend=None,
     tier=None,
-    calibration: Optional[Dict[str, Any]] = None,
-    cache_stats: Optional[Dict[str, Any]] = None,
-    sample_rows: int = DEFAULT_SAMPLE_ROWS,
-    serial_products: int = DEFAULT_SERIAL_PRODUCTS,
-    shard_products: int = DEFAULT_SHARD_PRODUCTS,
 ) -> ExecutionPlan:
     """Derive an :class:`ExecutionPlan` for ``a @ b``.
 
     Explicit arguments (and the ``REPRO_WORKERS`` / ``REPRO_EXECUTOR``
     environment knobs) always win over the estimator's choice — the
-    planner fills in what the caller left open.  ``calibration`` is a
-    loaded ``repro.calibration/1`` report; ``cache_stats`` defaults to
-    the process-wide :class:`~repro.runtime.tilecache.TileCache`.
+    planner fills in what the caller left open.
 
     ``tier`` is the caller's conformance requirement, forwarded to
     :func:`~repro.backend.resolve_backend_name`: pass
@@ -267,33 +206,22 @@ def plan_execution(
             f"dimension mismatch: A is {a.shape[0]}x{a.shape[1]}, "
             f"B is {b.shape[0]}x{b.shape[1]}"
         )
-    est = estimate_multiply(a, b, sample_rows=sample_rows)
+    est = estimate_multiply(a, b)
     notes = []
-    if cache_stats is None:
-        cache_stats = get_tile_cache().stats()
 
     # --- worker count: explicit/env wins; otherwise scale with work.
     explicit_workers = workers is not None or bool(
         os.environ.get(ENV_WORKERS, "").strip()
     )
-    cpus = resolve_workers(0)
     if explicit_workers:
         chosen_workers = resolve_workers(workers)
         notes.append(f"workers {chosen_workers}: explicit")
     else:
-        bar = float(serial_products)
-        skew = _calibration_skew(calibration)
-        if skew != 1.0:
-            bar /= skew
-            notes.append(f"calibration skew {skew:.2f}x lowers serial bar")
-        lookups = cache_stats.get("hits", 0) + cache_stats.get("misses", 0)
-        if lookups and cache_stats.get("hits", 0) / lookups >= 0.5:
-            bar /= 2.0
-            notes.append("warm tile cache halves serial bar")
-        chosen_workers = int(min(cpus, max(1, est.products // max(bar, 1.0))))
+        cpus = resolve_workers(0)
+        chosen_workers = int(min(cpus, max(1, est.products // DEFAULT_SERIAL_PRODUCTS)))
         notes.append(
             f"workers {chosen_workers}: {est.products} products vs "
-            f"bar {int(bar)}/worker (cpus {cpus})"
+            f"bar {DEFAULT_SERIAL_PRODUCTS}/worker (cpus {cpus})"
         )
 
     # --- executor: explicit/env wins; threads otherwise (operands are
@@ -304,60 +232,26 @@ def plan_execution(
     )
     chosen_executor = resolve_executor(executor) if explicit_executor else "thread"
 
-    # --- shard count: bound predicted products per shard (the shards
-    # pay for themselves serially via cache residency, so this is
-    # independent of the worker count), then make sure a pool has at
-    # least _SHARDS_PER_WORKER shards per worker to balance stragglers.
-    num_tile_rows = int(len(est.tile_row_products))
+    # --- shards exist for concurrency: a few per worker to balance
+    # stragglers, one on one worker.  Boundaries equalise predicted
+    # products per shard.
     if shards is None:
-        chosen_shards = max(1, int(round(est.products / max(float(shard_products), 1.0))))
-        if chosen_shards > 1:
-            notes.append(
-                f"shards {chosen_shards}: ~{int(shard_products)} "
-                "products/shard keeps shard intermediates cache-resident"
-            )
-        if chosen_workers > 1:
-            chosen_shards = max(chosen_shards, chosen_workers * _SHARDS_PER_WORKER)
-    else:
-        chosen_shards = int(shards)
-    num_shards = max(1, min(chosen_shards, max(num_tile_rows, 1)))
-
-    # --- shard boundaries: equalise predicted products per shard.
-    if num_shards <= 1 or num_tile_rows <= 1:
-        mode = "serial"
-        num_shards = 1
-        chosen_workers = 1
-        bounds = np.array([0, num_tile_rows], dtype=np.int64)
-    else:
-        chosen_workers = max(1, min(chosen_workers, num_shards))
-        mode = "parallel" if chosen_workers > 1 else "chunked"
-        bounds = weighted_bounds(est.tile_row_products, num_shards)
-        num_shards = len(bounds) - 1
-        validate_bounds(bounds, num_tile_rows)
-
-    # --- tnnz: compression-driven accumulator threshold (deterministic
-    # per plan; see the module docstring).
-    tile_size = est.tile_size
-    tnnz = default_tnnz(tile_size)
-    if est.compression >= 8.0:
-        tnnz = max(1, (tile_size * tile_size) // 2)
-        notes.append(
-            f"compression {est.compression:.1f} (band {est.band}): "
-            f"dense-leaning tnnz {tnnz}"
-        )
+        shards = chosen_workers * _SHARDS_PER_WORKER if chosen_workers > 1 else 1
+    bounds = weighted_bounds(est.tile_row_products, shards)
+    num_shards = len(bounds) - 1
+    chosen_workers = min(chosen_workers, num_shards)
 
     backend_name = resolve_backend_name(backend, tier=tier)
 
     return ExecutionPlan(
-        mode=mode,
+        mode="parallel" if chosen_workers > 1 else "serial",
         workers=int(chosen_workers),
         executor=chosen_executor,
         shards=int(num_shards),
         bounds=bounds,
-        tnnz=int(tnnz),
+        tnnz=default_tnnz(est.tile_size),
         backend=backend_name,
         backend_tier=backend_tier(backend_name).value,
         estimate=est.to_dict(),
-        cache=dict(cache_stats),
         notes=tuple(notes),
     )

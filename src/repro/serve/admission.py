@@ -17,10 +17,11 @@ chunking headroom is shed with a typed
 :class:`~repro.errors.ServiceOverloadError` instead of being allowed to
 OOM after burning queue time; queue-depth overflow sheds the same way.
 
-The estimate works directly on either operand format: CSR rows are read
-off ``indptr``/``indices``; tiled operands reconstruct per-row counts
-and global column indices from the tile structure in O(nnz) vectorised
-work, so admission never converts or multiplies anything.
+The estimate works directly on either operand format through the
+estimator's sort-free reconstruction
+(:func:`~repro.analysis.estimate.row_nnz`,
+:func:`~repro.analysis.estimate.col_indices`): O(nnz) vectorised work,
+so admission never converts, sorts or multiplies anything.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-import numpy as np
-
+from repro.analysis.estimate import col_indices, estimate_multiply, row_nnz
 from repro.errors import ServiceOverloadError
 
 __all__ = ["CostEstimate", "AdmissionController", "estimate_cost"]
@@ -43,27 +43,6 @@ _CALIBRATED_MARGIN = 1.5
 #: Bytes charged per intermediate product in the output bound: an 8-byte
 #: value plus a 4-byte index, the CSR-side price of one kept nonzero.
 _BYTES_PER_PRODUCT = 12
-
-
-def _row_nnz(m) -> np.ndarray:
-    """Nonzeros per row of ``m`` (CSR or tiled), length ``m.shape[0]``."""
-    if hasattr(m, "indptr"):
-        return np.diff(m.indptr).astype(np.int64)
-    # Tiled: the global row of element e in tile t of tile row r is
-    # r * T + rowidx[e]; reconstruct r per element and bincount.
-    tiles_per_row = np.diff(m.tileptr)
-    tile_row_of_tile = np.repeat(np.arange(m.num_tile_rows), tiles_per_row)
-    elem_tile = np.repeat(np.arange(m.num_tiles), np.diff(m.tilennz))
-    rows = tile_row_of_tile[elem_tile] * m.tile_size + m.rowidx.astype(np.int64)
-    return np.bincount(rows, minlength=m.shape[0]).astype(np.int64)
-
-
-def _col_indices(m) -> np.ndarray:
-    """Global column index of every stored element of ``m``."""
-    if hasattr(m, "indices"):
-        return m.indices
-    elem_tile = np.repeat(np.arange(m.num_tiles), np.diff(m.tilennz))
-    return m.tilecolidx[elem_tile].astype(np.int64) * m.tile_size + m.colidx
 
 
 @dataclass(frozen=True)
@@ -100,8 +79,8 @@ def estimate_cost(a, b) -> CostEstimate:
     mix.  The products count is exact; the byte figures are upper
     bounds (the admission contract needs soundness, not tightness).
     """
-    b_rows = _row_nnz(b)
-    a_cols = _col_indices(a)
+    b_rows = row_nnz(b)
+    a_cols = col_indices(a)
     products = int(b_rows[a_cols].sum()) if a_cols.size else 0
     nnz_c_bound = min(products, int(a.shape[0]) * int(b.shape[1]))
     operand_bytes = int(a.memory_bytes() + b.memory_bytes())
@@ -184,8 +163,6 @@ class AdmissionController:
         est = estimate_cost(a, b)
         if not self.calibration:
             return est
-        from repro.analysis.estimate import estimate_multiply
-
         sampled = estimate_multiply(a, b)
         calibrated = int(sampled.est_nnz_c * _CALIBRATED_MARGIN) * _BYTES_PER_PRODUCT
         return CostEstimate(

@@ -483,32 +483,60 @@ class TestPlanner:
         assert_bytes_identical(ref.c, res.c)
         assert res.stats["plan"]["mode"] == "parallel"
 
-    def test_planned_chunked_byte_identical(self, operands):
-        # A multi-shard plan on one worker runs the shards inline — still
-        # byte-identical to the monolithic serial run.  One worker is
-        # pinned so a REPRO_WORKERS environment cannot turn it parallel.
+    def test_plan_ignores_tile_cache_history(self, operands):
+        # The plan is a function of the operands, not of what the
+        # process-wide TileCache happened to see before.
         from repro.runtime.planner import plan_execution
 
         a, b = operands
-        plan = plan_execution(a, b, workers=1, shard_products=10_000)
-        assert plan.mode == "chunked"
-        assert plan.workers == 1 and plan.shards > 1
-        res = parallel_tile_spgemm(a, b, plan=plan)
-        ref = tile_spgemm(a, b, tnnz=plan.tnnz)
-        assert_bytes_identical(ref.c, res.c)
-        assert res.stats["executor"] == "chunked"
+        csr = random_csr(64, 64, 0.1, seed=43)
+        reset_tile_cache()
+        try:
+            cold = plan_execution(a, b).to_dict()
+            cache = get_tile_cache()
+            for _ in range(4):
+                cache.tile(csr)
+            stats = cache.stats()
+            assert stats["hits"] >= stats["misses"] > 0
+            warm = plan_execution(a, b).to_dict()
+        finally:
+            reset_tile_cache()
+        assert cold == warm
+
+    def test_plan_tnnz_is_paper_default(self):
+        from repro.core.step3 import default_tnnz
+        from repro.runtime.planner import plan_execution
+
+        a = _tiled(random_csr(128, 128, 0.3, seed=44))
+        plan = plan_execution(a, a)
+        assert plan.estimate["compression"] >= 8.0
+        assert plan.tnnz == default_tnnz(16)
+
+    def test_plan_shards_for_concurrency_only(self):
+        # Several million predicted products: one worker still runs one
+        # shard; a pool gets _SHARDS_PER_WORKER shards per worker.
+        from repro.runtime.parallel import _SHARDS_PER_WORKER
+        from repro.runtime.planner import plan_execution
+
+        a = _tiled(random_csr(800, 800, 0.1, seed=45))
+        serial = plan_execution(a, a, workers=1)
+        assert serial.estimate["products"] > 4_000_000
+        assert serial.mode == "serial"
+        assert serial.shards == 1 and serial.workers == 1
+        pooled = plan_execution(a, a, workers=2)
+        assert pooled.mode == "parallel"
+        assert pooled.shards == min(2 * _SHARDS_PER_WORKER, a.num_tile_rows)
 
     def test_plan_is_deterministic(self, operands):
         from repro.runtime.planner import plan_execution
 
         a, b = operands
-        cache_stats = {"hits": 0, "misses": 0}
-        p1 = plan_execution(a, b, cache_stats=cache_stats)
-        p2 = plan_execution(a, b, cache_stats=cache_stats)
+        p1 = plan_execution(a, b)
+        p2 = plan_execution(a, b)
         assert p1.to_dict() == p2.to_dict()
 
     def test_plan_recorded_in_profiler(self, operands):
-        from repro.obs.profile import WorkloadProfiler, validate_profile
+        from repro.obs.profile import WorkloadProfiler, render_profile, validate_profile
         from repro.runtime.planner import plan_execution
 
         a, b = operands
@@ -520,3 +548,7 @@ class TestPlanner:
         assert doc["plans"], "plan record missing from the profiler"
         assert doc["plans"][0]["mode"] == plan.mode
         validate_profile(doc)
+        report = render_profile(doc)
+        assert plan.notes
+        for note in plan.notes:
+            assert f"    {note}" in report.splitlines()
