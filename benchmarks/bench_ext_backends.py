@@ -1,26 +1,23 @@
 """Extension bench: kernel backends through the bench runner.
 
-Four questions about :mod:`repro.backend`:
+Three questions about :mod:`repro.backend`:
 
 1. What does each backend cost?  The smoke suite runs once per timed
    backend through :class:`repro.bench.runner.BenchRunner` with
    ``BenchConfig.backend`` set, so every document records the backend it
    measured under (``meta["backend"]``) and the numbers are comparable
    run-to-run.
-2. Do the backends agree?  The pure-Python oracle (``pyloops``) is run
-   on the smoke matrices and checked *byte-identical* to the numpy
-   reference before any of its timings are reported.
+2. Do the backends agree?  Every timed backend and the pure-Python
+   oracle (``pyloops``) are checked *byte-identical* to the numpy
+   reference on the smoke matrices before any of their timings are
+   reported.
 3. How big are the deltas?  Speed ratios vs numpy are reported, not
    gated — the oracle is meant to be slow, and the optional accelerated
-   backend's margin depends on the host; the regression gate stays on
-   the default backend's suite.
-4. Are the tier-2 (fast-math) backends worth it?  ``fragment`` (and
-   ``numba-par`` when numba is importable) are timed through the same
-   runner, but verified to the tier-2 contract first: structure
-   byte-identical to numpy, values within the declared tolerance.
-   When both numba backends are present, the parallel fast-math variant
-   must beat the sequential exact one (geomean > 1x across the smoke
-   suite) — that is the bargain the tier buys.
+   backends' margins depend on the host; the regression gate stays on
+   the default backend's suite.  One gate applies when numba is
+   importable: the ``prange`` variant (``numba-par``) must beat the
+   sequential one (``numba``), geomean > 1x across the smoke suite, to
+   earn its place.
 
 Writes ``benchmarks/results/ext_backends.{txt,json}``; the JSON is one
 ``repro.bench/1`` document whose series carry a ``backend`` tag in
@@ -34,30 +31,16 @@ import pytest
 
 from benchmarks.conftest import RESULTS_DIR, save_and_print
 from repro.analysis import format_table
-from repro.analysis.ulp import accumulation_scale, conformance_report
-from repro.backend import (
-    ConformanceTier,
-    backend_available,
-    backend_tier,
-    backend_tolerance,
-    get_backend,
-)
+from repro.backend import backend_available, get_backend
 from repro.bench import schema
 from repro.bench.runner import SUITES, BenchConfig, BenchRunner
 from repro.core import TileMatrix, tile_spgemm
 
 #: Backends timed through the full bench runner.  ``pyloops`` is not in
 #: this list: it is the differential oracle, timed one-shot below.
-#: Tier-2 backends join the timed set but are conformance-checked
-#: (structure bytes + value tolerance) before their numbers count.
-TIMED_BACKENDS = (
-    ["numpy"]
-    + (["numba", "numba-par"] if backend_available("numba") else [])
-    + ["fragment"]
+TIMED_BACKENDS = ["numpy"] + (
+    ["numba", "numba-par"] if backend_available("numba") else []
 )
-TIER2_BACKENDS = [
-    n for n in TIMED_BACKENDS if backend_tier(n) is ConformanceTier.FAST_MATH
-]
 
 #: Repeats for the runner-timed backends; the oracle runs once.
 REPEATS = 3
@@ -66,6 +49,12 @@ _IDENTITY_ARRAYS = (
     "tileptr", "tilecolidx", "tilennz", "rowptr",
     "rowidx", "colidx", "val", "mask",
 )
+
+
+def _assert_identical(ref, got, context):
+    for arr in _IDENTITY_ARRAYS:
+        r, g = getattr(ref.c, arr), getattr(got.c, arr)
+        assert r.dtype == g.dtype and r.tobytes() == g.tobytes(), (context, arr)
 
 
 def _smoke_operands():
@@ -103,9 +92,7 @@ def oracle_rows():
         t0 = time.perf_counter()
         got = tile_spgemm(a, a, backend=kernels)
         oracle_s = time.perf_counter() - t0
-        for arr in _IDENTITY_ARRAYS:
-            r, g = getattr(ref.c, arr), getattr(got.c, arr)
-            assert r.dtype == g.dtype and r.tobytes() == g.tobytes(), (name, arr)
+        _assert_identical(ref, got, name)
         t0 = time.perf_counter()
         tile_spgemm(a, a, backend="numpy")
         numpy_s = time.perf_counter() - t0
@@ -119,21 +106,16 @@ def oracle_rows():
 
 
 @pytest.fixture(scope="module")
-def tier2_reports():
-    """Tier-2 conformance reports on the smoke matrices: structure must
-    be byte-identical and values in tolerance *before* any tier-2
-    timing is trusted."""
-    reports = {}
-    for backend in TIER2_BACKENDS:
-        tol = backend_tolerance(backend)
-        per_matrix = {}
+def identity_checked():
+    """Every timed backend byte-identical to numpy on the smoke matrices
+    *before* any of its timings is trusted."""
+    checked = []
+    for backend in TIMED_BACKENDS[1:]:
         for name, a in _smoke_operands().items():
             ref = tile_spgemm(a, a, backend="numpy")
-            got = tile_spgemm(a, a, backend=backend)
-            scale = accumulation_scale(a, a, ref.c)
-            per_matrix[name] = conformance_report(ref.c, got.c, tol, scale=scale)
-        reports[backend] = per_matrix
-    return reports
+            _assert_identical(ref, tile_spgemm(a, a, backend=backend), (backend, name))
+        checked.append(backend)
+    return checked
 
 
 def _tile_series(doc, backend):
@@ -146,7 +128,6 @@ def _tile_series(doc, backend):
             continue
         extra = dict(s.get("extra", {}))
         extra["backend"] = backend
-        extra["backend_tier"] = backend_tier(backend).value
         method = f"tilespgemm@{backend}"
         out.append(
             {
@@ -160,11 +141,8 @@ def _tile_series(doc, backend):
 
 
 def test_backend_comparison_report(
-    benchmark, backend_docs, oracle_rows, tier2_reports
+    benchmark, backend_docs, oracle_rows, identity_checked
 ):
-    for backend, per_matrix in tier2_reports.items():
-        for matrix, rep in per_matrix.items():
-            assert rep["ok"], (backend, matrix, rep)
     numpy_doc = backend_docs["numpy"]
     base = {
         s["matrix"]: min(s["wall_seconds"])
@@ -179,10 +157,8 @@ def test_backend_comparison_report(
                 continue
             best = min(s["wall_seconds"])
             ratio = base[s["matrix"]] / best if best else 0.0
-            tier = backend_tier(name).value
-            path = "runner" if tier == "exact" else "runner (tier-2, verified)"
             rows.append(
-                [s["matrix"], name, f"{best * 1e3:.2f}", f"{ratio:.2f}x", path]
+                [s["matrix"], name, f"{best * 1e3:.2f}", f"{ratio:.2f}x", "runner"]
             )
     for matrix, row in oracle_rows.items():
         ratio = base[matrix] / row["oracle_s"] if row["oracle_s"] else 0.0
@@ -195,7 +171,8 @@ def test_backend_comparison_report(
         rows,
         title=(
             "Extension: kernel backends on the smoke suite "
-            "(ratios reported, not gated; pyloops verified byte-identical)"
+            "(ratios reported, not gated; every backend verified "
+            "byte-identical to numpy)"
         ),
     )
     benchmark.pedantic(
@@ -247,15 +224,10 @@ def test_shape_oracle_agrees_everywhere(oracle_rows):
         assert row["oracle_s"] > 0, matrix
 
 
-def test_shape_tier2_backends_conformant(tier2_reports):
-    """Every timed tier-2 backend passed the conformance check on every
-    smoke matrix — structure bytes identical, values within tolerance."""
-    assert set(tier2_reports) == set(TIER2_BACKENDS)
-    for backend, per_matrix in tier2_reports.items():
-        assert per_matrix
-        for matrix, rep in per_matrix.items():
-            assert rep["structure_identical"], (backend, matrix)
-            assert rep["values"]["within"], (backend, matrix, rep["values"])
+def test_shape_timed_backends_identical(identity_checked):
+    """Every timed non-reference backend passed the byte-identity check
+    on every smoke matrix."""
+    assert identity_checked == TIMED_BACKENDS[1:]
 
 
 @pytest.mark.skipif(
@@ -263,8 +235,8 @@ def test_shape_tier2_backends_conformant(tier2_reports):
     reason="numba not importable: the numba-par vs numba race needs both",
 )
 def test_numba_par_beats_sequential_numba(backend_docs):
-    """The fast-math bargain, gated only when numba is present: the
-    prange+fastmath variant must beat sequential numba with geomean > 1x
+    """``numba-par``'s reason to exist, gated only when numba is present:
+    the prange variant must beat sequential numba with geomean > 1x
     across the smoke suite (best-of-repeats per matrix)."""
     seq = {
         s["matrix"]: min(s["wall_seconds"])

@@ -53,15 +53,6 @@ from repro.analysis.slo import (
     render_slo_report,
     slo_report_from_text,
 )
-from repro.analysis.ulp import (
-    STRUCTURE_ARRAYS,
-    VALUE_ARRAY,
-    ValueComparison,
-    accumulation_scale,
-    compare_values,
-    conformance_report,
-    ulp_diff,
-)
 
 __all__ = [
     "BUCKETS",
@@ -109,11 +100,4 @@ __all__ = [
     "render_trace_diff",
     "top_spans_report",
     "validate_chrome_trace",
-    "STRUCTURE_ARRAYS",
-    "VALUE_ARRAY",
-    "ValueComparison",
-    "accumulation_scale",
-    "compare_values",
-    "conformance_report",
-    "ulp_diff",
 ]

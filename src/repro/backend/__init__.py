@@ -28,31 +28,24 @@ whose freshly-imported registry re-resolves it.  Module state (the
 process default, instantiated kernel sets) does not survive ``spawn``,
 but the registry and the environment do.
 
-Every registration also declares a
-:class:`~repro.backend.base.ConformanceTier`: ``EXACT`` backends are
-byte-identical to the reference, ``FAST_MATH`` backends only promise
-byte-identical *structure* plus values within their declared
-:class:`~repro.backend.base.ValueTolerance`.  Callers that need
-bit-reproducible values pass ``tier=ConformanceTier.EXACT`` to
-:func:`resolve_backend` — resolution then refuses fast-math backends
-loudly (a :class:`~repro.errors.ConfigurationError` when the name came
-from ``REPRO_BACKEND``) instead of silently relaxing the guarantee.
+Every registered backend must be byte-identical to the ``numpy``
+reference — all eight result arrays, values included.  There is one
+conformance contract (stated in :mod:`repro.backend.base`), and
+``tests/test_backend_conformance.py`` judges every registration by it.
 
 In-tree backends:
 
 * ``numpy`` — the vectorised reference; always available and the
-  definition of the byte-level conformance contract (tier 1);
+  definition of the byte-level conformance contract;
 * ``pyloops`` — pure-Python scalar loops; the slow, obviously-correct
-  oracle for differential testing (tier 1);
+  oracle for differential testing;
 * ``numba`` — JIT-compiled sequential scalar loops; registered only
-  when :mod:`numba` is importable, skipped otherwise (tier 1);
-* ``numba-par`` — ``prange`` + ``fastmath`` variants of the same
-  kernels (tier 2, numba-gated like ``numba``);
-* ``fragment`` — batched 16-wide fragment accumulation modelling the
-  tensor-core dense-16×16 path (tier 2, always available).
+  when :mod:`numba` is importable, skipped otherwise;
+* ``numba-par`` — ``prange`` sort-and-segment variants of the same
+  kernels (numba-gated like ``numba``).
 
 ``docs/BACKENDS.md`` documents the registry API, how to write a backend
-and the two-tier conformance contract the test suite enforces.
+and the conformance contract the test suite enforces.
 """
 
 from __future__ import annotations
@@ -63,15 +56,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.backend.accel import NumbaKernelSet, NumbaParKernelSet, numba_available
-from repro.backend.base import (
-    DEFAULT_FAST_MATH_TOLERANCE,
-    EXACT_TOLERANCE,
-    KERNEL_NAMES,
-    ConformanceTier,
-    KernelSet,
-    ValueTolerance,
-)
-from repro.backend.fragment import FragmentKernelSet
+from repro.backend.base import KERNEL_NAMES, KernelSet
 from repro.backend.numpy_backend import NumpyKernelSet
 from repro.backend.pyloops import PyLoopsKernelSet
 from repro.errors import ConfigurationError, InvalidInputError
@@ -79,25 +64,18 @@ from repro.errors import ConfigurationError, InvalidInputError
 __all__ = [
     "ENV_BACKEND",
     "DEFAULT_BACKEND",
-    "ConformanceTier",
-    "ValueTolerance",
-    "EXACT_TOLERANCE",
-    "DEFAULT_FAST_MATH_TOLERANCE",
     "KernelSet",
     "KERNEL_NAMES",
     "NumpyKernelSet",
     "PyLoopsKernelSet",
     "NumbaKernelSet",
     "NumbaParKernelSet",
-    "FragmentKernelSet",
     "numba_available",
     "register_backend",
     "unregister_backend",
     "get_backend",
     "list_backends",
     "backend_available",
-    "backend_tier",
-    "backend_tolerance",
     "resolve_backend",
     "resolve_backend_name",
     "set_default_backend",
@@ -119,8 +97,6 @@ class _Entry:
     factory: Callable[[], KernelSet]
     available: Callable[[], bool] = field(default=lambda: True)
     description: str = ""
-    tier: ConformanceTier = ConformanceTier.EXACT
-    tolerance: ValueTolerance = EXACT_TOLERANCE
 
 
 _REGISTRY: Dict[str, _Entry] = {}
@@ -134,8 +110,6 @@ def register_backend(
     *,
     available: Optional[Callable[[], bool]] = None,
     description: str = "",
-    tier: Union[ConformanceTier, str] = ConformanceTier.EXACT,
-    tolerance: Optional[ValueTolerance] = None,
     replace: bool = False,
 ):
     """Register ``factory`` (returning a :class:`KernelSet`) as ``name``.
@@ -159,26 +133,9 @@ def register_backend(
         instantiated (optional-dependency gating).
     description:
         One line for ``list_backends`` consumers and help text.
-    tier:
-        Declared :class:`ConformanceTier` (or its string value).  EXACT
-        promises byte-identity with the numpy reference; FAST_MATH only
-        promises byte-identical *structure* plus values within
-        ``tolerance``.  Exact-mode resolution refuses FAST_MATH entries.
-    tolerance:
-        Declared :class:`ValueTolerance` for FAST_MATH backends; defaults
-        to :data:`DEFAULT_FAST_MATH_TOLERANCE` (and to the all-zero
-        :data:`EXACT_TOLERANCE` for EXACT registrations).
     replace:
         Allow overwriting an existing registration (tests).
     """
-    tier = ConformanceTier.coerce(tier)
-    if tolerance is None:
-        tolerance = (
-            DEFAULT_FAST_MATH_TOLERANCE
-            if tier is ConformanceTier.FAST_MATH
-            else EXACT_TOLERANCE
-        )
-
     def _register(fac):
         if name in _REGISTRY and not replace:
             raise InvalidInputError(f"backend {name!r} is already registered")
@@ -187,8 +144,6 @@ def register_backend(
             factory=fac,
             available=available or (lambda: True),
             description=description,
-            tier=tier,
-            tolerance=tolerance,
         )
         _INSTANCES.pop(name, None)
         return fac
@@ -219,51 +174,15 @@ def backend_available(name: str) -> bool:
     return entry is not None and bool(entry.available())
 
 
-def list_backends(
-    available_only: bool = True,
-    tier: Union[None, ConformanceTier, str] = None,
-) -> List[str]:
+def list_backends(available_only: bool = True) -> List[str]:
     """Registered backend names, sorted; ``numpy`` always first.
 
     ``available_only`` (default) filters out registrations whose
-    optional dependency is missing on this machine.  ``tier`` restricts
-    the listing to one conformance tier (e.g. the exact-only set an
-    exact-mode caller may choose from).
+    optional dependency is missing on this machine.
     """
-    want = None if tier is None else ConformanceTier.coerce(tier)
-    names = [
-        n
-        for n, e in _REGISTRY.items()
-        if (not available_only or e.available())
-        and (want is None or e.tier is want)
-    ]
+    names = [n for n, e in _REGISTRY.items() if not available_only or e.available()]
     names.sort(key=lambda n: (n != DEFAULT_BACKEND, n))
     return names
-
-
-def backend_tier(name: str) -> ConformanceTier:
-    """The :class:`ConformanceTier` declared for ``name`` at registration.
-
-    Works without instantiating the backend (and therefore without its
-    optional dependency); unknown names raise
-    :class:`~repro.errors.InvalidInputError`.
-    """
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise InvalidInputError(
-            f"unknown backend {name!r}; registered: {list_backends(available_only=False)}"
-        )
-    return entry.tier
-
-
-def backend_tolerance(name: str) -> ValueTolerance:
-    """The :class:`ValueTolerance` declared for ``name`` at registration."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise InvalidInputError(
-            f"unknown backend {name!r}; registered: {list_backends(available_only=False)}"
-        )
-    return entry.tolerance
 
 
 def get_backend(name: str) -> KernelSet:
@@ -292,8 +211,6 @@ def get_backend(name: str) -> KernelSet:
             "expected a KernelSet"
         )
     inst.name = name
-    inst.tier = entry.tier
-    inst.tolerance = entry.tolerance
     _INSTANCES[name] = inst
     return inst
 
@@ -323,49 +240,20 @@ def default_backend_name() -> str:
     return env or DEFAULT_BACKEND
 
 
-def resolve_backend(
-    spec: Union[None, str, KernelSet] = None,
-    *,
-    tier: Union[None, ConformanceTier, str] = None,
-) -> KernelSet:
+def resolve_backend(spec: Union[None, str, KernelSet] = None) -> KernelSet:
     """Resolve a backend spec to a kernel set.
 
-    ``spec`` may be a :class:`KernelSet` instance (returned as-is after
-    the tier gate), a registered name, or ``None`` — which walks the
-    precedence chain: process default, then ``REPRO_BACKEND``, then
-    ``numpy``.
-
-    ``tier`` is the *caller's requirement*, not a preference:
-    ``tier=ConformanceTier.EXACT`` means "I need byte-reproducible
-    values", and a resolution that lands on a FAST_MATH backend then
-    fails loudly instead of silently relaxing the guarantee — with
-    :class:`~repro.errors.ConfigurationError` naming ``REPRO_BACKEND``
-    when the offending name came from the environment, and the generic
-    :class:`~repro.errors.InvalidInputError` when it was passed
-    explicitly.  ``tier=None`` (the default) accepts any tier, which is
-    the opt-in for fast-math kernels.
+    ``spec`` may be a :class:`KernelSet` instance (returned as-is), a
+    registered name, or ``None`` — which walks the precedence chain:
+    process default, then ``REPRO_BACKEND``, then ``numpy``.
 
     A name that came from the ``REPRO_BACKEND`` environment variable and
     fails to resolve raises :class:`~repro.errors.ConfigurationError`
     naming the variable (exit code 10 at the CLI) instead of the generic
     invalid-input error an explicit argument gets.
     """
-    required = None if tier is None else ConformanceTier.coerce(tier)
-
-    def _gate(inst: KernelSet, from_env: bool) -> KernelSet:
-        if required is ConformanceTier.EXACT and inst.tier is not ConformanceTier.EXACT:
-            msg = (
-                f"backend {inst.name!r} is declared {inst.tier.value!r} but the "
-                f"caller requires the exact (byte-identity) conformance tier; "
-                f"exact-tier backends: {list_backends(tier=ConformanceTier.EXACT)}"
-            )
-            if from_env:
-                raise ConfigurationError(msg, source=ENV_BACKEND)
-            raise InvalidInputError(msg)
-        return inst
-
     if isinstance(spec, KernelSet):
-        return _gate(spec, from_env=False)
+        return spec
     from_env = False
     if spec is None:
         from_env = _DEFAULT_NAME is None and bool(
@@ -377,23 +265,17 @@ def resolve_backend(
             f"backend spec must be a name or KernelSet, got {type(spec).__name__}"
         )
     try:
-        return _gate(get_backend(spec), from_env)
-    except ConfigurationError:
-        raise
+        return get_backend(spec)
     except InvalidInputError as exc:
         if from_env:
             raise ConfigurationError(str(exc), source=ENV_BACKEND) from exc
         raise
 
 
-def resolve_backend_name(
-    spec: Union[None, str, KernelSet] = None,
-    *,
-    tier: Union[None, ConformanceTier, str] = None,
-) -> str:
+def resolve_backend_name(spec: Union[None, str, KernelSet] = None) -> str:
     """Like :func:`resolve_backend` but returns the registry name — the
     pickle-safe form the parallel engine ships to pool workers."""
-    return resolve_backend(spec, tier=tier).name
+    return resolve_backend(spec).name
 
 
 @contextmanager
@@ -409,7 +291,6 @@ def use_backend(name: Optional[str]):
 # ---------------------------------------------------------------- in-tree
 def _register_builtin_backends() -> None:
     from repro.backend.accel import NumbaKernelSet, NumbaParKernelSet, numba_available
-    from repro.backend.fragment import FragmentKernelSet
     from repro.backend.numpy_backend import NumpyKernelSet
     from repro.backend.pyloops import PyLoopsKernelSet
 
@@ -437,20 +318,8 @@ def _register_builtin_backends() -> None:
         NumbaParKernelSet,
         available=numba_available,
         description=(
-            "Numba prange+fastmath kernels — tier-2 fast-math "
-            "(requires the numba package)"
+            "Numba prange sort-and-segment kernels (requires the numba package)"
         ),
-        tier=ConformanceTier.FAST_MATH,
-        replace=True,
-    )
-    register_backend(
-        "fragment",
-        FragmentKernelSet,
-        description=(
-            "batched 16-wide fragment accumulator modelling the "
-            "tensor-core dense path — tier-2 fast-math"
-        ),
-        tier=ConformanceTier.FAST_MATH,
         replace=True,
     )
 

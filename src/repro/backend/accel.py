@@ -1,40 +1,32 @@
-"""The optional ``numba`` backends: JIT-compiled kernels, one per tier.
+"""The optional ``numba`` backends: JIT-compiled kernels.
 
 Registered only when :func:`numba_available` passes — a cached probe
 that actually compiles a trivial ``njit`` function, so a half-installed
 numba (package present, llvmlite broken, unsupported interpreter)
 degrades to "backend absent" instead of erroring at first kernel call.
 
-Two kernel sets live here:
+Both kernel sets keep the one conformance contract
+(:mod:`repro.backend.base`): float64 results byte-identical to the
+``numpy`` reference.  ``fastmath`` stays off in both, because
+reassociating a sum changes its last ulp.
 
-* :class:`NumbaKernelSet` (``numba``, tier 1) — *sequential* compiled
-  loops, not ``prange`` + atomics, on purpose: parallel atomic float
-  adds reorder the partial sums between runs, and the exact-tier
-  conformance contract (:mod:`repro.backend.base`) demands
-  byte-identical float64 results.  A fixed input-order accumulation into
+* :class:`NumbaKernelSet` (``numba``) — *sequential* compiled loops, not
+  ``prange`` + atomics, on purpose: parallel atomic float adds reorder
+  the partial sums between runs.  A fixed input-order accumulation into
   a fresh buffer — the same operation sequence as ``np.bincount`` — is
   both deterministic and conformant, and the JIT still removes the
-  Python interpreter overhead that makes ``pyloops`` slow.  ``fastmath``
-  stays off for the same reason: reassociation would change the last
-  ulp.
-* :class:`NumbaParKernelSet` (``numba-par``, tier 2) — ``prange`` +
-  ``fastmath`` variants unlocked by the FAST_MATH conformance tier.
+  Python interpreter overhead that makes ``pyloops`` slow.
+* :class:`NumbaParKernelSet` (``numba-par``) — ``prange`` variants.
   The scatters are *sort-and-segment*, not atomics: the coordinator
   stable-sorts the scatter positions once in NumPy, and the compiled
   kernel then ``prange``-s over the distinct output positions, each
-  thread summing its own position's weights privately.  That keeps the
-  kernels race-free and run-to-run deterministic (each segment is
-  reduced by exactly one thread in a fixed order); the only tier-2
-  liberty actually exercised is ``fastmath`` vectorising the per-segment
-  reductions, which reassociates partial sums within a segment.
-  Structure kernels (popcount, rank, compaction) are integer-exact and
-  remain byte-identical — only ``val`` can drift, which is precisely
-  what the tier-2 contract tolerates.
+  thread summing its own position's weights privately, in input order,
+  from ``+0.0``.  Each segment is reduced by exactly one thread in a
+  fixed order, so every position sees bincount's operation sequence.
 
-A CuPy backend is still deliberately *not* shipped even at tier 2:
-``cupyx.scatter_add`` runs on GPU atomics whose accumulation order is
-nondeterministic *between runs*, which would break the tier-2 promise
-that structure and values are reproducible for a fixed seed.  See
+A CuPy backend is deliberately *not* shipped: ``cupyx.scatter_add``
+runs on GPU atomics whose accumulation order is nondeterministic
+*between runs*, which no byte-identity contract can admit.  See
 ``docs/BACKENDS.md``.
 """
 
@@ -45,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend.base import ConformanceTier, KernelSet
+from repro.backend.base import KernelSet
 
 __all__ = ["NumbaKernelSet", "NumbaParKernelSet", "numba_available"]
 
@@ -147,7 +139,7 @@ def _compile_kernels():
 
 
 def _compile_par_kernels():
-    """JIT-compile the ``prange`` + ``fastmath`` tier-2 kernels."""
+    """JIT-compile the ``prange`` sort-and-segment kernels."""
     from numba import njit, prange
 
     @njit(cache=True, parallel=True)
@@ -196,12 +188,10 @@ def _compile_par_kernels():
                 acc |= masks[order[k]]
             out[uniq[s]] = acc
 
-    @njit(cache=True, parallel=True, fastmath=True)
+    @njit(cache=True, parallel=True)
     def seg_add(out, uniq, starts, ends, order, weights):
         # Fresh per-segment accumulator summed in stable input order,
         # then one add onto out — the bincount sequence per position.
-        # fastmath may vectorise (reassociate) the inner reduction:
-        # that is the declared tier-2 liberty.
         for s in prange(uniq.size):
             acc = 0.0
             for k in range(starts[s], ends[s]):
@@ -232,7 +222,6 @@ class NumbaKernelSet(KernelSet):
     """Numba-JIT scalar kernels (sequential, byte-identical by design)."""
 
     name = "numba"
-    tier = ConformanceTier.EXACT
 
     def __init__(self) -> None:
         super().__init__()
@@ -289,7 +278,7 @@ class NumbaKernelSet(KernelSet):
 
 
 class NumbaParKernelSet(KernelSet):
-    """Numba ``prange`` + ``fastmath`` kernels (tier 2 — fast-math).
+    """Numba ``prange`` kernels, byte-identical like :class:`NumbaKernelSet`.
 
     Elementwise kernels parallelise trivially; the two scatters go
     through :func:`_sorted_segments` so each distinct output position is
@@ -297,7 +286,6 @@ class NumbaParKernelSet(KernelSet):
     """
 
     name = "numba-par"
-    tier = ConformanceTier.FAST_MATH
 
     def __init__(self) -> None:
         super().__init__()
@@ -349,6 +337,9 @@ class NumbaParKernelSet(KernelSet):
 
     def scatter_add_into(self, out, positions, weights):
         self._tick("scatter_add_into")
+        # bincount adds its zero buffer everywhere, which turns an
+        # untouched -0.0 into +0.0; the segments only visit touched slots.
+        out += 0.0
         pos = np.ascontiguousarray(positions, dtype=np.int64).reshape(-1)
         if pos.size == 0:
             return

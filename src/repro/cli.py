@@ -96,7 +96,6 @@ from repro.core import TileMatrix, tile_spgemm
 from repro.errors import (
     EXIT_USAGE,
     CommFailure,
-    ConfigurationError,
     DeviceOOMError,
     InvalidInputError,
     ResilienceExhausted,
@@ -197,16 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="kernel backend for the tile pipeline (registered names: "
-        "numpy, pyloops, fragment, and numba/numba-par when installed); "
-        "defaults to $REPRO_BACKEND, else 'numpy' (see docs/BACKENDS.md)",
-    )
-    parser.add_argument(
-        "--exact",
-        action="store_true",
-        help="require an exact-tier (byte-reproducible) kernel backend: "
-        "a fast-math backend named by --backend fails with a usage "
-        "error, one from $REPRO_BACKEND with a config error (exit 10) — "
-        "never a silent downgrade of the conformance guarantee",
+        "numpy, pyloops, and numba/numba-par when installed; every one is "
+        "byte-identical to numpy); defaults to $REPRO_BACKEND, else "
+        "'numpy' (see docs/BACKENDS.md)",
     )
     parser.add_argument(
         "--trace",
@@ -266,17 +258,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     device = _DEVICES[args.d]
 
-    from repro.backend import ConformanceTier, resolve_backend, use_backend
+    from repro.backend import resolve_backend, use_backend
 
-    required_tier = ConformanceTier.EXACT if args.exact else None
-    if args.backend is not None or args.exact:
-        # Validate the explicit name, and under --exact also the backend
-        # the run would actually resolve (the process default / env).
+    if args.backend is not None:
         try:
-            resolve_backend(args.backend, tier=required_tier)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return exit_code_for(exc)
+            resolve_backend(args.backend)
         except InvalidInputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -337,15 +323,9 @@ def _run(args, device, tracer, metrics) -> int:
     say(f"file loading time: {load_s:.6f} s")
     # Line 4: tile size.
     say("tile size: 16 x 16")
-    from repro.backend import backend_tier, default_backend_name
+    from repro.backend import default_backend_name
 
     backend_name = default_backend_name()
-    try:
-        tier_name = backend_tier(backend_name).value
-    except InvalidInputError:
-        # An unknown env-provided name fails later, at resolve time,
-        # with the proper config-error classification — not here.
-        tier_name = "unknown"
     if args.backend is not None:
         # Extra line only when explicitly requested, preserving the
         # artifact's default eighteen-line contract.
@@ -355,7 +335,6 @@ def _run(args, device, tracer, metrics) -> int:
     doc["load_seconds"] = load_s
     doc["tile_size"] = 16
     doc["backend"] = backend_name
-    doc["backend_tier"] = tier_name
 
     b = a.transpose() if args.aat else a
     if a.shape[1] != b.shape[0]:
@@ -413,15 +392,12 @@ def _run(args, device, tracer, metrics) -> int:
         if args.plan == "auto":
             from repro.runtime.planner import plan_execution
 
-            from repro.backend import ConformanceTier
-
             plan = plan_execution(
                 at,
                 bt,
                 workers=args.workers,
                 executor=args.executor,
                 backend=args.backend,
-                tier=ConformanceTier.EXACT if args.exact else None,
             )
             result = parallel_tile_spgemm(
                 at, bt, plan=plan, budget_bytes=args.memory_budget

@@ -291,7 +291,6 @@ def _tile_spgemm_under_context(
 
     stats = collect_stats(a, b, pairs, sym, num, layout)
     stats["backend"] = kernels.name
-    stats["backend_tier"] = kernels.tier.value
     if obs.enabled:
         _record_obs_metrics(obs.metrics, stats)
         profiler = obs.profile
@@ -341,7 +340,7 @@ def _record_obs_metrics(metrics, stats: Dict[str, object]) -> None:
     metrics.inc("flops_total", int(stats["flops"]))
     tile_nnz = np.asarray(stats["tile_nnz_counts"])
     if tile_nnz.size:
-        metrics.observe_many("tile_nnz", tile_nnz.tolist())
+        metrics.observe_many("tile_nnz", tile_nnz)
 
 
 def _tileptr_from_rows(tile_rows: np.ndarray, num_tile_rows: int) -> np.ndarray:

@@ -10,15 +10,15 @@ deterministic, e.g. under a seeded
 :class:`~repro.runtime.faults.FaultPlan`), and renders the Prometheus
 text exposition format for scraping/diffing.
 
-Like :mod:`repro.obs.trace`, this module imports only the standard
-library, and the :data:`NULL_METRICS` singleton makes disabled metrics a
-pure no-op.
+Histograms bucket whole arrays at once with NumPy; the
+:data:`NULL_METRICS` singleton makes disabled metrics a pure no-op.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 __all__ = [
     "MetricsRegistry",
@@ -119,7 +119,13 @@ class MetricsRegistry:
         buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
         **labels: Any,
     ) -> None:
-        """Record a batch of observations (one pass; array-friendly)."""
+        """Record a batch of observations; ``values`` may be an ndarray.
+
+        Each value lands in the first bucket whose bound is ``>=`` it
+        (``+inf`` bucket last), as ``bisect_left`` would place it; NaN,
+        which compares false with every bound, lands in the first
+        bucket.  The running ``sum`` adds the values left to right.
+        """
         self._check_kind(name, "histogram")
         key = (name, _label_key(labels))
         hist = self._hists.get(key)
@@ -131,13 +137,21 @@ class MetricsRegistry:
                 "count": 0,
             }
             self._hists[key] = hist
-        bounds = hist["buckets"]
+        if not isinstance(values, (np.ndarray, list, tuple)):
+            values = list(values)
+        v = np.asarray(values, dtype=np.float64).reshape(-1)
+        if v.size == 0:
+            return
+        idx = np.searchsorted(hist["buckets"], v, side="left")
+        idx[np.isnan(v)] = 0
         counts: List[int] = hist["counts"]
-        for v in values:
-            v = float(v)
-            counts[bisect.bisect_left(bounds, v)] += 1
-            hist["sum"] += v
-            hist["count"] += 1
+        for i, n in enumerate(np.bincount(idx, minlength=len(counts)).tolist()):
+            counts[i] += n
+        # add.accumulate is strictly sequential: the same rounding (and,
+        # silently, the same inf/nan) as a Python ``+=`` loop.
+        with np.errstate(all="ignore"):
+            hist["sum"] = float(np.add.accumulate(np.r_[hist["sum"], v])[-1])
+        hist["count"] += int(v.size)
 
     # ------------------------------------------------------------- queries
     def counter_value(self, name: str, **labels: Any) -> float:

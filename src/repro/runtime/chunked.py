@@ -289,10 +289,5 @@ def stitch_results(
     backend_names = {str(r.stats["backend"]) for r in batches if "backend" in r.stats}
     if len(backend_names) == 1:
         stats["backend"] = backend_names.pop()
-    tiers = {
-        str(r.stats["backend_tier"]) for r in batches if "backend_tier" in r.stats
-    }
-    if len(tiers) == 1:
-        stats["backend_tier"] = tiers.pop()
 
     return TileSpGEMMResult(c=c, timer=timer, alloc=alloc, stats=stats)

@@ -48,7 +48,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.analysis.estimate import estimate_multiply
-from repro.backend import backend_tier, resolve_backend_name
+from repro.backend import resolve_backend_name
 from repro.core.step3 import default_tnnz
 from repro.errors import InvalidInputError
 from repro.runtime.chunked import batch_bounds
@@ -94,10 +94,6 @@ class ExecutionPlan:
         it selects the tiles the ``use_dense`` statistic counts.
     backend:
         Resolved kernel-backend registry name.
-    backend_tier:
-        The backend's declared conformance tier (``"exact"`` or
-        ``"fast-math"``), recorded so artifacts show which guarantee
-        the run carried.
     estimate:
         Native-typed :meth:`~repro.analysis.estimate.MultiplyEstimate.to_dict`
         summary the decisions were derived from.
@@ -113,7 +109,6 @@ class ExecutionPlan:
     bounds: np.ndarray
     tnnz: int
     backend: str
-    backend_tier: str = "exact"
     estimate: Dict[str, Any] = field(default_factory=dict)
     notes: Tuple[str, ...] = ()
 
@@ -131,7 +126,6 @@ class ExecutionPlan:
             "bounds": [int(x) for x in self.bounds],
             "tnnz": int(self.tnnz),
             "backend": self.backend,
-            "backend_tier": self.backend_tier,
             "estimate": dict(self.estimate),
             "notes": list(self.notes),
         }
@@ -187,19 +181,12 @@ def plan_execution(
     executor: Optional[str] = None,
     shards: Optional[int] = None,
     backend=None,
-    tier=None,
 ) -> ExecutionPlan:
     """Derive an :class:`ExecutionPlan` for ``a @ b``.
 
     Explicit arguments (and the ``REPRO_WORKERS`` / ``REPRO_EXECUTOR``
     environment knobs) always win over the estimator's choice — the
     planner fills in what the caller left open.
-
-    ``tier`` is the caller's conformance requirement, forwarded to
-    :func:`~repro.backend.resolve_backend_name`: pass
-    ``ConformanceTier.EXACT`` to guarantee the planned backend is
-    byte-reproducible — planning fails loudly rather than emit a plan
-    that names a fast-math backend.
     """
     if a.shape[1] != b.shape[0]:
         raise InvalidInputError(
@@ -241,8 +228,6 @@ def plan_execution(
     num_shards = len(bounds) - 1
     chosen_workers = min(chosen_workers, num_shards)
 
-    backend_name = resolve_backend_name(backend, tier=tier)
-
     return ExecutionPlan(
         mode="parallel" if chosen_workers > 1 else "serial",
         workers=int(chosen_workers),
@@ -250,8 +235,7 @@ def plan_execution(
         shards=int(num_shards),
         bounds=bounds,
         tnnz=default_tnnz(est.tile_size),
-        backend=backend_name,
-        backend_tier=backend_tier(backend_name).value,
+        backend=resolve_backend_name(backend),
         estimate=est.to_dict(),
         notes=tuple(notes),
     )

@@ -89,11 +89,6 @@ class ServeRequest:
         Optional :class:`~repro.runtime.faults.FaultPlan` threaded into
         every shard of this request (isolation: other requests never see
         this plan's faults).
-    exact:
-        The submitter requires exact-tier (byte-reproducible) kernels.
-        When the service is configured with a fast-math backend such a
-        request is shed at admission (reason ``"backend_tier"``) rather
-        than silently served with relaxed-tolerance values.
     trace_id:
         The propagated trace identity assigned at submission; every
         span, worker-side shard span and structured-log event of this
@@ -122,7 +117,6 @@ class ServeRequest:
     deadline_s: Optional[float] = None
     budget_bytes: Optional[int] = None
     fault_plan: Optional[object] = None
-    exact: bool = False
     trace_id: str = ""
     admitted_bytes: int = 0
     submitted_s: float = 0.0

@@ -43,7 +43,7 @@ import asyncio
 import time
 from typing import Dict, Optional, Set, Tuple
 
-from repro.backend import ConformanceTier, backend_tier, resolve_backend_name
+from repro.backend import resolve_backend_name
 from repro.core.tile_matrix import TileMatrix
 from repro.errors import (
     DeadlineExceededError,
@@ -215,7 +215,6 @@ class SpGEMMService:
         self._default_deadline_s = default_deadline_s
         self._default_budget_bytes = default_budget_bytes
         self._backend_name = resolve_backend_name(backend)
-        self._backend_tier = backend_tier(self._backend_name)
         self._sleep = sleep if sleep is not None else asyncio.sleep
         self._clock = clock
         self._cache = get_tile_cache()
@@ -301,7 +300,6 @@ class SpGEMMService:
         deadline_s: Optional[float] = None,
         budget_bytes: Optional[int] = None,
         fault_plan=None,
-        exact: bool = False,
         backpressure: str = "shed",
     ) -> ServeResponse:
         """Submit one multiply; resolves with its terminal response.
@@ -316,12 +314,6 @@ class SpGEMMService:
         ``"shed"`` (default) fails fast with a typed shed response when
         the queue is at its bound; ``"wait"`` blocks this coroutine
         until a slot frees — the submitter slows to the service's pace.
-
-        ``exact=True`` declares the submitter needs exact-tier
-        (byte-reproducible) values.  A service whose configured backend
-        is fast-math sheds such requests at admission with reason
-        ``"backend_tier"`` — the conformance guarantee is part of
-        admission, never silently downgraded.
         """
         if not self._running or not self._accepting:
             raise InvalidInputError("service is not accepting requests")
@@ -349,7 +341,6 @@ class SpGEMMService:
                 else self._default_budget_bytes
             ),
             fault_plan=fault_plan,
-            exact=exact,
             trace_id=new_trace_id("req"),
             submitted_s=self._clock(),
         )
@@ -363,22 +354,6 @@ class SpGEMMService:
             deadline_s=req.deadline_s,
             budget_bytes=req.budget_bytes,
         )
-
-        # Admission gate 0: the conformance tier.  An exact-mode
-        # request against a fast-math service can never be satisfied,
-        # so it sheds immediately in either backpressure mode (waiting
-        # cannot change the service's backend).
-        if req.exact and self._backend_tier is not ConformanceTier.EXACT:
-            return self._finish_shed(
-                req,
-                ServiceOverloadError(
-                    "backend_tier",
-                    f"request requires exact-tier kernels but the service "
-                    f"backend {self._backend_name!r} is declared "
-                    f"{self._backend_tier.value!r}",
-                ),
-                queued=False,
-            )
 
         # Admission gate 1: the memory estimate — this request alone,
         # and the aggregate of everything already admitted (reserved
@@ -694,7 +669,6 @@ class SpGEMMService:
             "workers": self._pool.workers,
             "executor": self._pool.executor,
             "backend": self._backend_name,
-            "backend_tier": self._backend_tier.value,
             "pool_replacements": self._pool.generation,
             "queue": {
                 "depth": self._queue.depth,

@@ -4,7 +4,7 @@ Historically the conformance harness and the differential edge-case
 suite each built their own copies of the same matrices (empty operands,
 the fully dense 16x16 tile, duplicate COO entries, ragged shapes, the
 fp16 value mode...).  This module is the single source: the backend
-conformance suites (both tiers), the differential suite and the
+conformance suites, the differential suite and the
 property suite all parametrise over :data:`CORPUS`, so a new entry here
 is exercised everywhere with zero copy-paste.
 
@@ -13,10 +13,12 @@ Each case carries *tags* the suites filter on:
 * ``"fp16"`` — runs the pipeline in the half-precision value mode
   (``value_dtype=np.float16``); the differential suite substitutes its
   own fp16 comparison for these.
-* ``"stress"`` — tolerance-stress cases added for the tier-2 (fast-math)
-  contract: catastrophic cancellation and 10^6-scale magnitude spreads,
-  where plain relative error is meaningless and comparisons must be
-  scaled by ``Σ|products|`` (see :mod:`repro.analysis.ulp`).
+* ``"stress"`` — accumulation-order stress cases: catastrophic
+  cancellation and 10^6-scale magnitude spreads, where any reassociated
+  sum shows up in the low bits.  The byte-identity suites and the
+  baselines run them; a comparison against a dense product holds them
+  to a ``Σ|products|``-scaled bound, since plain relative error is
+  meaningless there.
 """
 
 from __future__ import annotations
@@ -107,9 +109,8 @@ def cancellation_tile_pair() -> Tuple[CSRMatrix, CSRMatrix]:
     paired products of opposite sign down to an O(1) remainder.
 
     ``Σ|products|`` per element is ~1e8 while the true value is ~1, so
-    any reassociating accumulation is *relatively* far off the result
-    while staying well inside the reordered-summation bound — exactly
-    the case a scale-blind comparator gets wrong in both directions.
+    any reassociating accumulation lands *relatively* far off the
+    reference result.
     """
     rng = np.random.default_rng(412)
     k = 16
@@ -187,7 +188,7 @@ def _build_corpus() -> Dict[str, CorpusCase]:
             random_csr(96, 96, 0.06, seed=371),
             random_csr(96, 96, 0.06, seed=372),
         ),
-        # Tier-2 tolerance-stress cases.
+        # Accumulation-order stress cases.
         CorpusCase(
             "cancellation_tile",
             cancel_a,

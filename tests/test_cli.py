@@ -5,10 +5,12 @@ import pytest
 from repro.cli import main
 from repro.core import TileMatrix, tile_spgemm
 from repro.errors import (
+    EXIT_CONFIG,
     EXIT_EXHAUSTED,
     EXIT_FILE_NOT_FOUND,
     EXIT_INVALID_INPUT,
     EXIT_OOM,
+    EXIT_USAGE,
 )
 from repro.formats.mtx import read_mtx, write_mtx
 from tests.conftest import random_csr
@@ -129,6 +131,25 @@ class TestCLIErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             main(["--memory-budget", "lots", mtx_file])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("name", ["no-such-backend", "fragment"])
+    def test_unknown_backend_flag_is_usage_error(self, name, mtx_file, capsys):
+        assert main(["--backend", name, mtx_file]) == EXIT_USAGE
+        err = self._assert_one_line_error(capsys)
+        assert "'numpy'" in err and "'pyloops'" in err
+
+    @pytest.mark.parametrize("name", ["no-such-backend", "fragment"])
+    def test_unknown_backend_env_is_config_error(
+        self, name, mtx_file, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        assert main(["--workers", "1", mtx_file]) == EXIT_CONFIG
+        assert "REPRO_BACKEND" in self._assert_one_line_error(capsys)
+
+    def test_exact_flag_is_gone(self, mtx_file):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--exact", mtx_file])
+        assert excinfo.value.code == EXIT_USAGE
 
     def test_resilient_exhausted_exit_code(self, tmp_path, capsys):
         # A budget too small for even a single tile row defeats chunking

@@ -201,6 +201,49 @@ class TestMetricsRegistry:
         assert hist["count"] == 3 and hist["sum"] == 311
         assert hist["buckets"]["+Inf"] == 1
 
+    @staticmethod
+    def _loop_histogram(values, bounds):
+        """The per-value reference: ``bisect_left`` and a running sum."""
+        import bisect
+
+        counts = [0] * (len(bounds) + 1)
+        total = 0.0
+        for v in values:
+            v = float(v)
+            counts[bisect.bisect_left(bounds, v)] += 1
+            total += v
+        return counts, total
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1, 4, 16, 48, 96, 144, 192, 224, 256],  # every bucket bound
+            [0.5, 4.0000001, 3.9999999, 256.5, -3.0],
+            [float("inf"), float("-inf"), 2.0],
+            [float("nan"), 5.0, float("nan"), 300.0],
+            [],
+            np.random.default_rng(5).uniform(-10, 300, size=1000),
+        ],
+        ids=["bounds", "around-bounds", "inf", "nan", "empty", "random"],
+    )
+    def test_observe_many_matches_per_value_loop(self, values):
+        from repro.obs.metrics import DEFAULT_BUCKETS
+
+        bounds = tuple(float(b) for b in DEFAULT_BUCKETS)
+        for batch in (list(values), np.asarray(values, dtype=np.float64)):
+            m = MetricsRegistry()
+            m.observe("h", 7.25)  # a prior observation the batch adds onto
+            m.observe_many("h", batch)
+            counts, total = self._loop_histogram([7.25, *list(values)], bounds)
+            hist = m._hists[("h", ())]
+            assert hist["counts"] == counts
+            assert hist["count"] == len(values) + 1
+            assert np.asarray(hist["sum"]).tobytes() == np.asarray(total).tobytes()
+        # Generators are iterables too.
+        m = MetricsRegistry()
+        m.observe_many("h", (v for v in list(values)))
+        assert m._hists[("h", ())]["counts"] == self._loop_histogram(values, bounds)[0]
+
     def test_kind_conflict_and_negative_inc_raise(self):
         m = MetricsRegistry()
         m.inc("x")

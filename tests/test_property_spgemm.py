@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ulp import accumulation_scale, compare_values
-from repro.backend import ConformanceTier, backend_tier, backend_tolerance, list_backends
+from repro.backend import list_backends
 from repro.baselines import get_algorithm
 from repro.core import TileMatrix, tile_spgemm
 from repro.formats.coo import COOMatrix
@@ -148,8 +147,6 @@ def test_methods_agree_pairwise(pair):
 # ---------------------------------------------------------------------------
 
 BACKENDS = list_backends()
-EXACT_BACKENDS = [n for n in BACKENDS if backend_tier(n) is ConformanceTier.EXACT]
-FAST_BACKENDS = [n for n in BACKENDS if backend_tier(n) is ConformanceTier.FAST_MATH]
 
 
 def _assert_backend_bytes_identical(c_ref, c_got, context=""):
@@ -203,11 +200,11 @@ def test_backend_matches_dense_all_paths(backend, pair):
         )
 
 
-@pytest.mark.parametrize("backend", [b for b in EXACT_BACKENDS if b != "numpy"])
+@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "numpy"])
 @pytest.mark.parametrize("seed", [601, 602, 603, 604, 605, 606])
 def test_backend_seeded_fuzz_byte_identity(backend, seed):
     """Hypothesis-free fuzz loop: fixed seeds, dims <= 64, every
-    non-reference *exact-tier* backend byte-identical to numpy on all
+    non-reference backend byte-identical to numpy on all
     three paths.  Capped at 6 seeds so the pure-Python oracle stays
     CI-affordable."""
     rs = np.random.default_rng(seed)
@@ -224,34 +221,6 @@ def test_backend_seeded_fuzz_byte_identity(backend, seed):
         got = run(at, bt)
         assert got.stats["backend"] == backend, name
         _assert_backend_bytes_identical(ref.c, got.c, context=f"{name}:")
-
-
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
-@pytest.mark.parametrize("seed", [601, 602, 603])
-def test_fast_backend_seeded_fuzz_structure_and_tolerance(backend, seed):
-    """The tier-2 property on the same fuzz inputs: structure arrays
-    byte-identical to the numpy reference on all three paths, values
-    within the backend's declared tolerance of it."""
-    rs = np.random.default_rng(seed)
-    n, k, m = (int(rs.integers(1, 65)) for _ in range(3))
-    density = float(rs.uniform(0.02, 0.25))
-    a = random_csr(n, k, density, seed=seed * 7 + 1)
-    b = random_csr(k, m, density, seed=seed * 7 + 2)
-    at, bt = TileMatrix.from_csr(a), TileMatrix.from_csr(b)
-    ref = tile_spgemm(at, bt, backend="numpy")
-    scale = accumulation_scale(a, b, ref.c)
-    for name, run in _execution_paths(backend).items():
-        got = run(at, bt)
-        assert got.stats["backend"] == backend, name
-        for arr in ("tileptr", "tilecolidx", "tilennz", "rowptr", "rowidx",
-                    "colidx", "mask"):
-            assert (
-                getattr(ref.c, arr).tobytes() == getattr(got.c, arr).tobytes()
-            ), f"{name}:{arr}"
-        cmp = compare_values(
-            ref.c.val, got.c.val, backend_tolerance(backend), scale=scale
-        )
-        assert cmp.within, (name, cmp.to_dict())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

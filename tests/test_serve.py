@@ -457,10 +457,11 @@ class TestConfigurationErrors:
     def test_malformed_backend_env(self, monkeypatch):
         from repro.backend import ENV_BACKEND, resolve_backend
 
-        monkeypatch.setenv(ENV_BACKEND, "no-such-backend")
-        with pytest.raises(ConfigurationError) as ei:
-            resolve_backend(None)
-        assert exit_code_for(ei.value) == EXIT_CONFIG
+        for name in ("no-such-backend", "fragment"):
+            monkeypatch.setenv(ENV_BACKEND, name)
+            with pytest.raises(ConfigurationError) as ei:
+                resolve_backend(None)
+            assert exit_code_for(ei.value) == EXIT_CONFIG
 
     def test_explicit_argument_keeps_invalid_input_error(self):
         # A bad *argument* is a caller bug, not a configuration problem:
