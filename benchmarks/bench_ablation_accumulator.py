@@ -7,11 +7,13 @@ and reports the accumulator mix, the modelled step-3 time, and wall time —
 demonstrating that the adaptive middle beats both extremes on a mixed
 workload.
 
-On the CPU the choice is a recorded statistic only: one address path
-serves both accumulator kinds, so ``tnnz`` and ``force_accumulator`` no
-longer change wall time here.  The GPU cost model (``estimate_run``)
-still prices the two kinds differently, which is what the modelled
-columns and the shape tests compare.
+On the CPU ``tnnz`` is a recorded statistic only: step 3 picks its
+executed path per tile by product fill, so ``tnnz`` does not change wall
+time here.  ``force_accumulator`` does: ``"sparse"`` runs every tile on
+the scatter path and ``"dense"`` every tile with products on the dense
+tile path, with byte-identical values.  The GPU cost model
+(``estimate_run``) prices the two ``tnnz`` kinds differently, which is
+what the modelled columns and the shape tests compare.
 """
 
 import time

@@ -39,6 +39,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.analysis.calibration import compression_band
+from repro.util.arrays import concat_ranges
 
 __all__ = [
     "MultiplyEstimate",
@@ -208,7 +209,7 @@ def estimate_multiply(
     and the byte-identity contract of planned parallel runs.
     """
     a_indptr, a_indices = _csr_view(a)
-    b_indptr, b_indices = _csr_view(b)
+    b_indptr, b_indices = (a_indptr, a_indices) if b is a else _csr_view(b)
     per_row = _row_products(a_indptr, a_indices, b_indptr)
     products = int(per_row.sum())
     num_rows = int(a.shape[0])
@@ -223,18 +224,15 @@ def estimate_multiply(
         # unsampled rows.
         sampled = (np.arange(sample_rows, dtype=np.int64) * num_rows) // sample_rows
 
-    sampled_products = 0
-    sampled_nnz_c = 0
-    for i in sampled:
-        cols_a = a_indices[a_indptr[i] : a_indptr[i + 1]]
-        if cols_a.size == 0:
-            continue
-        pieces = [
-            b_indices[b_indptr[k] : b_indptr[k + 1]] for k in cols_a.tolist()
-        ]
-        touched = np.concatenate(pieces) if pieces else np.zeros(0, np.int64)
-        sampled_products += int(touched.size)
-        sampled_nnz_c += int(np.unique(touched).size)
+    # The B rows every sampled A row touches, gathered in one pass; the
+    # sampled nnz(C) is the count of distinct (sampled row, column) keys.
+    a_len = a_indptr[sampled + 1] - a_indptr[sampled]
+    ks = a_indices[concat_ranges(a_indptr[sampled], a_len)]
+    b_len = b_indptr[ks + 1] - b_indptr[ks]
+    touched = b_indices[concat_ranges(b_indptr[ks], b_len)]
+    sample_of = np.repeat(np.repeat(np.arange(sampled.size, dtype=np.int64), a_len), b_len)
+    sampled_products = int(touched.size)
+    sampled_nnz_c = int(np.unique(sample_of * max(int(b.shape[1]), 1) + touched).size)
 
     if sampled_products > 0:
         compression = sampled_products / max(sampled_nnz_c, 1)

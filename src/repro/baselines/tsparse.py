@@ -30,16 +30,7 @@ from repro.formats.csr import CSRMatrix
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
-__all__ = ["tsparse_spgemm", "densify_tiles"]
-
-
-def densify_tiles(m: TileMatrix, dtype=np.float64) -> np.ndarray:
-    """Expand every stored tile into a dense ``(num_tiles, T, T)`` array."""
-    T = m.tile_size
-    dense = np.zeros((m.num_tiles, T, T), dtype=dtype)
-    if m.nnz:
-        dense[m.tile_of_nonzero(), m.rowidx, m.colidx] = m.val.astype(dtype)
-    return dense
+__all__ = ["tsparse_spgemm"]
 
 
 @register("tsparse")
@@ -89,8 +80,8 @@ def tsparse_spgemm(
 
     notify_step("densify")
     with timer.phase("densify"):
-        dense_a = densify_tiles(at, dtype)
-        dense_b = densify_tiles(bt, dtype)
+        dense_a = at.dense_tiles(dtype=dtype)
+        dense_b = bt.dense_tiles(dtype=dtype)
 
     num_c = pairs.num_c_tiles
     dense_c = np.zeros((num_c, T, T), dtype=np.float64)

@@ -9,14 +9,32 @@ The paper's *adaptive accumulator* picks, per ``C`` tile, a **sparse**
 accumulator (``nnz <= tnnz``, default 192 = 75 % of 256: each product goes
 straight to ``rowptr[r] + rank`` in the compacted tile, ``rank`` being the
 popcount of the row's mask bits below the product's column) or a **dense**
-one (a ``T*T`` scratch tile, compacted through the mask afterwards).  Both
-give every product the same final slot, so on the CPU one address path
-serves both: per ``A`` nonzero, gather its ``C`` row's base offset
-``tilennz[slot] + rowptr[slot, r]`` and mask; per product, add the
-popcount rank of its column.  The sparse/dense choice is still made and
-recorded per tile (``NumericResult.use_dense``) for the cost model, the
-profiler and the ablations.  Products come from the live entries step 2
-also ORs (:func:`repro.core.pairs.live_entries`), built once per multiply.
+one (a ``T*T`` scratch tile, compacted through the mask afterwards).  That
+choice is recorded per tile (``NumericResult.use_dense``) for the cost
+model, the profiler and the ablations.  The CPU runs two exact paths and
+picks one per ``C`` tile by *product fill* instead — its products over
+``pairs * T**3``, the work a dense tile product does:
+
+* **scatter** — per ``A`` nonzero, gather its ``C`` row's base offset
+  ``tilennz[slot] + rowptr[slot, r]`` and mask; per product, add the
+  popcount rank of its column; scatter-add.  Products come from the live
+  entries step 2 also ORs (:func:`repro.core.pairs.live_entries`).
+* **dense** — for fill ``>= DENSE_MIN_FILL``: ``acc = 0``, then per live
+  pair in pair order and per column ``c`` of ``A`` in order,
+  ``acc += A[:, c] (outer) B[c, :]`` on the densified tiles, 128 ``C``
+  tiles at a time; ``acc`` is then read through the step-2 mask.
+
+Both give every destination the same products in the same order (pair,
+then ``A``'s column) summed from ``+0.0``; the dense path adds ``±0.0``
+padding terms, which leave such a sum unchanged, so the bytes are equal.
+A tile stays on the scatter path unless that argument holds for it: the
+products are double precision, the operands are finite (``0 * inf`` is
+``nan``) and the tile is not split across chunks.  ``force_accumulator``
+forces the executed path too, on every tile where it holds.  The
+crossover was measured on random tiles (one core of a 2-vCPU VM): dense
+is 0.74x the scatter speed at fill 0.05, 1.06x at 0.08, 1.22x at 0.12 and
+1.8x at 0.2.  The paper's rule is the wrong selector here: it marks almost
+every ``C`` tile of ``conf5_4-8x8-05`` dense, at a product fill of 0.03.
 
 The CUDA ``AtomicAdd`` becomes one ``np.bincount``-with-weights scatter-add
 per chunk.  Product expansion is chunked so the working set stays
@@ -32,8 +50,8 @@ its own window ``val_c[lo:hi]`` — the values of the C tiles its pairs
 cover — with positions relative to ``lo``, so a chunk's ``bincount``
 spans its window, not all of ``C``.  The ambient tracer gets the
 sub-phases as spans: ``step3.expand``, ``step3.address`` and
-``step3.scatter`` per chunk, and ``step3.compact`` for ``C``'s local
-indices.
+``step3.scatter`` per chunk, ``step3.dense`` (attribute ``tiles``) for
+the dense path, and ``step3.compact`` for ``C``'s local indices.
 """
 
 from __future__ import annotations
@@ -60,6 +78,15 @@ __all__ = [
 
 #: The paper's accumulator-selection threshold: 75 % of a 16x16 tile.
 DEFAULT_TNNZ: int = 192
+
+#: Product fill — a C tile's products over ``pairs * T**3`` — from which
+#: the tile takes the dense-tile path.  Measured crossover, see the module
+#: docstring.
+DENSE_MIN_FILL: float = 0.1
+
+#: C tiles accumulated together on the dense-tile path: their accumulator,
+#: products and operand tiles take 1 MB, which stays in a core's L2.
+DENSE_GROUP_TILES: int = 128
 
 
 def default_tnnz(tile_size: int) -> int:
@@ -93,9 +120,10 @@ class NumericResult:
     num_products:
         Total intermediate products accumulated (``flops / 2``).
     sparse_tiles, dense_tiles:
-        How many candidate tiles the selection assigned each accumulator
-        (cost-model input and ablation output; the values do not depend
-        on it).
+        How many candidate tiles the paper's ``tnnz`` rule assigned each
+        accumulator (cost-model input and ablation output; the CPU picks
+        its executed path by product fill, and the values do not depend
+        on either choice).
     """
 
     rowidx: np.ndarray
@@ -173,8 +201,11 @@ def step3_numeric(
         keeps whole every 16x16 tile of at most 64 fully dense pairs.
     force_accumulator:
         ``"sparse"`` or ``"dense"`` to disable the adaptive selection
-        (ablation hook); ``None`` keeps the paper's behaviour.  Only the
-        recorded choice changes: the values are byte-identical.
+        (ablation hook); ``None`` keeps the paper's recorded choice and
+        picks the executed path by product fill.  ``"sparse"`` runs every
+        tile on the scatter path, ``"dense"`` every tile with products on
+        the dense path where its bytes are exact (see the module
+        docstring).  The values are byte-identical either way.
     mask_filter:
         When true, products whose destination bit is absent from the
         step-2 masks are *dropped* instead of accumulated.  Plain SpGEMM
@@ -206,8 +237,8 @@ def step3_numeric(
     val_c = np.zeros(sym.nnz, dtype=np.float64)
 
     # --- accumulator selection per candidate tile -----------------------
-    # Recorded for the cost model, the profiler and the ablations; on the
-    # CPU both kinds share the one address path below.
+    # The paper's choice, recorded for the cost model, the profiler and the
+    # ablations; the CPU picks its executed path by product fill below.
     if force_accumulator == "sparse":
         use_dense = np.zeros(num_c, dtype=bool)
     elif force_accumulator == "dense":
@@ -219,7 +250,11 @@ def step3_numeric(
     num_dense = int(use_dense.sum())
 
     live = live_entries(a, b, pairs, kernels) if live is None else live
-    entry_ptr, csum = live.entry_ptr, live.csum
+    dense = _dense_path_tiles(
+        a, b, pairs, live.csum, chunk_products, force_accumulator, value_dtype
+    )
+    scatter = live if dense.size == 0 else _without_tiles(live, pairs, dense)
+    entry_ptr, csum = scatter.entry_ptr, scatter.csum
 
     # --- chunked expansion + scatter-add --------------------------------
     # Chunk ends are rounded down to C-tile boundaries (``pairs.pair_ptr``)
@@ -229,7 +264,8 @@ def step3_numeric(
     # run — which is what makes chunked re-execution and sharded parallel
     # execution bit-identical to the single-shot product.  A single tile
     # whose products exceed the budget is chunked internally at tile-local
-    # offsets, which are equally partition-invariant.
+    # offsets, which are equally partition-invariant.  The dense path's
+    # tiles are left out: their pairs read as dead here.
     start = 0
     num_pairs = pairs.num_pairs
     tile_bounds = pairs.pair_ptr
@@ -251,11 +287,15 @@ def step3_numeric(
             lo = int(sym.tilennz[pair_c_slot[start]])
             hi = int(sym.tilennz[pair_c_slot[end - 1] + 1])
             _accumulate_chunk(
-                a, b, pairs, sym, val_c[lo:hi], lo, pair_c_slot, live.a_idx[part],
-                live.pair_of[part], live.row_len[part], mask_filter, value_dtype,
+                a, b, pairs, sym, val_c[lo:hi], lo, pair_c_slot, scatter.a_idx[part],
+                scatter.pair_of[part], scatter.row_len[part], mask_filter, value_dtype,
                 kernels, tracer,
             )
         start = end
+    del scatter
+    if dense.size:
+        with tracer.span("step3.dense", cat="substep", tiles=int(dense.size)):
+            _accumulate_dense(a, b, pairs, sym, live, dense, val_c)
 
     with tracer.span("step3.compact", cat="substep"):
         rowidx_c, colidx_c = c_indices_from_masks(sym, T, backend=kernels)
@@ -263,12 +303,12 @@ def step3_numeric(
         rowidx=rowidx_c,
         colidx=colidx_c,
         val=val_c,
-        num_products=int(csum[-1]),
+        num_products=int(live.csum[-1]),
         sparse_tiles=int(num_c - num_dense),
         dense_tiles=num_dense,
         use_dense=use_dense,
         tnnz=int(tnnz),
-        product_csum=csum,
+        product_csum=live.csum,
     )
 
 
@@ -324,3 +364,111 @@ def _accumulate_chunk(
             pos, products = pos[in_mask], products[in_mask]
     with tracer.span("step3.scatter", cat="substep"):
         kernels.scatter_add_into(window, pos, products)
+
+
+def _dense_path_tiles(
+    a: TileMatrix,
+    b: TileMatrix,
+    pairs: TilePairs,
+    csum: np.ndarray,
+    chunk_products: int,
+    force_accumulator: str | None,
+    value_dtype,
+) -> np.ndarray:
+    """The C tiles (ascending slots) that step 3 accumulates as dense tiles.
+
+    A tile qualifies by product fill (``DENSE_MIN_FILL``, or any product
+    under ``force_accumulator="dense"``) if the dense path gives its
+    scatter bytes: double precision, no split across chunks, and finite
+    operands (``0 * inf`` is ``nan``).
+    """
+    none = np.empty(0, dtype=np.int64)
+    if force_accumulator == "sparse" or np.dtype(value_dtype) != np.float64:
+        return none
+    T = a.tile_size
+    tile_products = np.diff(csum[pairs.pair_ptr])
+    if force_accumulator == "dense":
+        wanted = tile_products > 0
+    else:
+        wanted = tile_products >= DENSE_MIN_FILL * T**3 * np.diff(pairs.pair_ptr)
+    wanted &= tile_products <= chunk_products
+    tiles = np.flatnonzero(wanted)
+    if tiles.size and not (np.isfinite(a.val).all() and np.isfinite(b.val).all()):
+        return none
+    return tiles
+
+
+def _without_tiles(live: LiveEntries, pairs: TilePairs, tiles: np.ndarray) -> LiveEntries:
+    """``live`` with the entries and products of ``tiles``' pairs removed.
+
+    The pairs keep their numbers, so the removed ones read as dead pairs:
+    the chunk loop's tile-local cuts are unchanged.
+    """
+    drop = np.zeros(pairs.num_c_tiles, dtype=bool)
+    drop[tiles] = True
+    drop = np.repeat(drop, np.diff(pairs.pair_ptr))
+    keep = ~drop[live.pair_of]
+    entry_ptr = np.zeros_like(live.entry_ptr)
+    np.cumsum(np.where(drop, 0, np.diff(live.entry_ptr)), out=entry_ptr[1:])
+    csum = np.zeros_like(live.csum)
+    np.cumsum(np.where(drop, 0, np.diff(live.csum)), out=csum[1:])
+    return LiveEntries(
+        live.a_idx[keep], live.pair_of[keep], live.row_len[keep], entry_ptr, csum
+    )
+
+
+def _accumulate_dense(
+    a: TileMatrix,
+    b: TileMatrix,
+    pairs: TilePairs,
+    sym: SymbolicResult,
+    live: LiveEntries,
+    tiles: np.ndarray,
+    val_c: np.ndarray,
+) -> None:
+    """Accumulate ``tiles`` as dense ``T x T`` tiles into their ``val_c`` slots.
+
+    Per tile: ``acc = 0``, then for each live pair in pair order and each
+    column ``c`` of ``A`` in order, ``acc += A[:, c] (outer) B[c, :]``.
+    Every destination sees the scatter path's products in the scatter
+    path's order, plus ``±0.0`` terms from the padding, which leave a sum
+    begun at ``+0.0`` unchanged.  ``acc`` is then read through the step-2
+    mask, row-major: the compacted tile's order.
+    """
+    T = a.tile_size
+    tile_pairs = np.diff(pairs.pair_ptr)[tiles]
+    pair_idx = concat_ranges(pairs.pair_ptr[tiles], tile_pairs)
+    alive = live.entry_ptr[pair_idx + 1] > live.entry_ptr[pair_idx]
+    pair_idx = pair_idx[alive]
+    # Tile i owns the live pairs pair_idx[live_ptr[i]:live_ptr[i + 1]].
+    alive_csum = np.zeros(alive.size + 1, dtype=np.int64)
+    np.cumsum(alive, out=alive_csum[1:])
+    live_ptr = alive_csum[np.r_[0, np.cumsum(tile_pairs)]]
+    bit = np.arange(T, dtype=sym.mask.dtype)
+    for g0 in range(0, tiles.size, DENSE_GROUP_TILES):
+        g1 = min(g0 + DENSE_GROUP_TILES, tiles.size)
+        lo, hi = int(live_ptr[g0]), int(live_ptr[g1])
+        group_pairs = pair_idx[lo:hi]
+        a_tiles, a_of = np.unique(pairs.pair_a[group_pairs], return_inverse=True)
+        b_tiles, b_of = np.unique(pairs.pair_b[group_pairs], return_inverse=True)
+        a_cols = a.dense_tiles(a_tiles).transpose(0, 2, 1)
+        b_rows = b.dense_tiles(b_tiles)
+        # Tiles by descending live-pair count: the tiles with a k-th pair
+        # are then a prefix of the group.
+        counts = np.diff(live_ptr[g0:g1 + 1])
+        order = np.argsort(-counts, kind="stable")
+        first = live_ptr[g0:g1][order] - lo
+        counts = counts[order]
+        acc = np.zeros((g1 - g0, T, T))
+        prod = np.empty_like(acc)
+        for k in range(int(counts[0])):
+            n = int(np.count_nonzero(counts > k))
+            at = a_cols[a_of[first[:n] + k]]
+            bt = b_rows[b_of[first[:n] + k]]
+            for c in range(T):
+                np.multiply(at[:, c, :, None], bt[:, c, None, :], out=prod[:n])
+                np.add(acc[:n], prod[:n], out=acc[:n])
+        slots = tiles[g0:g1][order]
+        in_mask = (sym.mask[slots][:, :, None] >> bit) & 1 == 1
+        dst = concat_ranges(sym.tilennz[slots], sym.tile_nnz_counts[slots])
+        val_c[dst] = acc[in_mask]

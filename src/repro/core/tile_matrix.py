@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.util.arrays import concat_ranges
 from repro.util.bits import popcount16
 
 __all__ = ["TileMatrix", "TILE", "mask_dtype_for"]
@@ -144,6 +145,21 @@ class TileMatrix:
     def tile_of_nonzero(self) -> np.ndarray:
         """For each nonzero, the index of the tile that owns it."""
         return np.repeat(np.arange(self.num_tiles, dtype=np.int64), self.tile_nnz_counts())
+
+    def dense_tiles(self, tiles: Optional[np.ndarray] = None, dtype=np.float64) -> np.ndarray:
+        """The stored tiles ``tiles`` (all if ``None``) as a dense
+        ``(len(tiles), T, T)`` array; absent entries are ``+0.0``."""
+        T = self.tile_size
+        if tiles is None:
+            tiles = np.arange(self.num_tiles, dtype=np.int64)
+        counts = self.tilennz[tiles + 1] - self.tilennz[tiles]
+        idx = concat_ranges(self.tilennz[tiles], counts)
+        flat = np.repeat(np.arange(tiles.size, dtype=np.int64) * (T * T), counts)
+        flat += self.rowidx[idx].astype(np.int64) * T
+        flat += self.colidx[idx]
+        dense = np.zeros(tiles.size * T * T, dtype=dtype)
+        dense[flat] = self.val[idx]
+        return dense.reshape(tiles.size, T, T)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -128,7 +128,9 @@ def tile_spgemm(
         ``"expand"`` for the vectorised global pair enumeration, or
         ``"binary"`` / ``"merge"`` for the per-tile Algorithm 2 loops.
     force_accumulator:
-        ``"sparse"`` / ``"dense"`` disables adaptive selection (ablation).
+        ``"sparse"`` / ``"dense"`` disables adaptive selection (ablation)
+        and forces step 3's executed path where it stays exact (see
+        :func:`repro.core.step3.step3_numeric`).
     keep_empty_tiles:
         Keep candidate tiles that end up with zero nonzeros, as the CUDA
         implementation does (they cost space but no correctness).

@@ -25,8 +25,9 @@ from the cheap upfront estimate of :mod:`repro.analysis.estimate`
 
 The plan also records the paper's accumulator threshold
 ``default_tnnz(tile_size)`` as ``tnnz``; it only selects which tiles
-the ``use_dense`` statistic counts, since both accumulators share one
-address path.
+the ``use_dense`` statistic counts.  Step 3 picks its executed path
+(scatter or dense tile) per C tile by product fill, from tile-local
+data, so the plan cannot change it.
 
 Every decision is a deterministic function of the operands and the
 explicit arguments / environment knobs (the estimator samples

@@ -19,6 +19,9 @@ Each case carries *tags* the suites filter on:
   baselines run them; a comparison against a dense product holds them
   to a ``Σ|products|``-scaled bound, since plain relative error is
   meaningless there.
+* ``"nonfinite"`` — ``inf``/``nan`` operand values.  The byte-identity
+  suites run them; suites that compare values against an oracle skip
+  them, since ``nan`` compares unequal to itself.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "outer_product",
     "cancellation_tile_pair",
     "magnitude_spread",
+    "nonfinite_tile_pair",
 ]
 
 
@@ -137,6 +141,25 @@ def magnitude_spread(seed: int, n: int = 48, decades: int = 6) -> CSRMatrix:
     return CSRMatrix(base.shape, base.indptr, base.indices, vals)
 
 
+def nonfinite_tile_pair() -> Tuple[CSRMatrix, CSRMatrix]:
+    """A full tile holding ``inf`` and ``nan`` times a tile with holes.
+
+    Row 5 of ``B`` misses columns 3 and 9, so ``C[2, 3]`` and ``C[2, 9]``
+    are finite even though ``A[2, 5]`` is ``inf``: only the stored
+    products reach them.  A dense tile product would add ``inf * 0``
+    there and make them ``nan``.  All values are positive, so no
+    ``inf - inf`` arises.
+    """
+    rng = np.random.default_rng(441)
+    a = rng.uniform(0.5, 1.5, size=(16, 16))
+    a[2, 5] = np.inf
+    a[7, 11] = np.nan
+    b = rng.uniform(0.5, 1.5, size=(16, 16))
+    b[5, [3, 9]] = 0.0
+    b[11, 0] = 0.0
+    return _dense(a), _dense(b)
+
+
 def _build_corpus() -> Dict[str, CorpusCase]:
     dup = dup_coo()
     cancel = cancelling_coo()
@@ -144,6 +167,7 @@ def _build_corpus() -> Dict[str, CorpusCase]:
     embedded = dense_tile_in_larger()
     outer_a, outer_b = outer_product()
     cancel_a, cancel_b = cancellation_tile_pair()
+    nonfinite_a, nonfinite_b = nonfinite_tile_pair()
     cases = [
         CorpusCase("empty_square", _dense(np.zeros((20, 20))), _dense(np.zeros((20, 20)))),
         CorpusCase(
@@ -209,6 +233,12 @@ def _build_corpus() -> Dict[str, CorpusCase]:
             magnitude_spread(432, n=32, decades=1),
             kwargs={"value_dtype": np.float16},
             tags=frozenset({"fp16", "stress"}),
+        ),
+        CorpusCase(
+            "nonfinite_dense_tile",
+            nonfinite_a,
+            nonfinite_b,
+            tags=frozenset({"nonfinite"}),
         ),
     ]
     return {case.name: case for case in cases}

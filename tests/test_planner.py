@@ -9,11 +9,15 @@ from repro.errors import ServiceOverloadError
 from tests.conftest import random_csr, scipy_product
 
 from repro.analysis.estimate import (
+    DEFAULT_SAMPLE_ROWS,
     MultiplyEstimate,
+    _csr_view,
     estimate_multiply,
     row_products,
     tile_row_products,
 )
+from repro.matrices.suite import get_matrix
+from tests.corpus import CORPUS
 
 
 class TestEstimator:
@@ -69,6 +73,65 @@ class TestEstimator:
         est = estimate_multiply(a, a)
         assert isinstance(est, MultiplyEstimate)
         json.dumps(est.to_dict())  # no numpy scalars / arrays
+
+
+#: The end-to-end benchmark's batch matrices (suite analogues).
+BENCH_MATRICES = (
+    "pdb1HYS", "consph", "cant", "pwtk", "rma10", "conf5_4-8x8-05", "shipsec1",
+    "mac_econ_fwd500", "cop20k_A", "scircuit", "SiO2", "gupta3",
+)
+
+
+def _loop_compression(a, b, sample_rows=DEFAULT_SAMPLE_ROWS) -> float:
+    """The sampled compression rate, one sampled row at a time."""
+    a_indptr, a_indices = _csr_view(a)
+    b_indptr, b_indices = _csr_view(b)
+    num_rows = int(a.shape[0])
+    if num_rows <= sample_rows:
+        sampled = np.arange(num_rows, dtype=np.int64)
+    else:
+        sampled = (np.arange(sample_rows, dtype=np.int64) * num_rows) // sample_rows
+    products = nnz_c = 0
+    for i in sampled:
+        cols_a = a_indices[a_indptr[i]:a_indptr[i + 1]]
+        if cols_a.size == 0:
+            continue
+        touched = np.concatenate([b_indices[b_indptr[k]:b_indptr[k + 1]] for k in cols_a])
+        products += int(touched.size)
+        nnz_c += int(np.unique(touched).size)
+    return max(products / max(nnz_c, 1), 1.0) if products else 1.0
+
+
+class TestVectorisedSample:
+    """The one-pass row sample equals the row-by-row loop."""
+
+    def _check(self, a, b):
+        compression = _loop_compression(a, b)
+        for x, y in ((a, b), (TileMatrix.from_csr(a), TileMatrix.from_csr(b))):
+            est = estimate_multiply(x, y)
+            assert est.compression == compression
+            products = int(row_products(a, b).sum())
+            assert est.est_nnz_c == (min(float(products), products / compression)
+                                     if products else 0.0)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus(self, name):
+        self._check(CORPUS[name].a, CORPUS[name].b)
+
+    @pytest.mark.parametrize("name", BENCH_MATRICES)
+    def test_benchmark_matrices(self, name):
+        a = get_matrix(name)
+        self._check(a, a)
+
+    def test_a_times_a_reuses_one_view(self, monkeypatch):
+        import repro.analysis.estimate as estimate
+
+        a = TileMatrix.from_csr(random_csr(90, 90, 0.1, seed=17))
+        calls = []
+        real = estimate._csr_view
+        monkeypatch.setattr(estimate, "_csr_view", lambda m: calls.append(m) or real(m))
+        estimate_multiply(a, a)
+        assert calls == [a]
 
 
 class TestTnnzClamp:

@@ -225,7 +225,7 @@ def test_backend_seeded_fuzz_byte_identity(backend, seed):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "case_name", corpus_names(exclude_tags=("fp16", "stress"))
+    "case_name", corpus_names(exclude_tags=("fp16", "stress", "nonfinite"))
 )
 def test_corpus_invariants_every_backend(backend, case_name):
     """Shared-corpus sweep: every backend produces a structurally valid

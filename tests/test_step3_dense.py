@@ -1,0 +1,178 @@
+"""Step 3's dense-tile path: which tiles take it, and that it moves no byte.
+
+Step 3 accumulates a C tile either by scattering its products one by one
+or, when its products fill enough of ``pairs * T**3``, as dense ``T x T``
+rank-1 updates.  The golden digests pin the bytes; these tests pin the
+selection, so the golden ``dense`` rows cannot pass without the dense path
+running:
+
+* the path runs (a ``step3.dense`` span with ``tiles > 0``) on a full tile
+  and, under ``force_accumulator="dense"``, on every tile with products;
+* tiles that the paper's ``tnnz`` rule calls dense but whose product fill
+  is low, tiles over the chunk budget, the fp16 value mode and non-finite
+  operands stay on the scatter path;
+* over block-dense matrices with signed zeros, stored zeros, subnormals
+  and ``1e±300`` magnitudes, the adaptive and all-dense bytes equal the
+  all-scatter bytes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import TileMatrix, tile_spgemm
+from repro.core.pairs import enumerate_pairs_expand, live_entries
+from repro.core.step2 import step2_symbolic
+from repro.core.step3 import DENSE_MIN_FILL, step3_numeric
+from repro.formats.csr import CSRMatrix
+from repro.matrices import generators
+from repro.obs import Tracer, obs_context
+from tests.corpus import CORPUS
+from tests.test_step3_golden import tile_digest
+
+
+def _traced(a, b, **kwargs):
+    """``tile_spgemm(a, b)`` and the tile count of its dense path (0 if none)."""
+    tracer = Tracer()
+    with obs_context(tracer=tracer), np.errstate(all="ignore"):
+        res = tile_spgemm(a, b, **kwargs)
+    spans = tracer.find("step3.dense")
+    assert len(spans) <= 1
+    return res, (spans[0].args["tiles"] if spans else 0)
+
+
+def _case(name):
+    case = CORPUS[name]
+    return TileMatrix.from_csr(case.a), TileMatrix.from_csr(case.b), case.kwargs
+
+
+def _full(n: int, seed: int) -> CSRMatrix:
+    return CSRMatrix.from_dense(np.random.default_rng(seed).uniform(0.5, 1.5, (n, n)))
+
+
+def test_full_tile_takes_dense_path():
+    a, b, kwargs = _case("dense_16x16_offset_boundary")
+    assert _traced(a, b, **kwargs)[1] == 1
+    _, sparse_tiles = _traced(a, b, force_accumulator="sparse", **kwargs)
+    assert sparse_tiles == 0
+
+
+def test_force_dense_takes_every_tile_with_products():
+    a, b, kwargs = _case("ragged_17x19")
+    res, tiles = _traced(a, b, force_accumulator="dense", **kwargs)
+    products = np.asarray(res.stats["products_per_tile"])
+    assert tiles == np.count_nonzero(products) > 0
+    # The adaptive choice leaves these sparse tiles on the scatter path.
+    assert _traced(a, b, **kwargs)[1] == 0
+    sparse, _ = _traced(a, b, force_accumulator="sparse", **kwargs)
+    assert tile_digest(res.c) == tile_digest(sparse.c)
+
+
+def test_paper_dense_tiles_with_low_fill_stay_on_scatter():
+    # conf5-like: every C tile is full (the paper's rule marks it dense),
+    # but each of its pairs makes only ~3 % of T**3 products.
+    m = TileMatrix.from_csr(generators.clustered_columns(448, 39, 224, seed=6).to_csr())
+    res, tiles = _traced(m, m)
+    st = res.stats
+    assert st["dense_tiles"] > 0.9 * st["num_c_tiles"]
+    fill = np.asarray(st["products_per_tile"]) / (np.asarray(st["pairs_per_tile"]) * 16**3)
+    assert fill.max() < DENSE_MIN_FILL
+    assert tiles == 0
+
+
+def test_tiles_over_the_chunk_budget_stay_on_scatter():
+    # Every C tile of a full 48x48 matrix has 3 pairs of 4096 products.
+    m = TileMatrix.from_csr(_full(48, seed=1))
+    pairs = enumerate_pairs_expand(m, m)
+    live = live_entries(m, m, pairs)
+    sym = step2_symbolic(m, m, pairs, live=live)
+
+    def run(budget, acc):
+        tracer = Tracer()
+        with obs_context(tracer=tracer):
+            res = step3_numeric(m, m, pairs, sym, chunk_products=budget,
+                                force_accumulator=acc, live=live)
+        spans = tracer.find("step3.dense")
+        return res.val.tobytes(), (spans[0].args["tiles"] if spans else 0)
+
+    # 2 * 4096 splits every tile after its second pair.
+    for budget, dense_tiles in ((3 * 4096, 9), (3 * 4096 - 1, 0), (2 * 4096, 0)):
+        for acc in (None, "dense"):
+            got, tiles = run(budget, acc)
+            assert tiles == dense_tiles, (budget, acc)
+            assert got == run(budget, "sparse")[0], (budget, acc)
+
+
+@pytest.mark.parametrize("acc", [None, "dense"])
+def test_fp16_value_mode_stays_on_scatter(acc):
+    a, b, kwargs = _case("fp16_value_mode")
+    assert kwargs["value_dtype"] == np.float16
+    assert _traced(a, b, force_accumulator=acc, **kwargs)[1] == 0
+
+
+@pytest.mark.parametrize("acc", [None, "dense"])
+def test_nonfinite_operands_stay_on_scatter(acc):
+    a, b, kwargs = _case("nonfinite_dense_tile")
+    res, tiles = _traced(a, b, force_accumulator=acc, **kwargs)
+    assert tiles == 0
+    c = res.c.to_dense()
+    # Row 2 of A holds inf, but B's row 5 misses columns 3 and 9: only
+    # stored products reach them, so they stay finite (a dense tile
+    # product would add inf * 0 = nan).
+    assert np.isinf(c[2, 0])
+    assert np.isfinite(c[2, [3, 9]]).all()
+    assert np.isnan(c[7, 1]) and np.isfinite(c[7, 0])
+
+
+#: Values that stress a summation: signed and stored zeros, subnormals,
+#: magnitudes whose products overflow or underflow.
+SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0, -3.25]
+)
+
+
+def _stress_matrix(n: int, fill: float, special: float, zero_rows: float,
+                   signed: bool, seed: int) -> CSRMatrix:
+    """``n x n``, each entry stored with probability ``fill``.
+
+    A ``special`` share of the stored values comes from :data:`SPECIAL`,
+    and a ``zero_rows`` share of the rows stores ``-0.0`` only: with
+    unsigned other values, their C rows receive only ``-0.0`` products.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(rng.random((n, n)) < fill)
+    vals = rng.uniform(0.5, 2.0, rows.size)
+    if signed:
+        vals *= rng.choice([-1.0, 1.0], rows.size)
+    swap = rng.random(rows.size) < special
+    vals[swap] = rng.choice(SPECIAL, int(swap.sum()))
+    vals[(rng.random(n) < zero_rows)[rows]] = -0.0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CSRMatrix((n, n), indptr, cols.astype(np.int64), vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(16, 40),
+    fill=st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+    special=st.floats(0.0, 0.5),
+    zero_rows=st.floats(0.0, 0.3),
+    signed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Full rows of -0.0 times positive columns: C entries whose every term,
+# padding included, is -0.0 — the sum must still start at +0.0.
+@example(n=32, fill=1.0, special=0.0, zero_rows=0.3, signed=False, seed=3)
+def test_dense_path_bytes_equal_scatter_bytes(n, fill, special, zero_rows, signed, seed):
+    a = TileMatrix.from_csr(_stress_matrix(n, fill, special, zero_rows, signed, seed))
+    b = TileMatrix.from_csr(_stress_matrix(n, fill, special, 0.0, signed, seed + 1))
+    sparse, none = _traced(a, b, force_accumulator="sparse")
+    assert none == 0
+    for acc in (None, "dense"):
+        res, tiles = _traced(a, b, force_accumulator=acc)
+        assert tile_digest(res.c) == tile_digest(sparse.c), acc
+    assert tiles > 0

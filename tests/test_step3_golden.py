@@ -409,6 +409,24 @@ GOLDEN: Dict[str, str] = {
     'masked/rectangular_8x32/dense/chunk=64': '51798fccb6d897264601469dd39c545bbc9b20f26c05ee0ce132dca32de0fafd',
     'masked/rectangular_8x32/sparse/chunk=default': '6e114f1495a6aad5e33e2f6cdec6c2fc798dd193f989aa8c91a898052e611b7a',
     'masked/rectangular_8x32/sparse/chunk=64': '51798fccb6d897264601469dd39c545bbc9b20f26c05ee0ce132dca32de0fafd',
+    'nonfinite_dense_tile/adaptive/f64/chunk=default': 'cadfe050b948844c7f81c888e8994a5526735987ab5b9a37fa734037ef0930b3',
+    'nonfinite_dense_tile/adaptive/f64/chunk=64': 'cadfe050b948844c7f81c888e8994a5526735987ab5b9a37fa734037ef0930b3',
+    'nonfinite_dense_tile/adaptive/f16/chunk=default': 'a24090e75ce92a7b9f7251bfd2c158529ed786e648f8a28967664f2fd9f9e0aa',
+    'nonfinite_dense_tile/adaptive/f16/chunk=64': 'a24090e75ce92a7b9f7251bfd2c158529ed786e648f8a28967664f2fd9f9e0aa',
+    'nonfinite_dense_tile/sparse/f64/chunk=default': 'cadfe050b948844c7f81c888e8994a5526735987ab5b9a37fa734037ef0930b3',
+    'nonfinite_dense_tile/sparse/f64/chunk=64': 'cadfe050b948844c7f81c888e8994a5526735987ab5b9a37fa734037ef0930b3',
+    'nonfinite_dense_tile/sparse/f16/chunk=default': 'a24090e75ce92a7b9f7251bfd2c158529ed786e648f8a28967664f2fd9f9e0aa',
+    'nonfinite_dense_tile/sparse/f16/chunk=64': 'a24090e75ce92a7b9f7251bfd2c158529ed786e648f8a28967664f2fd9f9e0aa',
+    'nonfinite_dense_tile/dense/f64/chunk=default': 'cadfe050b948844c7f81c888e8994a5526735987ab5b9a37fa734037ef0930b3',
+    'nonfinite_dense_tile/dense/f64/chunk=64': 'cadfe050b948844c7f81c888e8994a5526735987ab5b9a37fa734037ef0930b3',
+    'nonfinite_dense_tile/dense/f16/chunk=default': 'a24090e75ce92a7b9f7251bfd2c158529ed786e648f8a28967664f2fd9f9e0aa',
+    'nonfinite_dense_tile/dense/f16/chunk=64': 'a24090e75ce92a7b9f7251bfd2c158529ed786e648f8a28967664f2fd9f9e0aa',
+    'masked/nonfinite_dense_tile/adaptive/chunk=default': '0bee7e946870de340778c52cde86c9648ea4e564b3b65aeccc64a54ef03604ad',
+    'masked/nonfinite_dense_tile/adaptive/chunk=64': '0bee7e946870de340778c52cde86c9648ea4e564b3b65aeccc64a54ef03604ad',
+    'masked/nonfinite_dense_tile/dense/chunk=default': '0bee7e946870de340778c52cde86c9648ea4e564b3b65aeccc64a54ef03604ad',
+    'masked/nonfinite_dense_tile/dense/chunk=64': '0bee7e946870de340778c52cde86c9648ea4e564b3b65aeccc64a54ef03604ad',
+    'masked/nonfinite_dense_tile/sparse/chunk=default': '0bee7e946870de340778c52cde86c9648ea4e564b3b65aeccc64a54ef03604ad',
+    'masked/nonfinite_dense_tile/sparse/chunk=64': '0bee7e946870de340778c52cde86c9648ea4e564b3b65aeccc64a54ef03604ad',
 }
 
 

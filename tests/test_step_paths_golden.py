@@ -61,6 +61,7 @@ STATS = {
         [244, 275, 256, 27, 325, 316, 318, 41, 260, 265, 272, 24, 14, 13, 14, 1],
     ),
     "rectangular_8x32": (64, 2, 1, [2], [133]),
+    "nonfinite_dense_tile": (256, 1, 1, [1], [4048]),
 }
 
 
