@@ -12,7 +12,10 @@ the paper's figures-by-other-means:
   CLI's ``--profile`` flag;
 * :func:`breakdown_from_trace` / :func:`render_breakdown` — recover the
   Figure-10 step1/step2/step3/malloc split from a trace alone, using the
-  same phase-to-bucket mapping as :mod:`repro.analysis.breakdown`.
+  same phase-to-bucket mapping as :mod:`repro.analysis.breakdown`.  A
+  trace's ``cat="step"`` spans are the phases every algorithm's
+  :class:`~repro.util.timing.PhaseTimer` timed — one measurement, so the
+  trace's split is the in-process one.
 
 Everything here operates on plain dicts, so a trace captured on one
 machine can be analysed on another with no repro objects in scope.
@@ -141,14 +144,19 @@ def top_spans_report(doc: dict, n: int = 12) -> str:
 def breakdown_from_trace(doc: dict, strict: bool = False) -> Dict[str, float]:
     """Figure-10 bucket seconds recovered from a trace file alone.
 
-    Sums ``cat="step"`` and ``cat="kernel.phase"`` spans into the paper's
-    ``step1``/``step2``/``step3``/``malloc`` buckets via the same mapping
-    the in-process breakdown uses.  Unmapped phase names are ignored
-    unless ``strict`` is true (then they raise ``KeyError``), so traces
-    from newer pipelines with extra phases still produce a breakdown.
+    Sums ``cat="step"`` spans into the paper's ``step1``/``step2``/
+    ``step3``/``malloc`` buckets via the same mapping the in-process
+    breakdown uses.  Every step span is one
+    :meth:`~repro.util.timing.PhaseTimer.phase` and the timer was
+    credited with that span's duration, so this equals
+    :func:`~repro.analysis.breakdown.measured_breakdown` of the traced
+    runs up to the float error of the file's microsecond units.
+    Unmapped phase names are ignored unless ``strict`` is true (then
+    they raise ``KeyError``), so traces from newer pipelines with extra
+    phases still produce a breakdown.
     """
     out = {b: 0.0 for b in BUCKETS}
-    for ev in _complete_events(doc, cats=("step", "kernel.phase")):
+    for ev in _complete_events(doc, cats=("step",)):
         bucket = _PHASE_TO_BUCKET.get(ev["name"])
         if bucket is None:
             if strict:

@@ -9,13 +9,13 @@ over methods generically.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
+from repro.obs.context import current_obs
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -25,59 +25,7 @@ __all__ = [
     "get_algorithm",
     "available_algorithms",
     "flops_of_product",
-    "notify_step",
 ]
-
-
-def _current_obs():
-    """The active observability context, or ``None``.
-
-    Looked up through ``sys.modules`` (the same idiom ``notify_step``
-    uses for the runtime context): if :mod:`repro.obs` was never
-    imported, nobody can have enabled tracing, and the baselines stay
-    importable without it.
-    """
-    mod = sys.modules.get("repro.obs.context")
-    if mod is None:
-        return None
-    obs = mod.current_obs()
-    return obs if obs.enabled else None
-
-
-#: Per-call phase-span holders (one per live instrumented kernel call,
-#: innermost last), driven by the ``notify_step`` markers every baseline
-#: already emits — hooking this module once gives all eight baselines
-#: per-kernel-phase spans without touching them.
-_PHASE_SPANS: list = []
-
-
-def notify_step(name: str) -> None:
-    """Report entering kernel phase ``name`` to the active fault plan.
-
-    A no-op unless the caller runs inside a
-    :func:`repro.runtime.context.execution_context` with a fault plan —
-    looked up through ``sys.modules`` so the baselines stay importable
-    without the runtime package.  The plan may raise a typed error here;
-    that is the injection point the resilience tests use.
-
-    When an observability context is active *and* the call happens inside
-    a registered algorithm, the marker also rotates the current
-    kernel-phase span: the previous phase's span is closed and one named
-    ``name`` is opened (closed at the latest when the algorithm returns).
-    """
-    if _PHASE_SPANS:
-        holder = _PHASE_SPANS[-1]
-        if holder["cm"] is not None:
-            holder["cm"].__exit__(None, None, None)
-            holder["cm"] = None
-        obs = _current_obs()
-        if obs is not None:
-            cm = obs.tracer.span(name, cat="kernel.phase", method=holder["method"])
-            cm.__enter__()
-            holder["cm"] = cm
-    mod = sys.modules.get("repro.runtime.context")
-    if mod is not None:
-        mod.note_step(name)
 
 
 @dataclass
@@ -124,37 +72,25 @@ def _instrumented(name: str, fn: Callable[..., SpGEMMResult]) -> Callable[..., S
     """Wrap a registered algorithm with the observability hooks.
 
     One wrapper at the registry — not eight edits in the baselines —
-    gives every method a ``spgemm:<name>`` span, per-phase child spans
-    (rotated by :func:`notify_step`) and the common result counters.
-    Disabled observability costs one ``sys.modules`` lookup per call.
+    gives every method a ``spgemm:<name>`` span and the common result
+    counters; the method's own :meth:`~repro.util.timing.PhaseTimer.phase`
+    blocks are its step spans inside it.  Disabled observability costs
+    one context lookup per call.
     """
     import functools
 
     @functools.wraps(fn)
     def run(a, b, *args, **kwargs):
-        obs = _current_obs()
-        if obs is None:
+        obs = current_obs()
+        if not obs.enabled:
             return fn(a, b, *args, **kwargs)
-        holder = {"cm": None, "method": name}
-        _PHASE_SPANS.append(holder)
-        try:
-            with obs.tracer.span(
-                "spgemm:" + name,
-                cat="kernel",
-                nnz_a=int(getattr(a, "nnz", 0)),
-                nnz_b=int(getattr(b, "nnz", 0)),
-            ):
-                try:
-                    result = fn(a, b, *args, **kwargs)
-                finally:
-                    # Close the last rotated phase span *inside* the
-                    # kernel span, so spans unwind strictly LIFO even
-                    # when the algorithm (or an injected fault) raises.
-                    if holder["cm"] is not None:
-                        holder["cm"].__exit__(None, None, None)
-                        holder["cm"] = None
-        finally:
-            _PHASE_SPANS.pop()
+        with obs.tracer.span(
+            "spgemm:" + name,
+            cat="kernel",
+            nnz_a=int(getattr(a, "nnz", 0)),
+            nnz_b=int(getattr(b, "nnz", 0)),
+        ):
+            result = fn(a, b, *args, **kwargs)
         metrics = obs.metrics
         metrics.inc("spgemm_calls_total", method=name)
         metrics.inc("spgemm_products_total", int(result.stats.get("num_products", 0)), method=name)

@@ -22,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InvalidInputError
-from repro.baselines.base import SpGEMMResult, flops_of_product, notify_step, register
+from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.formats.csr import CSRMatrix
+from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -42,7 +43,7 @@ def gustavson_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
     indptr = np.zeros(nrows + 1, dtype=np.int64)
     cols_out = []
     vals_out = []
-    notify_step("numeric")
+    note_step("numeric")
     with timer.phase("numeric"):
         for i in range(nrows):
             acc: dict = {}

@@ -22,8 +22,9 @@ import numpy as np
 
 from repro.baselines._expand import row_upper_bounds
 from repro.errors import InvalidInputError
-from repro.baselines.base import SpGEMMResult, flops_of_product, notify_step, register
+from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.formats.csr import CSRMatrix
+from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.arrays import concat_ranges
 from repro.util.timing import PhaseTimer
@@ -71,7 +72,7 @@ def rmerge_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
     shape = (a.shape[0], b.shape[1])
 
     alloc.set_phase("analysis")
-    notify_step("analysis")
+    note_step("analysis")
     with timer.phase("analysis"):
         ub = row_upper_bounds(a, b)
         row_lists = np.diff(a.indptr)  # lists to merge per row = len(a_i*)
@@ -82,7 +83,7 @@ def rmerge_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
         alloc.alloc("merge_buffers", int(ub.sum()) * 12 * 2)
 
     # ------------------------------------------------- initial scaled lists
-    notify_step("numeric")
+    note_step("numeric")
     with timer.phase("numeric"):
         b_row_len = np.diff(b.indptr)
         rep = b_row_len[a.indices] if a.nnz else np.empty(0, dtype=np.int64)

@@ -23,10 +23,11 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import InvalidInputError
-from repro.baselines.base import SpGEMMResult, flops_of_product, notify_step, register
+from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.core.pairs import enumerate_pairs_expand
 from repro.core.tile_matrix import TILE, TileMatrix
 from repro.formats.csr import CSRMatrix
+from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -64,7 +65,7 @@ def tsparse_spgemm(
     T = tile_size
 
     alloc.set_phase("tiling")
-    notify_step("tiling")
+    note_step("tiling")
     with timer.phase("tiling"):
         at = a_tiled if a_tiled is not None else TileMatrix.from_csr(a, T)
         bt = b_tiled if b_tiled is not None else TileMatrix.from_csr(b, T)
@@ -78,7 +79,7 @@ def tsparse_spgemm(
         # size having been live at the peak.
         alloc.alloc("dense_tiles_C", int(pairs.num_c_tiles * T * T * itemsize * 1.5))
 
-    notify_step("densify")
+    note_step("densify")
     with timer.phase("densify"):
         dense_a = at.dense_tiles(dtype=dtype)
         dense_b = bt.dense_tiles(dtype=dtype)
@@ -86,7 +87,7 @@ def tsparse_spgemm(
     num_c = pairs.num_c_tiles
     dense_c = np.zeros((num_c, T, T), dtype=np.float64)
     slots = pairs.pair_c_slot()
-    notify_step("numeric")
+    note_step("numeric")
     with timer.phase("numeric"):
         for start in range(0, pairs.num_pairs, chunk_pairs):
             end = min(start + chunk_pairs, pairs.num_pairs)
@@ -95,7 +96,7 @@ def tsparse_spgemm(
             )
             np.add.at(dense_c, slots[start:end], prod.astype(np.float64))
 
-    notify_step("sparsify")
+    note_step("sparsify")
     with timer.phase("sparsify"):
         tile_slot, r, ccol = np.nonzero(dense_c)
         rows = pairs.c_tilerow[tile_slot] * T + r

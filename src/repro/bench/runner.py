@@ -325,7 +325,7 @@ class BenchRunner:
             n=a.shape[0],
             nnz=a.nnz,
             nnz_c=int(result.stats.get("nnz_c", result.c.nnz)),
-            phases={name: st.total for name, st in result.timer.summary().items()},
+            phases=dict(result.timer.seconds),
             counters=dict(metrics.snapshot()["counters"]),
             estimates=estimates,
             # Per-series: the process-wide tile-cache counters would smear

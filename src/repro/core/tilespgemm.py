@@ -214,7 +214,7 @@ def _tile_spgemm_under_context(
         # --------------------------------------------------------- step 1
         alloc.set_phase("step1")
         note_step("step1")
-        with timer.phase("step1"), tracer.span("step1", cat="step", method=step1_method):
+        with timer.phase("step1", method=step1_method):
             if step1_method == "expand":
                 # The tile-pair join finds C's layout; step 2 keeps its pairs.
                 pairs = enumerate_pairs_expand(a, b)
@@ -226,16 +226,14 @@ def _tile_spgemm_under_context(
                 layout = step1_tile_layout(
                     a.tile_pattern_csr(), b.tile_pattern_csr(), method=step1_method
                 )
-        with timer.phase("malloc"), tracer.span("malloc", cat="step"):
+        with timer.phase("malloc"):
             alloc.alloc("tilePtr_C", layout.tileptr.size * 4)
             alloc.alloc("tileColIdx_C", layout.num_tiles * 4)
 
         # --------------------------------------------------------- step 2
         alloc.set_phase("step2")
         note_step("step2")
-        with timer.phase("step2"), tracer.span(
-            "step2", cat="step", method=intersect_method, backend=kernels.name
-        ):
+        with timer.phase("step2", method=intersect_method, backend=kernels.name):
             if intersect_method != "expand":
                 pairs = enumerate_pairs_intersect(
                     a,
@@ -250,7 +248,7 @@ def _tile_spgemm_under_context(
             with tracer.span("step2.expand", cat="substep"):
                 live = live_entries(a, b, pairs, kernels)
             sym = step2_symbolic(a, b, pairs, backend=kernels, live=live)
-        with timer.phase("malloc"), tracer.span("malloc", cat="step"):
+        with timer.phase("malloc"):
             alloc.alloc("tileNnz_C", (pairs.num_c_tiles + 1) * 4)
             alloc.alloc("rowPtr_C", pairs.num_c_tiles * T)
             alloc.alloc("mask_C", pairs.num_c_tiles * T * sym.mask.dtype.itemsize)
@@ -260,9 +258,7 @@ def _tile_spgemm_under_context(
         # --------------------------------------------------------- step 3
         alloc.set_phase("step3")
         note_step("step3")
-        with timer.phase("step3"), tracer.span(
-            "step3", cat="step", tnnz=tnnz, backend=kernels.name
-        ):
+        with timer.phase("step3", tnnz=tnnz, backend=kernels.name):
             num = step3_numeric(
                 a,
                 b,
@@ -310,9 +306,7 @@ def tile_spgemm_from_csr(a_csr, b_csr, tile_size: int = TILE, **kwargs) -> TileS
     (the quantity Figure 12 compares against a single SpGEMM).
     """
     timer = PhaseTimer()
-    with timer.phase("format_conversion"), current_obs().tracer.span(
-        "format_conversion", cat="step"
-    ):
+    with timer.phase("format_conversion"):
         a = TileMatrix.from_csr(a_csr, tile_size)
         b = TileMatrix.from_csr(b_csr, tile_size)
     result = tile_spgemm(a, b, **kwargs)

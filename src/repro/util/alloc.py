@@ -20,33 +20,14 @@ exactly the substitution DESIGN.md documents for the absent GPU.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DeviceOOMError
+from repro.obs.context import current_obs
+from repro.runtime.context import current_context
 
 __all__ = ["AllocationEvent", "AllocationTracker"]
-
-
-def _active_context():
-    """The innermost ``repro.runtime`` execution context, if any.
-
-    Looked up through ``sys.modules`` rather than imported: if the runtime
-    package was never imported, no context can possibly be active, and the
-    lazy lookup keeps this low-level module free of upward dependencies.
-    """
-    mod = sys.modules.get("repro.runtime.context")
-    return mod.current_context() if mod is not None else None
-
-
-def _active_obs():
-    """The enabled observability context, if any (same lazy idiom)."""
-    mod = sys.modules.get("repro.obs.context")
-    if mod is None:
-        return None
-    obs = mod.current_obs()
-    return obs if obs.enabled else None
 
 
 @dataclass(frozen=True)
@@ -90,7 +71,7 @@ class AllocationTracker:
         self.current_phase: str = ""
         self.fault_plan = None
         if use_context:
-            ctx = _active_context()
+            ctx = current_context()
             if ctx is not None:
                 if budget_bytes is None:
                     budget_bytes = ctx.budget_bytes
@@ -124,8 +105,8 @@ class AllocationTracker:
         self.events.append(
             AllocationEvent("alloc", label, nbytes, self.current_phase, self.live_bytes)
         )
-        obs = _active_obs()
-        if obs is not None:
+        obs = current_obs()
+        if obs.enabled:
             obs.metrics.inc("device_alloc_bytes_total", nbytes)
             obs.metrics.inc("device_alloc_events_total")
             obs.metrics.max_gauge("device_peak_live_bytes", self.peak_bytes)
@@ -144,8 +125,8 @@ class AllocationTracker:
         self.events.append(
             AllocationEvent("free", label, nbytes, self.current_phase, self.live_bytes)
         )
-        obs = _active_obs()
-        if obs is not None:
+        obs = current_obs()
+        if obs.enabled:
             obs.tracer.counter("device_live_bytes", self.live_bytes)
 
     def free_all(self) -> None:

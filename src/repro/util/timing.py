@@ -6,52 +6,26 @@ across *step 1* (tile layout), *step 2* (symbolic), *step 3* (numeric) and
 under a :class:`PhaseTimer` that accumulates wall-clock time per named
 phase, so the breakdown benches can read the split straight off the result
 object.
+
+:meth:`PhaseTimer.phase` is the one place a phase is timed.  Under a live
+tracer (:func:`repro.obs.context.current_obs`) it opens that tracer's
+``cat="step"`` span and credits the timer with the span's own
+``duration_s``; otherwise it reads :func:`time.perf_counter` at entry and
+exit.  Either way each phase is measured once, so ``result.timer``, the
+trace's step spans, the workload profile's phase table and
+:func:`repro.analysis.profiling.breakdown_from_trace` all report the same
+numbers.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Any, Dict, Iterator
 
-__all__ = ["PhaseStats", "PhaseTimer"]
+from repro.obs.context import current_obs
 
-
-class PhaseStats:
-    """Summary of one phase's recorded durations.
-
-    Attributes
-    ----------
-    name:
-        The phase name.
-    total:
-        Accumulated seconds across all entries.
-    count:
-        Number of entries.
-    min, max:
-        Shortest / longest single entry in seconds (``0.0`` when the phase
-        was never entered).
-    """
-
-    __slots__ = ("name", "total", "count", "min", "max")
-
-    def __init__(self, name: str, total: float, count: int, min_s: float, max_s: float) -> None:
-        self.name = name
-        self.total = total
-        self.count = count
-        self.min = min_s
-        self.max = max_s
-
-    @property
-    def mean(self) -> float:
-        """Average seconds per entry (``0.0`` for an empty phase)."""
-        return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PhaseStats({self.name!r}, total={self.total:.6f}s, count={self.count}, "
-            f"min={self.min:.6f}s, max={self.max:.6f}s)"
-        )
+__all__ = ["PhaseTimer"]
 
 
 class PhaseTimer:
@@ -89,18 +63,28 @@ class PhaseTimer:
     def __init__(self) -> None:
         self.seconds: Dict[str, float] = {}
         self._counts: Dict[str, int] = {}
-        self._min: Dict[str, float] = {}
-        self._max: Dict[str, float] = {}
 
     @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Context manager timing one execution of phase ``name``."""
-        start = time.perf_counter()
+    def phase(self, name: str, **attrs: Any) -> Iterator[None]:
+        """Context manager timing one execution of phase ``name``.
+
+        Under a live tracer the phase is that tracer's ``cat="step"``
+        span (carrying ``attrs``) and the timer is credited with the
+        span's duration; untraced, ``attrs`` are unused.
+        """
+        tracer = current_obs().tracer
+        if not tracer.enabled:
+            start = time.perf_counter()
+            try:
+                yield
+            finally:
+                self._record(name, time.perf_counter() - start)
+            return
         try:
-            yield
+            with tracer.span(name, cat="step", **attrs) as sp:
+                yield
         finally:
-            elapsed = time.perf_counter() - start
-            self._record(name, elapsed)
+            self._record(name, sp.duration_s)
 
     def add(self, name: str, seconds: float) -> None:
         """Manually credit ``seconds`` to phase ``name``."""
@@ -111,35 +95,10 @@ class PhaseTimer:
     def _record(self, name: str, elapsed: float) -> None:
         self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
         self._counts[name] = self._counts.get(name, 0) + 1
-        if name not in self._min or elapsed < self._min[name]:
-            self._min[name] = elapsed
-        if name not in self._max or elapsed > self._max[name]:
-            self._max[name] = elapsed
 
     def count(self, name: str) -> int:
         """Number of times phase ``name`` was entered."""
         return self._counts.get(name, 0)
-
-    def stats(self, name: str) -> PhaseStats:
-        """Min/max/mean summary for phase ``name`` (zeros if never entered)."""
-        return PhaseStats(
-            name,
-            self.seconds.get(name, 0.0),
-            self._counts.get(name, 0),
-            self._min.get(name, 0.0),
-            self._max.get(name, 0.0),
-        )
-
-    def summary(self) -> Dict[str, PhaseStats]:
-        """Per-phase :class:`PhaseStats`, in phase insertion order."""
-        return {name: self.stats(name) for name in self.seconds}
-
-    def reset(self) -> None:
-        """Forget all recorded phases; the timer is reusable afterwards."""
-        self.seconds.clear()
-        self._counts.clear()
-        self._min.clear()
-        self._max.clear()
 
     @property
     def total(self) -> float:
@@ -160,22 +119,15 @@ class PhaseTimer:
     def merge(self, other: "PhaseTimer") -> None:
         """Fold another timer's accumulated phases into this one.
 
-        Totals and counts add; min/max fold as the min/max over both
-        timers.  Phase ordering is deterministic: this timer's existing
-        phases keep their positions, and ``other``'s new phases append in
-        ``other``'s insertion order — so merging the same sequence of
-        timers always yields the same ``seconds`` key order.
+        Totals and counts add.  Phase ordering is deterministic: this
+        timer's existing phases keep their positions, and ``other``'s new
+        phases append in ``other``'s insertion order — so merging the same
+        sequence of timers always yields the same ``seconds`` key order.
         """
         for name, sec in other.seconds.items():
             self.seconds[name] = self.seconds.get(name, 0.0) + sec
         for name, cnt in other._counts.items():
             self._counts[name] = self._counts.get(name, 0) + cnt
-        for name, lo in other._min.items():
-            if name not in self._min or lo < self._min[name]:
-                self._min[name] = lo
-        for name, hi in other._max.items():
-            if name not in self._max or hi > self._max[name]:
-                self._max[name] = hi
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{k}={v * 1e3:.3f}ms" for k, v in sorted(self.seconds.items()))

@@ -174,12 +174,12 @@ class TestCLIObservability:
 
     def test_metrics_flag_writes_prometheus(self, mtx_file, tmp_path, capsys):
         prom = tmp_path / "m.prom"
-        assert main(["--metrics", str(prom), mtx_file]) == 0
+        assert main(["--workers", "1", "--metrics", str(prom), mtx_file]) == 0
         text = prom.read_text()
         assert "# TYPE atomic_add_ops_total counter" in text
         assert "accumulator_tiles_total{kind=" in text
-        # the main run plus the cost-model adapter's run
-        assert "tilespgemm_runs_total 2" in text
+        # one multiply: the cost model prices the run itself
+        assert "tilespgemm_runs_total 1" in text
 
     def test_trace_written_even_when_run_fails(self, mtx_file, tmp_path, capsys):
         trace = tmp_path / "t.json"
@@ -225,9 +225,11 @@ class TestCLIObservability:
         import json
 
         prom = tmp_path / "m.prom"
-        assert main(["--json", "--metrics", str(prom), mtx_file]) == 0
+        assert main(["--workers", "1", "--json", "--metrics", str(prom), mtx_file]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["metrics"]["counters"]["tilespgemm_runs_total"] >= 1
+        counters = doc["metrics"]["counters"]
+        assert counters["tilespgemm_runs_total"] == 1
+        assert counters["c_nnz_total"] == doc["c"]["nnz"]
 
 
 class TestCLIResilient:

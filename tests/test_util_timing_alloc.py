@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.obs import Tracer, obs_context
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -49,12 +50,21 @@ class TestPhaseTimer:
         assert t1.seconds == {"a": 3.0, "b": 3.0}
         assert t1.count("a") == 2
 
-    def test_exception_still_recorded(self):
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_exception_still_recorded(self, traced):
+        tracer = Tracer()
         t = PhaseTimer()
-        with pytest.raises(RuntimeError):
-            with t.phase("x"):
-                raise RuntimeError("boom")
-        assert "x" in t.seconds
+        with obs_context(tracer=tracer if traced else None):
+            with pytest.raises(RuntimeError):
+                with t.phase("x"):
+                    raise RuntimeError("boom")
+        assert "x" in t.seconds and t.count("x") == 1
+        if traced:
+            (span,) = tracer.spans
+            assert (span.name, span.cat) == ("x", "step")
+            assert t.seconds["x"] == span.duration_s
+        else:
+            assert tracer.spans == []
 
 
 class TestAllocationTracker:
