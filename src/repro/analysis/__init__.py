@@ -25,16 +25,6 @@ from repro.analysis.estimate import (
     row_products,
     tile_row_products,
 )
-from repro.analysis.calibration import (
-    CALIBRATION_SCHEMA,
-    calibrate_profile,
-    calibration_to_metrics,
-    check_calibration,
-    emit_calibration_counters,
-    load_calibration,
-    render_calibration,
-    write_calibration,
-)
 from repro.analysis.plotting import ascii_scatter
 from repro.analysis.profiling import (
     aggregate_spans,
@@ -56,17 +46,9 @@ from repro.analysis.slo import (
 
 __all__ = [
     "BUCKETS",
-    "CALIBRATION_SCHEMA",
     "ComparisonReport",
     "attribute_regressions",
     "render_attribution",
-    "calibrate_profile",
-    "calibration_to_metrics",
-    "check_calibration",
-    "emit_calibration_counters",
-    "load_calibration",
-    "render_calibration",
-    "write_calibration",
     "RegressionLine",
     "SeriesDelta",
     "aggregate_spans",

@@ -1,11 +1,11 @@
 """Sampling-based upfront estimation of a multiply (OCEAN-style).
 
-The planner (:mod:`repro.runtime.planner`) and the serving tier's
-admission gate need to know, *before* any symbolic work runs, roughly
-how expensive ``C = A @ B`` will be and how its work is distributed over
-A's tile rows.  Following the estimation-driven strategy selection of
-OCEAN (PAPERS.md, "Fast Estimation-Based SpGEMM"), two quantities carry
-almost all of that signal:
+The planner (:mod:`repro.runtime.planner`) needs to know, *before* any
+symbolic work runs, roughly how expensive ``C = A @ B`` will be and how
+its work is distributed over A's tile rows.  Following the
+estimation-driven strategy selection of OCEAN (PAPERS.md, "Fast
+Estimation-Based SpGEMM"), two quantities carry almost all of that
+signal:
 
 * the **intermediate-product count** ``products = sum_k nnz(a_*k) *
   nnz(b_k*)`` — exact, one vectorised pass over ``nnz(A)``;
@@ -21,7 +21,9 @@ linear passes — versus the ``O(products)`` of actually multiplying.
 
 The per-tile-row product histogram is returned alongside, because
 equalising *predicted products* (not row counts) across shards is what
-removes stragglers from the sharded parallel engine.
+removes stragglers from the sharded parallel engine.  The compression
+rate is also labelled with its :data:`COMPRESSION_BANDS` regime, which
+the plan records so a profile names the regime each plan was made in.
 
 This module is deliberately dependency-light: it accepts CSR or tiled
 operands in any mix, and imports nothing from the runtime or serving
@@ -33,12 +35,12 @@ with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.analysis.calibration import compression_band
 from repro.util.arrays import concat_ranges
 
 __all__ = [
@@ -49,12 +51,33 @@ __all__ = [
     "row_products",
     "tile_row_products",
     "DEFAULT_SAMPLE_ROWS",
+    "COMPRESSION_BANDS",
+    "compression_band",
 ]
 
 #: Rows sampled for the nnz(C)/compression estimate.  64 exact row
 #: unions keep the estimator well under a millisecond on the ext
 #: matrices while holding the compression-rate error to a few percent.
 DEFAULT_SAMPLE_ROWS = 64
+
+#: Compression-rate (products / nnz(C)) band edges and labels.  The rate
+#: is >= 1 by construction; the paper's Figure 6 regime split motivates
+#: the doubling buckets — accumulator behaviour changes with how much
+#: the products compress.
+COMPRESSION_BANDS = (
+    (1.0, 2.0, "1-2"),
+    (2.0, 4.0, "2-4"),
+    (4.0, 8.0, "4-8"),
+    (8.0, math.inf, "8+"),
+)
+
+
+def compression_band(rate: float) -> str:
+    """The :data:`COMPRESSION_BANDS` label containing ``rate``."""
+    for lo, hi, label in COMPRESSION_BANDS:
+        if lo <= rate < hi:
+            return label
+    return COMPRESSION_BANDS[0][2] if rate < 1.0 else COMPRESSION_BANDS[-1][2]
 
 
 # --------------------------------------------------------------- row views
@@ -163,8 +186,8 @@ class MultiplyEstimate:
     compression:
         Estimated compression rate ``products / nnz(C)`` (>= 1).
     band:
-        The :data:`~repro.analysis.calibration.COMPRESSION_BANDS` label
-        of ``compression`` — the key calibration reports index by.
+        The :data:`COMPRESSION_BANDS` label of ``compression`` — the
+        regime the plan's profile record names.
     tile_row_products:
         Exact per-tile-row product histogram (shard cost weights).
     tile_size:

@@ -287,13 +287,9 @@ class BenchRunner:
         median = float(np.median(samples)) if samples else 0.0
         gflops = flops / median / 1e9 if median > 0 else None
 
-        # Estimates run under the same profiler so each one deposits a
-        # calibration sample (prediction joined with the measured pass)
-        # into the series' embedded profile.
         estimates: Dict[str, Any] = {}
         for dev_key in cfg.devices:
-            with obs_context(profile=profiler):
-                est = estimate_run(result, DEVICES[dev_key])
+            est = estimate_run(result, DEVICES[dev_key])
             estimates[dev_key] = {
                 "device": est.device.name,
                 "seconds": est.seconds if np.isfinite(est.seconds) else -1.0,

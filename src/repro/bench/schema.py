@@ -149,7 +149,7 @@ def make_series(
     """One series entry (see the module docstring for the shape).
 
     ``profile`` embeds this series' ``repro.profile/1`` workload-profile
-    artifact (phases, tile-row bands, calibration samples) so history
+    artifact (phases, tile-row bands, plans) so history
     snapshots carry the attribution data ``bench compare --attribute``
     blames regressions with.
     """

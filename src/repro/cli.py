@@ -437,8 +437,12 @@ def _run(args, device, tracer, metrics) -> int:
         result_c_csr = result.c.to_csr()
         timer, alloc = result.timer, result.alloc
         if "parallel" in doc:
-            # A stitched ledger prices differently from one serial run;
-            # the estimate keeps pricing a serial run of the same product.
+            # Price the serial run of the same product.  Shards are CPU
+            # concurrency only; a GPU runs the product once.  The stitched
+            # result prices steps 1-3 identically but adds a `relaunch`
+            # kernel per extra batch and the malloc cost of every shard's
+            # ledger (banded(1500, 10), 2 workers, RTX 3060: 1.8e-4 s
+            # stitched vs 7.6e-5 s serial, 28 alloc events against 7).
             priced = get_algorithm("tilespgemm")(a, b, a_tiled=at, b_tiled=bt)
         else:
             priced = result.as_spgemm_result()

@@ -334,9 +334,6 @@ def _record_obs_metrics(metrics, stats: Dict[str, object]) -> None:
     metrics.inc("c_tiles_total", int(stats["num_c_tiles"]))
     metrics.inc("c_nnz_total", int(stats["nnz_c"]))
     metrics.inc("flops_total", int(stats["flops"]))
-    tile_nnz = np.asarray(stats["tile_nnz_counts"])
-    if tile_nnz.size:
-        metrics.observe_many("tile_nnz", tile_nnz)
 
 
 def _tileptr_from_rows(tile_rows: np.ndarray, num_tile_rows: int) -> np.ndarray:

@@ -43,7 +43,6 @@ __all__ = [
     "CommFailure",
     "ResilienceExhausted",
     "BenchRegressionError",
-    "CalibrationDriftError",
     "ServiceOverloadError",
     "DeadlineExceededError",
     "EXIT_OK",
@@ -59,7 +58,6 @@ __all__ = [
     "EXIT_CONFIG",
     "EXIT_SHED",
     "EXIT_DEADLINE",
-    "EXIT_CALIBRATION",
     "exit_code_for",
 ]
 
@@ -238,27 +236,6 @@ class BenchRegressionError(ReproError):
         )
 
 
-class CalibrationDriftError(ReproError):
-    """The cost model's prediction error drifted past the check's gate.
-
-    Raised by :func:`repro.analysis.calibration.check_calibration` (and
-    surfaced by ``repro obs calibrate --check``) when a profile's
-    prediction-vs-measured join is structurally broken — a family with
-    non-finite errors, no joinable samples at all — or when the error
-    drifted beyond the tolerated factor relative to a baseline report.
-    Carries the offending family/phase labels so CI logs name exactly
-    which estimator went stale.
-    """
-
-    def __init__(self, problems) -> None:
-        self.problems = list(problems)
-        head = "; ".join(self.problems[:3])
-        more = f" (+{len(self.problems) - 3} more)" if len(self.problems) > 3 else ""
-        super().__init__(
-            f"cost-model calibration drifted: {head}{more}"
-        )
-
-
 # ----------------------------------------------------------------------
 # CLI exit-code contract (one distinct code per error class)
 # ----------------------------------------------------------------------
@@ -275,7 +252,6 @@ EXIT_REGRESSION = 9  #: benchmark gate found a significant regression
 EXIT_CONFIG = 10  #: malformed environment/service configuration value
 EXIT_SHED = 11  #: serving tier shed the request (queue full / admission)
 EXIT_DEADLINE = 12  #: request deadline expired before completion
-EXIT_CALIBRATION = 13  #: cost-model calibration drifted past the gate
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -287,8 +263,6 @@ def exit_code_for(exc: BaseException) -> int:
     """
     if isinstance(exc, BenchRegressionError):
         return EXIT_REGRESSION
-    if isinstance(exc, CalibrationDriftError):
-        return EXIT_CALIBRATION
     if isinstance(exc, ServiceOverloadError):
         return EXIT_SHED
     if isinstance(exc, DeadlineExceededError):

@@ -40,7 +40,6 @@ import numpy as np
 from repro.baselines.base import SpGEMMResult
 from repro.gpu.device import DeviceModel
 from repro.gpu.scheduler import greedy_makespan
-from repro.obs.context import current_obs
 
 __all__ = ["KernelEstimate", "GPUEstimate", "estimate_run", "estimate_family", "COST"]
 
@@ -515,10 +514,8 @@ _ESTIMATORS = {
 def estimate_family(method: str) -> str:
     """The ``_ESTIMATORS`` key pricing ``method``.
 
-    The calibration layer stratifies prediction error by this label: the
-    sharded parallel variants share the ``tilespgemm`` profile, and the
-    reference methods share the SPA profile, so errors aggregate where
-    the *model* aggregates.
+    The sharded parallel variants share the ``tilespgemm`` profile, and
+    the reference methods share the SPA profile.
     """
     if method in _ESTIMATORS:
         return method
@@ -539,22 +536,8 @@ def estimate_run(result: SpGEMMResult, device: DeviceModel) -> GPUEstimate:
         go through the registry adapter so they share this type).
     device:
         Target device model.
-
-    When the ambient observability context carries a live
-    :class:`~repro.obs.profile.WorkloadProfiler`, every estimate also
-    deposits a calibration sample there — the prediction joined with the
-    run's measured phase seconds — which is what ``repro obs calibrate``
-    turns into per-family prediction-error reports.
     """
-    method = result.method
-    family = estimate_family(method)
     # See estimate_family: tilespgemm_par* execute the same kernels as
     # the serial engine and their merged stats equal one serial run's
     # totals, so they share its cost profile.
-    estimate = _ESTIMATORS[family](result, device)
-    profiler = current_obs().profile
-    if profiler.enabled:
-        profiler.record_estimate(
-            estimate, family=family, timer=result.timer, stats=result.stats
-        )
-    return estimate
+    return _ESTIMATORS[estimate_family(result.method)](result, device)

@@ -24,8 +24,8 @@ without seeing the counters and the timeline.  Three pieces:
 * :mod:`repro.obs.slo` — per-tenant latency objectives with
   error-budget burn-rate gauges;
 * :mod:`repro.obs.profile` — the always-on workload profiler: per-phase
-  / per-tile-row-band work attribution, tnnz decisions and cost-model
-  calibration samples aggregated into ``repro.profile/1`` artifacts.
+  / per-tile-row-band work attribution, tnnz decisions and the chosen
+  execution plans aggregated into ``repro.profile/1`` artifacts.
 
 Typical use::
 

@@ -18,29 +18,19 @@
 
 ``obs profile``
     The workload hotspot report: phases, top tile-row bands by
-    intermediate products, shard shape, tile-cache counters.  Renders
+    intermediate products, shard shape, tile-cache counters and the
+    execution plans the planner chose.  Renders
     an existing ``repro.profile/1`` artifact, or records a fresh one by
     running a bench suite under the profiler::
 
         python -m repro obs profile --suite smoke --out profile.json
         python -m repro obs profile profile.json --top 5
 
-``obs calibrate``
-    The cost-model prediction-error report joined from a profile
-    artifact's calibration samples: per estimator family, signed bias
-    and absolute error per phase and compression-rate band.
-    ``--check`` gates on structure and on drift against a ``--baseline``
-    report, exiting ``EXIT_CALIBRATION`` (13) when the gate fails::
-
-        python -m repro obs calibrate profile.json --out calib.json
-        python -m repro obs calibrate profile.json --check --baseline calib.json
-
 Exit codes follow the repo-wide contract: 0 on success, 2 for bad
 flags, 3 for malformed artifacts, 4 when a snapshot file is missing,
-``obs slo --check`` exits 8 when any tenant's burn rate exceeds 1.0
+and ``obs slo --check`` exits 8 when any tenant's burn rate exceeds 1.0
 (the budget is being spent faster than provisioned — the alerting
-condition), and ``obs calibrate --check`` exits 13 on calibration
-drift.
+condition).
 """
 
 from __future__ import annotations
@@ -54,11 +44,9 @@ import urllib.request
 from typing import Any, Dict, List, Optional
 
 from repro.errors import (
-    EXIT_CALIBRATION,
     EXIT_EXHAUSTED,
     EXIT_FILE_NOT_FOUND,
     EXIT_USAGE,
-    CalibrationDriftError,
     InvalidInputError,
     exit_code_for,
 )
@@ -149,40 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the artifact as JSON"
     )
 
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="cost-model prediction-error report from a profile artifact",
-    )
-    calibrate.add_argument(
-        "artifact", help="repro.profile/1 artifact with calibration samples"
-    )
-    calibrate.add_argument(
-        "--out", default=None, metavar="CALIB.json",
-        help="write the repro.calibration/1 report here (a future --baseline)",
-    )
-    calibrate.add_argument(
-        "--baseline", default=None, metavar="CALIB.json",
-        help="prior calibration report to gate drift against (with --check)",
-    )
-    calibrate.add_argument(
-        "--tolerance", type=float, default=None, metavar="FACTOR",
-        help="allowed per-family error-ratio drift factor (default 4.0)",
-    )
-    calibrate.add_argument(
-        "--metrics", default=None, metavar="OUT.prom",
-        help="also export the report as Prometheus gauges to this file",
-    )
-    calibrate.add_argument(
-        "--trace", default=None, metavar="OUT.json",
-        help="also export the report as Perfetto counter tracks to this file",
-    )
-    calibrate.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
-    calibrate.add_argument(
-        "--check", action="store_true",
-        help=f"exit {EXIT_CALIBRATION} on structural breakage or drift",
-    )
     return parser
 
 
@@ -321,14 +275,11 @@ def _record_suite_profile(
 ) -> Dict[str, Any]:
     """Run one bench suite's grid once under a fresh profiler.
 
-    Single profiled execution per (matrix, method, op) cell plus one
-    :func:`~repro.gpu.costmodel.estimate_run` per device, so the
-    artifact carries both the workload bands and the calibration
-    samples.  Much lighter than ``repro bench run`` (no timed repeats).
+    Single profiled execution per (matrix, method, op) cell.  Much
+    lighter than ``repro bench run`` (no timed repeats).
     """
     from repro.baselines import get_algorithm
     from repro.bench.runner import SUITES
-    from repro.gpu import DEVICES, estimate_run
     from repro.obs.context import obs_context
     from repro.obs.profile import WorkloadProfiler
 
@@ -348,9 +299,7 @@ def _record_suite_profile(
                 b = a if op == "aa" else a.transpose()
                 for method in suite.methods:
                     print(f"  profiling {spec.name} {method} {op}", file=sys.stderr)
-                    result = get_algorithm(method)(a, b)
-                    for dev_key in ("rtx3060", "rtx3090"):
-                        estimate_run(result, DEVICES[dev_key])
+                    get_algorithm(method)(a, b)
     return profiler.to_dict()
 
 
@@ -377,52 +326,6 @@ def _profile(args) -> int:
     return 0
 
 
-def _calibrate(args) -> int:
-    from repro.analysis.calibration import (
-        DEFAULT_TOLERANCE,
-        calibrate_profile,
-        calibration_to_metrics,
-        check_calibration,
-        emit_calibration_counters,
-        load_calibration,
-        render_calibration,
-        write_calibration,
-    )
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.profile import load_profile
-    from repro.obs.trace import Tracer
-
-    report = calibrate_profile(load_profile(args.artifact))
-    if args.out:
-        write_calibration(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.metrics:
-        registry = MetricsRegistry()
-        calibration_to_metrics(report, registry)
-        registry.write(args.metrics)
-        print(f"wrote {args.metrics}", file=sys.stderr)
-    if args.trace:
-        tracer = Tracer()
-        emit_calibration_counters(report, tracer)
-        tracer.write(args.trace)
-        print(f"wrote {args.trace}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_calibration(report))
-    if args.check:
-        baseline = load_calibration(args.baseline) if args.baseline else None
-        tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-        try:
-            check_calibration(report, baseline=baseline, tolerance=tolerance)
-        except CalibrationDriftError as exc:
-            for problem in exc.problems:
-                print(f"calibration check failed: {problem}", file=sys.stderr)
-            return exit_code_for(exc)
-        print("calibration check passed", file=sys.stderr)
-    return 0
-
-
 def obs_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``obs`` subcommand family."""
     args = _build_parser().parse_args(argv)
@@ -430,7 +333,6 @@ def obs_main(argv: Optional[List[str]] = None) -> int:
         "top": _top,
         "slo": _slo,
         "profile": _profile,
-        "calibrate": _calibrate,
     }
     try:
         return handlers[args.command](args)

@@ -123,8 +123,8 @@ def make_obs(
         singleton.  The event log defaults off — it is the serving
         tier's sink and pure-library runs rarely want it.  The workload
         profiler defaults **on**: it is the always-on substrate of the
-        ``obs profile`` / ``obs calibrate`` reports and its recording
-        cost is covered by the <5 % overhead bound.
+        ``obs profile`` report and its recording cost is covered by the
+        <5 % overhead bound.
     clock:
         Optional deterministic clock forwarded to the tracer.
     log_path:

@@ -2,12 +2,10 @@
 
 The paper's performance story is driven by per-tile-row workload skew —
 intermediate-product counts, the sparse-vs-dense accumulator choice, the
-``tnnz`` threshold decision — and the ROADMAP's estimation-driven
-adaptive planner needs exactly those signals joined with wall time
-before it can exist.  The tracer shows *when* phases ran and the metrics
-registry counts *how much* total work happened, but neither attributes
-work to the tile-row bands it came from, and neither joins the cost
-model's predictions against what was measured.
+``tnnz`` threshold decision.  The tracer shows *when* phases ran and the
+metrics registry counts *how much* total work happened, but neither
+attributes work to the tile-row bands it came from, and neither records
+which plan the planner chose.
 
 :class:`WorkloadProfiler` closes that gap.  It aggregates, per run:
 
@@ -17,11 +15,7 @@ model's predictions against what was measured.
   (tiles grouped into bands of :data:`DEFAULT_BAND_TILE_ROWS` tile
   rows, so hotspot reports name a row range, not a tile id);
 * **tnnz decisions**: how many tiles went sparse vs dense per threshold;
-* **calibration samples**: one record per
-  :func:`repro.gpu.costmodel.estimate_run` call joining the predicted
-  per-kernel seconds against the run's measured phase seconds and its
-  compression rate (``products / nnz(C)``) — the raw material of
-  :mod:`repro.analysis.calibration`;
+* **execution plans**: one record per planned parallel run;
 * **per-shard** records appended when worker payloads are absorbed.
 
 Everything serialises into a schema-versioned ``repro.profile/1`` JSON
@@ -160,7 +154,6 @@ class WorkloadProfiler:
         self.totals: Dict[str, int] = {k: 0 for k in _TOTAL_KEYS}
         self.tnnz: Dict[str, Dict[str, int]] = {}
         self.shards: List[Dict[str, Any]] = []
-        self.calibration: List[Dict[str, Any]] = []
         self.plans: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------ recording
@@ -234,44 +227,6 @@ class WorkloadProfiler:
             for key in _BAND_COUNT_KEYS:
                 counts[key] += int(per_band[key][band])
 
-    def record_estimate(
-        self,
-        estimate,
-        family: str,
-        timer=None,
-        stats: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Record one cost-model prediction joined with measured actuals.
-
-        Called by :func:`repro.gpu.costmodel.estimate_run` for every
-        estimate computed inside a profiling context; ``timer``/``stats``
-        come from the measured run the estimate priced.
-        """
-        predicted_s = float(estimate.seconds)
-        sample: Dict[str, Any] = {
-            "family": str(family),
-            "method": str(estimate.method),
-            "device": str(estimate.device.name),
-            "oom": bool(estimate.oom),
-            "predicted_s": predicted_s if np.isfinite(predicted_s) else -1.0,
-            "predicted_phases": {
-                str(k): float(v) for k, v in estimate.breakdown().items()
-            },
-            "flops": int(estimate.flops),
-        }
-        if timer is not None:
-            sample["measured_s"] = float(timer.total)
-            sample["measured_phases"] = {
-                str(k): float(v) for k, v in timer.seconds.items()
-            }
-        if stats is not None:
-            products = int(stats.get("num_products", 0))
-            nnz_c = int(stats.get("nnz_c", 0))
-            sample["products"] = products
-            sample["nnz_c"] = nnz_c
-            sample["compression"] = products / nnz_c if nnz_c > 0 else 0.0
-        self.calibration.append(sample)
-
     def record_plan(self, plan: Dict[str, Any]) -> None:
         """Record one :class:`~repro.runtime.planner.ExecutionPlan` dict.
 
@@ -296,7 +251,6 @@ class WorkloadProfiler:
                 "bands": {str(k): dict(v) for k, v in self.bands.items()},
                 "totals": dict(self.totals),
                 "tnnz": {k: dict(v) for k, v in self.tnnz.items()},
-                "calibration": list(self.calibration),
                 "plans": list(self.plans),
             }
         )
@@ -306,17 +260,13 @@ class WorkloadProfiler:
     ) -> None:
         """Merge a worker's :meth:`to_payload` dict in (additively).
 
-        ``None`` and empty payloads (``runs == 0`` with no calibration
-        samples) are no-ops.  A ``worker`` label appends a per-shard
+        ``None`` and empty payloads (``runs == 0`` with no plans) are
+        no-ops.  A ``worker`` label appends a per-shard
         record so the artifact keeps the pool's shape.
         """
         if not payload:
             return
-        if (
-            not payload.get("runs")
-            and not payload.get("calibration")
-            and not payload.get("plans")
-        ):
+        if not payload.get("runs") and not payload.get("plans"):
             return
         if int(payload.get("band_tile_rows", self.band_tile_rows)) != self.band_tile_rows:
             raise ValueError(
@@ -342,7 +292,6 @@ class WorkloadProfiler:
             )
             for key, value in decision.items():
                 mine[key] = mine.get(key, 0) + int(value)
-        self.calibration.extend(payload.get("calibration", []))
         self.plans.extend(payload.get("plans", []))
         if worker:
             self.shards.append(
@@ -410,7 +359,6 @@ class WorkloadProfiler:
             "tnnz": {k: dict(v) for k, v in sorted(self.tnnz.items())},
             "bands": self._band_rows(),
             "shards": list(self.shards),
-            "calibration": list(self.calibration),
             "plans": list(self.plans),
         }
         if include_cache:
@@ -447,7 +395,7 @@ class WorkloadProfiler:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"WorkloadProfiler(runs={self.runs}, bands={len(self.bands)}, "
-            f"calibration={len(self.calibration)})"
+            f"plans={len(self.plans)})"
         )
 
 
@@ -462,9 +410,6 @@ class NullProfiler:
     enabled: bool = False
 
     def record_run(self, stats, timer, row_offset: int = 0) -> None:
-        pass
-
-    def record_estimate(self, estimate, family, timer=None, stats=None) -> None:
         pass
 
     def record_plan(self, plan) -> None:
@@ -539,17 +484,6 @@ def validate_profile(doc: Any) -> Dict[str, Any]:
             _fail(f"{at}.tile_rows", "expected a [start, end) pair")
         for key in _BAND_COUNT_KEYS:
             _check_number(band.get(key), f"{at}.{key}")
-    calibration = doc.get("calibration")
-    if not isinstance(calibration, list):
-        _fail("$.calibration", "expected a list")
-    for i, sample in enumerate(calibration):
-        at = f"$.calibration[{i}]"
-        if not isinstance(sample, dict):
-            _fail(at, "expected an object")
-        for key in ("family", "method", "device"):
-            if not isinstance(sample.get(key), str) or not sample[key]:
-                _fail(f"{at}.{key}", "expected a non-empty string")
-        _check_number(sample.get("predicted_s"), f"{at}.predicted_s")
     cache = doc.get("cache")
     if cache is not None:
         if not isinstance(cache, dict):
@@ -677,13 +611,4 @@ def render_profile(doc: Dict[str, Any], top: int = 10) -> str:
                 f"band {est.get('band', '?')})"
             )
             lines.extend(f"    {note}" for note in plan.get("notes", []))
-    samples = doc.get("calibration", [])
-    if samples:
-        families = sorted({s.get("family", "?") for s in samples})
-        lines.append("")
-        lines.append(
-            f"calibration samples: {len(samples)} across families "
-            f"{', '.join(families)} (run `repro obs calibrate` for the "
-            "prediction-error report)"
-        )
     return "\n".join(lines)

@@ -178,7 +178,7 @@ def run_with_worker_obs(
     telemetry = WorkerTelemetry(
         ctx=ctx, worker=_worker_track(), epoch_s=epoch_s
     )
-    if profiler.runs or profiler.calibration:
+    if profiler.runs:
         telemetry.profile = profiler.to_payload()
     for sp in tracer.spans:
         telemetry.spans.append(

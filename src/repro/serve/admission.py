@@ -21,24 +21,22 @@ The estimate works directly on either operand format through the
 estimator's sort-free reconstruction
 (:func:`~repro.analysis.estimate.row_nnz`,
 :func:`~repro.analysis.estimate.col_indices`): O(nnz) vectorised work,
-so admission never converts, sorts or multiplies anything.
+so admission never converts, sorts or multiplies anything.  Admission
+keeps this one sound price: the row-sampled nnz(C) estimate of
+:func:`~repro.analysis.estimate.estimate_multiply` may undershoot, so
+it chooses the planner's shape but never licenses a request.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
-from repro.analysis.estimate import col_indices, estimate_multiply, row_nnz
+from repro.analysis.estimate import col_indices, row_nnz
 from repro.errors import ServiceOverloadError
 
 __all__ = ["CostEstimate", "AdmissionController", "estimate_cost"]
-
-#: Safety margin applied to the *estimated* (row-sampled) nnz(C) when a
-#: calibration baseline licenses estimates over upper bounds; the result
-#: is still capped by the exact bound.
-_CALIBRATED_MARGIN = 1.5
 
 #: Bytes charged per intermediate product in the output bound: an 8-byte
 #: value plus a 4-byte index, the CSR-side price of one kept nonzero.
@@ -116,14 +114,6 @@ class AdmissionController:
         requests whose *bound* exceeds the budget as long as chunking
         has a chance.  ``1.0`` (default) sheds anything whose bound does
         not fit outright.
-    calibration:
-        Optional loaded ``repro.calibration/1`` report.  Its presence
-        means the cost model has been validated against measured runs on
-        this machine, which licenses :meth:`price` to charge the
-        OCEAN-style row-sampled nnz(C) *estimate* (times a safety
-        margin, capped at the exact bound) instead of the worst-case
-        upper bound — admitting more of the requests that would in fact
-        have fit.
     """
 
     def __init__(
@@ -131,7 +121,6 @@ class AdmissionController:
         max_queue_depth: int,
         budget_bytes: Optional[int] = None,
         headroom: float = 1.0,
-        calibration: Optional[Dict[str, Any]] = None,
     ) -> None:
         if max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
@@ -140,7 +129,6 @@ class AdmissionController:
         self.max_queue_depth = int(max_queue_depth)
         self.budget_bytes = None if budget_bytes is None else int(budget_bytes)
         self.headroom = float(headroom)
-        self.calibration = calibration
         self._inflight_bytes = 0
         self._lock = threading.Lock()
 
@@ -149,28 +137,6 @@ class AdmissionController:
         """Bytes currently reserved by admitted, unfinished requests."""
         with self._lock:
             return self._inflight_bytes
-
-    def price(self, a, b) -> CostEstimate:
-        """Price ``a @ b`` for admission.
-
-        Without a calibration baseline this is exactly
-        :func:`estimate_cost` (sound upper bounds).  With one, the
-        output charge becomes the row-sampled nnz(C) estimate of
-        :func:`repro.analysis.estimate.estimate_multiply` times a
-        safety margin — still capped by the exact upper bound, so the
-        charge never grows, only tightens.
-        """
-        est = estimate_cost(a, b)
-        if not self.calibration:
-            return est
-        sampled = estimate_multiply(a, b)
-        calibrated = int(sampled.est_nnz_c * _CALIBRATED_MARGIN) * _BYTES_PER_PRODUCT
-        return CostEstimate(
-            products=est.products,
-            flops=est.flops,
-            operand_bytes=est.operand_bytes,
-            c_upper_bytes=min(est.c_upper_bytes, calibrated),
-        )
 
     def check_memory(self, estimate: CostEstimate) -> None:
         """Shed when the upfront estimate cannot fit the device budget.

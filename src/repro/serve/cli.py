@@ -124,12 +124,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "estimate exceeds it are shed (default: no memory gate)",
     )
     p.add_argument(
-        "--calibration", default=None, metavar="FILE.json",
-        help="repro.calibration/1 report (obs calibrate --out); its "
-        "presence lets admission price requests from calibrated "
-        "estimates instead of worst-case upper bounds",
-    )
-    p.add_argument(
         "--backend", default=None, metavar="NAME",
         help="kernel backend for the shards (default: ambient/numpy)",
     )
@@ -216,11 +210,6 @@ async def _drive(args, holder: dict) -> "LoadReport":
         nnz_per_row=args.nnz_per_row,
         seed=args.seed,
     )
-    calibration = None
-    if args.calibration:
-        from repro.analysis.calibration import load_calibration
-
-        calibration = load_calibration(args.calibration)
     service = SpGEMMService(
         max_queue_depth=args.queue_depth,
         workers=args.workers,
@@ -228,7 +217,6 @@ async def _drive(args, holder: dict) -> "LoadReport":
         max_inflight=args.max_inflight,
         initial_shards=args.initial_shards,
         admission_budget_bytes=args.admission_budget,
-        calibration=calibration,
         default_deadline_s=args.deadline,
         default_budget_bytes=args.request_budget,
         slo_policy=SLOPolicy(

@@ -58,7 +58,7 @@ from repro.runtime.chunked import batch_bounds
 from repro.runtime.policy import RetryPolicy
 from repro.runtime.shards import ShardPool, ShardRun, check_operands, run_async
 from repro.runtime.tilecache import get_tile_cache
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import AdmissionController, estimate_cost
 from repro.serve.deadline import CancelToken, Deadline
 from repro.serve.queue import BoundedRequestQueue
 from repro.serve.request import (
@@ -125,11 +125,6 @@ class SpGEMMService:
         bytes until their terminal response, and the gate sheds on the
         *aggregate*, so concurrent requests cannot jointly blow the
         budget.
-    calibration:
-        Optional loaded ``repro.calibration/1`` report; when present,
-        admission prices requests from the row-sampled nnz(C) estimate
-        (capped at the exact upper bound) instead of the worst-case
-        bound alone.
     default_deadline_s, default_budget_bytes:
         Applied to requests that do not carry their own.
     initial_shards:
@@ -178,7 +173,6 @@ class SpGEMMService:
         device=None,
         admission_budget_bytes: Optional[int] = None,
         admission_headroom: float = 1.0,
-        calibration: Optional[Dict[str, object]] = None,
         default_deadline_s: Optional[float] = None,
         default_budget_bytes: Optional[int] = None,
         initial_shards: int = 1,
@@ -202,10 +196,7 @@ class SpGEMMService:
             default_budget_bytes = device.dram_capacity_bytes
         self.device = device
         self._admission = AdmissionController(
-            max_queue_depth,
-            admission_budget_bytes,
-            admission_headroom,
-            calibration=calibration,
+            max_queue_depth, admission_budget_bytes, admission_headroom
         )
         self._queue = BoundedRequestQueue(max_queue_depth)
         self._pool = ShardPool(workers, executor, mp_context)
@@ -362,7 +353,7 @@ class SpGEMMService:
         # backpressure mode.
         try:
             req.admitted_bytes = self._admission.admit_memory(
-                self._admission.price(a_t, b_t)
+                estimate_cost(a_t, b_t)
             )
         except ServiceOverloadError as exc:
             return self._finish_shed(req, exc, queued=False)
@@ -680,7 +671,6 @@ class SpGEMMService:
                 "budget_bytes": self._admission.budget_bytes,
                 "headroom": self._admission.headroom,
                 "inflight_bytes": self._admission.inflight_bytes,
-                "calibrated": bool(self._admission.calibration),
             },
             "requests_total": requests,
             "outcomes_total": outcomes,

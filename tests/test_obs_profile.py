@@ -1,21 +1,19 @@
-"""The workload profiler and the calibration layer on top of it.
+"""The workload profiler.
 
 Contracts under test:
 
 * recording — one ``tile_spgemm`` run inside a profiling context fills
   phases, totals, tnnz decisions and tile-row bands;
 * serialisation — the full ``repro.profile/1`` artifact round-trips
-  through plain ``json.dumps`` (no custom ``default=``), and
-  :func:`validate_profile` rejects malformed documents naming the path;
+  through plain ``json.dumps`` (no custom ``default=``),
+  :func:`validate_profile` rejects malformed documents naming the path,
+  and every checked-in bench history snapshot (some still carrying the
+  retired ``calibration`` lists) loads with its embedded profiles
+  validated;
 * merging — worker payloads absorbed across the **spawned** process-pool
   boundary sum to the serial run's workload byte for byte;
-* calibration — every estimator family exercised through
-  :func:`repro.gpu.estimate_run` shows up in the prediction-error
-  report, drift against a baseline raises
-  :class:`~repro.errors.CalibrationDriftError` (exit code 13), and the
-  report exports to Prometheus gauges and Perfetto counter tracks;
 * tile-cache telemetry — lookups feed the ambient metrics registry;
-* the ``repro obs profile`` / ``obs calibrate`` CLI family.
+* the ``repro obs profile`` CLI.
 """
 
 from __future__ import annotations
@@ -23,14 +21,14 @@ from __future__ import annotations
 import copy
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
 from repro.core import TileMatrix, tile_spgemm
-from repro.errors import EXIT_CALIBRATION, CalibrationDriftError, InvalidInputError, exit_code_for
+from repro.errors import InvalidInputError
 from repro.obs import (
     MetricsRegistry,
-    Tracer,
     WorkloadProfiler,
     current_row_offset,
     load_profile,
@@ -136,6 +134,7 @@ class TestArtifact:
             result = get_algorithm("tilespgemm")(a_csr, a_csr)
             estimate_run(result, DEVICES["rtx3090"])
         doc = profiler.to_dict()
+        assert "calibration" not in doc
         text = json.dumps(doc)  # would raise TypeError on any numpy scalar
         assert json.loads(text) == doc
         path = tmp_path / "profile.json"
@@ -143,6 +142,19 @@ class TestArtifact:
         loaded = load_profile(path)
         assert loaded == doc
         assert "workload profile" in render_profile(loaded)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parent.parent / "benchmarks" / "history").glob("*.json")),
+        ids=lambda p: p.name,
+    )
+    def test_history_snapshots_still_load(self, path):
+        from repro.bench.schema import load_document
+
+        doc = load_document(path)
+        profiles = [s["profile"] for s in doc["series"] if "profile" in s]
+        for embedded in profiles:
+            assert validate_profile(embedded) is embedded
 
     def test_validate_rejects_bad_documents(self):
         a = _tiled(n=48)
@@ -201,91 +213,6 @@ class TestSpawnBoundaryMerge:
         assert _workload_bytes(merged) == _workload_bytes(serial)
 
 
-# ------------------------------------------------------------ calibration
-def _profiled_run(methods=("tilespgemm",), devices=("rtx3090",), n=96):
-    from repro.baselines import get_algorithm
-    from repro.gpu import DEVICES, estimate_run
-
-    a_csr = random_csr(n, n, 0.06, seed=11)
-    profiler = WorkloadProfiler()
-    with obs_context(profile=profiler):
-        for method in methods:
-            result = get_algorithm(method)(a_csr, a_csr)
-            for dev in devices:
-                estimate_run(result, DEVICES[dev])
-    return profiler
-
-
-class TestCalibration:
-    def test_every_exercised_family_is_reported(self):
-        from repro.analysis.calibration import calibrate_profile
-        from repro.gpu.costmodel import estimate_family
-
-        methods = ("tilespgemm", "nsparse_hash", "cusparse_spa", "gustavson")
-        profiler = _profiled_run(methods, devices=("rtx3060", "rtx3090"))
-        report = calibrate_profile(profiler.to_dict())
-        expected = {estimate_family(m) for m in methods}
-        assert set(report["families"]) == expected
-        for family, rep in report["families"].items():
-            assert rep["devices"] == ["RTX 3060", "RTX 3090"]
-            assert rep["total"]["samples"] == 2
-            assert rep["total"]["measured_s"] > 0
-            assert rep["total"]["abs_error_s"] >= abs(rep["total"]["bias_s"]) - 1e-12
-        # The TileSpGEMM estimator's kernels line up with the measured
-        # phase timer, so its phase join is non-empty.
-        assert {"step1", "step2", "step3"} <= set(
-            report["families"]["tilespgemm"]["phases"]
-        )
-        assert report["families"]["tilespgemm"]["compression_bands"]
-
-    def test_check_passes_structurally_and_on_stable_baseline(self):
-        from repro.analysis.calibration import calibrate_profile, check_calibration
-
-        report = calibrate_profile(_profiled_run().to_dict())
-        assert check_calibration(report) == []
-        assert check_calibration(report, baseline=copy.deepcopy(report)) == []
-
-    def test_drift_raises_with_exit_code_13(self):
-        from repro.analysis.calibration import calibrate_profile, check_calibration
-
-        report = calibrate_profile(_profiled_run().to_dict())
-        baseline = copy.deepcopy(report)
-        baseline["families"]["tilespgemm"]["total"]["ratio"] = (
-            report["families"]["tilespgemm"]["total"]["ratio"] * 100.0
-        )
-        with pytest.raises(CalibrationDriftError, match="drifted") as err:
-            check_calibration(report, baseline=baseline)
-        assert exit_code_for(err.value) == EXIT_CALIBRATION == 13
-
-    def test_no_samples_is_a_structural_failure(self):
-        from repro.analysis.calibration import calibrate_profile, check_calibration
-
-        empty = WorkloadProfiler().to_dict()
-        report = calibrate_profile(empty)
-        with pytest.raises(CalibrationDriftError, match="no joinable"):
-            check_calibration(report)
-
-    def test_exports_to_gauges_and_counter_tracks(self):
-        from repro.analysis.calibration import (
-            calibrate_profile,
-            calibration_to_metrics,
-            emit_calibration_counters,
-        )
-
-        report = calibrate_profile(_profiled_run().to_dict())
-        registry = MetricsRegistry()
-        calibration_to_metrics(report, registry)
-        samples = registry.gauge_samples("costmodel_bias_seconds")
-        assert {"family": "tilespgemm", "phase": "total"} in [s[0] for s in samples]
-        text = registry.to_prometheus()
-        assert "costmodel_error_ratio" in text
-
-        tracer = Tracer()
-        emit_calibration_counters(report, tracer)
-        counter_names = {e.name for e in tracer.events if e.ph == "C"}
-        assert "costmodel/tilespgemm/bias_s" in counter_names
-
-
 # -------------------------------------------------------------- tilecache
 class TestTileCacheTelemetry:
     def test_lookups_feed_the_ambient_registry(self):
@@ -330,7 +257,11 @@ class TestObsProfileCli:
     @pytest.fixture(scope="class")
     def artifact(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("prof") / "profile.json"
-        write_profile(_profiled_run().to_dict(), path)
+        a = _tiled()
+        profiler = WorkloadProfiler()
+        with obs_context(profile=profiler):
+            tile_spgemm(a, a)
+        write_profile(profiler.to_dict(), path)
         return path
 
     def test_profile_renders_artifact(self, artifact, capsys):
@@ -360,45 +291,11 @@ class TestObsProfileCli:
 
         assert obs_main(["profile", str(tmp_path / "no.json")]) == EXIT_FILE_NOT_FOUND
 
-    def test_calibrate_report_check_and_baseline_flow(self, artifact, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["calibrate", "profile.json"]])
+    def test_removed_subcommands_are_usage_errors(self, argv, capsys):
+        from repro.errors import EXIT_USAGE
         from repro.obs.cli import obs_main
 
-        calib = tmp_path / "calib.json"
-        prom = tmp_path / "calib.prom"
-        trace = tmp_path / "calib_trace.json"
-        code = obs_main(
-            [
-                "calibrate", str(artifact),
-                "--out", str(calib),
-                "--metrics", str(prom),
-                "--trace", str(trace),
-                "--check",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cost-model calibration" in out
-        assert "costmodel_bias_seconds" in prom.read_text()
-        trace_doc = json.loads(trace.read_text())
-        events = trace_doc["traceEvents"] if isinstance(trace_doc, dict) else trace_doc
-        assert any(e.get("ph") == "C" for e in events)
-        # The written report gates itself cleanly as a baseline.
-        assert obs_main(
-            ["calibrate", str(artifact), "--check", "--baseline", str(calib)]
-        ) == 0
-
-    def test_calibrate_drift_exits_13(self, artifact, tmp_path, capsys):
-        from repro.analysis.calibration import load_calibration, write_calibration
-        from repro.obs.cli import obs_main
-
-        calib = tmp_path / "baseline.json"
-        assert obs_main(["calibrate", str(artifact), "--out", str(calib)]) == 0
-        capsys.readouterr()
-        doc = load_calibration(calib)
-        doc["families"]["tilespgemm"]["total"]["ratio"] *= 1000.0
-        write_calibration(doc, calib)
-        code = obs_main(
-            ["calibrate", str(artifact), "--check", "--baseline", str(calib)]
-        )
-        assert code == EXIT_CALIBRATION
-        assert "drifted" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            obs_main(argv)
+        assert exc.value.code == EXIT_USAGE

@@ -346,8 +346,6 @@ class TestPipelineInstrumentation:
             np.asarray(stats["pairs_per_tile"]).sum()
         )
         assert m.counter_value("mask_popcount_bits_total") == stats["nnz_c"]
-        hist = m.snapshot()["histograms"]["tile_nnz"]
-        assert hist["count"] == len(stats["tile_nnz_counts"])
         # allocation ledger flows into the metrics too
         assert m.counter_value("device_alloc_events_total") == len(
             [e for e in result.alloc.events if e.kind == "alloc"]

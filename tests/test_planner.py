@@ -214,17 +214,6 @@ class TestAdmissionAggregate:
         ctrl.release_memory(500)
         assert ctrl.inflight_bytes == 0
 
-    def test_calibrated_pricing_tightens_bound(self):
-        from repro.core.tile_matrix import TileMatrix as TM
-
-        a = TM.from_csr(random_csr(200, 200, 0.05, seed=18))
-        uncal = self._controller()
-        cal = self._controller(calibration={"families": {}})
-        upper = uncal.price(a, a)
-        tight = cal.price(a, a)
-        assert tight.c_upper_bytes <= upper.c_upper_bytes
-        assert tight.products == upper.products
-
 
 class TestPlannerComparison:
     def _doc(self, planned_samples, static_samples):

@@ -22,6 +22,7 @@ from repro.errors import (
     EXIT_DEADLINE,
     EXIT_INVALID_INPUT,
     EXIT_SHED,
+    EXIT_USAGE,
     ConfigurationError,
     DeadlineExceededError,
     InvalidInputError,
@@ -419,6 +420,12 @@ class TestServeCLI:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "workers must be >= 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--calibration", "calib.json"]])
+    def test_removed_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            serve_main(["run", "--requests", "1", "--n", "64", *flags])
+        assert exc.value.code == EXIT_USAGE
 
     def test_dispatch_through_main(self, capsys):
         from repro.cli import main
