@@ -16,6 +16,7 @@ Two questions about the runtime of ``docs/RESILIENCE.md``:
 ``REPRO_BENCH_MAX_MATRICES`` caps the sweep for smoke runs.
 """
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import fig6_matrix_cap, save_and_print, save_series_json, tiled_of
@@ -48,7 +49,8 @@ def overhead_table():
         res = tile_spgemm(a, a)
         plain = estimate_run(res.as_spgemm_result(), RTX3090).seconds
         rr = run_resilient(a, a, device=RTX3090)
-        assert rr.report.batches == 1 and not rr.report.degraded
+        assert rr.report.batches == 1
+        assert np.array_equal(rr.c.val, res.c.val)  # the serial bytes
         table[spec.name] = {
             "plain_s": plain,
             "resilient_s": rr.estimated_seconds,

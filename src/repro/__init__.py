@@ -35,7 +35,7 @@ Subpackages
     AMG, triangle counting and Markov clustering built on the SpGEMM API.
 ``repro.runtime`` / ``repro.errors``
     Resilient execution: typed errors, memory budgets, fault injection,
-    chunked re-execution and the retry/fallback engine
+    chunked re-execution and the retry/backoff engine
     (:func:`repro.runtime.policy.run_resilient`).
 ``repro.obs``
     Observability: structured tracing (Chrome trace-event / Perfetto

@@ -38,11 +38,6 @@ from repro.analysis.profiling import (
 )
 from repro.analysis.regression import RegressionLine, fit_loglinear, geometric_mean
 from repro.analysis.reporting import format_speedup, format_table, paper_vs_measured_row
-from repro.analysis.slo import (
-    parse_prometheus_text,
-    render_slo_report,
-    slo_report_from_text,
-)
 
 __all__ = [
     "BUCKETS",
@@ -74,11 +69,8 @@ __all__ = [
     "planner_comparison",
     "render_planner_comparison",
     "paper_vs_measured_row",
-    "parse_prometheus_text",
     "render_breakdown",
     "render_comparison",
-    "render_slo_report",
-    "slo_report_from_text",
     "render_trace_diff",
     "top_spans_report",
     "validate_chrome_trace",

@@ -46,11 +46,9 @@ resilient async serving tier under generated load::
     python -m repro serve run --requests 32 --deadline 2.0
     python -m repro serve load --rate 50 --metrics serve.prom
 
-and an ``obs`` subcommand family watches a running service live or
-reports per-tenant SLO attainment from a metrics snapshot::
+and ``obs profile`` renders or records the workload hotspot report::
 
-    python -m repro obs top --url http://127.0.0.1:9100
-    python -m repro obs slo --metrics serve.prom --target 0.5
+    python -m repro obs profile --suite smoke --out profile.json
 
 ``--trace`` writes a Chrome trace-event file loadable in Perfetto,
 ``--metrics`` a Prometheus text dump of the kernel counters, ``--profile``
@@ -71,7 +69,7 @@ Exit-code contract (one distinct code per error class; see
 5     device memory budget exceeded
 6     transient kernel fault
 7     communication failure
-8     resilient runtime exhausted every fallback
+8     recovery exhausted (a tile row over budget, retries spent)
 10    malformed environment/configuration value
 11    request shed by serving-tier admission control
 12    request deadline exceeded
@@ -164,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resilient",
         action="store_true",
         help="run under the resilient runtime: chunked re-execution on OOM "
-        "and the algorithm fallback ladder (see docs/RESILIENCE.md)",
+        "and transient-fault retries (see docs/RESILIENCE.md)",
     )
     parser.add_argument(
         "--workers",
@@ -247,8 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return serve_main(argv[1:])
     if argv and argv[0] == "obs":
-        # Live/offline telemetry views (docs/OBSERVABILITY.md): `obs top`
-        # watches a --listen endpoint, `obs slo` reports from a snapshot.
+        # The workload profile report (docs/OBSERVABILITY.md).
         from repro.obs.cli import obs_main
 
         return obs_main(argv[1:])
@@ -271,7 +268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     metrics = MetricsRegistry() if args.metrics is not None else None
     try:
         # The scoped default makes every engine the run touches — serial,
-        # parallel, resilient fallbacks, the cross-check adapter — resolve
+        # parallel, resilient, the cross-check adapter — resolve
         # the same kernel backend.
         with use_backend(args.backend) if args.backend is not None else nullcontext():
             if tracer is None and metrics is None:
@@ -364,7 +361,7 @@ def _run(args, device, tracer, metrics) -> int:
         report = rr.report
         say(
             f"resilient run: method={report.method} attempts={report.num_attempts} "
-            f"batches={report.batches} degraded={'yes' if report.degraded else 'no'}"
+            f"batches={report.batches}"
         )
         if report.faults:
             say(f"faults recovered: {report.num_faults}")
@@ -373,9 +370,7 @@ def _run(args, device, tracer, metrics) -> int:
             "attempts": report.num_attempts,
             "failed_attempts": sum(1 for r in report.attempts if r.outcome != "ok"),
             "retries": sum(1 for r in report.attempts if r.backoff_s > 0),
-            "fallbacks": max(0, len({r.method for r in report.attempts}) - 1),
             "batches": report.batches,
-            "degraded": report.degraded,
             "faults": report.num_faults,
             "backoff_seconds": report.backoff_s,
         }
@@ -384,7 +379,7 @@ def _run(args, device, tracer, metrics) -> int:
         timer, alloc = result.timer, result.alloc
         est = rr.estimate
         nnz_c = result_c_csr.nnz
-        num_tiles_c = rr.c.num_tiles if isinstance(rr.c, TileMatrix) else 0
+        num_tiles_c = rr.c.num_tiles
         measured_gflops = result.gflops()
     else:
         from repro.runtime.parallel import parallel_tile_spgemm, resolve_workers
@@ -486,13 +481,8 @@ def _run(args, device, tracer, metrics) -> int:
     doc["runtime_seconds"] = timer.total
     doc["measured_gflops"] = measured_gflops
 
-    # Line 18: cross-check against another library's output.  When the
-    # resilient runtime already degraded to the hash baseline, check
-    # against the reference row-row loop instead of the method itself.
-    ref_method = "nsparse_hash"
-    if args.resilient and rr.report.method == "nsparse_hash":
-        ref_method = "gustavson"
-    reference = get_algorithm(ref_method)(a, b).c
+    # Line 18: cross-check against another library's output.
+    reference = get_algorithm("nsparse_hash")(a, b).c
     ok = result_c_csr.allclose(reference)
     say(f"check passed: {'yes' if ok else 'NO'}")
     doc["check_passed"] = bool(ok)

@@ -170,10 +170,13 @@ class CommFailure(TransientKernelError):
 
 
 class ResilienceExhausted(ReproError):
-    """Every rung of the fallback ladder failed.
+    """Recovery ran out: a fault outlived the shard engine's rules.
 
-    Raised by :func:`repro.runtime.policy.run_resilient` after the last
-    fallback algorithm also failed; chains the final underlying error.
+    Raised by the shard engine, and so by every entry point that runs on
+    it (:func:`repro.runtime.policy.run_resilient`, the parallel engine,
+    the serving tier), when a single tile row is still over budget or a
+    range keeps failing past its retries; chains the final underlying
+    error.
     """
 
 
@@ -247,7 +250,7 @@ EXIT_FILE_NOT_FOUND = 4  #: matrix file does not exist
 EXIT_OOM = 5  #: device memory budget exceeded
 EXIT_TRANSIENT = 6  #: transient kernel fault (retries exhausted)
 EXIT_COMM = 7  #: communication failure in the distributed layer
-EXIT_EXHAUSTED = 8  #: resilient runtime ran out of fallbacks
+EXIT_EXHAUSTED = 8  #: recovery ran out (ResilienceExhausted)
 EXIT_REGRESSION = 9  #: benchmark gate found a significant regression
 EXIT_CONFIG = 10  #: malformed environment/service configuration value
 EXIT_SHED = 11  #: serving tier shed the request (queue full / admission)

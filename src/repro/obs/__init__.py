@@ -17,12 +17,6 @@ without seeing the counters and the timeline.  Three pieces:
 * :mod:`repro.obs.propagate` — serialisable :class:`TraceContext`
   identities carried into thread/process pool workers, worker-local
   span recording and coordinator-side merge;
-* :mod:`repro.obs.log` — structured JSON-lines event log correlated by
-  trace/request id, replayable into the serving tier's outcome tally;
-* :mod:`repro.obs.http` — a stdlib HTTP endpoint serving ``/metrics``
-  (Prometheus text), ``/healthz`` and ``/varz`` from a live run;
-* :mod:`repro.obs.slo` — per-tenant latency objectives with
-  error-budget burn-rate gauges;
 * :mod:`repro.obs.profile` — the always-on workload profiler: per-phase
   / per-tile-row-band work attribution, tnnz decisions and the chosen
   execution plans aggregated into ``repro.profile/1`` artifacts.
@@ -44,8 +38,6 @@ attribute arithmetic.  See ``docs/OBSERVABILITY.md``.
 
 from repro.obs.context import NULL_OBS, ObsContext, current_obs, make_obs, obs_context
 from repro.obs.gputrace import emit_gpu_timeline
-from repro.obs.http import TelemetryServer
-from repro.obs.log import NULL_LOG, EventLog, NullEventLog, load_events, replay_outcomes
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
@@ -74,7 +66,6 @@ from repro.obs.propagate import (
     run_with_worker_obs,
     span_id_of,
 )
-from repro.obs.slo import SLOPolicy, SLOTracker
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, TraceEvent, Tracer
 
 __all__ = [
@@ -93,20 +84,12 @@ __all__ = [
     "NULL_METRICS",
     "DEFAULT_BUCKETS",
     "emit_gpu_timeline",
-    "EventLog",
-    "NullEventLog",
-    "NULL_LOG",
-    "load_events",
-    "replay_outcomes",
     "TraceContext",
     "WorkerTelemetry",
     "new_trace_id",
     "span_id_of",
     "run_with_worker_obs",
     "absorb_telemetry",
-    "TelemetryServer",
-    "SLOPolicy",
-    "SLOTracker",
     "to_native",
     "json_default",
     "WorkloadProfiler",

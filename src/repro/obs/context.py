@@ -7,9 +7,8 @@ run is wrapped in :func:`obs_context` and instrumented call sites consult
 :func:`current_obs`.
 
 Outside any context, :func:`current_obs` returns :data:`NULL_OBS` — a
-shared disabled context whose tracer, metrics and event log are the
-no-op singletons, so un-instrumented runs pay one list lookup per site
-and nothing else.  Contexts nest; fields left ``None`` inherit from the
+shared disabled context whose sinks are the no-op singletons, so
+un-instrumented runs pay one list lookup per site and nothing else.  Contexts nest; fields left ``None`` inherit from the
 enclosing context.
 
 Like the execution context, the stack is **per-thread**
@@ -36,7 +35,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from repro.obs.log import NULL_LOG, EventLog, NullEventLog
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.profile import NULL_PROFILER, NullProfiler, WorkloadProfiler
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -62,9 +60,6 @@ class ObsContext:
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` or the no-op
         :data:`~repro.obs.metrics.NULL_METRICS`.
-    log:
-        A structured :class:`~repro.obs.log.EventLog` or the no-op
-        :data:`~repro.obs.log.NULL_LOG`.
     profile:
         A :class:`~repro.obs.profile.WorkloadProfiler` or the no-op
         :data:`~repro.obs.profile.NULL_PROFILER`.
@@ -81,7 +76,6 @@ class ObsContext:
 
     tracer: object = NULL_TRACER
     metrics: object = NULL_METRICS
-    log: object = NULL_LOG
     profile: object = NULL_PROFILER
     trace_ctx: Optional[object] = None
     enabled: bool = False
@@ -109,55 +103,41 @@ def current_obs() -> ObsContext:
 def make_obs(
     trace: bool = True,
     metrics: bool = True,
-    log: bool = False,
     profile: bool = True,
     clock=None,
-    log_path=None,
 ) -> ObsContext:
     """Build an enabled context with fresh sinks.
 
     Parameters
     ----------
-    trace, metrics, log, profile:
+    trace, metrics, profile:
         Which sinks to enable; a disabled sink stays the no-op
-        singleton.  The event log defaults off — it is the serving
-        tier's sink and pure-library runs rarely want it.  The workload
-        profiler defaults **on**: it is the always-on substrate of the
-        ``obs profile`` report and its recording cost is covered by the
-        <5 % overhead bound.
+        singleton.  The workload profiler defaults **on**: it is the
+        always-on substrate of the ``obs profile`` report and its
+        recording cost is covered by the <5 % overhead bound.
     clock:
         Optional deterministic clock forwarded to the tracer.
-    log_path:
-        Optional JSON-lines file the event log streams into (implies
-        ``log=True``).
     """
     tracer = (Tracer(clock=clock) if clock is not None else Tracer()) if trace else NULL_TRACER
     registry = MetricsRegistry() if metrics else NULL_METRICS
-    event_log = (
-        EventLog(path=log_path) if (log or log_path is not None) else NULL_LOG
-    )
     profiler = WorkloadProfiler() if profile else NULL_PROFILER
-    enabled = trace or metrics or event_log.enabled or profile
+    enabled = trace or metrics or profile
     return ObsContext(
         tracer=tracer,
         metrics=registry,
-        log=event_log,
         profile=profiler,
         enabled=enabled,
     )
 
 
 def _is_live(sink) -> bool:
-    return not isinstance(
-        sink, (NullTracer, NullMetrics, NullEventLog, NullProfiler)
-    )
+    return not isinstance(sink, (NullTracer, NullMetrics, NullProfiler))
 
 
 @contextmanager
 def obs_context(
     tracer: Optional[object] = None,
     metrics: Optional[object] = None,
-    log: Optional[object] = None,
     profile: Optional[object] = None,
     trace_ctx: Optional[object] = None,
 ) -> Iterator[ObsContext]:
@@ -174,19 +154,14 @@ def obs_context(
         tracer = parent.tracer
     if metrics is None:
         metrics = parent.metrics
-    if log is None:
-        log = parent.log
     if profile is None:
         profile = parent.profile
     if trace_ctx is None:
         trace_ctx = parent.trace_ctx
-    enabled = (
-        _is_live(tracer) or _is_live(metrics) or _is_live(log) or _is_live(profile)
-    )
+    enabled = _is_live(tracer) or _is_live(metrics) or _is_live(profile)
     ctx = ObsContext(
         tracer=tracer,
         metrics=metrics,
-        log=log,
         profile=profile,
         trace_ctx=trace_ctx,
         enabled=enabled,

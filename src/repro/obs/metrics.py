@@ -165,8 +165,8 @@ class MetricsRegistry:
     def counter_items(self) -> List[Tuple[str, Dict[str, str], float]]:
         """Every counter as ``(name, labels, value)`` triples.
 
-        The shape worker-telemetry shipping and the ``/varz`` endpoint
-        want: plain data, labels as a dict, values as native floats.
+        The shape worker-telemetry shipping wants: plain data, labels
+        as a dict, values as native floats.
         """
         return [
             (n, dict(lk), float(v))

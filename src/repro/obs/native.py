@@ -1,12 +1,11 @@
 """Coercion of exported telemetry values to native Python types.
 
-Span attributes, metric values and ``/varz`` documents routinely pick up
+Span attributes, metric values and status documents routinely pick up
 NumPy scalars — ``nnz`` counts are ``np.int64``, timings ``np.float64``
 — and ``json.dump`` refuses the integer kinds outright.  Every export
-surface (``Tracer.write``, ``MetricsRegistry.snapshot``/``to_prometheus``,
-the structured event log and the ``/varz`` endpoint) funnels its payload
-through :func:`to_native` so a stray ``np.int64`` attribute can never
-crash an export.
+surface (``Tracer.write`` and ``MetricsRegistry.snapshot``/``to_prometheus``)
+funnels its payload through :func:`to_native` so a stray ``np.int64``
+attribute can never crash an export.
 
 The module imports only the standard library: NumPy scalars are detected
 structurally (``.item()`` / ``.tolist()``), so the observability layer

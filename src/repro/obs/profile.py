@@ -368,7 +368,7 @@ class WorkloadProfiler:
         return to_native(doc)
 
     def summary(self) -> Dict[str, Any]:
-        """A small live view for ``/varz``: totals, phases, top band."""
+        """A small view for ``SpGEMMService.varz()``: totals, phases, top band."""
         top = None
         if self.bands:
             band, counts = max(self.bands.items(), key=lambda kv: kv[1]["products"])

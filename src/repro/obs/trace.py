@@ -2,7 +2,7 @@
 
 The paper's evaluation lives and dies by *seeing inside* the three-step
 algorithm (Figures 10/14 are runtime breakdowns per step); a production
-deployment additionally needs to see retries, fallbacks and chunked
+deployment additionally needs to see retries, re-splits and chunked
 re-execution batches.  A :class:`Tracer` records **spans** — named
 begin/end intervals with attributes, nested like call frames — plus
 instant markers and counter samples, and serialises everything as a

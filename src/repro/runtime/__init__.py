@@ -1,4 +1,4 @@
-"""Resilient execution runtime: budgets, faults, chunking, fallback.
+"""Resilient execution runtime: budgets, faults, chunking, retries.
 
 The production-facing wrapper around the SpGEMM engines:
 
@@ -12,7 +12,7 @@ The production-facing wrapper around the SpGEMM engines:
   and async drivers;
 * :mod:`repro.runtime.chunked` — chunked tile-row re-execution under a
   budget, stitching a bit-identical result;
-* :mod:`repro.runtime.policy` — retry/backoff/fallback engine
+* :mod:`repro.runtime.policy` — retry/backoff engine
   (:func:`run_resilient`) returning a :class:`ResilienceReport`;
 * :mod:`repro.runtime.parallel` — sharded execution on a thread or
   process pool (:func:`parallel_tile_spgemm`, :func:`spgemm_batch`),

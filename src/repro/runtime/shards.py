@@ -13,8 +13,8 @@ range of a failed or dead worker runs again.
 
 Every execution entry point is a thin caller of this module:
 :func:`~repro.runtime.chunked.chunked_tile_spgemm`, one-worker plans of
-:func:`~repro.runtime.parallel.parallel_tile_spgemm` and the
-``tilespgemm`` rung of :func:`~repro.runtime.policy.run_resilient` run
+:func:`~repro.runtime.parallel.parallel_tile_spgemm` and
+:func:`~repro.runtime.policy.run_resilient` run
 :func:`run_blocking` inline; pooled plans and
 :func:`~repro.runtime.parallel.spgemm_batch` run it on a
 :class:`ShardPool`; :class:`~repro.serve.SpGEMMService` awaits
@@ -402,13 +402,7 @@ class ShardRun:
             self.queue.extend(((r0, mid, 0), (mid, r1, 0)))
             self.pieces += 1
             self.resplits += 1
-            self._note(
-                "shard_oom_resplit",
-                "resplits",
-                tile_rows=[r0, r1],
-                requested_bytes=exc.requested_bytes,
-                budget_bytes=exc.budget_bytes,
-            )
+            self._note("resplits")
             return 0.0
         if isinstance(exc, TransientKernelError):
             if retries >= self.policy.max_retries:
@@ -421,14 +415,7 @@ class ShardRun:
             self.retries += 1
             self.backoff_s += wait_s
             self.queue.append((r0, r1, retries + 1))
-            self._note(
-                "shard_retry",
-                "retries",
-                tile_rows=[r0, r1],
-                retry=retries + 1,
-                backoff_s=wait_s,
-                error=type(exc).__name__,
-            )
+            self._note("retries")
             return wait_s
         # BrokenExecutor.  A range submitted before the last replacement
         # was lost with the old pool: rerun it, the break is handled.
@@ -441,7 +428,7 @@ class ShardRun:
             if pool is not None:
                 pool.replace()
             self.pool_replacements += 1
-            self._note("pool_replaced", "pool_replacements", tile_rows=[r0, r1])
+            self._note("pool_replacements")
         self.queue.append(item)
         return 0.0
 
@@ -456,9 +443,8 @@ class ShardRun:
             )
         )
 
-    def _note(self, event: str, counter: str, **fields) -> None:
+    def _note(self, counter: str) -> None:
         self.obs.metrics.inc(f"{self.track}_{counter}_total", **self.labels)
-        self.obs.log.emit(event, trace_id=self.trace_id, **self.labels, **fields)
 
     # ------------------------------------------------------------ stitch
     def stitch(self, keep_empty_tiles: bool = True, pooled: bool = False) -> TileSpGEMMResult:

@@ -19,9 +19,9 @@ Every lookup also reports to the ambient observability context when one
 is live: ``tilecache_hits_total`` / ``tilecache_misses_total`` /
 ``tilecache_evictions_total`` counters plus ``tilecache_resident_bytes``
 and ``tilecache_entries`` gauges land in the
-:class:`~repro.obs.metrics.MetricsRegistry` (Prometheus ``/metrics``,
-``/varz`` and ``python -m repro obs top``), and the same numbers appear
-in workload-profile artifacts via :meth:`TileCache.stats`.
+:class:`~repro.obs.metrics.MetricsRegistry`, and the same numbers appear
+in workload-profile artifacts and ``SpGEMMService.varz()`` via
+:meth:`TileCache.stats`.
 """
 
 from __future__ import annotations

@@ -13,12 +13,8 @@ Two subcommands drive the serving tier from the command line:
     fail-fast shed mode.  The honest overload experiment.
 
 Both print a one-line summary (or ``--json`` a full document), can dump
-the Prometheus snapshot (``--metrics``), the Chrome trace (``--trace``)
-and the structured JSON-lines event log (``--log``), can expose the
-*live* registry over HTTP while the run is in flight (``--listen
-HOST:PORT`` serves ``/metrics``, ``/healthz`` and ``/varz``; add
-``--linger SECONDS`` to keep the endpoint scrapeable after the last
-response), and exit with the code of the *worst* outcome any request
+the Prometheus snapshot (``--metrics``) and the merged Chrome trace
+(``--trace``), and exit with the code of the *worst* outcome any request
 terminated with, per the repo-wide contract of :mod:`repro.errors`:
 
 ====  ==================================================
@@ -44,13 +40,11 @@ from typing import List, Optional
 from repro.errors import (
     EXIT_DEADLINE,
     EXIT_SHED,
-    InvalidInputError,
     ReproError,
     ResilienceExhausted,
     exit_code_for,
 )
-from repro.obs import EventLog, MetricsRegistry, SLOPolicy, Tracer, obs_context
-from repro.obs.http import TelemetryServer, parse_listen
+from repro.obs import MetricsRegistry, Tracer, obs_context
 from repro.serve.loadgen import make_workload, run_closed_loop, run_open_loop
 from repro.serve.request import (
     OUTCOME_DEADLINE,
@@ -137,29 +131,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "worker-recorded shard spans, linked by trace id",
     )
     p.add_argument(
-        "--log", default=None, metavar="OUT.jsonl",
-        help="stream the structured JSON-lines event log here (crash-safe "
-        "append; replayable into the outcome tally)",
-    )
-    p.add_argument(
-        "--listen", default=None, metavar="HOST:PORT",
-        help="serve live /metrics, /healthz and /varz over HTTP while "
-        "the run is in flight (port 0 picks an ephemeral port)",
-    )
-    p.add_argument(
-        "--linger", type=float, default=0.0, metavar="SECONDS",
-        help="keep the --listen endpoint up this long after the run "
-        "(default 0: stop immediately)",
-    )
-    p.add_argument(
-        "--slo-target", type=float, default=0.5, metavar="SECONDS",
-        help="per-tenant SLO latency target (default 0.5)",
-    )
-    p.add_argument(
-        "--slo-objective", type=float, default=0.95, metavar="FRAC",
-        help="per-tenant SLO objective fraction (default 0.95)",
-    )
-    p.add_argument(
         "--json", action="store_true",
         help="print a machine-readable report document instead of one line",
     )
@@ -203,7 +174,7 @@ def _exit_code(report) -> int:
     return 0
 
 
-async def _drive(args, holder: dict) -> "LoadReport":
+async def _drive(args) -> "LoadReport":
     workload = make_workload(
         args.requests,
         n=args.n,
@@ -219,12 +190,8 @@ async def _drive(args, holder: dict) -> "LoadReport":
         admission_budget_bytes=args.admission_budget,
         default_deadline_s=args.deadline,
         default_budget_bytes=args.request_budget,
-        slo_policy=SLOPolicy(
-            latency_target_s=args.slo_target, objective=args.slo_objective
-        ),
         backend=args.backend,
     )
-    holder["service"] = service  # the --listen endpoint's /varz source
     async with service:
         if args.command == "run":
             return await run_closed_loop(
@@ -240,72 +207,28 @@ async def _drive(args, holder: dict) -> "LoadReport":
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``serve`` subcommand family."""
-    import time as _time
-
     args = _build_parser().parse_args(argv)
     tracer = Tracer() if args.trace is not None else None
-    # The live endpoint needs a registry even without a --metrics file.
-    metrics = (
-        MetricsRegistry()
-        if (args.metrics is not None or args.listen is not None)
-        else None
-    )
-    log = EventLog(path=args.log) if args.log is not None else None
-    holder: dict = {}
-    server = None
-    if args.listen is not None:
-        try:
-            host, port = parse_listen(args.listen)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return exit_code_for(InvalidInputError(str(exc)))
-        server = TelemetryServer(
-            metrics=metrics,
-            varz_fn=lambda: (
-                holder["service"].varz() if "service" in holder else {}
-            ),
-            host=host,
-            port=port,
-        )
-        bound_host, bound_port = server.start()
-        print(
-            f"telemetry: http://{bound_host}:{bound_port}/metrics "
-            "(/healthz, /varz)",
-            file=sys.stderr,
-        )
-    report = None
-    exc_code = None
+    metrics = MetricsRegistry() if args.metrics is not None else None
     try:
-        try:
-            with obs_context(tracer=tracer, metrics=metrics, log=log):
-                report = asyncio.run(_drive(args, holder))
-        except ReproError as exc:
-            # Typed failures still leave artifacts behind (the finally
-            # below) — a failed run is when you want the trace most.
-            print(f"error: {exc}", file=sys.stderr)
-            exc_code = exit_code_for(exc)
-        finally:
-            if tracer is not None and args.trace is not None:
-                tracer.write(args.trace)
-            if metrics is not None and args.metrics is not None:
-                metrics.write(args.metrics)
-            if log is not None:
-                log.close()
-
-        if exc_code is not None:
-            return exc_code
-        if args.json:
-            doc = {"command": args.command, "report": report.to_dict()}
-            if metrics is not None:
-                doc["metrics"] = metrics.snapshot()
-            print(json.dumps(doc, indent=2))
-        else:
-            print(f"serve {args.command}: {report.summary()}")
-        if server is not None and args.linger > 0:
-            # Keep the endpoint scrapeable at its terminal state (CI
-            # scrapes the final counters through HTTP, not the file).
-            _time.sleep(args.linger)
-        return _exit_code(report)
+        with obs_context(tracer=tracer, metrics=metrics):
+            report = asyncio.run(_drive(args))
+    except ReproError as exc:
+        # Typed failures still leave artifacts behind (the finally
+        # below) — a failed run is when you want the trace most.
+        print(f"error: {exc}", file=sys.stderr)
+        return exit_code_for(exc)
     finally:
-        if server is not None:
-            server.stop()
+        if tracer is not None:
+            tracer.write(args.trace)
+        if metrics is not None:
+            metrics.write(args.metrics)
+
+    if args.json:
+        doc = {"command": args.command, "report": report.to_dict()}
+        if metrics is not None:
+            doc["metrics"] = metrics.snapshot()
+        print(json.dumps(doc, indent=2))
+    else:
+        print(f"serve {args.command}: {report.summary()}")
+    return _exit_code(report)

@@ -53,7 +53,6 @@ from repro.errors import (
 )
 from repro.obs.context import current_obs
 from repro.obs.propagate import new_trace_id
-from repro.obs.slo import SLOPolicy, SLOTracker
 from repro.runtime.chunked import batch_bounds
 from repro.runtime.policy import RetryPolicy
 from repro.runtime.shards import ShardPool, ShardRun, check_operands, run_async
@@ -147,11 +146,6 @@ class SpGEMMService:
     mp_context:
         Optional :mod:`multiprocessing` context for the process pool
         (e.g. ``get_context("spawn")``).
-    slo_policy:
-        A :class:`~repro.obs.slo.SLOPolicy`; every terminal response
-        updates the tenant's ``slo_attainment`` and
-        ``slo_error_budget_burn_rate`` gauges (defaults apply when
-        ``None``).
     backend:
         Kernel-backend spec resolved once to a registry name and
         forwarded to every shard.
@@ -180,7 +174,6 @@ class SpGEMMService:
         max_inflight: Optional[int] = None,
         executor: str = "thread",
         mp_context=None,
-        slo_policy: Optional[SLOPolicy] = None,
         backend=None,
         sleep=None,
         clock=time.monotonic,
@@ -210,7 +203,6 @@ class SpGEMMService:
         self._clock = clock
         self._cache = get_tile_cache()
         self._obs = current_obs()
-        self.slo = SLOTracker(slo_policy or SLOPolicy(), metrics=self._obs.metrics)
 
         self._max_inflight = int(max_inflight or workers)
         self._running = False
@@ -337,14 +329,6 @@ class SpGEMMService:
         )
         metrics = self._obs.metrics
         metrics.inc("serve_requests_total", tenant=tenant)
-        self._obs.log.emit(
-            "request_submitted",
-            trace_id=req.trace_id,
-            tenant=tenant,
-            seq=seq,
-            deadline_s=req.deadline_s,
-            budget_bytes=req.budget_bytes,
-        )
 
         # Admission gate 1: the memory estimate — this request alone,
         # and the aggregate of everything already admitted (reserved
@@ -411,13 +395,6 @@ class SpGEMMService:
         start = self._clock()
         self._note_queue_depth(req.tenant)
         trace_t0 = time.perf_counter() - self._epoch
-        self._obs.log.emit(
-            "request_dequeued",
-            trace_id=req.trace_id,
-            tenant=req.tenant,
-            seq=req.seq,
-            queue_s=start - req.submitted_s,
-        )
         deadline = Deadline(req.deadline_s, clock=self._clock)
         # The deadline clock started at submission, not at dequeue.
         deadline._start = req.submitted_s
@@ -458,7 +435,7 @@ class SpGEMMService:
             outcome, error, c = outcome_for(exc), exc, None
         except Exception as exc:  # engine bug: terminal, typed as exhausted
             wrapped = ResilienceExhausted(
-                f"request {req.name} failed outside the recovery ladder: {exc}"
+                f"request {req.name} failed outside the recovery rules: {exc}"
             )
             wrapped.__cause__ = exc
             outcome, error, c = outcome_for(wrapped), wrapped, None
@@ -521,14 +498,6 @@ class SpGEMMService:
         self._obs.metrics.inc(
             "serve_shed_total", tenant=req.tenant, reason=exc.reason
         )
-        self._obs.log.emit(
-            "request_shed",
-            trace_id=req.trace_id,
-            tenant=req.tenant,
-            seq=req.seq,
-            reason=exc.reason,
-            queued=queued,
-        )
         self._record_response(resp, time.perf_counter() - self._epoch)
         if req.done is not None and not req.done.done():
             req.done.set_result(resp)
@@ -546,20 +515,6 @@ class SpGEMMService:
             resp.latency_s,
             buckets=LATENCY_BUCKETS,
             tenant=resp.tenant,
-        )
-        self.slo.record(resp.tenant, resp.latency_s, resp.ok)
-        self._obs.log.emit(
-            "request_done",
-            trace_id=resp.trace_id,
-            tenant=resp.tenant,
-            seq=resp.seq,
-            outcome=resp.outcome,
-            latency_s=resp.latency_s,
-            queue_s=resp.queue_s,
-            shards_run=resp.shards_run,
-            resplits=resp.resplits,
-            retries=resp.retries,
-            error=type(resp.error).__name__ if resp.error else None,
         )
         if self._obs.enabled:
             self._obs.tracer.add_complete(
@@ -631,12 +586,14 @@ class SpGEMMService:
         return self._running
 
     def varz(self) -> Dict[str, object]:
-        """A JSON-able live status snapshot (the ``/varz`` endpoint body).
+        """A JSON-able status snapshot of the service.
 
-        Everything an operator glances at first: lifecycle flags, queue
-        state, in-flight count, per-tenant request/outcome counters and
-        the SLO report.  Values come straight from the live registry, so
-        a mid-run snapshot accounts for every submission so far.
+        Lifecycle flags, queue state, in-flight count, admission
+        reservations, per-tenant request/outcome counters, shed reasons
+        and the tile-cache counters.  The counters are read from the
+        ambient :class:`~repro.obs.metrics.MetricsRegistry` the service
+        was built under, so a snapshot taken mid-run accounts for every
+        submission so far.
         """
         metrics = self._obs.metrics
         outcomes: Dict[str, Dict[str, float]] = {}
@@ -675,7 +632,6 @@ class SpGEMMService:
             "requests_total": requests,
             "outcomes_total": outcomes,
             "sheds_total": sheds,
-            "slo": self.slo.report(),
             "tilecache": self._cache.stats(),
         }
         if getattr(self._obs.profile, "enabled", False):

@@ -218,8 +218,8 @@ class TestCLIObservability:
         assert res["method"] == "tilespgemm"
         assert res["attempts"] >= 1
         assert res["failed_attempts"] == 0
-        assert res["retries"] == 0 and res["fallbacks"] == 0
-        assert res["degraded"] is False
+        assert res["retries"] == 0
+        assert "fallbacks" not in res and "degraded" not in res
 
     def test_json_with_metrics_embeds_snapshot(self, mtx_file, tmp_path, capsys):
         import json
@@ -237,7 +237,7 @@ class TestCLIResilient:
         assert main(["--resilient", mtx_file]) == 0
         out = capsys.readouterr().out
         assert "resilient run: method=tilespgemm" in out
-        assert "degraded=no" in out
+        assert "degraded" not in out
         assert "check passed: yes" in out
 
     def test_resilient_recovers_from_budget(self, mtx_file, capsys):
@@ -250,5 +250,4 @@ class TestCLIResilient:
         out = capsys.readouterr().out
         assert "resilient run: method=tilespgemm" in out
         assert "batches=" in out
-        assert "degraded=no" in out
         assert "check passed: yes" in out

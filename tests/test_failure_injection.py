@@ -198,8 +198,8 @@ class TestPageRankEdges:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeviceOOMError, TransientKernelError
-from repro.runtime import FaultPlan, run_resilient
+from repro.errors import DeviceOOMError, ResilienceExhausted, TransientKernelError
+from repro.runtime import FaultPlan, RetryPolicy, run_resilient
 from repro.runtime.chunked import chunked_tile_spgemm
 
 #: Allocation labels of one tile_spgemm run, in event order (the 7 sites).
@@ -249,7 +249,6 @@ class TestOOMAtEveryAllocationSite:
         rr = run_resilient(a, a, fault_plan=plan)
         # The one-shot OOM kills the first attempt; the retry runs chunked.
         assert rr.report.batches > 1
-        assert not rr.report.degraded
         assert rr.report.num_faults == 1
         _assert_bit_identical(clean.c, rr.c)
 
@@ -262,33 +261,27 @@ class TestOOMAtEveryAllocationSite:
 
 
 class TestTransientRetryExhaustion:
-    """A fault that keeps firing must exhaust the retries of a rung and
-    push the runtime down the fallback ladder."""
+    """A fault that keeps firing must exhaust the retries and raise
+    ``ResilienceExhausted``; no other algorithm's product is returned."""
 
     def test_plain_run_raises(self):
         a = _tiled_pair()
         with pytest.raises(TransientKernelError):
             tile_spgemm(a, a, fault_plan=FaultPlan().transient_at_step("step2", every=1))
 
-    def test_exhaustion_falls_back_degraded(self):
+    def test_exhaustion_raises(self):
         a = _tiled_pair()
-        clean = tile_spgemm(a, a)
-        # Fires at every step named step2 — only the tiled path has one, so
-        # the hash fallback runs clean.
         plan = FaultPlan().transient_at_step("step2", every=1)
-        rr = run_resilient(a, a, fault_plan=plan)
-        assert rr.report.degraded
-        assert rr.report.method == "nsparse_hash"
-        assert rr.report.backoff_s > 0
-        # Retries: max_retries failures + the final one before falling back.
-        assert rr.report.num_faults >= 2
-        assert rr.c_csr().allclose(clean.c.to_csr())
+        with pytest.raises(ResilienceExhausted) as excinfo:
+            run_resilient(a, a, fault_plan=plan)
+        assert isinstance(excinfo.value.__cause__, TransientKernelError)
+        # The first attempt plus the default policy's retries.
+        assert plan.num_fired == RetryPolicy().max_retries + 1
 
     def test_single_transient_retried_in_place(self):
         a = _tiled_pair()
         clean = tile_spgemm(a, a)
         rr = run_resilient(a, a, fault_plan=FaultPlan().transient_at_step("step3", at=1))
-        assert not rr.report.degraded
         assert rr.report.method == "tilespgemm"
         assert rr.report.backoff_s > 0
         assert rr.result.timer.seconds.get("backoff", 0.0) == rr.report.backoff_s

@@ -291,7 +291,10 @@ class TestObsProfileCli:
 
         assert obs_main(["profile", str(tmp_path / "no.json")]) == EXIT_FILE_NOT_FOUND
 
-    @pytest.mark.parametrize("argv", [["calibrate", "profile.json"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["calibrate", "profile.json"], ["top"], ["slo", "--metrics", "x.prom"]],
+    )
     def test_removed_subcommands_are_usage_errors(self, argv, capsys):
         from repro.errors import EXIT_USAGE
         from repro.obs.cli import obs_main

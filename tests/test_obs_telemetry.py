@@ -1,48 +1,19 @@
-"""The serving-grade telemetry surfaces (repro.obs + repro.analysis.slo).
+"""Export safety of the telemetry sinks: NumPy values never crash an export.
 
-Covers the export-safety satellite (NumPy scalars can never crash an
-export), the structured event log and its replay property, the live
-HTTP endpoint, per-tenant SLO tracking, the offline SLO report that
-recomputes the same math from a Prometheus snapshot, and the ``obs``
-CLI (``top`` / ``slo``) that fronts both.
+Span attributes and metric values routinely pick up NumPy scalars; the
+tracer's Chrome-trace writer and the metrics registry's snapshot and
+Prometheus text coerce them to JSON-native Python types on the way out.
 """
 
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 
 import numpy as np
-import pytest
 
-from repro.analysis.slo import (
-    parse_prometheus_text,
-    render_slo_report,
-    slo_report_from_text,
-)
-from repro.errors import EXIT_FILE_NOT_FOUND
-from repro.obs import (
-    EventLog,
-    MetricsRegistry,
-    NULL_LOG,
-    SLOPolicy,
-    SLOTracker,
-    Tracer,
-    load_events,
-    replay_outcomes,
-    to_native,
-)
-from repro.obs.cli import EXIT_BURN, obs_main
-from repro.obs.http import TelemetryServer, parse_listen
+from repro.obs import MetricsRegistry, Tracer, to_native
 
 
-def _get(url, timeout=5.0):
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        return resp.status, resp.headers.get("Content-Type"), resp.read()
-
-
-# ----------------------------------------------------------- numpy safety
 class TestNativeCoercionAtExport:
     def test_trace_write_survives_numpy_args(self, tmp_path):
         tracer = Tracer()
@@ -67,264 +38,7 @@ class TestNativeCoercionAtExport:
         # Every snapshot leaf is JSON-native.
         json.dumps(snap)
 
-    def test_event_log_coerces_fields(self, tmp_path):
-        log = EventLog(path=tmp_path / "e.jsonl")
-        log.emit("ev", nnz=np.int64(9), skipped=None)
-        log.close()
-        (record,) = load_events(tmp_path / "e.jsonl")
-        assert record["nnz"] == 9
-        assert "skipped" not in record
-
     def test_to_native_recurses(self):
         out = to_native({"a": np.int64(1), "b": [np.float64(2.0), (3,)]})
         assert out == {"a": 1, "b": [2.0, [3]]}
         assert type(out["a"]) is int
-
-
-# -------------------------------------------------------------- event log
-class TestEventLog:
-    def test_streams_lines_before_close(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        log = EventLog(path=path)
-        log.emit("request_done", tenant="t0", outcome="served")
-        # Crash-safety: the line is on disk *before* close.
-        assert len(load_events(path)) == 1
-        log.close()
-
-    def test_replay_matches_outcome_tally(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        log = EventLog(path=path)
-        for tenant, outcome in [
-            ("t0", "served"),
-            ("t0", "served"),
-            ("t0", "shed"),
-            ("t1", "deadline"),
-        ]:
-            log.emit("request_done", tenant=tenant, outcome=outcome)
-        log.emit("request_submitted", tenant="t0")  # not an outcome event
-        log.close()
-        tally = replay_outcomes(load_events(path))
-        assert tally == {
-            ("t0", "served"): 2,
-            ("t0", "shed"): 1,
-            ("t1", "deadline"): 1,
-        }
-
-    def test_null_log_absorbs_everything(self):
-        assert NULL_LOG.emit("anything", x=1) is None
-        assert len(NULL_LOG) == 0
-        assert not NULL_LOG.enabled
-
-
-# ------------------------------------------------------------ live endpoint
-class TestTelemetryServer:
-    def test_parse_listen(self):
-        assert parse_listen("0.0.0.0:9100") == ("0.0.0.0", 9100)
-        assert parse_listen(":8080") == ("127.0.0.1", 8080)
-        with pytest.raises(ValueError):
-            parse_listen("no-port")
-        with pytest.raises(ValueError):
-            parse_listen("host:notanumber")
-
-    def test_routes(self):
-        m = MetricsRegistry()
-        m.inc("serve_requests_total", 3, tenant="t0")
-        varz = {"queue": {"depth": np.int64(2)}, "running": True}
-        with TelemetryServer(metrics=m, varz_fn=lambda: varz) as server:
-            host, port = server.address
-            assert port > 0
-            status, ctype, body = _get(f"http://{host}:{port}/metrics")
-            assert status == 200
-            assert ctype.startswith("text/plain; version=0.0.4")
-            assert 'serve_requests_total{tenant="t0"} 3' in body.decode()
-
-            status, _, body = _get(f"http://{host}:{port}/healthz")
-            assert status == 200 and body == b"ok\n"
-
-            status, ctype, body = _get(f"http://{host}:{port}/varz")
-            assert status == 200 and ctype.startswith("application/json")
-            assert json.loads(body) == {"queue": {"depth": 2}, "running": True}
-
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(f"http://{host}:{port}/nope")
-            assert err.value.code == 404
-
-    def test_unhealthy_health_fn(self):
-        with TelemetryServer(health_fn=lambda: False) as server:
-            host, port = server.address
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(f"http://{host}:{port}/healthz")
-            assert err.value.code == 503
-
-    def test_no_metrics_still_serves_empty_exposition(self):
-        with TelemetryServer() as server:
-            status, _, body = _get(server.url + "/metrics")
-            assert status == 200
-            assert body.decode() == ""
-
-
-# ------------------------------------------------------------ SLO tracking
-class TestSLOTracker:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SLOPolicy(latency_target_s=0.0)
-        with pytest.raises(ValueError):
-            SLOPolicy(objective=1.0)
-        assert SLOPolicy(objective=0.9).error_budget == pytest.approx(0.1)
-
-    def test_attainment_and_burn(self):
-        m = MetricsRegistry()
-        t = SLOTracker(SLOPolicy(latency_target_s=0.1, objective=0.9), metrics=m)
-        assert t.record("t0", 0.05, served=True) is True
-        assert t.record("t0", 0.50, served=True) is False  # too slow
-        assert t.record("t0", 0.05, served=False) is False  # fast but shed
-        assert t.attainment("t0") == pytest.approx(1 / 3)
-        assert t.burn_rate("t0") == pytest.approx((1 - 1 / 3) / 0.1)
-        gauges = {
-            tuple(sorted(lk.items())): v
-            for lk, v in m.gauge_samples("slo_attainment")
-        }
-        assert gauges[(("tenant", "t0"),)] == pytest.approx(1 / 3)
-
-    def test_empty_tenant_attains(self):
-        t = SLOTracker()
-        assert t.attainment("ghost") == 1.0
-        assert t.burn_rate("ghost") == 0.0
-        assert t.tenants() == []
-
-    def test_report_shape(self):
-        t = SLOTracker(SLOPolicy(latency_target_s=0.1, objective=0.9))
-        t.record("t0", 0.05, served=True)
-        report = t.report()
-        assert report["t0"]["attainment"] == 1.0
-        assert report["t0"]["objective"] == 0.9
-
-
-# ------------------------------------------------- offline snapshot report
-_PROM = """\
-# HELP serve_latency_seconds End-to-end request latency
-# TYPE serve_latency_seconds histogram
-serve_latency_seconds_bucket{tenant="t0",le="0.1"} 6
-serve_latency_seconds_bucket{tenant="t0",le="0.5"} 8
-serve_latency_seconds_bucket{tenant="t0",le="+Inf"} 10
-serve_latency_seconds_count{tenant="t0"} 10
-serve_outcomes_total{outcome="served",tenant="t0"} 9
-serve_outcomes_total{outcome="shed",tenant="t0"} 1
-"""
-
-
-class TestSnapshotSLOReport:
-    def test_parse_prometheus_text(self):
-        samples = parse_prometheus_text(
-            'x{lab="a\\"b\\\\c\\nd"} 1.5\n# comment\nplain 2\nbad line\n'
-        )
-        assert ("x", {"lab": 'a"b\\c\nd'}, 1.5) in samples
-        assert ("plain", {}, 2.0) in samples
-        assert len(samples) == 2
-
-    def test_report_math(self):
-        report = slo_report_from_text(
-            _PROM, latency_target_s=0.5, objective=0.9
-        )
-        row = report["t0"]
-        # 8 within 0.5 s but only min(8, served=9) = 8 good of 10 total.
-        assert row["total"] == 10
-        assert row["good"] == 8
-        assert row["attainment"] == pytest.approx(0.8)
-        assert row["burn_rate"] == pytest.approx(2.0)
-        assert row["outcomes"] == {"served": 9.0, "shed": 1.0}
-
-    def test_served_caps_good(self):
-        # All fast, but half were shed: shed requests are not good service.
-        text = (
-            'serve_latency_seconds_bucket{tenant="t",le="0.5"} 4\n'
-            'serve_latency_seconds_bucket{tenant="t",le="+Inf"} 4\n'
-            'serve_outcomes_total{outcome="served",tenant="t"} 2\n'
-        )
-        report = slo_report_from_text(text)
-        assert report["t"]["good"] == 2
-
-    def test_agrees_with_live_tracker(self):
-        """The acceptance property: offline recompute == live gauges."""
-        m = MetricsRegistry()
-        tracker = SLOTracker(
-            SLOPolicy(latency_target_s=0.5, objective=0.95), metrics=m
-        )
-        from repro.serve.service import LATENCY_BUCKETS
-
-        latencies = [0.1, 0.2, 0.7, 0.3]
-        for lat in latencies:
-            m.inc("serve_requests_total", tenant="t0")
-            m.inc("serve_outcomes_total", tenant="t0", outcome="served")
-            m.observe(
-                "serve_latency_seconds", lat,
-                buckets=LATENCY_BUCKETS, tenant="t0",
-            )
-            tracker.record("t0", lat, served=True)
-        report = slo_report_from_text(m.to_prometheus())
-        assert report["t0"]["attainment"] == pytest.approx(
-            tracker.attainment("t0")
-        )
-        assert report["t0"]["burn_rate"] == pytest.approx(
-            tracker.burn_rate("t0")
-        )
-
-    def test_render(self):
-        text = render_slo_report(slo_report_from_text(_PROM))
-        assert "tenant" in text and "t0" in text
-
-
-# ------------------------------------------------------------------ obs CLI
-class TestObsCli:
-    def test_slo_from_snapshot_file(self, tmp_path, capsys):
-        path = tmp_path / "s.prom"
-        path.write_text(_PROM)
-        assert obs_main(["slo", "--metrics", str(path), "--objective", "0.9"]) == 0
-        out = capsys.readouterr().out
-        assert "t0" in out and "0.800" in out
-
-    def test_slo_json_and_burn_check(self, tmp_path, capsys):
-        path = tmp_path / "s.prom"
-        path.write_text(_PROM)
-        code = obs_main(
-            ["slo", "--metrics", str(path), "--objective", "0.9",
-             "--json", "--check"]
-        )
-        assert code == EXIT_BURN  # burn 2.0 > 1.0: budget overspent
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["t0"]["burn_rate"] == pytest.approx(2.0)
-
-    def test_slo_missing_snapshot(self, tmp_path, capsys):
-        code = obs_main(["slo", "--metrics", str(tmp_path / "no.prom")])
-        assert code == EXIT_FILE_NOT_FOUND
-
-    def test_top_renders_live_varz(self, capsys):
-        varz = {
-            "running": True,
-            "accepting": True,
-            "uptime_s": 1.5,
-            "workers": 2,
-            "executor": "thread",
-            "inflight": 1,
-            "queue": {"depth": 3, "bound": 32, "high_water": 7},
-            "requests_total": {"t0": 5},
-            "outcomes_total": {"t0": {"served": 4, "shed": 1}},
-            "slo": {"t0": {"attainment": 0.8, "burn_rate": 4.0}},
-        }
-        with TelemetryServer(varz_fn=lambda: varz) as server:
-            code = obs_main(
-                ["top", "--url", server.url, "--iterations", "2",
-                 "--interval", "0.01", "--no-clear"]
-            )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("service: running") == 2
-        assert "depth 3/32" in out
-        assert "t0" in out and "4.00" in out
-
-    def test_top_unreachable_endpoint(self, capsys):
-        code = obs_main(
-            ["top", "--url", "http://127.0.0.1:1", "--iterations", "1"]
-        )
-        assert code != 0
-        assert "cannot reach" in capsys.readouterr().err

@@ -2,10 +2,9 @@
 
 Covers the memory-budget enforcement in the allocation tracker, the
 execution-context plumbing, the deterministic fault plan, chunked
-re-execution under a budget, the retry/backoff/fallback policy engine and
-the SUMMA communication-fault path — including the acceptance criteria of
-the resilience issue (bit-identical chunked recovery with ``batches > 1``;
-degraded-but-correct fallback on exhausted retries).
+re-execution under a budget, the retry/backoff policy engine and the
+SUMMA communication-fault path — including bit-identical chunked recovery
+with ``batches > 1`` and ``ResilienceExhausted`` on exhausted retries.
 """
 
 import numpy as np
@@ -232,7 +231,6 @@ class TestBudgetDrivenChunking:
             tile_spgemm(a, a, budget_bytes=budget)
         rr = run_resilient(a, a, budget_bytes=budget)
         assert rr.report.batches > 1
-        assert not rr.report.degraded
         assert rr.report.method == "tilespgemm"
         c1, c2 = clean.c, rr.c
         for name in ("tileptr", "tilecolidx", "tilennz", "rowptr", "rowidx", "colidx", "mask"):
@@ -260,39 +258,40 @@ class TestBudgetDrivenChunking:
 
 
 class TestFallbackLadder:
-    """Acceptance criterion: under injected transient faults with exhausted
-    retries, run_resilient returns a correct result via the fallback ladder
-    with degraded=True."""
+    """There is no algorithm fallback: when retries run out,
+    ``run_resilient`` raises ``ResilienceExhausted`` like every other entry
+    point, and a recovered run returns the serial bytes."""
 
-    def test_exhausted_retries_degrade_correctly(self):
+    def test_exhausted_retries_raise(self):
         a = _tiled()
-        clean = tile_spgemm(a, a)
         plan = FaultPlan().transient_at_step("step1", every=1)
         policy = RetryPolicy(max_retries=2)
-        rr = run_resilient(a, a, fault_plan=plan, policy=policy)
-        assert rr.report.degraded is True
-        assert rr.report.method != "tilespgemm"
-        assert rr.c_csr().allclose(clean.c.to_csr())
-        # max_retries + 1 failed tile attempts, then the fallback.
-        tile_attempts = [r for r in rr.report.attempts if r.method == "tilespgemm"]
-        assert len(tile_attempts) == policy.max_retries + 1
+        with pytest.raises(ResilienceExhausted) as excinfo:
+            run_resilient(a, a, fault_plan=plan, policy=policy)
+        assert isinstance(excinfo.value.__cause__, TransientKernelError)
+        # The first attempt plus max_retries retries, then no other method.
+        assert plan.num_fired == policy.max_retries + 1
 
     def test_backoff_is_exponential_and_charged(self):
         a = _tiled()
-        plan = FaultPlan().transient_at_step("step1", every=1)
+        clean = tile_spgemm(a, a)
+        # A spec does not count an event an earlier spec fired on, so
+        # three one-shot specs fail three attempts in a row.
+        plan = FaultPlan()
+        for _ in range(3):
+            plan.transient_at_step("step1", at=1)
         policy = RetryPolicy(max_retries=3, backoff_base_s=0.5, backoff_factor=2.0, max_backoff_s=10.0)
         rr = run_resilient(a, a, fault_plan=plan, policy=policy)
         assert rr.report.backoff_s == pytest.approx(0.5 + 1.0 + 2.0)
         assert rr.result.timer.seconds["backoff"] == pytest.approx(3.5)
+        assert np.array_equal(rr.c.val, clean.c.val)
 
-    def test_custom_ladder(self):
+    def test_zero_retries_exhaust_on_the_first_fault(self):
         a = _tiled()
         plan = FaultPlan().transient_at_step("step1", every=1)
-        rr = run_resilient(
-            a, a, fault_plan=plan,
-            policy=RetryPolicy(max_retries=0, ladder=("tilespgemm", "gustavson")),
-        )
-        assert rr.report.method == "gustavson"
+        with pytest.raises(ResilienceExhausted):
+            run_resilient(a, a, fault_plan=plan, policy=RetryPolicy(max_retries=0))
+        assert plan.num_fired == 1
 
     def test_invalid_input_never_retried(self):
         a = _tiled(n=96)

@@ -421,7 +421,17 @@ class TestServeCLI:
         assert err.startswith("error:") and "workers must be >= 1" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--calibration", "calib.json"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--calibration", "calib.json"],
+            ["--log", "events.jsonl"],
+            ["--listen", "127.0.0.1:0"],
+            ["--linger", "1"],
+            ["--slo-target", "0.5"],
+            ["--slo-objective", "0.95"],
+        ],
+    )
     def test_removed_flags_are_usage_errors(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             serve_main(["run", "--requests", "1", "--n", "64", *flags])
@@ -510,14 +520,21 @@ class TestRealBackoff:
         assert other != waits_p  # different seed -> different schedule
 
     def test_injected_sleep_receives_each_wait(self):
-        from repro.runtime.policy import _backoff
+        from repro.runtime import FaultPlan, run_resilient
 
+        a, _ = _pair()
         slept = []
         p = RetryPolicy(
             backoff_base_s=0.05, backoff_factor=2.0, sleep=slept.append
         )
-        waits = [_backoff(p, k) for k in range(3)]
-        assert slept == waits == [0.05, 0.1, 0.2]
+        # A spec does not count an event an earlier spec fired on, so
+        # three one-shot specs fail three attempts in a row.
+        plan = FaultPlan()
+        for _ in range(3):
+            plan.transient_at_step("step1", at=1)
+        rr = run_resilient(a, a, policy=p, fault_plan=plan)
+        assert slept == [backoff_wait(p, k) for k in range(3)] == [0.05, 0.1, 0.2]
+        assert rr.report.backoff_s == pytest.approx(sum(slept))
 
     def test_default_policy_never_sleeps(self):
         # The modelled-only default: no sleep callable, waits are recorded

@@ -73,8 +73,7 @@ def _parallel(a, b, plan):
 
 
 def _resilient(a, b, plan):
-    policy = RetryPolicy(ladder=("tilespgemm",))
-    return run_resilient(a, b, policy=policy, fault_plan=plan).c
+    return run_resilient(a, b, fault_plan=plan).c
 
 
 def _served(a, b, plan):
