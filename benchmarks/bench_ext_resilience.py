@@ -2,10 +2,11 @@
 
 Two questions about the runtime of ``docs/RESILIENCE.md``:
 
-1. What does the wrapper cost when nothing goes wrong?  ``run_resilient``
+1. What does the shard engine cost when nothing goes wrong?  Its
+   one-worker run (``parallel_tile_spgemm(workers=1)``, the CLI's default)
    on the 18 representative matrices with no budget pressure and no fault
    plan must stay within 5 % of the bare pipeline's cost-model estimate —
-   the wrapper only adds bookkeeping, never extra kernels.
+   the engine only adds bookkeeping, never extra kernels.
 
 2. What does chunked OOM recovery cost?  Re-running each matrix under a
    budget of ~60 % of its measured peak forces the runtime to split the C
@@ -25,9 +26,9 @@ from repro.bench.schema import make_series
 from repro.core import tile_spgemm
 from repro.gpu import RTX3090, estimate_run
 from repro.matrices import representative_18
-from repro.runtime import run_resilient
+from repro.runtime import parallel_tile_spgemm
 
-#: The no-fault wrapper must cost less than this, relative.
+#: The no-fault engine run must cost less than this, relative.
 OVERHEAD_CEILING = 0.05
 
 #: Budget fraction of the measured single-shot peak that forces chunking.
@@ -42,19 +43,22 @@ def _suite():
 
 @pytest.fixture(scope="module")
 def overhead_table():
-    """Per matrix: bare-pipeline estimate vs run_resilient estimate (s)."""
+    """Per matrix: bare-pipeline estimate vs one-worker engine estimate (s),
+    the engine's modelled backoff included."""
     table = {}
     for spec in _suite():
         a = tiled_of(spec.matrix())
         res = tile_spgemm(a, a)
         plain = estimate_run(res.as_spgemm_result(), RTX3090).seconds
-        rr = run_resilient(a, a, device=RTX3090)
-        assert rr.report.batches == 1
-        assert np.array_equal(rr.c.val, res.c.val)  # the serial bytes
+        run = parallel_tile_spgemm(a, a, workers=1)
+        assert run.stats["shards"] == 1
+        assert np.array_equal(run.c.val, res.c.val)  # the serial bytes
+        engine_s = estimate_run(run.as_spgemm_result(), RTX3090).seconds
+        engine_s += run.timer.seconds.get("backoff", 0.0)
         table[spec.name] = {
             "plain_s": plain,
-            "resilient_s": rr.estimated_seconds,
-            "overhead": rr.estimated_seconds / plain - 1.0 if plain else 0.0,
+            "resilient_s": engine_s,
+            "overhead": engine_s / plain - 1.0 if plain else 0.0,
             "peak_bytes": res.alloc.peak_bytes,
         }
     return table
@@ -68,15 +72,15 @@ def recovery_table(overhead_table):
         a = tiled_of(spec.matrix())
         clean = overhead_table[spec.name]
         budget = int(clean["peak_bytes"] * RECOVERY_BUDGET_FRACTION)
-        rr = run_resilient(a, a, budget_bytes=budget, device=None)
-        est = estimate_run(rr.result.as_spgemm_result(), RTX3090).seconds
+        run = parallel_tile_spgemm(a, a, workers=1, budget_bytes=budget)
+        est = estimate_run(run.as_spgemm_result(), RTX3090).seconds
         table[spec.name] = {
             "budget_bytes": budget,
-            "batches": rr.report.batches,
-            "attempts": rr.report.num_attempts,
+            "batches": run.stats["shards"],
+            "resplits": run.stats["resplits"],
             "recovered_s": est,
             "slowdown": est / clean["plain_s"] if clean["plain_s"] else 0.0,
-            "peak_bytes": rr.result.alloc.peak_bytes,
+            "peak_bytes": run.alloc.peak_bytes,
         }
     return table
 
@@ -101,7 +105,7 @@ def test_resilience_report(benchmark, overhead_table, recovery_table):
          "oom batches", "recovered ms", "vs crash-free"],
         rows,
         title=(
-            "Extension: resilient-runtime overhead (no faults) and chunked "
+            "Extension: shard-engine overhead (no faults) and chunked "
             f"OOM recovery at {RECOVERY_BUDGET_FRACTION:.0%} of peak, "
             "modelled RTX 3090"
         ),
@@ -127,7 +131,7 @@ def test_resilience_report(benchmark, overhead_table, recovery_table):
 
 
 def test_shape_overhead_under_5_percent(overhead_table):
-    """The headline claim: the wrapper is free when nothing fails."""
+    """The headline claim: the engine is free when nothing fails."""
     for name, o in overhead_table.items():
         assert abs(o["overhead"]) < OVERHEAD_CEILING, (name, o["overhead"])
 

@@ -34,9 +34,9 @@ Subpackages
 ``repro.apps``
     AMG, triangle counting and Markov clustering built on the SpGEMM API.
 ``repro.runtime`` / ``repro.errors``
-    Resilient execution: typed errors, memory budgets, fault injection,
-    chunked re-execution and the retry/backoff engine
-    (:func:`repro.runtime.policy.run_resilient`).
+    Resilient execution: typed errors, memory budgets, fault injection
+    and the one shard engine that re-splits and retries failing tile-row
+    ranges (:func:`repro.runtime.parallel.parallel_tile_spgemm`).
 ``repro.obs``
     Observability: structured tracing (Chrome trace-event / Perfetto
     export), kernel-counter metrics (Prometheus text export) and the
@@ -82,8 +82,7 @@ __all__ = [
     # lazily resolved from repro.runtime:
     "FaultPlan",
     "RetryPolicy",
-    "ResilienceReport",
-    "run_resilient",
+    "parallel_tile_spgemm",
     # lazily resolved from repro.obs:
     "MetricsRegistry",
     "Tracer",
@@ -92,7 +91,7 @@ __all__ = [
     "__version__",
 ]
 
-_RUNTIME_EXPORTS = {"FaultPlan", "RetryPolicy", "ResilienceReport", "run_resilient"}
+_RUNTIME_EXPORTS = {"FaultPlan", "RetryPolicy", "parallel_tile_spgemm"}
 _OBS_EXPORTS = {"MetricsRegistry", "Tracer", "make_obs", "obs_context"}
 
 

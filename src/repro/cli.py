@@ -10,12 +10,14 @@ reproduces that interface and output contract on the Python implementation
 
     python -m repro -d 0 -aat 0 path/to/matrix.mtx
 
-Beyond the artifact, the CLI exposes the resilient runtime::
+Every run multiplies on the shard engine (see docs/RESILIENCE.md): under
+a memory budget an over-budget tile-row range is halved until it fits,
+and the run reports what it took::
 
-    python -m repro --memory-budget 64K --resilient path/to/matrix.mtx
+    python -m repro --memory-budget 64K path/to/matrix.mtx
 
-the sharded parallel engine (see docs/PARALLEL.md; output stays
-byte-identical to the serial run)::
+The same engine runs sharded on a worker pool (see docs/PARALLEL.md;
+output stays byte-identical to the serial run)::
 
     python -m repro --workers 4 --executor thread path/to/matrix.mtx
 
@@ -66,7 +68,8 @@ Exit-code contract (one distinct code per error class; see
 2     bad command line (unknown device, bad flag)
 3     malformed matrix file or dimension mismatch
 4     matrix file not found
-5     device memory budget exceeded
+5     device memory budget exceeded (the CLI recovers from an OOM by
+      re-splitting, so an unrecoverable one exits 8)
 6     transient kernel fault
 7     communication failure
 8     recovery exhausted (a tile row over budget, retries spent)
@@ -90,7 +93,7 @@ from typing import List, Optional
 
 from repro.baselines import get_algorithm
 from repro.baselines.base import flops_of_product
-from repro.core import TileMatrix, tile_spgemm
+from repro.core import TileMatrix
 from repro.errors import (
     EXIT_USAGE,
     CommFailure,
@@ -152,17 +155,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_bytes,
         default=None,
         metavar="BYTES",
-        help="logical device-memory budget (suffixes K/M/G); a serial run "
-        "that exceeds it fails with exit code 5, while sharded runs "
-        "(--workers N>1, --plan auto) and --resilient halve the "
-        "over-budget tile-row range until it fits, failing with exit "
-        "code 8 when a single tile row does not",
-    )
-    parser.add_argument(
-        "--resilient",
-        action="store_true",
-        help="run under the resilient runtime: chunked re-execution on OOM "
-        "and transient-fault retries (see docs/RESILIENCE.md)",
+        help="logical device-memory budget (suffixes K/M/G); a run that "
+        "exceeds it halves the over-budget tile-row range until it fits, "
+        "failing with exit code 8 when a single tile row does not (see "
+        "docs/RESILIENCE.md)",
     )
     parser.add_argument(
         "--workers",
@@ -170,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="run the multiply on the sharded parallel engine with N pool "
-        "workers (0 = one per CPU); defaults to $REPRO_WORKERS, else "
-        "serial (see docs/PARALLEL.md)",
+        "workers (0 = one per CPU); defaults to $REPRO_WORKERS, else 1, "
+        "which runs inline (see docs/PARALLEL.md)",
     )
     parser.add_argument(
         "--executor",
@@ -222,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="replace the artifact output lines with one JSON document on "
-        "stdout (phase seconds and counts, resilience tallies, metrics)",
+        "stdout (phase seconds and counts, recovery tallies, metrics)",
     )
     parser.add_argument("matrix", help="path to a MatrixMarket (*.mtx) file")
     return parser
@@ -267,9 +263,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = Tracer() if (args.trace is not None or args.profile) else None
     metrics = MetricsRegistry() if args.metrics is not None else None
     try:
-        # The scoped default makes every engine the run touches — serial,
-        # parallel, resilient, the cross-check adapter — resolve
-        # the same kernel backend.
+        # The scoped default makes every engine the run touches — the
+        # shard engine and the cross-check adapter — resolve the same
+        # kernel backend.
         with use_backend(args.backend) if args.backend is not None else nullcontext():
             if tracer is None and metrics is None:
                 return _run(args, device, None, None)
@@ -354,99 +350,60 @@ def _run(args, device, tracer, metrics) -> int:
     doc["conversion_ms"] = conv_ms
     doc["tiled_bytes"] = at.memory_bytes()
 
-    if args.resilient:
-        from repro.runtime import run_resilient
+    from repro.runtime.parallel import parallel_tile_spgemm
 
-        rr = run_resilient(at, bt, device=device, budget_bytes=args.memory_budget)
-        report = rr.report
-        say(
-            f"resilient run: method={report.method} attempts={report.num_attempts} "
-            f"batches={report.batches}"
+    plan = None
+    if args.plan == "auto":
+        from repro.runtime.planner import plan_execution
+
+        plan = plan_execution(
+            at, bt, workers=args.workers, executor=args.executor, backend=args.backend
         )
-        if report.faults:
-            say(f"faults recovered: {report.num_faults}")
-        doc["resilience"] = {
-            "method": report.method,
-            "attempts": report.num_attempts,
-            "failed_attempts": sum(1 for r in report.attempts if r.outcome != "ok"),
-            "retries": sum(1 for r in report.attempts if r.backoff_s > 0),
-            "batches": report.batches,
-            "faults": report.num_faults,
-            "backoff_seconds": report.backoff_s,
-        }
-        result = rr.result
-        result_c_csr = rr.c_csr()
-        timer, alloc = result.timer, result.alloc
-        est = rr.estimate
-        nnz_c = result_c_csr.nnz
-        num_tiles_c = rr.c.num_tiles
-        measured_gflops = result.gflops()
+    # One engine for every run: whatever the worker count, an over-budget
+    # tile-row range is halved and a transient fault retried after backoff.
+    result = parallel_tile_spgemm(
+        at,
+        bt,
+        workers=args.workers,
+        executor=args.executor,
+        plan=plan,
+        budget_bytes=args.memory_budget,
+    )
+    stats, timer, alloc = result.stats, result.timer, result.alloc
+    if plan is not None:
+        say(
+            f"plan: mode={plan.mode} workers={plan.workers} "
+            f"shards={plan.shards} tnnz={plan.tnnz} "
+            f"est_products={plan.estimate.get('products')} "
+            f"band={plan.estimate.get('band')}"
+        )
+        doc["plan"] = plan.to_dict()
+    if stats["workers"] > 1:
+        say(
+            f"parallel run: workers={stats['workers']} "
+            f"shards={stats['shards']} executor={stats['executor']}"
+        )
+    doc["parallel"] = {key: stats[key] for key in ("workers", "shards", "executor")}
+    if stats["resplits"] or stats["retries"]:
+        say(f"recovered: resplits={stats['resplits']} retries={stats['retries']}")
+    doc["recovery"] = {
+        "resplits": stats["resplits"],
+        "retries": stats["retries"],
+        "backoff_seconds": timer.seconds.get("backoff", 0.0),
+    }
+    if stats["shards"] > 1:
+        # Price the serial run of the same product.  Shards are CPU
+        # concurrency only; a GPU runs the product once.  The stitched
+        # result prices steps 1-3 identically but adds a `relaunch`
+        # kernel per extra batch and the malloc cost of every shard's
+        # ledger (banded(1500, 10), 2 workers, RTX 3060: 1.8e-4 s
+        # stitched vs 7.6e-5 s serial, 28 alloc events against 7).
+        priced = get_algorithm("tilespgemm")(a, b, a_tiled=at, b_tiled=bt)
     else:
-        from repro.runtime.parallel import parallel_tile_spgemm, resolve_workers
+        priced = result.as_spgemm_result()
+    est = estimate_run(priced, device)
 
-        if args.plan == "auto":
-            from repro.runtime.planner import plan_execution
-
-            plan = plan_execution(
-                at,
-                bt,
-                workers=args.workers,
-                executor=args.executor,
-                backend=args.backend,
-            )
-            result = parallel_tile_spgemm(
-                at, bt, plan=plan, budget_bytes=args.memory_budget
-            )
-            say(
-                f"plan: mode={plan.mode} workers={plan.workers} "
-                f"shards={plan.shards} tnnz={plan.tnnz} "
-                f"est_products={plan.estimate.get('products')} "
-                f"band={plan.estimate.get('band')}"
-            )
-            doc["plan"] = plan.to_dict()
-            doc["parallel"] = {
-                "workers": result.stats.get("workers"),
-                "shards": result.stats.get("shards"),
-                "executor": result.stats.get("executor"),
-            }
-        elif resolve_workers(args.workers) > 1:
-            result = parallel_tile_spgemm(
-                at,
-                bt,
-                workers=resolve_workers(args.workers),
-                executor=args.executor,
-                budget_bytes=args.memory_budget,
-            )
-            say(
-                f"parallel run: workers={result.stats.get('workers')} "
-                f"shards={result.stats.get('shards')} "
-                f"executor={result.stats.get('executor')}"
-            )
-            doc["parallel"] = {
-                "workers": result.stats.get("workers"),
-                "shards": result.stats.get("shards"),
-                "executor": result.stats.get("executor"),
-            }
-        else:
-            result = tile_spgemm(at, bt, budget_bytes=args.memory_budget)
-        result_c_csr = result.c.to_csr()
-        timer, alloc = result.timer, result.alloc
-        if "parallel" in doc:
-            # Price the serial run of the same product.  Shards are CPU
-            # concurrency only; a GPU runs the product once.  The stitched
-            # result prices steps 1-3 identically but adds a `relaunch`
-            # kernel per extra batch and the malloc cost of every shard's
-            # ledger (banded(1500, 10), 2 workers, RTX 3060: 1.8e-4 s
-            # stitched vs 7.6e-5 s serial, 28 alloc events against 7).
-            priced = get_algorithm("tilespgemm")(a, b, a_tiled=at, b_tiled=bt)
-        else:
-            priced = result.as_spgemm_result()
-        est = estimate_run(priced, device)
-        nnz_c = result.c.nnz
-        num_tiles_c = result.c.num_tiles
-        measured_gflops = result.gflops()
-
-    if tracer is not None and est is not None:
+    if tracer is not None:
         # Virtual-GPU tracks: lay the cost model's kernel schedule onto
         # simulated SM slots in the same trace file.
         emit_gpu_timeline(tracer, est, device=device)
@@ -456,14 +413,9 @@ def _run(args, device, tracer, metrics) -> int:
         say(f"{phase} time: {timer.seconds.get(phase, 0.0) * 1e3:.3f} ms")
     say(f"memory allocation time: {timer.seconds.get('malloc', 0.0) * 1e3:.3f} ms")
     say(f"peak logical device memory: {alloc.peak_bytes / 1e6:.6f} MB")
-    if est is not None:
-        say(f"estimated runtime on {device.name}: {est.seconds * 1e3:.3f} ms")
-        say(f"estimated throughput on {device.name}: {est.gflops:.2f} GFlops")
-        doc["estimate"] = {
-            "device": device.name,
-            "seconds": est.seconds,
-            "gflops": est.gflops,
-        }
+    say(f"estimated runtime on {device.name}: {est.seconds * 1e3:.3f} ms")
+    say(f"estimated throughput on {device.name}: {est.gflops:.2f} GFlops")
+    doc["estimate"] = {"device": device.name, "seconds": est.seconds, "gflops": est.gflops}
     doc["phases"] = {
         name: {"seconds": sec, "count": timer.count(name)}
         for name, sec in timer.seconds.items()
@@ -471,19 +423,21 @@ def _run(args, device, tracer, metrics) -> int:
     doc["peak_bytes"] = alloc.peak_bytes
 
     # Lines 15-17: result sizes and measured throughput.
-    say(f"number of tiles of C: {num_tiles_c}")
-    say(f"number of nonzeros of C: {nnz_c}")
+    c = result.c
+    measured_gflops = result.gflops()
+    say(f"number of tiles of C: {c.num_tiles}")
+    say(f"number of nonzeros of C: {c.nnz}")
     say(
         f"TileSpGEMM runtime: {timer.total * 1e3:.3f} ms "
         f"({measured_gflops:.3f} GFlops measured in Python)"
     )
-    doc["c"] = {"num_tiles": num_tiles_c, "nnz": nnz_c}
+    doc["c"] = {"num_tiles": c.num_tiles, "nnz": c.nnz}
     doc["runtime_seconds"] = timer.total
     doc["measured_gflops"] = measured_gflops
 
     # Line 18: cross-check against another library's output.
     reference = get_algorithm("nsparse_hash")(a, b).c
-    ok = result_c_csr.allclose(reference)
+    ok = c.to_csr().allclose(reference)
     say(f"check passed: {'yes' if ok else 'NO'}")
     doc["check_passed"] = bool(ok)
 

@@ -141,8 +141,8 @@ def tile_spgemm(
     budget_bytes:
         Optional logical device-memory budget; exceeding it raises
         :class:`~repro.errors.DeviceOOMError` at the offending allocation
-        (recover with :func:`repro.runtime.chunked.chunked_tile_spgemm` or
-        :func:`repro.runtime.policy.run_resilient`).
+        (recover with :func:`repro.runtime.parallel.parallel_tile_spgemm`,
+        which halves an over-budget tile-row range until it fits).
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan` observing this
         run's allocations and steps.  Both parameters default to the

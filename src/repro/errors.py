@@ -13,7 +13,8 @@ module gives each failure class its own exception type so the runtime
   variable, service config); permanent, but the *operator's* fault, so it
   gets its own exit code and a one-line message naming the knob.
 * :class:`DeviceOOMError` — deterministic for a given budget; recovered by
-  chunked re-execution (:mod:`repro.runtime.chunked`), not by retrying.
+  re-splitting the tile-row range (:mod:`repro.runtime.shards`), not by
+  retrying.
 * :class:`TransientKernelError` — assumed to vanish on retry; handled with
   exponential backoff.
 * :class:`CommFailure` — a transient specific to the distributed layer;
@@ -133,8 +134,8 @@ class TransientKernelError(ReproError, RuntimeError):
 
     The modelled analogue of an ECC hiccup, a watchdog timeout or a
     preempted kernel; injected via :class:`repro.runtime.faults.FaultPlan`
-    and retried with exponential backoff by
-    :func:`repro.runtime.policy.run_resilient`.
+    and retried with exponential backoff by the shard engine
+    (:mod:`repro.runtime.shards`).
     """
 
     def __init__(self, site: str, detail: str = "") -> None:
@@ -173,8 +174,8 @@ class ResilienceExhausted(ReproError):
     """Recovery ran out: a fault outlived the shard engine's rules.
 
     Raised by the shard engine, and so by every entry point that runs on
-    it (:func:`repro.runtime.policy.run_resilient`, the parallel engine,
-    the serving tier), when a single tile row is still over budget or a
+    it (the CLI, :func:`repro.runtime.parallel.parallel_tile_spgemm`, the
+    chunked runner, the serving tier), when a single tile row is still over budget or a
     range keeps failing past its retries; chains the final underlying
     error.
     """

@@ -12,8 +12,8 @@ The production-facing wrapper around the SpGEMM engines:
   and async drivers;
 * :mod:`repro.runtime.chunked` — chunked tile-row re-execution under a
   budget, stitching a bit-identical result;
-* :mod:`repro.runtime.policy` — retry/backoff engine
-  (:func:`run_resilient`) returning a :class:`ResilienceReport`;
+* :mod:`repro.runtime.policy` — the retry/backoff policy
+  (:class:`RetryPolicy`, :func:`backoff_wait`) the shard engine applies;
 * :mod:`repro.runtime.parallel` — sharded execution on a thread or
   process pool (:func:`parallel_tile_spgemm`, :func:`spgemm_batch`),
   byte-identical to serial;
@@ -66,11 +66,7 @@ __all__ = [
     "plan_execution",
     "weighted_bounds",
     "RetryPolicy",
-    "AttemptRecord",
-    "ResilienceReport",
-    "ResilientResult",
     "backoff_wait",
-    "run_resilient",
     "parallel_tile_spgemm",
     "spgemm_batch",
     "resolve_workers",
@@ -91,11 +87,7 @@ _LAZY = {
     "plan_execution": "repro.runtime.planner",
     "weighted_bounds": "repro.runtime.planner",
     "RetryPolicy": "repro.runtime.policy",
-    "AttemptRecord": "repro.runtime.policy",
-    "ResilienceReport": "repro.runtime.policy",
-    "ResilientResult": "repro.runtime.policy",
     "backoff_wait": "repro.runtime.policy",
-    "run_resilient": "repro.runtime.policy",
     "parallel_tile_spgemm": "repro.runtime.parallel",
     "spgemm_batch": "repro.runtime.parallel",
     "resolve_workers": "repro.runtime.parallel",

@@ -10,8 +10,8 @@ the innermost active context.
 This module deliberately imports nothing from the rest of the package so
 that low-level modules (``repro.util.alloc``) can look it up lazily
 without creating an import cycle.  Contexts nest: fields left ``None``
-inherit from the enclosing context, so ``run_resilient`` can set a budget
-once and per-batch re-executions refine it.
+inherit from the enclosing context, so a caller can set a budget once and
+an inner run refine it.
 
 The stack is **per-thread** (:class:`threading.local`): the sharded
 parallel engine (:mod:`repro.runtime.parallel`) runs shards on worker

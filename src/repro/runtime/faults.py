@@ -93,7 +93,7 @@ class FaultPlan:
     """A deterministic, seeded schedule of injected faults.
 
     Build a plan with the chainable helpers and hand it to ``tile_spgemm``,
-    ``summa_spgemm`` or :func:`repro.runtime.policy.run_resilient`::
+    ``summa_spgemm`` or :func:`repro.runtime.parallel.parallel_tile_spgemm`::
 
         plan = FaultPlan(seed=7).oom_at_alloc(3).transient_at_step("step2", every=1)
     """

@@ -183,10 +183,10 @@ def parallel_tile_spgemm(
         ``workers`` / ``executor`` / ``bounds`` / ``backend`` /
         ``to_dict()``).  Fills in every option the caller left
         ``None`` — including the cost-weighted shard boundaries, used
-        whenever ``shards`` is not given and the plan's bounds match
-        ``a``'s tile rows.  The plan record lands in ``stats["plan"]``
-        and the ambient workload profiler.  Explicit arguments still
-        win.
+        whenever ``shards`` is not given; bounds that do not partition
+        ``a``'s tile rows raise :class:`~repro.errors.InvalidInputError`.
+        The plan record lands in ``stats["plan"]`` and the ambient
+        workload profiler.  Explicit arguments still win.
     policy:
         The :class:`~repro.runtime.policy.RetryPolicy` governing
         transient-fault retries of a shard (defaults apply when
@@ -215,7 +215,9 @@ def parallel_tile_spgemm(
         With ``stats["shards"]`` (stitched shards, re-splits included),
         ``stats["workers"]`` and ``stats["executor"]`` — ``"serial"``
         when one worker ran one shard inline, ``"chunked"`` when it ran
-        several (explicit ``shards`` or an OOM re-split).
+        several (explicit ``shards`` or an OOM re-split) — and the
+        recovery tallies ``stats["resplits"]`` / ``stats["retries"]``;
+        the modelled backoff is ``timer.seconds["backoff"]``.
 
     Raises
     ------

@@ -12,10 +12,9 @@ re-allocation of Liu & Vinter (arXiv:1504.05022) — and only the lost
 range of a failed or dead worker runs again.
 
 Every execution entry point is a thin caller of this module:
-:func:`~repro.runtime.chunked.chunked_tile_spgemm`, one-worker plans of
-:func:`~repro.runtime.parallel.parallel_tile_spgemm` and
-:func:`~repro.runtime.policy.run_resilient` run
-:func:`run_blocking` inline; pooled plans and
+:func:`~repro.runtime.chunked.chunked_tile_spgemm` and one-worker runs of
+:func:`~repro.runtime.parallel.parallel_tile_spgemm` (the CLI's default)
+run :func:`run_blocking` inline; pooled plans and
 :func:`~repro.runtime.parallel.spgemm_batch` run it on a
 :class:`ShardPool`; :class:`~repro.serve.SpGEMMService` awaits
 :func:`run_async`.  One :class:`ShardRun` per multiply applies the
@@ -54,7 +53,7 @@ from repro.obs.context import current_obs
 from repro.obs.profile import current_row_offset, profile_row_offset
 from repro.obs.propagate import TraceContext, absorb_telemetry, run_with_worker_obs
 from repro.runtime.chunked import batch_bounds, slice_tile_rows, stitch_results
-from repro.runtime.policy import AttemptRecord, RetryPolicy, backoff_wait
+from repro.runtime.policy import RetryPolicy, backoff_wait
 
 __all__ = [
     "EXECUTORS",
@@ -222,7 +221,7 @@ class ShardPool:
 # The range state machine
 # ----------------------------------------------------------------------
 class ShardRun:
-    """The range queue, failure rules, attempt log and stitch of one multiply.
+    """The range queue, failure rules, recovery tallies and stitch of one multiply.
 
     Parameters
     ----------
@@ -243,11 +242,11 @@ class ShardRun:
         on a pool, ``<track>.shard`` summary spans over
         ``<track>.workers`` worker spans.
     labels:
-        Labels added to those counters and to the structured-log events.
+        Labels added to those counters.
     trace_id:
-        Correlates the log events (default: the ambient trace, if any).
-        Given explicitly, pooled ranges also travel with a
-        ``TraceContext`` under it while a tracer or profiler is live.
+        The trace pooled ranges travel under: when given, and while a
+        tracer or profiler is live, each pooled range carries a
+        ``TraceContext`` with this id to its worker.
     root_span_id, epoch_s:
         The coordinator span pooled ranges link under, and the absolute
         :func:`time.perf_counter` of the destination timeline's zero.
@@ -289,15 +288,11 @@ class ShardRun:
         self.obs = current_obs()
         live = self.obs.tracer.enabled or self.obs.profile.enabled
         self._ship_ctx = trace_id is not None and live
-        if trace_id is None:
-            trace_id = getattr(self.obs.trace_ctx, "trace_id", None)
         self.trace_id = trace_id
         self.root_span_id = root_span_id
         self.epoch_s = epoch_s
         self.row_base = current_row_offset()
         self.results: Dict[int, TileSpGEMMResult] = {}
-        #: One record per failed range attempt, in the order they failed.
-        self.attempts: List[AttemptRecord] = []
         self.shards_run = 0  #: ranges that completed
         self.resplits = 0
         self.retries = 0
@@ -393,7 +388,6 @@ class ShardRun:
         r0, r1, retries = item
         where = f"{self.name}: tile rows [{r0}, {r1})"
         if isinstance(exc, DeviceOOMError):
-            self._log(exc)
             if r1 - r0 <= 1:
                 raise ResilienceExhausted(
                     f"{where} are over budget and cannot split further"
@@ -406,12 +400,10 @@ class ShardRun:
             return 0.0
         if isinstance(exc, TransientKernelError):
             if retries >= self.policy.max_retries:
-                self._log(exc)
                 raise ResilienceExhausted(
                     f"{where} still failing after {retries} retries"
                 ) from exc
             wait_s = backoff_wait(self.policy, retries)
-            self._log(exc, wait_s)
             self.retries += 1
             self.backoff_s += wait_s
             self.queue.append((r0, r1, retries + 1))
@@ -419,7 +411,6 @@ class ShardRun:
             return wait_s
         # BrokenExecutor.  A range submitted before the last replacement
         # was lost with the old pool: rerun it, the break is handled.
-        self._log(exc)
         if pool is None or generation == pool.generation:
             if self.pool_replacements:
                 raise ResilienceExhausted(
@@ -432,28 +423,20 @@ class ShardRun:
         self.queue.append(item)
         return 0.0
 
-    def _log(self, exc: BaseException, backoff_s: float = 0.0) -> None:
-        self.attempts.append(
-            AttemptRecord(
-                "tilespgemm",
-                self.pieces,
-                type(exc).__name__,
-                error=str(exc),
-                backoff_s=backoff_s,
-            )
-        )
-
     def _note(self, counter: str) -> None:
         self.obs.metrics.inc(f"{self.track}_{counter}_total", **self.labels)
 
     # ------------------------------------------------------------ stitch
     def stitch(self, keep_empty_tiles: bool = True, pooled: bool = False) -> TileSpGEMMResult:
-        """The stitched product; charges the modelled backoff to its
-        timer and, for a pooled run, records its counters once.  The run
-        lets go of its pieces, so a caller that keeps the run (the
-        service, for its response) keeps no per-range intermediates."""
+        """The stitched product; records the run's recovery in
+        ``stats["resplits"]`` / ``stats["retries"]``, charges the modelled
+        backoff to its timer and, for a pooled run, records its counters
+        once.  The run lets go of its pieces, so a caller that keeps the
+        run (the service, for its response) keeps no per-range
+        intermediates."""
         pieces = [self.results.pop(r0) for r0 in sorted(self.results)]
         res = stitch_results(pieces, self.a, self.b, keep_empty_tiles)
+        res.stats.update(resplits=self.resplits, retries=self.retries)
         if self.backoff_s:
             res.timer.add("backoff", self.backoff_s)
         if pooled and self.obs.enabled:

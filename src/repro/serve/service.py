@@ -131,7 +131,7 @@ class SpGEMMService:
         OOM re-splits grow it on demand).
     retry_policy:
         A :class:`~repro.runtime.policy.RetryPolicy`; its
-        ``max_retries`` and backoff/jitter knobs govern transient-fault
+        ``max_retries`` and backoff knobs govern transient-fault
         recovery.  The waits are computed by
         :func:`~repro.runtime.policy.backoff_wait` and **awaited** on
         the event loop, never slept.

@@ -9,7 +9,6 @@ from repro.errors import (
     EXIT_EXHAUSTED,
     EXIT_FILE_NOT_FOUND,
     EXIT_INVALID_INPUT,
-    EXIT_OOM,
     EXIT_USAGE,
 )
 from repro.formats.mtx import read_mtx, write_mtx
@@ -107,25 +106,32 @@ class TestCLIErrorHandling:
         assert main(["-aat", "1", str(path)]) == 0
         assert "check passed: yes" in capsys.readouterr().out
 
-    def test_budget_oom_exit_code(self, mtx_file, capsys):
-        # One worker: the serial kernel, no recovery.
-        assert main(["--workers", "1", "--memory-budget", "1K", mtx_file]) == EXIT_OOM
-        err = self._assert_one_line_error(capsys)
-        assert "OOM" in err
+    def test_budget_oom_exit_code(self, mtx_file, capsys, monkeypatch):
+        # One execution path whatever REPRO_WORKERS says: an OOM re-splits,
+        # and a tile row that still does not fit exhausts the recovery.
+        for workers in ("1", "2"):
+            monkeypatch.setenv("REPRO_WORKERS", workers)
+            assert main(["--memory-budget", "1K", mtx_file]) == EXIT_EXHAUSTED
+            err = self._assert_one_line_error(capsys)
+            assert "cannot split further" in err, workers
 
     def test_sharded_run_recovers_from_budget(self, mtx_file, capsys):
-        # The sharded engine halves an over-budget shard instead of dying.
+        # The shard engine halves an over-budget shard instead of dying,
+        # inline on one worker and on a pool alike.
         a = TileMatrix.from_csr(read_mtx(mtx_file).to_csr())
         peak = tile_spgemm(a, a).alloc.peak_bytes
         budget = str(int(peak * 0.6))
-        assert main(["--workers", "2", "--memory-budget", budget, mtx_file]) == 0
-        assert "check passed: yes" in capsys.readouterr().out
+        for workers in ("1", "2"):
+            assert main(["--workers", workers, "--memory-budget", budget, mtx_file]) == 0
+            assert "check passed: yes" in capsys.readouterr().out, workers
 
     def test_sharded_run_exhausts_on_hopeless_budget(self, mtx_file, capsys):
         # Not even one tile row fits: recovery runs out of road.
-        assert main(["--workers", "2", "--memory-budget", "1K", mtx_file]) == EXIT_EXHAUSTED
-        err = self._assert_one_line_error(capsys)
-        assert "cannot split further" in err
+        for workers in ("1", "2"):
+            args = ["--workers", workers, "--memory-budget", "1K", mtx_file]
+            assert main(args) == EXIT_EXHAUSTED
+            err = self._assert_one_line_error(capsys)
+            assert "cannot split further" in err, workers
 
     def test_bad_budget_is_usage_error(self, mtx_file):
         with pytest.raises(SystemExit) as excinfo:
@@ -147,16 +153,17 @@ class TestCLIErrorHandling:
         assert "REPRO_BACKEND" in self._assert_one_line_error(capsys)
 
     def test_exact_flag_is_gone(self, mtx_file):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--exact", mtx_file])
-        assert excinfo.value.code == EXIT_USAGE
+        for flag in ("--exact", "--resilient"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([flag, mtx_file])
+            assert excinfo.value.code == EXIT_USAGE, flag
 
     def test_resilient_exhausted_exit_code(self, tmp_path, capsys):
-        # A budget too small for even a single tile row defeats chunking
-        # and the fallbacks alike.
+        # A budget too small for even a single tile row defeats the
+        # re-split of the default run.
         path = tmp_path / "a.mtx"
         write_mtx(path, random_csr(60, 60, 0.1, seed=191))
-        assert main(["--memory-budget", "64", "--resilient", str(path)]) == EXIT_EXHAUSTED
+        assert main(["--memory-budget", "64", str(path)]) == EXIT_EXHAUSTED
         self._assert_one_line_error(capsys)
 
 
@@ -185,7 +192,7 @@ class TestCLIObservability:
         trace = tmp_path / "t.json"
         assert (
             main(["--workers", "1", "--memory-budget", "1K", "--trace", str(trace), mtx_file])
-            == EXIT_OOM
+            == EXIT_EXHAUSTED
         )
         from repro.analysis.profiling import load_chrome_trace
 
@@ -212,14 +219,11 @@ class TestCLIObservability:
     def test_json_resilient_tallies(self, mtx_file, capsys):
         import json
 
-        assert main(["--json", "--resilient", mtx_file]) == 0
+        assert main(["--json", "--workers", "1", mtx_file]) == 0
         doc = json.loads(capsys.readouterr().out)
-        res = doc["resilience"]
-        assert res["method"] == "tilespgemm"
-        assert res["attempts"] >= 1
-        assert res["failed_attempts"] == 0
-        assert res["retries"] == 0
-        assert "fallbacks" not in res and "degraded" not in res
+        assert doc["recovery"] == {"resplits": 0, "retries": 0, "backoff_seconds": 0.0}
+        assert doc["parallel"] == {"workers": 1, "shards": 1, "executor": "serial"}
+        assert "resilience" not in doc
 
     def test_json_with_metrics_embeds_snapshot(self, mtx_file, tmp_path, capsys):
         import json
@@ -234,20 +238,28 @@ class TestCLIObservability:
 
 class TestCLIResilient:
     def test_resilient_no_faults(self, mtx_file, capsys):
-        assert main(["--resilient", mtx_file]) == 0
-        out = capsys.readouterr().out
-        assert "resilient run: method=tilespgemm" in out
-        assert "degraded" not in out
-        assert "check passed: yes" in out
+        # A clean one-worker run keeps the artifact's eighteen lines: no
+        # parallel line, no recovery line.
+        assert main(["--workers", "1", mtx_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 18
+        assert not [ln for ln in lines if ln.startswith(("parallel run:", "recovered:"))]
+        assert lines[-1] == "check passed: yes"
 
     def test_resilient_recovers_from_budget(self, mtx_file, capsys):
         # Measure the unbudgeted peak, then re-run under ~60 % of it: the
-        # resilient runtime must chunk and still pass the cross-check.
+        # default run must re-split and still pass the cross-check.
+        import json
+
         a = TileMatrix.from_csr(read_mtx(mtx_file).to_csr())
         peak = tile_spgemm(a, a).alloc.peak_bytes
         budget = str(int(peak * 0.6))
-        assert main(["--memory-budget", budget, "--resilient", mtx_file]) == 0
+        assert main(["--workers", "1", "--memory-budget", budget, mtx_file]) == 0
         out = capsys.readouterr().out
-        assert "resilient run: method=tilespgemm" in out
-        assert "batches=" in out
+        assert "recovered: resplits=" in out
         assert "check passed: yes" in out
+        assert main(["--json", "--workers", "1", "--memory-budget", budget, mtx_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["recovery"]["resplits"] > 0 and doc["recovery"]["retries"] == 0
+        assert doc["parallel"]["shards"] == doc["recovery"]["resplits"] + 1
+        assert doc["check_passed"] is True

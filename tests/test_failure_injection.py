@@ -199,7 +199,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeviceOOMError, ResilienceExhausted, TransientKernelError
-from repro.runtime import FaultPlan, RetryPolicy, run_resilient
+from repro.runtime import FaultPlan, RetryPolicy, backoff_wait, parallel_tile_spgemm
 from repro.runtime.chunked import chunked_tile_spgemm
 
 #: Allocation labels of one tile_spgemm run, in event order (the 7 sites).
@@ -229,8 +229,9 @@ def _assert_bit_identical(c1, c2):
 
 class TestOOMAtEveryAllocationSite:
     """An injected OOM at each of tile_spgemm's allocation sites must
-    surface as a typed DeviceOOMError, and run_resilient must recover from
-    it with a chunked re-run that is bit-identical to the clean result."""
+    surface as a typed DeviceOOMError, and the one-worker shard engine must
+    recover from it with a chunked re-run that is bit-identical to the
+    clean result."""
 
     @pytest.mark.parametrize("site", range(1, len(TILE_ALLOC_SITES) + 1))
     def test_oom_raises_at_each_site(self, site):
@@ -246,11 +247,12 @@ class TestOOMAtEveryAllocationSite:
         a = _tiled_pair()
         clean = tile_spgemm(a, a)
         plan = FaultPlan().oom_at_alloc(at=site)
-        rr = run_resilient(a, a, fault_plan=plan)
-        # The one-shot OOM kills the first attempt; the retry runs chunked.
-        assert rr.report.batches > 1
-        assert rr.report.num_faults == 1
-        _assert_bit_identical(clean.c, rr.c)
+        res = parallel_tile_spgemm(a, a, workers=1, fault_plan=plan)
+        # The one-shot OOM kills the first attempt; the re-split runs chunked.
+        assert res.stats["shards"] > 1
+        assert (res.stats["resplits"], res.stats["retries"]) == (1, 0)
+        assert plan.num_fired == 1
+        _assert_bit_identical(clean.c, res.c)
 
     def test_oom_label_match_filter(self):
         a = _tiled_pair()
@@ -273,7 +275,7 @@ class TestTransientRetryExhaustion:
         a = _tiled_pair()
         plan = FaultPlan().transient_at_step("step2", every=1)
         with pytest.raises(ResilienceExhausted) as excinfo:
-            run_resilient(a, a, fault_plan=plan)
+            parallel_tile_spgemm(a, a, workers=1, fault_plan=plan)
         assert isinstance(excinfo.value.__cause__, TransientKernelError)
         # The first attempt plus the default policy's retries.
         assert plan.num_fired == RetryPolicy().max_retries + 1
@@ -281,11 +283,11 @@ class TestTransientRetryExhaustion:
     def test_single_transient_retried_in_place(self):
         a = _tiled_pair()
         clean = tile_spgemm(a, a)
-        rr = run_resilient(a, a, fault_plan=FaultPlan().transient_at_step("step3", at=1))
-        assert rr.report.method == "tilespgemm"
-        assert rr.report.backoff_s > 0
-        assert rr.result.timer.seconds.get("backoff", 0.0) == rr.report.backoff_s
-        _assert_bit_identical(clean.c, rr.c)
+        plan = FaultPlan().transient_at_step("step3", at=1)
+        res = parallel_tile_spgemm(a, a, workers=1, fault_plan=plan)
+        assert (res.stats["shards"], res.stats["retries"]) == (1, 1)
+        assert res.timer.seconds["backoff"] == backoff_wait(RetryPolicy(), 0) > 0
+        _assert_bit_identical(clean.c, res.c)
 
     def test_seeded_probability_replays_identically(self):
         firings = []

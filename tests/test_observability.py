@@ -37,7 +37,7 @@ from repro.obs import (
     make_obs,
     obs_context,
 )
-from repro.runtime import FaultPlan, run_resilient
+from repro.runtime import FaultPlan, parallel_tile_spgemm
 from repro.util.timing import PhaseTimer
 from tests.conftest import random_csr
 
@@ -308,13 +308,13 @@ class TestMetricsRegistry:
             )
             obs = make_obs(clock=fake_clock())
             with obs_context(tracer=obs.tracer, metrics=obs.metrics):
-                rr = run_resilient(a, a, fault_plan=plan)
-            return obs.metrics.snapshot(), rr.report.num_attempts
+                res = parallel_tile_spgemm(a, a, workers=1, fault_plan=plan)
+            return obs.metrics.snapshot(), res.stats["retries"]
 
-        (snap1, attempts1), (snap2, attempts2) = run(), run()
-        assert attempts1 == attempts2
+        (snap1, retries1), (snap2, retries2) = run(), run()
+        assert retries1 == retries2
         assert json.dumps(snap1, sort_keys=True) == json.dumps(snap2, sort_keys=True)
-        assert snap1["counters"]["resilience_runs_total{method=\"tilespgemm\"}"] == 1
+        assert snap1["counters"].get("chunked_retries_total", 0) == retries1
 
 
 class TestPipelineInstrumentation:
@@ -406,16 +406,14 @@ class TestPipelineInstrumentation:
         plan = FaultPlan(seed=1).transient_at_step("step2", at=1)
         obs = make_obs()
         with obs_context(tracer=obs.tracer, metrics=obs.metrics):
-            rr = run_resilient(a, a, fault_plan=plan)
+            res = parallel_tile_spgemm(a, a, workers=1, fault_plan=plan)
         m = obs.metrics
         assert m.counter_value("faults_injected_total", error="transient", site="step") == 1
-        assert (
-            m.counter_value("resilience_retries_total", method="tilespgemm") == 1
-        )
-        assert m.counter_value("resilience_runs_total", method="tilespgemm") == 1
+        # The shard engine's tallies are the one record of the recovery.
+        assert m.counter_value("chunked_retries_total") == res.stats["retries"] == 1
+        assert m.counter_value("tilespgemm_runs_total") == 1
         names = [e.name for e in obs.tracer.events if e.ph == "i"]
         assert "inject:transient" in names
-        assert rr.report.num_faults == 1
 
 
 class TestGpuTimeline:

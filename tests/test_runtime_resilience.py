@@ -2,9 +2,10 @@
 
 Covers the memory-budget enforcement in the allocation tracker, the
 execution-context plumbing, the deterministic fault plan, chunked
-re-execution under a budget, the retry/backoff policy engine and the
-SUMMA communication-fault path — including bit-identical chunked recovery
-with ``batches > 1`` and ``ResilienceExhausted`` on exhausted retries.
+re-execution under a budget, the retry/backoff policy of the shard engine
+and the SUMMA communication-fault path — including bit-identical chunked
+recovery with ``shards > 1`` and ``ResilienceExhausted`` on exhausted
+retries.
 """
 
 import numpy as np
@@ -23,12 +24,13 @@ from repro.errors import (
 )
 from repro.gpu.device import RTX3060, RTX3090
 from repro.gpu.memtracker import memory_curve
+from repro.obs import make_obs, obs_context
 from repro.runtime import (
     FaultPlan,
     RetryPolicy,
     execution_context,
     current_budget_bytes,
-    run_resilient,
+    parallel_tile_spgemm,
 )
 from repro.runtime.chunked import chunked_tile_spgemm, slice_tile_rows
 from repro.util.alloc import AllocationTracker
@@ -218,9 +220,9 @@ class TestSliceTileRows:
 
 
 class TestBudgetDrivenChunking:
-    """Acceptance criterion: under an injected DeviceOOMError the resilient
-    runtime produces a TileMatrix bit-identical (pattern and values) to the
-    unbudgeted tile_spgemm result, with batches > 1."""
+    """Acceptance criterion: under an injected DeviceOOMError the one-worker
+    shard engine produces a TileMatrix bit-identical (pattern and values) to
+    the unbudgeted tile_spgemm result, with shards > 1."""
 
     def test_budget_forces_batches_and_bit_identity(self):
         a = _tiled(seed=19, n=160, density=0.1)
@@ -229,10 +231,11 @@ class TestBudgetDrivenChunking:
         # Sanity: the budget genuinely makes the single-shot run OOM.
         with pytest.raises(DeviceOOMError):
             tile_spgemm(a, a, budget_bytes=budget)
-        rr = run_resilient(a, a, budget_bytes=budget)
-        assert rr.report.batches > 1
-        assert rr.report.method == "tilespgemm"
-        c1, c2 = clean.c, rr.c
+        res = parallel_tile_spgemm(a, a, workers=1, budget_bytes=budget)
+        assert res.stats["shards"] > 1
+        assert res.stats["resplits"] == res.stats["shards"] - 1
+        assert res.stats["executor"] == "chunked"
+        c1, c2 = clean.c, res.c
         for name in ("tileptr", "tilecolidx", "tilennz", "rowptr", "rowidx", "colidx", "mask"):
             assert np.array_equal(getattr(c1, name), getattr(c2, name)), name
         assert np.array_equal(c1.val, c2.val)
@@ -241,13 +244,13 @@ class TestBudgetDrivenChunking:
         a = _tiled(seed=19, n=160, density=0.1)
         clean = tile_spgemm(a, a)
         budget = int(clean.alloc.peak_bytes * 0.6)
-        rr = run_resilient(a, a, budget_bytes=budget)
-        assert rr.result.alloc.peak_bytes <= budget
+        res = parallel_tile_spgemm(a, a, workers=1, budget_bytes=budget)
+        assert res.alloc.peak_bytes <= budget
 
     def test_impossible_budget_exhausts(self):
         a = _tiled()
         with pytest.raises(ResilienceExhausted) as excinfo:
-            run_resilient(a, a, budget_bytes=16)
+            parallel_tile_spgemm(a, a, workers=1, budget_bytes=16)
         assert isinstance(excinfo.value.__cause__, DeviceOOMError)
 
     def test_chunked_respects_explicit_batches(self):
@@ -258,8 +261,8 @@ class TestBudgetDrivenChunking:
 
 
 class TestFallbackLadder:
-    """There is no algorithm fallback: when retries run out,
-    ``run_resilient`` raises ``ResilienceExhausted`` like every other entry
+    """There is no algorithm fallback: when retries run out, the one-worker
+    shard engine raises ``ResilienceExhausted`` like every other entry
     point, and a recovered run returns the serial bytes."""
 
     def test_exhausted_retries_raise(self):
@@ -267,7 +270,7 @@ class TestFallbackLadder:
         plan = FaultPlan().transient_at_step("step1", every=1)
         policy = RetryPolicy(max_retries=2)
         with pytest.raises(ResilienceExhausted) as excinfo:
-            run_resilient(a, a, fault_plan=plan, policy=policy)
+            parallel_tile_spgemm(a, a, workers=1, fault_plan=plan, policy=policy)
         assert isinstance(excinfo.value.__cause__, TransientKernelError)
         # The first attempt plus max_retries retries, then no other method.
         assert plan.num_fired == policy.max_retries + 1
@@ -281,38 +284,29 @@ class TestFallbackLadder:
         for _ in range(3):
             plan.transient_at_step("step1", at=1)
         policy = RetryPolicy(max_retries=3, backoff_base_s=0.5, backoff_factor=2.0, max_backoff_s=10.0)
-        rr = run_resilient(a, a, fault_plan=plan, policy=policy)
-        assert rr.report.backoff_s == pytest.approx(0.5 + 1.0 + 2.0)
-        assert rr.result.timer.seconds["backoff"] == pytest.approx(3.5)
-        assert np.array_equal(rr.c.val, clean.c.val)
+        obs = make_obs()
+        with obs_context(metrics=obs.metrics):
+            res = parallel_tile_spgemm(a, a, workers=1, fault_plan=plan, policy=policy)
+        assert res.stats["retries"] == 3 and res.stats["resplits"] == 0
+        assert res.stats["shards"] == 1
+        assert res.timer.seconds["backoff"] == pytest.approx(0.5 + 1.0 + 2.0)
+        assert obs.metrics.counter_value("chunked_retries_total") == 3
+        assert np.array_equal(res.c.val, clean.c.val)
 
     def test_zero_retries_exhaust_on_the_first_fault(self):
         a = _tiled()
         plan = FaultPlan().transient_at_step("step1", every=1)
         with pytest.raises(ResilienceExhausted):
-            run_resilient(a, a, fault_plan=plan, policy=RetryPolicy(max_retries=0))
+            parallel_tile_spgemm(
+                a, a, workers=1, fault_plan=plan, policy=RetryPolicy(max_retries=0)
+            )
         assert plan.num_fired == 1
 
     def test_invalid_input_never_retried(self):
         a = _tiled(n=96)
         b = _tiled(n=64, seed=5)
         with pytest.raises(InvalidInputError):
-            run_resilient(a, b)
-
-    def test_csr_inputs_accepted(self):
-        a_csr = random_csr(80, 80, 0.1, seed=31)
-        rr = run_resilient(a_csr, a_csr)
-        ref = tile_spgemm(TileMatrix.from_csr(a_csr), TileMatrix.from_csr(a_csr))
-        assert rr.c_csr().allclose(ref.c.to_csr())
-
-    def test_report_estimates_with_device(self):
-        a = _tiled()
-        rr = run_resilient(a, a, device=RTX3090)
-        assert rr.estimate is not None
-        assert rr.estimated_seconds > 0
-        assert np.isfinite(rr.estimated_seconds)
-        # The device's DRAM capacity becomes the default budget.
-        assert rr.report.budget_bytes == RTX3090.dram_capacity_bytes
+            parallel_tile_spgemm(a, b, workers=1)
 
 
 class TestSUMMACommFaults:

@@ -141,9 +141,7 @@ class TestTransientRetry:
         async def fake_sleep(s):
             slept.append(s)
 
-        policy = RetryPolicy(
-            backoff_base_s=0.25, backoff_factor=2.0, jitter_frac=0.5, jitter_seed=11
-        )
+        policy = RetryPolicy(backoff_base_s=0.25, backoff_factor=2.0)
 
         async def run():
             async with SpGEMMService(
@@ -153,7 +151,7 @@ class TestTransientRetry:
 
         resp = asyncio.run(run())
         assert resp.ok and resp.retries == 1
-        # The awaited wait is exactly the policy's seeded schedule.
+        # The awaited wait is exactly the policy's schedule.
         assert slept == [backoff_wait(policy, 0)]
         _assert_same_product(resp.result_or_raise(), _serial_c(a, b))
 
@@ -360,9 +358,7 @@ class TestChaosAcceptance:
                 svc = SpGEMMService(
                     max_queue_depth=8,
                     workers=4,
-                    retry_policy=RetryPolicy(
-                        max_retries=2, jitter_frac=0.3, jitter_seed=17
-                    ),
+                    retry_policy=RetryPolicy(max_retries=2),
                     sleep=fake_sleep,
                 )
                 async with svc:

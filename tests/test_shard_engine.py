@@ -2,8 +2,8 @@
 
 Every edge case of the shared corpus runs through the four entry points
 — ``chunked_tile_spgemm``, the thread pool of ``parallel_tile_spgemm``,
-the tiled rung of ``run_resilient`` and ``SpGEMMService.submit`` — under
-the same fault plans.  Each run ends in one of two outcomes: bytes
+its one-worker inline run (the CLI's default) and
+``SpGEMMService.submit`` — under the same fault plans.  Each run ends in one of two outcomes: bytes
 identical to serial ``tile_spgemm``, or ``ResilienceExhausted`` with the
 injected fault class in its cause chain.
 
@@ -40,7 +40,7 @@ from repro.runtime.chunked import (
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.parallel import parallel_tile_spgemm
-from repro.runtime.policy import RetryPolicy, backoff_wait, run_resilient
+from repro.runtime.policy import RetryPolicy, backoff_wait
 from repro.runtime.shards import (
     BrokenExecutor,
     ShardPool,
@@ -72,8 +72,8 @@ def _parallel(a, b, plan):
     return parallel_tile_spgemm(a, b, workers=2, executor="thread", fault_plan=plan).c
 
 
-def _resilient(a, b, plan):
-    return run_resilient(a, b, fault_plan=plan).c
+def _serial(a, b, plan):
+    return parallel_tile_spgemm(a, b, workers=1, fault_plan=plan).c
 
 
 def _served(a, b, plan):
@@ -88,7 +88,7 @@ def _served(a, b, plan):
 ENTRIES = {
     "chunked": (_chunked, 2, 1),
     "parallel": (_parallel, 4, 2),
-    "resilient": (_resilient, 1, 1),
+    "serial": (_serial, 1, 1),
     "served": (_served, 1, 2),
 }
 
@@ -241,7 +241,7 @@ class TestStateMachine:
         run = ShardRun(*operands, bounds=[0, 3, 6], run_fn=buggy)
         with ShardPool(workers) as pool, pytest.raises(type(bug)):
             run_blocking([run], {}, pool if workers > 1 else None)
-        assert not run.attempts and run.retries == 0
+        assert run.retries == 0 and run.resplits == 0
         assert len(calls) <= 2  # no range ran twice
 
     def test_broken_pool_replaced_once_per_run(self, operands):
@@ -282,7 +282,8 @@ class TestStateMachine:
         (res,) = run_blocking([run], {"fault_plan": plan})
         assert slept == [backoff_wait(policy, 0)]
         assert res.timer.seconds["backoff"] == slept[0]
-        assert [r.outcome for r in run.attempts] == ["TransientKernelError"]
+        assert (run.retries, run.resplits) == (1, 0)
+        assert (res.stats["retries"], res.stats["resplits"]) == (1, 0)
 
     def test_operand_mismatch_is_rejected_up_front(self, operands):
         a, _ = operands
