@@ -21,12 +21,11 @@ Selection precedence, resolved per run by :func:`resolve_backend`:
 3. the ``REPRO_BACKEND`` environment variable;
 4. the always-registered ``numpy`` reference.
 
-Names — not ``KernelSet`` objects — are what crosses process boundaries:
-the parallel engine (:mod:`repro.runtime.parallel`) resolves its backend
-spec to a name in the coordinator and ships the name to pool workers,
-whose freshly-imported registry re-resolves it.  Module state (the
-process default, instantiated kernel sets) does not survive ``spawn``,
-but the registry and the environment do.
+The sharded engines (:mod:`repro.runtime.parallel`, :mod:`repro.serve`)
+resolve the backend spec to a registry name once per run, in the
+coordinator, and forward that name in every shard's options, so every
+shard of a run uses one backend even if the process default changes
+while the run is in flight.
 
 Every registered backend must be byte-identical to the ``numpy``
 reference — all eight result arrays, values included.  There is one
@@ -84,7 +83,7 @@ __all__ = [
 ]
 
 #: Environment variable consulted when neither an explicit backend nor a
-#: process default is set (inherited by spawned pool workers).
+#: process default is set.
 ENV_BACKEND = "REPRO_BACKEND"
 
 #: The always-registered reference backend.
@@ -218,11 +217,9 @@ def get_backend(name: str) -> KernelSet:
 def set_default_backend(name: Optional[str]) -> Optional[str]:
     """Set (or with ``None`` clear) the process-default backend.
 
-    Returns the previous default name so callers can restore it.  The
-    default is per-process module state: it does **not** survive into
-    spawned pool workers, which fall back to ``REPRO_BACKEND`` — pass an
-    explicit backend (the engines thread the resolved *name* through)
-    when the choice must cross processes.
+    Returns the previous default name so callers can restore it.  A
+    sharded run reads the default once, when it starts, and forwards the
+    resolved name to every shard.
     """
     global _DEFAULT_NAME
     if name is not None:
@@ -273,8 +270,8 @@ def resolve_backend(spec: Union[None, str, KernelSet] = None) -> KernelSet:
 
 
 def resolve_backend_name(spec: Union[None, str, KernelSet] = None) -> str:
-    """Like :func:`resolve_backend` but returns the registry name — the
-    pickle-safe form the parallel engine ships to pool workers."""
+    """Like :func:`resolve_backend` but returns the registry name — what
+    the sharded engines resolve once per run and forward to every shard."""
     return resolve_backend(spec).name
 
 

@@ -147,7 +147,7 @@ def tilespgemm_planned_adapter(
     """TileSpGEMM under an estimation-driven plan (adaptive execution).
 
     Derives an :class:`~repro.runtime.planner.ExecutionPlan` per call —
-    worker count, executor, cost-weighted shard boundaries, accumulator
+    worker count, cost-weighted shard boundaries, accumulator
     threshold, backend — and runs the sharded engine under it.  The
     planning pass runs inside the timed region so benchmark comparisons
     charge its cost; the plan lands in ``stats["plan"]`` (and the

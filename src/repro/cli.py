@@ -16,10 +16,10 @@ and the run reports what it took::
 
     python -m repro --memory-budget 64K path/to/matrix.mtx
 
-The same engine runs sharded on a worker pool (see docs/PARALLEL.md;
+The same engine runs sharded on a thread pool (see docs/PARALLEL.md;
 output stays byte-identical to the serial run)::
 
-    python -m repro --workers 4 --executor thread path/to/matrix.mtx
+    python -m repro --workers 4 path/to/matrix.mtx
 
 the estimation-driven adaptive planner (worker count, cost-weighted
 shard bounds, accumulator threshold — all derived per run; see
@@ -168,13 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the multiply on the sharded parallel engine with N pool "
         "workers (0 = one per CPU); defaults to $REPRO_WORKERS, else 1, "
         "which runs inline (see docs/PARALLEL.md)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default=None,
-        help="pool kind for --workers; defaults to $REPRO_EXECUTOR, else "
-        "'thread'",
     )
     parser.add_argument(
         "--plan",
@@ -356,16 +349,13 @@ def _run(args, device, tracer, metrics) -> int:
     if args.plan == "auto":
         from repro.runtime.planner import plan_execution
 
-        plan = plan_execution(
-            at, bt, workers=args.workers, executor=args.executor, backend=args.backend
-        )
+        plan = plan_execution(at, bt, workers=args.workers, backend=args.backend)
     # One engine for every run: whatever the worker count, an over-budget
     # tile-row range is halved and a transient fault retried after backoff.
     result = parallel_tile_spgemm(
         at,
         bt,
         workers=args.workers,
-        executor=args.executor,
         plan=plan,
         budget_bytes=args.memory_budget,
     )
@@ -379,11 +369,8 @@ def _run(args, device, tracer, metrics) -> int:
         )
         doc["plan"] = plan.to_dict()
     if stats["workers"] > 1:
-        say(
-            f"parallel run: workers={stats['workers']} "
-            f"shards={stats['shards']} executor={stats['executor']}"
-        )
-    doc["parallel"] = {key: stats[key] for key in ("workers", "shards", "executor")}
+        say(f"parallel run: workers={stats['workers']} shards={stats['shards']}")
+    doc["parallel"] = {key: stats[key] for key in ("workers", "shards")}
     if stats["resplits"] or stats["retries"]:
         say(f"recovered: resplits={stats['resplits']} retries={stats['retries']}")
     doc["recovery"] = {

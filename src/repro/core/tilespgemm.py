@@ -39,7 +39,7 @@ from repro.runtime.context import execution_context, note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
-__all__ = ["TileSpGEMMResult", "tile_spgemm", "tile_spgemm_from_csr"]
+__all__ = ["TileSpGEMMResult", "check_operands", "tile_spgemm", "tile_spgemm_from_csr"]
 
 
 @dataclass
@@ -94,6 +94,17 @@ class TileSpGEMMResult:
             timer=self.timer,
             alloc=self.alloc,
             stats=dict(self.stats),
+        )
+
+
+def check_operands(a: TileMatrix, b: TileMatrix) -> None:
+    """Reject operands no tile-row range of ``a @ b`` could multiply."""
+    if a.tile_size != b.tile_size:
+        raise InvalidInputError("A and B must use the same tile size")
+    if a.shape[1] != b.shape[0]:
+        raise InvalidInputError(
+            f"dimension mismatch: A is {a.shape[0]}x{a.shape[1]}, "
+            f"B is {b.shape[0]}x{b.shape[1]}"
         )
 
 
@@ -160,13 +171,7 @@ def tile_spgemm(
     -------
     TileSpGEMMResult
     """
-    if a.tile_size != b.tile_size:
-        raise InvalidInputError("A and B must use the same tile size")
-    if a.shape[1] != b.shape[0]:
-        raise InvalidInputError(
-            f"dimension mismatch: A is {a.shape[0]}x{a.shape[1]}, "
-            f"B is {b.shape[0]}x{b.shape[1]}"
-        )
+    check_operands(a, b)
     kernels = resolve_backend(backend)
     with execution_context(budget_bytes=budget_bytes, fault_plan=fault_plan):
         return _tile_spgemm_under_context(

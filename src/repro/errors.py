@@ -79,7 +79,7 @@ class ConfigurationError(InvalidInputError):
     """A deployment knob holds a malformed value.
 
     Raised when an environment variable (``REPRO_WORKERS``,
-    ``REPRO_EXECUTOR``, ``REPRO_BACKEND``) or a service configuration
+    ``REPRO_BACKEND``) or a service configuration
     field cannot be parsed or names something unknown.  Subclasses
     :class:`InvalidInputError` so every existing handler keeps working,
     but carries its own exit code (:data:`EXIT_CONFIG`) and names the
@@ -121,8 +121,7 @@ class DeviceOOMError(ReproError, MemoryError):
         # The default Exception reduction replays ``args`` — a single
         # message string here — into the four-argument ``__init__`` and
         # fails.  Replaying the real constructor arguments keeps OOMs
-        # picklable, which process-pool serve workers need so the
-        # coordinator's re-split path can see the failure.
+        # picklable and copyable.
         return (
             type(self),
             (self.label, self.requested_bytes, self.live_bytes, self.budget_bytes),
@@ -217,7 +216,7 @@ class DeadlineExceededError(ReproError, TimeoutError):
 
     def __reduce__(self):
         # See DeviceOOMError.__reduce__: replay the constructor args so
-        # the exception survives the process-pool result pickle.
+        # the exception survives a pickle round trip.
         return (type(self), (self.deadline_s, self.elapsed_s))
 
 

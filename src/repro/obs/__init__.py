@@ -14,8 +14,8 @@ without seeing the counters and the timeline.  Three pieces:
   distributed SUMMA;
 * :mod:`repro.obs.gputrace` — the cost model's warp-task schedules laid
   out on virtual SM/slot tracks;
-* :mod:`repro.obs.propagate` — serialisable :class:`TraceContext`
-  identities carried into thread/process pool workers, worker-local
+* :mod:`repro.obs.propagate` — :class:`TraceContext` identities
+  carried into pool threads, worker-local
   span recording and coordinator-side merge;
 * :mod:`repro.obs.profile` — the always-on workload profiler: per-phase
   / per-tile-row-band work attribution, tnnz decisions and the chosen

@@ -67,7 +67,7 @@ class ObsContext:
         The propagated :class:`~repro.obs.propagate.TraceContext` this
         work runs under (``None`` at top level).  Engines that fan work
         out to pools consult this so shards stay attributed to the
-        originating request across thread/process boundaries.
+        originating request across pool threads.
     enabled:
         True when at least one sink is live.  Guarded call sites check
         this before computing attribute/metric values so disabled runs

@@ -30,7 +30,7 @@ absorbs it (:meth:`WorkloadProfiler.absorb_payload`).  Because tile row
 ``i`` of ``C`` depends only on tile row ``i`` of ``A``, the per-band
 counts of a sharded run sum to the serial run's exactly —
 :meth:`workload` exposes the deterministic sub-document the
-spawn-boundary tests compare byte for byte.  Shard-local tile rows are
+propagation tests compare byte for byte.  Shard-local tile rows are
 rebased onto the global row space via the ambient offset
 (:func:`profile_row_offset` / :func:`current_row_offset`), which the
 engines thread through :class:`~repro.obs.propagate.TraceContext`.
@@ -330,7 +330,7 @@ class WorkloadProfiler:
         Depends only on the inputs and the algorithm's decisions — the
         shard profiles of a parallel run sum to the serial run's
         workload byte for byte (``json.dumps(..., sort_keys=True)``),
-        which the spawn-boundary propagation tests assert.
+        which the propagation tests assert.
         """
         return to_native(
             {
@@ -498,7 +498,7 @@ def validate_profile(doc: Any) -> Dict[str, Any]:
             at = f"$.plans[{i}]"
             if not isinstance(plan, dict):
                 _fail(at, "expected an object")
-            for key in ("mode", "executor", "backend"):
+            for key in ("mode", "backend"):
                 if not isinstance(plan.get(key), str) or not plan[key]:
                     _fail(f"{at}.{key}", "expected a non-empty string")
             for key in ("workers", "shards", "tnnz"):
@@ -604,7 +604,6 @@ def render_profile(doc: Dict[str, Any], top: int = 10) -> str:
             est = plan.get("estimate", {})
             lines.append(
                 f"  {plan.get('mode', '?'):<8} workers={plan.get('workers', '?')} "
-                f"executor={plan.get('executor', '?')} "
                 f"shards={plan.get('shards', '?')} tnnz={plan.get('tnnz', '?')} "
                 f"backend={plan.get('backend', '?')} "
                 f"(est {est.get('products', '?')} products, "

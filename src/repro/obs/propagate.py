@@ -1,25 +1,23 @@
-"""Cross-boundary trace propagation: spans recorded where the work ran.
+"""Cross-thread trace propagation: spans recorded where the work ran.
 
-The coordinator-side tracer cannot be driven from pool workers (it is
-deliberately thread-local, see :mod:`repro.obs.context`), so before this
-module existed the sharded engines reconstructed per-shard spans on the
-coordinating thread from worker-reported *timings* — process-pool
-workers were effectively invisible in traces, and a request's shards
-could not be attributed to the request that spawned them.
+The coordinator-side tracer cannot be driven from pool threads (the
+ambient observability context is deliberately thread-local, see
+:mod:`repro.obs.context`), so a pool thread starts with no tracer at
+all.  Three pieces carry what a shard records back to the coordinator
+and attribute it to the request (or multiply) that caused it:
 
-This module closes the gap with three pieces:
-
-* :class:`TraceContext` — a tiny serialisable (picklable) identity
-  ``(trace_id, parent_span_id)`` that crosses thread- and process-pool
-  boundaries alongside the shard arguments;
+* :class:`TraceContext` — a tiny identity ``(trace_id,
+  parent_span_id, row_offset)`` that travels to the pool thread
+  alongside the shard arguments;
 * :func:`run_with_worker_obs` — the worker-side harness: runs the shard
-  body under a **fresh local tracer** (and metrics registry) and packs
-  everything recorded into a picklable :class:`WorkerTelemetry`;
+  body under a **fresh thread-local tracer** (and metrics registry and
+  profiler) and packs everything recorded into a plain-data
+  :class:`WorkerTelemetry`;
 * :func:`absorb_telemetry` — the coordinator-side merge: re-bases the
   worker spans onto the coordinator's timeline (both sides stamp the
-  system-wide monotonic clock, so the shift is exact on one machine) and
-  imports them with ``trace_id`` / ``span_id`` / ``parent_span_id``
-  attributes whose links resolve within the merged trace.
+  same monotonic clock, so the shift is exact) and imports them with
+  ``trace_id`` / ``span_id`` / ``parent_span_id`` attributes whose
+  links resolve within the merged trace.
 
 Span identity lives in span *attributes*, not in a schema change:
 ``args["span_id"]`` names a span, ``args["parent_span_id"]`` points at
@@ -62,22 +60,21 @@ _trace_counter = itertools.count()
 def new_trace_id(prefix: str = "trace") -> str:
     """A process-unique trace id (``prefix-<pid>-<n>``).
 
-    Monotonic per process — deterministic *structure* (no randomness),
-    unique across the pool workers of one run because each worker brands
-    ids with its own pid.
+    Monotonic per process — deterministic *structure* (no randomness);
+    the pid keeps ids from different processes' traces apart.
     """
     return f"{prefix}-{os.getpid()}-{next(_trace_counter)}"
 
 
 @dataclass(frozen=True)
 class TraceContext:
-    """The serialisable identity a unit of traced work runs under.
+    """The identity a unit of traced work runs under.
 
     Attributes
     ----------
     trace_id:
         Groups every span one request (or one top-level parallel
-        multiply) caused, across threads and processes.
+        multiply) caused, across pool threads.
     parent_span_id:
         ``span_id`` of the coordinator-side span that spawned this work;
         worker-recorded top-level spans parent-link to it.
@@ -101,15 +98,15 @@ def span_id_of(ctx: "TraceContext", tag: str) -> str:
 
 @dataclass
 class WorkerTelemetry:
-    """Everything one worker-side unit of work recorded, picklable.
+    """Everything one worker-side unit of work recorded, as plain data.
 
     Attributes
     ----------
     ctx:
         The :class:`TraceContext` the work ran under.
     worker:
-        Track label: ``worker-pid-<pid>`` on a process pool, the thread
-        name on a thread pool.
+        Track label: the name of the thread the work ran on
+        (``repro-shard_<n>`` on a :class:`~repro.runtime.shards.ShardPool`).
     epoch_s:
         *Absolute* system-wide monotonic timestamp
         (:func:`time.perf_counter`) of the local tracer's epoch — what
@@ -140,10 +137,7 @@ class WorkerTelemetry:
 
 
 def _worker_track() -> str:
-    thread = threading.current_thread()
-    if thread.name == "MainThread":
-        return f"worker-pid-{os.getpid()}"
-    return thread.name
+    return threading.current_thread().name
 
 
 def run_with_worker_obs(

@@ -8,18 +8,18 @@ The production-facing wrapper around the SpGEMM engines:
   (:class:`FaultPlan`);
 * :mod:`repro.runtime.shards` — the one shard engine behind every entry
   point: a tile-row range state machine (OOM re-split, transient retry,
-  pool replacement), a replaceable thread/process pool, and blocking
+  pool replacement), a replaceable thread pool, and blocking
   and async drivers;
 * :mod:`repro.runtime.chunked` — chunked tile-row re-execution under a
   budget, stitching a bit-identical result;
 * :mod:`repro.runtime.policy` — the retry/backoff policy
   (:class:`RetryPolicy`, :func:`backoff_wait`) the shard engine applies;
-* :mod:`repro.runtime.parallel` — sharded execution on a thread or
-  process pool (:func:`parallel_tile_spgemm`, :func:`spgemm_batch`),
+* :mod:`repro.runtime.parallel` — sharded execution on a thread pool
+  (:func:`parallel_tile_spgemm`, :func:`spgemm_batch`),
   byte-identical to serial;
 * :mod:`repro.runtime.planner` — estimation-driven execution planning
   (:func:`plan_execution` → :class:`ExecutionPlan`): worker count,
-  executor, cost-weighted shard bounds and backend derived per run from
+  cost-weighted shard bounds and backend derived per run from
   the row-sampled estimate of
   :mod:`repro.analysis.estimate`;
 * :mod:`repro.runtime.tilecache` — content-hash-keyed LRU cache of tiled
@@ -70,7 +70,6 @@ __all__ = [
     "parallel_tile_spgemm",
     "spgemm_batch",
     "resolve_workers",
-    "resolve_executor",
     "TileCache",
     "get_tile_cache",
     "reset_tile_cache",
@@ -91,7 +90,6 @@ _LAZY = {
     "parallel_tile_spgemm": "repro.runtime.parallel",
     "spgemm_batch": "repro.runtime.parallel",
     "resolve_workers": "repro.runtime.parallel",
-    "resolve_executor": "repro.runtime.parallel",
     "TileCache": "repro.runtime.tilecache",
     "get_tile_cache": "repro.runtime.tilecache",
     "reset_tile_cache": "repro.runtime.tilecache",

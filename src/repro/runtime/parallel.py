@@ -3,10 +3,10 @@
 The candidate-C-tile space shards exactly like it chunks: tile row ``i``
 of ``C`` depends only on tile row ``i`` of ``A`` (and all of ``B``).
 :func:`parallel_tile_spgemm` resolves the execution configuration — an
-optional plan, the worker count, executor, shard boundaries and kernel
+optional plan, the worker count, shard boundaries and kernel
 backend — and hands the multiply to the shard engine
 (:mod:`repro.runtime.shards`): inline on one worker (the planner's
-``"serial"`` mode), on a :class:`~repro.runtime.shards.ShardPool`
+``"serial"`` mode), on a thread :class:`~repro.runtime.shards.ShardPool`
 otherwise (``"parallel"``).
 :func:`spgemm_batch` runs many multiplies as engine runs sharing one
 pool.
@@ -18,18 +18,19 @@ phase chunks its product stream at C-tile boundaries
 (:func:`repro.core.step3.step3_numeric`), so each tile's accumulation
 order is independent of how the tile-row space was partitioned — or
 re-split after an OOM.  The test suite asserts exact equality of all
-eight output arrays for both executors.
+eight output arrays.
 
 **Backends.**  The kernel-backend spec is resolved to a registry *name*
-in the coordinator (covering the process default, which is module state
-and does not survive ``spawn``) and forwarded inside the shard options;
-each pool worker re-resolves the name through its own freshly-imported
-registry (:mod:`repro.backend`).  A worker that runs with no explicit
-spec falls back to ``REPRO_BACKEND`` from its inherited environment.
-Every shard of a run therefore executes the same backend, and the
-conformance suite pins the merged result against the serial ``numpy``
-run per the backend's declared tier — sharding and stitching never add
-error of their own because chunk boundaries align with C tile rows.
+once per run, in the coordinator, and forwarded inside the shard
+options, so every shard of the run uses one backend even if the ambient
+default changes mid-run (:mod:`repro.backend`).  Every backend is exact,
+and the conformance suite pins the merged result byte for byte against
+the serial ``numpy`` run.
+
+**Threads.**  Every pool is a thread pool: tile row ``i`` of ``C`` needs
+all of ``B``, and threads share one resident ``B`` by reference where a
+process pool would copy it into every worker (measured slower on every
+benchmark workload; ``docs/PARALLEL.md``).
 
 **Failure.**  A failing shard gets the engine's rules — an OOM halves
 it, a transient fault retries it after backoff, a broken pool is
@@ -53,65 +54,22 @@ from repro.obs.context import current_obs
 from repro.obs.propagate import new_trace_id
 from repro.runtime.chunked import batch_bounds, validate_bounds
 from repro.runtime.policy import RetryPolicy
-from repro.runtime.shards import EXECUTORS, ShardPool, ShardRun, run_blocking
+from repro.runtime.shards import ShardPool, ShardRun, run_blocking
 from repro.runtime.tilecache import get_tile_cache
 
 __all__ = [
     "ENV_WORKERS",
-    "ENV_EXECUTOR",
     "resolve_workers",
-    "resolve_executor",
     "parallel_tile_spgemm",
     "spgemm_batch",
 ]
 
-#: Environment knobs consulted when the caller passes ``None``.
+#: Environment knob consulted when the caller passes ``workers=None``.
 ENV_WORKERS = "REPRO_WORKERS"
-ENV_EXECUTOR = "REPRO_EXECUTOR"
 
 #: Shards per worker: a little oversharding evens out load imbalance
 #: between tile rows without shrinking shards into stitch overhead.
 _SHARDS_PER_WORKER = 2
-
-
-def _resolve_knob(value, name: str, env_name: str, default, parse):
-    """One deployment knob: the argument, else ``env_name``, else ``default``.
-
-    ``parse`` normalises a raw value, raising :class:`ValueError` with a
-    "must be ..." message.  A malformed environment value raises
-    :class:`~repro.errors.ConfigurationError` naming the variable (exit
-    code 10 at the CLI); a malformed *argument* stays the caller's
-    :class:`~repro.errors.InvalidInputError`.
-    """
-    if value is not None:
-        try:
-            return parse(value)
-        except ValueError as exc:
-            raise InvalidInputError(f"{name} {exc}") from None
-    raw = os.environ.get(env_name, "").strip()
-    if not raw:
-        return default
-    try:
-        return parse(raw)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc), source=env_name) from None
-
-
-def _parse_workers(raw) -> int:
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"must be an integer, got {raw!r}") from None
-    if workers < 0:
-        raise ValueError(f"must be >= 0, got {workers}")
-    return workers
-
-
-def _parse_executor(raw) -> str:
-    executor = str(raw).lower()
-    if executor not in EXECUTORS:
-        raise ValueError(f"must be one of {EXECUTORS}, got {executor!r}")
-    return executor
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -119,24 +77,30 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
     ``0`` (from either source) means "auto": the number of CPUs this
     process may run on.  The result is always >= 1; ``1`` selects the
-    serial engine.  Malformed values raise as :func:`_resolve_knob`
-    describes.
+    serial engine.  A malformed argument raises
+    :class:`~repro.errors.InvalidInputError`; a malformed environment
+    value raises :class:`~repro.errors.ConfigurationError` naming the
+    variable (exit code 10 at the CLI).
     """
-    workers = _resolve_knob(workers, "workers", ENV_WORKERS, 1, _parse_workers)
+    raw, source = workers, None
+    if raw is None:
+        raw, source = os.environ.get(ENV_WORKERS, "").strip() or 1, ENV_WORKERS
+    try:
+        workers = int(raw)
+    except ValueError:
+        problem = f"must be an integer, got {raw!r}"
+    else:
+        problem = f"must be >= 0, got {workers}" if workers < 0 else ""
+    if problem:
+        if source is None:
+            raise InvalidInputError(f"workers {problem}")
+        raise ConfigurationError(problem, source=source)
     if workers == 0:
         try:
             return max(1, len(os.sched_getaffinity(0)))
         except AttributeError:  # non-Linux
             return max(1, os.cpu_count() or 1)
     return workers
-
-
-def resolve_executor(executor: Optional[str] = None) -> str:
-    """The effective executor kind: argument, else ``REPRO_EXECUTOR``,
-    else ``"thread"``.  Malformed values raise as :func:`_resolve_knob`
-    describes.
-    """
-    return _resolve_knob(executor, "executor", ENV_EXECUTOR, "thread", _parse_executor)
 
 
 def _record_plan(plan_dict: Dict[str, object]) -> None:
@@ -151,7 +115,6 @@ def parallel_tile_spgemm(
     a: TileMatrix,
     b: TileMatrix,
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     shards: Optional[int] = None,
     plan=None,
     policy: Optional[RetryPolicy] = None,
@@ -159,10 +122,9 @@ def parallel_tile_spgemm(
     fault_plan=None,
     keep_empty_tiles: bool = True,
     backend=None,
-    mp_context=None,
     **kwargs,
 ) -> TileSpGEMMResult:
-    """Multiply ``a @ b`` on a worker pool; byte-identical to serial.
+    """Multiply ``a @ b`` on a thread pool; byte-identical to serial.
 
     Parameters
     ----------
@@ -171,16 +133,13 @@ def parallel_tile_spgemm(
     workers:
         Pool size; ``None`` consults ``REPRO_WORKERS``, ``0`` means one
         per available CPU, and ``1`` (the overall default) runs inline.
-    executor:
-        ``"thread"`` or ``"process"``; ``None`` consults
-        ``REPRO_EXECUTOR`` and defaults to ``"thread"``.
     shards:
         Number of contiguous tile-row shards (clamped to
         ``a.num_tile_rows``); defaults to ``workers * 2`` so stragglers
         can be balanced, and to one shard on one worker.
     plan:
         An :class:`~repro.runtime.planner.ExecutionPlan` (duck-typed:
-        ``workers`` / ``executor`` / ``bounds`` / ``backend`` /
+        ``workers`` / ``bounds`` / ``backend`` /
         ``to_dict()``).  Fills in every option the caller left
         ``None`` — including the cost-weighted shard boundaries, used
         whenever ``shards`` is not given; bounds that do not partition
@@ -192,20 +151,14 @@ def parallel_tile_spgemm(
         transient-fault retries of a shard (defaults apply when
         ``None``).
     budget_bytes, fault_plan:
-        Forwarded to every shard explicitly — pool workers inherit no
-        ambient context.  On the process pool the fault plan is pickled
-        per worker, so its counters advance independently per process.
-        A shard over the budget is halved and requeued.
+        Forwarded to every shard explicitly — pool threads inherit no
+        ambient context.  A shard over the budget is halved and requeued.
     keep_empty_tiles:
         As for ``tile_spgemm``; applied to the merged matrix.
     backend:
         Kernel backend spec (name, :class:`~repro.backend.KernelSet`, or
         ``None`` for the ambient default), resolved to a registry name
-        here and shipped by name to the workers.
-    mp_context:
-        Optional :mod:`multiprocessing` context for the process pool
-        (e.g. ``multiprocessing.get_context("spawn")``); ``None`` uses
-        the platform default.
+        here, so every shard runs the same backend.
     **kwargs:
         Remaining ``tile_spgemm`` options (``tnnz``, methods, dtype...).
 
@@ -213,9 +166,7 @@ def parallel_tile_spgemm(
     -------
     TileSpGEMMResult
         With ``stats["shards"]`` (stitched shards, re-splits included),
-        ``stats["workers"]`` and ``stats["executor"]`` — ``"serial"``
-        when one worker ran one shard inline, ``"chunked"`` when it ran
-        several (explicit ``shards`` or an OOM re-split) — and the
+        ``stats["workers"]`` (1 when the shards ran inline) and the
         recovery tallies ``stats["resplits"]`` / ``stats["retries"]``;
         the modelled backoff is ``timer.seconds["backoff"]``.
 
@@ -232,21 +183,17 @@ def parallel_tile_spgemm(
         plan_dict = plan.to_dict()
         if workers is None:
             workers = plan.workers
-        if executor is None:
-            executor = plan.executor
         if backend is None:
             backend = plan.backend
         if shards is None and len(plan.bounds) >= 2:
             bounds = np.asarray(plan.bounds, dtype=np.int64)
             validate_bounds(bounds, a.num_tile_rows)
     workers = resolve_workers(workers)
-    executor = resolve_executor(executor)
     if bounds is None:
         if shards is None:
             shards = workers * _SHARDS_PER_WORKER if workers > 1 else 1
         bounds = batch_bounds(a.num_tile_rows, shards)
-    # The process default backend (module state) does not survive spawn,
-    # so the resolved name — not the KernelSet — travels to the workers.
+    # Resolved once, so every shard runs one backend.
     opts = dict(
         kwargs,
         backend=resolve_backend_name(backend),
@@ -257,9 +204,9 @@ def parallel_tile_spgemm(
     if workers <= 1 or len(bounds) <= 2:
         run = ShardRun(a, b, bounds, policy)
         res = run_blocking([run], opts, keep_empty_tiles=keep_empty_tiles)[0]
-        res.stats.update(workers=1, executor="chunked" if run.pieces > 1 else "serial")
+        res.stats["workers"] = 1
     else:
-        res = _run_pooled(a, b, bounds, policy, opts, workers, executor, mp_context, keep_empty_tiles)
+        res = _run_pooled(a, b, bounds, policy, opts, workers, keep_empty_tiles)
     res.stats["shards"] = res.stats["batches"]
     if plan_dict is not None:
         res.stats["plan"] = plan_dict
@@ -267,7 +214,7 @@ def parallel_tile_spgemm(
     return res
 
 
-def _run_pooled(a, b, bounds, policy, opts, workers, executor, mp_context, keep_empty_tiles):
+def _run_pooled(a, b, bounds, policy, opts, workers, keep_empty_tiles):
     """One engine run on a pool of its own, traced under one
     ``parallel_tile_spgemm`` span with a ``parallel.shard`` span per shard."""
     obs = current_obs()
@@ -286,7 +233,6 @@ def _run_pooled(a, b, bounds, policy, opts, workers, executor, mp_context, keep_
         cat="parallel",
         workers=workers,
         shards=len(bounds) - 1,
-        executor=executor,
         **links,
     ) as span:
         run = ShardRun(
@@ -300,11 +246,11 @@ def _run_pooled(a, b, bounds, policy, opts, workers, executor, mp_context, keep_
             # Shard spans and absorbed worker spans share this span's zero.
             epoch_s=time.perf_counter() - (getattr(span, "start_s", 0.0) or 0.0),
         )
-        with ShardPool(workers, executor, mp_context, b=b, opts=opts) as pool:
+        with ShardPool(workers) as pool:
             res = run_blocking([run], opts, pool, keep_empty_tiles)[0]
-    res.stats.update(workers=workers, executor=executor)
+    res.stats["workers"] = workers
     if obs.enabled:
-        obs.metrics.inc("parallel_runs_total", executor=executor)
+        obs.metrics.inc("parallel_runs_total")
         obs.metrics.inc("parallel_shards_total", run.shards_run)
         obs.metrics.set_gauge("parallel_workers", workers)
         obs.metrics.inc("parallel_shard_seconds_total", run.shard_seconds)
@@ -317,7 +263,6 @@ def _run_pooled(a, b, bounds, policy, opts, workers, executor, mp_context, keep_
 def spgemm_batch(
     pairs: Sequence[Tuple[object, object]],
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
     tile_size: Optional[int] = None,
     backend=None,
@@ -340,10 +285,9 @@ def spgemm_batch(
         CSR operands are tiled through the process-wide
         :func:`~repro.runtime.tilecache.get_tile_cache`, so a matrix
         appearing in several pairs is converted once.
-    workers, executor:
-        Pool configuration, resolved like
-        :func:`parallel_tile_spgemm` (``workers=1`` runs the batch
-        inline, in order).
+    workers:
+        Pool size, resolved like :func:`parallel_tile_spgemm`
+        (``workers=1`` runs the batch inline, in order).
     policy:
         The :class:`~repro.runtime.policy.RetryPolicy` every run's
         failure rules use.
@@ -358,7 +302,6 @@ def spgemm_batch(
         ``tile_spgemm`` options applied to every pair.
     """
     workers = resolve_workers(workers)
-    executor = resolve_executor(executor)
     keep_empty_tiles = kwargs.pop("keep_empty_tiles", True)
     opts = dict(kwargs, backend=resolve_backend_name(backend))
     cache = get_tile_cache()
@@ -376,10 +319,9 @@ def spgemm_batch(
         cat="parallel",
         size=len(runs),
         workers=workers,
-        executor=executor,
-    ), ShardPool(workers, executor) as pool:
+    ), ShardPool(workers) as pool:
         out = run_blocking(runs, opts, pool, keep_empty_tiles)
     if obs.enabled:
-        obs.metrics.inc("spgemm_batch_runs_total", executor=executor)
+        obs.metrics.inc("spgemm_batch_runs_total")
         obs.metrics.inc("spgemm_batch_tasks_total", len(runs))
     return out

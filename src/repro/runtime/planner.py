@@ -8,7 +8,7 @@ from the cheap upfront estimate of :mod:`repro.analysis.estimate`
 
 :func:`plan_execution` produces an :class:`ExecutionPlan` choosing
 
-* **workers / executor** — serial below a products threshold
+* **workers** — serial below a products threshold
   (:data:`DEFAULT_SERIAL_PRODUCTS`: pool startup and stitch overhead
   dominate tiny multiplies), scaling up to the available CPUs as
   predicted work grows.
@@ -21,7 +21,7 @@ from the cheap upfront estimate of :mod:`repro.analysis.estimate`
   power-law row distribution no longer leaves one straggler shard
   holding most of the work.
 * **backend** — the explicit request if any, else the ambient
-  registry default, resolved to a pickle-safe name once.
+  registry default, resolved to a registry name once.
 
 The plan also records the paper's accumulator threshold
 ``default_tnnz(tile_size)`` as ``tnnz``; it only selects which tiles
@@ -53,13 +53,7 @@ from repro.backend import resolve_backend_name
 from repro.core.step3 import default_tnnz
 from repro.errors import InvalidInputError
 from repro.runtime.chunked import batch_bounds
-from repro.runtime.parallel import (
-    _SHARDS_PER_WORKER,
-    ENV_EXECUTOR,
-    ENV_WORKERS,
-    resolve_executor,
-    resolve_workers,
-)
+from repro.runtime.parallel import _SHARDS_PER_WORKER, ENV_WORKERS, resolve_workers
 
 __all__ = [
     "ExecutionPlan",
@@ -84,7 +78,7 @@ class ExecutionPlan:
     mode:
         ``"serial"`` (one worker; one shard unless the caller asked for
         more) or ``"parallel"`` (a worker pool).
-    workers, executor, shards:
+    workers, shards:
         Pool shape (``workers=1``/``shards=1`` in serial mode).
     bounds:
         Tile-row shard boundaries, cost-weighted via
@@ -105,7 +99,6 @@ class ExecutionPlan:
 
     mode: str
     workers: int
-    executor: str
     shards: int
     bounds: np.ndarray
     tnnz: int
@@ -122,7 +115,6 @@ class ExecutionPlan:
         return {
             "mode": self.mode,
             "workers": int(self.workers),
-            "executor": self.executor,
             "shards": int(self.shards),
             "bounds": [int(x) for x in self.bounds],
             "tnnz": int(self.tnnz),
@@ -179,14 +171,13 @@ def plan_execution(
     a,
     b,
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     shards: Optional[int] = None,
     backend=None,
 ) -> ExecutionPlan:
     """Derive an :class:`ExecutionPlan` for ``a @ b``.
 
-    Explicit arguments (and the ``REPRO_WORKERS`` / ``REPRO_EXECUTOR``
-    environment knobs) always win over the estimator's choice — the
+    Explicit arguments (and the ``REPRO_WORKERS`` environment knob)
+    always win over the estimator's choice — the
     planner fills in what the caller left open.
     """
     if a.shape[1] != b.shape[0]:
@@ -212,14 +203,6 @@ def plan_execution(
             f"bar {DEFAULT_SERIAL_PRODUCTS}/worker (cpus {cpus})"
         )
 
-    # --- executor: explicit/env wins; threads otherwise (operands are
-    # shared by reference; the numpy kernels drop the GIL in the hot
-    # loops, and process pools pay pickling for B).
-    explicit_executor = executor is not None or bool(
-        os.environ.get(ENV_EXECUTOR, "").strip()
-    )
-    chosen_executor = resolve_executor(executor) if explicit_executor else "thread"
-
     # --- shards exist for concurrency: a few per worker to balance
     # stragglers, one on one worker.  Boundaries equalise predicted
     # products per shard.
@@ -232,7 +215,6 @@ def plan_execution(
     return ExecutionPlan(
         mode="parallel" if chosen_workers > 1 else "serial",
         workers=int(chosen_workers),
-        executor=chosen_executor,
         shards=int(num_shards),
         bounds=bounds,
         tnnz=default_tnnz(est.tile_size),

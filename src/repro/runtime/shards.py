@@ -34,7 +34,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     Future,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
@@ -42,7 +41,12 @@ from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.tile_matrix import TileMatrix
-from repro.core.tilespgemm import TileSpGEMMResult, _record_obs_metrics, tile_spgemm
+from repro.core.tilespgemm import (
+    TileSpGEMMResult,
+    _record_obs_metrics,
+    check_operands,
+    tile_spgemm,
+)
 from repro.errors import (
     DeviceOOMError,
     InvalidInputError,
@@ -56,9 +60,7 @@ from repro.runtime.chunked import batch_bounds, slice_tile_rows, stitch_results
 from repro.runtime.policy import RetryPolicy, backoff_wait
 
 __all__ = [
-    "EXECUTORS",
     "RECOVERABLE",
-    "check_operands",
     "ShardRun",
     "ShardPool",
     "default_run_shard",
@@ -66,8 +68,6 @@ __all__ = [
     "run_async",
     "BrokenExecutor",
 ]
-
-EXECUTORS = ("thread", "process")
 
 #: The faults a range recovers from; every other exception propagates.
 RECOVERABLE = (DeviceOOMError, TransientKernelError, BrokenExecutor)
@@ -79,50 +79,24 @@ Item = Tuple[int, int, int]
 # ----------------------------------------------------------------------
 # The shard body
 # ----------------------------------------------------------------------
-def check_operands(a: TileMatrix, b: TileMatrix) -> None:
-    """Reject operands no tile-row range of ``a @ b`` could multiply."""
-    if a.tile_size != b.tile_size:
-        raise InvalidInputError("A and B must use the same tile size")
-    if a.shape[1] != b.shape[0]:
-        raise InvalidInputError(
-            f"dimension mismatch: A is {a.shape[0]}x{a.shape[1]}, "
-            f"B is {b.shape[0]}x{b.shape[1]}"
-        )
-
-
 def default_run_shard(a_shard: TileMatrix, b: TileMatrix, opts: Dict[str, object]):
     """One range's multiply: ``tile_spgemm`` keeping empty tiles for the
     order-preserving stitch.  ``pairs``/``symbolic`` are dropped: the
-    stitch never reads them, they pin large intermediates and dominate
-    the pickling cost on a process pool."""
+    stitch never reads them, and they pin large intermediates."""
     res = tile_spgemm(a_shard, b, keep_empty_tiles=True, **opts)
     res.pairs = None
     res.symbolic = None
     return res
 
 
-# Process workers of a pool dedicated to one B receive it (and the shard
-# options) once, through the pool initializer.
-_WORKER_B: Optional[TileMatrix] = None
-_WORKER_OPTS: Dict[str, object] = {}
-
-
-def _init_worker(b: TileMatrix, opts: Dict[str, object]) -> None:
-    global _WORKER_B, _WORKER_OPTS
-    _WORKER_B = b
-    _WORKER_OPTS = opts
-
-
 def _pool_task(run_fn, a_shard, b, opts, ctx, token=None):
-    """Pool-side wrapper (module-level so a process pool can pickle it).
+    """Pool-side wrapper.
 
     Returns ``(result, start, seconds, telemetry)``; ``telemetry`` is
     ``None`` for an untraced range.
     """
     if token is not None:
         token.raise_if_set()  # the request died while this range queued
-    if b is None:
-        b, opts = _WORKER_B, _WORKER_OPTS
     start = time.perf_counter()
     res, telemetry = run_with_worker_obs(ctx, run_fn, a_shard, b, opts)
     return res, start, time.perf_counter() - start, telemetry
@@ -132,64 +106,28 @@ def _pool_task(run_fn, a_shard, b, opts, ctx, token=None):
 # The pool owner
 # ----------------------------------------------------------------------
 class ShardPool:
-    """A thread or process pool that can be replaced after it breaks.
-
-    Parameters
-    ----------
-    workers:
-        Pool size (>= 1).
-    executor:
-        ``"thread"`` or ``"process"``.
-    mp_context:
-        Optional :mod:`multiprocessing` context for the process pool.
-    b, opts:
-        Ship ``B`` and the shard options to each process worker once,
-        through the initializer; tasks then carry only their ``A``
-        range.  Leave ``None`` for a pool shared by several operands.
+    """A thread pool of ``workers`` (>= 1) threads that can be replaced
+    after it breaks.  Its threads share every operand by reference, so
+    each range task carries only its ``A`` slice and a reference to ``B``.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        executor: str = "thread",
-        mp_context=None,
-        b: Optional[TileMatrix] = None,
-        opts: Optional[Dict[str, object]] = None,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if int(workers) < 1:
             raise InvalidInputError(f"workers must be >= 1, got {workers}")
-        if executor not in EXECUTORS:
-            raise InvalidInputError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
         self.workers = int(workers)
-        self.executor = executor
-        self._mp_context = mp_context
-        self._shipped = (b, opts) if executor == "process" and b is not None else None
         #: Replacements so far; a range submitted to an older generation
         #: that fails with ``BrokenExecutor`` was lost with that pool.
         self.generation = 0
         self._pool = self._make()
 
-    def _make(self):
-        if self.executor == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-shard"
-            )
-        init = {}
-        if self._shipped is not None:
-            init = {"initializer": _init_worker, "initargs": self._shipped}
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=self._mp_context, **init
+    def _make(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="repro-shard"
         )
 
     def submit(self, run_fn, a_shard, b, opts, ctx=None, token=None) -> Future:
         """Schedule one range; never raises (a broken pool yields a
         failed future, which the run's failure rules handle)."""
-        if self._shipped is not None:
-            b = opts = None
-        if self.executor == "process":
-            token = None  # a threading.Event cannot cross the boundary
         try:
             return self._pool.submit(_pool_task, run_fn, a_shard, b, opts, ctx, token)
         except BrokenExecutor as exc:
@@ -253,7 +191,6 @@ class ShardRun:
     run_fn:
         Shard body ``(a_shard, b, opts) -> TileSpGEMMResult``; defaults
         to :func:`default_run_shard`.  Tests inject faulty bodies here.
-        Must be module-level (picklable) on a process pool.
     """
 
     def __init__(

@@ -88,12 +88,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="compute pool size (default 2)",
-    )
-    p.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="compute pool kind (default thread); 'process' runs shards "
-        "in worker processes with full trace propagation",
+        help="compute thread-pool size (default 2)",
     )
     p.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
@@ -184,7 +179,6 @@ async def _drive(args) -> "LoadReport":
     service = SpGEMMService(
         max_queue_depth=args.queue_depth,
         workers=args.workers,
-        executor=args.executor,
         max_inflight=args.max_inflight,
         initial_shards=args.initial_shards,
         admission_budget_bytes=args.admission_budget,

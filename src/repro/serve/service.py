@@ -45,6 +45,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.backend import resolve_backend_name
 from repro.core.tile_matrix import TileMatrix
+from repro.core.tilespgemm import check_operands
 from repro.errors import (
     DeadlineExceededError,
     InvalidInputError,
@@ -55,7 +56,7 @@ from repro.obs.context import current_obs
 from repro.obs.propagate import new_trace_id
 from repro.runtime.chunked import batch_bounds
 from repro.runtime.policy import RetryPolicy
-from repro.runtime.shards import ShardPool, ShardRun, check_operands, run_async
+from repro.runtime.shards import ShardPool, ShardRun, run_async
 from repro.runtime.tilecache import get_tile_cache
 from repro.serve.admission import AdmissionController, estimate_cost
 from repro.serve.deadline import CancelToken, Deadline
@@ -110,7 +111,7 @@ class SpGEMMService:
         Hard bound of the request queue; requests arriving at the bound
         are shed (or block, for ``backpressure="wait"`` submitters).
     workers:
-        Workers in the compute pool (>= 1; anything else raises
+        Threads in the compute pool (>= 1; anything else raises
         :class:`~repro.errors.InvalidInputError`).
     device:
         Optional :class:`~repro.gpu.device.DeviceModel`; its Table-1
@@ -137,15 +138,6 @@ class SpGEMMService:
         the event loop, never slept.
     max_inflight:
         Requests executing concurrently (default: ``workers``).
-    executor:
-        ``"thread"`` (default) or ``"process"`` — the kind of
-        :class:`~repro.runtime.shards.ShardPool` the requests share.
-        With ``"process"``, shard spans are still recorded where the
-        work ran and shipped back (see :mod:`repro.obs.propagate`);
-        ``run_fn`` must then be a module-level (picklable) function.
-    mp_context:
-        Optional :mod:`multiprocessing` context for the process pool
-        (e.g. ``get_context("spawn")``).
     backend:
         Kernel-backend spec resolved once to a registry name and
         forwarded to every shard.
@@ -172,8 +164,6 @@ class SpGEMMService:
         initial_shards: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
         max_inflight: Optional[int] = None,
-        executor: str = "thread",
-        mp_context=None,
         backend=None,
         sleep=None,
         clock=time.monotonic,
@@ -192,7 +182,7 @@ class SpGEMMService:
             max_queue_depth, admission_budget_bytes, admission_headroom
         )
         self._queue = BoundedRequestQueue(max_queue_depth)
-        self._pool = ShardPool(workers, executor, mp_context)
+        self._pool = ShardPool(workers)
         self._run_fn = run_fn
         self._retry = retry_policy or RetryPolicy()
         self._initial_shards = int(initial_shards)
@@ -615,7 +605,6 @@ class SpGEMMService:
                 time.perf_counter() - self._epoch if self._running else 0.0
             ),
             "workers": self._pool.workers,
-            "executor": self._pool.executor,
             "backend": self._backend_name,
             "pool_replacements": self._pool.generation,
             "queue": {

@@ -58,8 +58,9 @@ class AllocationTracker:
     use_context:
         When true (the default), a budget or fault plan left unset is
         inherited from the active :func:`repro.runtime.context.execution_context`.
-        The chunked executor sets this false when replaying batch ledgers
-        into a merged tracker, so injected faults are not double-counted.
+        :func:`~repro.runtime.chunked.stitch_results` sets this false
+        when replaying batch ledgers into a merged tracker, so injected
+        faults are not double-counted.
     """
 
     def __init__(self, budget_bytes: Optional[int] = None, use_context: bool = True) -> None:

@@ -4,8 +4,9 @@ Every registered, available backend is judged against the numpy
 reference on the shared edge-case corpus (:mod:`tests.corpus`): all
 eight output arrays of the ``TileSpGEMMResult`` must be
 *byte-identical* (dtype, shape, raw bytes) to the reference.  That is
-the one backend contract, and it must also hold when the backend
-crosses the 2-worker process pool's spawn boundary by registry name.
+the one backend contract, and it must also hold when a sharded run on
+the 2-worker thread pool forwards the backend to its shards by
+registry name.
 
 The harness parametrises over :func:`repro.backend.list_backends`, so a
 newly registered backend is picked up with zero test changes — that is
@@ -93,31 +94,32 @@ def test_backend_kernels_actually_ran(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_exact_backend_through_process_pool(backend, references):
-    """Backends cross the spawn boundary by registry name: the 2-worker
-    process pool must resolve the same backend in each child and return
-    bytes identical to the serial numpy reference."""
+    """Backends reach the shards by registry name: every shard on the
+    2-worker thread pool must resolve the same backend and return bytes
+    identical to the serial numpy reference.  (The name predates the
+    single thread-pool kind; it is kept so the test id stays stable.)"""
     from repro.runtime.parallel import parallel_tile_spgemm
 
     case = CORPUS["moderate_random"]
     got = parallel_tile_spgemm(
-        _tiled(case.a), _tiled(case.b), workers=2, executor="process",
-        backend=backend,
+        _tiled(case.a), _tiled(case.b), workers=2, backend=backend
     )
     assert got.stats["backend"] == backend
     assert_bytes_identical(references["moderate_random"].c, got.c)
 
 
 # ---------------------------------------------------------------------------
-# Spawn-boundary resolution semantics
+# Pool backend resolution semantics
 # ---------------------------------------------------------------------------
 
 
 class TestProcessPoolBackendResolution:
-    """Regression tests for the spawn boundary: module-level defaults do
-    not survive into process-pool children, so the coordinator resolves
-    the backend to a registry *name* and ships it with each shard, and a
-    child with no explicit name re-reads ``REPRO_BACKEND`` from the
-    environment it inherited."""
+    """The coordinator resolves the backend to a registry *name* once per
+    run — explicit argument, then the process default, then
+    ``REPRO_BACKEND`` — and forwards it with each shard, so every shard
+    on the 2-worker thread pool runs the backend the run started with.
+    (The class name predates the single thread-pool kind; it is kept so
+    the test ids stay stable.)"""
 
     def _operands(self):
         case = CORPUS["moderate_random"]
@@ -129,7 +131,7 @@ class TestProcessPoolBackendResolution:
         at, bt = self._operands()
         prev = set_default_backend("pyloops")
         try:
-            got = parallel_tile_spgemm(at, bt, workers=2, executor="process")
+            got = parallel_tile_spgemm(at, bt, workers=2)
         finally:
             set_default_backend(prev)
         assert got.stats["backend"] == "pyloops"
@@ -140,7 +142,7 @@ class TestProcessPoolBackendResolution:
 
         monkeypatch.setenv("REPRO_BACKEND", "pyloops")
         at, bt = self._operands()
-        got = parallel_tile_spgemm(at, bt, workers=2, executor="process")
+        got = parallel_tile_spgemm(at, bt, workers=2)
         assert got.stats["backend"] == "pyloops"
         assert_bytes_identical(references["moderate_random"].c, got.c)
 
@@ -149,9 +151,7 @@ class TestProcessPoolBackendResolution:
 
         monkeypatch.setenv("REPRO_BACKEND", "pyloops")
         at, bt = self._operands()
-        got = parallel_tile_spgemm(
-            at, bt, workers=2, executor="process", backend="numpy"
-        )
+        got = parallel_tile_spgemm(at, bt, workers=2, backend="numpy")
         assert got.stats["backend"] == "numpy"
         assert_bytes_identical(references["moderate_random"].c, got.c)
 

@@ -153,9 +153,9 @@ class TestCLIErrorHandling:
         assert "REPRO_BACKEND" in self._assert_one_line_error(capsys)
 
     def test_exact_flag_is_gone(self, mtx_file):
-        for flag in ("--exact", "--resilient"):
+        for flag in ("--exact", "--resilient", "--executor thread"):
             with pytest.raises(SystemExit) as excinfo:
-                main([flag, mtx_file])
+                main([*flag.split(), mtx_file])
             assert excinfo.value.code == EXIT_USAGE, flag
 
     def test_resilient_exhausted_exit_code(self, tmp_path, capsys):
@@ -222,7 +222,7 @@ class TestCLIObservability:
         assert main(["--json", "--workers", "1", mtx_file]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["recovery"] == {"resplits": 0, "retries": 0, "backoff_seconds": 0.0}
-        assert doc["parallel"] == {"workers": 1, "shards": 1, "executor": "serial"}
+        assert doc["parallel"] == {"workers": 1, "shards": 1}
         assert "resilience" not in doc
 
     def test_json_with_metrics_embeds_snapshot(self, mtx_file, tmp_path, capsys):

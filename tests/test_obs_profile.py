@@ -10,8 +10,8 @@ Contracts under test:
   and every checked-in bench history snapshot (some still carrying the
   retired ``calibration`` lists) loads with its embedded profiles
   validated;
-* merging — worker payloads absorbed across the **spawned** process-pool
-  boundary sum to the serial run's workload byte for byte;
+* merging — worker payloads absorbed from the pool threads sum to the
+  serial run's workload byte for byte;
 * tile-cache telemetry — lookups feed the ambient metrics registry;
 * the ``repro obs profile`` CLI.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import copy
 import json
-import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -180,36 +179,22 @@ class TestArtifact:
             validate_profile(bad)
 
 
-# ---------------------------------------------------------------- spawn
+# ------------------------------------------------------------ pool merge
 class TestSpawnBoundaryMerge:
-    def test_spawned_pool_profiles_sum_to_serial_byte_for_byte(self):
-        """The satellite contract: profile merge crosses the *spawn*
-        boundary and loses nothing — a spawned worker shares no memory
-        with the coordinator, so the workload arrives purely through the
-        ``WorkerTelemetry.profile`` payload."""
-        a = _tiled(n=128, density=0.05, seed=7)
-        serial = WorkloadProfiler()
-        with obs_context(profile=serial):
-            tile_spgemm(a, a)
-
-        spawn = multiprocessing.get_context("spawn")
-        merged = WorkloadProfiler()
-        with obs_context(profile=merged):
-            parallel_tile_spgemm(
-                a, a, workers=2, shards=3, executor="process", mp_context=spawn
-            )
-        assert merged.runs == 3  # one per shard, absorbed once each
-        assert len(merged.shards) == 3
-        assert all(s["worker"].startswith("worker-pid-") for s in merged.shards)
-        assert _workload_bytes(merged) == _workload_bytes(serial)
-
     def test_thread_pool_profiles_sum_to_serial(self):
+        """Profile merge loses nothing: pool threads profile into fresh
+        thread-local profilers, so the workload arrives at the
+        coordinator only through the ``WorkerTelemetry.profile``
+        payload."""
         a = _tiled(n=96, seed=5)
         serial, merged = WorkloadProfiler(), WorkloadProfiler()
         with obs_context(profile=serial):
             tile_spgemm(a, a)
         with obs_context(profile=merged):
-            parallel_tile_spgemm(a, a, workers=2, shards=2, executor="thread")
+            parallel_tile_spgemm(a, a, workers=2, shards=3)
+        assert merged.runs == 3  # one per shard, absorbed once each
+        assert len(merged.shards) == 3
+        assert all(s["worker"].startswith("repro-shard") for s in merged.shards)
         assert _workload_bytes(merged) == _workload_bytes(serial)
 
 

@@ -94,10 +94,7 @@ def test_chunked(tiled):
     assert obs.profile.phases
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_parallel(tiled, executor):
-    obs, result = traced(
-        lambda: parallel_tile_spgemm(tiled, tiled, workers=2, executor=executor)
-    )
+def test_parallel(tiled):
+    obs, result = traced(lambda: parallel_tile_spgemm(tiled, tiled, workers=2))
     assert_one_clock(obs, result)
     assert obs.profile.phases

@@ -1,5 +1,7 @@
 """The sharded parallel engine: determinism, failure policy, batching, cache."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,7 @@ from repro.errors import InvalidInputError, ResilienceExhausted, TransientKernel
 from repro.obs.context import make_obs, obs_context
 from repro.runtime.chunked import batch_bounds, chunked_tile_spgemm, stitch_results
 from repro.runtime.faults import FaultPlan
-from repro.runtime.parallel import (
-    parallel_tile_spgemm,
-    resolve_executor,
-    resolve_workers,
-    spgemm_batch,
-)
+from repro.runtime.parallel import parallel_tile_spgemm, resolve_workers, spgemm_batch
 from repro.runtime.policy import RetryPolicy
 from repro.runtime.tilecache import (
     TileCache,
@@ -65,23 +62,17 @@ class TestByteIdentity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_thread_pool_matches_serial(self, operands, serial, workers):
         a, b = operands
-        res = parallel_tile_spgemm(a, b, workers=workers, executor="thread")
+        res = parallel_tile_spgemm(a, b, workers=workers)
         assert_bytes_identical(serial.c, res.c)
         assert res.stats["workers"] == workers
-        assert res.stats["executor"] == "thread"
-
-    def test_process_pool_matches_serial(self, operands, serial):
-        a, b = operands
-        res = parallel_tile_spgemm(a, b, workers=2, executor="process")
-        assert_bytes_identical(serial.c, res.c)
-        assert res.stats["executor"] == "process"
+        assert res.stats["shards"] == 2 * workers
 
     def test_rectangular_operands(self):
         a_csr = random_csr(130, 70, 0.10, seed=43)
         b_csr = random_csr(70, 200, 0.10, seed=44)
         ref = tile_spgemm(_tiled(a_csr), _tiled(b_csr))
         res = parallel_tile_spgemm(
-            _tiled(a_csr), _tiled(b_csr), workers=3, executor="thread"
+            _tiled(a_csr), _tiled(b_csr), workers=3
         )
         assert_bytes_identical(ref.c, res.c)
         assert res.c.to_csr().allclose(scipy_product(a_csr, b_csr))
@@ -90,12 +81,12 @@ class TestByteIdentity:
         a, b = operands
         res = parallel_tile_spgemm(a, b, workers=1)
         assert_bytes_identical(serial.c, res.c)
-        assert res.stats["executor"] == "serial"
+        assert res.stats["workers"] == 1
         assert res.stats["shards"] == 1
 
     def test_merged_stats_match_serial_totals(self, operands, serial):
         a, b = operands
-        res = parallel_tile_spgemm(a, b, workers=2, executor="thread")
+        res = parallel_tile_spgemm(a, b, workers=2)
         for key in ("num_products", "nnz_c", "num_c_tiles", "sparse_tiles", "dense_tiles"):
             assert res.stats[key] == serial.stats[key], key
 
@@ -111,7 +102,7 @@ class TestByteIdentity:
         a, b = operands
         ref = tile_spgemm(a, b, keep_empty_tiles=False)
         res = parallel_tile_spgemm(
-            a, b, workers=2, executor="thread", keep_empty_tiles=False
+            a, b, workers=2, keep_empty_tiles=False
         )
         assert_bytes_identical(ref.c, res.c)
 
@@ -124,12 +115,12 @@ class TestShardGeometry:
 
     def test_shards_clamped_to_tile_rows(self):
         a = _tiled(random_csr(20, 20, 0.4, seed=45))  # 2 tile rows
-        res = parallel_tile_spgemm(a, a, workers=4, executor="thread")
+        res = parallel_tile_spgemm(a, a, workers=4)
         assert res.stats["shards"] <= a.num_tile_rows
 
     def test_explicit_shard_count(self, operands, serial):
         a, b = operands
-        res = parallel_tile_spgemm(a, b, workers=2, executor="thread", shards=5)
+        res = parallel_tile_spgemm(a, b, workers=2, shards=5)
         assert res.stats["shards"] == 5
         assert_bytes_identical(serial.c, res.c)
 
@@ -161,8 +152,10 @@ class TestFailurePolicy:
         plan = FaultPlan().transient_at_step(match="step3", at=1)
         obs = make_obs()
         with obs_context(tracer=obs.tracer, metrics=obs.metrics):
-            res = parallel_tile_spgemm(a, b, workers=2, executor="thread", fault_plan=plan)
-        assert res.stats["executor"] == "thread"  # stayed on the pool
+            res = parallel_tile_spgemm(a, b, workers=2, fault_plan=plan)
+        # Stayed on the pool, and the retry did not re-split the shard.
+        assert res.stats["workers"] == 2
+        assert res.stats["shards"] == 4
         assert obs.metrics.counter_value("parallel_retries_total") >= 1
         assert res.timer.seconds["backoff"] > 0  # the modelled wait is charged
         assert_bytes_identical(serial.c, res.c)
@@ -174,7 +167,6 @@ class TestFailurePolicy:
                 a,
                 b,
                 workers=2,
-                executor="thread",
                 policy=RetryPolicy(max_retries=0),
                 fault_plan=FaultPlan().transient_at_step(match="step3", every=1),
             )
@@ -186,7 +178,6 @@ class TestFailurePolicy:
             a,
             b,
             workers=2,
-            executor="thread",
             policy=RetryPolicy(max_retries=1),
             fault_plan=FaultPlan().transient_at_step(match="step3", at=1),
         )
@@ -202,7 +193,7 @@ class TestFailurePolicy:
         a, b = operands
         with pytest.raises(ValueError):
             parallel_tile_spgemm(
-                a, b, workers=2, executor="thread", force_accumulator="bogus"
+                a, b, workers=2, force_accumulator="bogus"
             )
 
 
@@ -213,15 +204,11 @@ class TestResolution:
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "5")
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         assert resolve_workers(None) == 5
-        assert resolve_executor(None) == "process"
 
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         assert resolve_workers(None) == 1
-        assert resolve_executor(None) == "thread"
 
     def test_zero_means_auto(self):
         assert resolve_workers(0) >= 1
@@ -232,8 +219,13 @@ class TestResolution:
             resolve_workers(None)
         with pytest.raises(InvalidInputError):
             resolve_workers(-2)
-        with pytest.raises(InvalidInputError):
-            resolve_executor("fiber")
+
+    def test_executor_env_is_not_read(self, monkeypatch):
+        # One pool kind: a stale REPRO_EXECUTOR is ignored, whatever it holds.
+        monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
+        a = _tiled(random_csr(64, 64, 0.1, seed=47))
+        res = parallel_tile_spgemm(a, a, workers=2)
+        assert_bytes_identical(tile_spgemm(a, a).c, res.c)
 
 
 class TestObservability:
@@ -241,14 +233,14 @@ class TestObservability:
         a, b = operands
         obs = make_obs()
         with obs_context(tracer=obs.tracer, metrics=obs.metrics):
-            res = parallel_tile_spgemm(a, b, workers=2, executor="thread")
+            res = parallel_tile_spgemm(a, b, workers=2)
         shard_spans = [s for s in obs.tracer.spans if s.cat == "parallel.shard"]
         assert len(shard_spans) == res.stats["shards"]
         assert all(s.duration_s >= 0 for s in shard_spans)
         top = [s for s in obs.tracer.spans if s.name == "parallel_tile_spgemm"]
         assert len(top) == 1 and top[0].args["workers"] == 2
         assert obs.metrics.gauge_value("parallel_workers") == 2
-        assert obs.metrics.counter_value("parallel_runs_total", executor="thread") == 1
+        assert obs.metrics.counter_value("parallel_runs_total") == 1
         assert obs.metrics.counter_value("parallel_shards_total") == res.stats["shards"]
         # Merged algorithm counters equal one serial run's (workers report
         # to NULL_OBS; the coordinator records the stitched stats once).
@@ -265,7 +257,7 @@ class TestObservability:
         a, b = operands
         obs = make_obs()
         with obs_context(tracer=obs.tracer, metrics=obs.metrics):
-            parallel_tile_spgemm(a, b, workers=4, executor="thread")
+            parallel_tile_spgemm(a, b, workers=4)
         step3 = [s for s in obs.tracer.spans if s.name == "step3"]
         assert step3  # absorbed worker spans are present...
         for sp in step3:
@@ -281,7 +273,7 @@ class TestSpgemmBatch:
         mats = [random_csr(90, 90, 0.08, seed=s) for s in (51, 52, 53)]
         pairs = [(mats[0], mats[1]), (mats[1], mats[2]), (mats[2], mats[0])]
         refs = [tile_spgemm(_tiled(x), _tiled(y)) for x, y in pairs]
-        out = spgemm_batch(pairs, workers=3, executor="thread")
+        out = spgemm_batch(pairs, workers=3)
         assert len(out) == 3
         for ref, got in zip(refs, out):
             assert_bytes_identical(ref.c, got.c)
@@ -295,7 +287,7 @@ class TestSpgemmBatch:
         reset_tile_cache()
         a = random_csr(80, 80, 0.1, seed=55)
         b = random_csr(80, 80, 0.1, seed=56)
-        spgemm_batch([(a, b), (a, a), (b, b), (b, a)], workers=2, executor="thread")
+        spgemm_batch([(a, b), (a, a), (b, b), (b, a)], workers=2)
         stats = get_tile_cache().stats()
         assert stats["misses"] == 2  # a and b each tiled exactly once
         assert stats["hits"] == 6
@@ -307,7 +299,7 @@ class TestSpgemmBatch:
         obs = make_obs()
         with obs_context(metrics=obs.metrics):
             out = spgemm_batch(
-                [(a, a), (a, a)], workers=2, executor="thread", fault_plan=plan
+                [(a, a), (a, a)], workers=2, fault_plan=plan
             )
         assert obs.metrics.counter_value("parallel_retries_total") >= 1
         assert len(out) == 2
@@ -320,7 +312,6 @@ class TestSpgemmBatch:
             spgemm_batch(
                 [(a, a), (a, a)],
                 workers=2,
-                executor="thread",
                 policy=RetryPolicy(max_retries=0),
                 fault_plan=FaultPlan().transient_at_step(match="step3", every=1),
             )
@@ -471,12 +462,11 @@ class TestPlanner:
         assert np.all(np.diff(plan.bounds) >= 1)
         assert plan.shards == len(plan.bounds) - 1
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_planned_parallel_byte_identical(self, operands, executor):
+    def test_planned_parallel_byte_identical(self, operands):
         from repro.runtime.planner import plan_execution
 
         a, b = operands
-        plan = plan_execution(a, b, workers=2, executor=executor)
+        plan = plan_execution(a, b, workers=2)
         assert plan.mode == "parallel"
         res = parallel_tile_spgemm(a, b, plan=plan)
         ref = tile_spgemm(a, b, tnnz=plan.tnnz)
@@ -547,8 +537,14 @@ class TestPlanner:
         doc = profiler.to_dict()
         assert doc["plans"], "plan record missing from the profiler"
         assert doc["plans"][0]["mode"] == plan.mode
+        assert "executor" not in doc["plans"][0]
         validate_profile(doc)
+        # An artifact written before the pool kind was dropped still loads.
+        old = copy.deepcopy(doc)
+        old["plans"][0]["executor"] = "thread"
+        validate_profile(old)
         report = render_profile(doc)
+        assert "executor=" not in report
         assert plan.notes
         for note in plan.notes:
             assert f"    {note}" in report.splitlines()

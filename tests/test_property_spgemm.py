@@ -176,7 +176,7 @@ def _execution_paths(backend):
             at, bt, num_batches=3, backend=backend
         ),
         "par2_thread": lambda at, bt: parallel_tile_spgemm(
-            at, bt, workers=2, executor="thread", backend=backend
+            at, bt, workers=2, backend=backend
         ),
     }
 

@@ -234,7 +234,7 @@ class TestBudgetDrivenChunking:
         res = parallel_tile_spgemm(a, a, workers=1, budget_bytes=budget)
         assert res.stats["shards"] > 1
         assert res.stats["resplits"] == res.stats["shards"] - 1
-        assert res.stats["executor"] == "chunked"
+        assert res.stats["workers"] == 1
         c1, c2 = clean.c, res.c
         for name in ("tileptr", "tilecolidx", "tilennz", "rowptr", "rowidx", "colidx", "mask"):
             assert np.array_equal(getattr(c1, name), getattr(c2, name)), name

@@ -179,6 +179,10 @@ class TestService:
         assert resp.ok and resp.outcome == "served"
         _assert_same_product(resp.result_or_raise(), a, b)
 
+    def test_service_takes_no_executor(self):
+        with pytest.raises(TypeError):
+            SpGEMMService(executor="thread")
+
     def test_sharded_request_still_byte_identical(self):
         a, b = _pair(seed=43, n=128)
 
@@ -437,6 +441,13 @@ class TestServeCLI:
             serve_main(["run", "--requests", "1", "--n", "64", *flags])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["run", "load"])
+    def test_executor_flag_is_gone(self, command, capsys):
+        # Every pool is a thread pool; there is no pool kind to choose.
+        with pytest.raises(SystemExit) as exc:
+            serve_main([command, "--requests", "1", "--executor", "thread"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_dispatch_through_main(self, capsys):
         from repro.cli import main
 
@@ -462,14 +473,6 @@ class TestConfigurationErrors:
         monkeypatch.setenv(ENV_WORKERS, "-2")
         with pytest.raises(ConfigurationError):
             resolve_workers(None)
-
-    def test_malformed_executor_env(self, monkeypatch):
-        from repro.runtime.parallel import ENV_EXECUTOR, resolve_executor
-
-        monkeypatch.setenv(ENV_EXECUTOR, "fibers")
-        with pytest.raises(ConfigurationError) as ei:
-            resolve_executor(None)
-        assert ENV_EXECUTOR in str(ei.value)
 
     def test_malformed_backend_env(self, monkeypatch):
         from repro.backend import ENV_BACKEND, resolve_backend

@@ -69,7 +69,7 @@ def _chunked(a, b, plan):
 
 
 def _parallel(a, b, plan):
-    return parallel_tile_spgemm(a, b, workers=2, executor="thread", fault_plan=plan).c
+    return parallel_tile_spgemm(a, b, workers=2, fault_plan=plan).c
 
 
 def _serial(a, b, plan):
@@ -161,10 +161,11 @@ def test_budgeted_parallel_run_resplits_and_is_byte_identical():
     first = batch_bounds(a.num_tile_rows, 4)
     with pytest.raises(DeviceOOMError):
         tile_spgemm(slice_tile_rows(a, 0, int(first[1])), a, budget_bytes=budget)
-    res = parallel_tile_spgemm(a, a, workers=2, executor="thread", budget_bytes=budget)
+    res = parallel_tile_spgemm(a, a, workers=2, budget_bytes=budget)
     assert_bytes_identical(clean.c, res.c)
     assert res.stats["shards"] > 4  # the blown shard was halved
-    assert res.stats["executor"] == "thread"
+    assert res.stats["resplits"] == res.stats["shards"] - 4
+    assert res.stats["workers"] == 2  # stayed on the pool
     assert res.alloc.peak_bytes <= budget
 
 
