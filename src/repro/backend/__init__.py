@@ -22,10 +22,11 @@ Selection precedence, resolved per run by :func:`resolve_backend`:
 4. the always-registered ``numpy`` reference.
 
 The sharded engines (:mod:`repro.runtime.parallel`, :mod:`repro.serve`)
-resolve the backend spec to a registry name once per run, in the
-coordinator, and forward that name in every shard's options, so every
+resolve the backend spec to a :class:`KernelSet` once per run, in the
+coordinator, and forward that instance in every shard's options, so every
 shard of a run uses one backend even if the process default changes
-while the run is in flight.
+while the run is in flight — and an unregistered kernel set works there
+as it does for ``tile_spgemm``.
 
 Every registered backend must be byte-identical to the ``numpy``
 reference — all eight result arrays, values included.  There is one
@@ -219,7 +220,7 @@ def set_default_backend(name: Optional[str]) -> Optional[str]:
 
     Returns the previous default name so callers can restore it.  A
     sharded run reads the default once, when it starts, and forwards the
-    resolved name to every shard.
+    resolved kernel set to every shard.
     """
     global _DEFAULT_NAME
     if name is not None:
@@ -271,7 +272,7 @@ def resolve_backend(spec: Union[None, str, KernelSet] = None) -> KernelSet:
 
 def resolve_backend_name(spec: Union[None, str, KernelSet] = None) -> str:
     """Like :func:`resolve_backend` but returns the registry name — what
-    the sharded engines resolve once per run and forward to every shard."""
+    an execution plan and a bench record keep."""
     return resolve_backend(spec).name
 
 

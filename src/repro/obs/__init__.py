@@ -14,9 +14,9 @@ without seeing the counters and the timeline.  Three pieces:
   distributed SUMMA;
 * :mod:`repro.obs.gputrace` — the cost model's warp-task schedules laid
   out on virtual SM/slot tracks;
-* :mod:`repro.obs.propagate` — :class:`TraceContext` identities
-  carried into pool threads, worker-local
-  span recording and coordinator-side merge;
+* :mod:`repro.obs.propagate` — the :class:`TraceContext` identity a
+  pooled range records under, so its spans link to the request (or
+  multiply) that caused it;
 * :mod:`repro.obs.profile` — the always-on workload profiler: per-phase
   / per-tile-row-band work attribution, tnnz decisions and the chosen
   execution plans aggregated into ``repro.profile/1`` artifacts.
@@ -58,14 +58,7 @@ from repro.obs.profile import (
     validate_profile,
     write_profile,
 )
-from repro.obs.propagate import (
-    TraceContext,
-    WorkerTelemetry,
-    absorb_telemetry,
-    new_trace_id,
-    run_with_worker_obs,
-    span_id_of,
-)
+from repro.obs.propagate import TraceContext, new_trace_id
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, TraceEvent, Tracer
 
 __all__ = [
@@ -85,11 +78,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "emit_gpu_timeline",
     "TraceContext",
-    "WorkerTelemetry",
     "new_trace_id",
-    "span_id_of",
-    "run_with_worker_obs",
-    "absorb_telemetry",
     "to_native",
     "json_default",
     "WorkloadProfiler",

@@ -12,17 +12,17 @@ un-instrumented runs pay one list lookup per site and nothing else.  Contexts ne
 enclosing context.
 
 Like the execution context, the stack is **per-thread**
-(:class:`threading.local`): pool workers of the sharded parallel engine
-start with an empty stack and therefore report to :data:`NULL_OBS` —
-a :class:`~repro.obs.trace.Tracer` is not safe to drive from several
-threads.  Cross-boundary attribution is handled one level up: the
-engines ship a :class:`~repro.obs.propagate.TraceContext` to each
-worker, the worker records spans into a *local* tracer under
-:func:`~repro.obs.propagate.run_with_worker_obs`, and the coordinator
-merges the shipped telemetry back
-(:func:`~repro.obs.propagate.absorb_telemetry`).  The ambient
-``trace_ctx`` field carries the propagated identity so nested engines
-keep attributing work to the request that caused it.
+(:class:`threading.local`): pool threads start with an empty stack and
+therefore report to :data:`NULL_OBS` unless an engine enters a context
+for them.  A :class:`~repro.obs.trace.Tracer` is safe to use from several
+threads (one span stack per thread), and a
+:class:`~repro.obs.profile.WorkloadProfiler` locks its merges, so a
+traced pooled range enters a context holding the run's own tracer and
+profiler and records into them directly (:mod:`repro.runtime.shards`).
+The metrics registry is not shared: the run records its counters once,
+from the stitched result.  The ambient ``trace_ctx`` field carries
+the request identity (:class:`~repro.obs.propagate.TraceContext`) so
+nested engines keep attributing work to the request that caused it.
 
 The module imports nothing from the rest of the package (beyond the
 sibling sink modules), so every layer can depend on it without cycles.

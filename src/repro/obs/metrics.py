@@ -162,17 +162,6 @@ class MetricsRegistry:
         """Current gauge value, or ``None`` if never set."""
         return self._gauges.get((name, _label_key(labels)))
 
-    def counter_items(self) -> List[Tuple[str, Dict[str, str], float]]:
-        """Every counter as ``(name, labels, value)`` triples.
-
-        The shape worker-telemetry shipping wants: plain data, labels
-        as a dict, values as native floats.
-        """
-        return [
-            (n, dict(lk), float(v))
-            for (n, lk), v in sorted(self._counters.items())
-        ]
-
     def counter_samples(self, name: str) -> List[Tuple[Dict[str, str], float]]:
         """All label sets of counter ``name`` with their values."""
         return [
@@ -322,9 +311,6 @@ class NullMetrics:
 
     def gauge_value(self, name: str, **labels: Any) -> Optional[float]:
         return None
-
-    def counter_items(self) -> List[Tuple[str, Dict[str, str], float]]:
-        return []
 
     def counter_samples(self, name: str) -> List[Tuple[Dict[str, str], float]]:
         return []

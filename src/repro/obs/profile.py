@@ -16,24 +16,23 @@ which plan the planner chose.
   rows, so hotspot reports name a row range, not a tile id);
 * **tnnz decisions**: how many tiles went sparse vs dense per threshold;
 * **execution plans**: one record per planned parallel run;
-* **per-shard** records appended when worker payloads are absorbed.
+* **per-shard** records, one per range a pool thread ran.
 
 Everything serialises into a schema-versioned ``repro.profile/1`` JSON
 artifact (:meth:`WorkloadProfiler.to_dict`), coerced through
 :func:`repro.obs.native.to_native` so ``json.dumps`` needs no custom
 default.
 
-**Merging.**  The profiler state is additive: pool workers profile
-locally, ship a plain-dict payload inside
-:class:`~repro.obs.propagate.WorkerTelemetry`, and the coordinator
-absorbs it (:meth:`WorkloadProfiler.absorb_payload`).  Because tile row
-``i`` of ``C`` depends only on tile row ``i`` of ``A``, the per-band
-counts of a sharded run sum to the serial run's exactly —
-:meth:`workload` exposes the deterministic sub-document the
-propagation tests compare byte for byte.  Shard-local tile rows are
-rebased onto the global row space via the ambient offset
-(:func:`profile_row_offset` / :func:`current_row_offset`), which the
-engines thread through :class:`~repro.obs.propagate.TraceContext`.
+**Pool threads.**  Pool threads of a traced or profiled run record into
+the run's own profiler; :meth:`WorkloadProfiler.record_run` takes a lock,
+so their merges never interleave.  Because tile row ``i`` of ``C``
+depends only on tile row ``i`` of ``A``, the per-band counts of a sharded
+run sum to the serial run's exactly — :meth:`workload` exposes the
+deterministic sub-document the propagation tests compare byte for byte.
+Shard-local tile rows are rebased onto the global row space via the
+thread's ambient offset (:func:`profile_row_offset` /
+:func:`current_row_offset`), which the shard engine sets around each
+range.
 
 **Cost.**  Recording is O(candidate tiles) NumPy reductions per run —
 the same order as the existing metrics recording — and the disabled
@@ -47,7 +46,7 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 import numpy as np
 
@@ -137,9 +136,7 @@ class WorkloadProfiler:
     Parameters
     ----------
     band_tile_rows:
-        Tile rows per attribution band.  Must match across every
-        profiler whose state is merged (enforced by
-        :meth:`absorb_payload`).
+        Tile rows per attribution band.
     """
 
     enabled: bool = True
@@ -155,14 +152,20 @@ class WorkloadProfiler:
         self.tnnz: Dict[str, Dict[str, int]] = {}
         self.shards: List[Dict[str, Any]] = []
         self.plans: List[Dict[str, Any]] = []
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------ recording
     def record_run(self, stats: Dict[str, Any], timer, row_offset: int = 0) -> None:
         """Fold one ``tile_spgemm`` run's stats and phase timer in.
 
         ``row_offset`` rebases the run's local tile rows onto the global
-        row space (shard/batch slices); whole-matrix runs pass 0.
+        row space (shard/batch slices); whole-matrix runs pass 0.  Safe
+        to call from several threads.
         """
+        with self._lock:
+            self._record_run(stats, timer, row_offset)
+
+    def _record_run(self, stats: Dict[str, Any], timer, row_offset: int) -> None:
         self.runs += 1
         for name, seconds in timer.seconds.items():
             ph = self.phases.setdefault(name, {"seconds": 0.0, "count": 0})
@@ -236,81 +239,18 @@ class WorkloadProfiler:
         """
         self.plans.append(to_native(dict(plan)))
 
-    # ------------------------------------------------------------ merging
-    def to_payload(self) -> Dict[str, Any]:
-        """The mergeable state as a plain (picklable, JSON-able) dict.
-
-        What :func:`repro.obs.propagate.run_with_worker_obs` ships back
-        inside :class:`~repro.obs.propagate.WorkerTelemetry`.
-        """
-        return to_native(
+    def record_shard(self, worker: str, res) -> None:
+        """Record one range a pool thread ran: its thread, its run, the
+        summed phase seconds and its intermediate products, so the
+        artifact keeps the pool's shape."""
+        self.shards.append(
             {
-                "band_tile_rows": self.band_tile_rows,
-                "runs": self.runs,
-                "phases": {k: dict(v) for k, v in self.phases.items()},
-                "bands": {str(k): dict(v) for k, v in self.bands.items()},
-                "totals": dict(self.totals),
-                "tnnz": {k: dict(v) for k, v in self.tnnz.items()},
-                "plans": list(self.plans),
+                "worker": str(worker),
+                "runs": 1,
+                "seconds": float(sum(res.timer.seconds.values())),
+                "products": int(res.stats.get("num_products", 0)),
             }
         )
-
-    def absorb_payload(
-        self, payload: Optional[Dict[str, Any]], worker: str = ""
-    ) -> None:
-        """Merge a worker's :meth:`to_payload` dict in (additively).
-
-        ``None`` and empty payloads (``runs == 0`` with no plans) are
-        no-ops.  A ``worker`` label appends a per-shard
-        record so the artifact keeps the pool's shape.
-        """
-        if not payload:
-            return
-        if not payload.get("runs") and not payload.get("plans"):
-            return
-        if int(payload.get("band_tile_rows", self.band_tile_rows)) != self.band_tile_rows:
-            raise ValueError(
-                "cannot merge profiles with different band widths: "
-                f"{payload.get('band_tile_rows')} vs {self.band_tile_rows}"
-            )
-        self.runs += int(payload.get("runs", 0))
-        for name, ph in payload.get("phases", {}).items():
-            mine = self.phases.setdefault(name, {"seconds": 0.0, "count": 0})
-            mine["seconds"] += float(ph.get("seconds", 0.0))
-            mine["count"] += int(ph.get("count", 0))
-        for band, counts in payload.get("bands", {}).items():
-            mine = self.bands.setdefault(
-                int(band), {k: 0 for k in _BAND_COUNT_KEYS}
-            )
-            for key in _BAND_COUNT_KEYS:
-                mine[key] += int(counts.get(key, 0))
-        for key, value in payload.get("totals", {}).items():
-            self.totals[key] = self.totals.get(key, 0) + int(value)
-        for threshold, decision in payload.get("tnnz", {}).items():
-            mine = self.tnnz.setdefault(
-                str(threshold), {"sparse_tiles": 0, "dense_tiles": 0}
-            )
-            for key, value in decision.items():
-                mine[key] = mine.get(key, 0) + int(value)
-        self.plans.extend(payload.get("plans", []))
-        if worker:
-            self.shards.append(
-                {
-                    "worker": str(worker),
-                    "runs": int(payload.get("runs", 0)),
-                    "seconds": float(
-                        sum(
-                            ph.get("seconds", 0.0)
-                            for ph in payload.get("phases", {}).values()
-                        )
-                    ),
-                    "products": int(payload.get("totals", {}).get("products", 0)),
-                }
-            )
-
-    def merge(self, other: "WorkloadProfiler", worker: str = "") -> None:
-        """Fold another profiler's state into this one."""
-        self.absorb_payload(other.to_payload(), worker=worker)
 
     # ------------------------------------------------------------- export
     def _band_rows(self) -> List[Dict[str, Any]]:
@@ -368,7 +308,12 @@ class WorkloadProfiler:
         return to_native(doc)
 
     def summary(self) -> Dict[str, Any]:
-        """A small view for ``SpGEMMService.varz()``: totals, phases, top band."""
+        """A small view for ``SpGEMMService.varz()``: totals, phases, top
+        band.  Takes the lock: varz() may read while pool threads record."""
+        with self._lock:
+            return self._summary()
+
+    def _summary(self) -> Dict[str, Any]:
         top = None
         if self.bands:
             band, counts = max(self.bands.items(), key=lambda kv: kv[1]["products"])
@@ -415,13 +360,7 @@ class NullProfiler:
     def record_plan(self, plan) -> None:
         pass
 
-    def to_payload(self) -> None:
-        return None
-
-    def absorb_payload(self, payload, worker: str = "") -> None:
-        pass
-
-    def merge(self, other, worker: str = "") -> None:
+    def record_shard(self, worker, res) -> None:
         pass
 
     def summary(self) -> Dict[str, Any]:
@@ -580,7 +519,7 @@ def render_profile(doc: Dict[str, Any], top: int = 10) -> str:
     shards = doc.get("shards", [])
     if shards:
         lines.append("")
-        lines.append(f"shards absorbed: {len(shards)}")
+        lines.append(f"shards: {len(shards)}")
         for shard in shards:
             lines.append(
                 f"  {shard.get('worker', '?'):<24} runs={shard.get('runs', 0)} "

@@ -19,13 +19,19 @@ Design constraints honoured here:
   under a seeded :class:`~repro.runtime.faults.FaultPlan`); only the
   timestamps vary run to run, and the ``clock`` parameter lets tests pin
   those too;
+* **safe from several threads** — each thread keeps its own span stack,
+  so pool threads nest their spans correctly while recording into the
+  run's one tracer; :meth:`Tracer.track` lays a thread's spans on a
+  worker track and links them to the span that spawned the work;
 * **no upward imports** — this module depends on the standard library
   only, so every layer of the package may use it freely.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -100,8 +106,31 @@ class TraceEvent:
     args: Dict[str, Any]
 
 
+@dataclass(frozen=True)
+class _Track:
+    """Where one thread's spans go while a :meth:`Tracer.track` is open."""
+
+    pid: str
+    tid: str
+    trace_id: str
+    parent_span_id: str
+    base: str  #: prefix of the span ids minted on this track
+    depth: int  #: stack depth at entry; shallower spans are not on the track
+
+
+class _ThreadState(threading.local):
+    """One thread's open spans and active track; every thread starts empty."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+        self.track: Optional[_Track] = None
+
+
 class Tracer:
     """Records hierarchical spans and exports Chrome trace-event JSON.
+
+    Several threads may record into one tracer at once: each has its own
+    span stack, and appends to the span and event lists are atomic.
 
     Parameters
     ----------
@@ -128,17 +157,17 @@ class Tracer:
         self._epoch = clock()
         self.spans: List[Span] = []  #: completed spans, in *end* order
         self.events: List[TraceEvent] = []
-        self._stack: List[Span] = []
-        self._seq = 0
+        self._local = _ThreadState()
+        self._seq = itertools.count()
 
     @property
     def epoch_s(self) -> float:
         """Absolute clock value of this tracer's zero point.
 
-        Under the default :func:`time.perf_counter` clock this is a
-        system-wide monotonic timestamp, which is what lets
-        :func:`repro.obs.propagate.absorb_telemetry` re-base spans
-        recorded by pool workers onto this tracer's timeline exactly.
+        Under the default :func:`time.perf_counter` clock,
+        ``perf_counter() - epoch_s`` is a time on this tracer's timeline:
+        what callers that time a span themselves (the serve tier's
+        request spans) pass to :meth:`add_complete`.
         """
         return self._epoch
 
@@ -155,30 +184,84 @@ class Tracer:
         tid: str = DEFAULT_THREAD,
         **attrs: Any,
     ) -> Iterator[Span]:
-        """Open a span for the duration of the ``with`` block."""
-        parent = self._stack[-1] if self._stack else None
+        """Open a span for the duration of the ``with`` block.
+
+        Inside a :meth:`track` the span goes on the track's ``(pid,
+        tid)`` instead, with ``trace_id`` / ``span_id`` /
+        ``parent_span_id`` / ``worker`` attributes.
+        """
+        local = self._local
+        stack = local.stack
+        parent = stack[-1] if stack else None
+        seq = next(self._seq)
+        track = local.track
+        if track is not None:
+            pid, tid = track.pid, track.tid
+            attrs["trace_id"] = track.trace_id
+            attrs["span_id"] = f"{track.base}/w{seq}"
+            attrs["parent_span_id"] = (
+                f"{track.base}/w{parent.seq}"
+                if len(stack) > track.depth
+                else track.parent_span_id
+            )
+            attrs["worker"] = tid
         sp = Span(
             name=name,
             cat=cat,
             start_s=self._now(),
-            depth=len(self._stack),
-            seq=self._seq,
+            depth=len(stack),
+            seq=seq,
             parent_seq=parent.seq if parent is not None else -1,
             pid=pid,
             tid=tid,
             args=dict(attrs),
         )
-        self._seq += 1
-        self._stack.append(sp)
+        stack.append(sp)
         try:
             yield sp
         finally:
             sp.end_s = self._now()
-            self._stack.pop()
+            stack.pop()
             self.spans.append(sp)
 
+    @contextmanager
+    def track(
+        self, pid: str, tid: str, trace_id: str, parent_span_id: str = ""
+    ) -> Iterator[None]:
+        """Lay this thread's spans on ``(pid, tid)`` for the ``with`` block.
+
+        Each span opened inside gets ``trace_id``, a ``span_id`` of
+        ``{base}/w{seq}`` (``base`` is ``parent_span_id``, or ``trace_id``
+        when that is empty) and a ``parent_span_id`` naming the enclosing
+        span on this thread, or ``parent_span_id`` at the track's top
+        level — so every link resolves within the tracer.  Other threads
+        are unaffected.
+        """
+        local = self._local
+        prev = local.track
+        local.track = _Track(
+            pid,
+            tid,
+            trace_id,
+            parent_span_id,
+            parent_span_id or trace_id,
+            len(local.stack),
+        )
+        try:
+            yield
+        finally:
+            local.track = prev
+
     def instant(self, name: str, cat: str = "event", **attrs: Any) -> None:
-        """Record a zero-duration marker (faults, retries, selections)."""
+        """Record a zero-duration marker (faults, retries, selections).
+
+        Inside a :meth:`track` the marker carries the track's
+        ``trace_id`` and ``worker``.
+        """
+        track = self._local.track
+        if track is not None:
+            attrs["trace_id"] = track.trace_id
+            attrs["worker"] = track.tid
         self.events.append(
             TraceEvent("i", name, cat, self._now(), DEFAULT_PROCESS, DEFAULT_THREAD, dict(attrs))
         )
@@ -213,20 +296,19 @@ class Tracer:
             start_s=start_s,
             end_s=start_s + max(duration_s, 0.0),
             depth=0,
-            seq=self._seq,
+            seq=next(self._seq),
             parent_seq=-1,
             pid=pid,
             tid=tid,
             args=dict(attrs),
         )
-        self._seq += 1
         self.spans.append(sp)
 
     # ------------------------------------------------------------- queries
     @property
     def open_spans(self) -> Tuple[str, ...]:
-        """Names of spans currently open (innermost last)."""
-        return tuple(sp.name for sp in self._stack)
+        """Names of the calling thread's open spans (innermost last)."""
+        return tuple(sp.name for sp in self._local.stack)
 
     def find(self, name: str) -> List[Span]:
         """All completed spans with the given name, in begin order."""
@@ -354,6 +436,9 @@ class NullTracer:
 
     def add_complete(self, *args: Any, **kwargs: Any) -> None:
         pass
+
+    def track(self, *args: Any, **kwargs: Any):
+        return _NULL_SPAN
 
 
 #: Singleton used by the default (disabled) observability context.

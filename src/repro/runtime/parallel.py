@@ -20,10 +20,12 @@ order is independent of how the tile-row space was partitioned — or
 re-split after an OOM.  The test suite asserts exact equality of all
 eight output arrays.
 
-**Backends.**  The kernel-backend spec is resolved to a registry *name*
-once per run, in the coordinator, and forwarded inside the shard
-options, so every shard of the run uses one backend even if the ambient
-default changes mid-run (:mod:`repro.backend`).  Every backend is exact,
+**Backends.**  The kernel-backend spec is resolved to a
+:class:`~repro.backend.KernelSet` once per run, in the coordinator, and
+that instance travels in the shard options, so every shard of the run
+uses one backend even if the ambient default changes mid-run, and an
+unregistered kernel set works as it does for ``tile_spgemm``
+(:mod:`repro.backend`).  Every backend is exact,
 and the conformance suite pins the merged result byte for byte against
 the serial ``numpy`` run.
 
@@ -41,12 +43,11 @@ replaced once — and never reruns the whole matrix.  See
 from __future__ import annotations
 
 import os
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import resolve_backend_name
+from repro.backend import resolve_backend
 from repro.core.tile_matrix import TileMatrix
 from repro.core.tilespgemm import TileSpGEMMResult
 from repro.errors import ConfigurationError, InvalidInputError
@@ -157,7 +158,7 @@ def parallel_tile_spgemm(
         As for ``tile_spgemm``; applied to the merged matrix.
     backend:
         Kernel backend spec (name, :class:`~repro.backend.KernelSet`, or
-        ``None`` for the ambient default), resolved to a registry name
+        ``None`` for the ambient default), resolved to a kernel set
         here, so every shard runs the same backend.
     **kwargs:
         Remaining ``tile_spgemm`` options (``tnnz``, methods, dtype...).
@@ -196,7 +197,7 @@ def parallel_tile_spgemm(
     # Resolved once, so every shard runs one backend.
     opts = dict(
         kwargs,
-        backend=resolve_backend_name(backend),
+        backend=resolve_backend(backend),
         budget_bytes=budget_bytes,
         fault_plan=fault_plan,
     )
@@ -234,7 +235,7 @@ def _run_pooled(a, b, bounds, policy, opts, workers, keep_empty_tiles):
         workers=workers,
         shards=len(bounds) - 1,
         **links,
-    ) as span:
+    ):
         run = ShardRun(
             a,
             b,
@@ -243,8 +244,6 @@ def _run_pooled(a, b, bounds, policy, opts, workers, keep_empty_tiles):
             track="parallel",
             trace_id=trace_id,
             root_span_id=root_span_id,
-            # Shard spans and absorbed worker spans share this span's zero.
-            epoch_s=time.perf_counter() - (getattr(span, "start_s", 0.0) or 0.0),
         )
         with ShardPool(workers) as pool:
             res = run_blocking([run], opts, pool, keep_empty_tiles)[0]
@@ -295,15 +294,14 @@ def spgemm_batch(
         Tile size used when tiling CSR operands (default
         :data:`~repro.core.tile_matrix.TILE`).
     backend:
-        Kernel backend spec, resolved to a registry name on the
-        coordinator and forwarded to every task (like
-        :func:`parallel_tile_spgemm`).
+        Kernel backend spec, resolved once to a kernel set and forwarded
+        to every task (like :func:`parallel_tile_spgemm`).
     **kwargs:
         ``tile_spgemm`` options applied to every pair.
     """
     workers = resolve_workers(workers)
     keep_empty_tiles = kwargs.pop("keep_empty_tiles", True)
-    opts = dict(kwargs, backend=resolve_backend_name(backend))
+    opts = dict(kwargs, backend=resolve_backend(backend))
     cache = get_tile_cache()
     ts = {} if tile_size is None else {"tile_size": tile_size}
     runs = [

@@ -20,14 +20,17 @@ run :func:`run_blocking` inline; pooled plans and
 :func:`run_async`.  One :class:`ShardRun` per multiply applies the
 failure rules tabulated in ``docs/RESILIENCE.md``.
 
-Pool workers start with empty ambient contexts, so budgets and fault
-plans reach a shard only through the explicit options, and telemetry
-comes home through :mod:`repro.obs.propagate`.
+Pool threads start with empty ambient contexts, so budgets and fault
+plans reach a shard only through the explicit options.  A traced pooled
+range enters a context holding the run's own tracer and profiler on its
+pool thread and records into them directly, on a worker track
+(:meth:`repro.obs.trace.Tracer.track`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from collections import deque
 from concurrent.futures import (
@@ -37,7 +40,6 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.tile_matrix import TileMatrix
@@ -53,9 +55,9 @@ from repro.errors import (
     ResilienceExhausted,
     TransientKernelError,
 )
-from repro.obs.context import current_obs
+from repro.obs.context import current_obs, obs_context
 from repro.obs.profile import current_row_offset, profile_row_offset
-from repro.obs.propagate import TraceContext, absorb_telemetry, run_with_worker_obs
+from repro.obs.propagate import TraceContext
 from repro.runtime.chunked import batch_bounds, slice_tile_rows, stitch_results
 from repro.runtime.policy import RetryPolicy, backoff_wait
 
@@ -89,17 +91,11 @@ def default_run_shard(a_shard: TileMatrix, b: TileMatrix, opts: Dict[str, object
     return res
 
 
-def _pool_task(run_fn, a_shard, b, opts, ctx, token=None):
-    """Pool-side wrapper.
-
-    Returns ``(result, start, seconds, telemetry)``; ``telemetry`` is
-    ``None`` for an untraced range.
-    """
+def _pool_task(token, fn, *args):
+    """Pool-side wrapper: skip the task if its request already died."""
     if token is not None:
         token.raise_if_set()  # the request died while this range queued
-    start = time.perf_counter()
-    res, telemetry = run_with_worker_obs(ctx, run_fn, a_shard, b, opts)
-    return res, start, time.perf_counter() - start, telemetry
+    return fn(*args)
 
 
 # ----------------------------------------------------------------------
@@ -107,9 +103,7 @@ def _pool_task(run_fn, a_shard, b, opts, ctx, token=None):
 # ----------------------------------------------------------------------
 class ShardPool:
     """A thread pool of ``workers`` (>= 1) threads that can be replaced
-    after it breaks.  Its threads share every operand by reference, so
-    each range task carries only its ``A`` slice and a reference to ``B``.
-    """
+    after it breaks.  Its threads share every operand by reference."""
 
     def __init__(self, workers: int) -> None:
         if int(workers) < 1:
@@ -125,11 +119,12 @@ class ShardPool:
             max_workers=self.workers, thread_name_prefix="repro-shard"
         )
 
-    def submit(self, run_fn, a_shard, b, opts, ctx=None, token=None) -> Future:
-        """Schedule one range; never raises (a broken pool yields a
-        failed future, which the run's failure rules handle)."""
+    def submit(self, fn, *args, token=None) -> Future:
+        """Schedule ``fn(*args)``; never raises (a broken pool yields a
+        failed future, which the run's failure rules handle).  A set
+        ``token`` skips the call."""
         try:
-            return self._pool.submit(_pool_task, run_fn, a_shard, b, opts, ctx, token)
+            return self._pool.submit(_pool_task, token, fn, *args)
         except BrokenExecutor as exc:
             fut: Future = Future()
             fut.set_exception(exc)
@@ -182,12 +177,11 @@ class ShardRun:
     labels:
         Labels added to those counters.
     trace_id:
-        The trace pooled ranges travel under: when given, and while a
-        tracer or profiler is live, each pooled range carries a
-        ``TraceContext`` with this id to its worker.
-    root_span_id, epoch_s:
-        The coordinator span pooled ranges link under, and the absolute
-        :func:`time.perf_counter` of the destination timeline's zero.
+        The trace pooled ranges record under: when given, and while a
+        tracer or profiler is live, each pooled range records into them
+        from its pool thread, with a ``TraceContext`` of this id.
+    root_span_id:
+        The coordinator span pooled ranges link under.
     run_fn:
         Shard body ``(a_shard, b, opts) -> TileSpGEMMResult``; defaults
         to :func:`default_run_shard`.  Tests inject faulty bodies here.
@@ -205,7 +199,6 @@ class ShardRun:
         labels: Optional[Dict[str, str]] = None,
         trace_id: Optional[str] = None,
         root_span_id: str = "",
-        epoch_s: float = 0.0,
         run_fn: Optional[Callable] = None,
     ) -> None:
         check_operands(a, b)
@@ -224,10 +217,9 @@ class ShardRun:
         self.run_fn = run_fn or default_run_shard
         self.obs = current_obs()
         live = self.obs.tracer.enabled or self.obs.profile.enabled
-        self._ship_ctx = trace_id is not None and live
+        self._traced = trace_id is not None and live
         self.trace_id = trace_id
         self.root_span_id = root_span_id
-        self.epoch_s = epoch_s
         self.row_base = current_row_offset()
         self.results: Dict[int, TileSpGEMMResult] = {}
         self.shards_run = 0  #: ranges that completed
@@ -243,16 +235,49 @@ class ShardRun:
         return self.a if (r0, r1) == self.whole else slice_tile_rows(self.a, r0, r1)
 
     def submit(self, pool: ShardPool, item: Item, opts, token=None) -> Future:
-        r0, r1, _ = item
-        ctx = None
-        if self._ship_ctx:
-            ctx = TraceContext(
-                self.trace_id,
-                parent_span_id=f"{self.root_span_id}/shard{self._submitted}",
-                row_offset=self.row_base + r0,
-            )
+        fut = pool.submit(self._run_pooled, item, opts, self._submitted, token=token)
         self._submitted += 1
-        return pool.submit(self.run_fn, self.shard(r0, r1), self.b, opts, ctx, token)
+        return fut
+
+    def _run(self, item: Item, opts):
+        """The one range body, inline or pooled: ``(result, seconds)``."""
+        r0, r1, _ = item
+        start = time.perf_counter()
+        # Ranges are 0-based slices of A; rebase the workload profiler so
+        # band attribution stays in whole-matrix coordinates.
+        with profile_row_offset(self.row_base + r0):
+            res = self.run_fn(self.shard(r0, r1), self.b, opts)
+        return res, time.perf_counter() - start
+
+    def _run_pooled(self, item: Item, opts, k: int):
+        """Run range ``k`` on a pool thread.  When traced, it records into
+        the run's tracer and profiler: a ``<track>.shard`` span on
+        ``(track, thread)`` over its worker spans on
+        ``(<track>.workers, thread)``.  Metrics stay null here; the
+        stitch records the run's counters once."""
+        if not self._traced:
+            return self._run(item, opts)
+        r0, r1, _ = item
+        tracer, profile = self.obs.tracer, self.obs.profile
+        worker = threading.current_thread().name
+        span_id = f"{self.root_span_id}/shard{k}"
+        with obs_context(
+            tracer=tracer,
+            profile=profile,
+            trace_ctx=TraceContext(self.trace_id, span_id),
+        ), tracer.span(
+            f"shard [{r0}, {r1})",
+            cat=f"{self.track}.shard",
+            pid=self.track,
+            tid=worker,
+            tile_rows=[r0, r1],
+            trace_id=self.trace_id,
+            span_id=span_id,
+            parent_span_id=self.root_span_id,
+        ), tracer.track(f"{self.track}.workers", worker, self.trace_id, span_id):
+            out = self._run(item, opts)
+        profile.record_shard(worker, out[0])
+        return out
 
     def run_inline(self, item: Item, opts):
         """Run one range on the calling thread, under its ambient context.
@@ -261,56 +286,21 @@ class ShardRun:
         ``chunked.batch`` span and counts in ``chunked_batches_total``.
         """
         r0, r1, _ = item
-        batch = (r0, r1) != self.whole
-        span = (
-            self.obs.tracer.span(
-                f"batch [{r0}, {r1})", cat="chunked.batch", tile_rows=[r0, r1]
-            )
-            if batch
-            else nullcontext()
-        )
-        start = time.perf_counter()
-        # Ranges are 0-based slices of A; rebase the workload profiler so
-        # band attribution stays in whole-matrix coordinates.
-        with span, profile_row_offset(self.row_base + r0):
-            res = self.run_fn(self.shard(r0, r1), self.b, opts)
-        if batch:
-            self.obs.metrics.inc("chunked_batches_total")
-        return res, start, time.perf_counter() - start, None
+        if (r0, r1) == self.whole:
+            return self._run(item, opts)
+        with self.obs.tracer.span(
+            f"batch [{r0}, {r1})", cat="chunked.batch", tile_rows=[r0, r1]
+        ):
+            out = self._run(item, opts)
+        self.obs.metrics.inc("chunked_batches_total")
+        return out
 
     def done(self, item: Item, out) -> None:
-        """Record a completed range and merge what its worker recorded."""
-        r0, r1, _ = item
-        res, start, seconds, telemetry = out
-        self.results[r0] = res
+        """Record a completed range."""
+        res, seconds = out
+        self.results[item[0]] = res
         self.shards_run += 1
         self.shard_seconds += seconds
-        if telemetry is None:
-            return
-        ctx = telemetry.ctx
-        tracer = self.obs.tracer
-        tracer.add_complete(
-            f"shard [{r0}, {r1})",
-            max(start - self.epoch_s, 0.0),
-            seconds,
-            pid=self.track,
-            tid=telemetry.worker,
-            cat=f"{self.track}.shard",
-            tile_rows=[r0, r1],
-            trace_id=ctx.trace_id,
-            span_id=ctx.parent_span_id,
-            parent_span_id=self.root_span_id,
-        )
-        # Spans and the workload profile are recorded only worker-side,
-        # so absorbing them is the one merge; counters stay worker-local
-        # because the stitch records the merged run's counters once.
-        absorb_telemetry(
-            tracer,
-            telemetry,
-            epoch_s=self.epoch_s,
-            profile=self.obs.profile,
-            pid=f"{self.track}.workers",
-        )
 
     # ------------------------------------------------------------ failure
     def fail(self, item: Item, exc: BaseException, pool=None, generation: int = 0) -> float:

@@ -90,9 +90,8 @@ class ServeRequest:
         every shard of this request (isolation: other requests never see
         this plan's faults).
     trace_id:
-        The propagated trace identity assigned at submission; every
-        span, worker-side shard span and structured-log event of this
-        request carries it.
+        The trace identity assigned at submission; the request span and
+        every span its pool threads record carry it.
     admitted_bytes:
         Bytes this request reserved against the admission controller's
         aggregate in-flight gate; released exactly once at the terminal

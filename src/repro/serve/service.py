@@ -43,7 +43,7 @@ import asyncio
 import time
 from typing import Dict, Optional, Set, Tuple
 
-from repro.backend import resolve_backend_name
+from repro.backend import resolve_backend
 from repro.core.tile_matrix import TileMatrix
 from repro.core.tilespgemm import check_operands
 from repro.errors import (
@@ -139,8 +139,8 @@ class SpGEMMService:
     max_inflight:
         Requests executing concurrently (default: ``workers``).
     backend:
-        Kernel-backend spec resolved once to a registry name and
-        forwarded to every shard.
+        Kernel-backend spec resolved once to a kernel set and forwarded
+        to every shard; ``varz()["backend"]`` reports its name.
     sleep:
         Async sleep injectable (default :func:`asyncio.sleep`); tests
         pass a recorder to keep backoff instant.
@@ -188,7 +188,7 @@ class SpGEMMService:
         self._initial_shards = int(initial_shards)
         self._default_deadline_s = default_deadline_s
         self._default_budget_bytes = default_budget_bytes
-        self._backend_name = resolve_backend_name(backend)
+        self._backend = resolve_backend(backend)
         self._sleep = sleep if sleep is not None else asyncio.sleep
         self._clock = clock
         self._cache = get_tile_cache()
@@ -384,7 +384,7 @@ class SpGEMMService:
     async def _handle(self, req: ServeRequest) -> None:
         start = self._clock()
         self._note_queue_depth(req.tenant)
-        trace_t0 = time.perf_counter() - self._epoch
+        trace_t0 = self._trace_now()
         deadline = Deadline(req.deadline_s, clock=self._clock)
         # The deadline clock started at submission, not at dequeue.
         deadline._start = req.submitted_s
@@ -398,13 +398,12 @@ class SpGEMMService:
             labels={"tenant": req.tenant},
             trace_id=req.trace_id,
             root_span_id=f"req:{req.trace_id}",
-            epoch_s=self._epoch,
             run_fn=self._run_fn,
         )
         opts = {
             "budget_bytes": req.budget_bytes,
             "fault_plan": req.fault_plan,
-            "backend": self._backend_name,
+            "backend": self._backend,
         }
         try:
             deadline.check()  # queued past the deadline: no compute at all
@@ -488,12 +487,18 @@ class SpGEMMService:
         self._obs.metrics.inc(
             "serve_shed_total", tenant=req.tenant, reason=exc.reason
         )
-        self._record_response(resp, time.perf_counter() - self._epoch)
+        self._record_response(resp, self._trace_now())
         if req.done is not None and not req.done.done():
             req.done.set_result(resp)
         if req.order_gate is not None and not req.order_gate.done():
             req.order_gate.set_result(None)
         return resp
+
+    def _trace_now(self) -> float:
+        """Now on the tracer's timeline, where pool threads record the
+        request's shard spans (0 when tracing is off)."""
+        tracer = self._obs.tracer
+        return time.perf_counter() - tracer.epoch_s if tracer.enabled else 0.0
 
     def _record_response(self, resp: ServeResponse, trace_t0: float) -> None:
         metrics = self._obs.metrics
@@ -605,7 +610,7 @@ class SpGEMMService:
                 time.perf_counter() - self._epoch if self._running else 0.0
             ),
             "workers": self._pool.workers,
-            "backend": self._backend_name,
+            "backend": self._backend.name,
             "pool_replacements": self._pool.generation,
             "queue": {
                 "depth": self._queue.depth,

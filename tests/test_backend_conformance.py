@@ -93,11 +93,10 @@ def test_backend_kernels_actually_ran(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_exact_backend_through_process_pool(backend, references):
-    """Backends reach the shards by registry name: every shard on the
-    2-worker thread pool must resolve the same backend and return bytes
-    identical to the serial numpy reference.  (The name predates the
-    single thread-pool kind; it is kept so the test id stays stable.)"""
+def test_exact_backend_through_thread_pool(backend, references):
+    """The run resolves the backend once: every shard on the 2-worker
+    thread pool runs that kernel set and returns bytes identical to the
+    serial numpy reference."""
     from repro.runtime.parallel import parallel_tile_spgemm
 
     case = CORPUS["moderate_random"]
@@ -113,13 +112,11 @@ def test_exact_backend_through_process_pool(backend, references):
 # ---------------------------------------------------------------------------
 
 
-class TestProcessPoolBackendResolution:
-    """The coordinator resolves the backend to a registry *name* once per
-    run — explicit argument, then the process default, then
-    ``REPRO_BACKEND`` — and forwards it with each shard, so every shard
-    on the 2-worker thread pool runs the backend the run started with.
-    (The class name predates the single thread-pool kind; it is kept so
-    the test ids stay stable.)"""
+class TestThreadPoolBackendResolution:
+    """The run resolves the backend once — explicit argument, then the
+    process default, then ``REPRO_BACKEND`` — and forwards the kernel set
+    with each shard, so every shard on the 2-worker thread pool runs the
+    backend the run started with."""
 
     def _operands(self):
         case = CORPUS["moderate_random"]
@@ -154,6 +151,38 @@ class TestProcessPoolBackendResolution:
         got = parallel_tile_spgemm(at, bt, workers=2, backend="numpy")
         assert got.stats["backend"] == "numpy"
         assert_bytes_identical(references["moderate_random"].c, got.c)
+
+    def test_unregistered_kernel_set_reaches_every_entry_point(self, references):
+        # A renamed copy of the numpy kernels, never registered: the run
+        # forwards the instance itself, so no shard looks its name up.
+        import asyncio
+
+        from repro.backend.numpy_backend import NumpyKernelSet
+        from repro.runtime.parallel import parallel_tile_spgemm, spgemm_batch
+        from repro.serve import SpGEMMService
+
+        class Custom(NumpyKernelSet):
+            name = "custom"
+
+        ks = Custom()
+        assert "custom" not in list_backends(available_only=False)
+        case = CORPUS["moderate_random"]
+        at, bt = self._operands()
+        ref = references["moderate_random"].c
+        for workers in (1, 2):
+            got = parallel_tile_spgemm(at, bt, workers=workers, backend=ks)
+            assert got.stats["backend"] == "custom"
+            assert_bytes_identical(ref, got.c)
+            (batched,) = spgemm_batch([(at, bt)], workers=workers, backend=ks)
+            assert_bytes_identical(ref, batched.c)
+
+        async def serve():
+            async with SpGEMMService(workers=2, backend=ks) as svc:
+                return await svc.submit(case.a, case.b), svc.varz()
+
+        resp, varz = asyncio.run(serve())
+        assert varz["backend"] == "custom"
+        assert_bytes_identical(ref, resp.result_or_raise())
 
 
 # ---------------------------------------------------------------------------

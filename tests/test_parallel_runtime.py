@@ -247,25 +247,34 @@ class TestObservability:
         assert obs.metrics.counter_value("tilespgemm_runs_total") == 1
         assert obs.metrics.counter_value("c_nnz_total") == res.stats["nnz_c"]
 
-    def test_worker_threads_inherit_no_ambient_context(self, operands):
-        # The coordinator's obs context must not leak into pool workers;
-        # if it did, the Tracer would be driven from several threads and
-        # the span stack would interleave corruptly.  Worker spans appear
-        # in the merged trace only via absorb_telemetry — recorded by the
-        # coordinating thread after the pool drains, on worker tracks,
-        # never through the coordinator's ambient context.
+    def test_pool_threads_record_into_the_run_tracer(self, operands):
+        # Pool threads record their step spans straight into the run's
+        # tracer, each on its own worker track and span stack; metrics
+        # stay once per run (pool threads report to the null registry,
+        # the stitch records the merged counters).
         a, b = operands
         obs = make_obs()
         with obs_context(tracer=obs.tracer, metrics=obs.metrics):
-            parallel_tile_spgemm(a, b, workers=4)
-        step3 = [s for s in obs.tracer.spans if s.name == "step3"]
-        assert step3  # absorbed worker spans are present...
-        for sp in step3:
-            assert sp.pid == "parallel.workers"  # ...on worker tracks
-            assert sp.args["trace_id"]  # and carry propagated identity
+            with obs.tracer.span("caller"):
+                res = parallel_tile_spgemm(a, b, workers=4)
+                assert obs.tracer.open_spans == ("caller",)
         assert obs.tracer.open_spans == ()  # span stack never corrupted
+        step3 = [s for s in obs.tracer.spans if s.name == "step3"]
+        assert len(step3) == res.stats["shards"]
+        by_seq = {s.seq: s for s in obs.tracer.spans}
+        for sp in step3:
+            assert sp.pid == "parallel.workers"  # on worker tracks
+            assert sp.tid.startswith("repro-shard")
+            assert sp.args["trace_id"]  # and carry propagated identity
+            parent = by_seq[sp.parent_seq]  # nested, on its own thread,
+            while parent.cat != "parallel.shard":  # under its shard span
+                assert parent.tid == sp.tid
+                parent = by_seq[parent.parent_seq]
+            assert parent.tid == sp.tid
         for sp in obs.tracer.spans:
             assert sp.end_s >= sp.start_s
+        assert obs.metrics.counter_value("tilespgemm_runs_total") == 1
+        assert obs.metrics.counter_value("parallel_runs_total") == 1
 
 
 class TestSpgemmBatch:

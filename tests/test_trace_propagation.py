@@ -1,29 +1,25 @@
-"""Cross-thread trace propagation (repro.obs.propagate).
+"""Cross-thread trace propagation: pool threads record into the run's tracer.
 
-The contract under test: a :class:`TraceContext` travels into a pool
-thread, the thread records real spans in a fresh local tracer, ships
-them back as plain-data :class:`WorkerTelemetry`, and
-:func:`absorb_telemetry` merges them into the coordinator's trace so
-that every absorbed span's parent link resolves — either to another
-worker span or to the coordinator-side span that spawned the work.
+The contract under test: a :class:`~repro.obs.trace.Tracer` is safe to
+use from several threads (each keeps its own span stack), a
+:meth:`~repro.obs.trace.Tracer.track` lays one thread's spans on a
+worker track with ``trace_id`` / ``span_id`` / ``parent_span_id`` links,
+and every link a pooled run records resolves — either to another worker
+span or to the coordinator-side span that spawned the work.
 """
 
 from __future__ import annotations
 
-import pytest
+import sys
+import threading
 
 from repro.core import TileMatrix, tile_spgemm
 from repro.obs import (
-    MetricsRegistry,
     TraceContext,
     Tracer,
-    WorkerTelemetry,
-    absorb_telemetry,
-    current_obs,
+    WorkloadProfiler,
     new_trace_id,
     obs_context,
-    run_with_worker_obs,
-    span_id_of,
 )
 from repro.runtime.parallel import parallel_tile_spgemm
 from tests.conftest import random_csr
@@ -33,99 +29,113 @@ def _tiled(n=96, density=0.06, seed=11):
     return TileMatrix.from_csr(random_csr(n, n, density, seed=seed))
 
 
-def _traced_pipeline(n):
-    """Worker body: runs the instrumented pipeline under ambient obs."""
-    a = _tiled(n=n)
-    obs = current_obs()
-    obs.metrics.inc("tests_worker_units_total", 1)
-    with obs.tracer.span("unit", cat="test"):
-        tile_spgemm(a, a)
-    return n
+def _run_threads(threads):
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
 
 
 # ------------------------------------------------------------------ units
-class TestRunWithWorkerObs:
-    def test_none_ctx_is_a_plain_call(self):
-        result, telemetry = run_with_worker_obs(None, lambda x: x + 1, 41)
-        assert result == 42
-        assert telemetry is None
-
-    def test_records_spans_events_and_counters(self):
-        ctx = TraceContext("trace-7", parent_span_id="trace-7/shard0")
-        result, telemetry = run_with_worker_obs(ctx, _traced_pipeline, 64)
-        assert result == 64
-        assert isinstance(telemetry, WorkerTelemetry)
-        assert telemetry.ctx == ctx
-        names = [sp["name"] for sp in telemetry.spans]
-        assert "unit" in names
-        assert "step2" in names  # pipeline instrumentation went worker-side
-        assert ("tests_worker_units_total", {}, 1.0) in telemetry.counters
-
-    def test_exception_propagates_unchanged(self):
-        ctx = TraceContext("trace-err")
-
-        def boom():
-            raise ValueError("worker exploded")
-
-        with pytest.raises(ValueError, match="worker exploded"):
-            run_with_worker_obs(ctx, boom)
-
-    def test_worker_ambient_context_is_isolated(self):
-        ctx = TraceContext("trace-iso")
-        outer = Tracer()
-        with obs_context(tracer=outer):
-            run_with_worker_obs(ctx, _traced_pipeline, 64)
-            # The worker entered a *fresh* context; the outer tracer saw
-            # nothing and its span stack is intact.
-            assert outer.find("unit") == []
-            assert outer.open_spans == ()
+def test_new_trace_ids_are_unique():
+    a, b = new_trace_id(), new_trace_id()
+    assert a != b
 
 
-class TestAbsorbTelemetry:
-    def test_none_is_noop(self):
+class TestTracerThreads:
+    def test_two_threads_nest_spans_on_one_tracer(self):
+        # Both threads open their outer span before either opens its
+        # inner one, so a shared span stack would cross-link them.
         tracer = Tracer()
-        assert absorb_telemetry(tracer, None) == 0
-        assert tracer.spans == []
+        both_open = threading.Barrier(2)
 
-    def test_links_and_rebasing(self):
-        ctx = TraceContext("t-1", parent_span_id="t-1/shard3")
-        _, telemetry = run_with_worker_obs(ctx, _traced_pipeline, 64)
-        tracer = Tracer()
-        n = absorb_telemetry(
-            tracer, telemetry, epoch_s=telemetry.epoch_s - 5.0, pid="pool"
-        )
-        assert n == len(telemetry.spans) > 0
+        def nest(name):
+            with tracer.span(f"{name}.outer"):
+                both_open.wait(timeout=10)
+                with tracer.span(f"{name}.inner"):
+                    with tracer.span(f"{name}.leaf"):
+                        pass
+                both_open.wait(timeout=10)
+
+        _run_threads([threading.Thread(target=nest, args=(n,)) for n in "ab"])
+        by_seq = {sp.seq: sp for sp in tracer.spans}
+        assert len(by_seq) == 6  # every span got its own sequence number
+        for sp in tracer.spans:
+            owner = sp.name.split(".")[0]
+            chain = []
+            while sp.parent_seq >= 0:
+                sp = by_seq[sp.parent_seq]
+                chain.append(sp.name)
+            assert all(name.startswith(owner + ".") for name in chain), chain
+        depth = {sp.name: sp.depth for sp in tracer.spans}
+        assert depth == {
+            f"{n}.{level}": d
+            for n in "ab"
+            for d, level in enumerate(("outer", "inner", "leaf"))
+        }
+        assert tracer.open_spans == ()
+
+    def test_many_threads_lose_no_span_or_profile_update(self):
+        # More threads than cores and a tiny switch interval: a shared
+        # span stack, a racy sequence counter or an unlocked profile
+        # merge would lose or cross-link updates.
+        tracer, profiler = Tracer(), WorkloadProfiler()
+        threads, rounds = 8, 200
+
+        class _Timer:
+            seconds = {"step3": 0.5}
+
+            def count(self, name):
+                return 1
+
+        def work(k):
+            with tracer.track("pool", f"w{k}", "t", "root"):
+                for _ in range(rounds):
+                    with tracer.span("outer"):
+                        with tracer.span("inner"):
+                            profiler.record_run({"num_products": 3}, _Timer())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads([threading.Thread(target=work, args=(k,)) for k in range(threads)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(tracer.spans) == 2 * threads * rounds
+        assert len({sp.seq for sp in tracer.spans}) == len(tracer.spans)
         by_id = {sp.args["span_id"]: sp for sp in tracer.spans}
         for sp in tracer.spans:
-            assert sp.pid == "pool"
-            assert sp.args["trace_id"] == "t-1"
-            parent = sp.args["parent_span_id"]
-            # Resolves within the worker's own spans, or terminates at
-            # the coordinator span that spawned the work.
-            assert parent in by_id or parent == "t-1/shard3"
-            # Times rebased by the epoch offset (worker epoch was 5 s
-            # after the destination zero).
-            assert sp.start_s >= 5.0
+            if sp.name == "inner":
+                parent = by_id[sp.args["parent_span_id"]]
+                assert (parent.name, parent.tid) == ("outer", sp.tid)
+            else:
+                assert sp.args["parent_span_id"] == "root"
+        assert profiler.runs == threads * rounds
+        assert profiler.totals["products"] == 3 * threads * rounds
+        assert profiler.phases["step3"]["count"] == threads * rounds
 
-    def test_counter_accumulation_is_optional_and_additive(self):
-        ctx = TraceContext("t-2")
-        _, telemetry = run_with_worker_obs(ctx, _traced_pipeline, 64)
+    def test_track_links_resolve_to_its_parent(self):
         tracer = Tracer()
-        absorb_telemetry(tracer, telemetry)  # metrics=None: dropped
-        registry = MetricsRegistry()
-        absorb_telemetry(tracer, telemetry, metrics=registry)
-        absorb_telemetry(tracer, telemetry, metrics=registry)
-        samples = dict(
-            (tuple(sorted(lk.items())), v)
-            for lk, v in registry.counter_samples("tests_worker_units_total")
-        )
-        assert samples[()] == 2.0
-
-    def test_span_id_helpers(self):
-        ctx = TraceContext("t-3", parent_span_id="p")
-        assert span_id_of(ctx, "shard0") == "t-3/shard0"
-        a, b = new_trace_id(), new_trace_id()
-        assert a != b
+        with tracer.span("shard", span_id="t-1/shard0"):
+            with tracer.track("pool", "w0", "t-1", "t-1/shard0"):
+                with tracer.span("outer"):
+                    with tracer.span("inner"):
+                        tracer.instant("fault")
+        by_name = {sp.name: sp for sp in tracer.spans}
+        assert by_name["shard"].pid != "pool"  # opened before the track
+        outer, inner = by_name["outer"], by_name["inner"]
+        assert (outer.pid, outer.tid) == (inner.pid, inner.tid) == ("pool", "w0")
+        assert outer.args["span_id"] == f"t-1/shard0/w{outer.seq}"
+        assert outer.args["parent_span_id"] == "t-1/shard0"
+        assert inner.args["parent_span_id"] == outer.args["span_id"]
+        assert {sp.args["trace_id"] for sp in (outer, inner)} == {"t-1"}
+        (event,) = tracer.events
+        assert event.args == {"trace_id": "t-1", "worker": "w0"}
+        # The track ends with its block: later spans are the caller's again.
+        with tracer.span("after"):
+            pass
+        assert "span_id" not in tracer.find("after")[0].args
 
 
 # --------------------------------------------------- parallel engine links
