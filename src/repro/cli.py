@@ -94,6 +94,7 @@ from typing import List, Optional
 from repro.baselines import get_algorithm
 from repro.baselines.base import flops_of_product
 from repro.core import TileMatrix
+from repro.core.tilespgemm import serial_ledger
 from repro.errors import (
     EXIT_USAGE,
     CommFailure,
@@ -378,16 +379,14 @@ def _run(args, device, tracer, metrics) -> int:
         "retries": stats["retries"],
         "backoff_seconds": timer.seconds.get("backoff", 0.0),
     }
+    priced = result.as_spgemm_result()
     if stats["shards"] > 1:
-        # Price the serial run of the same product.  Shards are CPU
-        # concurrency only; a GPU runs the product once.  The stitched
-        # result prices steps 1-3 identically but adds a `relaunch`
-        # kernel per extra batch and the malloc cost of every shard's
-        # ledger (banded(1500, 10), 2 workers, RTX 3060: 1.8e-4 s
-        # stitched vs 7.6e-5 s serial, 28 alloc events against 7).
-        priced = get_algorithm("tilespgemm")(a, b, a_tiled=at, b_tiled=bt)
-    else:
-        priced = result.as_spgemm_result()
+        # Price the one serial run the stitched result equals.  Shards
+        # are CPU concurrency only; a GPU runs the product once, so no
+        # `relaunch` kernel per extra batch and one ledger, not one per
+        # shard.
+        del priced.stats["batches"]
+        priced.alloc = serial_ledger(stats, at.num_tile_rows)
     est = estimate_run(priced, device)
 
     if tracer is not None:

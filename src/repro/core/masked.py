@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.pairs import TilePairs, enumerate_pairs_expand, live_entries
-from repro.core.step2 import SymbolicResult, step2_symbolic
+from repro.core.pairs import TilePairs, enumerate_pairs_expand
+from repro.core.step2 import SymbolicResult, step2_entries, step2_symbolic
 from repro.core.step3 import step3_numeric
 from repro.core.tile_matrix import TileMatrix
 from repro.core.tilespgemm import TileSpGEMMResult, _tileptr_from_rows, collect_stats
@@ -121,7 +121,7 @@ def masked_tile_spgemm(
     # --------------------------------------------- step 2 + bit-mask ANDing
     alloc.set_phase("step2")
     with timer.phase("step2"):
-        live = live_entries(a, b, pairs)
+        live = step2_entries(a, b, pairs)
         sym = step2_symbolic(a, b, pairs, live=live)
         sym.mask &= mask.mask[mask_tile_of_cand]
         counts_per_row = popcount16(sym.mask).astype(np.int64)
@@ -137,6 +137,7 @@ def masked_tile_spgemm(
             tile_nnz_counts=counts_per_row.sum(axis=1),
             symbolic_ops=sym.symbolic_ops,
             pair_a_nnz=sym.pair_a_nnz,
+            pair_products=sym.pair_products,
         )
     with timer.phase("malloc"):
         alloc.alloc("tileNnz_C", (pairs.num_c_tiles + 1) * 4)

@@ -19,9 +19,13 @@ Two equivalent strategies are provided:
   but bit-for-bit identical in its output.
 
 The tests assert the two agree; the GPU cost model consumes the per-tile
-intersection lengths either way.  Step 1 keeps the pairs its join finds;
-:func:`live_entries` expands them into the one list of ``A`` nonzeros
-that feeds both step 2's symbolic OR and step 3's numeric scatter.
+intersection lengths either way.  Step 1 keeps the pairs its join finds.
+:func:`live_entries` expands a subset of them into the list of their
+``A`` nonzeros that meet a nonempty ``B`` row.  It serves only the pairs
+that need per-entry work: step 2's entry-path pairs (sparse ``A`` tiles;
+dense ones OR packed bit rows instead, see :mod:`repro.core.step2`) and
+the pairs of step 3's scatter-path tiles.  When step 2's list covers
+every pair and step 3 has no dense-path tiles, both steps share one list.
 """
 
 from __future__ import annotations
@@ -196,22 +200,33 @@ class LiveEntries:
     row_len: np.ndarray  # its B row's length (uint8): the products it makes
     entry_ptr: np.ndarray  # pair p owns entries [entry_ptr[p], entry_ptr[p + 1])
     csum: np.ndarray  # cumulative products per pair (num_pairs + 1, leading 0)
+    #: the pairs that were expanded (bool per pair), ``None`` for every pair;
+    #: the others read as dead
+    select: Optional[np.ndarray] = None
 
 
-def live_entries(a: TileMatrix, b: TileMatrix, pairs: TilePairs, kernels=None) -> LiveEntries:
+def live_entries(
+    a: TileMatrix, b: TileMatrix, pairs: TilePairs, kernels=None, select: Optional[np.ndarray] = None
+) -> LiveEntries:
     """Expand the pairs into the ``A``-tile nonzeros that meet a nonempty ``B`` row.
 
     A nonzero ``(r, c)`` of a pair's ``A`` tile ORs row ``c`` of the pair's
     ``B`` tile into row ``r`` of the ``C`` tile and makes one product per
     entry of that row; with an empty ``B`` row it does neither.  Dead pairs
     are dropped on tile-level masks first, then the dead nonzeros.
+    ``select`` (bool per pair) expands only those pairs; the rest keep
+    their numbers and read as dead.
     """
     kernels = resolve_backend(kernels)
     T = a.tile_size
     b_row_len = kernels.popcount(b.mask)
     a_cols = np.bitwise_or.reduce(a.mask, axis=1)
     b_rows = np.bitwise_or.reduce((b_row_len != 0) << np.arange(T, dtype=a_cols.dtype), axis=1)
-    live_pairs = np.flatnonzero(a_cols[pairs.pair_a] & b_rows[pairs.pair_b])
+    if select is None:
+        live_pairs = np.flatnonzero(a_cols[pairs.pair_a] & b_rows[pairs.pair_b])
+    else:
+        cand = np.flatnonzero(select)
+        live_pairs = cand[np.flatnonzero(a_cols[pairs.pair_a[cand]] & b_rows[pairs.pair_b[cand]])]
     pa = pairs.pair_a[live_pairs]
     pair_a_nnz = a.tile_nnz_counts()[pa]
     a_idx = concat_ranges(a.tilennz[pa], pair_a_nnz)
@@ -234,4 +249,4 @@ def live_entries(a: TileMatrix, b: TileMatrix, pairs: TilePairs, kernels=None) -
     pair_of = np.repeat(live_pairs, entry_ptr[live_pairs + 1])
     np.cumsum(entry_ptr, out=entry_ptr)
     np.cumsum(csum, out=csum)
-    return LiveEntries(a_idx[live], pair_of, row_len, entry_ptr, csum)
+    return LiveEntries(a_idx[live], pair_of, row_len, entry_ptr, csum, select)

@@ -18,13 +18,17 @@ picks one per ``C`` tile by *product fill* instead — its products over
 * **scatter** — per ``A`` nonzero, gather its ``C`` row's base offset
   ``tilennz[slot] + rowptr[slot, r]`` and mask; per product, add the
   popcount rank of its column; scatter-add.  Products come from the live
-  entries step 2 also ORs (:func:`repro.core.pairs.live_entries`).
+  entries (:func:`repro.core.pairs.live_entries`) of the scatter tiles'
+  pairs only: step 2's entry list when it covers every pair and no tile
+  is dense, otherwise a list built for just those pairs.
 * **dense** — for fill ``>= DENSE_MIN_FILL``: ``acc = 0``, then per live
   pair in pair order and per column ``c`` of ``A`` in order,
   ``acc += A[:, c] (outer) B[c, :]`` on the densified tiles, 128 ``C``
   tiles at a time; ``acc`` is then read through the step-2 mask.
 
-Both give every destination the same products in the same order (pair,
+The fill comes from step 2's per-pair product counts
+(``SymbolicResult.pair_products``), so no dense tile's pair is expanded
+per entry.  Both give every destination the same products in the same order (pair,
 then ``A``'s column) summed from ``+0.0``; the dense path adds ``±0.0``
 padding terms, which leave such a sum unchanged, so the bytes are equal.
 A tile stays on the scatter path unless that argument holds for it: the
@@ -226,7 +230,10 @@ def step3_numeric(
         Conformant backends are byte-identical, so this changes speed,
         never the result.
     live:
-        The pairs' :func:`~repro.core.pairs.live_entries`; built if ``None``.
+        Step 2's entry list (:func:`~repro.core.step2.step2_entries`, or
+        any :func:`~repro.core.pairs.live_entries` of the pairs).  It is
+        reused when it covers every pair and no tile takes the dense
+        path; otherwise the scatter tiles' pairs are expanded here.
     """
     kernels = resolve_backend(backend)
     tracer = current_obs().tracer
@@ -249,11 +256,19 @@ def step3_numeric(
         raise ValueError(f"force_accumulator must be 'sparse', 'dense' or None")
     num_dense = int(use_dense.sum())
 
-    live = live_entries(a, b, pairs, kernels) if live is None else live
+    full = live is not None and live.select is None  # step 2 expanded every pair
+    if full:
+        pair_csum = live.csum
+    else:
+        pair_csum = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
+        np.cumsum(sym.pair_products, out=pair_csum[1:])
     dense = _dense_path_tiles(
-        a, b, pairs, live.csum, chunk_products, force_accumulator, value_dtype
+        a, b, pairs, pair_csum, chunk_products, force_accumulator, value_dtype
     )
-    scatter = live if dense.size == 0 else _without_tiles(live, pairs, dense)
+    if full and dense.size == 0:
+        scatter = live
+    else:
+        scatter = _scatter_entries(a, b, pairs, sym, dense, kernels)
     entry_ptr, csum = scatter.entry_ptr, scatter.csum
 
     # --- chunked expansion + scatter-add --------------------------------
@@ -292,10 +307,10 @@ def step3_numeric(
                 kernels, tracer,
             )
         start = end
-    del scatter
+    del scatter, pair_c_slot
     if dense.size:
         with tracer.span("step3.dense", cat="substep", tiles=int(dense.size)):
-            _accumulate_dense(a, b, pairs, sym, live, dense, val_c)
+            _accumulate_dense(a, b, pairs, sym, pair_csum, dense, val_c)
 
     with tracer.span("step3.compact", cat="substep"):
         rowidx_c, colidx_c = c_indices_from_masks(sym, T, backend=kernels)
@@ -303,12 +318,12 @@ def step3_numeric(
         rowidx=rowidx_c,
         colidx=colidx_c,
         val=val_c,
-        num_products=int(live.csum[-1]),
+        num_products=int(pair_csum[-1]),
         sparse_tiles=int(num_c - num_dense),
         dense_tiles=num_dense,
         use_dense=use_dense,
         tnnz=int(tnnz),
-        product_csum=live.csum,
+        product_csum=pair_csum,
     )
 
 
@@ -398,23 +413,25 @@ def _dense_path_tiles(
     return tiles
 
 
-def _without_tiles(live: LiveEntries, pairs: TilePairs, tiles: np.ndarray) -> LiveEntries:
-    """``live`` with the entries and products of ``tiles``' pairs removed.
+def _scatter_entries(
+    a: TileMatrix,
+    b: TileMatrix,
+    pairs: TilePairs,
+    sym: SymbolicResult,
+    dense: np.ndarray,
+    kernels,
+) -> LiveEntries:
+    """The live entries of the pairs with products of every C tile not in ``dense``.
 
-    The pairs keep their numbers, so the removed ones read as dead pairs:
-    the chunk loop's tile-local cuts are unchanged.
+    The dense tiles' pairs read as dead, so the chunk loop's tile-local
+    cuts are unchanged.
     """
-    drop = np.zeros(pairs.num_c_tiles, dtype=bool)
-    drop[tiles] = True
-    drop = np.repeat(drop, np.diff(pairs.pair_ptr))
-    keep = ~drop[live.pair_of]
-    entry_ptr = np.zeros_like(live.entry_ptr)
-    np.cumsum(np.where(drop, 0, np.diff(live.entry_ptr)), out=entry_ptr[1:])
-    csum = np.zeros_like(live.csum)
-    np.cumsum(np.where(drop, 0, np.diff(live.csum)), out=csum[1:])
-    return LiveEntries(
-        live.a_idx[keep], live.pair_of[keep], live.row_len[keep], entry_ptr, csum
-    )
+    need = sym.pair_products > 0
+    if dense.size:
+        drop = np.zeros(pairs.num_c_tiles, dtype=bool)
+        drop[dense] = True
+        need &= ~np.repeat(drop, np.diff(pairs.pair_ptr))
+    return live_entries(a, b, pairs, kernels, need)
 
 
 def _accumulate_dense(
@@ -422,7 +439,7 @@ def _accumulate_dense(
     b: TileMatrix,
     pairs: TilePairs,
     sym: SymbolicResult,
-    live: LiveEntries,
+    pair_csum: np.ndarray,
     tiles: np.ndarray,
     val_c: np.ndarray,
 ) -> None:
@@ -438,7 +455,7 @@ def _accumulate_dense(
     T = a.tile_size
     tile_pairs = np.diff(pairs.pair_ptr)[tiles]
     pair_idx = concat_ranges(pairs.pair_ptr[tiles], tile_pairs)
-    alive = live.entry_ptr[pair_idx + 1] > live.entry_ptr[pair_idx]
+    alive = pair_csum[pair_idx + 1] > pair_csum[pair_idx]
     pair_idx = pair_idx[alive]
     # Tile i owns the live pairs pair_idx[live_ptr[i]:live_ptr[i + 1]].
     alive_csum = np.zeros(alive.size + 1, dtype=np.int64)

@@ -9,8 +9,9 @@
    size and allocate ``C`` (:mod:`repro.core.pairs`,
    :mod:`repro.core.step2`);
 3. **step 3** — the numeric phase with the adaptive sparse/dense
-   accumulator (:mod:`repro.core.step3`), on the live-entry list
-   (:func:`repro.core.pairs.live_entries`) step 2 ORs.
+   accumulator (:mod:`repro.core.step3`), which picks each tile's path
+   from step 2's per-pair product counts and reuses step 2's live-entry
+   list (:func:`repro.core.step2.step2_entries`) for its scatter tiles.
 
 Every run records the paper's observables: wall time per step and for
 memory allocation (Figures 10/14), a logical device-allocation ledger
@@ -27,19 +28,22 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.core.pairs import TilePairs, enumerate_pairs_expand, enumerate_pairs_intersect
-from repro.core.pairs import live_entries
 from repro.core.step1 import TileLayout, step1_tile_layout
-from repro.core.step2 import SymbolicResult, step2_symbolic
+from repro.core.step2 import SymbolicResult, step2_entries, step2_symbolic
 from repro.core.step3 import NumericResult, default_tnnz, step3_numeric
-from repro.core.tile_matrix import TILE, TileMatrix
+from repro.core.tile_matrix import TILE, TileMatrix, mask_dtype_for
 from repro.errors import InvalidInputError
-from repro.obs.context import current_obs
+from repro.obs.context import current_obs, obs_context
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.profile import NULL_PROFILER
+from repro.obs.trace import NULL_TRACER
 from repro.obs.profile import current_row_offset
 from repro.runtime.context import execution_context, note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
-__all__ = ["TileSpGEMMResult", "check_operands", "tile_spgemm", "tile_spgemm_from_csr"]
+__all__ = ["TileSpGEMMResult", "check_operands", "serial_ledger", "tile_spgemm",
+           "tile_spgemm_from_csr"]
 
 
 @dataclass
@@ -232,8 +236,7 @@ def _tile_spgemm_under_context(
                     a.tile_pattern_csr(), b.tile_pattern_csr(), method=step1_method
                 )
         with timer.phase("malloc"):
-            alloc.alloc("tilePtr_C", layout.tileptr.size * 4)
-            alloc.alloc("tileColIdx_C", layout.num_tiles * 4)
+            _allocate_c(alloc, "step1", a.num_tile_rows, layout.num_tiles, T)
 
         # --------------------------------------------------------- step 2
         alloc.set_phase("step2")
@@ -250,15 +253,10 @@ def _tile_spgemm_under_context(
             elif pairs is None:
                 pairs = enumerate_pairs_expand(a, b)
             _check_layout_matches(layout, pairs)
-            with tracer.span("step2.expand", cat="substep"):
-                live = live_entries(a, b, pairs, kernels)
+            live = step2_entries(a, b, pairs, kernels)
             sym = step2_symbolic(a, b, pairs, backend=kernels, live=live)
         with timer.phase("malloc"):
-            alloc.alloc("tileNnz_C", (pairs.num_c_tiles + 1) * 4)
-            alloc.alloc("rowPtr_C", pairs.num_c_tiles * T)
-            alloc.alloc("mask_C", pairs.num_c_tiles * T * sym.mask.dtype.itemsize)
-            alloc.alloc("idx_C", sym.nnz * 1)
-            alloc.alloc("val_C", sym.nnz * 8)
+            _allocate_c(alloc, "step2", a.num_tile_rows, pairs.num_c_tiles, T, sym.nnz)
 
         # --------------------------------------------------------- step 3
         alloc.set_phase("step3")
@@ -317,6 +315,43 @@ def tile_spgemm_from_csr(a_csr, b_csr, tile_size: int = TILE, **kwargs) -> TileS
     result = tile_spgemm(a, b, **kwargs)
     result.timer.merge(timer)
     return result
+
+
+def _allocate_c(
+    alloc: AllocationTracker, step: str, num_tile_rows: int, num_c_tiles: int, tile_size: int,
+    nnz_c: int = 0,
+) -> None:
+    """Record the device buffers of ``C`` that ``step`` allocates.
+
+    Step 1 sizes ``C``'s tile layout; step 2 sizes its per-tile structure
+    and values (paper §3.3).
+    """
+    if step == "step1":
+        alloc.alloc("tilePtr_C", (num_tile_rows + 1) * 4)
+        alloc.alloc("tileColIdx_C", num_c_tiles * 4)
+    else:
+        alloc.alloc("tileNnz_C", (num_c_tiles + 1) * 4)
+        alloc.alloc("rowPtr_C", num_c_tiles * tile_size)
+        alloc.alloc("mask_C", num_c_tiles * tile_size * mask_dtype_for(tile_size).itemsize)
+        alloc.alloc("idx_C", nnz_c * 1)
+        alloc.alloc("val_C", nnz_c * 8)
+
+
+def serial_ledger(stats: Dict[str, object], num_tile_rows: int) -> AllocationTracker:
+    """The allocation ledger of the one serial run whose statistics are ``stats``.
+
+    A stitched multi-shard result has the serial run's statistics but one
+    ledger per shard; a GPU runs the product once, so this ledger is what
+    prices it.  Recorded outside every budget, fault plan and telemetry
+    sink: it describes a run, it is not one.
+    """
+    alloc = AllocationTracker(use_context=False)
+    with obs_context(tracer=NULL_TRACER, metrics=NULL_METRICS, profile=NULL_PROFILER):
+        for step in ("step1", "step2"):
+            alloc.set_phase(step)
+            _allocate_c(alloc, step, num_tile_rows, int(stats["num_c_tiles"]),
+                        int(stats["tile_size"]), int(stats["nnz_c"]))
+    return alloc
 
 
 def _record_obs_metrics(metrics, stats: Dict[str, object]) -> None:

@@ -21,7 +21,9 @@ from the cheap upfront estimate of :mod:`repro.analysis.estimate`
   power-law row distribution no longer leaves one straggler shard
   holding most of the work.
 * **backend** — the explicit request if any, else the ambient
-  registry default, resolved to a registry name once.
+  registry default, resolved to a kernel set once (a custom, unregistered
+  :class:`~repro.backend.KernelSet` included; the plan record keeps its
+  name).
 
 The plan also records the paper's accumulator threshold
 ``default_tnnz(tile_size)`` as ``tnnz``; it only selects which tiles
@@ -49,7 +51,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.analysis.estimate import estimate_multiply
-from repro.backend import resolve_backend_name
+from repro.backend import KernelSet, resolve_backend
 from repro.core.step3 import default_tnnz
 from repro.errors import InvalidInputError
 from repro.runtime.chunked import batch_bounds
@@ -88,7 +90,8 @@ class ExecutionPlan:
         The paper's accumulator threshold, ``default_tnnz(tile_size)``;
         it selects the tiles the ``use_dense`` statistic counts.
     backend:
-        Resolved kernel-backend registry name.
+        The resolved :class:`~repro.backend.KernelSet` the run uses, an
+        unregistered one included; :meth:`to_dict` records its name.
     estimate:
         Native-typed :meth:`~repro.analysis.estimate.MultiplyEstimate.to_dict`
         summary the decisions were derived from.
@@ -102,7 +105,7 @@ class ExecutionPlan:
     shards: int
     bounds: np.ndarray
     tnnz: int
-    backend: str
+    backend: KernelSet
     estimate: Dict[str, Any] = field(default_factory=dict)
     notes: Tuple[str, ...] = ()
 
@@ -118,7 +121,7 @@ class ExecutionPlan:
             "shards": int(self.shards),
             "bounds": [int(x) for x in self.bounds],
             "tnnz": int(self.tnnz),
-            "backend": self.backend,
+            "backend": self.backend.name,
             "estimate": dict(self.estimate),
             "notes": list(self.notes),
         }
@@ -218,7 +221,7 @@ def plan_execution(
         shards=int(num_shards),
         bounds=bounds,
         tnnz=default_tnnz(est.tile_size),
-        backend=resolve_backend_name(backend),
+        backend=resolve_backend(backend),
         estimate=est.to_dict(),
         notes=tuple(notes),
     )

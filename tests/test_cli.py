@@ -188,6 +188,25 @@ class TestCLIObservability:
         # one multiply: the cost model prices the run itself
         assert "tilespgemm_runs_total 1" in text
 
+    def test_multi_shard_run_multiplies_once_and_prices_as_serial(self, tmp_path, capsys):
+        # The stitched result is priced as the one serial run it equals,
+        # so the GPU estimate is the one-worker run's, without a second
+        # multiply.
+        from repro.matrices.generators import banded
+
+        path = tmp_path / "banded.mtx"
+        write_mtx(str(path), banded(120, 8))
+        estimates = {}
+        for workers in ("1", "2"):
+            prom = tmp_path / f"m{workers}.prom"
+            assert main(["--workers", workers, "--metrics", str(prom), str(path)]) == 0
+            out = capsys.readouterr().out
+            estimates[workers] = [ln for ln in out.splitlines() if ln.startswith("estimated")]
+            assert "tilespgemm_runs_total 1\n" in prom.read_text()
+        assert "parallel run: workers=2" in out
+        assert len(estimates["1"]) == 2
+        assert estimates["2"] == estimates["1"]
+
     def test_trace_written_even_when_run_fails(self, mtx_file, tmp_path, capsys):
         trace = tmp_path / "t.json"
         assert (

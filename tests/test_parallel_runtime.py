@@ -482,6 +482,27 @@ class TestPlanner:
         assert_bytes_identical(ref.c, res.c)
         assert res.stats["plan"]["mode"] == "parallel"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plan_keeps_an_unregistered_kernel_set(self, workers):
+        # The plan carries the resolved instance, so a run from the plan
+        # never looks the custom name up in the registry.
+        from repro.backend import list_backends
+        from repro.backend.numpy_backend import NumpyKernelSet
+        from repro.matrices.generators import banded
+        from repro.runtime.planner import plan_execution
+
+        class Custom(NumpyKernelSet):
+            name = "custom"
+
+        ks = Custom()
+        assert "custom" not in list_backends(available_only=False)
+        a = TileMatrix.from_csr(banded(300, 6).to_csr())
+        plan = plan_execution(a, a, workers=workers, backend=ks)
+        res = parallel_tile_spgemm(a, a, plan=plan)
+        assert_bytes_identical(tile_spgemm(a, a).c, res.c)
+        assert res.stats["backend"] == "custom"
+        assert plan.to_dict()["backend"] == res.stats["plan"]["backend"] == "custom"
+
     def test_plan_ignores_tile_cache_history(self, operands):
         # The plan is a function of the operands, not of what the
         # process-wide TileCache happened to see before.
