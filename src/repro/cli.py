@@ -106,7 +106,13 @@ from repro.errors import (
 )
 from repro.formats.mtx import read_mtx
 from repro.gpu import RTX3060, RTX3090, estimate_run
-from repro.obs import MetricsRegistry, Tracer, emit_gpu_timeline, obs_context
+from repro.obs import (
+    NULL_METRICS,
+    MetricsRegistry,
+    Tracer,
+    emit_gpu_timeline,
+    obs_context,
+)
 
 __all__ = ["main"]
 
@@ -421,8 +427,10 @@ def _run(args, device, tracer, metrics) -> int:
     doc["runtime_seconds"] = timer.total
     doc["measured_gflops"] = measured_gflops
 
-    # Line 18: cross-check against another library's output.
-    reference = get_algorithm("nsparse_hash")(a, b).c
+    # Line 18: cross-check against another library's output.  Its span
+    # stays in the trace; its ledger stays out of the run's counters.
+    with obs_context(metrics=NULL_METRICS):
+        reference = get_algorithm("nsparse_hash")(a, b).c
     ok = c.to_csr().allclose(reference)
     say(f"check passed: {'yes' if ok else 'NO'}")
     doc["check_passed"] = bool(ok)

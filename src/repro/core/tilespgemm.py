@@ -33,11 +33,7 @@ from repro.core.step2 import SymbolicResult, step2_entries, step2_symbolic
 from repro.core.step3 import NumericResult, default_tnnz, step3_numeric
 from repro.core.tile_matrix import TILE, TileMatrix, mask_dtype_for
 from repro.errors import InvalidInputError
-from repro.obs.context import current_obs, obs_context
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profile import NULL_PROFILER
-from repro.obs.trace import NULL_TRACER
-from repro.obs.profile import current_row_offset
+from repro.obs.context import current_obs
 from repro.runtime.context import execution_context, note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
@@ -175,20 +171,38 @@ def tile_spgemm(
     -------
     TileSpGEMMResult
     """
+    res = _tile_spgemm(a, b, tnnz, step1_method, intersect_method, force_accumulator,
+                       keep_empty_tiles, value_dtype, budget_bytes, fault_plan, backend)
+    _record_work(current_obs(), res)
+    return res
+
+
+def _tile_spgemm(
+    a: TileMatrix,
+    b: TileMatrix,
+    tnnz: Optional[int] = None,
+    step1_method: str = "expand",
+    intersect_method: str = "expand",
+    force_accumulator: Optional[str] = None,
+    keep_empty_tiles: bool = True,
+    value_dtype=np.float64,
+    budget_bytes: Optional[int] = None,
+    fault_plan=None,
+    backend=None,
+) -> TileSpGEMMResult:
+    """:func:`tile_spgemm` without the work record.
+
+    A shard-engine range runs this; the engine records its multiply
+    once, from the stitched result
+    (:meth:`repro.runtime.shards.ShardRun.stitch`).  Events — spans,
+    allocations, injected faults — are still recorded where they happen.
+    """
     check_operands(a, b)
     kernels = resolve_backend(backend)
     with execution_context(budget_bytes=budget_bytes, fault_plan=fault_plan):
-        return _tile_spgemm_under_context(
-            a,
-            b,
-            tnnz=tnnz,
-            step1_method=step1_method,
-            intersect_method=intersect_method,
-            force_accumulator=force_accumulator,
-            keep_empty_tiles=keep_empty_tiles,
-            value_dtype=value_dtype,
-            kernels=kernels,
-        )
+        return _tile_spgemm_under_context(a, b, tnnz, step1_method, intersect_method,
+                                          force_accumulator, keep_empty_tiles, value_dtype,
+                                          kernels)
 
 
 def _tile_spgemm_under_context(
@@ -207,8 +221,7 @@ def _tile_spgemm_under_context(
     T = a.tile_size
     if tnnz is None:
         tnnz = default_tnnz(T)
-    obs = current_obs()
-    tracer = obs.tracer
+    tracer = current_obs().tracer
 
     with tracer.span(
         "tile_spgemm",
@@ -292,11 +305,6 @@ def _tile_spgemm_under_context(
 
     stats = collect_stats(a, b, pairs, sym, num, layout)
     stats["backend"] = kernels.name
-    if obs.enabled:
-        _record_obs_metrics(obs.metrics, stats)
-        profiler = obs.profile
-        if profiler.enabled:
-            profiler.record_run(stats, timer, row_offset=current_row_offset())
     return TileSpGEMMResult(
         c=c, timer=timer, alloc=alloc, stats=stats, pairs=pairs, symbolic=sym
     )
@@ -342,20 +350,33 @@ def serial_ledger(stats: Dict[str, object], num_tile_rows: int) -> AllocationTra
 
     A stitched multi-shard result has the serial run's statistics but one
     ledger per shard; a GPU runs the product once, so this ledger is what
-    prices it.  Recorded outside every budget, fault plan and telemetry
-    sink: it describes a run, it is not one.
+    prices it.  A detached ledger (``use_context=False``): it describes a
+    run, it is not one, so it meets no budget or fault plan and records
+    no telemetry.
     """
     alloc = AllocationTracker(use_context=False)
-    with obs_context(tracer=NULL_TRACER, metrics=NULL_METRICS, profile=NULL_PROFILER):
-        for step in ("step1", "step2"):
-            alloc.set_phase(step)
-            _allocate_c(alloc, step, num_tile_rows, int(stats["num_c_tiles"]),
-                        int(stats["tile_size"]), int(stats["nnz_c"]))
+    for step in ("step1", "step2"):
+        alloc.set_phase(step)
+        _allocate_c(alloc, step, num_tile_rows, int(stats["num_c_tiles"]),
+                    int(stats["tile_size"]), int(stats["nnz_c"]))
     return alloc
 
 
+def _record_work(obs, res: TileSpGEMMResult) -> None:
+    """Make one multiply's work record in ``obs``: its counters and its
+    workload profile.
+
+    Made once per multiply, from its result, whatever ran it: by
+    :func:`tile_spgemm` called directly and by the shard engine's stitch
+    (whose statistics carry the global ``c_tilerow``).
+    """
+    if obs.enabled:
+        _record_obs_metrics(obs.metrics, res.stats)
+        obs.profile.record_run(res.stats, res.timer)
+
+
 def _record_obs_metrics(metrics, stats: Dict[str, object]) -> None:
-    """Record the algorithm's decision-point counters for one run.
+    """Record the algorithm's decision-point counters for one multiply.
 
     Counter glossary in ``docs/OBSERVABILITY.md``; the values mirror the
     ``collect_stats`` dictionary exactly (the observability tests assert

@@ -51,9 +51,7 @@ from repro.obs.profile import (
     PROFILE_SCHEMA,
     NullProfiler,
     WorkloadProfiler,
-    current_row_offset,
     load_profile,
-    profile_row_offset,
     render_profile,
     validate_profile,
     write_profile,
@@ -86,8 +84,6 @@ __all__ = [
     "NULL_PROFILER",
     "PROFILE_SCHEMA",
     "DEFAULT_BAND_TILE_ROWS",
-    "profile_row_offset",
-    "current_row_offset",
     "validate_profile",
     "write_profile",
     "load_profile",

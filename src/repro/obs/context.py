@@ -16,11 +16,12 @@ Like the execution context, the stack is **per-thread**
 therefore report to :data:`NULL_OBS` unless an engine enters a context
 for them.  A :class:`~repro.obs.trace.Tracer` is safe to use from several
 threads (one span stack per thread), and a
-:class:`~repro.obs.profile.WorkloadProfiler` locks its merges, so a
-traced pooled range enters a context holding the run's own tracer and
-profiler and records into them directly (:mod:`repro.runtime.shards`).
-The metrics registry is not shared: the run records its counters once,
-from the stitched result.  The ambient ``trace_ctx`` field carries
+:class:`~repro.obs.metrics.MetricsRegistry` and a
+:class:`~repro.obs.profile.WorkloadProfiler` lock their updates, so a
+pooled range enters a context holding the run's own sinks and records
+its events into them directly (:mod:`repro.runtime.shards`); the
+multiply's work record is made once, from the stitched result.  The
+ambient ``trace_ctx`` field carries
 the request identity (:class:`~repro.obs.propagate.TraceContext`) so
 nested engines keep attributing work to the request that caused it.
 

@@ -16,6 +16,7 @@ Histograms bucket whole arrays at once with NumPy; the
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -61,6 +62,8 @@ class MetricsRegistry:
     All update methods take the metric name plus free-form keyword labels
     (``metrics.inc("faults_injected_total", error="oom", site="alloc")``).
     Metric kinds are tracked per name; using one name as two kinds raises.
+    Updates and exports take a lock, so pool threads recording one run's
+    events can share the registry.
     """
 
     enabled: bool = True
@@ -71,6 +74,7 @@ class MetricsRegistry:
         self._hists: Dict[Tuple[str, _LabelKey], Dict[str, Any]] = {}
         self._kinds: Dict[str, str] = {}
         self._help: Dict[str, str] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- updates
     def _check_kind(self, name: str, kind: str) -> None:
@@ -86,21 +90,24 @@ class MetricsRegistry:
         """Add ``value`` (default 1) to counter ``name``."""
         if value < 0:
             raise ValueError(f"counter {name!r} cannot decrease (value={value})")
-        self._check_kind(name, "counter")
         key = (name, _label_key(labels))
-        self._counters[key] = self._counters.get(key, 0) + value
+        with self._lock:
+            self._check_kind(name, "counter")
+            self._counters[key] = self._counters.get(key, 0) + value
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         """Set gauge ``name`` to ``value``."""
-        self._check_kind(name, "gauge")
-        self._gauges[(name, _label_key(labels))] = value
+        with self._lock:
+            self._check_kind(name, "gauge")
+            self._gauges[(name, _label_key(labels))] = value
 
     def max_gauge(self, name: str, value: float, **labels: Any) -> None:
         """Raise gauge ``name`` to ``value`` if larger (peak tracking)."""
-        self._check_kind(name, "gauge")
         key = (name, _label_key(labels))
-        if value > self._gauges.get(key, float("-inf")):
-            self._gauges[key] = value
+        with self._lock:
+            self._check_kind(name, "gauge")
+            if value > self._gauges.get(key, float("-inf")):
+                self._gauges[key] = value
 
     def observe(
         self,
@@ -126,32 +133,33 @@ class MetricsRegistry:
         which compares false with every bound, lands in the first
         bucket.  The running ``sum`` adds the values left to right.
         """
-        self._check_kind(name, "histogram")
-        key = (name, _label_key(labels))
-        hist = self._hists.get(key)
-        if hist is None:
-            hist = {
-                "buckets": tuple(float(b) for b in buckets),
-                "counts": [0] * (len(buckets) + 1),  # +inf bucket last
-                "sum": 0.0,
-                "count": 0,
-            }
-            self._hists[key] = hist
         if not isinstance(values, (np.ndarray, list, tuple)):
             values = list(values)
         v = np.asarray(values, dtype=np.float64).reshape(-1)
-        if v.size == 0:
-            return
-        idx = np.searchsorted(hist["buckets"], v, side="left")
-        idx[np.isnan(v)] = 0
-        counts: List[int] = hist["counts"]
-        for i, n in enumerate(np.bincount(idx, minlength=len(counts)).tolist()):
-            counts[i] += n
-        # add.accumulate is strictly sequential: the same rounding (and,
-        # silently, the same inf/nan) as a Python ``+=`` loop.
-        with np.errstate(all="ignore"):
-            hist["sum"] = float(np.add.accumulate(np.r_[hist["sum"], v])[-1])
-        hist["count"] += int(v.size)
+        key = (name, _label_key(labels))
+        with self._lock:
+            self._check_kind(name, "histogram")
+            hist = self._hists.get(key)
+            if hist is None:
+                hist = {
+                    "buckets": tuple(float(b) for b in buckets),
+                    "counts": [0] * (len(buckets) + 1),  # +inf bucket last
+                    "sum": 0.0,
+                    "count": 0,
+                }
+                self._hists[key] = hist
+            if v.size == 0:
+                return
+            idx = np.searchsorted(hist["buckets"], v, side="left")
+            idx[np.isnan(v)] = 0
+            counts: List[int] = hist["counts"]
+            for i, n in enumerate(np.bincount(idx, minlength=len(counts)).tolist()):
+                counts[i] += n
+            # add.accumulate is strictly sequential: the same rounding (and,
+            # silently, the same inf/nan) as a Python ``+=`` loop.
+            with np.errstate(all="ignore"):
+                hist["sum"] = float(np.add.accumulate(np.r_[hist["sum"], v])[-1])
+            hist["count"] += int(v.size)
 
     # ------------------------------------------------------------- queries
     def counter_value(self, name: str, **labels: Any) -> float:
@@ -164,19 +172,15 @@ class MetricsRegistry:
 
     def counter_samples(self, name: str) -> List[Tuple[Dict[str, str], float]]:
         """All label sets of counter ``name`` with their values."""
-        return [
-            (dict(lk), float(v))
-            for (n, lk), v in sorted(self._counters.items())
-            if n == name
-        ]
+        with self._lock:
+            items = sorted(self._counters.items())
+        return [(dict(lk), float(v)) for (n, lk), v in items if n == name]
 
     def gauge_samples(self, name: str) -> List[Tuple[Dict[str, str], float]]:
         """All label sets of gauge ``name`` with their values."""
-        return [
-            (dict(lk), float(v))
-            for (n, lk), v in sorted(self._gauges.items())
-            if n == name
-        ]
+        with self._lock:
+            items = sorted(self._gauges.items())
+        return [(dict(lk), float(v)) for (n, lk), v in items if n == name]
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Deterministic plain-dict view of every metric.
@@ -187,6 +191,10 @@ class MetricsRegistry:
         equal snapshots — the comparability property the resilience
         tests pin down under a seeded fault plan.
         """
+        with self._lock:
+            return self._snapshot()
+
+    def _snapshot(self) -> Dict[str, Dict[str, Any]]:
         from repro.obs.native import to_native
 
         # Coerce values to native types at export time: a counter bumped
@@ -212,6 +220,10 @@ class MetricsRegistry:
     # ------------------------------------------------------------- export
     def to_prometheus(self) -> str:
         """Render the Prometheus text exposition format (v0.0.4)."""
+        with self._lock:
+            return self._to_prometheus()
+
+    def _to_prometheus(self) -> str:
         lines: List[str] = []
         by_name: Dict[str, List[Tuple[_LabelKey, float]]] = {}
         for (n, lk), v in self._counters.items():

@@ -15,24 +15,22 @@ which plan the planner chose.
   (tiles grouped into bands of :data:`DEFAULT_BAND_TILE_ROWS` tile
   rows, so hotspot reports name a row range, not a tile id);
 * **tnnz decisions**: how many tiles went sparse vs dense per threshold;
-* **execution plans**: one record per planned parallel run;
-* **per-shard** records, one per range a pool thread ran.
+* **execution plans**: one record per planned parallel run.
 
 Everything serialises into a schema-versioned ``repro.profile/1`` JSON
 artifact (:meth:`WorkloadProfiler.to_dict`), coerced through
 :func:`repro.obs.native.to_native` so ``json.dumps`` needs no custom
 default.
 
-**Pool threads.**  Pool threads of a traced or profiled run record into
-the run's own profiler; :meth:`WorkloadProfiler.record_run` takes a lock,
-so their merges never interleave.  Because tile row ``i`` of ``C``
-depends only on tile row ``i`` of ``A``, the per-band counts of a sharded
-run sum to the serial run's exactly — :meth:`workload` exposes the
-deterministic sub-document the propagation tests compare byte for byte.
-Shard-local tile rows are rebased onto the global row space via the
-thread's ambient offset (:func:`profile_row_offset` /
-:func:`current_row_offset`), which the shard engine sets around each
-range.
+**One record per multiply.**  :meth:`WorkloadProfiler.record_run` is
+called once per multiply, from its result: by ``tile_spgemm`` when it is
+called directly, and by the shard engine's stitch for every engine run,
+whatever its ranges and threads.  The stitched statistics carry the
+global ``c_tilerow``, so bands are in whole-matrix coordinates and a
+sharded run's :meth:`workload` equals the serial run's byte for byte.
+``record_run`` takes a lock, so a service's concurrent requests never
+interleave their merges.  The ``totals`` are the sums of the bands,
+computed at export.
 
 **Cost.**  Recording is O(candidate tiles) NumPy reductions per run —
 the same order as the existing metrics recording — and the disabled
@@ -45,8 +43,7 @@ from __future__ import annotations
 
 import json
 import threading
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -58,8 +55,6 @@ __all__ = [
     "WorkloadProfiler",
     "NullProfiler",
     "NULL_PROFILER",
-    "profile_row_offset",
-    "current_row_offset",
     "validate_profile",
     "write_profile",
     "load_profile",
@@ -94,42 +89,6 @@ _TOTAL_KEYS = (
 )
 
 
-class _RowOffset(threading.local):
-    """Ambient tile-row offset of the work running on this thread."""
-
-    def __init__(self) -> None:
-        self.value = 0
-
-
-_ROW_OFFSET = _RowOffset()
-
-
-def current_row_offset() -> int:
-    """The global tile-row index that this thread's local row 0 maps to.
-
-    ``0`` outside any :func:`profile_row_offset` block — whole-matrix
-    runs attribute bands directly.
-    """
-    return _ROW_OFFSET.value
-
-
-@contextmanager
-def profile_row_offset(offset: int) -> Iterator[None]:
-    """Rebase band attribution for the ``with`` block.
-
-    The chunked and sharded engines slice ``A``'s tile rows into
-    0-based sub-matrices; wrapping each slice's execution in its global
-    start row keeps the profile's bands in whole-matrix coordinates, so
-    a sharded run's bands sum to the serial run's.
-    """
-    prev = _ROW_OFFSET.value
-    _ROW_OFFSET.value = int(offset)
-    try:
-        yield
-    finally:
-        _ROW_OFFSET.value = prev
-
-
 class WorkloadProfiler:
     """Additive aggregation of one run's (or one service's) workload.
 
@@ -148,52 +107,39 @@ class WorkloadProfiler:
         self.runs = 0
         self.phases: Dict[str, Dict[str, float]] = {}
         self.bands: Dict[int, Dict[str, int]] = {}
-        self.totals: Dict[str, int] = {k: 0 for k in _TOTAL_KEYS}
         self.tnnz: Dict[str, Dict[str, int]] = {}
-        self.shards: List[Dict[str, Any]] = []
         self.plans: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ recording
-    def record_run(self, stats: Dict[str, Any], timer, row_offset: int = 0) -> None:
-        """Fold one ``tile_spgemm`` run's stats and phase timer in.
+    def record_run(self, stats: Dict[str, Any], timer) -> None:
+        """Fold one multiply's stats and phase timer in.
 
-        ``row_offset`` rebases the run's local tile rows onto the global
-        row space (shard/batch slices); whole-matrix runs pass 0.  Safe
+        ``stats["c_tilerow"]`` names each C tile's global tile row.  Safe
         to call from several threads.
         """
         with self._lock:
-            self._record_run(stats, timer, row_offset)
+            self._record_run(stats, timer)
 
-    def _record_run(self, stats: Dict[str, Any], timer, row_offset: int) -> None:
+    def _record_run(self, stats: Dict[str, Any], timer) -> None:
         self.runs += 1
         for name, seconds in timer.seconds.items():
             ph = self.phases.setdefault(name, {"seconds": 0.0, "count": 0})
             ph["seconds"] += float(seconds)
             ph["count"] += int(timer.count(name))
 
-        totals = self.totals
-        totals["products"] += int(stats.get("num_products", 0))
-        totals["flops"] += int(stats.get("flops", 0))
-        totals["nnz_c"] += int(stats.get("nnz_c", 0))
-        totals["num_c_tiles"] += int(stats.get("num_c_tiles", 0))
-        sparse_tiles = int(stats.get("sparse_tiles", 0))
-        dense_tiles = int(stats.get("dense_tiles", 0))
-        totals["sparse_tiles"] += sparse_tiles
-        totals["dense_tiles"] += dense_tiles
-
         threshold = stats.get("tnnz")
         if threshold is not None:
             decision = self.tnnz.setdefault(
                 str(int(threshold)), {"sparse_tiles": 0, "dense_tiles": 0}
             )
-            decision["sparse_tiles"] += sparse_tiles
-            decision["dense_tiles"] += dense_tiles
+            decision["sparse_tiles"] += int(stats.get("sparse_tiles", 0))
+            decision["dense_tiles"] += int(stats.get("dense_tiles", 0))
 
         tile_rows = stats.get("c_tilerow")
         if tile_rows is None:
             return
-        tile_rows = np.asarray(tile_rows, dtype=np.int64) + int(row_offset)
+        tile_rows = np.asarray(tile_rows, dtype=np.int64)
         if tile_rows.size == 0:
             return
         band_ids = tile_rows // self.band_tile_rows
@@ -222,7 +168,6 @@ class WorkloadProfiler:
             ),
         }
         per_band["sparse_tiles"] = per_band["tiles"] - per_band["dense_tiles"]
-        totals["pairs"] += int(per_band["pairs"].sum())
         for band in np.flatnonzero(per_band["tiles"]):
             counts = self.bands.setdefault(
                 int(band), {k: 0 for k in _BAND_COUNT_KEYS}
@@ -239,20 +184,25 @@ class WorkloadProfiler:
         """
         self.plans.append(to_native(dict(plan)))
 
-    def record_shard(self, worker: str, res) -> None:
-        """Record one range a pool thread ran: its thread, its run, the
-        summed phase seconds and its intermediate products, so the
-        artifact keeps the pool's shape."""
-        self.shards.append(
-            {
-                "worker": str(worker),
-                "runs": 1,
-                "seconds": float(sum(res.timer.seconds.values())),
-                "products": int(res.stats.get("num_products", 0)),
-            }
-        )
-
     # ------------------------------------------------------------- export
+    @property
+    def totals(self) -> Dict[str, int]:
+        """Whole-profile work: the sums of the bands (``flops`` is two
+        per intermediate product, ``num_c_tiles`` the candidate tiles)."""
+        sums = {k: 0 for k in _BAND_COUNT_KEYS}
+        for counts in list(self.bands.values()):
+            for key in _BAND_COUNT_KEYS:
+                sums[key] += counts[key]
+        return {
+            "products": sums["products"],
+            "flops": 2 * sums["products"],
+            "nnz_c": sums["nnz_c"],
+            "num_c_tiles": sums["tiles"],
+            "pairs": sums["pairs"],
+            "sparse_tiles": sums["sparse_tiles"],
+            "dense_tiles": sums["dense_tiles"],
+        }
+
     def _band_rows(self) -> List[Dict[str, Any]]:
         width = self.band_tile_rows
         return [
@@ -267,16 +217,16 @@ class WorkloadProfiler:
     def workload(self) -> Dict[str, Any]:
         """The deterministic sub-document: counts only, no timings.
 
-        Depends only on the inputs and the algorithm's decisions — the
-        shard profiles of a parallel run sum to the serial run's
-        workload byte for byte (``json.dumps(..., sort_keys=True)``),
-        which the propagation tests assert.
+        Depends only on the inputs and the algorithm's decisions — a
+        parallel run's workload equals the serial run's byte for byte
+        (``json.dumps(..., sort_keys=True)``), which the propagation
+        tests assert.
         """
         return to_native(
             {
                 "schema": PROFILE_SCHEMA,
                 "band_tile_rows": self.band_tile_rows,
-                "totals": dict(self.totals),
+                "totals": self.totals,
                 "tnnz": {k: dict(v) for k, v in sorted(self.tnnz.items())},
                 "bands": self._band_rows(),
             }
@@ -295,10 +245,9 @@ class WorkloadProfiler:
             "band_tile_rows": self.band_tile_rows,
             "runs": self.runs,
             "phases": {k: dict(v) for k, v in self.phases.items()},
-            "totals": dict(self.totals),
+            "totals": self.totals,
             "tnnz": {k: dict(v) for k, v in sorted(self.tnnz.items())},
             "bands": self._band_rows(),
-            "shards": list(self.shards),
             "plans": list(self.plans),
         }
         if include_cache:
@@ -309,7 +258,7 @@ class WorkloadProfiler:
 
     def summary(self) -> Dict[str, Any]:
         """A small view for ``SpGEMMService.varz()``: totals, phases, top
-        band.  Takes the lock: varz() may read while pool threads record."""
+        band.  Takes the lock: varz() may read while a request records."""
         with self._lock:
             return self._summary()
 
@@ -324,15 +273,16 @@ class WorkloadProfiler:
                 "nnz_c": counts["nnz_c"],
             }
         runs = max(self.runs, 1)
+        totals = self.totals
         return to_native(
             {
                 "runs": self.runs,
                 "phase_seconds": {
                     k: v["seconds"] for k, v in self.phases.items()
                 },
-                "products": self.totals["products"],
-                "nnz_c": self.totals["nnz_c"],
-                "products_per_run": self.totals["products"] / runs,
+                "products": totals["products"],
+                "nnz_c": totals["nnz_c"],
+                "products_per_run": totals["products"] / runs,
                 "top_band": top,
             }
         )
@@ -354,13 +304,10 @@ class NullProfiler:
 
     enabled: bool = False
 
-    def record_run(self, stats, timer, row_offset: int = 0) -> None:
+    def record_run(self, stats, timer) -> None:
         pass
 
     def record_plan(self, plan) -> None:
-        pass
-
-    def record_shard(self, worker, res) -> None:
         pass
 
     def summary(self) -> Dict[str, Any]:
@@ -515,16 +462,6 @@ def render_profile(doc: Dict[str, Any], top: int = 10) -> str:
                 f"[{r0:>5}, {r1:>5}) {int(band.get('tiles', 0)):>7} "
                 f"{int(band.get('pairs', 0)):>9} {int(band.get('products', 0)):>10} "
                 f"{int(band.get('nnz_c', 0)):>9} {int(band.get('dense_tiles', 0)):>6}"
-            )
-    shards = doc.get("shards", [])
-    if shards:
-        lines.append("")
-        lines.append(f"shards: {len(shards)}")
-        for shard in shards:
-            lines.append(
-                f"  {shard.get('worker', '?'):<24} runs={shard.get('runs', 0)} "
-                f"products={shard.get('products', 0)} "
-                f"seconds={shard.get('seconds', 0.0):.6f}"
             )
     cache = doc.get("cache")
     if cache:

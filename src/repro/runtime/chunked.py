@@ -255,8 +255,9 @@ def stitch_results(
         timer.merge(r.timer)
 
     # --- Ledger: replay each batch then free its buffers (the offload).
-    # ``use_context=False`` so the replay neither re-enforces the budget
-    # nor re-fires the fault plan on events that already happened.
+    # ``use_context=False``: the replay describes allocations that
+    # already happened, so it neither re-enforces the budget, re-fires
+    # the fault plan nor records telemetry.
     alloc = AllocationTracker(use_context=False)
     for k, r in enumerate(batches):
         for ev in r.alloc.events:
@@ -276,12 +277,17 @@ def stitch_results(
         stats[key] = int(sum(int(r.stats.get(key, 0)) for r in batches))
     for key in _ARRAY_KEYS:
         stats[key] = np.concatenate([np.asarray(r.stats[key]) for r in batches])
+    # The global tile row of every C tile, as the serial run records it.
+    stats["c_tilerow"] = np.repeat(
+        np.arange(len(tileptr) - 1, dtype=np.int64), np.diff(tileptr)
+    )
     stats.update(
         num_tiles_a=a.num_tiles,
         num_tiles_b=b.num_tiles,
         nnz_a=a.nnz,
         nnz_b=b.nnz,
         tile_size=T,
+        tnnz=batches[0].stats["tnnz"],
         batches=len(batches),
     )
     # Every batch ran under the same kernel backend; carry the label so

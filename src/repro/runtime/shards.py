@@ -20,11 +20,16 @@ run :func:`run_blocking` inline; pooled plans and
 :func:`run_async`.  One :class:`ShardRun` per multiply applies the
 failure rules tabulated in ``docs/RESILIENCE.md``.
 
-Pool threads start with empty ambient contexts, so budgets and fault
-plans reach a shard only through the explicit options.  A traced pooled
-range enters a context holding the run's own tracer and profiler on its
-pool thread and records into them directly, on a worker track
-(:meth:`repro.obs.trace.Tracer.track`).
+Telemetry follows one rule at every entry point.  Events — spans,
+allocations, injected faults — are recorded where they happen, into the
+run's own sinks: pool threads start with empty ambient contexts, so a
+pooled range enters a context holding the run's tracer, metrics and
+profiler (whenever any is live) and records on a worker track
+(:meth:`repro.obs.trace.Tracer.track`).  A multiply's work record — its
+algorithm counters and its workload profile — is made once, by
+:meth:`ShardRun.stitch`, from the stitched result; ranges run
+``tile_spgemm``'s pipeline without it.  Budgets and fault plans reach a
+pooled range only through the explicit options.
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.tile_matrix import TileMatrix
 from repro.core.tilespgemm import (
     TileSpGEMMResult,
-    _record_obs_metrics,
+    _record_work,
+    _tile_spgemm,
     check_operands,
-    tile_spgemm,
 )
 from repro.errors import (
     DeviceOOMError,
@@ -56,8 +61,7 @@ from repro.errors import (
     TransientKernelError,
 )
 from repro.obs.context import current_obs, obs_context
-from repro.obs.profile import current_row_offset, profile_row_offset
-from repro.obs.propagate import TraceContext
+from repro.obs.propagate import TraceContext, new_trace_id
 from repro.runtime.chunked import batch_bounds, slice_tile_rows, stitch_results
 from repro.runtime.policy import RetryPolicy, backoff_wait
 
@@ -82,10 +86,11 @@ Item = Tuple[int, int, int]
 # The shard body
 # ----------------------------------------------------------------------
 def default_run_shard(a_shard: TileMatrix, b: TileMatrix, opts: Dict[str, object]):
-    """One range's multiply: ``tile_spgemm`` keeping empty tiles for the
+    """One range's multiply: ``tile_spgemm``'s pipeline, without the work
+    record (the stitch makes it), keeping empty tiles for the
     order-preserving stitch.  ``pairs``/``symbolic`` are dropped: the
     stitch never reads them, and they pin large intermediates."""
-    res = tile_spgemm(a_shard, b, keep_empty_tiles=True, **opts)
+    res = _tile_spgemm(a_shard, b, keep_empty_tiles=True, **opts)
     res.pairs = None
     res.symbolic = None
     return res
@@ -177,9 +182,8 @@ class ShardRun:
     labels:
         Labels added to those counters.
     trace_id:
-        The trace pooled ranges record under: when given, and while a
-        tracer or profiler is live, each pooled range records into them
-        from its pool thread, with a ``TraceContext`` of this id.
+        The trace pooled ranges record under, with a ``TraceContext`` of
+        this id (a fresh id when not given).
     root_span_id:
         The coordinator span pooled ranges link under.
     run_fn:
@@ -216,11 +220,8 @@ class ShardRun:
         self.labels = dict(labels or {})
         self.run_fn = run_fn or default_run_shard
         self.obs = current_obs()
-        live = self.obs.tracer.enabled or self.obs.profile.enabled
-        self._traced = trace_id is not None and live
-        self.trace_id = trace_id
+        self.trace_id = trace_id or new_trace_id()
         self.root_span_id = root_span_id
-        self.row_base = current_row_offset()
         self.results: Dict[int, TileSpGEMMResult] = {}
         self.shards_run = 0  #: ranges that completed
         self.resplits = 0
@@ -243,27 +244,24 @@ class ShardRun:
         """The one range body, inline or pooled: ``(result, seconds)``."""
         r0, r1, _ = item
         start = time.perf_counter()
-        # Ranges are 0-based slices of A; rebase the workload profiler so
-        # band attribution stays in whole-matrix coordinates.
-        with profile_row_offset(self.row_base + r0):
-            res = self.run_fn(self.shard(r0, r1), self.b, opts)
+        res = self.run_fn(self.shard(r0, r1), self.b, opts)
         return res, time.perf_counter() - start
 
     def _run_pooled(self, item: Item, opts, k: int):
-        """Run range ``k`` on a pool thread.  When traced, it records into
-        the run's tracer and profiler: a ``<track>.shard`` span on
+        """Run range ``k`` on a pool thread, under the run's own sinks:
+        its events land there, with a ``<track>.shard`` span on
         ``(track, thread)`` over its worker spans on
-        ``(<track>.workers, thread)``.  Metrics stay null here; the
-        stitch records the run's counters once."""
-        if not self._traced:
+        ``(<track>.workers, thread)``."""
+        if not self.obs.enabled:
             return self._run(item, opts)
         r0, r1, _ = item
-        tracer, profile = self.obs.tracer, self.obs.profile
+        tracer = self.obs.tracer
         worker = threading.current_thread().name
         span_id = f"{self.root_span_id}/shard{k}"
         with obs_context(
             tracer=tracer,
-            profile=profile,
+            metrics=self.obs.metrics,
+            profile=self.obs.profile,
             trace_ctx=TraceContext(self.trace_id, span_id),
         ), tracer.span(
             f"shard [{r0}, {r1})",
@@ -275,9 +273,7 @@ class ShardRun:
             span_id=span_id,
             parent_span_id=self.root_span_id,
         ), tracer.track(f"{self.track}.workers", worker, self.trace_id, span_id):
-            out = self._run(item, opts)
-        profile.record_shard(worker, out[0])
-        return out
+            return self._run(item, opts)
 
     def run_inline(self, item: Item, opts):
         """Run one range on the calling thread, under its ambient context.
@@ -354,20 +350,19 @@ class ShardRun:
         self.obs.metrics.inc(f"{self.track}_{counter}_total", **self.labels)
 
     # ------------------------------------------------------------ stitch
-    def stitch(self, keep_empty_tiles: bool = True, pooled: bool = False) -> TileSpGEMMResult:
+    def stitch(self, keep_empty_tiles: bool = True) -> TileSpGEMMResult:
         """The stitched product; records the run's recovery in
         ``stats["resplits"]`` / ``stats["retries"]``, charges the modelled
-        backoff to its timer and, for a pooled run, records its counters
-        once.  The run lets go of its pieces, so a caller that keeps the
-        run (the service, for its response) keeps no per-range
+        backoff to its timer and makes the multiply's one work record.
+        The run lets go of its pieces, so a caller that keeps the run
+        (the service, for its response) keeps no per-range
         intermediates."""
         pieces = [self.results.pop(r0) for r0 in sorted(self.results)]
         res = stitch_results(pieces, self.a, self.b, keep_empty_tiles)
         res.stats.update(resplits=self.resplits, retries=self.retries)
         if self.backoff_s:
             res.timer.add("backoff", self.backoff_s)
-        if pooled and self.obs.enabled:
-            _record_obs_metrics(self.obs.metrics, res.stats)
+        _record_work(self.obs, res)
         return res
 
 
@@ -415,7 +410,7 @@ def run_blocking(
                 _sleep(run, run.fail(item, exc, pool, generation))
                 continue
             run.done(item, out)
-    return [run.stitch(keep_empty_tiles, pooled=True) for run in runs]
+    return [run.stitch(keep_empty_tiles) for run in runs]
 
 
 def _sleep(run: ShardRun, wait_s: float) -> None:
@@ -470,4 +465,4 @@ async def run_async(
         if inflight:
             await asyncio.gather(*inflight, return_exceptions=True)
         raise
-    return run.stitch(pooled=True)
+    return run.stitch()

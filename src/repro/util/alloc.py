@@ -57,10 +57,15 @@ class AllocationTracker:
         the tracker stays consistent, exactly like a failed ``cudaMalloc``.
     use_context:
         When true (the default), a budget or fault plan left unset is
-        inherited from the active :func:`repro.runtime.context.execution_context`.
-        :func:`~repro.runtime.chunked.stitch_results` sets this false
-        when replaying batch ledgers into a merged tracker, so injected
-        faults are not double-counted.
+        inherited from the active :func:`repro.runtime.context.execution_context`,
+        and every allocation is recorded in the active observability
+        context (``device_alloc_*`` counters, the ``device_live_bytes``
+        trace counter).  False makes a detached ledger that describes a
+        run rather than being one: the stitched ledger
+        (:func:`~repro.runtime.chunked.stitch_results`) and the priced
+        serial ledger (:func:`~repro.core.tilespgemm.serial_ledger`)
+        replay allocations that already happened, so they neither
+        re-enforce the budget, re-fire the fault plan nor count again.
     """
 
     def __init__(self, budget_bytes: Optional[int] = None, use_context: bool = True) -> None:
@@ -71,6 +76,7 @@ class AllocationTracker:
         self.total_allocated: int = 0
         self.current_phase: str = ""
         self.fault_plan = None
+        self._record = use_context
         if use_context:
             ctx = current_context()
             if ctx is not None:
@@ -106,12 +112,13 @@ class AllocationTracker:
         self.events.append(
             AllocationEvent("alloc", label, nbytes, self.current_phase, self.live_bytes)
         )
-        obs = current_obs()
-        if obs.enabled:
-            obs.metrics.inc("device_alloc_bytes_total", nbytes)
-            obs.metrics.inc("device_alloc_events_total")
-            obs.metrics.max_gauge("device_peak_live_bytes", self.peak_bytes)
-            obs.tracer.counter("device_live_bytes", self.live_bytes)
+        if self._record:
+            obs = current_obs()
+            if obs.enabled:
+                obs.metrics.inc("device_alloc_bytes_total", nbytes)
+                obs.metrics.inc("device_alloc_events_total")
+                obs.metrics.max_gauge("device_peak_live_bytes", self.peak_bytes)
+                obs.tracer.counter("device_live_bytes", self.live_bytes)
 
     def alloc_array(self, label: str, array) -> None:
         """Record an allocation sized from a NumPy array's ``nbytes``."""
@@ -126,9 +133,10 @@ class AllocationTracker:
         self.events.append(
             AllocationEvent("free", label, nbytes, self.current_phase, self.live_bytes)
         )
-        obs = current_obs()
-        if obs.enabled:
-            obs.tracer.counter("device_live_bytes", self.live_bytes)
+        if self._record:
+            obs = current_obs()
+            if obs.enabled:
+                obs.tracer.counter("device_live_bytes", self.live_bytes)
 
     def free_all(self) -> None:
         """Release every live buffer (end-of-algorithm cleanup)."""

@@ -207,6 +207,47 @@ class TestCLIObservability:
         assert len(estimates["1"]) == 2
         assert estimates["2"] == estimates["1"]
 
+    def test_cross_check_stays_out_of_the_run_counters(self, tmp_path, capsys):
+        # The `check passed` cross-check keeps its span in the trace, but
+        # its ledger is not the run's: the counters read the multiply's
+        # seven device buffers alone.
+        from repro.analysis.profiling import load_chrome_trace
+        from repro.matrices.generators import banded
+
+        path = tmp_path / "banded.mtx"
+        write_mtx(str(path), banded(120, 8))
+        prom, trace = tmp_path / "m.prom", tmp_path / "t.json"
+        argv = ["--workers", "1", "--metrics", str(prom), "--trace", str(trace)]
+        assert main(argv + [str(path)]) == 0
+        assert "device_alloc_events_total 7\n" in prom.read_text()
+        names = {ev["name"] for ev in load_chrome_trace(str(trace))["traceEvents"]}
+        assert "spgemm:nsparse_hash" in names
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_budgeted_run_counts_one_multiply(self, workers, tmp_path, capsys):
+        # An OOM re-split run is still one multiply at any worker count,
+        # and its allocations count once, where the ranges made them.
+        from repro.matrices.generators import banded
+
+        path = tmp_path / "banded.mtx"
+        write_mtx(str(path), banded(3000, 12, seed=7))
+        prom = tmp_path / "m.prom"
+        argv = ["--workers", workers, "--memory-budget", "40K", "--metrics", str(prom)]
+        assert main(argv + [str(path)]) == 0
+        (recovered,) = [
+            ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("recovered:")
+        ]
+        resplits = int(recovered.split("resplits=")[1].split()[0])
+        counters = {}
+        for line in prom.read_text().splitlines():
+            if line and not line.startswith("#"):
+                key, value = line.rsplit(" ", 1)
+                counters[key] = float(value)
+        assert counters["tilespgemm_runs_total"] == 1
+        # The allocations the ranges made: seven per range that finished,
+        # plus those of ranges that ran out of budget part-way.
+        assert counters["device_alloc_events_total"] >= 7 * (resplits + 1)
+
     def test_trace_written_even_when_run_fails(self, mtx_file, tmp_path, capsys):
         trace = tmp_path / "t.json"
         assert (

@@ -10,8 +10,9 @@ Contracts under test:
   and every checked-in bench history snapshot (some still carrying the
   retired ``calibration`` lists) loads with its embedded profiles
   validated;
-* merging — worker payloads absorbed from the pool threads sum to the
-  serial run's workload byte for byte;
+* one record per multiply — a pooled run records once, from its
+  stitched result, and its workload equals the serial run's byte for
+  byte;
 * tile-cache telemetry — lookups feed the ambient metrics registry;
 * the ``repro obs profile`` CLI.
 """
@@ -29,10 +30,8 @@ from repro.errors import InvalidInputError
 from repro.obs import (
     MetricsRegistry,
     WorkloadProfiler,
-    current_row_offset,
     load_profile,
     obs_context,
-    profile_row_offset,
     render_profile,
     validate_profile,
     write_profile,
@@ -81,20 +80,6 @@ class TestRecording:
         tile_spgemm(a, a)  # default ambient context: the null profiler
         assert vars(NULL_PROFILER) == {}  # it keeps no state at all
         assert NULL_PROFILER.summary() == {}
-
-    def test_row_offset_shifts_bands(self):
-        a = _tiled(n=64)
-        base, shifted = WorkloadProfiler(), WorkloadProfiler()
-        with obs_context(profile=base):
-            tile_spgemm(a, a)
-        offset_bands = 3  # 3 bands * 4 tile rows = 12 tile rows
-        with obs_context(profile=shifted):
-            with profile_row_offset(offset_bands * shifted.band_tile_rows):
-                tile_spgemm(a, a)
-        assert current_row_offset() == 0  # restored on exit
-        assert {b + offset_bands for b in base.bands} == set(shifted.bands)
-        for band, counts in base.bands.items():
-            assert shifted.bands[band + offset_bands] == counts
 
 
 # -------------------------------------------------------------- serialise
@@ -160,17 +145,15 @@ class TestArtifact:
 # ------------------------------------------------------------ pool merge
 class TestSpawnBoundaryMerge:
     def test_thread_pool_profiles_sum_to_serial(self):
-        """Profile merge loses nothing: pool threads record into the
-        run's own profiler under its lock, one shard record per range."""
+        """A pooled multiply is one record, made from the stitched
+        result, and its workload is the serial run's byte for byte."""
         a = _tiled(n=96, seed=5)
         serial, merged = WorkloadProfiler(), WorkloadProfiler()
         with obs_context(profile=serial):
             tile_spgemm(a, a)
         with obs_context(profile=merged):
             parallel_tile_spgemm(a, a, workers=2, shards=3)
-        assert merged.runs == 3  # one per shard, absorbed once each
-        assert len(merged.shards) == 3
-        assert all(s["worker"].startswith("repro-shard") for s in merged.shards)
+        assert merged.runs == 1  # one multiply, however many shards
         assert _workload_bytes(merged) == _workload_bytes(serial)
 
 

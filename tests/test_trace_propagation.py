@@ -1,28 +1,45 @@
-"""Cross-thread trace propagation: pool threads record into the run's tracer.
+"""Cross-thread trace propagation: pool threads record into the run's sinks.
 
-The contract under test: a :class:`~repro.obs.trace.Tracer` is safe to
-use from several threads (each keeps its own span stack), a
-:meth:`~repro.obs.trace.Tracer.track` lays one thread's spans on a
-worker track with ``trace_id`` / ``span_id`` / ``parent_span_id`` links,
-and every link a pooled run records resolves — either to another worker
-span or to the coordinator-side span that spawned the work.
+The contracts under test:
+
+* a :class:`~repro.obs.trace.Tracer` is safe to use from several threads
+  (each keeps its own span stack), a
+  :meth:`~repro.obs.trace.Tracer.track` lays one thread's spans on a
+  worker track with ``trace_id`` / ``span_id`` / ``parent_span_id``
+  links, and every link a pooled run records resolves — either to
+  another worker span or to the coordinator-side span that spawned the
+  work;
+* one recording rule at every entry point: events (spans, allocations,
+  injected faults) are recorded where they happen, on any thread, and a
+  multiply's work record (its counters and its workload profile) is
+  made once, from its result — so a multiply reads the same whichever
+  entry point ran it.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
 import sys
 import threading
+
+import pytest
 
 from repro.core import TileMatrix, tile_spgemm
 from repro.obs import (
     TraceContext,
     Tracer,
     WorkloadProfiler,
+    make_obs,
     new_trace_id,
     obs_context,
 )
-from repro.runtime.parallel import parallel_tile_spgemm
+from repro.runtime.chunked import chunked_tile_spgemm
+from repro.runtime.faults import FaultPlan
+from repro.runtime.parallel import parallel_tile_spgemm, spgemm_batch
+from repro.serve import SpGEMMService
 from tests.conftest import random_csr
+from tests.corpus import corpus_case
 
 
 def _tiled(n=96, density=0.06, seed=11):
@@ -89,12 +106,21 @@ class TestTracerThreads:
             def count(self, name):
                 return 1
 
+        # One C tile in tile row 0 with 3 intermediate products.
+        stats = {
+            "c_tilerow": [0],
+            "pairs_per_tile": [1],
+            "products_per_tile": [3],
+            "tile_nnz_counts": [2],
+            "tile_use_dense": [False],
+        }
+
         def work(k):
             with tracer.track("pool", f"w{k}", "t", "root"):
                 for _ in range(rounds):
                     with tracer.span("outer"):
                         with tracer.span("inner"):
-                            profiler.record_run({"num_products": 3}, _Timer())
+                            profiler.record_run(stats, _Timer())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -189,3 +215,125 @@ class TestParallelPropagation:
             if sp.pid == "parallel.workers"
         }
         assert worker_ids == {"req-outer-1"}
+
+
+# ------------------------------------------- one work record per multiply
+#: The counters of a multiply's work record (``_record_obs_metrics``).
+_WORK_COUNTERS = (
+    "tilespgemm_runs_total",
+    "backend_runs_total",
+    "tile_pairs_matched_total",
+    "atomic_or_ops_total",
+    "atomic_add_ops_total",
+    "accumulator_tiles_total",
+    "mask_popcount_bits_total",
+    "c_tiles_total",
+    "c_nnz_total",
+    "flops_total",
+)
+
+
+async def _no_sleep(_seconds):
+    pass
+
+
+def _serve(a, b, **opts):
+    async def drive():
+        service = SpGEMMService(workers=2, initial_shards=3, sleep=_no_sleep)
+        async with service:
+            response = await service.submit(a, b, **opts)
+        return response.result_or_raise()
+
+    return [asyncio.run(drive())]
+
+
+#: Each entry point as ``(a, b, **opts) -> products``; every engine entry
+#: splits the multiply into several tile-row ranges.  ``spgemm_batch``
+#: runs two multiplies (one pair would run inline).
+ENTRY_POINTS = {
+    "tile_spgemm": lambda a, b, **o: [tile_spgemm(a, b, **o)],
+    "chunked": lambda a, b, **o: [chunked_tile_spgemm(a, b, num_batches=3, **o)],
+    "parallel_inline": lambda a, b, **o: [
+        parallel_tile_spgemm(a, b, workers=1, shards=3, **o)
+    ],
+    "parallel_pooled": lambda a, b, **o: [
+        parallel_tile_spgemm(a, b, workers=2, shards=3, **o)
+    ],
+    "spgemm_batch": lambda a, b, **o: spgemm_batch([(a, b), (a, b)], workers=2, **o),
+    "serve": _serve,
+}
+ENGINES = [name for name in ENTRY_POINTS if name != "tile_spgemm"]
+TELEMETRY_CASES = [
+    "moderate_random",
+    "ragged_50x47",
+    "dense_tile_in_larger",
+    "empty_times_random",
+]
+
+
+def _operands(case_name):
+    case = corpus_case(case_name)
+    return TileMatrix.from_csr(case.a), TileMatrix.from_csr(case.b), case.kwargs
+
+
+def _work(metrics):
+    return {name: metrics.counter_samples(name) for name in _WORK_COUNTERS}
+
+
+def _workload_bytes(profiler):
+    return json.dumps(profiler.workload(), sort_keys=True).encode()
+
+
+def _run_observed(entry, a, b, **opts):
+    obs = make_obs()
+    with obs_context(tracer=obs.tracer, metrics=obs.metrics, profile=obs.profile):
+        products = ENTRY_POINTS[entry](a, b, **opts)
+    return obs, products
+
+
+class TestOneRecordPerMultiply:
+    @pytest.mark.parametrize("case_name", TELEMETRY_CASES)
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_a_multiply_reads_the_same_at_every_entry_point(self, entry, case_name):
+        a, b, kwargs = _operands(case_name)
+        obs, products = _run_observed(entry, a, b, **kwargs)
+        # The reference: the same multiplies, each one direct tile_spgemm.
+        ref = make_obs()
+        with obs_context(metrics=ref.metrics, profile=ref.profile):
+            for _ in products:
+                tile_spgemm(a, b, **kwargs)
+        multiplies = len(products)
+        assert obs.metrics.counter_value("tilespgemm_runs_total") == multiplies
+        assert _work(obs.metrics) == _work(ref.metrics)
+        assert obs.profile.runs == multiplies
+        assert _workload_bytes(obs.profile) == _workload_bytes(ref.profile)
+
+    @pytest.mark.parametrize("entry", ENGINES)
+    def test_an_injected_fault_is_counted_on_any_thread(self, entry):
+        a, b, _ = _operands("moderate_random")
+        plan = FaultPlan().transient_at_step("step2", at=1)
+        obs, _ = _run_observed(entry, a, b, fault_plan=plan)
+        assert len(plan.fired) == 1
+        assert obs.metrics.counter_value(
+            "faults_injected_total", error="transient", site="step"
+        ) == 1
+        assert obs.metrics.counter_value("tilespgemm_runs_total") == (
+            2 if entry == "spgemm_batch" else 1
+        )
+
+    def test_pooled_allocations_count_once_where_they_happen(self):
+        a, b, _ = _operands("moderate_random")
+        inline, _ = _run_observed("parallel_inline", a, b)
+        pooled, _ = _run_observed("parallel_pooled", a, b)
+        events = "device_alloc_events_total"
+        # Three ranges of seven device buffers each; no ledger replay.
+        assert inline.metrics.counter_value(events) == 21
+        assert pooled.metrics.counter_value(events) == 21
+
+    def test_traced_batch_records_worker_spans(self):
+        a, b, _ = _operands("moderate_random")
+        obs, products = _run_observed("spgemm_batch", a, b)
+        ranges = [sp for sp in obs.tracer.spans if sp.name == "tile_spgemm"]
+        assert len(ranges) == sum(int(r.stats["batches"]) for r in products) == 2
+        assert all(sp.pid == "parallel.workers" for sp in ranges)
+        assert obs.profile.runs == 2
