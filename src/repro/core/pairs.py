@@ -7,19 +7,23 @@ candidate tile of ``C`` each pair contributes to.
 
 Two equivalent strategies are provided:
 
-* :func:`enumerate_pairs_expand` — the vectorised production path: a
-  tile-level row-by-row expansion (each tile ``A_ik`` is joined with every
-  tile of ``B``'s tile row ``k``), then a sort groups pairs by their target
-  tile of ``C``.  This produces exactly the pairs the paper's per-tile set
-  intersection finds, in one NumPy pass.
+* :func:`enumerate_pairs_expand` — the tile-pair join, the driver's only
+  path (:func:`repro.core.tilespgemm.tile_spgemm` runs it as step 1 and
+  keeps its pairs for steps 2 and 3): a tile-level row-by-row expansion
+  (each tile ``A_ik`` is joined with every tile of ``B``'s tile row
+  ``k``), then a sort groups pairs by their target tile of ``C``.  This
+  produces exactly the pairs the paper's per-tile set intersection finds,
+  in one NumPy pass.
 * :func:`enumerate_pairs_intersect` — the faithful per-tile rendition of
   the paper's Algorithm 2: for every candidate ``C`` tile, intersect
   ``A``'s tile row with ``B``'s tile column using binary search (or merge).
-  Quadratic in Python-loop terms, so used for testing and for small inputs,
-  but bit-for-bit identical in its output.
+  Quadratic in Python-loop terms, it is a reference kernel that builds
+  its own pair list: the tests assert it returns the join's exact
+  :class:`TilePairs` (``len_a``/``len_b`` included) on every corpus case,
+  and ``benchmarks/bench_ablation_intersect.py`` prices and times it.
 
-The tests assert the two agree; the GPU cost model consumes the per-tile
-intersection lengths either way.  Step 1 keeps the pairs its join finds.
+The GPU cost model consumes the per-tile intersection lengths
+``len_a``/``len_b`` the join records.
 :func:`live_entries` expands a subset of them into the list of their
 ``A`` nonzeros that meet a nonempty ``B`` row.  It serves only the pairs
 that need per-entry work: step 2's entry-path pairs (sparse ``A`` tiles;

@@ -126,7 +126,12 @@ def step2_entries(a: TileMatrix, b: TileMatrix, pairs: TilePairs, backend=None) 
 
 
 def step2_symbolic(
-    a: TileMatrix, b: TileMatrix, pairs: TilePairs, backend=None, live: LiveEntries | None = None
+    a: TileMatrix,
+    b: TileMatrix,
+    pairs: TilePairs,
+    backend=None,
+    live: LiveEntries | None = None,
+    mask: np.ndarray | None = None,
 ) -> SymbolicResult:
     """Run the symbolic phase over all candidate tiles at once.
 
@@ -135,6 +140,9 @@ def step2_symbolic(
     for the ambient default — see :func:`repro.backend.resolve_backend`).
     ``live`` is the entry path's list (:func:`step2_entries`, built if
     ``None``); the pairs it did not expand take the packed-row path.
+    ``mask`` (``(num_c_tiles, T)`` bit rows, masked SpGEMM) is ANDed into
+    the candidate tiles' masks before the popcounts, so ``C`` is sized to
+    the masked positions only.
     """
     kernels = resolve_backend(backend)
     T = a.tile_size
@@ -168,6 +176,8 @@ def step2_symbolic(
         if packed.size:
             _or_packed_rows(a, b, pairs, packed, mask_c, pair_products, kernels)
     symbolic_ops = int(pair_a_nnz.sum())
+    if mask is not None:
+        mask_c &= mask
 
     counts_per_row = kernels.popcount(mask_c)
     # A row pointer is at most (T - 1) * T, so it fits the stored dtype.

@@ -2,12 +2,14 @@
 
 ``tile_spgemm(A, B)`` runs:
 
-1. **step 1** — symbolic tile-level SpGEMM on the high-level layouts to
-   find the candidate tiles of ``C`` (:mod:`repro.core.step1`), by
-   default with the tile-pair join whose pairs step 2 keeps;
-2. **step 2** — per-tile set intersection plus bit-mask symbolic phase to
-   size and allocate ``C`` (:mod:`repro.core.pairs`,
-   :mod:`repro.core.step2`);
+1. **step 1** — the tile-pair join
+   (:func:`repro.core.pairs.enumerate_pairs_expand`) finds the candidate
+   tiles of ``C`` and the matched ``(A_ik, B_kj)`` pairs of each, which
+   step 2 keeps (the paper's NSPARSE hash kernel and per-tile
+   intersection are reference kernels the tests check the join
+   against: :mod:`repro.core.step1`, :mod:`repro.core.pairs`);
+2. **step 2** — the bit-mask symbolic phase sizes and allocates ``C``
+   (:mod:`repro.core.step2`);
 3. **step 3** — the numeric phase with the adaptive sparse/dense
    accumulator (:mod:`repro.core.step3`), which picks each tile's path
    from step 2's per-pair product counts and reuses step 2's live-entry
@@ -27,8 +29,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.pairs import TilePairs, enumerate_pairs_expand, enumerate_pairs_intersect
-from repro.core.step1 import TileLayout, step1_tile_layout
+from repro.core.pairs import TilePairs, enumerate_pairs_expand
 from repro.core.step2 import SymbolicResult, step2_entries, step2_symbolic
 from repro.core.step3 import NumericResult, default_tnnz, step3_numeric
 from repro.core.tile_matrix import TILE, TileMatrix, mask_dtype_for
@@ -112,8 +113,6 @@ def tile_spgemm(
     a: TileMatrix,
     b: TileMatrix,
     tnnz: Optional[int] = None,
-    step1_method: str = "expand",
-    intersect_method: str = "expand",
     force_accumulator: Optional[str] = None,
     keep_empty_tiles: bool = True,
     value_dtype=np.float64,
@@ -132,12 +131,6 @@ def tile_spgemm(
         Adaptive-accumulator threshold; ``None`` resolves to
         :func:`~repro.core.step3.default_tnnz` (the paper's 192 for 16x16
         tiles, the same 75 %-of-capacity ratio for other tile sizes).
-    step1_method:
-        ``"expand"`` (vectorised) or ``"hash"`` (NSPARSE-like, the paper's
-        choice) for the tile-layout symbolic SpGEMM.
-    intersect_method:
-        ``"expand"`` for the vectorised global pair enumeration, or
-        ``"binary"`` / ``"merge"`` for the per-tile Algorithm 2 loops.
     force_accumulator:
         ``"sparse"`` / ``"dense"`` disables adaptive selection (ablation)
         and forces step 3's executed path where it stays exact (see
@@ -171,8 +164,9 @@ def tile_spgemm(
     -------
     TileSpGEMMResult
     """
-    res = _tile_spgemm(a, b, tnnz, step1_method, intersect_method, force_accumulator,
-                       keep_empty_tiles, value_dtype, budget_bytes, fault_plan, backend)
+    res = _tile_spgemm(a, b, tnnz=tnnz, force_accumulator=force_accumulator,
+                       keep_empty_tiles=keep_empty_tiles, value_dtype=value_dtype,
+                       budget_bytes=budget_bytes, fault_plan=fault_plan, backend=backend)
     _record_work(current_obs(), res)
     return res
 
@@ -180,50 +174,39 @@ def tile_spgemm(
 def _tile_spgemm(
     a: TileMatrix,
     b: TileMatrix,
+    *,
     tnnz: Optional[int] = None,
-    step1_method: str = "expand",
-    intersect_method: str = "expand",
     force_accumulator: Optional[str] = None,
     keep_empty_tiles: bool = True,
     value_dtype=np.float64,
     budget_bytes: Optional[int] = None,
     fault_plan=None,
     backend=None,
+    mask: Optional[TileMatrix] = None,
 ) -> TileSpGEMMResult:
-    """:func:`tile_spgemm` without the work record.
+    """:func:`tile_spgemm` without the work record: the one run of steps 1–3.
 
     A shard-engine range runs this; the engine records its multiply
     once, from the stitched result
     (:meth:`repro.runtime.shards.ShardRun.stitch`).  Events — spans,
     allocations, injected faults — are still recorded where they happen.
+
+    ``mask`` (a checked :class:`TileMatrix` of the product's shape) makes
+    the product ``(A @ B) .* pattern(mask)``
+    (:func:`repro.core.masked.masked_tile_spgemm`): step 1 keeps the
+    candidate tiles present in the mask's layout, step 2 ANDs their mask
+    rows into ``C``'s bit masks and step 3 drops the products that land
+    outside them.
     """
     check_operands(a, b)
     kernels = resolve_backend(backend)
-    with execution_context(budget_bytes=budget_bytes, fault_plan=fault_plan):
-        return _tile_spgemm_under_context(a, b, tnnz, step1_method, intersect_method,
-                                          force_accumulator, keep_empty_tiles, value_dtype,
-                                          kernels)
-
-
-def _tile_spgemm_under_context(
-    a: TileMatrix,
-    b: TileMatrix,
-    tnnz: Optional[int],
-    step1_method: str,
-    intersect_method: str,
-    force_accumulator: Optional[str],
-    keep_empty_tiles: bool,
-    value_dtype,
-    kernels,
-) -> TileSpGEMMResult:
-    timer = PhaseTimer()
-    alloc = AllocationTracker()
     T = a.tile_size
     if tnnz is None:
         tnnz = default_tnnz(T)
+
     tracer = current_obs().tracer
 
-    with tracer.span(
+    with execution_context(budget_bytes=budget_bytes, fault_plan=fault_plan), tracer.span(
         "tile_spgemm",
         cat="algorithm",
         shape_a=list(a.shape),
@@ -233,41 +216,27 @@ def _tile_spgemm_under_context(
         tile_size=T,
         backend=kernels.name,
     ):
+        timer = PhaseTimer()
+        alloc = AllocationTracker()
         # --------------------------------------------------------- step 1
+        # The tile-pair join finds C's layout; step 2 keeps its pairs.
         alloc.set_phase("step1")
         note_step("step1")
-        with timer.phase("step1", method=step1_method):
-            if step1_method == "expand":
-                # The tile-pair join finds C's layout; step 2 keeps its pairs.
-                pairs = enumerate_pairs_expand(a, b)
-                tileptr = _tileptr_from_rows(pairs.c_tilerow, a.num_tile_rows)
-                layout = TileLayout(a.num_tile_rows, max(b.num_tile_cols, 1), tileptr,
-                                    pairs.c_tilecol, tile_flops=pairs.num_pairs)
-            else:
-                pairs = None
-                layout = step1_tile_layout(
-                    a.tile_pattern_csr(), b.tile_pattern_csr(), method=step1_method
-                )
+        with timer.phase("step1"):
+            pairs = enumerate_pairs_expand(a, b)
+            tile_flops_step1 = pairs.num_pairs
+            mask_rows = None
+            if mask is not None:
+                pairs, mask_rows = _restrict_to_mask(pairs, mask)
         with timer.phase("malloc"):
-            _allocate_c(alloc, "step1", a.num_tile_rows, layout.num_tiles, T)
+            _allocate_c(alloc, "step1", a.num_tile_rows, pairs.num_c_tiles, T)
 
         # --------------------------------------------------------- step 2
         alloc.set_phase("step2")
         note_step("step2")
-        with timer.phase("step2", method=intersect_method, backend=kernels.name):
-            if intersect_method != "expand":
-                pairs = enumerate_pairs_intersect(
-                    a,
-                    b,
-                    c_tilerow=layout.tile_rowidx(),
-                    c_tilecol=layout.tilecolidx,
-                    method=intersect_method,
-                )
-            elif pairs is None:
-                pairs = enumerate_pairs_expand(a, b)
-            _check_layout_matches(layout, pairs)
+        with timer.phase("step2", backend=kernels.name):
             live = step2_entries(a, b, pairs, kernels)
-            sym = step2_symbolic(a, b, pairs, backend=kernels, live=live)
+            sym = step2_symbolic(a, b, pairs, backend=kernels, live=live, mask=mask_rows)
         with timer.phase("malloc"):
             _allocate_c(alloc, "step2", a.num_tile_rows, pairs.num_c_tiles, T, sym.nnz)
 
@@ -282,6 +251,7 @@ def _tile_spgemm_under_context(
                 sym,
                 tnnz=tnnz,
                 force_accumulator=force_accumulator,
+                mask_filter=mask is not None,
                 value_dtype=value_dtype,
                 backend=kernels,
                 live=live,
@@ -290,7 +260,7 @@ def _tile_spgemm_under_context(
     c = TileMatrix(
         (a.shape[0], b.shape[1]),
         T,
-        _tileptr_from_rows(pairs.c_tilerow, layout.num_tile_rows),
+        _tileptr_from_rows(pairs.c_tilerow, a.num_tile_rows),
         pairs.c_tilecol,
         sym.tilennz,
         sym.rowptr,
@@ -303,11 +273,40 @@ def _tile_spgemm_under_context(
     if not keep_empty_tiles:
         c = c.drop_empty_tiles()
 
-    stats = collect_stats(a, b, pairs, sym, num, layout)
+    stats = collect_stats(a, b, pairs, sym, num, tile_flops_step1)
     stats["backend"] = kernels.name
+    if mask is not None:
+        stats["masked"] = True
     return TileSpGEMMResult(
         c=c, timer=timer, alloc=alloc, stats=stats, pairs=pairs, symbolic=sym
     )
+
+
+def _restrict_to_mask(pairs: TilePairs, mask: TileMatrix):
+    """Keep the candidate tiles present in ``mask``'s tile layout.
+
+    Returns the kept tiles' pairs and, per kept tile, the mask's bit rows.
+    """
+    ntc = max(mask.num_tile_cols, 1)
+    cand = pairs.c_tilerow * ntc + pairs.c_tilecol
+    held = mask.tile_rowidx() * ntc + mask.tilecolidx
+    pos = np.searchsorted(held, cand)
+    keep = pos < held.size
+    keep[keep] = held[pos[keep]] == cand[keep]
+    counts = np.diff(pairs.pair_ptr)
+    pair_keep = np.repeat(keep, counts)
+    pair_ptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+    np.cumsum(counts[keep], out=pair_ptr[1:])
+    kept = TilePairs(
+        c_tilerow=pairs.c_tilerow[keep],
+        c_tilecol=pairs.c_tilecol[keep],
+        pair_ptr=pair_ptr,
+        pair_a=pairs.pair_a[pair_keep],
+        pair_b=pairs.pair_b[pair_keep],
+        len_a=pairs.len_a[keep],
+        len_b=pairs.len_b[keep],
+    )
+    return kept, mask.mask[pos[keep]]
 
 
 def tile_spgemm_from_csr(a_csr, b_csr, tile_size: int = TILE, **kwargs) -> TileSpGEMMResult:
@@ -404,22 +403,13 @@ def _tileptr_from_rows(tile_rows: np.ndarray, num_tile_rows: int) -> np.ndarray:
     return tileptr
 
 
-def _check_layout_matches(layout: TileLayout, pairs: TilePairs) -> None:
-    """Step 1's candidate tiles must equal the tiles the pairs touch."""
-    if layout.num_tiles != pairs.num_c_tiles:
-        raise AssertionError(
-            "step 1 layout disagrees with pair enumeration: "
-            f"{layout.num_tiles} vs {pairs.num_c_tiles} candidate tiles"
-        )
-
-
 def collect_stats(
     a: TileMatrix,
     b: TileMatrix,
     pairs: TilePairs,
     sym: SymbolicResult,
     num: NumericResult,
-    layout: TileLayout,
+    tile_flops_step1: int,
 ) -> Dict[str, object]:
     """Assemble the run statistics / cost-model inputs dictionary.
 
@@ -447,7 +437,7 @@ def collect_stats(
         "intersect_len_b": pairs.len_b,
         "symbolic_ops": sym.symbolic_ops,
         "pair_a_nnz": sym.pair_a_nnz,
-        "tile_flops_step1": layout.tile_flops,
+        "tile_flops_step1": tile_flops_step1,
         "num_tiles_a": a.num_tiles,
         "num_tiles_b": b.num_tiles,
         "nnz_a": a.nnz,

@@ -177,7 +177,7 @@ def chunked_tile_spgemm(
         must start at 0, end at ``a.num_tile_rows`` and be strictly
         increasing.  Overrides ``num_batches``.
     **kwargs:
-        Remaining ``tile_spgemm`` options (``tnnz``, methods, dtype...).
+        Remaining ``tile_spgemm`` options (``tnnz``, ``force_accumulator``, ``value_dtype``).
 
     Returns
     -------

@@ -161,7 +161,7 @@ def parallel_tile_spgemm(
         ``None`` for the ambient default), resolved to a kernel set
         here, so every shard runs the same backend.
     **kwargs:
-        Remaining ``tile_spgemm`` options (``tnnz``, methods, dtype...).
+        Remaining ``tile_spgemm`` options (``tnnz``, ``force_accumulator``, ``value_dtype``).
 
     Returns
     -------
@@ -203,7 +203,7 @@ def parallel_tile_spgemm(
     )
 
     if workers <= 1 or len(bounds) <= 2:
-        run = ShardRun(a, b, bounds, policy)
+        run = ShardRun(a, b, bounds, policy, track="parallel")
         res = run_blocking([run], opts, keep_empty_tiles=keep_empty_tiles)[0]
         res.stats["workers"] = 1
     else:

@@ -176,7 +176,8 @@ class ShardRun:
         Names the multiply in error messages (``"request t#3"``).
     track:
         Telemetry namespace: ``<track>_resplits_total`` /
-        ``_retries_total`` / ``_pool_replacements_total`` counters and,
+        ``_retries_total`` / ``_pool_replacements_total`` counters;
+        inline, ``<track>.batch`` spans and ``<track>_batches_total``;
         on a pool, ``<track>.shard`` summary spans over
         ``<track>.workers`` worker spans.
     labels:
@@ -279,16 +280,16 @@ class ShardRun:
         """Run one range on the calling thread, under its ambient context.
 
         A range short of the whole matrix is a batch: it gets a
-        ``chunked.batch`` span and counts in ``chunked_batches_total``.
+        ``<track>.batch`` span and counts in ``<track>_batches_total``.
         """
         r0, r1, _ = item
         if (r0, r1) == self.whole:
             return self._run(item, opts)
         with self.obs.tracer.span(
-            f"batch [{r0}, {r1})", cat="chunked.batch", tile_rows=[r0, r1]
+            f"batch [{r0}, {r1})", cat=f"{self.track}.batch", tile_rows=[r0, r1]
         ):
             out = self._run(item, opts)
-        self.obs.metrics.inc("chunked_batches_total")
+        self.obs.metrics.inc(f"{self.track}_batches_total")
         return out
 
     def done(self, item: Item, out) -> None:

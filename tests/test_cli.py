@@ -226,7 +226,8 @@ class TestCLIObservability:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budgeted_run_counts_one_multiply(self, workers, tmp_path, capsys):
         # An OOM re-split run is still one multiply at any worker count,
-        # and its allocations count once, where the ranges made them.
+        # its allocations count once, where the ranges made them, and its
+        # re-splits count under the same name.
         from repro.matrices.generators import banded
 
         path = tmp_path / "banded.mtx"
@@ -244,6 +245,9 @@ class TestCLIObservability:
                 key, value = line.rsplit(" ", 1)
                 counters[key] = float(value)
         assert counters["tilespgemm_runs_total"] == 1
+        # Inline or pooled, parallel_tile_spgemm counts its recovery
+        # under one name.
+        assert counters["parallel_resplits_total"] == resplits > 0
         # The allocations the ranges made: seven per range that finished,
         # plus those of ranges that ran out of budget part-way.
         assert counters["device_alloc_events_total"] >= 7 * (resplits + 1)

@@ -1,5 +1,7 @@
 """Tests for the individual TileSpGEMM steps and their kernels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,13 @@ from repro.core.intersect import (
     intersect_merge,
     merge_cost,
 )
-from repro.core.pairs import enumerate_pairs_expand, enumerate_pairs_intersect
+from repro.core.pairs import TilePairs, enumerate_pairs_expand, enumerate_pairs_intersect
 from repro.core.step1 import step1_tile_layout, symbolic_spgemm_pattern
 from repro.core.step2 import step2_symbolic
 from repro.core.step3 import c_indices_from_masks, step3_numeric
 from repro.core.tile_matrix import TileMatrix
 from tests.conftest import random_csr, scipy_product
+from tests.corpus import CORPUS
 
 sorted_sets = st.lists(st.integers(0, 60), max_size=25).map(
     lambda xs: np.asarray(sorted(set(xs)), dtype=np.int64)
@@ -63,20 +66,24 @@ class TestIntersect:
         assert merge_cost(np.array([10.0]), np.array([20.0]))[0] == 30.0
 
 
+def assert_same_pairs(join: TilePairs, ref: TilePairs) -> None:
+    """Every field equal, the intersection lengths ``len_a``/``len_b`` included."""
+    for f in dataclasses.fields(TilePairs):
+        assert np.array_equal(getattr(join, f.name), getattr(ref, f.name)), f.name
+
+
+def corpus_operands(name):
+    case = CORPUS[name]
+    return TileMatrix.from_csr(case.a), TileMatrix.from_csr(case.b)
+
+
 class TestPairs:
     @pytest.mark.parametrize("method", ["binary", "merge"])
     def test_expand_equals_intersect(self, method):
         a = TileMatrix.from_csr(random_csr(130, 110, 0.06, seed=51))
         b = TileMatrix.from_csr(random_csr(110, 150, 0.06, seed=52))
-        p1 = enumerate_pairs_expand(a, b)
-        p2 = enumerate_pairs_intersect(a, b, method=method)
-        assert np.array_equal(p1.c_tilerow, p2.c_tilerow)
-        assert np.array_equal(p1.c_tilecol, p2.c_tilecol)
-        assert np.array_equal(p1.pair_ptr, p2.pair_ptr)
-        assert np.array_equal(p1.pair_a, p2.pair_a)
-        assert np.array_equal(p1.pair_b, p2.pair_b)
-        assert np.array_equal(p1.len_a, p2.len_a)
-        assert np.array_equal(p1.len_b, p2.len_b)
+        assert_same_pairs(enumerate_pairs_expand(a, b),
+                          enumerate_pairs_intersect(a, b, method=method))
 
     def test_pairs_reference_valid_tiles(self):
         a = TileMatrix.from_csr(random_csr(100, 100, 0.05, seed=53))
@@ -99,6 +106,26 @@ class TestPairs:
         p = enumerate_pairs_expand(a, a)
         assert p.num_c_tiles == 0
         assert p.num_pairs == 0
+
+
+class TestReferenceKernelsOnCorpus:
+    """The paper's kernels find the driver's tile-pair join on every corpus case."""
+
+    @pytest.mark.parametrize("method", ["binary", "merge"])
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_intersect_returns_the_join(self, name, method):
+        a, b = corpus_operands(name)
+        assert_same_pairs(enumerate_pairs_expand(a, b),
+                          enumerate_pairs_intersect(a, b, method=method))
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_hash_layout_is_the_join_tiles(self, name):
+        a, b = corpus_operands(name)
+        join = enumerate_pairs_expand(a, b)
+        layout = step1_tile_layout(a.tile_pattern_csr(), b.tile_pattern_csr(), "hash")
+        assert np.array_equal(layout.tile_rowidx(), join.c_tilerow)
+        assert np.array_equal(layout.tilecolidx, join.c_tilecol)
+        assert layout.tile_flops == join.num_pairs
 
 
 class TestStep1:

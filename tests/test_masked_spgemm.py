@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TileMatrix, masked_tile_spgemm, tile_spgemm
+from repro.errors import TransientKernelError
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.obs import make_obs, obs_context
+from repro.runtime import FaultPlan
+from repro.runtime.context import execution_context
 from tests.conftest import random_csr
 
 
@@ -64,6 +68,39 @@ class TestMaskedCorrectness:
         masked = masked_tile_spgemm(tiled(a), tiled(a), tiled(m))
         assert masked.c.nnz < plain.c.nnz
         assert masked.stats["masked"] is True
+
+
+class TestMaskedRunsTheDriver:
+    """A masked multiply is a ``tile_spgemm`` run: same ledger, one work
+    record, the same step faults."""
+
+    @pytest.fixture
+    def operands(self):
+        a = tiled(random_csr(80, 80, 0.1, seed=204))
+        return a, tiled(CSRMatrix.from_dense(np.ones((80, 80))))
+
+    def test_full_mask_allocates_like_plain(self, operands):
+        a, full = operands
+        masked = masked_tile_spgemm(a, a, full)
+        plain = tile_spgemm(a, a)
+        labels = [(e.kind, e.label, e.nbytes) for e in masked.alloc.events]
+        assert labels == [(e.kind, e.label, e.nbytes) for e in plain.alloc.events]
+        assert masked.alloc.peak_bytes == plain.alloc.peak_bytes
+
+    def test_one_work_record(self, operands):
+        a, full = operands
+        obs = make_obs(metrics=True, profile=True)
+        with obs_context(metrics=obs.metrics, profile=obs.profile):
+            res = masked_tile_spgemm(a, a, full)
+        assert obs.metrics.counter_value("tilespgemm_runs_total") == 1
+        assert obs.profile.runs == 1
+        assert res.stats["backend"]
+
+    def test_step_fault_fires(self, operands):
+        a, full = operands
+        plan = FaultPlan().transient_at_step("step2", at=1)
+        with execution_context(fault_plan=plan), pytest.raises(TransientKernelError):
+            masked_tile_spgemm(a, a, full)
 
 
 class TestMaskedValidation:

@@ -314,7 +314,7 @@ class TestMetricsRegistry:
         (snap1, retries1), (snap2, retries2) = run(), run()
         assert retries1 == retries2
         assert json.dumps(snap1, sort_keys=True) == json.dumps(snap2, sort_keys=True)
-        assert snap1["counters"].get("chunked_retries_total", 0) == retries1
+        assert snap1["counters"].get("parallel_retries_total", 0) == retries1
 
 
 class TestPipelineInstrumentation:
@@ -410,7 +410,7 @@ class TestPipelineInstrumentation:
         m = obs.metrics
         assert m.counter_value("faults_injected_total", error="transient", site="step") == 1
         # The shard engine's tallies are the one record of the recovery.
-        assert m.counter_value("chunked_retries_total") == res.stats["retries"] == 1
+        assert m.counter_value("parallel_retries_total") == res.stats["retries"] == 1
         assert m.counter_value("tilespgemm_runs_total") == 1
         names = [e.name for e in obs.tracer.events if e.ph == "i"]
         assert "inject:transient" in names

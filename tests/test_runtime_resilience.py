@@ -290,7 +290,7 @@ class TestFallbackLadder:
         assert res.stats["retries"] == 3 and res.stats["resplits"] == 0
         assert res.stats["shards"] == 1
         assert res.timer.seconds["backoff"] == pytest.approx(0.5 + 1.0 + 2.0)
-        assert obs.metrics.counter_value("chunked_retries_total") == 3
+        assert obs.metrics.counter_value("parallel_retries_total") == 3
         assert np.array_equal(res.c.val, clean.c.val)
 
     def test_zero_retries_exhaust_on_the_first_fault(self):

@@ -1,11 +1,15 @@
 """Every step-1 / step-2 path reproduces the default path's bytes and stats.
 
-The default path takes ``C``'s tile layout from the tile-pair join and
-keeps its pairs for step 2.  The other paths — the NSPARSE-like hash
-kernel for step 1 (``step1_method="hash"``) and the paper's per-tile
-intersection for step 2 (``intersect_method="binary"`` / ``"merge"``) —
-must produce the same product byte for byte, and the same cost-model
-statistics, on every corpus case.
+The driver (``tile_spgemm``) takes ``C``'s tile layout from the tile-pair
+join and keeps its pairs for step 2; its rows (``default``) must give the
+golden product byte for byte and the recorded cost-model statistics on
+every corpus case.  The paper's own kernels — the NSPARSE-like hash
+kernel for step 1 (``hash``) and the per-tile binary-search or merge
+intersection for step 2 over the hash kernel's tiles (``binary`` /
+``merge``) — are reference kernels outside the driver; their rows check
+the statistics they determine against the same recorded table.
+``tests/test_core_steps.py`` checks that they return the join's exact
+pairs, so the product they would feed steps 2-3 is the golden one.
 
 The digests are the default path's entries of
 :data:`tests.test_step3_golden.GOLDEN`; the statistics below were recorded
@@ -21,17 +25,13 @@ import numpy as np
 import pytest
 
 from repro.core import TileMatrix, tile_spgemm
-from repro.core.pairs import LiveEntries, live_entries
+from repro.core.pairs import LiveEntries, enumerate_pairs_intersect, live_entries
+from repro.core.step1 import step1_tile_layout
 from tests.corpus import CORPUS
 from tests.test_step3_golden import GOLDEN, _plain_id, tile_digest
 
-#: ``tile_spgemm`` keyword arguments of every step-1 / step-2 path.
-_PATHS = {
-    "default": {},
-    "hash": {"step1_method": "hash"},
-    "binary": {"intersect_method": "binary"},
-    "merge": {"intersect_method": "merge"},
-}
+#: The driver's path and the paper's reference kernels.
+_PATHS = ("default", "hash", "binary", "merge")
 
 #: name -> (symbolic_ops, tile_flops_step1, num_c_tiles, pairs_per_tile,
 #: products_per_tile).
@@ -65,11 +65,28 @@ STATS = {
 }
 
 
-def _run(name: str, path: str):
+def _operands(name: str):
     case = CORPUS[name]
-    a, b = TileMatrix.from_csr(case.a), TileMatrix.from_csr(case.b)
+    return TileMatrix.from_csr(case.a), TileMatrix.from_csr(case.b)
+
+
+def _run(name: str):
+    a, b = _operands(name)
     with np.errstate(over="ignore", invalid="ignore"):
-        return tile_spgemm(a, b, **_PATHS[path], **case.kwargs)
+        return tile_spgemm(a, b, **CORPUS[name].kwargs)
+
+
+def _reference_stats(name: str, path: str):
+    """The statistics the ``path`` reference kernel determines."""
+    a, b = _operands(name)
+    layout = step1_tile_layout(a.tile_pattern_csr(), b.tile_pattern_csr(), method="hash")
+    if path == "hash":
+        return {"tile_flops_step1": layout.tile_flops, "num_c_tiles": layout.num_tiles}
+    pairs = enumerate_pairs_intersect(
+        a, b, c_tilerow=layout.tile_rowidx(), c_tilecol=layout.tilecolidx, method=path
+    )
+    return {"num_c_tiles": pairs.num_c_tiles,
+            "pairs_per_tile": np.diff(pairs.pair_ptr).tolist()}
 
 
 def _golden_digest(name: str) -> str:
@@ -80,9 +97,15 @@ def _golden_digest(name: str) -> str:
 @pytest.mark.parametrize("path", sorted(_PATHS))
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_path_reproduces_default_digest_and_stats(name, path):
-    res = _run(name, path)
-    assert tile_digest(res.c) == _golden_digest(name)
     symbolic_ops, tile_flops, num_c_tiles, pairs_per_tile, products_per_tile = STATS[name]
+    if path != "default":
+        recorded = {"tile_flops_step1": tile_flops, "num_c_tiles": num_c_tiles,
+                    "pairs_per_tile": pairs_per_tile}
+        got = _reference_stats(name, path)
+        assert got == {k: recorded[k] for k in got}
+        return
+    res = _run(name)
+    assert tile_digest(res.c) == _golden_digest(name)
     st = res.stats
     assert st["symbolic_ops"] == symbolic_ops
     assert st["tile_flops_step1"] == tile_flops
@@ -97,10 +120,9 @@ def test_stats_table_covers_the_corpus():
 
 @pytest.mark.parametrize("name", ["moderate_random", "ragged_50x47", "outer_product"])
 def test_result_holds_no_per_entry_arrays(name):
-    res = _run(name, "default")
+    res = _run(name)
     pairs, sym = res.pairs, res.symbolic
-    case = CORPUS[name]
-    a, b = TileMatrix.from_csr(case.a), TileMatrix.from_csr(case.b)
+    a, b = _operands(name)
     num_entries = live_entries(a, b, pairs).a_idx.size
     allowed = {pairs.num_c_tiles, pairs.num_c_tiles + 1, pairs.num_pairs}
     assert num_entries not in allowed  # else the check below proves nothing

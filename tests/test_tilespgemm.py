@@ -110,9 +110,6 @@ class TestConfigurations:
         a, b = small_pair
         base = run(a, b).c.to_csr()
         for kw in (
-            {"step1_method": "hash"},
-            {"intersect_method": "binary"},
-            {"intersect_method": "merge"},
             {"force_accumulator": "sparse"},
             {"force_accumulator": "dense"},
             {"tnnz": 0},
