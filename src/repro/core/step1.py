@@ -10,12 +10,13 @@ to hold zero nonzeros after step 2, and the final ``C`` is allowed to keep
 The paper delegates this step to the NSPARSE library because the tile-level
 problem is small and NSPARSE is fast on small cases.  The TileSpGEMM driver
 (:func:`repro.core.tilespgemm.tile_spgemm`) instead takes the layout from
-the tile-pair join (:func:`repro.core.pairs.enumerate_pairs_expand`) and
-keeps its pairs for step 2; it does not call this module.  This module
-holds the NSPARSE-like hash kernel (``"hash"``) as a reference kernel,
-with its ESC twin (``"expand"``) as cross-check: the tests assert that on
-every corpus case the hash layout is the join's tiles and its
-``tile_flops`` the join's pair count, and
+the tile-pair join (:func:`repro.core.pairs.enumerate_live_pairs`) and
+keeps its live pairs for step 2; it does not call this module.  This
+module holds the NSPARSE-like hash kernel (``"hash"``) as a reference
+kernel, with its ESC twin (``"expand"``) as cross-check: the tests assert
+that on every corpus case the hash layout is the reference join's
+(:func:`repro.core.pairs.enumerate_pairs_expand`) tiles and its
+``tile_flops`` that join's pair count, and
 ``benchmarks/bench_ablation_intersect.py`` compares the two kernels.
 """
 

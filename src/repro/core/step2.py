@@ -36,7 +36,9 @@ tiles, so step 3 then expands every live pair again (step 3
 
 OR is idempotent and commutative and product counts are integer sums, so
 both paths give the same bytes whatever pairs take them.  ``symbolic_ops``
-counts one per (pair, ``A``-tile nonzero) on either path.  The per-tile
+is the paper's mask-OR count, one per (matched pair, ``A``-tile nonzero),
+read from the join's per-tile ``matched_a_nnz``: it counts the dead pairs
+the driver's join dropped, which OR nothing.  The per-tile
 row pointers then fall out of mask popcounts plus a prefix scan, as in
 the paper.  The ambient tracer gets the sub-phases as spans:
 ``step2.expand`` (the entry path's list) and ``step2.pairs`` (the packed
@@ -88,10 +90,8 @@ class SymbolicResult:
     tile_nnz_counts:
         Per-tile nonzero counts (``diff(tilennz)``).
     symbolic_ops:
-        Number of mask-OR operations performed (cost-model input): one per
-        (pair, A-tile nonzero).
-    pair_a_nnz:
-        Per-pair nonzero count of the pair's ``A`` tile (cost-model input).
+        The paper's mask-OR count (cost-model input): one per (matched
+        pair, A-tile nonzero), dead pairs included.
     pair_products:
         Per-pair intermediate products (``uint16``: at most ``T**3``):
         step 3's numeric work, from which it picks each tile's path.
@@ -102,7 +102,6 @@ class SymbolicResult:
     tilennz: np.ndarray
     tile_nnz_counts: np.ndarray
     symbolic_ops: int
-    pair_a_nnz: np.ndarray
     pair_products: np.ndarray
 
     @property
@@ -154,9 +153,6 @@ def step2_symbolic(
     num_c = pairs.num_c_tiles
     mask_c = np.zeros((num_c, T), dtype=mask_dtype)
 
-    a_counts = a.tile_nnz_counts()
-    pair_a_nnz = a_counts[pairs.pair_a] if pairs.num_pairs else np.empty(0, dtype=np.int64)
-
     if live is None:
         live = step2_entries(a, b, pairs, kernels)
     # Entry path: AtomicOr(mask_C[slot, r], mask_B[b_tile, c]) for every live A nonzero.
@@ -175,7 +171,6 @@ def step2_symbolic(
     with current_obs().tracer.span("step2.pairs", cat="substep", pairs=int(packed.size)):
         if packed.size:
             _or_packed_rows(a, b, pairs, packed, mask_c, pair_products, kernels)
-    symbolic_ops = int(pair_a_nnz.sum())
     if mask is not None:
         mask_c &= mask
 
@@ -192,8 +187,7 @@ def step2_symbolic(
         rowptr=rowptr,
         tilennz=tilennz,
         tile_nnz_counts=tile_counts,
-        symbolic_ops=symbolic_ops,
-        pair_a_nnz=pair_a_nnz,
+        symbolic_ops=int(pairs.matched_a_nnz.sum()),
         pair_products=pair_products,
     )
 

@@ -13,7 +13,9 @@ one (a ``T*T`` scratch tile, compacted through the mask afterwards).  That
 choice is recorded per tile (``NumericResult.use_dense``) for the cost
 model, the profiler and the ablations.  The CPU runs two exact paths and
 picks one per ``C`` tile by *product fill* instead — its products over
-``pairs * T**3``, the work a dense tile product does:
+``matched * T**3``, the work a dense tile product does over the tile's
+matched pairs (:attr:`~repro.core.pairs.TilePairs.matched`, dead pairs
+included, so the choice does not depend on which pairs the join holds):
 
 * **scatter** — per ``A`` nonzero, gather its ``C`` row's base offset
   ``tilennz[slot] + rowptr[slot, r]`` and mask; per product, add the
@@ -392,10 +394,10 @@ def _dense_path_tiles(
 ) -> np.ndarray:
     """The C tiles (ascending slots) that step 3 accumulates as dense tiles.
 
-    A tile qualifies by product fill (``DENSE_MIN_FILL``, or any product
-    under ``force_accumulator="dense"``) if the dense path gives its
-    scatter bytes: double precision, no split across chunks, and finite
-    operands (``0 * inf`` is ``nan``).
+    A tile qualifies by product fill (``DENSE_MIN_FILL`` of its matched
+    pairs' ``T**3``, or any product under ``force_accumulator="dense"``)
+    if the dense path gives its scatter bytes: double precision, no split
+    across chunks, and finite operands (``0 * inf`` is ``nan``).
     """
     none = np.empty(0, dtype=np.int64)
     if force_accumulator == "sparse" or np.dtype(value_dtype) != np.float64:
@@ -405,7 +407,7 @@ def _dense_path_tiles(
     if force_accumulator == "dense":
         wanted = tile_products > 0
     else:
-        wanted = tile_products >= DENSE_MIN_FILL * T**3 * np.diff(pairs.pair_ptr)
+        wanted = tile_products >= DENSE_MIN_FILL * T**3 * pairs.matched
     wanted &= tile_products <= chunk_products
     tiles = np.flatnonzero(wanted)
     if tiles.size and not (np.isfinite(a.val).all() and np.isfinite(b.val).all()):

@@ -3,11 +3,16 @@
 ``tile_spgemm(A, B)`` runs:
 
 1. **step 1** — the tile-pair join
-   (:func:`repro.core.pairs.enumerate_pairs_expand`) finds the candidate
-   tiles of ``C`` and the matched ``(A_ik, B_kj)`` pairs of each, which
-   step 2 keeps (the paper's NSPARSE hash kernel and per-tile
-   intersection are reference kernels the tests check the join
-   against: :mod:`repro.core.step1`, :mod:`repro.core.pairs`);
+   (:func:`repro.core.pairs.enumerate_live_pairs`) finds the candidate
+   tiles of ``C`` and each one's matched ``(A_ik, B_kj)`` pairs.  It
+   counts them without a sort, drops the dead pairs (no ``A`` column
+   meets a nonempty ``B`` row) and sorts only the live ones, which steps
+   2 and 3 keep; the statistics (``pairs_per_tile``,
+   ``tile_flops_step1``, ``symbolic_ops``) still count every matched
+   pair.  The paper's NSPARSE hash kernel and per-tile intersection are
+   reference kernels the tests check the reference join
+   (:func:`~repro.core.pairs.enumerate_pairs_expand`) against:
+   :mod:`repro.core.step1`, :mod:`repro.core.pairs`;
 2. **step 2** — the bit-mask symbolic phase sizes and allocates ``C``
    (:mod:`repro.core.step2`);
 3. **step 3** — the numeric phase with the adaptive sparse/dense
@@ -29,7 +34,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.pairs import TilePairs, enumerate_pairs_expand
+from repro.core.pairs import TilePairs, enumerate_live_pairs
 from repro.core.step2 import SymbolicResult, step2_entries, step2_symbolic
 from repro.core.step3 import NumericResult, default_tnnz, step3_numeric
 from repro.core.tile_matrix import TILE, TileMatrix, mask_dtype_for
@@ -219,12 +224,12 @@ def _tile_spgemm(
         timer = PhaseTimer()
         alloc = AllocationTracker()
         # --------------------------------------------------------- step 1
-        # The tile-pair join finds C's layout; step 2 keeps its pairs.
+        # The tile-pair join finds C's layout; steps 2 and 3 keep its live pairs.
         alloc.set_phase("step1")
         note_step("step1")
         with timer.phase("step1"):
-            pairs = enumerate_pairs_expand(a, b)
-            tile_flops_step1 = pairs.num_pairs
+            pairs = enumerate_live_pairs(a, b)
+            tile_flops_step1 = int(pairs.matched.sum())
             mask_rows = None
             if mask is not None:
                 pairs, mask_rows = _restrict_to_mask(pairs, mask)
@@ -285,7 +290,8 @@ def _tile_spgemm(
 def _restrict_to_mask(pairs: TilePairs, mask: TileMatrix):
     """Keep the candidate tiles present in ``mask``'s tile layout.
 
-    Returns the kept tiles' pairs and, per kept tile, the mask's bit rows.
+    Returns the kept tiles' pairs and per-tile statistics and, per kept
+    tile, the mask's bit rows.
     """
     ntc = max(mask.num_tile_cols, 1)
     cand = pairs.c_tilerow * ntc + pairs.c_tilecol
@@ -305,6 +311,8 @@ def _restrict_to_mask(pairs: TilePairs, mask: TileMatrix):
         pair_b=pairs.pair_b[pair_keep],
         len_a=pairs.len_a[keep],
         len_b=pairs.len_b[keep],
+        matched=pairs.matched[keep],
+        matched_a_nnz=pairs.matched_a_nnz[keep],
     )
     return kept, mask.mask[pos[keep]]
 
@@ -417,13 +425,14 @@ def collect_stats(
     ----
     ``num_products``, ``flops`` — work of the numeric phase;
     ``num_c_tiles``, ``nnz_c`` — output size;
-    ``pairs_per_tile`` — matched pairs per candidate tile (load balance);
+    ``pairs_per_tile`` — matched pairs per candidate tile, dead ones
+    included (load balance);
     ``intersect_len_a``/``_b`` — intersection list lengths per tile;
-    ``symbolic_ops`` — mask OR count; ``tile_flops_step1`` — step-1 work;
+    ``symbolic_ops`` — mask OR count over the matched pairs;
+    ``tile_flops_step1`` — step-1 work, all matched pairs;
     ``sparse_tiles``/``dense_tiles`` — accumulator selection outcome;
     ``products_per_tile`` — numeric work per candidate tile.
     """
-    pairs_per_tile = np.diff(pairs.pair_ptr)
     # Numeric products per candidate tile, from step 3's per-pair sums.
     products_per_tile = np.diff(num.product_csum[pairs.pair_ptr])
 
@@ -432,11 +441,10 @@ def collect_stats(
         "flops": num.num_products * 2,
         "num_c_tiles": pairs.num_c_tiles,
         "nnz_c": sym.nnz,
-        "pairs_per_tile": pairs_per_tile,
+        "pairs_per_tile": pairs.matched,
         "intersect_len_a": pairs.len_a,
         "intersect_len_b": pairs.len_b,
         "symbolic_ops": sym.symbolic_ops,
-        "pair_a_nnz": sym.pair_a_nnz,
         "tile_flops_step1": tile_flops_step1,
         "num_tiles_a": a.num_tiles,
         "num_tiles_b": b.num_tiles,

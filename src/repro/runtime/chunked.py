@@ -52,12 +52,11 @@ _SCALAR_KEYS = (
     "dense_tiles",
 )
 
-#: Stats entries that are per-tile / per-pair arrays in global tile order.
+#: Stats entries that are per-tile arrays in global tile order.
 _ARRAY_KEYS = (
     "pairs_per_tile",
     "intersect_len_a",
     "intersect_len_b",
-    "pair_a_nnz",
     "products_per_tile",
     "tile_nnz_counts",
     "tile_use_dense",

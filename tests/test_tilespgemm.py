@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TileMatrix, tile_spgemm, tile_spgemm_from_csr
+from repro.core.pairs import enumerate_pairs_expand
 from repro.formats.csr import CSRMatrix
 from tests.conftest import random_csr, scipy_product
 
@@ -170,7 +171,10 @@ class TestResultMetadata:
         s = res.stats
         assert s["nnz_c"] == res.c.nnz
         assert s["num_c_tiles"] == res.c.num_tiles
-        assert int(np.sum(s["pairs_per_tile"])) == res.pairs.num_pairs
+        # Every matched pair counts, dead ones too, whatever pairs the driver holds.
+        matched = enumerate_pairs_expand(TileMatrix.from_csr(a), TileMatrix.from_csr(b))
+        assert np.array_equal(s["pairs_per_tile"], np.diff(matched.pair_ptr))
+        assert res.pairs.num_pairs <= matched.num_pairs
         assert int(np.sum(s["products_per_tile"])) == s["num_products"]
         assert s["sparse_tiles"] + s["dense_tiles"] == s["num_c_tiles"]
 
