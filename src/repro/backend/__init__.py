@@ -6,27 +6,25 @@ popcount, popcount rank, scatter-add accumulate, tile compaction); this
 module maps *names* onto kernel sets so the same pipeline can run on any
 registered implementation::
 
-    from repro.backend import list_backends, use_backend
     from repro.core import tile_spgemm
+    from repro.runtime import parallel_tile_spgemm
 
-    tile_spgemm(a, b, backend="pyloops")      # per-call selection
-    with use_backend("pyloops"):              # scoped process default
-        tile_spgemm(a, b)
+    tile_spgemm(a, b, backend="pyloops")
+    parallel_tile_spgemm(a, b, workers=2, backend="pyloops")
 
 Selection precedence, resolved per run by :func:`resolve_backend`:
 
 1. an explicit argument (a name or a ``KernelSet`` instance);
-2. the process default set by :func:`set_default_backend` /
-   :func:`use_backend`;
-3. the ``REPRO_BACKEND`` environment variable;
-4. the always-registered ``numpy`` reference.
+2. the ``REPRO_BACKEND`` environment variable;
+3. the always-registered ``numpy`` reference.
 
+There is no process-wide default to set: a run's backend is an argument
+of its entry point, so one thread's choice never reaches another's run.
 The sharded engines (:mod:`repro.runtime.parallel`, :mod:`repro.serve`)
 resolve the backend spec to a :class:`KernelSet` once per run, in the
 coordinator, and forward that instance in every shard's options, so every
-shard of a run uses one backend even if the process default changes
-while the run is in flight — and an unregistered kernel set works there
-as it does for ``tile_spgemm``.
+shard of a run uses one backend — and an unregistered kernel set works
+there as it does for ``tile_spgemm``.
 
 Every registered backend must be byte-identical to the ``numpy``
 reference — all eight result arrays, values included.  There is one
@@ -51,7 +49,6 @@ and the conformance contract the test suite enforces.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -78,13 +75,10 @@ __all__ = [
     "backend_available",
     "resolve_backend",
     "resolve_backend_name",
-    "set_default_backend",
     "default_backend_name",
-    "use_backend",
 ]
 
-#: Environment variable consulted when neither an explicit backend nor a
-#: process default is set.
+#: Environment variable consulted when no explicit backend is given.
 ENV_BACKEND = "REPRO_BACKEND"
 
 #: The always-registered reference backend.
@@ -101,7 +95,6 @@ class _Entry:
 
 _REGISTRY: Dict[str, _Entry] = {}
 _INSTANCES: Dict[str, KernelSet] = {}
-_DEFAULT_NAME: Optional[str] = None
 
 
 def register_backend(
@@ -163,9 +156,6 @@ def unregister_backend(name: str) -> None:
         raise InvalidInputError("the numpy reference backend cannot be unregistered")
     _REGISTRY.pop(name, None)
     _INSTANCES.pop(name, None)
-    global _DEFAULT_NAME
-    if _DEFAULT_NAME == name:
-        _DEFAULT_NAME = None
 
 
 def backend_available(name: str) -> bool:
@@ -215,25 +205,8 @@ def get_backend(name: str) -> KernelSet:
     return inst
 
 
-def set_default_backend(name: Optional[str]) -> Optional[str]:
-    """Set (or with ``None`` clear) the process-default backend.
-
-    Returns the previous default name so callers can restore it.  A
-    sharded run reads the default once, when it starts, and forwards the
-    resolved kernel set to every shard.
-    """
-    global _DEFAULT_NAME
-    if name is not None:
-        get_backend(name)  # validate eagerly
-    previous = _DEFAULT_NAME
-    _DEFAULT_NAME = name
-    return previous
-
-
 def default_backend_name() -> str:
     """The name :func:`resolve_backend` would use with no explicit spec."""
-    if _DEFAULT_NAME is not None:
-        return _DEFAULT_NAME
     env = os.environ.get(ENV_BACKEND, "").strip()
     return env or DEFAULT_BACKEND
 
@@ -242,8 +215,8 @@ def resolve_backend(spec: Union[None, str, KernelSet] = None) -> KernelSet:
     """Resolve a backend spec to a kernel set.
 
     ``spec`` may be a :class:`KernelSet` instance (returned as-is), a
-    registered name, or ``None`` — which walks the precedence chain:
-    process default, then ``REPRO_BACKEND``, then ``numpy``.
+    registered name, or ``None`` — which resolves ``REPRO_BACKEND``, else
+    ``numpy``.
 
     A name that came from the ``REPRO_BACKEND`` environment variable and
     fails to resolve raises :class:`~repro.errors.ConfigurationError`
@@ -252,11 +225,8 @@ def resolve_backend(spec: Union[None, str, KernelSet] = None) -> KernelSet:
     """
     if isinstance(spec, KernelSet):
         return spec
-    from_env = False
-    if spec is None:
-        from_env = _DEFAULT_NAME is None and bool(
-            os.environ.get(ENV_BACKEND, "").strip()
-        )
+    from_env = spec is None  # the numpy fallback always resolves
+    if from_env:
         spec = default_backend_name()
     if not isinstance(spec, str):
         raise InvalidInputError(
@@ -274,16 +244,6 @@ def resolve_backend_name(spec: Union[None, str, KernelSet] = None) -> str:
     """Like :func:`resolve_backend` but returns the registry name — what
     an execution plan and a bench record keep."""
     return resolve_backend(spec).name
-
-
-@contextmanager
-def use_backend(name: Optional[str]):
-    """Scoped :func:`set_default_backend`; yields the active kernel set."""
-    previous = set_default_backend(name)
-    try:
-        yield resolve_backend(None)
-    finally:
-        set_default_backend(previous)
 
 
 # ---------------------------------------------------------------- in-tree

@@ -31,7 +31,6 @@ from repro.baselines._expand import compress_sorted, expand_products, row_upper_
 from repro.errors import InvalidInputError
 from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.formats.csr import CSRMatrix
-from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -63,7 +62,6 @@ def esc_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
 
     # ------------------------------------------------------------ analysis
     alloc.set_phase("analysis")
-    note_step("analysis")
     with timer.phase("analysis"):
         ub = row_upper_bounds(a, b)
         bins = bin_rows(ub)
@@ -86,17 +84,14 @@ def esc_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
         long_products = int(ub[ub > SHARED_LIMIT].sum())
         if long_products:
             alloc.alloc("progressive_realloc", long_products * 6)
-    note_step("expansion")
     with timer.phase("expansion"):
         rows, cols, vals = expand_products(a, b)
 
     # --------------------------------------------------- sorting + compress
     alloc.set_phase("sort_compress")
-    note_step("sorting")
     with timer.phase("sorting"):
         key = rows * b.shape[1] + cols
         order = np.argsort(key, kind="stable")
-    note_step("compression")
     with timer.phase("compression"):
         c = compress_sorted(
             rows[order],

@@ -24,7 +24,6 @@ import numpy as np
 from repro.errors import InvalidInputError
 from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.formats.csr import CSRMatrix
-from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -43,7 +42,6 @@ def gustavson_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
     indptr = np.zeros(nrows + 1, dtype=np.int64)
     cols_out = []
     vals_out = []
-    note_step("numeric")
     with timer.phase("numeric"):
         for i in range(nrows):
             acc: dict = {}

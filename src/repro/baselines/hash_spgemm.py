@@ -33,7 +33,6 @@ from repro.baselines._expand import (
 from repro.errors import InvalidInputError
 from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.formats.csr import CSRMatrix
-from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -77,7 +76,6 @@ def hash_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
 
     # ------------------------------------------------------------ analysis
     alloc.set_phase("analysis")
-    note_step("analysis")
     with timer.phase("analysis"):
         ub = row_upper_bounds(a, b)
         table = hash_table_sizes(ub)
@@ -94,7 +92,6 @@ def hash_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
 
     # ------------------------------------------------------------ symbolic
     alloc.set_phase("symbolic")
-    note_step("symbolic")
     with timer.phase("symbolic"):
         rows_p, cols_p = expand_pattern(a, b)
         key = rows_p * shape[1] + cols_p
@@ -110,7 +107,6 @@ def hash_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
 
     # ------------------------------------------------------------- numeric
     alloc.set_phase("numeric")
-    note_step("numeric")
     with timer.phase("numeric"):
         rows, cols, vals = expand_products(a, b)
         c = compress_sorted(rows, cols, vals, shape)

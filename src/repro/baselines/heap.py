@@ -21,7 +21,6 @@ import numpy as np
 from repro.errors import InvalidInputError
 from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.formats.csr import CSRMatrix
-from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -41,7 +40,6 @@ def heap_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
     cols_out = []
     vals_out = []
     max_heap = 0
-    note_step("numeric")
     with timer.phase("numeric"):
         for i in range(nrows):
             lo, hi = a.indptr[i], a.indptr[i + 1]

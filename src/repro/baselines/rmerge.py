@@ -24,7 +24,6 @@ from repro.baselines._expand import row_upper_bounds
 from repro.errors import InvalidInputError
 from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.formats.csr import CSRMatrix
-from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.arrays import concat_ranges
 from repro.util.timing import PhaseTimer
@@ -72,7 +71,6 @@ def rmerge_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
     shape = (a.shape[0], b.shape[1])
 
     alloc.set_phase("analysis")
-    note_step("analysis")
     with timer.phase("analysis"):
         ub = row_upper_bounds(a, b)
         row_lists = np.diff(a.indptr)  # lists to merge per row = len(a_i*)
@@ -83,7 +81,6 @@ def rmerge_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
         alloc.alloc("merge_buffers", int(ub.sum()) * 12 * 2)
 
     # ------------------------------------------------- initial scaled lists
-    note_step("numeric")
     with timer.phase("numeric"):
         b_row_len = np.diff(b.indptr)
         rep = b_row_len[a.indices] if a.nnz else np.empty(0, dtype=np.int64)

@@ -26,7 +26,6 @@ from repro.baselines._expand import row_upper_bounds
 from repro.errors import InvalidInputError
 from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.formats.csr import CSRMatrix
-from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.arrays import concat_ranges
 from repro.util.timing import PhaseTimer
@@ -61,7 +60,6 @@ def spa_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
     cols_out = []
     vals_out = []
     alloc.set_phase("numeric")
-    note_step("numeric")
     with timer.phase("numeric"):
         for i in range(nrows):
             lo, hi = a.indptr[i], a.indptr[i + 1]

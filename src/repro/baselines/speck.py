@@ -28,7 +28,6 @@ from repro.baselines._expand import compress_sorted, expand_products, row_upper_
 from repro.errors import InvalidInputError
 from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.formats.csr import CSRMatrix
-from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -61,7 +60,6 @@ def speck_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
 
     # ------------------------------------------------- lightweight analysis
     alloc.set_phase("analysis")
-    note_step("analysis")
     with timer.phase("analysis"):
         ub = row_upper_bounds(a, b)
         bins = np.searchsorted(BIN_BOUNDS, ub, side="left")
@@ -76,7 +74,6 @@ def speck_spgemm(a: CSRMatrix, b: CSRMatrix) -> SpGEMMResult:
 
     # ------------------------------------------- fused symbolic + numeric
     alloc.set_phase("numeric")
-    note_step("numeric")
     with timer.phase("numeric"):
         rows, cols, vals = expand_products(a, b)
         c = compress_sorted(rows, cols, vals, shape)

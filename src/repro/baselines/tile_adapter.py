@@ -90,9 +90,8 @@ def tilespgemm_adapter(
     paper's assumption that matrices already live in the tiled format;
     otherwise the conversion is recorded as the ``format_conversion``
     phase (Figure 12's quantity).  ``backend`` selects the kernel
-    backend (see :mod:`repro.backend`); ``None`` keeps the ambient
-    default, so suites that sweep backends via
-    :func:`repro.backend.use_backend` cover this adapter too.
+    backend (see :mod:`repro.backend`); ``None`` resolves
+    ``REPRO_BACKEND``, else ``numpy``.
     """
     if backend is not None:
         kwargs["backend"] = backend

@@ -27,7 +27,6 @@ from repro.baselines.base import SpGEMMResult, flops_of_product, register
 from repro.core.pairs import enumerate_pairs_expand
 from repro.core.tile_matrix import TILE, TileMatrix
 from repro.formats.csr import CSRMatrix
-from repro.runtime.context import note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -65,7 +64,6 @@ def tsparse_spgemm(
     T = tile_size
 
     alloc.set_phase("tiling")
-    note_step("tiling")
     with timer.phase("tiling"):
         at = a_tiled if a_tiled is not None else TileMatrix.from_csr(a, T)
         bt = b_tiled if b_tiled is not None else TileMatrix.from_csr(b, T)
@@ -79,7 +77,6 @@ def tsparse_spgemm(
         # size having been live at the peak.
         alloc.alloc("dense_tiles_C", int(pairs.num_c_tiles * T * T * itemsize * 1.5))
 
-    note_step("densify")
     with timer.phase("densify"):
         dense_a = at.dense_tiles(dtype=dtype)
         dense_b = bt.dense_tiles(dtype=dtype)
@@ -87,7 +84,6 @@ def tsparse_spgemm(
     num_c = pairs.num_c_tiles
     dense_c = np.zeros((num_c, T, T), dtype=np.float64)
     slots = pairs.pair_c_slot()
-    note_step("numeric")
     with timer.phase("numeric"):
         for start in range(0, pairs.num_pairs, chunk_pairs):
             end = min(start + chunk_pairs, pairs.num_pairs)
@@ -96,7 +92,6 @@ def tsparse_spgemm(
             )
             np.add.at(dense_c, slots[start:end], prod.astype(np.float64))
 
-    note_step("sparsify")
     with timer.phase("sparsify"):
         tile_slot, r, ccol = np.nonzero(dense_c)
         rows = pairs.c_tilerow[tile_slot] * T + r

@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="kernel backend the suite runs under (see docs/BACKENDS.md); "
-        "recorded in the document's meta (default: ambient/$REPRO_BACKEND)",
+        "recorded in the document's meta (default: $REPRO_BACKEND, else numpy)",
     )
     run.add_argument(
         "--max-matrices",

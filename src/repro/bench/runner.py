@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import resolve_backend_name, use_backend
+from repro.backend import resolve_backend_name
 from repro.baselines import get_algorithm
 from repro.bench import schema
 from repro.gpu import DEVICES, estimate_run
@@ -166,7 +166,7 @@ class BenchConfig:
     max_matrices: Optional[int] = None  #: None = REPRO_BENCH_MAX_MATRICES or all
     methods: Optional[Tuple[str, ...]] = None  #: None = the suite's methods
     devices: Tuple[str, ...] = _ESTIMATE_DEVICES
-    backend: Optional[str] = None  #: kernel backend name; None = ambient default
+    backend: Optional[str] = None  #: kernel backend name; None = $REPRO_BACKEND, else numpy
 
     def resolved_cap(self) -> Optional[int]:
         if self.max_matrices is not None:
@@ -220,10 +220,9 @@ class BenchRunner:
         suite = SUITES[cfg.suite]
         random.seed(cfg.seed)
         np.random.seed(cfg.seed % (2**32))
-        # Resolve (and validate) the kernel backend once; the whole suite
-        # runs under it as the scoped process default, and the document
-        # records the resolved name so any two runs can be compared
-        # backend-aware.
+        # Resolve (and validate) the kernel backend once; every tiled
+        # method runs on it, and the document records the resolved name
+        # so any two runs can be compared backend-aware.
         backend_name = resolve_backend_name(cfg.backend)
         doc = schema.new_document(
             label=cfg.label or cfg.suite,
@@ -238,29 +237,30 @@ class BenchRunner:
         if cap is not None:
             specs = specs[: max(int(cap), 0)]
         methods = tuple(cfg.methods) if cfg.methods else suite.methods
-        with use_backend(backend_name):
-            for spec in specs:
-                a = spec.matrix()
-                for op in suite.ops:
-                    b = a if op == "aa" else a.transpose()
-                    for method in methods:
-                        if progress is not None:
-                            progress(f"{spec.name} {method} {op}")
-                        doc["series"].append(
-                            self._measure_series(spec.name, method, op, a, b)
-                        )
+        for spec in specs:
+            a = spec.matrix()
+            for op in suite.ops:
+                b = a if op == "aa" else a.transpose()
+                for method in methods:
+                    if progress is not None:
+                        progress(f"{spec.name} {method} {op}")
+                    doc["series"].append(
+                        self._measure_series(spec.name, method, op, a, b, backend_name)
+                    )
         schema.validate_document(doc)
         return doc
 
     # ------------------------------------------------------------- measure
     def _measure_series(
-        self, matrix_name: str, method: str, op: str, a, b
+        self, matrix_name: str, method: str, op: str, a, b, backend: str
     ) -> Dict[str, Any]:
         cfg = self.config
         kwargs: Dict[str, Any] = {}
         if method.startswith("tilespgemm"):
             # Every tiled variant (serial and the parallel adapters) takes
-            # pre-tiled operands, keeping conversion out of the timed region.
+            # pre-tiled operands, keeping conversion out of the timed region,
+            # and runs on the suite's backend.
+            kwargs["backend"] = backend
             kwargs["a_tiled"] = _tiled_of(a)
             kwargs["b_tiled"] = _tiled_of(a) if op == "aa" else _tiled_of(b)
         fn = get_algorithm(method)

@@ -88,7 +88,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.baselines import get_algorithm
@@ -251,7 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     device = _DEVICES[args.d]
 
-    from repro.backend import resolve_backend, use_backend
+    from repro.backend import resolve_backend
 
     if args.backend is not None:
         try:
@@ -263,14 +262,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = Tracer() if (args.trace is not None or args.profile) else None
     metrics = MetricsRegistry() if args.metrics is not None else None
     try:
-        # The scoped default makes every engine the run touches — the
-        # shard engine and the cross-check adapter — resolve the same
-        # kernel backend.
-        with use_backend(args.backend) if args.backend is not None else nullcontext():
-            if tracer is None and metrics is None:
-                return _run(args, device, None, None)
-            with obs_context(tracer=tracer, metrics=metrics):
-                return _run(args, device, tracer, metrics)
+        if tracer is None and metrics is None:
+            return _run(args, device, None, None)
+        with obs_context(tracer=tracer, metrics=metrics):
+            return _run(args, device, tracer, metrics)
     except FileNotFoundError:
         print(f"error: matrix file not found: {args.matrix}", file=sys.stderr)
         return exit_code_for(FileNotFoundError())
@@ -318,7 +313,7 @@ def _run(args, device, tracer, metrics) -> int:
     say("tile size: 16 x 16")
     from repro.backend import default_backend_name
 
-    backend_name = default_backend_name()
+    backend_name = args.backend or default_backend_name()
     if args.backend is not None:
         # Extra line only when explicitly requested, preserving the
         # artifact's default eighteen-line contract.
@@ -365,6 +360,7 @@ def _run(args, device, tracer, metrics) -> int:
         workers=args.workers,
         plan=plan,
         budget_bytes=args.memory_budget,
+        backend=args.backend,
     )
     stats, timer, alloc = result.stats, result.timer, result.alloc
     if plan is not None:

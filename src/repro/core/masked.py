@@ -15,10 +15,12 @@ symbolic currency.  The mask is an input to the one TileSpGEMM driver
 3. step 3 drops the intermediate products whose destination bit was
    masked away (everything else is unchanged).
 
-So a masked run times, ledgers, traces, injects faults and records its
-work exactly like :func:`~repro.core.tilespgemm.tile_spgemm`.  This is an
-*extension* beyond the paper (its future-work direction of GraphBLAS
-integration), validated against dense masking in the tests.
+So a masked run times, ledgers, traces and records its work exactly
+like :func:`~repro.core.tilespgemm.tile_spgemm`; it takes no budget,
+fault plan or backend and runs unbounded, fault-free, on the default
+backend.  This is an *extension* beyond the paper (its future-work
+direction of GraphBLAS integration), validated against dense masking in
+the tests.
 """
 
 from __future__ import annotations

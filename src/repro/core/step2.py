@@ -136,7 +136,7 @@ def step2_symbolic(
 
     ``backend`` selects the kernel set for the mask OR-accumulate and the
     popcounts (a name, a :class:`~repro.backend.KernelSet`, or ``None``
-    for the ambient default — see :func:`repro.backend.resolve_backend`).
+    for the default — see :func:`repro.backend.resolve_backend`).
     ``live`` is the entry path's list (:func:`step2_entries`, built if
     ``None``); the pairs it did not expand take the packed-row path.
     ``mask`` (``(num_c_tiles, T)`` bit rows, masked SpGEMM) is ANDed into

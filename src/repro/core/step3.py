@@ -228,7 +228,7 @@ def step3_numeric(
         Kernel set serving the popcounts, the popcount-rank, the
         scatter-add accumulate and the tile compaction — a registered
         name, a :class:`~repro.backend.KernelSet`, or ``None`` for the
-        ambient default (:func:`repro.backend.resolve_backend`).
+        default (:func:`repro.backend.resolve_backend`).
         Conformant backends are byte-identical, so this changes speed,
         never the result.
     live:

@@ -40,7 +40,6 @@ from repro.core.step3 import NumericResult, default_tnnz, step3_numeric
 from repro.core.tile_matrix import TILE, TileMatrix, mask_dtype_for
 from repro.errors import InvalidInputError
 from repro.obs.context import current_obs
-from repro.runtime.context import execution_context, note_step
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -154,16 +153,15 @@ def tile_spgemm(
         which halves an over-budget tile-row range until it fits).
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan` observing this
-        run's allocations and steps.  Both parameters default to the
-        active :func:`~repro.runtime.context.execution_context`.
+        run's allocations and steps.
     backend:
         Kernel backend for the steps' hot inner kernels — a registered
         name (``"numpy"``, ``"pyloops"``, ...), a
-        :class:`~repro.backend.KernelSet`, or ``None`` for the ambient
-        default (process default, then ``REPRO_BACKEND``, then
-        ``numpy``; see :mod:`repro.backend`).  Conformant backends
-        produce byte-identical results; the chosen name is recorded in
-        ``stats["backend"]`` and on the run's trace span.
+        :class:`~repro.backend.KernelSet`, or ``None`` for
+        ``REPRO_BACKEND``, else ``numpy`` (see :mod:`repro.backend`).
+        Conformant backends produce byte-identical results; the chosen
+        name is recorded in ``stats["backend"]`` and on the run's trace
+        span.
 
     Returns
     -------
@@ -211,7 +209,7 @@ def _tile_spgemm(
 
     tracer = current_obs().tracer
 
-    with execution_context(budget_bytes=budget_bytes, fault_plan=fault_plan), tracer.span(
+    with tracer.span(
         "tile_spgemm",
         cat="algorithm",
         shape_a=list(a.shape),
@@ -222,11 +220,18 @@ def _tile_spgemm(
         backend=kernels.name,
     ):
         timer = PhaseTimer()
-        alloc = AllocationTracker()
+        alloc = AllocationTracker(budget_bytes, fault_plan=fault_plan)
+
+        def enter(step: str) -> None:
+            # Tag the ledger and report the step to the fault plan, which
+            # may raise a typed error here: that is the injection.
+            alloc.set_phase(step)
+            if fault_plan is not None:
+                fault_plan.on_step(step)
+
         # --------------------------------------------------------- step 1
         # The tile-pair join finds C's layout; steps 2 and 3 keep its live pairs.
-        alloc.set_phase("step1")
-        note_step("step1")
+        enter("step1")
         with timer.phase("step1"):
             pairs = enumerate_live_pairs(a, b)
             tile_flops_step1 = int(pairs.matched.sum())
@@ -237,8 +242,7 @@ def _tile_spgemm(
             _allocate_c(alloc, "step1", a.num_tile_rows, pairs.num_c_tiles, T)
 
         # --------------------------------------------------------- step 2
-        alloc.set_phase("step2")
-        note_step("step2")
+        enter("step2")
         with timer.phase("step2", backend=kernels.name):
             live = step2_entries(a, b, pairs, kernels)
             sym = step2_symbolic(a, b, pairs, backend=kernels, live=live, mask=mask_rows)
@@ -246,8 +250,7 @@ def _tile_spgemm(
             _allocate_c(alloc, "step2", a.num_tile_rows, pairs.num_c_tiles, T, sym.nnz)
 
         # --------------------------------------------------------- step 3
-        alloc.set_phase("step3")
-        note_step("step3")
+        enter("step3")
         with timer.phase("step3", tnnz=tnnz, backend=kernels.name):
             num = step3_numeric(
                 a,

@@ -36,7 +36,6 @@ from repro.formats.csr import CSRMatrix
 from repro.gpu.costmodel import estimate_run
 from repro.gpu.device import RTX3090, DeviceModel
 from repro.obs.context import current_obs
-from repro.runtime.context import current_fault_plan
 
 __all__ = ["DistributedSpGEMMResult", "summa_spgemm", "csr_wire_bytes"]
 
@@ -123,8 +122,8 @@ def summa_spgemm(
         Interconnect latency/inverse-bandwidth of the time model.
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan` observing each
-        point-to-point transfer of the panel broadcasts (defaults to the
-        active execution context's plan).
+        point-to-point transfer of the panel broadcasts; ``None`` means
+        fault-free communication.
     max_retransmits:
         Lost transfers are resent up to this many times per transfer, each
         resend re-charged to the alpha-beta model; a transfer still failing
@@ -133,7 +132,6 @@ def summa_spgemm(
     if a.shape[1] != b.shape[0]:
         raise InvalidInputError("dimension mismatch")
     spgemm = get_algorithm(method)
-    plan = fault_plan if fault_plan is not None else current_fault_plan()
     obs = current_obs()
     retransmits = 0
 
@@ -142,12 +140,12 @@ def summa_spgemm(
         seconds paid for retransmissions (first send is charged by the
         caller)."""
         nonlocal retransmits
-        if plan is None:
+        if fault_plan is None:
             return 0.0
         extra = 0.0
         for attempt in range(max_retransmits + 1):
             try:
-                plan.on_broadcast(f"stage{tag}->({pi},{pj})")
+                fault_plan.on_broadcast(f"stage{tag}->({pi},{pj})")
                 return extra
             except CommFailure:
                 if attempt == max_retransmits:

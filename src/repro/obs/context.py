@@ -1,6 +1,7 @@
 """Ambient observability context: which tracer/metrics a run reports to.
 
-Mirrors :mod:`repro.runtime.context`: the tracer and metrics registry
+This is the package's one ambient state; a run's budget, fault plan and
+kernel backend are plain arguments.  The tracer and metrics registry
 must reach code many frames below the caller who configured them
 (``AllocationTracker`` events, baseline kernels, SUMMA broadcasts), so a
 run is wrapped in :func:`obs_context` and instrumented call sites consult
@@ -11,10 +12,9 @@ shared disabled context whose sinks are the no-op singletons, so
 un-instrumented runs pay one list lookup per site and nothing else.  Contexts nest; fields left ``None`` inherit from the
 enclosing context.
 
-Like the execution context, the stack is **per-thread**
-(:class:`threading.local`): pool threads start with an empty stack and
-therefore report to :data:`NULL_OBS` unless an engine enters a context
-for them.  A :class:`~repro.obs.trace.Tracer` is safe to use from several
+The stack is **per-thread** (:class:`threading.local`): pool threads
+start with an empty stack and therefore report to :data:`NULL_OBS`
+unless an engine enters a context for them.  A :class:`~repro.obs.trace.Tracer` is safe to use from several
 threads (one span stack per thread), and a
 :class:`~repro.obs.metrics.MetricsRegistry` and a
 :class:`~repro.obs.profile.WorkloadProfiler` lock their updates, so a

@@ -1,9 +1,9 @@
 """Resilient execution runtime: budgets, faults, chunking, retries.
 
-The production-facing wrapper around the SpGEMM engines:
+The production-facing wrapper around the SpGEMM engines.  A run's memory
+budget, fault plan and kernel backend are arguments of its entry point,
+forwarded explicitly to every range it runs:
 
-* :mod:`repro.runtime.context` — ambient execution context carrying the
-  device memory budget and the active fault plan;
 * :mod:`repro.runtime.faults` — deterministic seeded fault injection
   (:class:`FaultPlan`);
 * :mod:`repro.runtime.shards` — the one shard engine behind every entry
@@ -26,37 +26,32 @@ The production-facing wrapper around the SpGEMM engines:
   operands for repeated multiplies.
 
 See ``docs/RESILIENCE.md`` and ``docs/PARALLEL.md`` for the designs.
-
-``shards``, ``chunked``, ``policy`` and ``parallel`` import the core algorithm, so
-they are loaded lazily (PEP 562) — the core itself can import
-:mod:`~repro.runtime.context` without a cycle.
 """
 
 from __future__ import annotations
 
-from repro.runtime.context import (
-    ExecutionContext,
-    current_budget_bytes,
-    current_context,
-    current_fault_plan,
-    execution_context,
-    note_broadcast,
-    note_step,
+from repro.runtime.chunked import (
+    batch_bounds,
+    chunked_tile_spgemm,
+    slice_tile_rows,
+    stitch_results,
+    validate_bounds,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, FiredFault
+from repro.runtime.parallel import parallel_tile_spgemm, resolve_workers, spgemm_batch
+from repro.runtime.planner import ExecutionPlan, plan_execution, weighted_bounds
+from repro.runtime.policy import RetryPolicy, backoff_wait
+from repro.runtime.tilecache import (
+    TileCache,
+    cached_algorithm,
+    get_tile_cache,
+    reset_tile_cache,
+)
 
 __all__ = [
-    "ExecutionContext",
-    "execution_context",
-    "current_context",
-    "current_budget_bytes",
-    "current_fault_plan",
-    "note_step",
-    "note_broadcast",
     "FaultPlan",
     "FaultSpec",
     "FiredFault",
-    # lazily loaded:
     "chunked_tile_spgemm",
     "slice_tile_rows",
     "batch_bounds",
@@ -75,35 +70,3 @@ __all__ = [
     "reset_tile_cache",
     "cached_algorithm",
 ]
-
-_LAZY = {
-    "chunked_tile_spgemm": "repro.runtime.chunked",
-    "slice_tile_rows": "repro.runtime.chunked",
-    "batch_bounds": "repro.runtime.chunked",
-    "stitch_results": "repro.runtime.chunked",
-    "validate_bounds": "repro.runtime.chunked",
-    "ExecutionPlan": "repro.runtime.planner",
-    "plan_execution": "repro.runtime.planner",
-    "weighted_bounds": "repro.runtime.planner",
-    "RetryPolicy": "repro.runtime.policy",
-    "backoff_wait": "repro.runtime.policy",
-    "parallel_tile_spgemm": "repro.runtime.parallel",
-    "spgemm_batch": "repro.runtime.parallel",
-    "resolve_workers": "repro.runtime.parallel",
-    "TileCache": "repro.runtime.tilecache",
-    "get_tile_cache": "repro.runtime.tilecache",
-    "reset_tile_cache": "repro.runtime.tilecache",
-    "cached_algorithm": "repro.runtime.tilecache",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        return getattr(importlib.import_module(_LAZY[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

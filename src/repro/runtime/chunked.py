@@ -166,8 +166,8 @@ def chunked_tile_spgemm(
         Number of tile-row batches (clamped to ``a.num_tile_rows``); each
         batch runs steps 1–3 independently under the budget.
     budget_bytes, fault_plan:
-        Per-batch budget / fault plan, defaulting to the active
-        :func:`~repro.runtime.context.execution_context`.
+        Per-batch budget / fault plan; ``None`` means unbounded /
+        fault-free.
     keep_empty_tiles:
         As for ``tile_spgemm``; applied to the stitched matrix.
     bounds:
@@ -254,9 +254,8 @@ def stitch_results(
         timer.merge(r.timer)
 
     # --- Ledger: replay each batch then free its buffers (the offload).
-    # ``use_context=False``: the replay describes allocations that
-    # already happened, so it neither re-enforces the budget, re-fires
-    # the fault plan nor records telemetry.
+    # Detached, with no budget or fault plan: the replay describes
+    # allocations that already happened, so it records no telemetry.
     alloc = AllocationTracker(use_context=False)
     for k, r in enumerate(batches):
         for ev in r.alloc.events:

@@ -23,9 +23,8 @@ eight output arrays.
 **Backends.**  The kernel-backend spec is resolved to a
 :class:`~repro.backend.KernelSet` once per run, in the coordinator, and
 that instance travels in the shard options, so every shard of the run
-uses one backend even if the ambient default changes mid-run, and an
-unregistered kernel set works as it does for ``tile_spgemm``
-(:mod:`repro.backend`).  Every backend is exact,
+uses one backend, and an unregistered kernel set works as it does for
+``tile_spgemm`` (:mod:`repro.backend`).  Every backend is exact,
 and the conformance suite pins the merged result byte for byte against
 the serial ``numpy`` run.
 
@@ -152,14 +151,14 @@ def parallel_tile_spgemm(
         transient-fault retries of a shard (defaults apply when
         ``None``).
     budget_bytes, fault_plan:
-        Forwarded to every shard explicitly — pool threads inherit no
-        ambient context.  A shard over the budget is halved and requeued.
+        Forwarded to every shard explicitly.  A shard over the budget is
+        halved and requeued.
     keep_empty_tiles:
         As for ``tile_spgemm``; applied to the merged matrix.
     backend:
         Kernel backend spec (name, :class:`~repro.backend.KernelSet`, or
-        ``None`` for the ambient default), resolved to a kernel set
-        here, so every shard runs the same backend.
+        ``None`` for ``REPRO_BACKEND``, else ``numpy``), resolved to a
+        kernel set here, so every shard runs the same backend.
     **kwargs:
         Remaining ``tile_spgemm`` options (``tnnz``, ``force_accumulator``, ``value_dtype``).
 

@@ -20,8 +20,8 @@ from the cheap upfront estimate of :mod:`repro.analysis.estimate`
   predicted products per shard instead of tile-row counts, so a
   power-law row distribution no longer leaves one straggler shard
   holding most of the work.
-* **backend** — the explicit request if any, else the ambient
-  registry default, resolved to a kernel set once (a custom, unregistered
+* **backend** — the explicit request if any, else ``REPRO_BACKEND``,
+  else ``numpy``, resolved to a kernel set once (a custom, unregistered
   :class:`~repro.backend.KernelSet` included; the plan record keeps its
   name).
 

@@ -114,7 +114,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="kernel backend for the shards (default: ambient/numpy)",
+        help="kernel backend for the shards (default: $REPRO_BACKEND, else numpy)",
     )
     p.add_argument(
         "--metrics", default=None, metavar="OUT.prom",

@@ -13,8 +13,6 @@ from repro.util.arrays import (
 )
 from repro.util.bits import (
     POPCOUNT16,
-    mask_nonzero_columns,
-    masks_to_rowptr,
     nth_set_bit,
     popcount16,
     prefix_popcount,
@@ -34,8 +32,6 @@ __all__ = [
     "segmented_sum",
     "nth_set_bit",
     "POPCOUNT16",
-    "mask_nonzero_columns",
-    "masks_to_rowptr",
     "popcount16",
     "prefix_popcount",
     "PhaseTimer",

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DeviceOOMError
 from repro.obs.context import current_obs
-from repro.runtime.context import current_context
 
 __all__ = ["AllocationEvent", "AllocationTracker"]
 
@@ -55,34 +54,36 @@ class AllocationTracker:
         live total past the budget raises
         :class:`~repro.errors.DeviceOOMError` *before* any state changes —
         the tracker stays consistent, exactly like a failed ``cudaMalloc``.
+    fault_plan:
+        Optional :class:`~repro.runtime.faults.FaultPlan` consulted before
+        every allocation; the plan may raise a typed error there — that is
+        the injection.
     use_context:
-        When true (the default), a budget or fault plan left unset is
-        inherited from the active :func:`repro.runtime.context.execution_context`,
-        and every allocation is recorded in the active observability
-        context (``device_alloc_*`` counters, the ``device_live_bytes``
-        trace counter).  False makes a detached ledger that describes a
-        run rather than being one: the stitched ledger
-        (:func:`~repro.runtime.chunked.stitch_results`) and the priced
-        serial ledger (:func:`~repro.core.tilespgemm.serial_ledger`)
-        replay allocations that already happened, so they neither
-        re-enforce the budget, re-fire the fault plan nor count again.
+        When true (the default), every allocation is recorded in the
+        active observability context (``device_alloc_*`` counters, the
+        ``device_live_bytes`` trace counter).  False makes a detached
+        ledger that describes a run rather than being one: the stitched
+        ledger (:func:`~repro.runtime.chunked.stitch_results`) and the
+        priced serial ledger (:func:`~repro.core.tilespgemm.serial_ledger`)
+        replay allocations that already happened, so they do not count
+        them again.
     """
 
-    def __init__(self, budget_bytes: Optional[int] = None, use_context: bool = True) -> None:
+    def __init__(
+        self,
+        budget_bytes: Optional[int] = None,
+        *,
+        fault_plan=None,
+        use_context: bool = True,
+    ) -> None:
         self.events: List[AllocationEvent] = []
         self._live: Dict[str, int] = {}
         self.live_bytes: int = 0
         self.peak_bytes: int = 0
         self.total_allocated: int = 0
         self.current_phase: str = ""
-        self.fault_plan = None
+        self.fault_plan = fault_plan
         self._record = use_context
-        if use_context:
-            ctx = current_context()
-            if ctx is not None:
-                if budget_bytes is None:
-                    budget_bytes = ctx.budget_bytes
-                self.fault_plan = ctx.fault_plan
         self.budget_bytes: Optional[int] = None if budget_bytes is None else int(budget_bytes)
 
     def set_phase(self, phase: str) -> None:

@@ -21,9 +21,6 @@ __all__ = [
     "POPCOUNT16",
     "popcount16",
     "prefix_popcount",
-    "mask_nonzero_columns",
-    "masks_to_rowptr",
-    "columns_to_mask",
 ]
 
 
@@ -93,40 +90,6 @@ def prefix_popcount(masks: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return flat[(np.asarray(masks).astype(np.intp) << 4) | np.asarray(cols)]
 
 
-def mask_nonzero_columns(mask: int) -> np.ndarray:
-    """Return the sorted column indices of the set bits of a single mask."""
-    m = int(mask)
-    cols = [c for c in range(16) if m & (1 << c)]
-    return np.asarray(cols, dtype=np.uint8)
-
-
-def masks_to_rowptr(masks: np.ndarray) -> np.ndarray:
-    """Convert per-tile row masks to per-tile CSR-style row pointers.
-
-    Parameters
-    ----------
-    masks:
-        ``(num_tiles, 16)`` array of 16-bit row masks.
-
-    Returns
-    -------
-    ``(num_tiles, 16)`` uint8 array: entry ``[t, r]`` is the offset of tile
-    ``t``'s row ``r`` within the tile's nonzero storage.  Following the
-    paper, only 16 offsets are stored (not 17); the total nonzero count of
-    the tile lives in the ``tileNnz`` array instead, so every offset fits an
-    8-bit unsigned char (values 0..255).
-    """
-    masks = np.asarray(masks)
-    if masks.ndim != 2 or masks.shape[1] != 16:
-        raise ValueError(f"expected (num_tiles, 16) masks, got shape {masks.shape}")
-    counts = popcount16(masks).astype(np.uint16)
-    rowptr = np.zeros_like(counts)
-    np.cumsum(counts[:, :-1], axis=1, out=rowptr[:, 1:])
-    if rowptr.max(initial=0) > 255:
-        raise ValueError("tile row pointer overflows uint8; tile has > 256 nonzeros")
-    return rowptr.astype(np.uint8)
-
-
 #: For each 16-bit mask m, NTHBIT16[m, j] = column of the j-th (lowest-first)
 #: set bit, or 255 when j >= popcount(m).  1 MiB, built lazily: only the
 #: symbolic→numeric expansion of C's indices needs it.
@@ -156,10 +119,3 @@ def nth_set_bit(masks: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """
     table = _nthbit_table()
     return table[np.asarray(masks, dtype=np.uint32), np.asarray(ranks, dtype=np.intp)]
-
-
-def columns_to_mask(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Build 16 row masks from local (row, col) coordinates of one tile."""
-    masks = np.zeros(16, dtype=np.uint16)
-    np.bitwise_or.at(masks, np.asarray(rows, dtype=np.intp), (np.uint16(1) << np.asarray(cols, dtype=np.uint16)))
-    return masks

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import sys
+import threading
 import types
 
 import numpy as np
@@ -31,10 +32,10 @@ from repro.backend import (
     register_backend,
     resolve_backend,
     resolve_backend_name,
-    set_default_backend,
     unregister_backend,
-    use_backend,
 )
+from repro.backend.numpy_backend import NumpyKernelSet
+from repro.cli import main as cli_main
 from repro.core import TileMatrix, tile_spgemm
 from repro.errors import ConfigurationError, InvalidInputError
 from tests.corpus import CORPUS, corpus_names
@@ -113,26 +114,14 @@ def test_exact_backend_through_thread_pool(backend, references):
 
 
 class TestThreadPoolBackendResolution:
-    """The run resolves the backend once — explicit argument, then the
-    process default, then ``REPRO_BACKEND`` — and forwards the kernel set
-    with each shard, so every shard on the 2-worker thread pool runs the
+    """The run resolves the backend once — explicit argument, then
+    ``REPRO_BACKEND``, then ``numpy`` — and forwards the kernel set with
+    each shard, so every shard on the 2-worker thread pool runs the
     backend the run started with."""
 
     def _operands(self):
         case = CORPUS["moderate_random"]
         return _tiled(case.a), _tiled(case.b)
-
-    def test_process_default_reaches_children(self, references):
-        from repro.runtime.parallel import parallel_tile_spgemm
-
-        at, bt = self._operands()
-        prev = set_default_backend("pyloops")
-        try:
-            got = parallel_tile_spgemm(at, bt, workers=2)
-        finally:
-            set_default_backend(prev)
-        assert got.stats["backend"] == "pyloops"
-        assert_bytes_identical(references["moderate_random"].c, got.c)
 
     def test_env_var_reaches_children(self, references, monkeypatch):
         from repro.runtime.parallel import parallel_tile_spgemm
@@ -227,11 +216,12 @@ class TestRegistryAPI:
     def test_get_backend_caches_instances(self):
         assert get_backend("numpy") is get_backend("numpy")
 
-    def test_resolve_precedence_explicit_beats_default(self):
-        with use_backend("pyloops"):
-            assert resolve_backend_name("numpy") == "numpy"
-            assert resolve_backend_name(None) == "pyloops"
-        assert resolve_backend_name(None) == default_backend_name()
+    def test_resolve_precedence_explicit_beats_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "pyloops")
+        assert resolve_backend_name("numpy") == "numpy"
+        assert resolve_backend_name(None) == "pyloops"
+        monkeypatch.delenv("REPRO_BACKEND")
+        assert resolve_backend_name(None) == default_backend_name() == "numpy"
 
     def test_resolve_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "pyloops")
@@ -241,16 +231,6 @@ class TestRegistryAPI:
             monkeypatch.setenv("REPRO_BACKEND", name)
             with pytest.raises(ConfigurationError, match="REPRO_BACKEND"):
                 resolve_backend(None)
-
-    def test_use_backend_restores_previous(self):
-        before = default_backend_name()
-        with use_backend("pyloops"):
-            assert default_backend_name() == "pyloops"
-        assert default_backend_name() == before
-
-    def test_set_default_backend_validates(self):
-        with pytest.raises(InvalidInputError):
-            set_default_backend("no-such-backend")
 
     def test_resolve_accepts_kernelset_instance(self):
         inst = get_backend("pyloops")
@@ -284,6 +264,51 @@ class TestRegistryAPI:
     def test_numpy_cannot_be_unregistered(self):
         with pytest.raises(InvalidInputError):
             unregister_backend("numpy")
+
+
+class TestNoProcessWideDefault:
+    """A run's backend is an argument of its entry point: one thread's
+    choice never reaches a run on another thread."""
+
+    def test_cli_backend_stays_on_its_thread(self, tmp_path, monkeypatch):
+        from repro.formats.mtx import write_mtx
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        entered, release = threading.Event(), threading.Event()
+
+        class Gate(NumpyKernelSet):
+            """The numpy kernels, holding the run at its first kernel call."""
+
+            def _tick(self, kernel):
+                if not entered.is_set():
+                    entered.set()
+                    release.wait(timeout=30)
+                super()._tick(kernel)
+
+        case = CORPUS["moderate_random"]
+        path = tmp_path / "a.mtx"
+        write_mtx(path, case.a)
+        at = _tiled(case.a)
+        register_backend("test-gate", Gate)
+        codes = []
+        run = threading.Thread(
+            target=lambda: codes.append(
+                cli_main(["--backend", "test-gate", str(path), "--json"])
+            )
+        )
+        run.start()
+        try:
+            assert entered.wait(timeout=30), "the CLI run never reached a kernel"
+            # Checked before multiplying, so a leaked default fails here
+            # instead of holding this thread at the gate.
+            assert resolve_backend(None).name == "numpy"
+            assert tile_spgemm(at, at).stats["backend"] == "numpy"
+        finally:
+            release.set()
+            run.join(timeout=60)
+            unregister_backend("test-gate")
+        assert not run.is_alive()
+        assert codes == [0]
 
 
 # ---------------------------------------------------------------------------

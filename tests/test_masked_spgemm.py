@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TileMatrix, masked_tile_spgemm, tile_spgemm
-from repro.errors import TransientKernelError
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.obs import make_obs, obs_context
-from repro.runtime import FaultPlan
-from repro.runtime.context import execution_context
 from tests.conftest import random_csr
 
 
@@ -95,12 +92,6 @@ class TestMaskedRunsTheDriver:
         assert obs.metrics.counter_value("tilespgemm_runs_total") == 1
         assert obs.profile.runs == 1
         assert res.stats["backend"]
-
-    def test_step_fault_fires(self, operands):
-        a, full = operands
-        plan = FaultPlan().transient_at_step("step2", at=1)
-        with execution_context(fault_plan=plan), pytest.raises(TransientKernelError):
-            masked_tile_spgemm(a, a, full)
 
 
 class TestMaskedValidation:

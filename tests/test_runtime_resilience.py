@@ -1,7 +1,7 @@
 """Tests of the resilient execution runtime (repro.runtime, repro.errors).
 
-Covers the memory-budget enforcement in the allocation tracker, the
-execution-context plumbing, the deterministic fault plan, chunked
+Covers the memory-budget and fault-plan arguments of the allocation
+tracker, the deterministic fault plan, chunked
 re-execution under a budget, the retry/backoff policy of the shard engine
 and the SUMMA communication-fault path — including bit-identical chunked
 recovery with ``shards > 1`` and ``ResilienceExhausted`` on exhausted
@@ -28,8 +28,6 @@ from repro.obs import make_obs, obs_context
 from repro.runtime import (
     FaultPlan,
     RetryPolicy,
-    execution_context,
-    current_budget_bytes,
     parallel_tile_spgemm,
 )
 from repro.runtime.chunked import chunked_tile_spgemm, slice_tile_rows
@@ -96,43 +94,20 @@ class TestBudgetedTracker:
         t.alloc("b", 90)
         assert t.live_bytes == 90
 
-    def test_budget_inherited_from_context(self):
-        with execution_context(budget_bytes=50):
-            t = AllocationTracker()
-            assert t.budget_bytes == 50
-            with pytest.raises(DeviceOOMError):
-                t.alloc("a", 51)
-
-    def test_explicit_budget_wins_over_context(self):
-        with execution_context(budget_bytes=50):
-            t = AllocationTracker(budget_bytes=500)
-            t.alloc("a", 400)
+    def test_fault_plan_argument_fires_before_the_ledger_changes(self):
+        t = AllocationTracker(fault_plan=FaultPlan().oom_at_alloc(match="b"))
+        t.alloc("a", 10)
+        with pytest.raises(DeviceOOMError):
+            t.alloc("b", 10)
+        assert t.live_labels() == ("a",)
 
     def test_use_context_false_detaches(self):
-        with execution_context(budget_bytes=50):
+        obs = make_obs(metrics=True)
+        with obs_context(metrics=obs.metrics):
             t = AllocationTracker(use_context=False)
             t.alloc("a", 10_000)
             assert t.budget_bytes is None
-
-
-class TestExecutionContext:
-    def test_nesting_inherits_unset_fields(self):
-        plan = FaultPlan()
-        with execution_context(budget_bytes=10, fault_plan=plan) as outer:
-            with execution_context() as inner:
-                assert inner.budget_bytes == 10
-                assert inner.fault_plan is plan
-            with execution_context(budget_bytes=20) as override:
-                assert override.budget_bytes == 20
-                assert override.fault_plan is plan
-            assert outer.budget_bytes == 10
-        assert current_budget_bytes() is None
-
-    def test_context_restored_after_error(self):
-        with pytest.raises(RuntimeError):
-            with execution_context(budget_bytes=10):
-                raise RuntimeError("boom")
-        assert current_budget_bytes() is None
+        assert obs.metrics.counter_value("device_alloc_events_total") == 0
 
 
 class TestDeviceCapacity:
@@ -334,10 +309,3 @@ class TestSUMMACommFaults:
         plan = FaultPlan().inject("comm", "broadcast", every=1)
         with pytest.raises(CommFailure):
             summa_spgemm(a, a, ProcessGrid(2, 2, 16), fault_plan=plan, max_retransmits=3)
-
-    def test_plan_flows_from_context(self):
-        a = self._operand()
-        plan = FaultPlan().comm_at_broadcast(1)
-        with execution_context(fault_plan=plan):
-            with pytest.raises(CommFailure):
-                summa_spgemm(a, a, ProcessGrid(1, 2, 16))

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.tile_matrix import TileMatrix
 from repro.util.bits import (
     POPCOUNT16,
-    columns_to_mask,
-    mask_nonzero_columns,
-    masks_to_rowptr,
     nth_set_bit,
     popcount16,
     prefix_popcount,
@@ -102,35 +100,23 @@ class TestNthSetBit:
         assert np.array_equal(back, cols)
 
 
+def rowptr_of(masks):
+    """The tiled format's row pointers of 16x16 tiles with these row masks."""
+    return TileMatrix._rowptr_from_mask(masks, 16)
+
+
 class TestMaskHelpers:
-    def test_mask_nonzero_columns(self):
-        assert mask_nonzero_columns(0).tolist() == []
-        assert mask_nonzero_columns(0b101).tolist() == [0, 2]
-        assert mask_nonzero_columns(0x8000).tolist() == [15]
-
-    def test_columns_to_mask_roundtrip(self):
-        rows = np.array([0, 0, 3, 15])
-        cols = np.array([1, 5, 0, 15])
-        masks = columns_to_mask(rows, cols)
-        assert masks[0] == (1 << 1) | (1 << 5)
-        assert masks[3] == 1
-        assert masks[15] == 1 << 15
-        assert masks[1] == 0
-
     def test_masks_to_rowptr_simple(self):
         masks = np.zeros((1, 16), dtype=np.uint16)
         masks[0, 0] = 0b111  # 3 nonzeros in row 0
         masks[0, 2] = 0b1  # 1 nonzero in row 2
-        ptr = masks_to_rowptr(masks)
+        ptr = rowptr_of(masks)
         assert ptr[0].tolist() == [0, 3, 3, 4] + [4] * 12
-
-    def test_masks_to_rowptr_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            masks_to_rowptr(np.zeros((4, 8), dtype=np.uint16))
 
     def test_masks_to_rowptr_full_tile(self):
         masks = np.full((1, 16), 0xFFFF, dtype=np.uint16)
-        ptr = masks_to_rowptr(masks)
+        ptr = rowptr_of(masks)
+        assert ptr.dtype == np.uint8
         assert ptr[0].tolist() == list(range(0, 256, 16))
 
     @given(st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), min_size=16, max_size=16))
@@ -138,6 +124,6 @@ class TestMaskHelpers:
         masks = np.array([row_masks], dtype=np.uint16)
         if int(popcount16(masks).astype(int).sum()) > 256:
             return  # cannot exceed one tile's capacity
-        ptr = masks_to_rowptr(masks)[0].astype(int)
+        ptr = rowptr_of(masks)[0].astype(int)
         expected = np.concatenate([[0], np.cumsum([bin(m).count("1") for m in row_masks])[:-1]])
         assert np.array_equal(ptr, expected)
