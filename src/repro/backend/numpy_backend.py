@@ -1,8 +1,9 @@
 """The ``numpy`` backend: the always-registered vectorised reference.
 
 These are exactly the kernels the pipeline ran before the backend seam
-existed — thin wrappers over :mod:`repro.util.bits` lookup tables and the
-``np.bitwise_or.at`` / ``np.bincount`` scatters — so the reference
+existed — thin wrappers over :mod:`repro.util.bits` (``np.bitwise_count``
+popcounts, the ``nth_set_bit`` table) and the ``np.bitwise_or.at`` /
+``np.bincount`` scatters — so the reference
 backend *defines* the byte-level conformance contract rather than merely
 satisfying it.
 """
@@ -18,7 +19,7 @@ __all__ = ["NumpyKernelSet"]
 
 
 class NumpyKernelSet(KernelSet):
-    """Vectorised NumPy kernels (lookup tables + ufunc scatters)."""
+    """Vectorised NumPy kernels (native bit counts + ufunc scatters)."""
 
     name = "numpy"
 

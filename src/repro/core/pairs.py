@@ -126,6 +126,24 @@ class TilePairs:
         """For each held pair, the index of its candidate C tile."""
         return segment_ids(np.diff(self.pair_ptr))
 
+    def select_tiles(self, tiles: np.ndarray) -> "TilePairs":
+        """The candidate tiles ``tiles`` (ascending indices), their pairs and statistics.
+
+        When the dropped tiles hold no pairs, the pair arrays are shared,
+        not copied.
+        """
+        held = np.diff(self.pair_ptr)[tiles]
+        pair_ptr = np.zeros(tiles.size + 1, dtype=np.int64)
+        np.cumsum(held, out=pair_ptr[1:])
+        if pair_ptr[-1] == self.num_pairs:
+            pair_a, pair_b = self.pair_a, self.pair_b
+        else:
+            kept = concat_ranges(self.pair_ptr[tiles], held)
+            pair_a, pair_b = self.pair_a[kept], self.pair_b[kept]
+        return TilePairs(self.c_tilerow[tiles], self.c_tilecol[tiles], pair_ptr, pair_a, pair_b,
+                         self.len_a[tiles], self.len_b[tiles], self.matched[tiles],
+                         self.matched_a_nnz[tiles])
+
 
 def _expand(a: TileMatrix, b: TileMatrix, i0: int, i1: int):
     """The matched pairs of ``A``'s tile rows ``[i0, i1)``, in ``A``-tile order.

@@ -4,7 +4,11 @@ Given the candidate tiles of ``C`` and the matched ``(A_ik, B_kj)`` tile
 pairs, this step determines each candidate tile's bit masks, row pointer
 and nonzero count — everything needed to allocate ``C`` — without touching
 values.  It also counts every pair's intermediate products, from which
-step 3 picks each ``C`` tile's accumulation path.
+step 3 picks each ``C`` tile's accumulation path.  The driver
+(:mod:`repro.core.tilespgemm`) hands it the *live* candidate tiles only,
+those holding at least one live pair: a tile whose matched pairs are all
+dead has an empty mask, so its popcounts, row pointers and tile sums
+are not computed; the driver fills them in as zeros.
 
 The kernel is the paper's Figure 5: row ``r`` of a ``C`` tile is the OR of
 the ``B``-tile rows ``c`` over every pair's ``A``-tile nonzeros ``(r, c)``.
@@ -44,9 +48,9 @@ the paper.  The ambient tracer gets the sub-phases as spans:
 ``step2.expand`` (the entry path's list) and ``step2.pairs`` (the packed
 path, attribute ``pairs``).
 
-The masks' working state is bounded by ``num_c_tiles * tile_size`` mask
-words plus one pair group — the Python analogue of the paper's claim
-that step 2 runs entirely in on-chip scratchpad memory.
+The masks' working state is bounded by ``tile_size`` mask words per live
+candidate tile plus one pair group — the Python analogue of the paper's
+claim that step 2 runs entirely in on-chip scratchpad memory.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ def step2_symbolic(
     live: LiveEntries | None = None,
     mask: np.ndarray | None = None,
 ) -> SymbolicResult:
-    """Run the symbolic phase over all candidate tiles at once.
+    """Run the symbolic phase over the candidate tiles of ``pairs`` at once.
 
     ``backend`` selects the kernel set for the mask OR-accumulate and the
     popcounts (a name, a :class:`~repro.backend.KernelSet`, or ``None``

@@ -3,7 +3,10 @@
 With ``C``'s per-tile structure known from step 2, this step computes the
 values.  For every matched pair ``(A_ik, B_kj)`` and every nonzero
 ``a = (r, c, v)`` of the ``A`` tile, the products ``v * B_kj[c, *]`` are
-accumulated into row ``r`` of the ``C`` tile.
+accumulated into row ``r`` of the ``C`` tile.  Like step 2, the driver
+runs it on the live candidate tiles only: a tile without a live pair has
+no product and no entry, so compaction reads only the live tiles' mask
+rows.
 
 The paper's *adaptive accumulator* picks, per ``C`` tile, a **sparse**
 accumulator (``nnz <= tnnz``, default 192 = 75 % of 256: each product goes
@@ -80,6 +83,7 @@ __all__ = [
     "DEFAULT_TNNZ",
     "default_tnnz",
     "c_indices_from_masks",
+    "paper_accumulator",
 ]
 
 #: The paper's accumulator-selection threshold: 75 % of a 16x16 tile.
@@ -148,6 +152,23 @@ class NumericResult:
     #: entries, leading 0): ``np.diff(product_csum[pairs.pair_ptr])`` is
     #: the per-candidate-tile product count ``collect_stats`` reports
     product_csum: Optional[np.ndarray] = field(default=None)
+
+
+def paper_accumulator(
+    tile_nnz_counts: np.ndarray, tnnz: int, force_accumulator: str | None = None
+) -> np.ndarray:
+    """The paper's accumulator choice per C tile: dense when ``nnz > tnnz``.
+
+    ``force_accumulator`` (``"sparse"`` / ``"dense"``) overrides it for
+    every tile.
+    """
+    if force_accumulator == "sparse":
+        return np.zeros(tile_nnz_counts.size, dtype=bool)
+    if force_accumulator == "dense":
+        return np.ones(tile_nnz_counts.size, dtype=bool)
+    if force_accumulator is None:
+        return tile_nnz_counts > tnnz
+    raise ValueError("force_accumulator must be 'sparse', 'dense' or None")
 
 
 def c_indices_from_masks(
@@ -245,17 +266,10 @@ def step3_numeric(
     num_c = pairs.num_c_tiles
     val_c = np.zeros(sym.nnz, dtype=np.float64)
 
-    # --- accumulator selection per candidate tile -----------------------
-    # The paper's choice, recorded for the cost model, the profiler and the
-    # ablations; the CPU picks its executed path by product fill below.
-    if force_accumulator == "sparse":
-        use_dense = np.zeros(num_c, dtype=bool)
-    elif force_accumulator == "dense":
-        use_dense = np.ones(num_c, dtype=bool)
-    elif force_accumulator is None:
-        use_dense = sym.tile_nnz_counts > tnnz
-    else:
-        raise ValueError(f"force_accumulator must be 'sparse', 'dense' or None")
+    # The paper's accumulator choice, recorded for the cost model, the
+    # profiler and the ablations; the CPU picks its executed path by
+    # product fill below.
+    use_dense = paper_accumulator(sym.tile_nnz_counts, tnnz, force_accumulator)
     num_dense = int(use_dense.sum())
 
     full = live is not None and live.select is None  # step 2 expanded every pair

@@ -43,7 +43,6 @@ import numpy as np
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.util.arrays import concat_ranges
-from repro.util.bits import popcount16
 
 __all__ = ["TileMatrix", "TILE", "mask_dtype_for"]
 
@@ -253,7 +252,7 @@ class TileMatrix:
     @staticmethod
     def _rowptr_from_mask(mask: np.ndarray, tile_size: int) -> np.ndarray:
         """Derive per-tile row pointers from the row masks by popcount."""
-        counts = _popcount_any(mask).astype(np.int64)
+        counts = np.bitwise_count(mask).astype(np.int64)
         rowptr = np.zeros_like(counts)
         if counts.size:
             np.cumsum(counts[:, :-1], axis=1, out=rowptr[:, 1:])
@@ -321,7 +320,7 @@ class TileMatrix:
         if not np.array_equal(rebuilt, self.mask):
             raise ValueError("mask disagrees with stored local indices")
         # Row pointers must match popcounts (and nnz per tile).
-        pc = _popcount_any(self.mask).astype(np.int64)
+        pc = np.bitwise_count(self.mask).astype(np.int64)
         if self.num_tiles and not np.array_equal(pc.sum(axis=1), counts):
             raise ValueError("mask popcounts disagree with tilennz")
         expected_rowptr = self._rowptr_from_mask(self.mask, T)
@@ -510,15 +509,3 @@ class TileMatrix:
             f"tiles={self.num_tiles}, nnz={self.nnz})"
         )
 
-
-def _popcount_any(mask: np.ndarray) -> np.ndarray:
-    """Popcount for mask arrays of width up to 32 bits."""
-    if mask.dtype.itemsize <= 2:
-        return popcount16(mask)
-    m = mask.astype(np.uint64)
-    return (
-        popcount16(m & np.uint64(0xFFFF)).astype(np.int64)
-        + popcount16((m >> np.uint64(16)) & np.uint64(0xFFFF))
-        + popcount16((m >> np.uint64(32)) & np.uint64(0xFFFF))
-        + popcount16((m >> np.uint64(48)) & np.uint64(0xFFFF))
-    )

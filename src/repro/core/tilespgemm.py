@@ -20,6 +20,16 @@
    from step 2's per-pair product counts and reuses step 2's live-entry
    list (:func:`repro.core.step2.step2_entries`) for its scatter tiles.
 
+Steps 2 and 3 run on the *live* candidate tiles only, those holding at
+least one live pair (:meth:`~repro.core.pairs.TilePairs.select_tiles`;
+the same arrays when every tile is live).  A dead tile holds no pair, so
+the pair arrays, the per-pair product counts, the live-entry list and
+step 3's chunk cuts are those of a run over every tile; only the
+tile-indexed arrays shrink.  The driver then spreads the masks, row
+pointers, nonzero counts and accumulator choices back to every candidate
+tile (:func:`_on_candidates`), so ``C`` keeps every candidate tile and
+the result equals a run over all of them byte for byte.
+
 Every run records the paper's observables: wall time per step and for
 memory allocation (Figures 10/14), a logical device-allocation ledger
 (Figure 9), flop counts and the statistics the GPU execution model needs
@@ -28,7 +38,7 @@ to estimate kernel time on a modelled device (Figures 6/7/8/13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -36,7 +46,7 @@ import numpy as np
 from repro.backend import resolve_backend
 from repro.core.pairs import TilePairs, enumerate_live_pairs
 from repro.core.step2 import SymbolicResult, step2_entries, step2_symbolic
-from repro.core.step3 import NumericResult, default_tnnz, step3_numeric
+from repro.core.step3 import NumericResult, default_tnnz, paper_accumulator, step3_numeric
 from repro.core.tile_matrix import TILE, TileMatrix, mask_dtype_for
 from repro.errors import InvalidInputError
 from repro.obs.context import current_obs
@@ -241,11 +251,18 @@ def _tile_spgemm(
         with timer.phase("malloc"):
             _allocate_c(alloc, "step1", a.num_tile_rows, pairs.num_c_tiles, T)
 
+        # Steps 2 and 3 run on the live candidate tiles: a tile whose
+        # matched pairs are all dead holds no pair, no entry and no product.
+        live_tiles = np.flatnonzero(np.diff(pairs.pair_ptr))
+        live = pairs if live_tiles.size == pairs.num_c_tiles else pairs.select_tiles(live_tiles)
+        if live is not pairs and mask_rows is not None:
+            mask_rows = mask_rows[live_tiles]
+
         # --------------------------------------------------------- step 2
         enter("step2")
         with timer.phase("step2", backend=kernels.name):
-            live = step2_entries(a, b, pairs, kernels)
-            sym = step2_symbolic(a, b, pairs, backend=kernels, live=live, mask=mask_rows)
+            entries = step2_entries(a, b, live, kernels)
+            sym = step2_symbolic(a, b, live, backend=kernels, live=entries, mask=mask_rows)
         with timer.phase("malloc"):
             _allocate_c(alloc, "step2", a.num_tile_rows, pairs.num_c_tiles, T, sym.nnz)
 
@@ -255,15 +272,17 @@ def _tile_spgemm(
             num = step3_numeric(
                 a,
                 b,
-                pairs,
+                live,
                 sym,
                 tnnz=tnnz,
                 force_accumulator=force_accumulator,
                 mask_filter=mask is not None,
                 value_dtype=value_dtype,
                 backend=kernels,
-                live=live,
+                live=entries,
             )
+            if live is not pairs:
+                sym, num = _on_candidates(pairs, live_tiles, sym, num, force_accumulator)
 
     c = TileMatrix(
         (a.shape[0], b.shape[1]),
@@ -302,22 +321,41 @@ def _restrict_to_mask(pairs: TilePairs, mask: TileMatrix):
     pos = np.searchsorted(held, cand)
     keep = pos < held.size
     keep[keep] = held[pos[keep]] == cand[keep]
-    counts = np.diff(pairs.pair_ptr)
-    pair_keep = np.repeat(keep, counts)
-    pair_ptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
-    np.cumsum(counts[keep], out=pair_ptr[1:])
-    kept = TilePairs(
-        c_tilerow=pairs.c_tilerow[keep],
-        c_tilecol=pairs.c_tilecol[keep],
-        pair_ptr=pair_ptr,
-        pair_a=pairs.pair_a[pair_keep],
-        pair_b=pairs.pair_b[pair_keep],
-        len_a=pairs.len_a[keep],
-        len_b=pairs.len_b[keep],
-        matched=pairs.matched[keep],
-        matched_a_nnz=pairs.matched_a_nnz[keep],
-    )
-    return kept, mask.mask[pos[keep]]
+    tiles = np.flatnonzero(keep)
+    return pairs.select_tiles(tiles), mask.mask[pos[tiles]]
+
+
+def _on_candidates(
+    pairs: TilePairs,
+    live_tiles: np.ndarray,
+    sym: SymbolicResult,
+    num: NumericResult,
+    force_accumulator: Optional[str],
+):
+    """Steps 2 and 3's per-tile outputs on ``live_tiles`` (ascending
+    indices), spread to every candidate tile.
+
+    A dead tile keeps an empty mask and row pointer and no nonzeros; its
+    accumulator choice is the paper's for an empty tile, and
+    ``symbolic_ops`` counts its matched pairs again.  The per-pair
+    arrays, the values and the local indices are unchanged: dead tiles
+    hold no pair and no entry.
+    """
+    num_c = pairs.num_c_tiles
+
+    def spread(values: np.ndarray) -> np.ndarray:
+        out = np.zeros((num_c,) + values.shape[1:], dtype=values.dtype)
+        out[live_tiles] = values
+        return out
+
+    counts = spread(sym.tile_nnz_counts)
+    tilennz = np.zeros(num_c + 1, dtype=sym.tilennz.dtype)
+    np.cumsum(counts, out=tilennz[1:])
+    sym = replace(sym, mask=spread(sym.mask), rowptr=spread(sym.rowptr), tilennz=tilennz,
+                  tile_nnz_counts=counts, symbolic_ops=int(pairs.matched_a_nnz.sum()))
+    use_dense = paper_accumulator(counts, num.tnnz, force_accumulator)
+    dense = int(np.count_nonzero(use_dense))
+    return sym, replace(num, use_dense=use_dense, sparse_tiles=num_c - dense, dense_tiles=dense)
 
 
 def tile_spgemm_from_csr(a_csr, b_csr, tile_size: int = TILE, **kwargs) -> TileSpGEMMResult:

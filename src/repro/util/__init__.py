@@ -12,7 +12,6 @@ from repro.util.arrays import (
     segmented_sum,
 )
 from repro.util.bits import (
-    POPCOUNT16,
     nth_set_bit,
     popcount16,
     prefix_popcount,
@@ -31,7 +30,6 @@ __all__ = [
     "segment_positions",
     "segmented_sum",
     "nth_set_bit",
-    "POPCOUNT16",
     "popcount16",
     "prefix_popcount",
     "PhaseTimer",

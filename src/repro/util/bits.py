@@ -7,10 +7,10 @@ entirely on these masks (AtomicOr accumulation, popcount to derive per-row
 nonzero counts, prefix popcount to derive positions), so fast vectorised
 mask arithmetic is the foundation of the whole implementation.
 
-Everything here is pure NumPy; the 16-bit popcount is served from a
-precomputed 64 KiB lookup table, which is both the fastest portable option
-and a faithful stand-in for the hardware ``__popc`` intrinsic the CUDA
-kernels use.
+Everything here is pure NumPy.  The popcounts are ``np.bitwise_count``
+(numpy >= 2.0), the vectorised stand-in for the hardware ``__popc``
+intrinsic the CUDA kernels use; only ``nth_set_bit`` keeps a lookup
+table.
 """
 
 from __future__ import annotations
@@ -18,30 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "POPCOUNT16",
     "popcount16",
     "prefix_popcount",
 ]
-
-
-def _build_popcount16() -> np.ndarray:
-    """Build the 16-bit popcount lookup table (uint8, 65536 entries)."""
-    table = np.zeros(1 << 16, dtype=np.uint8)
-    # Classic doubling construction: popcount(i) = popcount(i >> 1) + (i & 1).
-    idx = np.arange(1 << 16, dtype=np.uint32)
-    table = (table + (idx & 1)).astype(np.uint8)
-    for shift in range(1, 16):
-        table = table + ((idx >> shift) & 1).astype(np.uint8)
-    return table
-
-
-#: Lookup table mapping a 16-bit value to the number of set bits.
-POPCOUNT16: np.ndarray = _build_popcount16()
-
-#: For each 16-bit mask m and column c, PREFIX16[m, c] = popcount(m & ((1<<c)-1)),
-#: i.e. the number of set bits *strictly below* bit c.  Built lazily because it
-#: is 1 MiB and only needed by the sparse accumulator.
-_PREFIX16: np.ndarray | None = None
 
 
 def popcount16(masks: np.ndarray) -> np.ndarray:
@@ -57,17 +36,7 @@ def popcount16(masks: np.ndarray) -> np.ndarray:
     -------
     numpy.ndarray of uint8 with the same shape as ``masks``.
     """
-    return POPCOUNT16[np.asarray(masks, dtype=np.uint32)]
-
-
-def _prefix_table() -> np.ndarray:
-    global _PREFIX16
-    if _PREFIX16 is None:
-        masks = np.arange(1 << 16, dtype=np.uint32)[:, None]
-        cols = np.arange(16, dtype=np.uint32)[None, :]
-        below = masks & ((np.uint32(1) << cols) - np.uint32(1))
-        _PREFIX16 = POPCOUNT16[below]
-    return _PREFIX16
+    return np.bitwise_count(np.asarray(masks))
 
 
 def prefix_popcount(masks: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -84,10 +53,10 @@ def prefix_popcount(masks: np.ndarray, cols: np.ndarray) -> np.ndarray:
     cols:
         Column indices in [0, 16), broadcastable against ``masks``.
     """
-    # One flat gather: row ``mask`` of the (65536, 16) table starts at
-    # ``mask << 4``.
-    flat = _prefix_table().reshape(-1)
-    return flat[(np.asarray(masks).astype(np.intp) << 4) | np.asarray(cols)]
+    # The shift is taken in at least 16 bits: ``1 << cols`` on uint8
+    # columns would wrap from column 8 on.
+    below = (np.uint16(1) << np.asarray(cols)) - np.uint16(1)
+    return np.bitwise_count(np.asarray(masks) & below)
 
 
 #: For each 16-bit mask m, NTHBIT16[m, j] = column of the j-th (lowest-first)

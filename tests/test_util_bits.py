@@ -7,26 +7,28 @@ from hypothesis import strategies as st
 
 from repro.core.tile_matrix import TileMatrix
 from repro.util.bits import (
-    POPCOUNT16,
     nth_set_bit,
     popcount16,
     prefix_popcount,
 )
 
+#: ``bin(m).count("1")`` of every 16-bit mask ``m``.
+_BIN_COUNT = np.array([bin(m).count("1") for m in range(1 << 16)], dtype=np.int64)
+
 
 class TestPopcount:
-    def test_table_size(self):
-        assert POPCOUNT16.shape == (1 << 16,)
+    def test_every_mask_matches_bin_count(self):
+        got = popcount16(np.arange(1 << 16, dtype=np.uint16))
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _BIN_COUNT)
 
     def test_known_values(self):
-        assert POPCOUNT16[0] == 0
-        assert POPCOUNT16[0xFFFF] == 16
-        assert POPCOUNT16[0b1010101010101010] == 8
-        assert POPCOUNT16[1] == 1
+        masks = np.array([0, 0xFFFF, 0b1010101010101010, 1], dtype=np.uint16)
+        assert popcount16(masks).tolist() == [0, 16, 8, 1]
 
     @given(st.integers(min_value=0, max_value=(1 << 16) - 1))
     def test_matches_python_bit_count(self, value):
-        assert int(POPCOUNT16[value]) == bin(value).count("1")
+        assert int(popcount16(np.array([value]))[0]) == bin(value).count("1")
 
     def test_vectorised(self):
         masks = np.array([0, 1, 3, 0xFFFF, 0x8000], dtype=np.uint16)
@@ -61,10 +63,8 @@ class TestPrefixPopcount:
     def test_every_mask_and_column_matches_naive_rank(self):
         masks = np.arange(1 << 16, dtype=np.uint16)
         cols = np.arange(16, dtype=np.uint8)
-        expected = np.zeros((masks.size, 16), dtype=np.int64)
-        for col in range(16):
-            for bit in range(col):
-                expected[:, col] += (masks >> bit) & 1
+        below = (1 << np.arange(16)) - 1
+        expected = _BIN_COUNT[masks[:, None].astype(np.int64) & below[None, :]]
         got = prefix_popcount(masks[:, None], cols[None, :])
         assert got.dtype == np.uint8
         assert got.shape == (1 << 16, 16)
