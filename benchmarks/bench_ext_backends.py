@@ -13,8 +13,8 @@ Three questions about :mod:`repro.backend`:
    reported.
 3. How big are the deltas?  Speed ratios vs numpy are reported, not
    gated — the oracle is meant to be slow, and the optional accelerated
-   backends' margins depend on the host; the regression gate stays on
-   the default backend's suite.  One gate applies when numba is
+   backends' margins depend on the host; speed claims are made on the
+   default backend (``benchmarks/e2e``).  One gate applies when numba is
    importable: the ``prange`` variant (``numba-par``) must beat the
    sequential one (``numba``), geomean > 1x across the smoke suite, to
    earn its place.

@@ -14,9 +14,7 @@ Three questions about ``repro.serve`` (docs/SERVING.md):
    serves, and the p50/p99 delta prices the resilience machinery.
 
 Everything lands in ``benchmarks/results/ext_serving.json`` (schema
-``repro.bench/1``) with p50/p99/throughput in each series' ``extra``,
-so ``python -m repro bench compare`` can diff serving runs like any
-other suite.
+``repro.bench/1``) with p50/p99/throughput in each series' ``extra``.
 """
 
 import asyncio

@@ -127,9 +127,9 @@ def save_series_json(name: str, series, *, suite: str | None = None,
     """Persist a list of ``repro.bench`` series dicts next to the .txt table.
 
     The resulting ``benchmarks/results/<name>.json`` is a full
-    schema-versioned document (``repro.bench/1``), diffable against any
-    other run with ``python -m repro bench compare`` and appendable to the
-    ``benchmarks/history/`` store.
+    schema-versioned document (``repro.bench/1``), the shape
+    ``python -m repro bench run`` writes, readable with
+    :func:`repro.bench.schema.load_document`.
     """
     from repro.bench import schema
 

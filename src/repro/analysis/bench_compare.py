@@ -1,4 +1,4 @@
-"""Statistical comparison of two benchmark result documents.
+"""The planner gate's statistics: per-matrix verdicts and their rollup.
 
 The paper's comparisons (and the bhSPARSE/spECK lines of work it builds
 on) are only meaningful with noise-aware, like-for-like measurement: a
@@ -6,29 +6,23 @@ on) are only meaningful with noise-aware, like-for-like measurement: a
 is a regression.  This module draws that line with order statistics
 rather than means:
 
-* :func:`bootstrap_median_ci` — percentile bootstrap confidence interval
-  on the median of a sample set (deterministic, seeded);
 * :func:`mann_whitney_u` — the Mann-Whitney U rank test (normal
   approximation with tie correction and continuity correction), which
   needs no normality assumption and is robust to the long right tail of
   wall-clock samples;
-* :func:`classify_samples` — folds both into one verdict per series:
-  ``improved`` / ``regressed`` / ``unchanged`` given a relative noise
-  threshold and significance level;
-* :func:`compare_documents` — matches two documents' series by key,
-  classifies each, and rolls the deltas up into per-method and overall
-  geometric-mean speedups (the paper's summary statistic).
-
-Series without repeat samples (model-derived GFlops sweeps) fall back to
-a pure-threshold comparison on the scalar throughput — flagged with
-``p_value = None`` so reports can distinguish "statistically significant"
-from "beyond threshold but untested".
+* :func:`classify_samples` — folds the median ratio and the test into
+  one verdict per series: ``improved`` / ``regressed`` / ``unchanged``
+  given a relative noise threshold and significance level;
+* :func:`planner_comparison` — the planner gate behind
+  ``repro bench compare``: within one ``planner``-suite document, the
+  planned method against every static configuration, per matrix and as
+  a geometric mean per configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,15 +32,10 @@ from repro.analysis.regression import geometric_mean
 __all__ = [
     "DEFAULT_NOISE_THRESHOLD",
     "DEFAULT_ALPHA",
+    "PLANNED_METHOD",
     "SeriesDelta",
-    "ComparisonReport",
-    "bootstrap_median_ci",
     "mann_whitney_u",
     "classify_samples",
-    "compare_documents",
-    "render_comparison",
-    "attribute_regressions",
-    "render_attribution",
     "planner_comparison",
     "render_planner_comparison",
 ]
@@ -54,40 +43,15 @@ __all__ = [
 #: Relative wall-clock change below which a delta is noise by definition.
 #: Interpreted-Python wall times shift 10-25 % between processes on shared
 #: machines (allocator and cache state, CPU frequency, co-tenants), so the
-#: default sits above that floor; a genuine 2x regression — what the gate
-#: exists to catch — still clears it with 4x margin.  Tighten with
-#: ``--threshold`` on quiet, pinned machines.
+#: threshold sits above that floor; a genuine 2x regression — what the gate
+#: exists to catch — still clears it with 4x margin.
 DEFAULT_NOISE_THRESHOLD = 0.25
 
 #: Two-sided significance level of the Mann-Whitney test.
 DEFAULT_ALPHA = 0.05
 
-#: Bootstrap resamples for the median confidence interval.
-DEFAULT_BOOTSTRAP = 1000
-
-
-def bootstrap_median_ci(
-    samples: Sequence[float],
-    alpha: float = DEFAULT_ALPHA,
-    n_boot: int = DEFAULT_BOOTSTRAP,
-    seed: int = 0,
-) -> Tuple[float, float]:
-    """Percentile-bootstrap ``1 - alpha`` confidence interval on the median.
-
-    Deterministic for a given ``seed`` so two gate evaluations of the same
-    documents agree.  Degenerates gracefully: one sample yields a zero-width
-    interval at that sample.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("cannot bootstrap an empty sample set")
-    if x.size == 1:
-        return float(x[0]), float(x[0])
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, x.size, size=(int(n_boot), x.size))
-    medians = np.median(x[idx], axis=1)
-    lo, hi = np.quantile(medians, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(lo), float(hi)
+#: The series method the planner gate treats as the planner.
+PLANNED_METHOD = "tilespgemm_planned"
 
 
 def mann_whitney_u(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
@@ -129,85 +93,28 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float
 
 @dataclass
 class SeriesDelta:
-    """One series' verdict when diffing two documents.
+    """One series' verdict: ``current`` samples against ``baseline`` samples.
 
-    ``ratio`` is relative wall time ``current / baseline`` (> 1 is
-    slower); ``speedup`` its reciprocal.  ``p_value`` is ``None`` when the
-    series had no repeat samples and the verdict fell back to the pure
-    threshold test on the scalar throughput.
+    ``speedup`` is ``baseline_median / current_median`` (> 1 means the
+    current side is faster); ``None`` when the current median is 0.
     """
 
-    key: str
-    matrix: str = ""
-    method: str = ""
-    op: str = ""
-    classification: str = "unchanged"  #: improved|regressed|unchanged|added|removed
-    baseline_median: Optional[float] = None
-    current_median: Optional[float] = None
-    ratio: Optional[float] = None
+    classification: str = "unchanged"  #: improved|regressed|unchanged
+    baseline_median: float = 0.0
+    current_median: float = 0.0
     speedup: Optional[float] = None
-    p_value: Optional[float] = None
-    baseline_ci: Optional[Tuple[float, float]] = None
-    current_ci: Optional[Tuple[float, float]] = None
+    p_value: float = 1.0
     significant: bool = False
 
 
-@dataclass
-class ComparisonReport:
-    """The full diff of two documents."""
-
-    deltas: List[SeriesDelta] = field(default_factory=list)
-    noise_threshold: float = DEFAULT_NOISE_THRESHOLD
-    alpha: float = DEFAULT_ALPHA
-    baseline_label: str = ""
-    current_label: str = ""
-
-    @property
-    def regressions(self) -> List[SeriesDelta]:
-        """Significant regressions only — what the gate acts on."""
-        return [
-            d for d in self.deltas if d.classification == "regressed" and d.significant
-        ]
-
-    @property
-    def improvements(self) -> List[SeriesDelta]:
-        return [
-            d for d in self.deltas if d.classification == "improved" and d.significant
-        ]
-
-    def geomean_speedup(self, method: Optional[str] = None) -> float:
-        """Geometric-mean speedup (baseline time / current time).
-
-        1.0 means parity, > 1 means the current run is faster.  Restricted
-        to ``method`` when given; only matched series with a finite
-        positive speedup contribute (the paper's convention for failed
-        runs).
-        """
-        vals = [
-            d.speedup
-            for d in self.deltas
-            if d.speedup is not None and (method is None or d.method == method)
-        ]
-        return geometric_mean(vals)
-
-    def methods(self) -> List[str]:
-        return sorted({d.method for d in self.deltas if d.method})
-
-
-def classify_samples(
-    baseline: Sequence[float],
-    current: Sequence[float],
-    noise_threshold: float = DEFAULT_NOISE_THRESHOLD,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-) -> SeriesDelta:
+def classify_samples(baseline: Sequence[float], current: Sequence[float]) -> SeriesDelta:
     """Classify one series from its two wall-clock sample sets.
 
     A delta counts as ``regressed``/``improved`` only when the median
-    moved beyond ``noise_threshold`` *and* the Mann-Whitney test rejects
-    "same distribution" at ``alpha`` — so one outlier sample cannot fail
-    a gate, and a consistent small drift below the threshold cannot
-    either.
+    moved beyond :data:`DEFAULT_NOISE_THRESHOLD` *and* the Mann-Whitney
+    test rejects "same distribution" at :data:`DEFAULT_ALPHA` — so one
+    outlier sample cannot fail a gate, and a consistent small drift below
+    the threshold cannot either.
     """
     base = np.asarray(baseline, dtype=np.float64)
     cur = np.asarray(current, dtype=np.float64)
@@ -216,266 +123,33 @@ def classify_samples(
     base_med = float(np.median(base))
     cur_med = float(np.median(cur))
     ratio = cur_med / base_med if base_med > 0 else float("inf")
+    _, p = mann_whitney_u(base, cur)
     delta = SeriesDelta(
-        key="",
         baseline_median=base_med,
         current_median=cur_med,
-        ratio=ratio,
         speedup=(base_med / cur_med) if cur_med > 0 else None,
-        baseline_ci=bootstrap_median_ci(base, alpha=alpha, seed=seed),
-        current_ci=bootstrap_median_ci(cur, alpha=alpha, seed=seed + 1),
+        p_value=p,
     )
-    _, p = mann_whitney_u(base, cur)
-    delta.p_value = p
-    beyond = abs(ratio - 1.0) > noise_threshold
-    if beyond and p < alpha:
+    if abs(ratio - 1.0) > DEFAULT_NOISE_THRESHOLD and p < DEFAULT_ALPHA:
         delta.classification = "regressed" if ratio > 1.0 else "improved"
         delta.significant = True
-    else:
-        delta.classification = "unchanged"
     return delta
 
 
-def _scalar_delta(
-    base: float, cur: float, noise_threshold: float
-) -> Tuple[str, float, bool]:
-    """Threshold-only classification for sample-free (scalar) series.
-
-    ``base``/``cur`` are time-like (bigger is slower); returns
-    (classification, ratio, significant).  Scalar verdicts are never
-    "statistically significant" — they carry ``significant = beyond
-    threshold`` so the gate still reacts to a model-level 2x slowdown.
-    """
-    if base <= 0 or cur <= 0:
-        return "unchanged", float("nan"), False
-    ratio = cur / base
-    if ratio > 1.0 + noise_threshold:
-        return "regressed", ratio, True
-    if ratio < 1.0 - noise_threshold:
-        return "improved", ratio, True
-    return "unchanged", ratio, False
-
-
-def compare_documents(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    noise_threshold: float = DEFAULT_NOISE_THRESHOLD,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-) -> ComparisonReport:
-    """Diff two result documents series-by-series.
-
-    Series present on only one side classify as ``added``/``removed``
-    (never significant — suite drift is reported, not gated).  Matched
-    series compare on wall-clock samples when both sides have them,
-    falling back to measured/estimated GFlops as an inverse-time scalar.
-    """
-    from repro.bench.schema import index_series, validate_document
-
-    validate_document(baseline)
-    validate_document(current)
-    base_idx = index_series(baseline)
-    cur_idx = index_series(current)
-    report = ComparisonReport(
-        noise_threshold=noise_threshold,
-        alpha=alpha,
-        baseline_label=baseline["meta"].get("label", ""),
-        current_label=current["meta"].get("label", ""),
-    )
-    for key in sorted(set(base_idx) | set(cur_idx)):
-        b, c = base_idx.get(key), cur_idx.get(key)
-        if b is None or c is None:
-            src = c if b is None else b
-            report.deltas.append(
-                SeriesDelta(
-                    key=key,
-                    matrix=src["matrix"],
-                    method=src["method"],
-                    op=src["op"],
-                    classification="added" if b is None else "removed",
-                )
-            )
-            continue
-        b_samples = b.get("wall_seconds") or []
-        c_samples = c.get("wall_seconds") or []
-        if b_samples and c_samples:
-            delta = classify_samples(
-                b_samples, c_samples, noise_threshold=noise_threshold, alpha=alpha, seed=seed
-            )
-        else:
-            # Scalar fallback: GFlops is inverse time, so invert into a
-            # time-like quantity before the threshold test.
-            b_g = float(b.get("gflops") or 0.0)
-            c_g = float(c.get("gflops") or 0.0)
-            delta = SeriesDelta(key=key)
-            if b_g > 0 and c_g > 0:
-                cls, ratio, sig = _scalar_delta(1.0 / b_g, 1.0 / c_g, noise_threshold)
-                delta.classification = cls
-                delta.ratio = ratio
-                delta.speedup = c_g / b_g
-                delta.significant = sig
-                delta.baseline_median = 1.0 / b_g
-                delta.current_median = 1.0 / c_g
-        delta.key = key
-        delta.matrix, delta.method, delta.op = c["matrix"], c["method"], c["op"]
-        report.deltas.append(delta)
-    return report
-
-
-def _per_run_phases(profile: Dict[str, Any]) -> Dict[str, float]:
-    """Phase seconds per recorded run (so shard/repeat counts divide out)."""
-    runs = max(int(profile.get("runs", 0)), 1)
-    return {
-        name: float(ph.get("seconds", 0.0)) / runs
-        for name, ph in profile.get("phases", {}).items()
-    }
-
-
-def _bands_by_id(profile: Dict[str, Any]) -> Dict[int, Dict[str, Any]]:
-    return {int(b.get("band", -1)): b for b in profile.get("bands", [])}
-
-
-def attribute_regressions(
-    report: ComparisonReport,
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-) -> List[Dict[str, Any]]:
-    """Blame each significant regression on a phase and a tile-row band.
-
-    Joins the ``repro.profile/1`` artifacts embedded in both documents'
-    series (``bench run`` embeds one per series).  Per regression:
-
-    * **phase** — the pipeline phase whose per-run seconds grew the most
-      between baseline and current (the *where did the time go* answer);
-    * **band** — the tile-row band whose intermediate-product count grew
-      the most; when the workload is unchanged (same input, same
-      algorithm decisions), the current run's heaviest band is reported
-      instead, flagged ``workload_changed: false``.
-
-    Series without embedded profiles on both sides are skipped — the
-    rendered report says so rather than guessing.
-    """
-    from repro.bench.schema import index_series
-
-    base_idx = index_series(baseline)
-    cur_idx = index_series(current)
-    attributions: List[Dict[str, Any]] = []
-    for delta in report.regressions:
-        base_prof = (base_idx.get(delta.key) or {}).get("profile")
-        cur_prof = (cur_idx.get(delta.key) or {}).get("profile")
-        if not base_prof or not cur_prof:
-            attributions.append({"key": delta.key, "profiled": False})
-            continue
-        entry: Dict[str, Any] = {"key": delta.key, "profiled": True}
-
-        base_phases = _per_run_phases(base_prof)
-        cur_phases = _per_run_phases(cur_prof)
-        phase_deltas = {
-            name: cur_phases.get(name, 0.0) - base_phases.get(name, 0.0)
-            for name in set(base_phases) | set(cur_phases)
-        }
-        if phase_deltas:
-            worst = max(phase_deltas, key=lambda k: phase_deltas[k])
-            grew = sum(v for v in phase_deltas.values() if v > 0)
-            entry["phase"] = {
-                "name": worst,
-                "base_s": base_phases.get(worst, 0.0),
-                "cur_s": cur_phases.get(worst, 0.0),
-                "delta_s": phase_deltas[worst],
-                "share_of_growth": (
-                    phase_deltas[worst] / grew if grew > 0 else 0.0
-                ),
-            }
-
-        base_bands = _bands_by_id(base_prof)
-        cur_bands = _bands_by_id(cur_prof)
-        band_deltas = {
-            band: int(cur_bands.get(band, {}).get("products", 0))
-            - int(base_bands.get(band, {}).get("products", 0))
-            for band in set(base_bands) | set(cur_bands)
-        }
-        changed = any(v != 0 for v in band_deltas.values())
-        entry["workload_changed"] = changed
-        pick = None
-        if changed:
-            pick = max(band_deltas, key=lambda k: band_deltas[k])
-        elif cur_bands:
-            pick = max(
-                cur_bands, key=lambda k: int(cur_bands[k].get("products", 0))
-            )
-        if pick is not None:
-            band = cur_bands.get(pick, base_bands.get(pick, {}))
-            entry["band"] = {
-                "band": pick,
-                "tile_rows": band.get("tile_rows", [0, 0]),
-                "base_products": int(base_bands.get(pick, {}).get("products", 0)),
-                "cur_products": int(cur_bands.get(pick, {}).get("products", 0)),
-                "delta_products": band_deltas.get(pick, 0),
-            }
-        attributions.append(entry)
-    return attributions
-
-
-def render_attribution(attributions: List[Dict[str, Any]]) -> str:
-    """Human-readable blame lines for ``bench compare --attribute``."""
-    if not attributions:
-        return "attribution: no significant regressions to attribute"
-    lines = ["attribution (phase and tile-row band per regression):"]
-    for entry in attributions:
-        if not entry.get("profiled"):
-            lines.append(
-                f"  {entry['key']}: no embedded profile on both sides — "
-                "re-run both benches with a profile-enabled runner"
-            )
-            continue
-        parts = []
-        phase = entry.get("phase")
-        if phase is not None:
-            parts.append(
-                f"phase {phase['name']} "
-                f"{phase['base_s'] * 1e3:.3f} -> {phase['cur_s'] * 1e3:.3f} ms/run "
-                f"({phase['delta_s'] * 1e3:+.3f}, "
-                f"{phase['share_of_growth']:.0%} of the growth)"
-            )
-        band = entry.get("band")
-        if band is not None:
-            r0, r1 = band.get("tile_rows", [0, 0])
-            if entry.get("workload_changed"):
-                parts.append(
-                    f"tile rows [{r0}, {r1}) products "
-                    f"{band['base_products']} -> {band['cur_products']} "
-                    f"({band['delta_products']:+d})"
-                )
-            else:
-                parts.append(
-                    f"workload unchanged; heaviest band tile rows "
-                    f"[{r0}, {r1}) ({band['cur_products']} products)"
-                )
-        lines.append(f"  {entry['key']}: " + "; ".join(parts))
-    return "\n".join(lines)
-
-
-def planner_comparison(
-    doc: Dict[str, Any],
-    planned_method: str = "tilespgemm_planned",
-    noise_threshold: float = DEFAULT_NOISE_THRESHOLD,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-) -> Dict[str, Any]:
+def planner_comparison(doc: Dict[str, Any]) -> Dict[str, Any]:
     """The adaptive-planner gate: one document, planned vs every static.
 
-    Unlike :func:`compare_documents` (which matches identical series
-    keys across two documents), this compares the *planned* method's
-    series against every other method's series **within one document**,
-    per ``(matrix, op)``.  For each static configuration it reports the
-    per-matrix speedup ``static_median / planned_median`` and the
-    geometric mean across matrices.
+    Compares the :data:`PLANNED_METHOD` series against every other
+    method's series **within one document**, per ``(matrix, op)``.  For
+    each static configuration it reports the per-matrix speedup
+    ``static_median / planned_median`` and the geometric mean across
+    matrices.
 
     The gate passes when, against every static configuration, the
-    geomean speedup is >= 1.0 **and** no matrix regresses beyond the
-    noise threshold with Mann-Whitney significance — i.e. the planner
-    is at least as good as any static choice overall and never
-    meaningfully worse on a single input.
+    geomean speedup is >= 1.0 **and** no matrix regresses beyond
+    :data:`DEFAULT_NOISE_THRESHOLD` with Mann-Whitney significance at
+    :data:`DEFAULT_ALPHA` — i.e. the planner is at least as good as any
+    static choice overall and never meaningfully worse on a single input.
     """
     from repro.bench.schema import validate_document
 
@@ -484,13 +158,13 @@ def planner_comparison(
     statics: Dict[str, Dict[Tuple[str, str], Dict[str, Any]]] = {}
     for series in doc.get("series", []):
         at = (series["matrix"], series["op"])
-        if series["method"] == planned_method:
+        if series["method"] == PLANNED_METHOD:
             planned[at] = series
         else:
             statics.setdefault(series["method"], {})[at] = series
     if not planned:
         raise ValueError(
-            f"document has no {planned_method!r} series — run the "
+            f"document has no {PLANNED_METHOD!r} series — run the "
             "'planner' bench suite"
         )
 
@@ -511,13 +185,7 @@ def planner_comparison(
             # baseline = the static config, current = the planner, so
             # "regressed" means the planner is slower beyond threshold
             # *and* the rank test rejects "same distribution".
-            delta = classify_samples(
-                s_samples,
-                p_samples,
-                noise_threshold=noise_threshold,
-                alpha=alpha,
-                seed=seed,
-            )
+            delta = classify_samples(s_samples, p_samples)
             row = {
                 "matrix": at[0],
                 "op": at[1],
@@ -543,9 +211,9 @@ def planner_comparison(
         }
         all_passed = all_passed and passed
     return {
-        "planned_method": planned_method,
-        "noise_threshold": noise_threshold,
-        "alpha": alpha,
+        "planned_method": PLANNED_METHOD,
+        "noise_threshold": DEFAULT_NOISE_THRESHOLD,
+        "alpha": DEFAULT_ALPHA,
         "label": doc.get("meta", {}).get("label", ""),
         "configs": configs,
         "passed": all_passed,
@@ -553,7 +221,7 @@ def planner_comparison(
 
 
 def render_planner_comparison(report: Dict[str, Any]) -> str:
-    """Human-readable planner-gate report (``bench compare --planner``)."""
+    """Human-readable planner-gate report (``bench compare``)."""
     from repro.analysis.reporting import format_table
 
     rows = []
@@ -600,49 +268,4 @@ def render_planner_comparison(report: Dict[str, Any]) -> str:
     text += "\n" + (
         "planner gate: PASS" if report.get("passed") else "planner gate: FAIL"
     )
-    return text
-
-
-def render_comparison(report: ComparisonReport, verbose: bool = False) -> str:
-    """Human-readable table of a comparison (the ``bench compare`` output)."""
-    from repro.analysis.reporting import format_table
-
-    rows = []
-    for d in report.deltas:
-        if d.classification in ("added", "removed"):
-            rows.append([d.key, d.classification, "-", "-", "-", "-"])
-            continue
-        if not verbose and d.classification == "unchanged":
-            continue
-        rows.append(
-            [
-                d.key,
-                d.classification + ("" if d.significant else " (ns)"),
-                f"{d.baseline_median * 1e3:.3f}" if d.baseline_median else "-",
-                f"{d.current_median * 1e3:.3f}" if d.current_median else "-",
-                f"{d.speedup:.3f}x" if d.speedup else "-",
-                f"{d.p_value:.4f}" if d.p_value is not None else "-",
-            ]
-        )
-    if not rows:
-        rows.append(["(all series unchanged)", "", "", "", "", ""])
-    text = format_table(
-        ["series", "verdict", "base ms", "cur ms", "speedup", "p"],
-        rows,
-        title=(
-            f"bench compare: {report.baseline_label or 'baseline'} -> "
-            f"{report.current_label or 'current'} "
-            f"(threshold {report.noise_threshold * 100:.0f}%, alpha {report.alpha})"
-        ),
-    )
-    roll = [["(all)", f"{report.geomean_speedup():.3f}x"]]
-    for m in report.methods():
-        roll.append([m, f"{report.geomean_speedup(m):.3f}x"])
-    text += "\n\n" + format_table(
-        ["method", "geomean speedup"], roll, title="geomean speedup rollup"
-    )
-    counts = {}
-    for d in report.deltas:
-        counts[d.classification] = counts.get(d.classification, 0) + 1
-    text += "\nverdicts: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     return text

@@ -24,7 +24,7 @@ machine can be analysed on another with no repro objects in scope.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.analysis.breakdown import BUCKETS, _PHASE_TO_BUCKET
 
@@ -35,8 +35,6 @@ __all__ = [
     "top_spans_report",
     "breakdown_from_trace",
     "render_breakdown",
-    "diff_traces",
-    "render_trace_diff",
 ]
 
 #: Event phases the exporter emits (complete, instant, counter, metadata).
@@ -164,59 +162,6 @@ def breakdown_from_trace(doc: dict, strict: bool = False) -> Dict[str, float]:
             continue
         out[bucket] += float(ev["dur"]) / 1e6
     return out
-
-
-def diff_traces(
-    a: dict, b: dict, cats: Optional[Iterable[str]] = None
-) -> Dict[str, Dict[str, float]]:
-    """Per-span-name delta between two traces (regression attribution).
-
-    Aggregates both documents' complete events into per-name totals and
-    joins them: ``{name: {"base_s", "other_s", "delta_s", "ratio",
-    "base_count", "other_count"}}``, ordered by descending ``|delta_s|``
-    so the span that moved most — the phase a regression lives in — comes
-    first.  Spans present on only one side join against zero (``ratio``
-    is ``inf`` for brand-new spans, 0 for vanished ones).
-    """
-    base = aggregate_spans(a, cats)
-    other = aggregate_spans(b, cats)
-    out: Dict[str, Dict[str, float]] = {}
-    for name in set(base) | set(other):
-        bs = base.get(name, {"seconds": 0.0, "count": 0})
-        os_ = other.get(name, {"seconds": 0.0, "count": 0})
-        out[name] = {
-            "base_s": bs["seconds"],
-            "other_s": os_["seconds"],
-            "delta_s": os_["seconds"] - bs["seconds"],
-            "ratio": (os_["seconds"] / bs["seconds"]) if bs["seconds"] > 0 else float("inf"),
-            "base_count": bs["count"],
-            "other_count": os_["count"],
-        }
-    return dict(sorted(out.items(), key=lambda kv: -abs(kv[1]["delta_s"])))
-
-
-def render_trace_diff(diff: Dict[str, Dict[str, float]], n: int = 20) -> str:
-    """ASCII table of a :func:`diff_traces` result (``bench report --attribute``)."""
-    lines = ["trace diff by span (largest absolute delta first):"]
-    if not diff:
-        lines.append("  (no spans in either trace)")
-        return "\n".join(lines)
-    names = list(diff)[:n]
-    width = max(len(name) for name in names)
-    lines.append(
-        f"  {'span':<{width}}  {'base':>10}  {'other':>10}  {'delta':>10}  {'ratio':>7}"
-    )
-    for name in names:
-        d = diff[name]
-        ratio = f"{d['ratio']:.2f}x" if d["ratio"] != float("inf") else "new"
-        lines.append(
-            f"  {name:<{width}}  {d['base_s'] * 1e3:>8.3f}ms  {d['other_s'] * 1e3:>8.3f}ms"
-            f"  {d['delta_s'] * 1e3:>+8.3f}ms  {ratio:>7}"
-        )
-    hidden = len(diff) - n
-    if hidden > 0:
-        lines.append(f"  ... and {hidden} more")
-    return "\n".join(lines)
 
 
 def render_breakdown(breakdown: Dict[str, float], width: int = 40) -> str:

@@ -1,36 +1,20 @@
-"""Performance observability: the machine-readable benchmark tier.
-
-The paper's evaluation is a performance argument; this package makes the
-reproduction's own performance a first-class, diffable artifact:
+"""The machine-readable benchmark tier.
 
 * :mod:`repro.bench.schema` — the schema-versioned JSON result document
-  every benchmark run emits (samples, GFlops, counters, cost-model
-  estimates, environment fingerprint);
+  that ``repro bench run`` and the figure benchmarks under
+  ``benchmarks/`` emit (samples, GFlops, counters, environment
+  fingerprint);
 * :mod:`repro.bench.runner` — :class:`~repro.bench.runner.BenchRunner`,
   executing named suites with warmup/repeat control and deterministic
   seeding;
-* :mod:`repro.bench.history` — the run trajectory under
-  ``benchmarks/history/`` and the regression gate;
-* :mod:`repro.bench.roofline` — achieved-vs-peak analytics joining the
-  documents with :mod:`repro.gpu`'s device models;
-* :mod:`repro.bench.cli` — the ``repro bench run|compare|gate|report``
-  subcommands.
+* :mod:`repro.bench.cli` — the ``repro bench run|compare`` subcommands;
+  ``compare`` is the planner gate.
 
-The statistical comparison engine itself lives in
-:mod:`repro.analysis.bench_compare` next to the other analysis tools.
-See ``docs/BENCHMARKING.md`` for the schema reference and workflow.
+The planner gate's statistics live in :mod:`repro.analysis.bench_compare`
+next to the other analysis tools.  End-to-end speed is measured by
+``benchmarks/e2e``.  See ``docs/BENCHMARKING.md`` for the workflow.
 """
 
-from repro.bench.history import (
-    DEFAULT_BASELINE,
-    DEFAULT_HISTORY_DIR,
-    append_run,
-    gate_documents,
-    history_paths,
-    latest_run,
-    load_history,
-)
-from repro.bench.roofline import RooflinePoint, render_roofline, roofline_points
 from repro.bench.runner import SUITES, BenchConfig, BenchRunner, available_suites
 from repro.bench.schema import (
     SCHEMA_VERSION,
@@ -56,14 +40,4 @@ __all__ = [
     "validate_document",
     "write_document",
     "load_document",
-    "DEFAULT_HISTORY_DIR",
-    "DEFAULT_BASELINE",
-    "append_run",
-    "history_paths",
-    "latest_run",
-    "load_history",
-    "gate_documents",
-    "RooflinePoint",
-    "roofline_points",
-    "render_roofline",
 ]

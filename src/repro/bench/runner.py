@@ -3,7 +3,7 @@
 Executes a named suite — a (matrix specs x methods x ops) grid — with
 warmup/repeat control and deterministic seeding, and emits one canonical
 result document (:mod:`repro.bench.schema`): per-series wall-clock
-samples, measured GFlops, cost-model estimates per device, the
+samples, measured GFlops, the
 :class:`~repro.obs.metrics.MetricsRegistry` counters of one instrumented
 execution, and the environment fingerprint.
 
@@ -30,8 +30,7 @@ import numpy as np
 from repro.backend import resolve_backend_name
 from repro.baselines import get_algorithm
 from repro.bench import schema
-from repro.gpu import DEVICES, estimate_run
-from repro.obs import MetricsRegistry, WorkloadProfiler, obs_context
+from repro.obs import MetricsRegistry, obs_context
 
 __all__ = [
     "SuiteSpec",
@@ -43,9 +42,6 @@ __all__ = [
 
 #: Methods of the paper's main comparison (benchmarks/conftest.py order).
 _PAPER_METHODS = ("cusparse_spa", "bhsparse_esc", "nsparse_hash", "speck", "tilespgemm")
-
-#: Devices every series is estimated on (keys of ``repro.gpu.DEVICES``).
-_ESTIMATE_DEVICES = ("rtx3060", "rtx3090")
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ SUITES: Dict[str, SuiteSpec] = {
     "planner": SuiteSpec(
         "planner",
         "the ext matrices, the estimation-driven planner vs every static "
-        "shard/worker configuration (gate: repro bench compare --planner)",
+        "shard/worker configuration (gate: repro bench compare)",
         _ext_specs,
         methods=(
             "tilespgemm",
@@ -165,7 +161,6 @@ class BenchConfig:
     seed: int = 0
     max_matrices: Optional[int] = None  #: None = REPRO_BENCH_MAX_MATRICES or all
     methods: Optional[Tuple[str, ...]] = None  #: None = the suite's methods
-    devices: Tuple[str, ...] = _ESTIMATE_DEVICES
     backend: Optional[str] = None  #: kernel backend name; None = $REPRO_BACKEND, else numpy
 
     def resolved_cap(self) -> Optional[int]:
@@ -265,14 +260,12 @@ class BenchRunner:
             kwargs["b_tiled"] = _tiled_of(a) if op == "aa" else _tiled_of(b)
         fn = get_algorithm(method)
 
-        # Instrumented pass: collects the kernel counters, the workload
-        # profile and the result whose statistics feed the cost model;
-        # doubles as the first warmup iteration so the counters cost no
-        # extra execution.  The timed repeats below run outside the
-        # context, so the samples price the algorithm alone.
+        # Instrumented pass: collects the kernel counters and the result's
+        # flop count; doubles as the first warmup iteration so the
+        # counters cost no extra execution.  The timed repeats below run
+        # outside the context, so the samples price the algorithm alone.
         metrics = MetricsRegistry()
-        profiler = WorkloadProfiler()
-        with obs_context(metrics=metrics, profile=profiler):
+        with obs_context(metrics=metrics):
             result = fn(a, b, **kwargs)
         for _ in range(max(cfg.warmup - 1, 0)):
             fn(a, b, **kwargs)
@@ -287,30 +280,6 @@ class BenchRunner:
         median = float(np.median(samples)) if samples else 0.0
         gflops = flops / median / 1e9 if median > 0 else None
 
-        estimates: Dict[str, Any] = {}
-        for dev_key in cfg.devices:
-            est = estimate_run(result, DEVICES[dev_key])
-            estimates[dev_key] = {
-                "device": est.device.name,
-                "seconds": est.seconds if np.isfinite(est.seconds) else -1.0,
-                "gflops": est.gflops,
-                "oom": bool(est.oom),
-                "malloc_s": est.malloc_s,
-                "kernels": {
-                    k.name: {
-                        "seconds": k.seconds,
-                        "compute_s": k.compute_s,
-                        "memory_s": k.memory_s,
-                        "launch_s": k.launch_s,
-                        "bound": k.bound,
-                        "tasks": int(k.task_cycles.size)
-                        if k.task_cycles is not None
-                        else 0,
-                    }
-                    for k in est.kernels
-                },
-            }
-
         return schema.make_series(
             matrix=matrix_name,
             method=method,
@@ -323,8 +292,4 @@ class BenchRunner:
             nnz_c=int(result.stats.get("nnz_c", result.c.nnz)),
             phases=dict(result.timer.seconds),
             counters=dict(metrics.snapshot()["counters"]),
-            estimates=estimates,
-            # Per-series: the process-wide tile-cache counters would smear
-            # across series, so the snapshot is omitted here.
-            profile=profiler.to_dict(include_cache=False),
         )

@@ -1,9 +1,9 @@
 """The canonical machine-readable benchmark result document.
 
-Every benchmark execution — the ``repro bench run`` CLI, the pytest bench
-modules, the CI gate — reports through one schema-versioned JSON shape so
-that any two runs, from any machine and any PR, can be diffed by
-:mod:`repro.analysis.bench_compare`.  A document is a plain dict::
+The ``repro bench run`` CLI and the pytest figure benchmarks under
+``benchmarks/`` report through one schema-versioned JSON shape, which the
+planner gate (:mod:`repro.analysis.bench_compare`) reads.  A document is
+a plain dict::
 
     {
       "schema": "repro.bench/1",
@@ -21,25 +21,18 @@ that any two runs, from any machine and any PR, can be diffed by
           "gflops": 0.061,                     # flops / median wall time
           "phases": {"step1": ..., "step2": ..., "step3": ..., "malloc": ...},
           "counters": {"atomic_add_ops_total": ...},   # MetricsRegistry
-          "estimates": {                       # cost model, per device
-            "rtx3090": {"seconds": ..., "gflops": ..., "oom": false,
-                        "malloc_s": ...,
-                        "kernels": {"step1": {"seconds": ..., "compute_s":
-                                    ..., "memory_s": ..., "launch_s": ...,
-                                    "bound": "memory"}, ...}},
-            ...
-          },
           "extra": { ... free-form, bench-module specific ... }
         }, ...
       ]
     }
 
 ``wall_seconds`` may be empty for series whose value is model-derived
-(e.g. the Figure 6 GFlops sweep); the comparison engine then falls back
-to the scalar throughput.  Everything optional defaults sanely, and
-:func:`validate_document` pins the shape the rest of the tooling relies
-on, raising :class:`~repro.errors.InvalidInputError` naming the first
-offending path (so CI failures point at the actual field).
+(e.g. the Figure 6 GFlops sweep).  Everything optional defaults sanely,
+and :func:`validate_document` pins the shape the rest of the tooling
+relies on, raising :class:`~repro.errors.InvalidInputError` naming the
+first offending path (so CI failures point at the actual field).  Keys
+it does not pin pass through: older documents whose series carry
+per-device ``estimates`` or an embedded ``profile`` still load.
 """
 
 from __future__ import annotations
@@ -58,7 +51,6 @@ __all__ = [
     "environment_fingerprint",
     "new_document",
     "make_series",
-    "index_series",
     "validate_document",
     "write_document",
     "load_document",
@@ -142,17 +134,9 @@ def make_series(
     nnz_c: int = 0,
     phases: Optional[Dict[str, float]] = None,
     counters: Optional[Dict[str, float]] = None,
-    estimates: Optional[Dict[str, Any]] = None,
     extra: Optional[Dict[str, Any]] = None,
-    profile: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One series entry (see the module docstring for the shape).
-
-    ``profile`` embeds this series' ``repro.profile/1`` workload-profile
-    artifact (phases, tile-row bands, plans) so history
-    snapshots carry the attribution data ``bench compare --attribute``
-    blames regressions with.
-    """
+    """One series entry (see the module docstring for the shape)."""
     out: Dict[str, Any] = {
         "key": series_key(matrix, method, op),
         "matrix": str(matrix),
@@ -170,18 +154,9 @@ def make_series(
         out["phases"] = {str(k): float(v) for k, v in phases.items()}
     if counters:
         out["counters"] = dict(counters)
-    if estimates:
-        out["estimates"] = estimates
     if extra:
         out["extra"] = extra
-    if profile:
-        out["profile"] = profile
     return out
-
-
-def index_series(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Map ``series key -> series`` for one document."""
-    return {s["key"]: s for s in doc["series"]}
 
 
 def _fail(path: str, message: str) -> None:
@@ -251,23 +226,6 @@ def validate_document(doc: Any) -> Dict[str, Any]:
                 _fail(f"{at}.{mapping}", "expected an object")
             for k, v in got.items():
                 _check_number(v, f"{at}.{mapping}[{k!r}]")
-        est = s.get("estimates")
-        if est is not None:
-            if not isinstance(est, dict):
-                _fail(f"{at}.estimates", "expected an object keyed by device")
-            for dev, e in est.items():
-                if not isinstance(e, dict):
-                    _fail(f"{at}.estimates[{dev!r}]", "expected an object")
-                for field in ("seconds", "gflops"):
-                    _check_number(e.get(field), f"{at}.estimates[{dev!r}].{field}")
-        embedded = s.get("profile")
-        if embedded is not None:
-            from repro.obs.profile import validate_profile
-
-            try:
-                validate_profile(embedded)
-            except InvalidInputError as exc:
-                _fail(f"{at}.profile", str(exc))
     return doc
 
 

@@ -36,11 +36,11 @@ and the observability layer (see docs/OBSERVABILITY.md)::
 
     python -m repro --trace t.json --metrics m.prom --profile path/to/matrix.mtx
 
-A ``bench`` subcommand family (see docs/BENCHMARKING.md) runs the
-machine-readable benchmark tier::
+A ``bench`` subcommand family (see docs/BENCHMARKING.md) runs a suite
+into a machine-readable result document and gates the planner::
 
-    python -m repro bench run --suite ext --out BENCH.json
-    python -m repro bench gate --candidate BENCH.json
+    python -m repro bench run --suite planner --out planner-bench.json
+    python -m repro bench compare planner-bench.json
 
 and a ``serve`` subcommand family (see docs/SERVING.md) drives the
 resilient async serving tier under generated load::
@@ -228,8 +228,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "bench":
-        # The benchmark tier (docs/BENCHMARKING.md): run/compare/gate/report
-        # over machine-readable result documents.
+        # The benchmark tier (docs/BENCHMARKING.md): run a suite into a
+        # result document; compare gates the planner.
         from repro.bench.cli import bench_main
 
         return bench_main(argv[1:])

@@ -221,19 +221,19 @@ class DeadlineExceededError(ReproError, TimeoutError):
 
 
 class BenchRegressionError(ReproError):
-    """The benchmark gate found a statistically significant regression.
+    """The planner gate failed.
 
-    Raised by :func:`repro.bench.history.gate_documents` (and surfaced by
-    ``repro bench gate``) when at least one series of the candidate run is
-    slower than the baseline beyond the configured noise threshold *and*
-    the slowdown is statistically significant (see
-    :mod:`repro.analysis.bench_compare`).  Carries the offending series
-    keys so CI logs name exactly what regressed.
+    Built by ``repro bench compare`` when the planned method is slower
+    than some static configuration: a per-matrix slowdown beyond the
+    noise threshold that is statistically significant, or a geomean
+    speedup below 1.0 (see :mod:`repro.analysis.bench_compare`).
+    ``regressions`` holds the failing keys as strings so CI logs name
+    exactly what regressed.
     """
 
     def __init__(self, regressions) -> None:
         self.regressions = list(regressions)
-        keys = ", ".join(r.key for r in self.regressions)
+        keys = ", ".join(self.regressions)
         super().__init__(
             f"{len(self.regressions)} benchmark series regressed: {keys}"
         )

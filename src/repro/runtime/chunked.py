@@ -193,7 +193,7 @@ def chunked_tile_spgemm(
         validate_bounds(bounds, a.num_tile_rows)
     else:
         bounds = batch_bounds(a.num_tile_rows, num_batches)
-    run = ShardRun(a, b, bounds)
+    run = ShardRun(a, b, bounds, track="parallel")
     opts = dict(kwargs, budget_bytes=budget_bytes, fault_plan=fault_plan)
     with current_obs().tracer.span("chunked_tile_spgemm", cat="chunked", batches=run.pieces):
         return run_blocking([run], opts, keep_empty_tiles=keep_empty_tiles)[0]

@@ -175,7 +175,9 @@ class ShardRun:
     name:
         Names the multiply in error messages (``"request t#3"``).
     track:
-        Telemetry namespace: ``<track>_resplits_total`` /
+        Telemetry namespace, ``"parallel"`` for ``chunked_tile_spgemm``
+        and ``parallel_tile_spgemm``, ``"serve"`` for the serve tier:
+        ``<track>_resplits_total`` /
         ``_retries_total`` / ``_pool_replacements_total`` counters;
         inline, ``<track>.batch`` spans and ``<track>_batches_total``;
         on a pool, ``<track>.shard`` summary spans over
@@ -200,7 +202,7 @@ class ShardRun:
         policy: Optional[RetryPolicy] = None,
         *,
         name: str = "multiply",
-        track: str = "chunked",
+        track: str,
         labels: Optional[Dict[str, str]] = None,
         trace_id: Optional[str] = None,
         root_span_id: str = "",

@@ -49,3 +49,29 @@ def random_square(request):
         request.param
     ]
     return random_csr(n, n, d, seed=s)
+
+
+def planner_doc(planned_samples, static_samples):
+    """A one-matrix ``planner``-suite bench document: ``m1`` timed under
+    the planned method and one static configuration (``tilespgemm``)."""
+    from repro.bench import schema
+
+    doc = schema.new_document(label="t", suite="planner", warmup=0, repeats=3, seed=0)
+    for method, samples in [
+        ("tilespgemm_planned", planned_samples),
+        ("tilespgemm", static_samples),
+    ]:
+        doc["series"].append(
+            schema.make_series(
+                matrix="m1",
+                method=method,
+                op="aa",
+                wall_seconds=samples,
+                n=10,
+                nnz=10,
+                nnz_c=10,
+                flops=20,
+            )
+        )
+    schema.validate_document(doc)
+    return doc

@@ -1,11 +1,11 @@
-"""Statistical comparison engine and regression gate (repro.analysis.bench_compare).
+"""The planner gate's statistics and ``repro bench compare`` (the gate's CLI).
 
-The three contracted behaviours from the issue:
+Contracts under test:
 
 * an injected 2x slowdown is flagged as a significant regression;
 * two identical runs compare as unchanged at the default noise threshold;
-* gate exit codes follow the ``repro.errors`` taxonomy (9 regression,
-  4 missing file, 3 malformed document, 0 pass).
+* gate exit codes follow the ``repro.errors`` taxonomy (0 pass,
+  9 regression, 4 missing file, 3 malformed document, 2 usage).
 """
 
 from __future__ import annotations
@@ -16,35 +16,21 @@ import pytest
 
 from repro.analysis.bench_compare import (
     DEFAULT_NOISE_THRESHOLD,
-    bootstrap_median_ci,
     classify_samples,
-    compare_documents,
     mann_whitney_u,
-    render_comparison,
 )
-from repro.bench.history import append_run, gate_documents, latest_run
-from repro.bench.schema import make_series, new_document, write_document
+from repro.bench.cli import bench_main
+from repro.bench.schema import write_document
 from repro.errors import (
     EXIT_FILE_NOT_FOUND,
     EXIT_INVALID_INPUT,
     EXIT_OK,
     EXIT_REGRESSION,
-    BenchRegressionError,
-    exit_code_for,
+    EXIT_USAGE,
 )
+from tests.conftest import planner_doc
 
 BASE_SAMPLES = [1.00, 1.01, 0.99, 1.02, 0.98]
-
-
-def _doc(series, label="t"):
-    doc = new_document(label=label, suite="unit", warmup=0, repeats=5, seed=0,
-                       created_unix=1_000.0)
-    doc["series"] = series
-    return doc
-
-
-def _series(samples, matrix="m", method="tilespgemm", op="aa", **kw):
-    return make_series(matrix, method, op, wall_seconds=samples, **kw)
 
 
 class TestStatistics:
@@ -59,11 +45,6 @@ class TestStatistics:
     def test_mann_whitney_fully_tied_is_p_one(self):
         assert mann_whitney_u([1, 1, 1], [1, 1, 1])[1] == 1.0
 
-    def test_bootstrap_ci_brackets_median_and_is_deterministic(self):
-        lo, hi = bootstrap_median_ci(BASE_SAMPLES, seed=7)
-        assert lo <= 1.00 <= hi
-        assert (lo, hi) == bootstrap_median_ci(BASE_SAMPLES, seed=7)
-
 
 class TestClassification:
     def test_2x_slowdown_flagged_as_regression(self):
@@ -71,7 +52,7 @@ class TestClassification:
         assert d.classification == "regressed"
         assert d.significant
         assert d.p_value < 0.05
-        assert d.ratio == pytest.approx(2.0, rel=0.05)
+        assert d.speedup == pytest.approx(0.5, rel=0.05)
 
     def test_identical_runs_unchanged_at_default_threshold(self):
         d = classify_samples(BASE_SAMPLES, list(BASE_SAMPLES))
@@ -88,63 +69,8 @@ class TestClassification:
         assert d.speedup == pytest.approx(2.0, rel=0.05)
 
 
-class TestCompareDocuments:
-    def test_regression_and_geomean(self):
-        base = _doc([_series(BASE_SAMPLES)], label="seed")
-        cur = _doc([_series([2 * s for s in BASE_SAMPLES])], label="pr")
-        report = compare_documents(base, cur)
-        assert [d.key for d in report.regressions] == ["m|tilespgemm|aa"]
-        assert report.geomean_speedup() == pytest.approx(0.5, rel=0.05)
-        text = render_comparison(report)
-        assert "regressed" in text and "m|tilespgemm|aa" in text
-
-    def test_added_and_removed_series_never_gate(self):
-        base = _doc([_series(BASE_SAMPLES, matrix="a")])
-        cur = _doc([_series(BASE_SAMPLES, matrix="b")])
-        report = compare_documents(base, cur)
-        kinds = {d.key: d.classification for d in report.deltas}
-        assert kinds == {"a|tilespgemm|aa": "removed", "b|tilespgemm|aa": "added"}
-        assert not report.regressions
-
-    def test_scalar_gflops_fallback(self):
-        """Sample-free series (the fig6 sweep) still gate on the scalar."""
-        base = _doc([make_series("m", "tilespgemm", "aa", gflops=10.0)])
-        cur = _doc([make_series("m", "tilespgemm", "aa", gflops=4.0)])
-        (d,) = compare_documents(base, cur).deltas
-        assert d.classification == "regressed" and d.significant
-        assert d.p_value is None
-        assert d.speedup == pytest.approx(0.4)
-
-
-class TestGate:
-    def test_gate_raises_on_regression_with_exit_9(self):
-        base = _doc([_series(BASE_SAMPLES)])
-        cur = _doc([_series([2 * s for s in BASE_SAMPLES])])
-        with pytest.raises(BenchRegressionError) as exc_info:
-            gate_documents(base, cur)
-        exc = exc_info.value
-        assert exit_code_for(exc) == EXIT_REGRESSION == 9
-        assert "m|tilespgemm|aa" in str(exc)
-        assert exc.report.regressions
-
-    def test_gate_passes_identical_documents(self):
-        base = _doc([_series(BASE_SAMPLES)])
-        report = gate_documents(base, _doc([_series(list(BASE_SAMPLES))]))
-        assert not report.regressions
-
-    def test_history_append_and_latest(self, tmp_path):
-        hist = tmp_path / "history"
-        seed = _doc([_series(BASE_SAMPLES)], label="seed")
-        later = new_document("pr", "unit", 0, 5, 0, created_unix=2_000.0)
-        later["series"] = [_series(BASE_SAMPLES)]
-        seed_path = append_run(seed, hist)
-        append_run(later, hist)
-        assert latest_run(hist).name.startswith("unit-2000")
-        assert latest_run(hist, exclude=seed_path).name.startswith("unit-2000")
-
-
 class TestCliExitCodes:
-    """`repro bench` exit codes follow the repro.errors taxonomy."""
+    """`repro bench compare DOC` exit codes follow the repro.errors taxonomy."""
 
     def _write(self, tmp_path, name, doc):
         path = tmp_path / name
@@ -152,45 +78,39 @@ class TestCliExitCodes:
         return str(path)
 
     def test_gate_exit_9_on_2x_slowdown(self, tmp_path, capsys):
-        from repro.bench.cli import bench_main
-
-        base = self._write(tmp_path, "base.json", _doc([_series(BASE_SAMPLES)]))
-        cur = self._write(
-            tmp_path, "cur.json", _doc([_series([2 * s for s in BASE_SAMPLES])])
-        )
-        assert bench_main(["gate", "--baseline", base, "--candidate", cur]) == 9
-        assert "regressed" in capsys.readouterr().out
-        # --soft downgrades the failure to a warning.
-        assert (
-            bench_main(["gate", "--baseline", base, "--candidate", cur, "--soft"])
-            == EXIT_OK
-        )
+        doc = planner_doc([2 * s for s in BASE_SAMPLES], BASE_SAMPLES)
+        path = self._write(tmp_path, "planner.json", doc)
+        assert bench_main(["compare", path]) == EXIT_REGRESSION == 9
+        captured = capsys.readouterr()
+        assert "planner gate: FAIL" in captured.out
+        assert "m1:aa (vs tilespgemm)" in captured.err
 
     def test_gate_exit_0_on_identical_rerun(self, tmp_path, capsys):
-        from repro.bench.cli import bench_main
-
-        base = self._write(tmp_path, "base.json", _doc([_series(BASE_SAMPLES)]))
-        cur = self._write(tmp_path, "cur.json", _doc([_series(list(BASE_SAMPLES))]))
-        assert bench_main(["gate", "--baseline", base, "--candidate", cur]) == EXIT_OK
-        assert "gate passed" in capsys.readouterr().out
+        doc = planner_doc(list(BASE_SAMPLES), BASE_SAMPLES)
+        path = self._write(tmp_path, "planner.json", doc)
+        assert bench_main(["compare", path]) == EXIT_OK
+        assert "planner gate: PASS" in capsys.readouterr().out
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
-        from repro.bench.cli import bench_main
-
-        base = self._write(tmp_path, "base.json", _doc([_series(BASE_SAMPLES)]))
-        code = bench_main(["gate", "--baseline", base, "--candidate", "/nope.json"])
+        code = bench_main(["compare", str(tmp_path / "nope.json")])
         assert code == EXIT_FILE_NOT_FOUND == 4
 
     def test_malformed_document_exits_3(self, tmp_path, capsys):
-        from repro.bench.cli import bench_main
-
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "wrong"}))
-        base = self._write(tmp_path, "base.json", _doc([_series(BASE_SAMPLES)]))
-        code = bench_main(["compare", base, str(bad)])
-        assert code == EXIT_INVALID_INPUT == 3
+        assert bench_main(["compare", str(bad)]) == EXIT_INVALID_INPUT == 3
 
     def test_usage_error_exits_2(self, capsys):
-        from repro.bench.cli import bench_main
+        for argv in (
+            ["run", "--suite", "no-such-suite"],
+            ["compare"],
+            ["compare", "a.json", "b.json"],  # the two-document form is gone
+            ["compare", "--planner", "a.json"],
+        ):
+            assert bench_main(argv) == EXIT_USAGE == 2, argv
 
-        assert bench_main(["run", "--suite", "no-such-suite"]) == 2
+    def test_document_without_planned_series_exits_2(self, tmp_path, capsys):
+        doc = planner_doc(BASE_SAMPLES, BASE_SAMPLES)
+        doc["series"] = [s for s in doc["series"] if s["method"] != "tilespgemm_planned"]
+        assert bench_main(["compare", self._write(tmp_path, "p.json", doc)]) == EXIT_USAGE
+        assert "tilespgemm_planned" in capsys.readouterr().err

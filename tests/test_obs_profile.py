@@ -7,9 +7,10 @@ Contracts under test:
 * serialisation — the full ``repro.profile/1`` artifact round-trips
   through plain ``json.dumps`` (no custom ``default=``),
   :func:`validate_profile` rejects malformed documents naming the path,
-  and every checked-in bench history snapshot (some still carrying the
-  retired ``calibration`` lists) loads with its embedded profiles
-  validated;
+  and older bench documents load unedited: the checked-in
+  ``BENCH_PR3.json`` / ``BENCH_PR4.json`` (per-device ``estimates``) and
+  a series shape that embeds a profile still carrying the retired
+  ``calibration`` list;
 * one record per multiply — a pooled run records once, from its
   stitched result, and its workload equals the serial run's byte for
   byte;
@@ -107,16 +108,40 @@ class TestArtifact:
 
     @pytest.mark.parametrize(
         "path",
-        sorted((Path(__file__).parent.parent / "benchmarks" / "history").glob("*.json")),
+        [Path(__file__).parent.parent / name for name in ("BENCH_PR3.json", "BENCH_PR4.json")],
         ids=lambda p: p.name,
     )
     def test_history_snapshots_still_load(self, path):
         from repro.bench.schema import load_document
 
         doc = load_document(path)
+        assert doc["series"] and all("estimates" in s for s in doc["series"])
         profiles = [s["profile"] for s in doc["series"] if "profile" in s]
         for embedded in profiles:
             assert validate_profile(embedded) is embedded
+
+    def test_series_with_embedded_profile_and_calibration_still_load(self, tmp_path):
+        """Older ``bench run`` series embedded a profile (some with the
+        retired ``calibration`` list) and per-device ``estimates``."""
+        from repro.bench import schema
+
+        a = _tiled(n=48)
+        profiler = WorkloadProfiler()
+        with obs_context(profile=profiler):
+            tile_spgemm(a, a)
+        embedded = profiler.to_dict(include_cache=False)
+        embedded["calibration"] = [{"method": "tilespgemm", "predicted_s": 1e-5}]
+        series = schema.make_series("m", "tilespgemm", "aa", wall_seconds=[0.1])
+        series["estimates"] = {"rtx3090": {"seconds": 1e-5, "gflops": 4.0, "kernels": {}}}
+        series["profile"] = embedded
+        doc = schema.new_document("old", "smoke", warmup=0, repeats=1, seed=0)
+        doc["series"] = [series]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+
+        (loaded,) = schema.load_document(path)["series"]
+        assert validate_profile(loaded["profile"]) is loaded["profile"]
+        assert loaded["estimates"] == series["estimates"]
 
     def test_validate_rejects_bad_documents(self):
         a = _tiled(n=48)

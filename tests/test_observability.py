@@ -379,9 +379,10 @@ class TestPipelineInstrumentation:
         with obs_context(tracer=obs.tracer, metrics=obs.metrics):
             chunked_tile_spgemm(a, a, num_batches=3)
         assert len(obs.tracer.find("chunked_tile_spgemm")) == 1
-        batch_spans = [s for s in obs.tracer.spans if s.cat == "chunked.batch"]
+        # Inline ranges share parallel_tile_spgemm's namespace.
+        batch_spans = [s for s in obs.tracer.spans if s.cat == "parallel.batch"]
         assert len(batch_spans) == 3
-        assert obs.metrics.counter_value("chunked_batches_total") == 3
+        assert obs.metrics.counter_value("parallel_batches_total") == 3
 
     def test_summa_stage_spans(self):
         from repro.distributed.grid import ProcessGrid

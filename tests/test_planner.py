@@ -6,7 +6,7 @@ import pytest
 from repro.core import TileMatrix, tile_spgemm
 from repro.core.step3 import DEFAULT_TNNZ, default_tnnz
 from repro.errors import ServiceOverloadError
-from tests.conftest import random_csr, scipy_product
+from tests.conftest import planner_doc, random_csr, scipy_product
 
 from repro.analysis.estimate import (
     DEFAULT_SAMPLE_ROWS,
@@ -216,38 +216,13 @@ class TestAdmissionAggregate:
 
 
 class TestPlannerComparison:
-    def _doc(self, planned_samples, static_samples):
-        from repro.bench import schema
-
-        doc = schema.new_document(
-            label="t", suite="planner", warmup=0, repeats=3, seed=0
-        )
-        for method, samples in [
-            ("tilespgemm_planned", planned_samples),
-            ("tilespgemm", static_samples),
-        ]:
-            doc["series"].append(
-                schema.make_series(
-                    matrix="m1",
-                    method=method,
-                    op="aa",
-                    wall_seconds=samples,
-                    n=10,
-                    nnz=10,
-                    nnz_c=10,
-                    flops=20,
-                )
-            )
-        schema.validate_document(doc)
-        return doc
-
     def test_gate_passes_when_planner_wins(self):
         from repro.analysis.bench_compare import (
             planner_comparison,
             render_planner_comparison,
         )
 
-        doc = self._doc([0.5] * 5, [1.0] * 5)
+        doc = planner_doc([0.5] * 5, [1.0] * 5)
         report = planner_comparison(doc)
         assert report["passed"]
         cfg = report["configs"]["tilespgemm"]
@@ -257,7 +232,7 @@ class TestPlannerComparison:
     def test_gate_fails_on_significant_regression(self):
         from repro.analysis.bench_compare import planner_comparison
 
-        doc = self._doc([2.0, 2.1, 2.0, 2.1, 2.0], [1.0, 1.1, 1.0, 1.1, 1.0])
+        doc = planner_doc([2.0, 2.1, 2.0, 2.1, 2.0], [1.0, 1.1, 1.0, 1.1, 1.0])
         report = planner_comparison(doc)
         assert not report["passed"]
         assert report["configs"]["tilespgemm"]["regressions"] == ["m1:aa"]
@@ -267,7 +242,7 @@ class TestPlannerComparison:
 
         # 10% slower: inside the noise threshold (no regression verdict)
         # but the geomean gate still refuses to call the planner a win.
-        doc = self._doc([1.1] * 5, [1.0] * 5)
+        doc = planner_doc([1.1] * 5, [1.0] * 5)
         report = planner_comparison(doc)
         cfg = report["configs"]["tilespgemm"]
         assert not cfg["regressions"]

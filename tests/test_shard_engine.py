@@ -204,14 +204,14 @@ class _BreaksFirst:
 
 class TestStateMachine:
     def test_oom_halves_the_range(self, operands):
-        run = ShardRun(*operands, bounds=[0, 5])
+        run = ShardRun(*operands, bounds=[0, 5], track="parallel")
         run.queue.clear()
         assert run.fail((0, 5, 2), DeviceOOMError("val_C", 8, 0, 4)) == 0.0
         assert list(run.queue) == [(0, 3, 0), (3, 5, 0)]
         assert run.resplits == 1 and run.pieces == 2
 
     def test_one_tile_row_cannot_split(self, operands):
-        run = ShardRun(*operands)
+        run = ShardRun(*operands, track="parallel")
         oom = DeviceOOMError("val_C", 8, 0, 4)
         with pytest.raises(ResilienceExhausted, match="cannot split further") as ei:
             run.fail((2, 3, 0), oom)
@@ -219,7 +219,7 @@ class TestStateMachine:
 
     def test_transient_retries_after_backoff_then_exhausts(self, operands):
         policy = RetryPolicy(max_retries=2, backoff_base_s=0.5)
-        run = ShardRun(*operands, policy=policy)
+        run = ShardRun(*operands, policy=policy, track="parallel")
         run.queue.clear()
         fault = TransientKernelError("step2")
         assert run.fail((0, 2, 0), fault) == backoff_wait(policy, 0)
@@ -239,14 +239,14 @@ class TestStateMachine:
             calls.append(1)
             raise bug
 
-        run = ShardRun(*operands, bounds=[0, 3, 6], run_fn=buggy)
+        run = ShardRun(*operands, bounds=[0, 3, 6], run_fn=buggy, track="parallel")
         with ShardPool(workers) as pool, pytest.raises(type(bug)):
             run_blocking([run], {}, pool if workers > 1 else None)
         assert run.retries == 0 and run.resplits == 0
         assert len(calls) <= 2  # no range ran twice
 
     def test_broken_pool_replaced_once_per_run(self, operands):
-        run = ShardRun(*operands, bounds=[0, 1, 2, 3])
+        run = ShardRun(*operands, bounds=[0, 1, 2, 3], track="parallel")
         run.queue.clear()
         pool = _FakePool()
         died = BrokenExecutor("pool died")
@@ -260,7 +260,9 @@ class TestStateMachine:
 
     def test_broken_pool_reruns_only_lost_ranges(self, operands):
         a, b = operands
-        run = ShardRun(a, b, batch_bounds(a.num_tile_rows, 2), run_fn=_BreaksFirst(1))
+        run = ShardRun(
+            a, b, batch_bounds(a.num_tile_rows, 2), run_fn=_BreaksFirst(1), track="parallel"
+        )
         with ShardPool(2) as pool:
             (res,) = run_blocking([run], {}, pool)
         assert run.pool_replacements == 1 and pool.generation == 1
@@ -268,7 +270,7 @@ class TestStateMachine:
         assert_bytes_identical(tile_spgemm(a, b).c, res.c)
 
     def test_second_break_exhausts(self, operands):
-        run = ShardRun(*operands, run_fn=_BreaksFirst(2))
+        run = ShardRun(*operands, run_fn=_BreaksFirst(2), track="parallel")
         with ShardPool(1) as pool:
             with pytest.raises(ResilienceExhausted, match="worker pool broken"):
                 run_blocking([run], {}, pool)
@@ -278,7 +280,7 @@ class TestStateMachine:
         a, b = operands
         slept = []
         policy = RetryPolicy(backoff_base_s=0.25, sleep=slept.append)
-        run = ShardRun(a, b, policy=policy)
+        run = ShardRun(a, b, policy=policy, track="parallel")
         plan = FaultPlan().transient_at_step("step3", at=1)
         (res,) = run_blocking([run], {"fault_plan": plan})
         assert slept == [backoff_wait(policy, 0)]
@@ -289,7 +291,7 @@ class TestStateMachine:
     def test_operand_mismatch_is_rejected_up_front(self, operands):
         a, _ = operands
         with pytest.raises(InvalidInputError, match="dimension mismatch"):
-            ShardRun(a, TileMatrix.from_csr(CORPUS["ragged_17x19"].a))
+            ShardRun(a, TileMatrix.from_csr(CORPUS["ragged_17x19"].a), track="parallel")
 
     def test_zero_workers_is_invalid_input(self):
         with pytest.raises(InvalidInputError, match="workers must be >= 1"):
