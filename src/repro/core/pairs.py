@@ -9,14 +9,23 @@ candidate tile of ``C`` each pair contributes to.  A matched pair is
 
 Three joins give the same candidate tiles and per-tile statistics:
 
-* :func:`enumerate_live_pairs` — the driver's join
+* :func:`live_join` — the driver's join
   (:func:`repro.core.tilespgemm.tile_spgemm` runs it as step 1 and keeps
-  its pairs for steps 2 and 3).  It expands every ``A`` tile ``A_ik``
-  against ``B``'s tile row ``k``, counts the candidate tiles and their
-  matched pairs with a ``bincount`` over the tile grid, drops the dead
-  pairs and stable-sorts only the live ones.  On sparse products most
-  pairs are dead (91-92 % on the end-to-end benchmark's symbolic-bound
-  matrices), so the sort is a fraction of the reference's.
+  its pairs for steps 2 and 3; :func:`enumerate_live_pairs` returns its
+  pairs alone).  It expands every ``A`` tile ``A_ik`` against ``B``'s
+  tile row ``k`` and counts the candidate tiles and their matched pairs
+  with a ``bincount`` over the tile grid, without a sort.  It then finds
+  the live pairs by whichever of two passes expands less.  The *filter*
+  tests every matched pair and stable-sorts only the live ones.  The
+  *column* pass indexes ``B`` by global row and expands each ``A``
+  nonzero over the ``B`` tiles whose matching row is nonempty: every
+  such meeting is a live entry, so it yields the live pairs and their
+  live entries at once, and step 2 need not expand them again.  That is
+  the compressed-``B`` symbolic phase of KKMEM (Deveci et al., arXiv
+  1801.03065) at tile granularity.  On sparse products most pairs are
+  dead (91-92 % on the end-to-end benchmark's symbolic-bound matrices)
+  and the column pass expands ~10x less than the filter; on denser ones
+  each pair holds many entries and the filter expands 38-210x less.
 * :func:`enumerate_pairs_expand` — the reference join: the same
   expansion (one shared helper), then a stable sort of every matched
   pair by target tile.  It holds the dead pairs too, the paper's full
@@ -35,28 +44,30 @@ statistics over *all* matched pairs: the intersection lengths
 ``len_a``/``len_b``, the matched-pair count ``matched`` and the mask-OR
 count ``matched_a_nnz``; the GPU cost model reads them.
 :func:`live_entries` expands a subset of the held pairs into the list of
-their ``A`` nonzeros that meet a nonempty ``B`` row.  It serves only the
-pairs that need per-entry work: step 2's entry-path pairs (sparse ``A``
-tiles; dense ones OR packed bit rows instead, see
+their ``A`` nonzeros that meet a nonempty ``B`` row.  On the filter path
+it serves only the pairs that need per-entry work: step 2's entry-path
+pairs (sparse ``A`` tiles; dense ones OR packed bit rows instead, see
 :mod:`repro.core.step2`) and the pairs of step 3's scatter-path tiles.
-When step 2's list covers every pair and step 3 has no dense-path tiles,
-both steps share one list.
+The column pass's list covers every pair; steps 2 and 3 take it as
+step 2's would be, and step 3 expands its scatter tiles again only when
+some tiles take the dense path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.backend import resolve_backend
 from repro.core.intersect import intersect
 from repro.core.tile_matrix import TileMatrix
+from repro.obs.context import current_obs
 from repro.util.arrays import concat_ranges, segment_ids
 
 __all__ = ["LiveEntries", "TilePairs", "enumerate_live_pairs", "enumerate_pairs_expand",
-           "enumerate_pairs_intersect", "live_entries"]
+           "enumerate_pairs_intersect", "live_entries", "live_join"]
 
 
 #: Matched pairs the driver's join expands at a time (whole tile rows of
@@ -203,62 +214,239 @@ def enumerate_pairs_expand(a: TileMatrix, b: TileMatrix) -> TilePairs:
 
 
 def enumerate_live_pairs(a: TileMatrix, b: TileMatrix) -> TilePairs:
-    """The driver's join: every candidate tile, and only its live pairs.
+    """Every candidate tile, and only its live pairs: :func:`live_join`'s pairs.
 
     A pair is live when its ``A`` tile's column mask meets the nonempty
     rows of its ``B`` tile.  The candidate tiles, ``len_a``/``len_b``,
     ``matched`` and ``matched_a_nnz`` are :func:`enumerate_pairs_expand`'s,
     and the held pairs are its pairs filtered by liveness, in its order.
+    """
+    return live_join(a, b)[0]
 
-    The pairs are expanded ``_JOIN_BLOCK_PAIRS`` at a time, over whole
-    tile rows of ``A``; their keys ascend by tile row, so each block owns
-    its candidate tiles.  A block counts its tiles, their matched pairs
-    and ``A``-tile nonzeros with a ``bincount`` over its rows of the tile
-    grid, then stable-sorts only its live pairs (a radix sort when the
-    block spans at most 2**16 cells).  A block whose grid is sparser than
-    ``_COUNT_CELLS_PER_PAIR`` is sorted and grouped like the reference,
-    then filtered.
+
+def live_join(
+    a: TileMatrix, b: TileMatrix, backend=None
+) -> Tuple[TilePairs, Optional[LiveEntries]]:
+    """The driver's join: the candidate tiles, their live pairs and maybe their live entries.
+
+    The pairs are :func:`enumerate_live_pairs`'s.  The candidate tiles
+    and their statistics come from every matched pair, expanded
+    ``_JOIN_BLOCK_PAIRS`` at a time over whole tile rows of ``A``; their
+    keys ascend by tile row, so each block owns its candidate tiles.  A
+    block counts its tiles, their matched pairs and ``A``-tile nonzeros
+    with a ``bincount`` over its rows of the tile grid; a block whose grid
+    is sparser than ``_COUNT_CELLS_PER_PAIR`` sorts and groups its pairs
+    like the reference instead.
+
+    The live pairs come from one of two passes, whichever expands less
+    (:func:`_use_column_join`):
+
+    * **filter** — test every matched pair for liveness and stable-sort
+      the live ones (a radix sort when the block spans at most 2**16
+      cells).  Returns no entries: step 2 expands the ones it needs.
+    * **column** — every ``A`` nonzero ``(r, c)`` of tile ``(i, k)``
+      meets exactly the ``B`` tiles that :func:`_b_row_list` lists for
+      its global row ``k * T + c``; each meeting is a live entry.  Per
+      block, the entries are generated in ``A``-nonzero order and
+      stable-sorted by target tile; each run of equal (target tile,
+      ``B`` tile) is one live pair, its entries in ``A`` storage order.
+      Returns the entries too, equal to :func:`live_entries` of every
+      pair.  Traced as the ``step1.entries`` span.
+
+    The filter costs O(matched pairs), the column pass O(live entries):
+    on hypersparse products most matched pairs are dead and the column
+    pass is ~10x smaller, on denser ones the pairs hold many entries each
+    and the filter is ~40-200x smaller.
     """
     _check_grids(a, b)
+    T = a.tile_size
     ntc = max(b.num_tile_cols, 1)
+    blocks, num_matched = _row_blocks(a, b)
     a_nnz = a.tile_nnz_counts()
+    row_ptr = _b_row_ptr(b)
+    column = _use_column_join(num_matched, _count_entries(a, row_ptr, num_matched))
+
     a_nnz_f = a_nnz.astype(np.float64)
-    a_cols = np.bitwise_or.reduce(a.mask, axis=1)
-    b_rows = np.bitwise_or.reduce((b.mask != 0) << np.arange(b.tile_size, dtype=b.mask.dtype),
-                                  axis=1)
+    if not column:
+        a_cols = np.bitwise_or.reduce(a.mask, axis=1)
+        b_rows = np.bitwise_or.reduce((b.mask != 0) << np.arange(T, dtype=b.mask.dtype), axis=1)
     c_keys, matched, matched_a_nnz, pair_ptr, pair_a, pair_b = ([] for _ in range(6))
     held = 0
-    for i0, i1 in _row_blocks(a, b):
+    for i0, i1 in blocks:
         t0, t1 = a.tileptr[i0], a.tileptr[i1]
         rep, blk_b, key = _expand(a, b, i0, i1)
-        live = np.repeat(a_cols[t0:t1], rep) & b_rows[blk_b] != 0
         cells = (i1 - i0) * ntc
-        if cells <= _COUNT_CELLS_PER_PAIR * key.size:
+        counted = cells <= _COUNT_CELLS_PER_PAIR * key.size
+        if counted:
             count = np.bincount(key, minlength=cells)
             tiles = np.flatnonzero(count)
             matched.append(count[tiles])
             a_sum = np.bincount(key, weights=np.repeat(a_nnz_f[t0:t1], rep), minlength=cells)
             matched_a_nnz.append(a_sum[tiles].astype(np.int64))  # exact: integers < 2**53
-            pos = np.flatnonzero(live)
-            key = key[pos]
-            pos = pos[_stable_argsort(key)]
-            live_count = np.bincount(key, minlength=cells)
-            ptr = (np.cumsum(live_count) - live_count)[tiles]
         else:
             order, tiles, ptr, tile_a_nnz = _group(key, np.repeat(a_nnz[t0:t1], rep))
             matched.append(np.diff(ptr))
             matched_a_nnz.append(tile_a_nnz)
-            keep = np.flatnonzero(live[order])
-            ptr = np.searchsorted(keep, ptr[:-1])
-            pos = order[keep]
         c_keys.append(tiles + i0 * ntc)
-        pair_ptr.append(ptr + held)
+        if column:
+            continue
+        live = np.repeat(a_cols[t0:t1], rep) & b_rows[blk_b] != 0
+        if counted:
+            pos = np.flatnonzero(live)
+            pos = pos[_stable_argsort(key[pos])]
+        else:
+            pos = order[live[order]]
+        pair_ptr.append(_held_ptr(key[pos], tiles, cells, counted) + held)
         pair_a.append(np.repeat(np.arange(t0, t1, dtype=np.int64), rep)[pos])
         pair_b.append(blk_b[pos])
         held += pos.size
+    c_keys = _cat(c_keys)
+    entries = None
+    if column:
+        with current_obs().tracer.span("step1.entries", cat="substep") as span:
+            pair_ptr, pair_a, pair_b, entries = _column_entries(
+                a, b, blocks, c_keys, row_ptr, _b_row_list(b), backend)
+            if span is not None:
+                span.args["entries"] = int(entries.a_idx.size)
+    else:
+        pair_ptr.append([held])
+        pair_ptr, pair_a, pair_b = _cat(pair_ptr), _cat(pair_a), _cat(pair_b)
+    pairs = _tile_pairs(a, b, c_keys, pair_ptr, pair_a, pair_b, _cat(matched),
+                        _cat(matched_a_nnz))
+    return pairs, entries
+
+
+def _held_ptr(held_keys: np.ndarray, tiles: np.ndarray, cells: int, counted: bool) -> np.ndarray:
+    """Each candidate tile's first held pair in its block.
+
+    ``held_keys`` are the block's held pairs' keys, ascending; ``tiles``
+    its candidate tiles' keys.  A block that counted its tiles counts
+    these too, else it searches.
+    """
+    if counted:
+        count = np.bincount(held_keys, minlength=cells)
+        return (np.cumsum(count) - count)[tiles]
+    return np.searchsorted(held_keys, tiles)
+
+
+def _use_column_join(num_matched: int, num_entries: int) -> bool:
+    """Whether :func:`live_join` takes the column pass: the entries it
+    makes are fewer than the matched pairs the filter tests."""
+    return num_entries < num_matched
+
+
+def _count_entries(a: TileMatrix, row_ptr: np.ndarray, stop: int) -> int:
+    """The column pass's entries: per ``A`` nonzero, the ``B`` tiles listed for its global row.
+
+    Summed over runs of ``A`` tiles that double in length from 64,
+    stopping once the count reaches ``stop``: where each nonzero meets
+    several tiles, as on every product that takes the filter in the
+    end-to-end benchmark, the first run decides the rule.
+    """
+    T = a.tile_size
+    a_nnz = a.tile_nnz_counts()
+    row_count = np.diff(row_ptr)
+    count = t0 = 0
+    run = 64
+    while t0 < a.num_tiles and count < stop:
+        t1 = min(t0 + run, a.num_tiles)
+        rows = np.repeat(a.tilecolidx[t0:t1] * T, a_nnz[t0:t1])
+        rows += a.colidx[a.tilennz[t0]:a.tilennz[t1]]
+        count += int(row_count[rows].sum())
+        t0, run = t1, 2 * run
+    return count
+
+
+def _b_row_ptr(b: TileMatrix) -> np.ndarray:
+    """Offsets of ``B``'s row index (``b.num_tile_rows * T + 1``).
+
+    Global row ``g = k * T + c`` of ``B`` lists the tiles of ``B``'s
+    tile row ``k`` whose row ``c`` is nonempty (:func:`_b_row_list`).
+    """
+    T = b.tile_size
+    count = np.zeros((b.num_tile_rows, T), dtype=np.int64)
+    rows = np.flatnonzero(np.diff(b.tileptr))  # tile rows holding tiles
+    if rows.size:
+        count[rows] = np.add.reduceat(b.mask != 0, b.tileptr[rows], axis=0, dtype=np.int64)
+    row_ptr = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=row_ptr[1:])
+    return row_ptr
+
+
+def _b_row_list(b: TileMatrix) -> np.ndarray:
+    """``B``'s row index: for each global row ``g = k * T + c`` in turn, the
+    tiles of tile row ``k`` whose row ``c`` is nonempty, in tile order, as
+    flat indices ``tile * T + c`` into ``b.mask``."""
+    T = b.tile_size
+    listed = np.flatnonzero(b.mask != 0)  # by tile, then row; a bool array counts fastest
+    row = b.tile_rowidx()[listed // T] * T
+    row += listed % T
+    return listed[_stable_argsort(row)]
+
+
+def _column_entries(a, b, blocks, c_keys, row_ptr, row_list, backend):
+    """The column pass of :func:`live_join`: the live pairs and their entries.
+
+    ``blocks`` are the join's row blocks, ``c_keys`` the candidate tiles'
+    keys ``i * ntc + j``, ascending; ``row_ptr``/``row_list`` are ``B``'s
+    row index (:func:`_b_row_ptr`, :func:`_b_row_list`).  Returns ``pair_ptr``,
+    ``pair_a``, ``pair_b`` and the :class:`LiveEntries` of every pair.
+    """
+    T = a.tile_size
+    ntc = max(b.num_tile_cols, 1)
+    # Per listed (tile, row): the tile, its column of C and the row's length.
+    row_tile = row_list // T
+    row_col = b.tilecolidx[row_tile]
+    row_len = resolve_backend(backend).popcount(b.mask.reshape(-1)[row_list])
+    # Per A nonzero: its tile, its C tile row's key, its global B row and
+    # the listed tiles it meets.  Its entry e lists row_ptr[rows] + (e - first).
+    nz_tile = a.tile_of_nonzero()
+    nz_key = a.tile_rowidx()[nz_tile] * ntc
+    rows = a.tilecolidx[nz_tile] * T
+    rows += a.colidx
+    meet = np.diff(row_ptr)[rows]
+    first = np.zeros(a.nnz + 1, dtype=np.int64)
+    np.cumsum(meet, out=first[1:])
+    shift = row_ptr[rows] - first[:-1]
+    pair_ptr, pair_a, pair_b, a_idx, lens, entry_ptr = ([] for _ in range(6))
+    held = 0
+    for i0, i1 in blocks:
+        n0, n1 = a.tilennz[a.tileptr[i0]], a.tilennz[a.tileptr[i1]]
+        e0, e1 = first[n0], first[n1]
+        src = np.repeat(np.arange(n0, n1, dtype=np.int64), meet[n0:n1])
+        at = shift[src]
+        at += np.arange(e0, e1, dtype=np.int64)
+        key = nz_key[src]
+        key -= i0 * ntc
+        key += row_col[at]
+        order = _stable_argsort(key)
+        key, at, src = key[order], at[order], src[order]
+        tile_b = row_tile[at]
+        new = np.empty(key.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        new[1:] |= tile_b[1:] != tile_b[:-1]
+        starts = np.flatnonzero(new)  # a pair is a run of equal (C tile, B tile)
+        lo, hi = np.searchsorted(c_keys, (i0 * ntc, i1 * ntc))
+        cells = (i1 - i0) * ntc
+        counted = cells <= _COUNT_CELLS_PER_PAIR * starts.size
+        pair_ptr.append(_held_ptr(key[starts], c_keys[lo:hi] - i0 * ntc, cells, counted) + held)
+        pair_a.append(nz_tile[src[starts]])
+        pair_b.append(tile_b[starts])
+        a_idx.append(src)
+        lens.append(row_len[at])
+        entry_ptr.append(starts + e0)
+        held += starts.size
+    num_entries = int(first[-1])
     pair_ptr.append([held])
-    return _tile_pairs(a, b, *(_cat(x) for x in (c_keys, pair_ptr, pair_a, pair_b, matched,
-                                                 matched_a_nnz)))
+    entry_ptr.append([num_entries])
+    entry_ptr = _cat(entry_ptr)
+    lens = np.concatenate(lens) if lens else row_len[:0]
+    entry_csum = np.zeros(num_entries + 1, dtype=np.int64)
+    np.cumsum(lens, dtype=np.int64, out=entry_csum[1:])
+    entries = LiveEntries(_cat(a_idx), segment_ids(np.diff(entry_ptr)), lens, entry_ptr,
+                          entry_csum[entry_ptr])
+    return _cat(pair_ptr), _cat(pair_a), _cat(pair_b), entries
 
 
 def _check_grids(a: TileMatrix, b: TileMatrix) -> None:
@@ -270,14 +458,15 @@ def _check_grids(a: TileMatrix, b: TileMatrix) -> None:
 
 
 def _row_blocks(a: TileMatrix, b: TileMatrix):
-    """``(i0, i1)`` ranges of ``A``'s tile rows with about ``_JOIN_BLOCK_PAIRS`` pairs each."""
+    """``(i0, i1)`` ranges of ``A``'s tile rows with about ``_JOIN_BLOCK_PAIRS`` pairs each,
+    and the number of matched pairs."""
     pair_end = np.zeros(a.num_tiles + 1, dtype=np.int64)
     np.cumsum(np.diff(b.tileptr)[a.tilecolidx], out=pair_end[1:])
     row_end = pair_end[a.tileptr]  # pairs of the tile rows before each row
     total = int(row_end[-1])
     cuts = np.searchsorted(row_end, np.arange(_JOIN_BLOCK_PAIRS, total, _JOIN_BLOCK_PAIRS))
     bounds = sorted({0, a.num_tile_rows, *cuts.tolist()})
-    return zip(bounds[:-1], bounds[1:])
+    return list(zip(bounds[:-1], bounds[1:])), total
 
 
 def _stable_argsort(key: np.ndarray) -> np.ndarray:

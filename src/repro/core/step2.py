@@ -12,8 +12,11 @@ are not computed; the driver fills them in as zeros.
 
 The kernel is the paper's Figure 5: row ``r`` of a ``C`` tile is the OR of
 the ``B``-tile rows ``c`` over every pair's ``A``-tile nonzeros ``(r, c)``.
-The CPU runs it on one of two exact paths per pair, chosen by the nonzero
-count of the pair's ``A`` tile:
+The CPU runs it on one of two exact paths per pair.  When step 1 took
+its column pass (:func:`repro.core.pairs.live_join`), it already listed
+every pair's live entries, and every pair takes the entry path on that
+list.  Otherwise the path is chosen by the nonzero count of the pair's
+``A`` tile:
 
 * **entry** — for ``A`` tiles below ``PACKED_MIN_NNZ`` nonzeros: the
   pairs' live entries (:func:`repro.core.pairs.live_entries`, built by
@@ -45,8 +48,8 @@ read from the join's per-tile ``matched_a_nnz``: it counts the dead pairs
 the driver's join dropped, which OR nothing.  The per-tile
 row pointers then fall out of mask popcounts plus a prefix scan, as in
 the paper.  The ambient tracer gets the sub-phases as spans:
-``step2.expand`` (the entry path's list) and ``step2.pairs`` (the packed
-path, attribute ``pairs``).
+``step2.expand`` (the entry path's list, on the filter path only) and
+``step2.pairs`` (the packed path, attribute ``pairs``).
 
 The masks' working state is bounded by ``tile_size`` mask words per live
 candidate tile plus one pair group — the Python analogue of the paper's
@@ -142,7 +145,8 @@ def step2_symbolic(
     popcounts (a name, a :class:`~repro.backend.KernelSet`, or ``None``
     for the default — see :func:`repro.backend.resolve_backend`).
     ``live`` is the entry path's list (:func:`step2_entries`, built if
-    ``None``); the pairs it did not expand take the packed-row path.
+    ``None``, or step 1's column-pass list of every pair); the pairs it
+    did not expand take the packed-row path.
     ``mask`` (``(num_c_tiles, T)`` bit rows, masked SpGEMM) is ANDed into
     the candidate tiles' masks before the popcounts, so ``C`` is sized to
     the masked positions only.

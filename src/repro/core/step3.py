@@ -253,8 +253,9 @@ def step3_numeric(
         Conformant backends are byte-identical, so this changes speed,
         never the result.
     live:
-        Step 2's entry list (:func:`~repro.core.step2.step2_entries`, or
-        any :func:`~repro.core.pairs.live_entries` of the pairs).  It is
+        Step 2's entry list (:func:`~repro.core.step2.step2_entries`,
+        step 1's column-pass list, or any
+        :func:`~repro.core.pairs.live_entries` of the pairs).  It is
         reused when it covers every pair and no tile takes the dense
         path; otherwise the scatter tiles' pairs are expanded here.
     """

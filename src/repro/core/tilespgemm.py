@@ -2,14 +2,17 @@
 
 ``tile_spgemm(A, B)`` runs:
 
-1. **step 1** — the tile-pair join
-   (:func:`repro.core.pairs.enumerate_live_pairs`) finds the candidate
-   tiles of ``C`` and each one's matched ``(A_ik, B_kj)`` pairs.  It
-   counts them without a sort, drops the dead pairs (no ``A`` column
-   meets a nonempty ``B`` row) and sorts only the live ones, which steps
-   2 and 3 keep; the statistics (``pairs_per_tile``,
-   ``tile_flops_step1``, ``symbolic_ops``) still count every matched
-   pair.  The paper's NSPARSE hash kernel and per-tile intersection are
+1. **step 1** — the tile-pair join (:func:`repro.core.pairs.live_join`)
+   finds the candidate tiles of ``C`` and each one's matched
+   ``(A_ik, B_kj)`` pairs.  It counts them without a sort and keeps only
+   the live pairs (an ``A`` column meets a nonempty ``B`` row) for steps
+   2 and 3; the statistics (``pairs_per_tile``, ``tile_flops_step1``,
+   ``symbolic_ops``) still count every matched pair.  It finds the live
+   pairs by filtering the matched ones or, when that expands less,
+   through a row index of ``B``; the second pass also lists the pairs'
+   live entries, which steps 2 and 3 then take as they are (unless a
+   mask dropped pairs).  The ``step1`` span's ``join`` attribute names
+   the pass.  The paper's NSPARSE hash kernel and per-tile intersection are
    reference kernels the tests check the reference join
    (:func:`~repro.core.pairs.enumerate_pairs_expand`) against:
    :mod:`repro.core.step1`, :mod:`repro.core.pairs`;
@@ -17,8 +20,9 @@
    (:mod:`repro.core.step2`);
 3. **step 3** — the numeric phase with the adaptive sparse/dense
    accumulator (:mod:`repro.core.step3`), which picks each tile's path
-   from step 2's per-pair product counts and reuses step 2's live-entry
-   list (:func:`repro.core.step2.step2_entries`) for its scatter tiles.
+   from step 2's per-pair product counts and reuses the live-entry list
+   (step 1's, or :func:`repro.core.step2.step2_entries`) for its scatter
+   tiles.
 
 Steps 2 and 3 run on the *live* candidate tiles only, those holding at
 least one live pair (:meth:`~repro.core.pairs.TilePairs.select_tiles`;
@@ -44,7 +48,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.pairs import TilePairs, enumerate_live_pairs
+from repro.core.pairs import TilePairs, live_join
 from repro.core.step2 import SymbolicResult, step2_entries, step2_symbolic
 from repro.core.step3 import NumericResult, default_tnnz, paper_accumulator, step3_numeric
 from repro.core.tile_matrix import TILE, TileMatrix, mask_dtype_for
@@ -242,12 +246,13 @@ def _tile_spgemm(
         # --------------------------------------------------------- step 1
         # The tile-pair join finds C's layout; steps 2 and 3 keep its live pairs.
         enter("step1")
-        with timer.phase("step1"):
-            pairs = enumerate_live_pairs(a, b)
-            tile_flops_step1 = int(pairs.matched.sum())
-            mask_rows = None
+        with timer.phase("step1") as step1:
+            joined, entries = live_join(a, b, kernels)
+            step1["join"] = "filter" if entries is None else "column"
+            tile_flops_step1 = int(joined.matched.sum())
+            pairs, mask_rows = joined, None
             if mask is not None:
-                pairs, mask_rows = _restrict_to_mask(pairs, mask)
+                pairs, mask_rows = _restrict_to_mask(joined, mask)
         with timer.phase("malloc"):
             _allocate_c(alloc, "step1", a.num_tile_rows, pairs.num_c_tiles, T)
 
@@ -257,11 +262,14 @@ def _tile_spgemm(
         live = pairs if live_tiles.size == pairs.num_c_tiles else pairs.select_tiles(live_tiles)
         if live is not pairs and mask_rows is not None:
             mask_rows = mask_rows[live_tiles]
+        if live.pair_a is not joined.pair_a:
+            entries = None  # the mask dropped pairs: the entries' pair numbers are stale
 
         # --------------------------------------------------------- step 2
         enter("step2")
         with timer.phase("step2", backend=kernels.name):
-            entries = step2_entries(a, b, live, kernels)
+            if entries is None:
+                entries = step2_entries(a, b, live, kernels)
             sym = step2_symbolic(a, b, live, backend=kernels, live=entries, mask=mask_rows)
         with timer.phase("malloc"):
             _allocate_c(alloc, "step2", a.num_tile_rows, pairs.num_c_tiles, T, sym.nnz)
@@ -345,7 +353,10 @@ def _on_candidates(
 
     def spread(values: np.ndarray) -> np.ndarray:
         out = np.zeros((num_c,) + values.shape[1:], dtype=values.dtype)
-        out[live_tiles] = values
+        # Each tile's row as one opaque item: the assignment then copies
+        # one block per tile rather than one element at a time.
+        row = np.dtype((np.void, values.dtype.itemsize * int(np.prod(values.shape[1:]))))
+        out.view(row)[live_tiles] = np.ascontiguousarray(values).view(row)
         return out
 
     counts = spread(sym.tile_nnz_counts)

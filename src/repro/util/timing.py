@@ -65,24 +65,25 @@ class PhaseTimer:
         self._counts: Dict[str, int] = {}
 
     @contextmanager
-    def phase(self, name: str, **attrs: Any) -> Iterator[None]:
+    def phase(self, name: str, **attrs: Any) -> Iterator[Dict[str, Any]]:
         """Context manager timing one execution of phase ``name``.
 
         Under a live tracer the phase is that tracer's ``cat="step"``
         span (carrying ``attrs``) and the timer is credited with the
-        span's duration; untraced, ``attrs`` are unused.
+        span's duration; untraced, ``attrs`` are unused.  The block gets
+        the span's attributes, to add what it learns while it runs.
         """
         tracer = current_obs().tracer
         if not tracer.enabled:
             start = time.perf_counter()
             try:
-                yield
+                yield attrs
             finally:
                 self._record(name, time.perf_counter() - start)
             return
         try:
             with tracer.span(name, cat="step", **attrs) as sp:
-                yield
+                yield sp.args
         finally:
             self._record(name, sp.duration_s)
 
