@@ -21,7 +21,9 @@ propagation, metrics registry and workload profiler — stays within 5 %
 of the same burst with everything off.  Per request the sinks cost a few
 span/counter updates and one profile record per request; the shard
 compute should dominate.  ``docs/OBSERVABILITY.md`` records how far the measured
-serve-path overhead sits from that bound.
+serve-path overhead sits from that bound.  The serve report also splits
+the tax: each sink alone against all off, by the same protocol (report
+only; the claim is on all sinks together).
 
 Medians over interleaved rounds keep the comparison robust to scheduler
 noise.  ``REPRO_BENCH_MAX_MATRICES`` caps the sweep for smoke runs.
@@ -155,8 +157,13 @@ def test_shape_instrumentation_does_not_change_results(overhead_table):
 SERVE_REQUESTS = 16
 
 
-def _serve_burst(telemetry: bool) -> float:
-    """One closed-loop burst; returns wall seconds for the whole burst."""
+#: The serve path's sinks, each measurable alone (``_serve_burst``).
+SINKS = ("tracer", "metrics", "profile")
+
+
+def _serve_burst(sinks=()) -> float:
+    """One closed-loop burst with the named ``SINKS`` live; returns wall
+    seconds for the whole burst."""
     from repro.serve.loadgen import make_workload, run_closed_loop
     from repro.serve.service import SpGEMMService
 
@@ -171,24 +178,30 @@ def _serve_burst(telemetry: bool) -> float:
         async with service:
             return await run_closed_loop(service, workload, tenants=2)
 
-    if not telemetry:
+    if not sinks:
         t0 = time.perf_counter()
         report = asyncio.run(drive())
         elapsed = time.perf_counter() - t0
         assert report.outcomes.get("served") == SERVE_REQUESTS
         return elapsed
 
-    tracer, metrics = Tracer(), MetricsRegistry()
-    profiler = WorkloadProfiler()
-    with obs_context(tracer=tracer, metrics=metrics, profile=profiler):
+    live = {
+        "tracer": Tracer() if "tracer" in sinks else None,
+        "metrics": MetricsRegistry() if "metrics" in sinks else None,
+        "profile": WorkloadProfiler() if "profile" in sinks else None,
+    }
+    with obs_context(**live):
         t0 = time.perf_counter()
         report = asyncio.run(drive())
         elapsed = time.perf_counter() - t0
     assert report.outcomes.get("served") == SERVE_REQUESTS
-    request_spans = [s for s in tracer.spans if s.name.startswith("request ")]
-    assert len(request_spans) == SERVE_REQUESTS, "request spans recorded"
-    assert metrics.counter_samples("serve_requests_total"), "counters live"
-    assert profiler.runs == SERVE_REQUESTS, "one profile record per request"
+    if live["tracer"] is not None:
+        spans = [s for s in live["tracer"].spans if s.name.startswith("request ")]
+        assert len(spans) == SERVE_REQUESTS, "request spans recorded"
+    if live["metrics"] is not None:
+        assert live["metrics"].counter_samples("serve_requests_total"), "counters live"
+    if live["profile"] is not None:
+        assert live["profile"].runs == SERVE_REQUESTS, "one profile record per request"
     return elapsed
 
 
@@ -200,12 +213,12 @@ def serve_overhead():
     jitter with the scheduler; the minimum over interleaved rounds is the
     noise-robust floor both ways and is what the tax claim compares.
     """
-    _serve_burst(False)  # warm-up (executor, allocator)
+    _serve_burst()  # warm-up (executor, allocator)
     off, off2, on = [], [], []
     for _ in range(ROUNDS):
-        off.append(_serve_burst(False))
-        on.append(_serve_burst(True))
-        off2.append(_serve_burst(False))
+        off.append(_serve_burst())
+        on.append(_serve_burst(SINKS))
+        off2.append(_serve_burst())
     off_s, on_s = min(off), min(on)
     return {
         "off_s": off_s,
@@ -217,7 +230,27 @@ def serve_overhead():
     }
 
 
-def test_serve_telemetry_report(benchmark, serve_overhead):
+@pytest.fixture(scope="module")
+def serve_sink_split():
+    """Best-of-rounds burst seconds with each sink alone and all together,
+    against all off — the same interleaved protocol as ``serve_overhead``.
+
+    It apportions the serve-path tax among the sinks; it carries no claim.
+    """
+    configs = {"all off": (), **{sink: (sink,) for sink in SINKS}, "all on": SINKS}
+    _serve_burst()  # warm-up (executor, allocator)
+    times = {name: [] for name in configs}
+    for _ in range(ROUNDS):
+        for name, sinks in configs.items():
+            times[name].append(_serve_burst(sinks))
+    off_s = min(times["all off"])
+    return {
+        name: {"s": min(ts), "overhead": min(ts) / off_s - 1.0}
+        for name, ts in times.items()
+    }
+
+
+def test_serve_telemetry_report(benchmark, serve_overhead, serve_sink_split):
     o = serve_overhead
     text = format_table(
         ["path", "telemetry off ms", "telemetry on ms", "overhead", "noise floor"],
@@ -235,6 +268,17 @@ def test_serve_telemetry_report(benchmark, serve_overhead):
             f"profiler on vs all off, best of {ROUNDS} interleaved bursts)"
         ),
     )
+    text += "\n" + format_table(
+        ["sinks live", "burst ms", "overhead vs all off"],
+        [
+            [name, f"{split['s'] * 1e3:.3f}", f"{split['overhead'] * 100:+.2f}%"]
+            for name, split in serve_sink_split.items()
+        ],
+        title=(
+            "Per-sink split: each sink alone against all off (best of "
+            f"{ROUNDS} interleaved bursts; report only)"
+        ),
+    )
     benchmark.pedantic(
         save_and_print, args=("ext_observability_serve", text), rounds=1, iterations=1
     )
@@ -245,6 +289,13 @@ def test_serve_telemetry_report(benchmark, serve_overhead):
             wall_seconds=[o["on_s"]],
             extra={"overhead": o["overhead"], "noise": o["noise"]},
         ),
+    ] + [
+        make_series(
+            "serve_burst", f"sink_{sink}", "aa",
+            wall_seconds=[serve_sink_split[sink]["s"]],
+            extra={"overhead": serve_sink_split[sink]["overhead"]},
+        )
+        for sink in SINKS
     ]
     save_series_json(
         "ext_observability_serve", series, suite="ext_observability", repeats=ROUNDS

@@ -72,8 +72,9 @@ def _instrumented(name: str, fn: Callable[..., SpGEMMResult]) -> Callable[..., S
     """Wrap a registered algorithm with the observability hooks.
 
     One wrapper at the registry — not eight edits in the baselines —
-    gives every method a ``spgemm:<name>`` span and the common result
-    counters; the method's own :meth:`~repro.util.timing.PhaseTimer.phase`
+    gives every method a ``spgemm:<name>`` span and a
+    ``spgemm_calls_total{method}`` count (the work it did is in the
+    result's ``stats``); the method's own :meth:`~repro.util.timing.PhaseTimer.phase`
     blocks are its step spans inside it.  Disabled observability costs
     one context lookup per call.
     """
@@ -91,10 +92,7 @@ def _instrumented(name: str, fn: Callable[..., SpGEMMResult]) -> Callable[..., S
             nnz_b=int(getattr(b, "nnz", 0)),
         ):
             result = fn(a, b, *args, **kwargs)
-        metrics = obs.metrics
-        metrics.inc("spgemm_calls_total", method=name)
-        metrics.inc("spgemm_products_total", int(result.stats.get("num_products", 0)), method=name)
-        metrics.inc("spgemm_nnz_c_total", int(result.stats.get("nnz_c", 0)), method=name)
+        obs.metrics.inc("spgemm_calls_total", method=name)
         return result
 
     return run

@@ -439,7 +439,10 @@ def _record_obs_metrics(metrics, stats: Dict[str, object]) -> None:
 
     Counter glossary in ``docs/OBSERVABILITY.md``; the values mirror the
     ``collect_stats`` dictionary exactly (the observability tests assert
-    the equality), so the metrics are as deterministic as the run.
+    the equality), so the metrics are as deterministic as the run.  A
+    stat another counter already determines (``flops`` is twice the
+    AtomicAdds, C's tile count the sum of the accumulator selections)
+    is not counted again.
     """
     metrics.inc("tilespgemm_runs_total")
     backend = stats.get("backend")
@@ -450,10 +453,7 @@ def _record_obs_metrics(metrics, stats: Dict[str, object]) -> None:
     metrics.inc("atomic_add_ops_total", int(stats["num_products"]))
     metrics.inc("accumulator_tiles_total", int(stats["sparse_tiles"]), kind="sparse")
     metrics.inc("accumulator_tiles_total", int(stats["dense_tiles"]), kind="dense")
-    metrics.inc("mask_popcount_bits_total", int(stats["nnz_c"]))
-    metrics.inc("c_tiles_total", int(stats["num_c_tiles"]))
     metrics.inc("c_nnz_total", int(stats["nnz_c"]))
-    metrics.inc("flops_total", int(stats["flops"]))
 
 
 def _tileptr_from_rows(tile_rows: np.ndarray, num_tile_rows: int) -> np.ndarray:

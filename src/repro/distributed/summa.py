@@ -153,7 +153,6 @@ def summa_spgemm(
                 retransmits += 1
                 extra += alpha_s + nbytes * beta_s_per_byte
                 if obs.enabled:
-                    obs.metrics.inc("summa_retransmits_total")
                     obs.tracer.instant(
                         "retransmit",
                         cat="summa.comm",

@@ -2,7 +2,7 @@
 
 The cost model and the paper's figures are driven by *counts*: tile-pair
 intersections, AtomicOr/AtomicAdd scatter ops, sparse-vs-dense
-accumulator selections, allocation bytes, injected faults and retries.  A
+accumulator selections, allocations, injected faults and retries.  A
 :class:`MetricsRegistry` collects those as named metrics with optional
 labels, offers a deterministic :meth:`~MetricsRegistry.snapshot` (plain
 dicts with sorted keys — byte-identical across runs whose event stream is
@@ -10,16 +10,22 @@ deterministic, e.g. under a seeded
 :class:`~repro.runtime.faults.FaultPlan`), and renders the Prometheus
 text exposition format for scraping/diffing.
 
-Histograms bucket whole arrays at once with NumPy; the
-:data:`NULL_METRICS` singleton makes disabled metrics a pure no-op.
+The registry holds one signal per fact: a count that a result's
+``stats``, a span attribute or another counter already carries is not
+recorded again, and every metric has a reader (a test, CI, the
+``benchmarks/e2e`` harness or ``SpGEMMService.varz()``).  The glossary
+in ``docs/OBSERVABILITY.md`` names each metric's reader.
+
+Histograms take one observation at a time (a ``bisect`` into the
+bounds); the :data:`NULL_METRICS` singleton makes disabled metrics a
+pure no-op.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "MetricsRegistry",
@@ -116,26 +122,14 @@ class MetricsRegistry:
         buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
         **labels: Any,
     ) -> None:
-        """Record one observation into histogram ``name``."""
-        self.observe_many(name, (value,), buckets=buckets, **labels)
+        """Record one observation into histogram ``name``.
 
-    def observe_many(
-        self,
-        name: str,
-        values: Iterable[float],
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-        **labels: Any,
-    ) -> None:
-        """Record a batch of observations; ``values`` may be an ndarray.
-
-        Each value lands in the first bucket whose bound is ``>=`` it
-        (``+inf`` bucket last), as ``bisect_left`` would place it; NaN,
-        which compares false with every bound, lands in the first
-        bucket.  The running ``sum`` adds the values left to right.
+        The value lands in the first bucket whose bound is ``>=`` it
+        (``+inf`` bucket last), as ``bisect_left`` places it; NaN, which
+        compares false with every bound, lands in the first bucket.  The
+        running ``sum`` adds the values in arrival order.
         """
-        if not isinstance(values, (np.ndarray, list, tuple)):
-            values = list(values)
-        v = np.asarray(values, dtype=np.float64).reshape(-1)
+        value = float(value)
         key = (name, _label_key(labels))
         with self._lock:
             self._check_kind(name, "histogram")
@@ -148,18 +142,10 @@ class MetricsRegistry:
                     "count": 0,
                 }
                 self._hists[key] = hist
-            if v.size == 0:
-                return
-            idx = np.searchsorted(hist["buckets"], v, side="left")
-            idx[np.isnan(v)] = 0
-            counts: List[int] = hist["counts"]
-            for i, n in enumerate(np.bincount(idx, minlength=len(counts)).tolist()):
-                counts[i] += n
-            # add.accumulate is strictly sequential: the same rounding (and,
-            # silently, the same inf/nan) as a Python ``+=`` loop.
-            with np.errstate(all="ignore"):
-                hist["sum"] = float(np.add.accumulate(np.r_[hist["sum"], v])[-1])
-            hist["count"] += int(v.size)
+            i = 0 if value != value else bisect.bisect_left(hist["buckets"], value)
+            hist["counts"][i] += 1
+            hist["sum"] += value
+            hist["count"] += 1
 
     # ------------------------------------------------------------- queries
     def counter_value(self, name: str, **labels: Any) -> float:
@@ -313,9 +299,6 @@ class NullMetrics:
         pass
 
     def observe(self, name: str, value: float, **kwargs: Any) -> None:
-        pass
-
-    def observe_many(self, name: str, values: Iterable[float], **kwargs: Any) -> None:
         pass
 
     def counter_value(self, name: str, **labels: Any) -> float:

@@ -317,8 +317,4 @@ def spgemm_batch(
         size=len(runs),
         workers=workers,
     ), ShardPool(workers) as pool:
-        out = run_blocking(runs, opts, pool, keep_empty_tiles)
-    if obs.enabled:
-        obs.metrics.inc("spgemm_batch_runs_total")
-        obs.metrics.inc("spgemm_batch_tasks_total", len(runs))
-    return out
+        return run_blocking(runs, opts, pool, keep_empty_tiles)

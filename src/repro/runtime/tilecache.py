@@ -15,13 +15,12 @@ is exceeded.  The cache is thread-safe (one lock around the table), so
 the sharded parallel engine and :func:`~repro.runtime.parallel.spgemm_batch`
 can share the process-wide instance returned by :func:`get_tile_cache`.
 
-Every lookup also reports to the ambient observability context when one
-is live: ``tilecache_hits_total`` / ``tilecache_misses_total`` /
-``tilecache_evictions_total`` counters plus ``tilecache_resident_bytes``
-and ``tilecache_entries`` gauges land in the
-:class:`~repro.obs.metrics.MetricsRegistry`, and the same numbers appear
-in workload-profile artifacts and ``SpGEMMService.varz()`` via
-:meth:`TileCache.stats`.
+Every lookup also counts in the ambient
+:class:`~repro.obs.metrics.MetricsRegistry` when one is live
+(``tilecache_hits_total`` / ``tilecache_misses_total`` /
+``tilecache_evictions_total``).  The table's state — entries, resident
+bytes — is :meth:`TileCache.stats`, which workload-profile artifacts and
+``SpGEMMService.varz()`` export; it is not copied into gauges.
 """
 
 from __future__ import annotations
@@ -94,9 +93,10 @@ class TileCache:
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                self._export_locked(hit=True)
+                current_obs().metrics.inc("tilecache_hits_total")
                 return cached
             self.misses += 1
+        current_obs().metrics.inc("tilecache_misses_total")
         tiled = TileMatrix.from_csr(m, tile_size)
         with self._lock:
             if self.capacity > 0 and key not in self._entries:
@@ -106,32 +106,8 @@ class TileCache:
                     _, evicted = self._entries.popitem(last=False)
                     self.resident_bytes -= evicted.memory_bytes()
                     self.evictions += 1
-                    obs = current_obs()
-                    if obs.enabled:
-                        obs.metrics.inc("tilecache_evictions_total")
-            self._export_locked(hit=False)
+                    current_obs().metrics.inc("tilecache_evictions_total")
         return tiled
-
-    def _export_locked(self, hit: bool) -> None:
-        """Report this lookup to the ambient metrics registry (if live).
-
-        Called with the lock held; the registry has its own lock and
-        never calls back into the cache, so the nesting is safe.  The
-        counters are cumulative per lookup (1 hit or 1 miss each call)
-        and the gauges snapshot the table, so Prometheus scrapes see the
-        same numbers :meth:`stats` reports.
-        """
-        obs = current_obs()
-        if not obs.enabled:
-            return
-        metrics = obs.metrics
-        if hit:
-            metrics.inc("tilecache_hits_total")
-        else:
-            metrics.inc("tilecache_misses_total")
-        metrics.set_gauge("tilecache_resident_bytes", self.resident_bytes)
-        metrics.set_gauge("tilecache_entries", len(self._entries))
-        metrics.set_gauge("tilecache_evictions", self.evictions)
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss/eviction counters."""

@@ -1,11 +1,11 @@
-"""The bounded request queue: FIFO buffering with per-tenant accounting.
+"""The bounded request queue: FIFO buffering with a hard bound.
 
-A thin layer over :class:`asyncio.Queue` that adds the three things the
+A thin layer over :class:`asyncio.Queue` that adds the two things the
 serving tier needs and asyncio does not provide: a *hard* bound that is
-observable (``high_water`` proves the bound was never exceeded), per-
-tenant depth accounting for the ``serve_queue_depth{tenant=...}`` gauge,
-and a synchronous drain used at non-graceful shutdown to shed whatever
-is still buffered.
+observable (``high_water`` proves the bound was never exceeded; the
+service exports it as the ``serve_queue_high_water`` gauge), and a
+synchronous drain used at non-graceful shutdown to shed whatever is
+still buffered.
 
 ``try_put`` is the shed path (fail fast when full); ``put`` is the
 backpressure path (the *submitter's* coroutine blocks until a slot
@@ -17,7 +17,7 @@ own.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List
+from typing import List
 
 from repro.serve.request import ServeRequest
 
@@ -32,9 +32,7 @@ class BoundedRequestQueue:
             raise ValueError(f"queue bound must be >= 1, got {bound}")
         self.bound = int(bound)
         self._q: "asyncio.Queue[ServeRequest]" = asyncio.Queue(maxsize=self.bound)
-        self._by_tenant: Dict[str, int] = {}
         self.high_water = 0
-        self.total_enqueued = 0
 
     # ------------------------------------------------------------- producers
     def try_put(self, req: ServeRequest) -> bool:
@@ -43,31 +41,20 @@ class BoundedRequestQueue:
             self._q.put_nowait(req)
         except asyncio.QueueFull:
             return False
-        self._note_put(req)
+        self._note_put()
         return True
 
     async def put(self, req: ServeRequest) -> None:
         """Enqueue, awaiting a free slot — backpressure to the submitter."""
         await self._q.put(req)
-        self._note_put(req)
+        self._note_put()
 
-    def _note_put(self, req: ServeRequest) -> None:
-        self.total_enqueued += 1
-        self._by_tenant[req.tenant] = self._by_tenant.get(req.tenant, 0) + 1
+    def _note_put(self) -> None:
         self.high_water = max(self.high_water, self.depth)
 
     # ------------------------------------------------------------- consumers
     async def get(self) -> ServeRequest:
-        req = await self._q.get()
-        self._note_get(req)
-        return req
-
-    def _note_get(self, req: ServeRequest) -> None:
-        left = self._by_tenant.get(req.tenant, 0) - 1
-        if left > 0:
-            self._by_tenant[req.tenant] = left
-        else:
-            self._by_tenant.pop(req.tenant, None)
+        return await self._q.get()
 
     def task_done(self) -> None:
         self._q.task_done()
@@ -84,7 +71,6 @@ class BoundedRequestQueue:
                 req = self._q.get_nowait()
             except asyncio.QueueEmpty:
                 return drained
-            self._note_get(req)
             self._q.task_done()
             drained.append(req)
 
@@ -92,9 +78,3 @@ class BoundedRequestQueue:
     @property
     def depth(self) -> int:
         return self._q.qsize()
-
-    def depth_of(self, tenant: str) -> int:
-        return self._by_tenant.get(tenant, 0)
-
-    def tenants(self) -> List[str]:
-        return sorted(self._by_tenant)

@@ -353,7 +353,9 @@ class SpGEMMService:
                     ),
                     queued=False,
                 )
-        self._note_queue_depth(tenant)
+        # The queue's high-water mark only rises at a put, so admission
+        # is the one place to raise the gauge.
+        metrics.max_gauge("serve_queue_high_water", self._queue.high_water)
         return await req.done
 
     def _chain_order(self, req: ServeRequest, loop) -> None:
@@ -383,7 +385,6 @@ class SpGEMMService:
 
     async def _handle(self, req: ServeRequest) -> None:
         start = self._clock()
-        self._note_queue_depth(req.tenant)
         trace_t0 = self._trace_now()
         deadline = Deadline(req.deadline_s, clock=self._clock)
         # The deadline clock started at submission, not at dequeue.
@@ -412,9 +413,6 @@ class SpGEMMService:
             )
             c = _copy_on_loop(res.c)
             del res  # the pool-allocated original must not outlive _deliver
-            self._obs.metrics.inc(
-                "serve_shards_total", run.shards_run, tenant=req.tenant
-            )
             outcome, error = OUTCOME_SERVED, None
         except (
             ServiceOverloadError,
@@ -529,14 +527,6 @@ class SpGEMMService:
                 parent_span_id="",
             )
 
-    def _note_queue_depth(self, tenant: str) -> None:
-        metrics = self._obs.metrics
-        metrics.set_gauge("serve_queue_depth", self._queue.depth)
-        metrics.set_gauge(
-            "serve_queue_depth", self._queue.depth_of(tenant), tenant=tenant
-        )
-        metrics.max_gauge("serve_queue_high_water", self._queue.high_water)
-
     def _describe_metrics(self) -> None:
         m = self._obs.metrics
         m.describe("serve_requests_total", "Requests submitted, by tenant")
@@ -545,7 +535,6 @@ class SpGEMMService:
             "Terminal request outcomes (served/shed/deadline/exhausted)",
         )
         m.describe("serve_shed_total", "Requests shed, by tenant and reason")
-        m.describe("serve_queue_depth", "Current bounded-queue depth")
         m.describe(
             "serve_queue_high_water", "Highest queue depth observed"
         )
@@ -561,7 +550,6 @@ class SpGEMMService:
             "serve_pool_replacements_total",
             "Worker pools replaced after breaking mid-shard",
         )
-        m.describe("serve_shards_total", "Shards executed, by tenant")
 
     # ------------------------------------------------------------ queries
     @property

@@ -116,9 +116,7 @@ class AllocationTracker:
         if self._record:
             obs = current_obs()
             if obs.enabled:
-                obs.metrics.inc("device_alloc_bytes_total", nbytes)
                 obs.metrics.inc("device_alloc_events_total")
-                obs.metrics.max_gauge("device_peak_live_bytes", self.peak_bytes)
                 obs.tracer.counter("device_live_bytes", self.live_bytes)
 
     def alloc_array(self, label: str, array) -> None:

@@ -125,17 +125,15 @@ class TestQueue:
 
         asyncio.run(run())
 
-    def test_per_tenant_depth_and_drain(self):
+    def test_drain_empties_in_fifo_order(self):
         async def run():
             q = BoundedRequestQueue(4)
             q.try_put(ServeRequest(a=None, b=None, tenant="x", seq=0))
             q.try_put(ServeRequest(a=None, b=None, tenant="x", seq=1))
             q.try_put(ServeRequest(a=None, b=None, tenant="y", seq=0))
-            assert q.depth_of("x") == 2 and q.depth_of("y") == 1
-            assert q.tenants() == ["x", "y"]
             drained = q.drain()
             assert [r.name for r in drained] == ["x#0", "x#1", "y#0"]
-            assert q.depth == 0 and q.depth_of("x") == 0
+            assert q.depth == 0 and q.high_water == 3
 
         asyncio.run(run())
 

@@ -226,10 +226,7 @@ _WORK_COUNTERS = (
     "atomic_or_ops_total",
     "atomic_add_ops_total",
     "accumulator_tiles_total",
-    "mask_popcount_bits_total",
-    "c_tiles_total",
     "c_nnz_total",
-    "flops_total",
 )
 
 
