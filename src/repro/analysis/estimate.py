@@ -23,7 +23,8 @@ The per-tile-row product histogram is returned alongside, because
 equalising *predicted products* (not row counts) across shards is what
 removes stragglers from the sharded parallel engine.  The compression
 rate is also labelled with its :data:`COMPRESSION_BANDS` regime, which
-the plan records so a profile names the regime each plan was made in.
+the plan records so its trace instant names the regime each plan was
+made in.
 
 This module is deliberately dependency-light: it accepts CSR or tiled
 operands in any mix, and imports nothing from the runtime or serving
@@ -187,7 +188,7 @@ class MultiplyEstimate:
         Estimated compression rate ``products / nnz(C)`` (>= 1).
     band:
         The :data:`COMPRESSION_BANDS` label of ``compression`` — the
-        regime the plan's profile record names.
+        regime the plan's record names.
     tile_row_products:
         Exact per-tile-row product histogram (shard cost weights).
     tile_size:

@@ -149,8 +149,8 @@ def tilespgemm_planned_adapter(
     worker count, cost-weighted shard boundaries, accumulator
     threshold, backend — and runs the sharded engine under it.  The
     planning pass runs inside the timed region so benchmark comparisons
-    charge its cost; the plan lands in ``stats["plan"]`` (and the
-    ambient workload profiler), letting ``obs profile`` attribute wins.
+    charge its cost; the plan lands in ``stats["plan"]`` and as a
+    ``plan`` instant on the ambient trace, next to the spans it shaped.
     """
     from repro.runtime.parallel import parallel_tile_spgemm
     from repro.runtime.planner import plan_execution

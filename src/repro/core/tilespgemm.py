@@ -431,7 +431,7 @@ def _record_work(obs, res: TileSpGEMMResult) -> None:
     """
     if obs.enabled:
         _record_obs_metrics(obs.metrics, res.stats)
-        obs.profile.record_run(res.stats, res.timer)
+        obs.profile.record_run(res.stats)
 
 
 def _record_obs_metrics(metrics, stats: Dict[str, object]) -> None:

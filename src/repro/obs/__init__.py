@@ -17,9 +17,8 @@ without seeing the counters and the timeline.  Three pieces:
 * :mod:`repro.obs.propagate` — the :class:`TraceContext` identity a
   pooled range records under, so its spans link to the request (or
   multiply) that caused it;
-* :mod:`repro.obs.profile` — the always-on workload profiler: per-phase
-  / per-tile-row-band work attribution, tnnz decisions and the chosen
-  execution plans aggregated into ``repro.profile/1`` artifacts.
+* :mod:`repro.obs.profile` — the always-on workload profiler: work per
+  tile-row band, aggregated into ``repro.profile/1`` artifacts.
 
 Typical use::
 

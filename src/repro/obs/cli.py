@@ -1,11 +1,10 @@
 """``python -m repro obs`` — the workload profile report.
 
 ``obs profile``
-    The workload hotspot report: phases, top tile-row bands by
-    intermediate products, shard shape, tile-cache counters and the
-    execution plans the planner chose.  Renders
-    an existing ``repro.profile/1`` artifact, or records a fresh one by
-    running a bench suite under the profiler::
+    The workload hotspot report: the totals and the top tile-row bands
+    by intermediate products.  Renders an existing ``repro.profile/1``
+    artifact, or records a fresh one by running a bench suite under the
+    profiler::
 
         python -m repro obs profile --suite smoke --out profile.json
         python -m repro obs profile profile.json --top 5

@@ -103,14 +103,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def _record_plan(plan_dict: Dict[str, object]) -> None:
-    """Land the plan record in the ambient workload profiler (if live)."""
-    obs = current_obs()
-    profile = getattr(obs, "profile", None)
-    if getattr(profile, "enabled", False):
-        profile.record_plan(plan_dict)
-
-
 def parallel_tile_spgemm(
     a: TileMatrix,
     b: TileMatrix,
@@ -144,8 +136,9 @@ def parallel_tile_spgemm(
         ``None`` — including the cost-weighted shard boundaries, used
         whenever ``shards`` is not given; bounds that do not partition
         ``a``'s tile rows raise :class:`~repro.errors.InvalidInputError`.
-        The plan record lands in ``stats["plan"]`` and the ambient
-        workload profiler.  Explicit arguments still win.
+        The plan record lands in ``stats["plan"]`` and, before any range
+        runs, as one ``plan`` instant (cat ``plan``, args the record) on
+        the ambient tracer.  Explicit arguments still win.
     policy:
         The :class:`~repro.runtime.policy.RetryPolicy` governing
         transient-fault retries of a shard (defaults apply when
@@ -201,6 +194,8 @@ def parallel_tile_spgemm(
         fault_plan=fault_plan,
     )
 
+    if plan_dict is not None:
+        current_obs().tracer.instant("plan", cat="plan", **plan_dict)
     if workers <= 1 or len(bounds) <= 2:
         run = ShardRun(a, b, bounds, policy, track="parallel")
         res = run_blocking([run], opts, keep_empty_tiles=keep_empty_tiles)[0]
@@ -210,7 +205,6 @@ def parallel_tile_spgemm(
     res.stats["shards"] = res.stats["batches"]
     if plan_dict is not None:
         res.stats["plan"] = plan_dict
-        _record_plan(plan_dict)
     return res
 
 

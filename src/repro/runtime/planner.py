@@ -37,9 +37,11 @@ deterministically), so a plan is reproducible and the planned parallel
 run stays byte-identical to a serial run — asserted by the determinism
 tests.
 
-The plan is recorded in ``stats["plan"]`` of the result and in
-``repro.profile/1`` artifacts (:class:`~repro.obs.profile.WorkloadProfiler`),
-so ``obs profile`` can attribute wins to planning decisions.
+The plan is recorded in ``stats["plan"]`` of the result and, as one
+``plan`` instant whose args are :meth:`ExecutionPlan.to_dict`, on the
+ambient trace of the :func:`~repro.runtime.parallel.parallel_tile_spgemm`
+run it drives, so the trace that shows where the time went also shows
+the plan, its estimate and its derivation notes.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ class ExecutionPlan:
         Native-typed :meth:`~repro.analysis.estimate.MultiplyEstimate.to_dict`
         summary the decisions were derived from.
     notes:
-        Human-readable derivation notes ("workers 2: explicit", ...)
-        surfaced by ``obs profile``.
+        Human-readable derivation notes ("workers 2: explicit", ...),
+        carried by the trace's ``plan`` instant.
     """
 
     mode: str
@@ -114,7 +116,8 @@ class ExecutionPlan:
         return int(self.bounds[-1]) if len(self.bounds) else 0
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-able plan record (``stats["plan"]`` / profile artifacts)."""
+        """JSON-able plan record (``stats["plan"]`` and the ``plan``
+        trace instant's args)."""
         return {
             "mode": self.mode,
             "workers": int(self.workers),

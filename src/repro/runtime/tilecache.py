@@ -19,8 +19,8 @@ Every lookup also counts in the ambient
 :class:`~repro.obs.metrics.MetricsRegistry` when one is live
 (``tilecache_hits_total`` / ``tilecache_misses_total`` /
 ``tilecache_evictions_total``).  The table's state — entries, resident
-bytes — is :meth:`TileCache.stats`, which workload-profile artifacts and
-``SpGEMMService.varz()`` export; it is not copied into gauges.
+bytes — is :meth:`TileCache.stats`, which ``SpGEMMService.varz()``
+exports; it is not copied into gauges.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ number of intermediate products
 is one pass over ``nnz(A)`` (the paper's ``#flops`` is twice it), and
 ``nnz(C) <= products`` bounds the output, so operand bytes plus a
 products-priced output bound is a sound *upper* estimate of the working
-set.  A request whose estimate cannot fit the device budget even after
-chunking headroom is shed with a typed
-:class:`~repro.errors.ServiceOverloadError` instead of being allowed to
-OOM after burning queue time; queue-depth overflow sheds the same way.
+set.  A request whose estimate cannot fit the device budget is shed
+with a typed :class:`~repro.errors.ServiceOverloadError` instead of
+being allowed to OOM after burning queue time; queue-depth overflow
+sheds the same way.
 
 The estimate works directly on either operand format through the
 estimator's sort-free reconstruction
@@ -107,28 +107,19 @@ class AdmissionController:
         (the queue itself enforces the same bound as a backstop).
     budget_bytes:
         Device budget the memory gate checks against; ``None`` disables
-        the memory gate (queue depth still applies).
-    headroom:
-        Multiplier on ``budget_bytes``: estimates are upper bounds and
-        execution can re-split on real OOM, so values above 1 admit
-        requests whose *bound* exceeds the budget as long as chunking
-        has a chance.  ``1.0`` (default) sheds anything whose bound does
-        not fit outright.
+        the memory gate (queue depth still applies).  A request whose
+        bound does not fit it outright is shed.
     """
 
     def __init__(
         self,
         max_queue_depth: int,
         budget_bytes: Optional[int] = None,
-        headroom: float = 1.0,
     ) -> None:
         if max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
-        if headroom <= 0:
-            raise ValueError(f"headroom must be > 0, got {headroom}")
         self.max_queue_depth = int(max_queue_depth)
         self.budget_bytes = None if budget_bytes is None else int(budget_bytes)
-        self.headroom = float(headroom)
         self._inflight_bytes = 0
         self._lock = threading.Lock()
 
@@ -143,18 +134,17 @@ class AdmissionController:
 
         Waiting cannot fix an oversized request, so this gate fires
         regardless of the submitter's backpressure mode.  Checks the
-        single request against the limit only; :meth:`admit_memory` adds
+        single request against the budget only; :meth:`admit_memory` adds
         the aggregate in-flight gate and the reservation.
         """
         if self.budget_bytes is None:
             return
-        limit = int(self.budget_bytes * self.headroom)
-        if estimate.total_bytes > limit:
+        if estimate.total_bytes > self.budget_bytes:
             raise ServiceOverloadError(
                 "memory_estimate",
                 f"estimated working set {estimate.total_bytes} B "
                 f"(operands {estimate.operand_bytes} B + output bound "
-                f"{estimate.c_upper_bytes} B) exceeds {limit} B",
+                f"{estimate.c_upper_bytes} B) exceeds {self.budget_bytes} B",
             )
 
     def admit_memory(self, estimate: CostEstimate) -> int:
@@ -164,7 +154,7 @@ class AdmissionController:
         :meth:`release_memory` exactly once, at the request's terminal
         response.  Sheds with reason ``memory_estimate`` when the
         request alone cannot fit, ``memory_inflight`` when it would push
-        the aggregate of admitted requests past the limit (waiting *can*
+        the aggregate of admitted requests past the budget (waiting *can*
         fix that one, but blocking submission risks deadlocking the
         backpressure path, so the service sheds and lets the client
         retry).
@@ -172,14 +162,13 @@ class AdmissionController:
         self.check_memory(estimate)
         if self.budget_bytes is None:
             return 0
-        limit = int(self.budget_bytes * self.headroom)
         nbytes = int(estimate.total_bytes)
         with self._lock:
-            if self._inflight_bytes + nbytes > limit:
+            if self._inflight_bytes + nbytes > self.budget_bytes:
                 raise ServiceOverloadError(
                     "memory_inflight",
                     f"admitting {nbytes} B on top of {self._inflight_bytes} B "
-                    f"already in flight would exceed {limit} B",
+                    f"already in flight would exceed {self.budget_bytes} B",
                 )
             self._inflight_bytes += nbytes
         return nbytes

@@ -117,7 +117,7 @@ class SpGEMMService:
         Optional :class:`~repro.gpu.device.DeviceModel`; its Table-1
         DRAM capacity becomes the admission budget and the default
         per-request budget unless overridden.
-    admission_budget_bytes, admission_headroom:
+    admission_budget_bytes:
         The memory gate (see
         :class:`~repro.serve.admission.AdmissionController`).  Budget
         defaults to the device's DRAM capacity; ``None`` with no device
@@ -158,7 +158,6 @@ class SpGEMMService:
         workers: int = 2,
         device=None,
         admission_budget_bytes: Optional[int] = None,
-        admission_headroom: float = 1.0,
         default_deadline_s: Optional[float] = None,
         default_budget_bytes: Optional[int] = None,
         initial_shards: int = 1,
@@ -178,9 +177,7 @@ class SpGEMMService:
         if default_budget_bytes is None and device is not None:
             default_budget_bytes = device.dram_capacity_bytes
         self.device = device
-        self._admission = AdmissionController(
-            max_queue_depth, admission_budget_bytes, admission_headroom
-        )
+        self._admission = AdmissionController(max_queue_depth, admission_budget_bytes)
         self._queue = BoundedRequestQueue(max_queue_depth)
         self._pool = ShardPool(workers)
         self._run_fn = run_fn
@@ -591,7 +588,7 @@ class SpGEMMService:
         for labels, value in metrics.counter_samples("serve_shed_total"):
             reason = labels.get("reason", "")
             sheds[reason] = sheds.get(reason, 0.0) + value
-        out: Dict[str, object] = {
+        return {
             "running": self._running,
             "accepting": self._accepting,
             "uptime_s": (
@@ -608,7 +605,6 @@ class SpGEMMService:
             "inflight": len(self._inflight),
             "admission": {
                 "budget_bytes": self._admission.budget_bytes,
-                "headroom": self._admission.headroom,
                 "inflight_bytes": self._admission.inflight_bytes,
             },
             "requests_total": requests,
@@ -616,6 +612,3 @@ class SpGEMMService:
             "sheds_total": sheds,
             "tilecache": self._cache.stats(),
         }
-        if getattr(self._obs.profile, "enabled", False):
-            out["profile"] = self._obs.profile.summary()
-        return out

@@ -12,7 +12,7 @@ tracer (:func:`repro.obs.context.current_obs`) it opens that tracer's
 ``cat="step"`` span and credits the timer with the span's own
 ``duration_s``; otherwise it reads :func:`time.perf_counter` at entry and
 exit.  Either way each phase is measured once, so ``result.timer``, the
-trace's step spans, the workload profile's phase table and
+trace's step spans and
 :func:`repro.analysis.profiling.breakdown_from_trace` all report the same
 numbers.
 """

@@ -1,7 +1,5 @@
 """The sharded parallel engine: determinism, failure policy, batching, cache."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -555,26 +553,19 @@ class TestPlanner:
         p2 = plan_execution(a, b)
         assert p1.to_dict() == p2.to_dict()
 
-    def test_plan_recorded_in_profiler(self, operands):
-        from repro.obs.profile import WorkloadProfiler, render_profile, validate_profile
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plan_recorded_as_one_trace_instant(self, operands, workers):
+        from repro.obs.trace import Tracer
         from repro.runtime.planner import plan_execution
 
         a, b = operands
-        plan = plan_execution(a, b, workers=2)
-        profiler = WorkloadProfiler()
-        with obs_context(profile=profiler):
-            parallel_tile_spgemm(a, b, plan=plan)
-        doc = profiler.to_dict()
-        assert doc["plans"], "plan record missing from the profiler"
-        assert doc["plans"][0]["mode"] == plan.mode
-        assert "executor" not in doc["plans"][0]
-        validate_profile(doc)
-        # An artifact written before the pool kind was dropped still loads.
-        old = copy.deepcopy(doc)
-        old["plans"][0]["executor"] = "thread"
-        validate_profile(old)
-        report = render_profile(doc)
-        assert "executor=" not in report
-        assert plan.notes
-        for note in plan.notes:
-            assert f"    {note}" in report.splitlines()
+        plan = plan_execution(a, b, workers=workers)
+        tracer = Tracer()
+        with obs_context(tracer=tracer):
+            res = parallel_tile_spgemm(a, b, plan=plan)
+        (instant,) = [ev for ev in tracer.events if ev.name == "plan"]
+        assert instant.cat == "plan" and instant.ph == "i"
+        assert instant.args == plan.to_dict() == res.stats["plan"]
+        assert plan.notes and instant.args["notes"] == list(plan.notes)
+        # Recorded before any range ran.
+        assert all(instant.ts_s <= sp.start_s for sp in tracer.spans)

@@ -99,16 +99,6 @@ class TestAdmission:
             ctrl.check_depth(2)
         assert ei.value.reason == "queue_full"
 
-    def test_headroom_admits_over_budget_bound(self):
-        a, b = _pair()
-        est = estimate_cost(a, b)
-        tight = AdmissionController(4, budget_bytes=est.total_bytes - 1)
-        with pytest.raises(ServiceOverloadError):
-            tight.check_memory(est)
-        AdmissionController(
-            4, budget_bytes=est.total_bytes - 1, headroom=2.0
-        ).check_memory(est)
-
 
 # ------------------------------------------------------------------- queue
 class TestQueue:

@@ -29,6 +29,7 @@ from repro.errors import (
     ServiceOverloadError,
 )
 from repro.obs.context import make_obs, obs_context
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.faults import FaultPlan
 from repro.runtime.policy import RetryPolicy, backoff_wait
 from repro.runtime.shards import BrokenExecutor, default_run_shard
@@ -51,6 +52,22 @@ def _assert_same_product(got, ref):
         np.testing.assert_array_equal(
             getattr(got, field), getattr(ref, field), err_msg=field
         )
+
+
+def _metered(run):
+    """``asyncio.run(run())`` under a fresh metrics registry; returns
+    ``(result, registry)``."""
+    registry = MetricsRegistry()
+    with obs_context(metrics=registry):
+        return asyncio.run(run()), registry
+
+
+def _recovery_counted(registry, *responses):
+    """The per-tenant recovery counters equal the responses' tallies."""
+    for counter in ("resplits", "retries", "pool_replacements"):
+        assert registry.counter_value(
+            f"serve_{counter}_total", tenant="default"
+        ) == sum(getattr(r, counter) for r in responses), counter
 
 
 def _faulty_run_fn(a_shard, b, opts):
@@ -82,10 +99,11 @@ class TestOOMResplit:
             async with SpGEMMService(max_queue_depth=4, workers=2) as svc:
                 return await svc.submit(a, b, fault_plan=plan)
 
-        resp = asyncio.run(run())
+        resp, registry = _metered(run)
         assert resp.ok
         assert resp.resplits == 1  # the blown shard split in two...
         assert resp.shards_run == 2  # ...and both halves ran on the pool
+        _recovery_counted(registry, resp)
         _assert_same_product(resp.result_or_raise(), _serial_c(a, b))
 
     def test_repeated_oom_keeps_splitting(self):
@@ -96,8 +114,9 @@ class TestOOMResplit:
             async with SpGEMMService(max_queue_depth=4, workers=2) as svc:
                 return await svc.submit(a, b, fault_plan=plan)
 
-        resp = asyncio.run(run())
+        resp, registry = _metered(run)
         assert resp.ok and resp.resplits == 2
+        _recovery_counted(registry, resp)
         _assert_same_product(resp.result_or_raise(), _serial_c(a, b))
 
     def test_unsplittable_tile_row_exhausts(self):
@@ -127,8 +146,9 @@ class TestOOMResplit:
             async with SpGEMMService(max_queue_depth=4, workers=2) as svc:
                 return await svc.submit(a, b, budget_bytes=budget)
 
-        resp = asyncio.run(run())
+        resp, registry = _metered(run)
         assert resp.ok and resp.resplits >= 1
+        _recovery_counted(registry, resp)
         _assert_same_product(resp.result_or_raise(), whole.c)
 
 
@@ -149,8 +169,9 @@ class TestTransientRetry:
             ) as svc:
                 return await svc.submit(a, b, fault_plan=plan)
 
-        resp = asyncio.run(run())
+        resp, registry = _metered(run)
         assert resp.ok and resp.retries == 1
+        _recovery_counted(registry, resp)
         # The awaited wait is exactly the policy's schedule.
         assert slept == [backoff_wait(policy, 0)]
         _assert_same_product(resp.result_or_raise(), _serial_c(a, b))
@@ -194,12 +215,13 @@ class TestWorkerDeath:
                 sibling = await svc.submit(a, b)  # pool must still work
                 return resp, sibling, svc.varz()
 
-        resp, sibling, varz = asyncio.run(run())
+        (resp, sibling, varz), registry = _metered(run)
         assert resp.ok and resp.pool_replacements == 1
         assert resp.shards_run == 1  # only the lost shard ran again
         _assert_same_product(resp.result_or_raise(), _serial_c(a, b))
         assert sibling.ok and sibling.pool_replacements == 0
         assert varz["pool_replacements"] == 1
+        _recovery_counted(registry, resp, sibling)
 
     def test_second_break_in_one_request_exhausts(self):
         a, b = _pair(seed=77, n=64)

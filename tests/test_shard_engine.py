@@ -32,6 +32,7 @@ from repro.errors import (
     TransientKernelError,
 )
 from repro.formats.csr import CSRMatrix
+from repro.obs import MetricsRegistry, obs_context
 from repro.runtime.chunked import (
     batch_bounds,
     chunked_tile_spgemm,
@@ -260,12 +261,19 @@ class TestStateMachine:
 
     def test_broken_pool_reruns_only_lost_ranges(self, operands):
         a, b = operands
-        run = ShardRun(
-            a, b, batch_bounds(a.num_tile_rows, 2), run_fn=_BreaksFirst(1), track="parallel"
-        )
-        with ShardPool(2) as pool:
-            (res,) = run_blocking([run], {}, pool)
+        registry = MetricsRegistry()
+        with obs_context(metrics=registry):
+            run = ShardRun(
+                a,
+                b,
+                batch_bounds(a.num_tile_rows, 2),
+                run_fn=_BreaksFirst(1),
+                track="parallel",
+            )
+            with ShardPool(2) as pool:
+                (res,) = run_blocking([run], {}, pool)
         assert run.pool_replacements == 1 and pool.generation == 1
+        assert registry.counter_value("parallel_pool_replacements_total") == 1
         assert run.shards_run == 2
         assert_bytes_identical(tile_spgemm(a, b).c, res.c)
 
