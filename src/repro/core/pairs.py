@@ -12,20 +12,24 @@ Three joins give the same candidate tiles and per-tile statistics:
 * :func:`live_join` — the driver's join
   (:func:`repro.core.tilespgemm.tile_spgemm` runs it as step 1 and keeps
   its pairs for steps 2 and 3; :func:`enumerate_live_pairs` returns its
-  pairs alone).  It expands every ``A`` tile ``A_ik`` against ``B``'s
-  tile row ``k`` and counts the candidate tiles and their matched pairs
-  with a ``bincount`` over the tile grid, without a sort.  It then finds
-  the live pairs by whichever of two passes expands less.  The *filter*
-  tests every matched pair and stable-sorts only the live ones.  The
-  *column* pass indexes ``B`` by global row and expands each ``A``
-  nonzero over the ``B`` tiles whose matching row is nonempty: every
-  such meeting is a live entry, so it yields the live pairs and their
-  live entries at once, and step 2 need not expand them again.  That is
-  the compressed-``B`` symbolic phase of KKMEM (Deveci et al., arXiv
-  1801.03065) at tile granularity.  On sparse products most pairs are
-  dead (91-92 % on the end-to-end benchmark's symbolic-bound matrices)
-  and the column pass expands ~10x less than the filter; on denser ones
-  each pair holds many entries and the filter expands 38-210x less.
+  pairs alone).  It finds the live pairs by whichever of two passes
+  expands less.  The *filter* expands every ``A`` tile ``A_ik`` against
+  ``B``'s tile row ``k``, counts the candidate tiles and their matched
+  pairs with a ``bincount`` over the tile grid, without a sort, tests
+  every matched pair and stable-sorts only the live ones.  The *column*
+  pass expands no pair: it counts the candidate tiles as the tile-level
+  product ``A'B'`` itself, a dense ``matmul`` that is exact on these
+  small integer counts (the move of Zachariadis et al., arXiv
+  2009.14600, onto dense GEMM), where that is cheap.  It then indexes
+  ``B`` by global row and expands each ``A`` nonzero over the ``B``
+  tiles whose matching row is nonempty: every such meeting is a live
+  entry, so it yields the live pairs and their live entries at once, and
+  step 2 need not expand them again.  That is the compressed-``B``
+  symbolic phase of KKMEM (Deveci et al., arXiv 1801.03065) at tile
+  granularity.  On sparse products most pairs are dead (91-92 % on the
+  end-to-end benchmark's symbolic-bound matrices) and the column pass
+  expands ~10x less than the filter; on denser ones each pair holds many
+  entries and the filter expands 38-210x less.
 * :func:`enumerate_pairs_expand` — the reference join: the same
   expansion (one shared helper), then a stable sort of every matched
   pair by target tile.  It holds the dead pairs too, the paper's full
@@ -70,14 +74,15 @@ __all__ = ["LiveEntries", "TilePairs", "enumerate_live_pairs", "enumerate_pairs_
            "enumerate_pairs_intersect", "live_entries", "live_join"]
 
 
-#: Matched pairs the driver's join expands at a time (whole tile rows of
-#: ``A``, at least one), so a block's temporaries stay cache-resident.
-#: On the symbolic-bound benchmark matrices (seed 0, one core of a 2-vCPU
-#: VM) 2**15 to 2**17 tie; one block for all of cop20k_A's 8.7M pairs
-#: made its join 2.2x slower.
+#: Matched pairs the filter pass (and the count's expansion, on a block
+#: the dense product would cost too much) expands at a time (whole tile
+#: rows of ``A``, at least one), so a block's temporaries stay
+#: cache-resident.  On the symbolic-bound benchmark matrices (seed 0, one
+#: core of a 2-vCPU VM) 2**15 to 2**17 tie; one block for all of
+#: cop20k_A's 8.7M pairs made its join 2.2x slower.
 _JOIN_BLOCK_PAIRS: int = 1 << 16
 
-#: A block of the driver's join counts its candidate tiles with a
+#: A block of the join's expansion counts its candidate tiles with a
 #: ``bincount`` over its rows of the tile grid when they have at most this
 #: many cells per matched pair; a sparser block costs more to scan than
 #: its pairs cost to sort, so it is sorted and grouped like the reference
@@ -85,6 +90,33 @@ _JOIN_BLOCK_PAIRS: int = 1 << 16
 #: (18 pairs per cell on cop20k_A); counting every block made pwtk's,
 #: at 0.07 pairs per cell, 2.4x slower.
 _COUNT_CELLS_PER_PAIR: int = 4
+
+#: The column pass's count multiplies ``A``'s tile rows in blocks of at
+#: most this many cells of the tile grid (rows x tile columns of ``B``).
+_PRODUCT_BLOCK_CELLS: int = 1 << 20
+
+#: A block of the column pass's count takes the dense product when it
+#: costs at most this many multiply-adds per matched pair, else it
+#: expands its pairs.  On one OpenBLAS thread of a 2-vCPU VM the two tied
+#: near 300 multiply-adds per pair (a permuted random matrix at 400 per
+#: pair counted 1.4x slower by product); the product was 3-11x faster on
+#: the symbolic-bound benchmark matrices (21-62 per pair) and 3-39x
+#: slower on banded ones (2,000-170,000 per pair).
+_PRODUCT_MACS_PER_PAIR: int = 64
+
+#: float32 holds every integer below this exactly.
+_FLOAT32_EXACT: int = 1 << 24
+
+#: Live entries the column pass lists at a time (whole tile rows of ``A``),
+#: over at most ``_RADIX_KEYS`` cells of the tile grid, so that its keys
+#: take numpy's radix sort.  With that cap, 2**14 to 2**20 tied on the
+#: symbolic-bound benchmark matrices; without it, blocks of 2**18 entries
+#: made cop20k_A's column pass 2x slower.  The join's 64k-pair blocks gave
+#: it 133 blocks of ~6k entries.
+_COLUMN_BLOCK_ENTRIES: int = 1 << 16
+
+#: Sort keys below this take numpy's radix sort (:func:`_stable_argsort`).
+_RADIX_KEYS: int = 1 << 16
 
 
 @dataclass
@@ -192,11 +224,9 @@ def _group(key: np.ndarray, weight: np.ndarray):
     return order, key[starts], pair_ptr, np.diff(csum[pair_ptr])
 
 
-def _tile_pairs(a, b, c_keys, pair_ptr, pair_a, pair_b, matched, matched_a_nnz) -> TilePairs:
-    """Assemble a :class:`TilePairs` from the candidate tiles' sorted keys."""
-    ntc = max(b.num_tile_cols, 1)
-    c_tilerow = c_keys // ntc
-    c_tilecol = c_keys % ntc
+def _tile_pairs(a, b, c_tilerow, c_tilecol, pair_ptr, pair_a, pair_b, matched,
+                matched_a_nnz) -> TilePairs:
+    """Assemble a :class:`TilePairs` from the candidate tiles, row-major ascending."""
     len_a = np.diff(a.tileptr)[c_tilerow]
     len_b = np.diff(b.tile_csc()["colptr"])[c_tilecol]
     return TilePairs(c_tilerow, c_tilecol, pair_ptr, pair_a, pair_b, len_a, len_b,
@@ -209,7 +239,8 @@ def enumerate_pairs_expand(a: TileMatrix, b: TileMatrix) -> TilePairs:
     rep, pair_b, key = _expand(a, b, 0, a.num_tile_rows)
     pair_a = np.repeat(np.arange(a.num_tiles, dtype=np.int64), rep)
     order, c_keys, pair_ptr, a_nnz = _group(key, a.tile_nnz_counts()[pair_a])
-    return _tile_pairs(a, b, c_keys, pair_ptr, pair_a[order], pair_b[order],
+    c_tilerow, c_tilecol = np.divmod(c_keys, max(b.num_tile_cols, 1))
+    return _tile_pairs(a, b, c_tilerow, c_tilecol, pair_ptr, pair_a[order], pair_b[order],
                        np.diff(pair_ptr), a_nnz)
 
 
@@ -229,91 +260,218 @@ def live_join(
 ) -> Tuple[TilePairs, Optional[LiveEntries]]:
     """The driver's join: the candidate tiles, their live pairs and maybe their live entries.
 
-    The pairs are :func:`enumerate_live_pairs`'s.  The candidate tiles
-    and their statistics come from every matched pair, expanded
-    ``_JOIN_BLOCK_PAIRS`` at a time over whole tile rows of ``A``; their
-    keys ascend by tile row, so each block owns its candidate tiles.  A
-    block counts its tiles, their matched pairs and ``A``-tile nonzeros
-    with a ``bincount`` over its rows of the tile grid; a block whose grid
-    is sparser than ``_COUNT_CELLS_PER_PAIR`` sorts and groups its pairs
-    like the reference instead.
+    The pairs are :func:`enumerate_live_pairs`'s.  They come from one of
+    two passes, whichever expands less (:func:`_use_column_join`):
 
-    The live pairs come from one of two passes, whichever expands less
-    (:func:`_use_column_join`):
+    * **filter** — expand every matched pair, ``_JOIN_BLOCK_PAIRS`` at a
+      time over whole tile rows of ``A`` (their keys ascend by tile row,
+      so each block owns its candidate tiles).  A block counts its tiles,
+      their matched pairs and ``A``-tile nonzeros with a ``bincount`` over
+      its rows of the tile grid (or, on a grid sparser than
+      ``_COUNT_CELLS_PER_PAIR``, sorts and groups them like the
+      reference), then tests every pair for liveness and stable-sorts the
+      live ones (a radix sort when the block spans at most 2**16 cells).
+      Returns no entries: step 2 expands the ones it needs.
+    * **column** — count the candidate tiles without expanding a pair
+      (:func:`_count_tiles`: the tile-level product ``A'B'`` as one dense
+      ``matmul`` per row block where that is cheap; traced as the
+      ``step1.count`` span), then list the live entries: every ``A``
+      nonzero ``(r, c)`` of tile ``(i, k)`` meets exactly the ``B`` tiles
+      that :func:`_b_row_list` lists for its global row ``k * T + c``;
+      each meeting is a live entry.  Per block of about
+      ``_COLUMN_BLOCK_ENTRIES`` entries, they are generated in
+      ``A``-nonzero order and stable-sorted by target tile; each run of
+      equal (target tile, ``B`` tile) is one live pair, its entries in
+      ``A`` storage order.  Returns the entries too, equal to
+      :func:`live_entries` of every pair.  Traced as the
+      ``step1.entries`` span.
 
-    * **filter** — test every matched pair for liveness and stable-sort
-      the live ones (a radix sort when the block spans at most 2**16
-      cells).  Returns no entries: step 2 expands the ones it needs.
-    * **column** — every ``A`` nonzero ``(r, c)`` of tile ``(i, k)``
-      meets exactly the ``B`` tiles that :func:`_b_row_list` lists for
-      its global row ``k * T + c``; each meeting is a live entry.  Per
-      block, the entries are generated in ``A``-nonzero order and
-      stable-sorted by target tile; each run of equal (target tile,
-      ``B`` tile) is one live pair, its entries in ``A`` storage order.
-      Returns the entries too, equal to :func:`live_entries` of every
-      pair.  Traced as the ``step1.entries`` span.
+    The filter costs O(matched pairs), the column pass O(live entries)
+    plus a dense product over the tile grid: on hypersparse products
+    most matched pairs are dead and the column pass is ~10x smaller, on
+    denser ones the pairs hold many entries each and the filter is
+    ~40-200x smaller.
+    """
+    return _join(a, b, backend)[:2]
 
-    The filter costs O(matched pairs), the column pass O(live entries):
-    on hypersparse products most matched pairs are dead and the column
-    pass is ~10x smaller, on denser ones the pairs hold many entries each
-    and the filter is ~40-200x smaller.
+
+def _join(a: TileMatrix, b: TileMatrix, backend=None):
+    """:func:`live_join`, and how it counted the candidate tiles.
+
+    The third value is ``"product"``, ``"expand"`` or ``"mixed"`` (some
+    blocks each way); the filter always expands.  :func:`tile_spgemm
+    <repro.core.tilespgemm.tile_spgemm>` records it as the ``step1``
+    span's ``count``.
     """
     _check_grids(a, b)
+    row_end = _matched_row_end(a, b)
+    num_matched = int(row_end[-1])
+    row_ptr = _b_row_ptr(b)
+    if not _use_column_join(num_matched, _count_entries(a, row_ptr, num_matched)):
+        return _filter_join(a, b, row_end), None, "expand"
+    tracer = current_obs().tracer
+    with tracer.span("step1.count", cat="substep"):
+        c_tilerow, c_tilecol, matched, matched_a_nnz, count = _count_tiles(a, b, row_end)
+    with tracer.span("step1.entries", cat="substep") as span:
+        pair_ptr, pair_a, pair_b, entries = _column_entries(
+            a, b, c_tilerow, c_tilecol, row_ptr, _b_row_list(b), backend)
+        if span is not None:
+            span.args["entries"] = int(entries.a_idx.size)
+    pairs = _tile_pairs(a, b, c_tilerow, c_tilecol, pair_ptr, pair_a, pair_b, matched,
+                        matched_a_nnz)
+    return pairs, entries, count
+
+
+def _count_block(a: TileMatrix, b: TileMatrix, i0: int, i1: int):
+    """Expand the matched pairs of ``A``'s tile rows ``[i0, i1)`` and count their tiles.
+
+    Returns the expansion ``(rep, pair_b, key)`` (:func:`_expand`), the
+    pairs' stable order by key when the block sorted them (``None`` when
+    it counted them with a ``bincount``), and the block's candidate
+    tiles: their keys, matched pairs and ``A``-tile nonzeros.
+    """
+    ntc = max(b.num_tile_cols, 1)
+    t0, t1 = a.tileptr[i0], a.tileptr[i1]
+    rep, pair_b, key = _expand(a, b, i0, i1)
+    weight = np.repeat(np.diff(a.tilennz[t0:t1 + 1]), rep)
+    cells = (i1 - i0) * ntc
+    if cells <= _COUNT_CELLS_PER_PAIR * key.size:
+        count = np.bincount(key, minlength=cells)
+        tiles = np.flatnonzero(count)
+        a_sum = np.bincount(key, weights=weight, minlength=cells)
+        # exact: integers < 2**53
+        return (rep, pair_b, key), None, (tiles, count[tiles], a_sum[tiles].astype(np.int64))
+    order, tiles, ptr, tile_a_nnz = _group(key, weight)
+    return (rep, pair_b, key), order, (tiles, np.diff(ptr), tile_a_nnz)
+
+
+def _filter_join(a: TileMatrix, b: TileMatrix, row_end: np.ndarray) -> TilePairs:
+    """The filter pass of :func:`live_join`: count, test and sort every matched pair."""
     T = a.tile_size
     ntc = max(b.num_tile_cols, 1)
-    blocks, num_matched = _row_blocks(a, b)
-    a_nnz = a.tile_nnz_counts()
-    row_ptr = _b_row_ptr(b)
-    column = _use_column_join(num_matched, _count_entries(a, row_ptr, num_matched))
-
-    a_nnz_f = a_nnz.astype(np.float64)
-    if not column:
-        a_cols = np.bitwise_or.reduce(a.mask, axis=1)
-        b_rows = np.bitwise_or.reduce((b.mask != 0) << np.arange(T, dtype=b.mask.dtype), axis=1)
+    a_cols = np.bitwise_or.reduce(a.mask, axis=1)
+    b_rows = np.bitwise_or.reduce((b.mask != 0) << np.arange(T, dtype=b.mask.dtype), axis=1)
     c_keys, matched, matched_a_nnz, pair_ptr, pair_a, pair_b = ([] for _ in range(6))
     held = 0
-    for i0, i1 in blocks:
+    for i0, i1 in _cut(row_end, 0, a.num_tile_rows, _JOIN_BLOCK_PAIRS):
         t0, t1 = a.tileptr[i0], a.tileptr[i1]
-        rep, blk_b, key = _expand(a, b, i0, i1)
-        cells = (i1 - i0) * ntc
-        counted = cells <= _COUNT_CELLS_PER_PAIR * key.size
-        if counted:
-            count = np.bincount(key, minlength=cells)
-            tiles = np.flatnonzero(count)
-            matched.append(count[tiles])
-            a_sum = np.bincount(key, weights=np.repeat(a_nnz_f[t0:t1], rep), minlength=cells)
-            matched_a_nnz.append(a_sum[tiles].astype(np.int64))  # exact: integers < 2**53
-        else:
-            order, tiles, ptr, tile_a_nnz = _group(key, np.repeat(a_nnz[t0:t1], rep))
-            matched.append(np.diff(ptr))
-            matched_a_nnz.append(tile_a_nnz)
+        (rep, blk_b, key), order, (tiles, blk_matched, blk_a_nnz) = _count_block(a, b, i0, i1)
         c_keys.append(tiles + i0 * ntc)
-        if column:
-            continue
+        matched.append(blk_matched)
+        matched_a_nnz.append(blk_a_nnz)
         live = np.repeat(a_cols[t0:t1], rep) & b_rows[blk_b] != 0
-        if counted:
+        if order is None:
             pos = np.flatnonzero(live)
             pos = pos[_stable_argsort(key[pos])]
         else:
             pos = order[live[order]]
-        pair_ptr.append(_held_ptr(key[pos], tiles, cells, counted) + held)
+        pair_ptr.append(_held_ptr(key[pos], tiles, (i1 - i0) * ntc, order is None) + held)
         pair_a.append(np.repeat(np.arange(t0, t1, dtype=np.int64), rep)[pos])
         pair_b.append(blk_b[pos])
         held += pos.size
-    c_keys = _cat(c_keys)
-    entries = None
-    if column:
-        with current_obs().tracer.span("step1.entries", cat="substep") as span:
-            pair_ptr, pair_a, pair_b, entries = _column_entries(
-                a, b, blocks, c_keys, row_ptr, _b_row_list(b), backend)
-            if span is not None:
-                span.args["entries"] = int(entries.a_idx.size)
-    else:
-        pair_ptr.append([held])
-        pair_ptr, pair_a, pair_b = _cat(pair_ptr), _cat(pair_a), _cat(pair_b)
-    pairs = _tile_pairs(a, b, c_keys, pair_ptr, pair_a, pair_b, _cat(matched),
-                        _cat(matched_a_nnz))
-    return pairs, entries
+    pair_ptr.append([held])
+    c_tilerow, c_tilecol = np.divmod(_cat(c_keys), ntc)
+    return _tile_pairs(a, b, c_tilerow, c_tilecol, _cat(pair_ptr), _cat(pair_a), _cat(pair_b),
+                       _cat(matched), _cat(matched_a_nnz))
+
+
+def _count_tiles(a: TileMatrix, b: TileMatrix, row_end: np.ndarray):
+    """The candidate tiles of ``C``, their matched pairs and ``A``-tile nonzeros.
+
+    These are the tile-level product ``C' = A'B'`` (the paper's step 1):
+    ``matched`` is ``A'₁B'₁`` and ``matched_a_nnz`` is ``A'ₙB'₁``, where
+    ``A'₁``/``B'₁`` hold 1 per stored tile and ``A'ₙ`` each tile's
+    nonzero count.  ``A``'s tile rows go in blocks of at most
+    ``_PRODUCT_BLOCK_CELLS`` cells of the tile grid; each block is
+    multiplied densely (:func:`_product_block`) or, where its dense
+    product would cost too much (:func:`_use_tile_product`), its matched
+    pairs are expanded and counted like the filter's
+    (:func:`_count_block`).  Returns the tiles' rows and columns
+    (row-major ascending), ``matched``, ``matched_a_nnz`` and how they
+    were counted: ``"product"``, ``"expand"`` or ``"mixed"``.
+    """
+    ntc = max(b.num_tile_cols, 1)
+    rows_per_block = max(1, _PRODUCT_BLOCK_CELLS // ntc)
+    parts = []
+    took = set()
+    for i0 in range(0, a.num_tile_rows, rows_per_block):
+        i1 = min(i0 + rows_per_block, a.num_tile_rows)
+        num_matched = int(row_end[i1] - row_end[i0])
+        if num_matched == 0:
+            continue
+        part = _product_block(a, b, i0, i1, num_matched)
+        if part is not None:
+            took.add("product")
+            parts.append(part)
+            continue
+        took.add("expand")
+        for s0, s1 in _cut(row_end, i0, i1, _JOIN_BLOCK_PAIRS):
+            _, _, (tiles, blk_matched, blk_a_nnz) = _count_block(a, b, s0, s1)
+            tilerow, tilecol = np.divmod(tiles, ntc)
+            parts.append((tilerow + s0, tilecol, blk_matched, blk_a_nnz))
+    fields = [_cat([part[f] for part in parts]) for f in range(4)]
+    return (*fields, "mixed" if len(took) > 1 else next(iter(took), "expand"))
+
+
+def _product_block(a: TileMatrix, b: TileMatrix, i0: int, i1: int, num_matched: int):
+    """The counts of :func:`_count_tiles` for ``A``'s tile rows ``[i0, i1)`` by one ``matmul``.
+
+    The block is compressed to its own tile columns of ``A`` (``K``) and
+    the tile columns of ``B`` they reach (``J``), and ``[A'₁; A'ₙ] @ B'₁``
+    is taken over them.  Every summand is a small nonnegative integer and
+    every sum is below ``|K| · T²``, so any summation order is exact in
+    float32 below 2**24 (float64 otherwise): the bytes do not depend on
+    the BLAS build or its thread count.  Returns ``None`` when the rule
+    (:func:`_use_tile_product`) prefers expanding the block's
+    ``num_matched`` pairs.
+    """
+    T = a.tile_size
+    t0, t1 = a.tileptr[i0], a.tileptr[i1]
+    rows = i1 - i0
+    k_all, k_at = _distinct(a.tilecolidx[t0:t1], a.num_tile_cols)
+    k_len = np.diff(b.tileptr)[k_all]
+    b_tiles = concat_ranges(b.tileptr[k_all], k_len)
+    j_all, j_at = _distinct(b.tilecolidx[b_tiles], b.num_tile_cols)
+    if not _use_tile_product(rows, k_all.size, j_all.size, num_matched):
+        return None
+    dtype = np.float32 if k_all.size * T * T < _FLOAT32_EXACT else np.float64
+    tile_row = np.repeat(np.arange(rows, dtype=np.int64), np.diff(a.tileptr[i0:i1 + 1]))
+    lhs = np.zeros((2 * rows, k_all.size), dtype=dtype)
+    lhs[tile_row, k_at] = 1
+    lhs[tile_row + rows, k_at] = np.diff(a.tilennz[t0:t1 + 1])
+    rhs = np.zeros((k_all.size, j_all.size), dtype=dtype)
+    rhs[np.repeat(np.arange(k_all.size, dtype=np.int64), k_len), j_at] = 1
+    out = lhs @ rhs
+    tiles = out[:rows] != 0
+    row, col = np.nonzero(tiles)
+    matched, matched_a_nnz = out[:rows][tiles], out[rows:][tiles]
+    return row + i0, j_all[col], matched.astype(np.int64), matched_a_nnz.astype(np.int64)
+
+
+def _use_tile_product(rows: int, k: int, j: int, num_matched: int) -> bool:
+    """Whether a block of :func:`_count_tiles` takes the dense product.
+
+    The block has ``rows`` tile rows of ``A`` over ``k`` tile columns,
+    reaching ``j`` tile columns of ``B``.  Its ``rows · k · j``
+    multiply-adds must be at most ``_PRODUCT_MACS_PER_PAIR`` per matched
+    pair, and each dense operand at most ``_PRODUCT_BLOCK_CELLS`` cells.
+    """
+    return (max(rows, j) * k <= _PRODUCT_BLOCK_CELLS
+            and rows * k * j <= _PRODUCT_MACS_PER_PAIR * num_matched)
+
+
+def _distinct(values: np.ndarray, n: int):
+    """The distinct values of ``values`` (each in ``[0, n)``), ascending, and
+    each value's index among them.  A marker over ``[0, n)`` when
+    ``values`` is long enough to pay for it, else a sort."""
+    if 8 * values.size < n:
+        return np.unique(values, return_inverse=True)
+    mark = np.zeros(n, dtype=bool)
+    mark[values] = True
+    distinct = np.flatnonzero(mark)
+    index = np.empty(n, dtype=np.int64)
+    index[distinct] = np.arange(distinct.size, dtype=np.int64)
+    return distinct, index[values]
 
 
 def _held_ptr(held_keys: np.ndarray, tiles: np.ndarray, cells: int, counted: bool) -> np.ndarray:
@@ -384,13 +542,16 @@ def _b_row_list(b: TileMatrix) -> np.ndarray:
     return listed[_stable_argsort(row)]
 
 
-def _column_entries(a, b, blocks, c_keys, row_ptr, row_list, backend):
+def _column_entries(a, b, c_tilerow, c_tilecol, row_ptr, row_list, backend):
     """The column pass of :func:`live_join`: the live pairs and their entries.
 
-    ``blocks`` are the join's row blocks, ``c_keys`` the candidate tiles'
-    keys ``i * ntc + j``, ascending; ``row_ptr``/``row_list`` are ``B``'s
-    row index (:func:`_b_row_ptr`, :func:`_b_row_list`).  Returns ``pair_ptr``,
+    ``c_tilerow``/``c_tilecol`` are the candidate tiles, row-major
+    ascending; ``row_ptr``/``row_list`` are ``B``'s row index
+    (:func:`_b_row_ptr`, :func:`_b_row_list`).  Returns ``pair_ptr``,
     ``pair_a``, ``pair_b`` and the :class:`LiveEntries` of every pair.
+    Every array is allocated once, at its final size or (the pair arrays,
+    as no pair is without an entry) at the number of entries, and each
+    block writes its slice.
     """
     T = a.tile_size
     ntc = max(b.num_tile_cols, 1)
@@ -408,8 +569,18 @@ def _column_entries(a, b, blocks, c_keys, row_ptr, row_list, backend):
     first = np.zeros(a.nnz + 1, dtype=np.int64)
     np.cumsum(meet, out=first[1:])
     shift = row_ptr[rows] - first[:-1]
-    pair_ptr, pair_a, pair_b, a_idx, lens, entry_ptr = ([] for _ in range(6))
+    num_entries = int(first[-1])
+    a_idx = np.empty(num_entries, dtype=np.int64)
+    pair_of = np.empty(num_entries, dtype=np.int64)
+    lens = np.empty(num_entries, dtype=row_len.dtype)
+    pair_a = np.empty(num_entries, dtype=np.int64)
+    pair_b = np.empty(num_entries, dtype=np.int64)
+    entry_ptr = np.empty(num_entries + 1, dtype=np.int64)
+    pair_ptr = np.empty(c_tilerow.size + 1, dtype=np.int64)
+    c_rowptr = np.searchsorted(c_tilerow, np.arange(a.num_tile_rows + 1))
     held = 0
+    blocks = _cut(first[a.tilennz[a.tileptr]], 0, a.num_tile_rows, _COLUMN_BLOCK_ENTRIES,
+                  max(1, _RADIX_KEYS // ntc))
     for i0, i1 in blocks:
         n0, n1 = a.tilennz[a.tileptr[i0]], a.tilennz[a.tileptr[i1]]
         e0, e1 = first[n0], first[n1]
@@ -420,33 +591,35 @@ def _column_entries(a, b, blocks, c_keys, row_ptr, row_list, backend):
         key -= i0 * ntc
         key += row_col[at]
         order = _stable_argsort(key)
-        key, at, src = key[order], at[order], src[order]
+        key, at = key[order], at[order]
+        # The indices are in range; mode="clip" spares np.take buffering ``out``.
+        np.take(src, order, out=a_idx[e0:e1], mode="clip")
+        np.take(row_len, at, out=lens[e0:e1], mode="clip")
         tile_b = row_tile[at]
         new = np.empty(key.size, dtype=bool)
         new[:1] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
         new[1:] |= tile_b[1:] != tile_b[:-1]
-        starts = np.flatnonzero(new)  # a pair is a run of equal (C tile, B tile)
-        lo, hi = np.searchsorted(c_keys, (i0 * ntc, i1 * ntc))
+        np.cumsum(new, out=pair_of[e0:e1])  # a pair is a run of equal (C tile, B tile)
+        pair_of[e0:e1] += held - 1
+        starts = np.flatnonzero(new)
+        h1 = held + starts.size
+        lo, hi = c_rowptr[i0], c_rowptr[i1]
+        tiles = (c_tilerow[lo:hi] - i0) * ntc + c_tilecol[lo:hi]
         cells = (i1 - i0) * ntc
         counted = cells <= _COUNT_CELLS_PER_PAIR * starts.size
-        pair_ptr.append(_held_ptr(key[starts], c_keys[lo:hi] - i0 * ntc, cells, counted) + held)
-        pair_a.append(nz_tile[src[starts]])
-        pair_b.append(tile_b[starts])
-        a_idx.append(src)
-        lens.append(row_len[at])
-        entry_ptr.append(starts + e0)
-        held += starts.size
-    num_entries = int(first[-1])
-    pair_ptr.append([held])
-    entry_ptr.append([num_entries])
-    entry_ptr = _cat(entry_ptr)
-    lens = np.concatenate(lens) if lens else row_len[:0]
+        pair_ptr[lo:hi] = _held_ptr(key[starts], tiles, cells, counted) + held
+        np.take(nz_tile, a_idx[e0:e1][starts], out=pair_a[held:h1], mode="clip")
+        np.take(tile_b, starts, out=pair_b[held:h1], mode="clip")
+        np.add(starts, e0, out=entry_ptr[held:h1])
+        held = h1
+    pair_ptr[-1] = held
+    entry_ptr[held] = num_entries
+    entry_ptr = entry_ptr[:held + 1]
     entry_csum = np.zeros(num_entries + 1, dtype=np.int64)
     np.cumsum(lens, dtype=np.int64, out=entry_csum[1:])
-    entries = LiveEntries(_cat(a_idx), segment_ids(np.diff(entry_ptr)), lens, entry_ptr,
-                          entry_csum[entry_ptr])
-    return _cat(pair_ptr), _cat(pair_a), _cat(pair_b), entries
+    entries = LiveEntries(a_idx, pair_of, lens, entry_ptr, entry_csum[entry_ptr])
+    return pair_ptr, pair_a[:held], pair_b[:held], entries
 
 
 def _check_grids(a: TileMatrix, b: TileMatrix) -> None:
@@ -457,26 +630,32 @@ def _check_grids(a: TileMatrix, b: TileMatrix) -> None:
         )
 
 
-def _row_blocks(a: TileMatrix, b: TileMatrix):
-    """``(i0, i1)`` ranges of ``A``'s tile rows with about ``_JOIN_BLOCK_PAIRS`` pairs each,
-    and the number of matched pairs."""
+def _matched_row_end(a: TileMatrix, b: TileMatrix) -> np.ndarray:
+    """The matched pairs of ``A``'s tile rows before each row (``num_tile_rows + 1``)."""
     pair_end = np.zeros(a.num_tiles + 1, dtype=np.int64)
     np.cumsum(np.diff(b.tileptr)[a.tilecolidx], out=pair_end[1:])
-    row_end = pair_end[a.tileptr]  # pairs of the tile rows before each row
-    total = int(row_end[-1])
-    cuts = np.searchsorted(row_end, np.arange(_JOIN_BLOCK_PAIRS, total, _JOIN_BLOCK_PAIRS))
-    bounds = sorted({0, a.num_tile_rows, *cuts.tolist()})
-    return list(zip(bounds[:-1], bounds[1:])), total
+    return pair_end[a.tileptr]
+
+
+def _cut(ends: np.ndarray, i0: int, i1: int, size: int, max_rows: int = 0):
+    """``(r0, r1)`` ranges covering rows ``[i0, i1)`` with about ``size`` items
+    each (whole rows, at least one) and, if ``max_rows``, at most that many
+    rows; ``ends[i]`` counts the items before row ``i``."""
+    cuts = np.searchsorted(ends, np.arange(ends[i0] + size, ends[i1], size))
+    bounds = sorted({i0, i1, *cuts.tolist(), *range(i0, i1, max_rows or i1 - i0 + 1)})
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _stable_argsort(key: np.ndarray) -> np.ndarray:
     """``np.argsort(key, kind="stable")``; keys below 2**16 take numpy's radix sort."""
-    if key.size and key.max() < 1 << 16:
+    if key.size and key.max() < _RADIX_KEYS:
         key = key.astype(np.uint16)
     return np.argsort(key, kind="stable")
 
 
 def _cat(parts) -> np.ndarray:
+    if len(parts) == 1:
+        return np.asarray(parts[0], dtype=np.int64)
     return np.concatenate(parts).astype(np.int64, copy=False) if parts else np.empty(0, np.int64)
 
 

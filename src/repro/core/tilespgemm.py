@@ -9,10 +9,14 @@
    2 and 3; the statistics (``pairs_per_tile``, ``tile_flops_step1``,
    ``symbolic_ops``) still count every matched pair.  It finds the live
    pairs by filtering the matched ones or, when that expands less,
-   through a row index of ``B``; the second pass also lists the pairs'
-   live entries, which steps 2 and 3 then take as they are (unless a
-   mask dropped pairs).  The ``step1`` span's ``join`` attribute names
-   the pass.  The paper's NSPARSE hash kernel and per-tile intersection are
+   through a row index of ``B``; the second pass counts the candidate
+   tiles as the tile-level product ``A'B'`` (an exact dense ``matmul``
+   where that is cheap, else by expanding the matched pairs) and also
+   lists the pairs' live entries, which steps 2 and 3 then take as they
+   are (unless a mask dropped pairs).  The ``step1`` span's ``join``
+   attribute names the pass and its ``count`` attribute the count
+   (``"product"``, ``"expand"`` or ``"mixed"``).  The paper's NSPARSE
+   hash kernel and per-tile intersection are
    reference kernels the tests check the reference join
    (:func:`~repro.core.pairs.enumerate_pairs_expand`) against:
    :mod:`repro.core.step1`, :mod:`repro.core.pairs`;
@@ -48,7 +52,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.pairs import TilePairs, live_join
+from repro.core.pairs import TilePairs, _join
 from repro.core.step2 import SymbolicResult, step2_entries, step2_symbolic
 from repro.core.step3 import NumericResult, default_tnnz, paper_accumulator, step3_numeric
 from repro.core.tile_matrix import TILE, TileMatrix, mask_dtype_for
@@ -247,8 +251,9 @@ def _tile_spgemm(
         # The tile-pair join finds C's layout; steps 2 and 3 keep its live pairs.
         enter("step1")
         with timer.phase("step1") as step1:
-            joined, entries = live_join(a, b, kernels)
+            joined, entries, count = _join(a, b, kernels)
             step1["join"] = "filter" if entries is None else "column"
+            step1["count"] = count
             tile_flops_step1 = int(joined.matched.sum())
             pairs, mask_rows = joined, None
             if mask is not None:

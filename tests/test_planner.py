@@ -123,6 +123,22 @@ class TestVectorisedSample:
         a = get_matrix(name)
         self._check(a, a)
 
+    @pytest.mark.parametrize("name", sorted(CORPUS) + list(BENCH_MATRICES[:3]))
+    def test_marker_and_sort_count_the_same_keys(self, name, monkeypatch):
+        import repro.analysis.estimate as estimate
+
+        if name in CORPUS:
+            a, b = CORPUS[name].a, CORPUS[name].b
+        else:
+            a = b = get_matrix(name)
+        ests = []
+        for cells in (1 << 62, 0):  # the marker always, never
+            monkeypatch.setattr(estimate, "_MARKER_MAX_CELLS", cells)
+            ests.append(estimate_multiply(a, b))
+        marker, sort = ests
+        assert marker.to_dict() == sort.to_dict()
+        assert marker.tile_row_products.tobytes() == sort.tile_row_products.tobytes()
+
     def test_a_times_a_reuses_one_view(self, monkeypatch):
         import repro.analysis.estimate as estimate
 
