@@ -92,7 +92,11 @@ _JOIN_BLOCK_PAIRS: int = 1 << 16
 _COUNT_CELLS_PER_PAIR: int = 4
 
 #: The column pass's count multiplies ``A``'s tile rows in blocks of at
-#: most this many cells of the tile grid (rows x tile columns of ``B``).
+#: most this many cells of the tile grid (rows x tile columns of ``B``)
+#: while such blocks hold on average ``_JOIN_BLOCK_PAIRS / 16`` matched
+#: pairs or more (:func:`_cap_rows`); on a wider, sparser grid it cuts
+#: blocks of ``_JOIN_BLOCK_PAIRS`` matched pairs instead, so it never
+#: takes a block per tile row.
 _PRODUCT_BLOCK_CELLS: int = 1 << 20
 
 #: A block of the column pass's count takes the dense product when it
@@ -110,9 +114,12 @@ _FLOAT32_EXACT: int = 1 << 24
 #: Live entries the column pass lists at a time (whole tile rows of ``A``),
 #: over at most ``_RADIX_KEYS`` cells of the tile grid, so that its keys
 #: take numpy's radix sort.  With that cap, 2**14 to 2**20 tied on the
-#: symbolic-bound benchmark matrices; without it, blocks of 2**18 entries
-#: made cop20k_A's column pass 2x slower.  The join's 64k-pair blocks gave
-#: it 133 blocks of ~6k entries.
+#: symbolic-bound benchmark matrices (grids of 407-688 tile columns);
+#: without it, blocks of 2**18 entries made cop20k_A's column pass 2x
+#: slower.  The join's 64k-pair blocks gave it 133 blocks of ~6k entries.
+#: The cap holds only while capped blocks average ``1/16`` of this many
+#: entries (:func:`_cap_rows`); on a grid 62,500 tile columns wide it
+#: would make a block of each tile row.
 _COLUMN_BLOCK_ENTRIES: int = 1 << 16
 
 #: Sort keys below this take numpy's radix sort (:func:`_stable_argsort`).
@@ -382,20 +389,21 @@ def _count_tiles(a: TileMatrix, b: TileMatrix, row_end: np.ndarray):
     ``matched`` is ``A'₁B'₁`` and ``matched_a_nnz`` is ``A'ₙB'₁``, where
     ``A'₁``/``B'₁`` hold 1 per stored tile and ``A'ₙ`` each tile's
     nonzero count.  ``A``'s tile rows go in blocks of at most
-    ``_PRODUCT_BLOCK_CELLS`` cells of the tile grid; each block is
-    multiplied densely (:func:`_product_block`) or, where its dense
-    product would cost too much (:func:`_use_tile_product`), its matched
-    pairs are expanded and counted like the filter's
+    ``_PRODUCT_BLOCK_CELLS`` cells of the tile grid (on a wide, sparse
+    grid, of ``_JOIN_BLOCK_PAIRS`` matched pairs: :func:`_cap_rows`);
+    each block is multiplied densely (:func:`_product_block`) or, where
+    its dense product would cost too much (:func:`_use_tile_product`),
+    its matched pairs are expanded and counted like the filter's
     (:func:`_count_block`).  Returns the tiles' rows and columns
     (row-major ascending), ``matched``, ``matched_a_nnz`` and how they
     were counted: ``"product"``, ``"expand"`` or ``"mixed"``.
     """
     ntc = max(b.num_tile_cols, 1)
-    rows_per_block = max(1, _PRODUCT_BLOCK_CELLS // ntc)
+    max_rows = _cap_rows(row_end, ntc, _PRODUCT_BLOCK_CELLS, _JOIN_BLOCK_PAIRS // 16)
     parts = []
     took = set()
-    for i0 in range(0, a.num_tile_rows, rows_per_block):
-        i1 = min(i0 + rows_per_block, a.num_tile_rows)
+    for i0, i1 in _cut(row_end, 0, a.num_tile_rows, 0 if max_rows else _JOIN_BLOCK_PAIRS,
+                       max_rows):
         num_matched = int(row_end[i1] - row_end[i0])
         if num_matched == 0:
             continue
@@ -428,10 +436,13 @@ def _product_block(a: TileMatrix, b: TileMatrix, i0: int, i1: int, num_matched: 
     T = a.tile_size
     t0, t1 = a.tileptr[i0], a.tileptr[i1]
     rows = i1 - i0
-    k_all, k_at = _distinct(a.tilecolidx[t0:t1], a.num_tile_cols)
+    k_all, k_at = np.unique(a.tilecolidx[t0:t1], return_inverse=True)
     k_len = np.diff(b.tileptr)[k_all]
+    # |J| is at least the longest B tile row met, and the rule only tightens as |J| grows.
+    if not _use_tile_product(rows, k_all.size, int(k_len.max(initial=0)), num_matched):
+        return None
     b_tiles = concat_ranges(b.tileptr[k_all], k_len)
-    j_all, j_at = _distinct(b.tilecolidx[b_tiles], b.num_tile_cols)
+    j_all, j_at = np.unique(b.tilecolidx[b_tiles], return_inverse=True)
     if not _use_tile_product(rows, k_all.size, j_all.size, num_matched):
         return None
     dtype = np.float32 if k_all.size * T * T < _FLOAT32_EXACT else np.float64
@@ -458,20 +469,6 @@ def _use_tile_product(rows: int, k: int, j: int, num_matched: int) -> bool:
     """
     return (max(rows, j) * k <= _PRODUCT_BLOCK_CELLS
             and rows * k * j <= _PRODUCT_MACS_PER_PAIR * num_matched)
-
-
-def _distinct(values: np.ndarray, n: int):
-    """The distinct values of ``values`` (each in ``[0, n)``), ascending, and
-    each value's index among them.  A marker over ``[0, n)`` when
-    ``values`` is long enough to pay for it, else a sort."""
-    if 8 * values.size < n:
-        return np.unique(values, return_inverse=True)
-    mark = np.zeros(n, dtype=bool)
-    mark[values] = True
-    distinct = np.flatnonzero(mark)
-    index = np.empty(n, dtype=np.int64)
-    index[distinct] = np.arange(distinct.size, dtype=np.int64)
-    return distinct, index[values]
 
 
 def _held_ptr(held_keys: np.ndarray, tiles: np.ndarray, cells: int, counted: bool) -> np.ndarray:
@@ -579,9 +576,9 @@ def _column_entries(a, b, c_tilerow, c_tilecol, row_ptr, row_list, backend):
     pair_ptr = np.empty(c_tilerow.size + 1, dtype=np.int64)
     c_rowptr = np.searchsorted(c_tilerow, np.arange(a.num_tile_rows + 1))
     held = 0
-    blocks = _cut(first[a.tilennz[a.tileptr]], 0, a.num_tile_rows, _COLUMN_BLOCK_ENTRIES,
-                  max(1, _RADIX_KEYS // ntc))
-    for i0, i1 in blocks:
+    ends = first[a.tilennz[a.tileptr]]
+    max_rows = _cap_rows(ends, ntc, _RADIX_KEYS, _COLUMN_BLOCK_ENTRIES // 16)
+    for i0, i1 in _cut(ends, 0, a.num_tile_rows, _COLUMN_BLOCK_ENTRIES, max_rows):
         n0, n1 = a.tilennz[a.tileptr[i0]], a.tilennz[a.tileptr[i1]]
         e0, e1 = first[n0], first[n1]
         src = np.repeat(np.arange(n0, n1, dtype=np.int64), meet[n0:n1])
@@ -615,11 +612,13 @@ def _column_entries(a, b, c_tilerow, c_tilecol, row_ptr, row_list, backend):
         held = h1
     pair_ptr[-1] = held
     entry_ptr[held] = num_entries
-    entry_ptr = entry_ptr[:held + 1]
+    pair_a, pair_b, entry_ptr = pair_a[:held], pair_b[:held], entry_ptr[:held + 1]
+    if 2 * held < num_entries:  # don't keep entry-sized buffers alive for the pairs
+        pair_a, pair_b, entry_ptr = pair_a.copy(), pair_b.copy(), entry_ptr.copy()
     entry_csum = np.zeros(num_entries + 1, dtype=np.int64)
     np.cumsum(lens, dtype=np.int64, out=entry_csum[1:])
     entries = LiveEntries(a_idx, pair_of, lens, entry_ptr, entry_csum[entry_ptr])
-    return pair_ptr, pair_a[:held], pair_b[:held], entries
+    return pair_ptr, pair_a, pair_b, entries
 
 
 def _check_grids(a: TileMatrix, b: TileMatrix) -> None:
@@ -639,11 +638,28 @@ def _matched_row_end(a: TileMatrix, b: TileMatrix) -> np.ndarray:
 
 def _cut(ends: np.ndarray, i0: int, i1: int, size: int, max_rows: int = 0):
     """``(r0, r1)`` ranges covering rows ``[i0, i1)`` with about ``size`` items
-    each (whole rows, at least one) and, if ``max_rows``, at most that many
-    rows; ``ends[i]`` counts the items before row ``i``."""
-    cuts = np.searchsorted(ends, np.arange(ends[i0] + size, ends[i1], size))
-    bounds = sorted({i0, i1, *cuts.tolist(), *range(i0, i1, max_rows or i1 - i0 + 1)})
+    each, if ``size`` (whole rows, at least one), and at most ``max_rows``
+    rows, if ``max_rows``; ``ends[i]`` counts the items before row ``i``."""
+    cuts = []
+    if size:
+        cuts = np.searchsorted(ends, np.arange(ends[i0] + size, ends[i1], size)).tolist()
+    bounds = sorted({i0, i1, *cuts, *range(i0, i1, max_rows or i1 - i0 + 1)})
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _cap_rows(ends: np.ndarray, num_cols: int, cells: int, floor: int) -> int:
+    """The most rows of a grid ``num_cols`` wide that fit in ``cells`` cells,
+    or 0 (no cap) when blocks of that many rows would hold on average fewer
+    than ``floor`` items (``ends[i]`` counts the items before row ``i``).
+
+    On a wide, sparse grid a cap of a few rows would make about one block per
+    row; with the floor, capped blocks number at most ``ends[-1] / floor``.
+    Capped unconditionally, both of :func:`live_join`'s column-path cuts
+    took a hypersparse 1M x 1M operand (62,500 tile columns) 3x longer
+    than expanding its matched pairs.
+    """
+    rows = cells // num_cols
+    return rows if rows and rows * int(ends[-1]) >= floor * (ends.size - 1) else 0
 
 
 def _stable_argsort(key: np.ndarray) -> np.ndarray:

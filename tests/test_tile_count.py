@@ -20,7 +20,7 @@ import pytest
 
 import repro.core.pairs as pairs_module
 from repro.core import TileMatrix, masked_tile_spgemm, tile_spgemm
-from repro.core.pairs import _join
+from repro.core.pairs import _join, live_entries, live_join
 from repro.formats.csr import CSRMatrix
 from repro.matrices import generators as gen
 from repro.obs import Tracer, obs_context
@@ -35,12 +35,13 @@ _NAMES = sorted(CORPUS) + ["hypersparse", "random", "permuted_band", "heavy"]
 
 #: How the column pass counts: the dense product, in float32 or (past a
 #: patched exactness bound) float64; the expansion; and one block each
-#: way in turn, over row blocks of a 64-cell grid.
+#: way in turn, over row blocks of 64 grid cells or (on a grid wider than
+#: 64 tile columns) of 64 matched pairs.
 _COUNTS = {
     "product": {"_use_tile_product": lambda *args: True},
     "product_f64": {"_use_tile_product": lambda *args: True, "_FLOAT32_EXACT": 0},
     "expand": {"_use_tile_product": lambda *args: False},
-    "mixed": {"_PRODUCT_BLOCK_CELLS": 64},
+    "mixed": {"_PRODUCT_BLOCK_CELLS": 64, "_JOIN_BLOCK_PAIRS": 64},
 }
 
 
@@ -66,7 +67,10 @@ def _force(monkeypatch, count: str) -> None:
         monkeypatch.setattr(pairs_module, attr, value)
     if count == "mixed":
         turn = itertools.cycle((True, False))
-        monkeypatch.setattr(pairs_module, "_use_tile_product", lambda *args: next(turn))
+        product = pairs_module._product_block
+        monkeypatch.setattr(pairs_module, "_use_tile_product", lambda *args: True)
+        monkeypatch.setattr(pairs_module, "_product_block",
+                            lambda *args: product(*args) if next(turn) else None)
 
 
 def _join_with(count: str, a, b, monkeypatch):
@@ -172,12 +176,42 @@ def test_two_workers_match_serial(name, count, monkeypatch):
     assert tile_digest(par.c) == tile_digest(serial.c)
 
 
-@pytest.mark.parametrize("n,size", [(1000, 20), (50, 3), (50, 400), (64, 8)])
-def test_distinct_by_sort_and_by_marker(n, size):
-    """Both ways of compressing a block's tile columns (a sort when the
-    block is short against the grid, else a marker) give ``np.unique``'s."""
-    values = np.random.default_rng(n + size).integers(0, n, size)
-    distinct, index = pairs_module._distinct(values, n)
-    want, want_index = np.unique(values, return_inverse=True)
-    assert distinct.dtype == index.dtype == np.int64
-    assert np.array_equal(distinct, want) and np.array_equal(index, want_index)
+def _wide():
+    """Hypersparse operands 25,000 tile columns wide: capped at 2**20
+    (2**16) grid cells, the count's (the column pass's) blocks would be
+    41 (2) tile rows of a few dozen matched pairs (live entries) each."""
+    a = TileMatrix.from_coo(gen.hypersparse(400_000, 0.25, seed=1))
+    b = TileMatrix.from_coo(gen.hypersparse(400_000, 0.25, seed=2))
+    return a, b
+
+
+def test_a_wide_sparse_grid_is_cut_by_its_items_not_per_row(monkeypatch):
+    a, b = _wide()
+    cuts = []
+    cut = pairs_module._cut
+    with monkeypatch.context() as m:
+        m.setattr(pairs_module, "_cut", lambda *args: cuts.append(cut(*args)) or cuts[-1])
+        pairs, entries, took = _join(a, b)
+    assert took == "expand" and entries is not None  # the column pass, by the rule
+    assert 0 < max(map(len, cuts)) <= 10  # of 25,000 tile rows
+    with monkeypatch.context() as m:
+        m.setattr(pairs_module, "_use_column_join", lambda num_matched, num_entries: False)
+        want, _ = live_join(a, b)
+    _assert_same(pairs, want, "pairs")
+    _assert_same(entries, live_entries(a, b, want), "entries")
+
+
+@pytest.mark.parametrize("num_cols,per_row,want",
+                         [(1000, 256, 16), (1000, 255, 0), (20000, 1 << 20, 0)])
+def test_rows_are_capped_only_while_blocks_keep_a_floor(num_cols, per_row, want):
+    ends = np.arange(101, dtype=np.int64) * per_row
+    assert pairs_module._cap_rows(ends, num_cols, 16000, 4096) == want
+
+
+def test_pairs_keep_no_entry_sized_buffers(monkeypatch):
+    a, b = _banded()  # many live entries per pair
+    monkeypatch.setattr(pairs_module, "_use_column_join", lambda num_matched, num_entries: True)
+    pairs, entries, _ = _join(a, b)
+    assert 2 * pairs.num_pairs < entries.a_idx.size
+    for held in (pairs.pair_a, pairs.pair_b, entries.entry_ptr):
+        assert held.base is None
