@@ -12,19 +12,21 @@ Three joins give the same candidate tiles and per-tile statistics:
 * :func:`live_join` — the driver's join
   (:func:`repro.core.tilespgemm.tile_spgemm` runs it as step 1 and keeps
   its pairs for steps 2 and 3; :func:`enumerate_live_pairs` returns its
-  pairs alone).  It finds the live pairs by whichever of two passes
-  expands less.  The *filter* expands every ``A`` tile ``A_ik`` against
-  ``B``'s tile row ``k``, counts the candidate tiles and their matched
-  pairs with a ``bincount`` over the tile grid, without a sort, tests
-  every matched pair and stable-sorts only the live ones.  The *column*
+  pairs alone).  It finds the live pairs by one of two passes, the
+  column pass where it lists fewer than ``_COLUMN_ENTRIES_PER_PAIR``
+  live entries per matched pair.  The *filter* expands every ``A`` tile
+  ``A_ik`` against ``B``'s tile row ``k``, counts the candidate tiles
+  and their matched pairs with a ``bincount`` over the tile grid,
+  without a sort, tests every matched pair and stable-sorts only the
+  live ones.  The *column*
   pass expands no pair: it counts the candidate tiles as the tile-level
   product ``A'B'`` itself, a dense ``matmul`` that is exact on these
   small integer counts (the move of Zachariadis et al., arXiv
   2009.14600, onto dense GEMM), where that is cheap.  It then indexes
   ``B`` by global row and expands each ``A`` nonzero over the ``B``
   tiles whose matching row is nonempty: every such meeting is a live
-  entry, so it yields the live pairs and their live entries at once, and
-  step 2 need not expand them again.  That is the compressed-``B``
+  entry, so it yields the live pairs and their live entries at once,
+  which steps 2 and 3 then read.  That is the compressed-``B``
   symbolic phase of KKMEM (Deveci et al., arXiv 1801.03065) at tile
   granularity.  On sparse products most pairs are dead (91-92 % on the
   end-to-end benchmark's symbolic-bound matrices) and the column pass
@@ -49,12 +51,11 @@ statistics over *all* matched pairs: the intersection lengths
 count ``matched_a_nnz``; the GPU cost model reads them.
 :func:`live_entries` expands a subset of the held pairs into the list of
 their ``A`` nonzeros that meet a nonempty ``B`` row.  On the filter path
-it serves only the pairs that need per-entry work: step 2's entry-path
-pairs (sparse ``A`` tiles; dense ones OR packed bit rows instead, see
-:mod:`repro.core.step2`) and the pairs of step 3's scatter-path tiles.
-The column pass's list covers every pair; steps 2 and 3 take it as
-step 2's would be, and step 3 expands its scatter tiles again only when
-some tiles take the dense path.
+it serves only the pairs of step 3's scatter-path tiles, once per
+multiply: step 2 ORs every pair on packed bit rows there (see
+:mod:`repro.core.step2`).  The column pass's list covers every pair;
+step 2 ORs it entry by entry, and step 3 takes it as it is, expanding
+its scatter tiles again only when some tiles take the dense path.
 """
 
 from __future__ import annotations
@@ -121,6 +122,23 @@ _FLOAT32_EXACT: int = 1 << 24
 #: entries (:func:`_cap_rows`); on a grid 62,500 tile columns wide it
 #: would make a block of each tile row.
 _COLUMN_BLOCK_ENTRIES: int = 1 << 16
+
+#: :func:`live_join` takes the column pass below this many live entries
+#: per matched pair.  After the filter, step 2 ORs every pair on packed
+#: bit rows (~0.4 us a pair whatever its tile holds) and step 3 lists
+#: its scatter tiles' entries; the column pass lists every entry once
+#: for both steps.  Timing whole multiplies on sparse bands and random
+#: matrices (one core of a 2-vCPU VM, alternating processes), the
+#: column join was faster up to 9.2 entries per pair (``banded(4000,
+#: 40, fill=0.08)`` at 8.6: 25 vs 29 ms; ``random_uniform(1000, 60)`` at
+#: 9.0: 402 vs 452 ms), the two were within 10 % from 13 to 19, and the
+#: filter was ahead on bands from 17 up (``banded(4000, 20,
+#: fill=0.2)``: 33 vs 38 ms).
+#: The cut sits just above the last clear column win, so that the
+#: corpus products of 10-30 entries per pair keep exercising the
+#: filter; the end-to-end benchmark's operands sit at 0.08-0.15 and
+#: 38-210, far from it.
+_COLUMN_ENTRIES_PER_PAIR: float = 9.5
 
 #: Sort keys below this take numpy's radix sort (:func:`_stable_argsort`).
 _RADIX_KEYS: int = 1 << 16
@@ -268,7 +286,7 @@ def live_join(
     """The driver's join: the candidate tiles, their live pairs and maybe their live entries.
 
     The pairs are :func:`enumerate_live_pairs`'s.  They come from one of
-    two passes, whichever expands less (:func:`_use_column_join`):
+    two passes, picked by :func:`_use_column_join`:
 
     * **filter** — expand every matched pair, ``_JOIN_BLOCK_PAIRS`` at a
       time over whole tile rows of ``A`` (their keys ascend by tile row,
@@ -278,7 +296,8 @@ def live_join(
       ``_COUNT_CELLS_PER_PAIR``, sorts and groups them like the
       reference), then tests every pair for liveness and stable-sorts the
       live ones (a radix sort when the block spans at most 2**16 cells).
-      Returns no entries: step 2 expands the ones it needs.
+      Returns no entries: step 2 then ORs packed bit rows, and step 3
+      lists the entries of its scatter tiles.
     * **column** — count the candidate tiles without expanding a pair
       (:func:`_count_tiles`: the tile-level product ``A'B'`` as one dense
       ``matmul`` per row block where that is cheap; traced as the
@@ -314,7 +333,8 @@ def _join(a: TileMatrix, b: TileMatrix, backend=None):
     row_end = _matched_row_end(a, b)
     num_matched = int(row_end[-1])
     row_ptr = _b_row_ptr(b)
-    if not _use_column_join(num_matched, _count_entries(a, row_ptr, num_matched)):
+    num_entries = _count_entries(a, row_ptr, _COLUMN_ENTRIES_PER_PAIR * num_matched)
+    if not _use_column_join(num_matched, num_entries):
         return _filter_join(a, b, row_end), None, "expand"
     tracer = current_obs().tracer
     with tracer.span("step1.count", cat="substep"):
@@ -485,18 +505,18 @@ def _held_ptr(held_keys: np.ndarray, tiles: np.ndarray, cells: int, counted: boo
 
 
 def _use_column_join(num_matched: int, num_entries: int) -> bool:
-    """Whether :func:`live_join` takes the column pass: the entries it
-    makes are fewer than the matched pairs the filter tests."""
-    return num_entries < num_matched
+    """Whether :func:`live_join` takes the column pass: it lists fewer
+    than ``_COLUMN_ENTRIES_PER_PAIR`` live entries per matched pair."""
+    return num_entries < _COLUMN_ENTRIES_PER_PAIR * num_matched
 
 
-def _count_entries(a: TileMatrix, row_ptr: np.ndarray, stop: int) -> int:
+def _count_entries(a: TileMatrix, row_ptr: np.ndarray, stop: float) -> int:
     """The column pass's entries: per ``A`` nonzero, the ``B`` tiles listed for its global row.
 
     Summed over runs of ``A`` tiles that double in length from 64,
-    stopping once the count reaches ``stop``: where each nonzero meets
-    several tiles, as on every product that takes the filter in the
-    end-to-end benchmark, the first run decides the rule.
+    stopping once the count reaches ``stop`` (the rule's cut): on the
+    products that take the filter in the end-to-end benchmark, that
+    costs 0.1-0.3 ms.
     """
     T = a.tile_size
     a_nnz = a.tile_nnz_counts()
@@ -747,9 +767,6 @@ class LiveEntries:
     row_len: np.ndarray  # its B row's length (uint8): the products it makes
     entry_ptr: np.ndarray  # pair p owns entries [entry_ptr[p], entry_ptr[p + 1])
     csum: np.ndarray  # cumulative products per pair (num_pairs + 1, leading 0)
-    #: the pairs that were expanded (bool per pair), ``None`` for every pair;
-    #: the others read as dead
-    select: Optional[np.ndarray] = None
 
 
 def live_entries(
@@ -793,4 +810,4 @@ def live_entries(
     pair_of = np.repeat(chosen, entry_ptr[chosen + 1])
     np.cumsum(entry_ptr, out=entry_ptr)
     np.cumsum(csum, out=csum)
-    return LiveEntries(a_idx[live], pair_of, row_len, entry_ptr, csum, select)
+    return LiveEntries(a_idx[live], pair_of, row_len, entry_ptr, csum)

@@ -12,44 +12,40 @@ are not computed; the driver fills them in as zeros.
 
 The kernel is the paper's Figure 5: row ``r`` of a ``C`` tile is the OR of
 the ``B``-tile rows ``c`` over every pair's ``A``-tile nonzeros ``(r, c)``.
-The CPU runs it on one of two exact paths per pair.  When step 1 took
-its column pass (:func:`repro.core.pairs.live_join`), it already listed
-every pair's live entries, and every pair takes the entry path on that
-list.  Otherwise the path is chosen by the nonzero count of the pair's
-``A`` tile:
+The CPU runs it on one of two exact paths, picked once per multiply by
+what step 1 handed over (:func:`repro.core.pairs.live_join`), as KKMEM
+picks its symbolic representation once per multiply (Deveci et al.,
+arXiv 1801.03065):
 
-* **entry** — for ``A`` tiles below ``PACKED_MIN_NNZ`` nonzeros: the
-  pairs' live entries (:func:`repro.core.pairs.live_entries`, built by
-  :func:`step2_entries`) each OR one ``B`` row into one ``C`` row through
-  ``KernelSet.mask_or_into`` (the CUDA ``AtomicOr``).  An OR with an empty
-  ``B`` row is a no-op, so only live entries are ORed.  A pair's products
-  are the summed lengths of its entries' ``B`` rows.
-* **packed** — for the denser ``A`` tiles: row ``r`` of the pair's product
-  mask is the OR of ``B.mask[c]`` over the set bits ``c`` of
-  ``A.mask[r]``, one 16x16 select-and-OR per pair, ``PACKED_GROUP_PAIRS``
-  pairs at a time; ``np.bitwise_or.reduceat`` then folds each ``C`` tile's
-  pairs.  A pair's products are the dot product of its ``A`` tile's column
-  counts and its ``B`` tile's row lengths.  No per-entry list is built.
+* **entry** — when step 1 took its column pass, it already listed every
+  pair's live entries (:class:`~repro.core.pairs.LiveEntries`).  Each
+  entry ORs one ``B`` row into one ``C`` row through
+  ``KernelSet.mask_or_into`` (the CUDA ``AtomicOr``).  An OR with an
+  empty ``B`` row is a no-op, so only live entries are ORed.  A pair's
+  products are the summed lengths of its entries' ``B`` rows.
+* **packed** — otherwise (``live=None``), for every pair: row ``r`` of
+  the pair's product mask is the OR of ``B.mask[c]`` over the set bits
+  ``c`` of ``A.mask[r]``, one 16x16 select-and-OR per pair,
+  ``PACKED_GROUP_PAIRS`` pairs at a time; ``np.bitwise_or.reduceat`` then
+  folds each ``C`` tile's pairs.  A pair's products are the dot product
+  of its ``A`` tile's column counts and its ``B`` tile's row lengths.  No
+  per-entry list is built.
 
-A packed pair costs ~0.4 us whatever its tile holds; an entry-path pair
-costs ~0.07 us per live entry, expansion plus OR (one core of a 2-vCPU
-VM).  The threshold was swept over the twelve batch matrices of the
-end-to-end benchmark, timing steps 2 and 3: 16 and 32 tie on the
-numeric-bound and planned-parallel matrices, and 64 leaves their
-32-63-nonzero tiles on the slower entry path.  At 16, ``cop20k_A``'s
-16-31-nonzero tiles take the packed path; its tiles are all scatter
-tiles, so step 3 then expands every live pair again (step 3
-264 -> 719 ms).  Hence 32.
+A packed pair costs ~0.4 us whatever its tile holds (one core of a
+2-vCPU VM).  Step 1 takes the filter, and so this path, only where the
+pairs are few next to the entries (``_COLUMN_ENTRIES_PER_PAIR`` in
+:mod:`repro.core.pairs`), so step 2 never lists entries itself: on the
+filter path, the only list is step 3's, of its scatter tiles' pairs.
 
 OR is idempotent and commutative and product counts are integer sums, so
-both paths give the same bytes whatever pairs take them.  ``symbolic_ops``
+both paths give the same bytes.  ``symbolic_ops``
 is the paper's mask-OR count, one per (matched pair, ``A``-tile nonzero),
 read from the join's per-tile ``matched_a_nnz``: it counts the dead pairs
 the driver's join dropped, which OR nothing.  The per-tile
 row pointers then fall out of mask popcounts plus a prefix scan, as in
-the paper.  The ambient tracer gets the sub-phases as spans:
-``step2.expand`` (the entry path's list, on the filter path only) and
-``step2.pairs`` (the packed path, attribute ``pairs``).
+the paper.  The ambient tracer gets the packed path as the
+``step2.pairs`` span (attribute ``pairs``); the entry path has no span
+of its own.
 
 The masks' working state is bounded by ``tile_size`` mask words per live
 candidate tile plus one pair group — the Python analogue of the paper's
@@ -63,15 +59,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.pairs import LiveEntries, TilePairs, live_entries
+from repro.core.pairs import LiveEntries, TilePairs
 from repro.core.tile_matrix import TileMatrix, mask_dtype_for
 from repro.obs.context import current_obs
 
-__all__ = ["PACKED_MIN_NNZ", "SymbolicResult", "step2_entries", "step2_symbolic"]
-
-#: ``A``-tile nonzeros from which a pair takes the packed-row path.
-#: Measured crossover, see the module docstring.
-PACKED_MIN_NNZ: int = 32
+__all__ = ["SymbolicResult", "step2_symbolic"]
 
 #: Pairs ORed together on the packed-row path: their select-and-OR
 #: temporaries take ~0.5 MB, which stays in a core's L2.  On the
@@ -117,20 +109,6 @@ class SymbolicResult:
         return int(self.tilennz[-1])
 
 
-def step2_entries(a: TileMatrix, b: TileMatrix, pairs: TilePairs, backend=None) -> LiveEntries:
-    """The live entries of the pairs step 2 ORs entry by entry.
-
-    Those are the pairs whose ``A`` tile holds fewer than
-    ``PACKED_MIN_NNZ`` nonzeros; when that is every pair, the list is
-    :func:`~repro.core.pairs.live_entries` of all of them, which step 3
-    reuses.  Traced as the ``step2.expand`` span.
-    """
-    packed_a = a.tile_nnz_counts() >= PACKED_MIN_NNZ
-    entry = ~packed_a[pairs.pair_a] if packed_a.any() else None
-    with current_obs().tracer.span("step2.expand", cat="substep"):
-        return live_entries(a, b, pairs, backend, entry)
-
-
 def step2_symbolic(
     a: TileMatrix,
     b: TileMatrix,
@@ -144,9 +122,10 @@ def step2_symbolic(
     ``backend`` selects the kernel set for the mask OR-accumulate and the
     popcounts (a name, a :class:`~repro.backend.KernelSet`, or ``None``
     for the default — see :func:`repro.backend.resolve_backend`).
-    ``live`` is the entry path's list (:func:`step2_entries`, built if
-    ``None``, or step 1's column-pass list of every pair); the pairs it
-    did not expand take the packed-row path.
+    ``live`` is the live entries of every pair
+    (:func:`~repro.core.pairs.live_entries`, or step 1's column-pass
+    list), which the entry path ORs; ``None`` ORs every pair on packed
+    bit rows.
     ``mask`` (``(num_c_tiles, T)`` bit rows, masked SpGEMM) is ANDed into
     the candidate tiles' masks before the popcounts, so ``C`` is sized to
     the masked positions only.
@@ -161,24 +140,22 @@ def step2_symbolic(
     num_c = pairs.num_c_tiles
     mask_c = np.zeros((num_c, T), dtype=mask_dtype)
 
-    if live is None:
-        live = step2_entries(a, b, pairs, kernels)
-    # Entry path: AtomicOr(mask_C[slot, r], mask_B[b_tile, c]) for every live A nonzero.
-    tile_entries = np.diff(live.entry_ptr[pairs.pair_ptr])
-    dst = np.repeat(np.arange(num_c, dtype=np.int64) * T, tile_entries)
-    dst += a.rowidx[live.a_idx]
-    src = pairs.pair_b[live.pair_of]
-    src *= T
-    src += a.colidx[live.a_idx]
-    kernels.mask_or_into(mask_c.reshape(-1), dst, b.mask.reshape(-1)[src])
-    del dst, src
     # A pair makes at most T**3 <= 4096 products.
-    pair_products = np.subtract(live.csum[1:], live.csum[:-1],
-                                out=np.empty(pairs.num_pairs, np.uint16), casting="unsafe")
-    packed = np.empty(0, dtype=np.int64) if live.select is None else np.flatnonzero(~live.select)
-    with current_obs().tracer.span("step2.pairs", cat="substep", pairs=int(packed.size)):
-        if packed.size:
-            _or_packed_rows(a, b, pairs, packed, mask_c, pair_products, kernels)
+    if live is None:
+        with current_obs().tracer.span("step2.pairs", cat="substep", pairs=pairs.num_pairs):
+            pair_products = _or_packed_rows(a, b, pairs, mask_c, kernels)
+    else:
+        # Entry path: AtomicOr(mask_C[slot, r], mask_B[b_tile, c]) for every live A nonzero.
+        tile_entries = np.diff(live.entry_ptr[pairs.pair_ptr])
+        dst = np.repeat(np.arange(num_c, dtype=np.int64) * T, tile_entries)
+        dst += a.rowidx[live.a_idx]
+        src = pairs.pair_b[live.pair_of]
+        src *= T
+        src += a.colidx[live.a_idx]
+        kernels.mask_or_into(mask_c.reshape(-1), dst, b.mask.reshape(-1)[src])
+        del dst, src
+        pair_products = np.subtract(live.csum[1:], live.csum[:-1],
+                                    out=np.empty(pairs.num_pairs, np.uint16), casting="unsafe")
     if mask is not None:
         mask_c &= mask
 
@@ -204,28 +181,26 @@ def _or_packed_rows(
     a: TileMatrix,
     b: TileMatrix,
     pairs: TilePairs,
-    packed: np.ndarray,
     mask_c: np.ndarray,
-    pair_products: np.ndarray,
     kernels,
-) -> None:
-    """OR the ``packed`` pairs' product masks into ``mask_c`` on packed bit rows.
+) -> np.ndarray:
+    """OR every pair's product mask into ``mask_c`` on packed bit rows.
 
     Per pair, row ``r`` ORs ``B.mask[c]`` over the set bits ``c`` of
-    ``A.mask[r]``; a pair's products, ``sum_c colcount_A[c] * rowlen_B[c]``,
-    go to ``pair_products``.
+    ``A.mask[r]``.  Returns the pairs' products,
+    ``sum_c colcount_A[c] * rowlen_B[c]`` each.
     """
     T = a.tile_size
-    a_tiles, a_of = np.unique(pairs.pair_a[packed], return_inverse=True)
+    pair_products = np.empty(pairs.num_pairs, np.uint16)
+    a_tiles, a_of = np.unique(pairs.pair_a, return_inverse=True)
     bits = (a.mask[a_tiles][:, :, None] >> np.arange(T, dtype=a.mask.dtype)) & 1
     a_col_counts = bits.sum(axis=1, dtype=np.int64)
     b_row_len = kernels.popcount(b.mask)
-    slot = np.searchsorted(pairs.pair_ptr, packed, side="right") - 1
-    for g0 in range(0, packed.size, PACKED_GROUP_PAIRS):
+    slot = pairs.pair_c_slot()
+    for g0 in range(0, pairs.num_pairs, PACKED_GROUP_PAIRS):
         g = slice(g0, g0 + PACKED_GROUP_PAIRS)
-        group = packed[g]
-        pb = pairs.pair_b[group]
-        a_rows = a.mask[pairs.pair_a[group]]
+        pb = pairs.pair_b[g]
+        a_rows = a.mask[pairs.pair_a[g]]
         b_rows = b.mask[pb]
         rows = np.zeros_like(a_rows)
         sel = np.empty_like(a_rows)
@@ -234,9 +209,10 @@ def _or_packed_rows(
             sel &= 1
             sel *= b_rows[:, c, None]  # B row c where A's column c is set
             rows |= sel
-        pair_products[group] = np.einsum(
+        pair_products[g] = np.einsum(
             "ij,ij->i", a_col_counts[a_of[g]], b_row_len[pb], dtype=np.int64
         )
         s = slot[g]
         starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
         mask_c[s[starts]] |= np.bitwise_or.reduceat(rows, starts, axis=0)
+    return pair_products

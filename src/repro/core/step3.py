@@ -24,8 +24,9 @@ included, so the choice does not depend on which pairs the join holds):
   ``tilennz[slot] + rowptr[slot, r]`` and mask; per product, add the
   popcount rank of its column; scatter-add.  Products come from the live
   entries (:func:`repro.core.pairs.live_entries`) of the scatter tiles'
-  pairs only: step 2's entry list when it covers every pair and no tile
-  is dense, otherwise a list built for just those pairs.
+  pairs only: step 1's column-pass list of every pair when there is one
+  and no tile is dense, otherwise a list built here for just those
+  pairs.
 * **dense** — for fill ``>= DENSE_MIN_FILL``: ``acc = 0``, then per live
   pair in pair order and per column ``c`` of ``A`` in order,
   ``acc += A[:, c] (outer) B[c, :]`` on the densified tiles, 128 ``C``
@@ -253,11 +254,11 @@ def step3_numeric(
         Conformant backends are byte-identical, so this changes speed,
         never the result.
     live:
-        Step 2's entry list (:func:`~repro.core.step2.step2_entries`,
-        step 1's column-pass list, or any
-        :func:`~repro.core.pairs.live_entries` of the pairs).  It is
-        reused when it covers every pair and no tile takes the dense
-        path; otherwise the scatter tiles' pairs are expanded here.
+        The live entries of every pair (step 1's column-pass list, or
+        :func:`~repro.core.pairs.live_entries` of the pairs), which
+        step 2 ORed, or ``None``.  They are reused when no tile takes
+        the dense path; otherwise, or without them, the scatter tiles'
+        pairs are expanded here.
     """
     kernels = resolve_backend(backend)
     tracer = current_obs().tracer
@@ -273,8 +274,7 @@ def step3_numeric(
     use_dense = paper_accumulator(sym.tile_nnz_counts, tnnz, force_accumulator)
     num_dense = int(use_dense.sum())
 
-    full = live is not None and live.select is None  # step 2 expanded every pair
-    if full:
+    if live is not None:  # step 1 listed every pair's entries
         pair_csum = live.csum
     else:
         pair_csum = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
@@ -282,7 +282,7 @@ def step3_numeric(
     dense = _dense_path_tiles(
         a, b, pairs, pair_csum, chunk_products, force_accumulator, value_dtype
     )
-    if full and dense.size == 0:
+    if live is not None and dense.size == 0:
         scatter = live
     else:
         scatter = _scatter_entries(a, b, pairs, sym, dense, kernels)
@@ -448,6 +448,9 @@ def _scatter_entries(
         drop = np.zeros(pairs.num_c_tiles, dtype=bool)
         drop[dense] = True
         need &= ~np.repeat(drop, np.diff(pairs.pair_ptr))
+    if not need.any():  # no scatter tile has products: list nothing
+        zeros = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
+        return LiveEntries(zeros[:0], zeros[:0], zeros[:0], zeros, zeros)
     return live_entries(a, b, pairs, kernels, need)
 
 

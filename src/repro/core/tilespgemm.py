@@ -21,12 +21,15 @@
    (:func:`~repro.core.pairs.enumerate_pairs_expand`) against:
    :mod:`repro.core.step1`, :mod:`repro.core.pairs`;
 2. **step 2** — the bit-mask symbolic phase sizes and allocates ``C``
-   (:mod:`repro.core.step2`);
+   (:mod:`repro.core.step2`).  Its path follows from step 1's: it ORs
+   the column pass's live entries, or, after the filter (or a mask that
+   dropped pairs), every pair's packed bit rows;
 3. **step 3** — the numeric phase with the adaptive sparse/dense
    accumulator (:mod:`repro.core.step3`), which picks each tile's path
-   from step 2's per-pair product counts and reuses the live-entry list
-   (step 1's, or :func:`repro.core.step2.step2_entries`) for its scatter
-   tiles.
+   from step 2's per-pair product counts.  Its scatter tiles take step
+   1's live entries when there are such and no tile is dense; otherwise
+   step 3 lists their pairs' entries itself, the only list on the
+   filter path.
 
 Steps 2 and 3 run on the *live* candidate tiles only, those holding at
 least one live pair (:meth:`~repro.core.pairs.TilePairs.select_tiles`;
@@ -53,7 +56,7 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.core.pairs import TilePairs, _join
-from repro.core.step2 import SymbolicResult, step2_entries, step2_symbolic
+from repro.core.step2 import SymbolicResult, step2_symbolic
 from repro.core.step3 import NumericResult, default_tnnz, paper_accumulator, step3_numeric
 from repro.core.tile_matrix import TILE, TileMatrix, mask_dtype_for
 from repro.errors import InvalidInputError
@@ -273,8 +276,6 @@ def _tile_spgemm(
         # --------------------------------------------------------- step 2
         enter("step2")
         with timer.phase("step2", backend=kernels.name):
-            if entries is None:
-                entries = step2_entries(a, b, live, kernels)
             sym = step2_symbolic(a, b, live, backend=kernels, live=entries, mask=mask_rows)
         with timer.phase("malloc"):
             _allocate_c(alloc, "step2", a.num_tile_rows, pairs.num_c_tiles, T, sym.nnz)

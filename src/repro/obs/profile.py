@@ -75,7 +75,6 @@ _BAND_COUNT_KEYS = (
 
 _TOTAL_KEYS = (
     "products",
-    "flops",
     "nnz_c",
     "num_c_tiles",
     "pairs",
@@ -148,15 +147,14 @@ class WorkloadProfiler:
     # ------------------------------------------------------------- export
     @property
     def totals(self) -> Dict[str, int]:
-        """Whole-profile work: the sums of the bands (``flops`` is two
-        per intermediate product, ``num_c_tiles`` the candidate tiles)."""
+        """Whole-profile work: the sums of the bands (``num_c_tiles`` is
+        the candidate tiles)."""
         sums = {k: 0 for k in _BAND_COUNT_KEYS}
         for counts in list(self.bands.values()):
             for key in _BAND_COUNT_KEYS:
                 sums[key] += counts[key]
         return {
             "products": sums["products"],
-            "flops": 2 * sums["products"],
             "nnz_c": sums["nnz_c"],
             "num_c_tiles": sums["tiles"],
             "pairs": sums["pairs"],

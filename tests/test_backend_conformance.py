@@ -38,6 +38,7 @@ from repro.backend.numpy_backend import NumpyKernelSet
 from repro.cli import main as cli_main
 from repro.core import TileMatrix, tile_spgemm
 from repro.errors import ConfigurationError, InvalidInputError
+from repro.matrices.generators import banded, permute_symmetric
 from tests.corpus import CORPUS, corpus_names
 from tests.test_parallel_runtime import assert_bytes_identical
 
@@ -87,6 +88,10 @@ def test_backend_kernels_actually_ran(backend):
     kernels.reset_calls()
     case = CORPUS["moderate_random"]
     tile_spgemm(_tiled(case.a), _tiled(case.a), backend=kernels)
+    # A permuted narrow band takes step 1's column join, whose live
+    # entries step 2 ORs through ``mask_or_into``.
+    cop = permute_symmetric(banded(600, 4, fill=0.95, seed=5), seed=5).to_csr()
+    tile_spgemm(_tiled(cop), _tiled(cop), backend=kernels)
     assert kernels.total_calls > 0
     assert kernels.calls["mask_or_into"] > 0
     assert kernels.calls["popcount"] > 0

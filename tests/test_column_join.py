@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import repro.core.pairs as pairs_module
-import repro.core.step2 as step2_module
 import repro.core.step3 as step3_module
 from repro.core import TileMatrix, masked_tile_spgemm, tile_spgemm
 from repro.core.pairs import LiveEntries, TilePairs, live_entries, live_join
@@ -90,7 +89,6 @@ def test_column_pass_is_the_filter_plus_live_entries(name, mode, monkeypatch):
     assert isinstance(pairs, TilePairs) and isinstance(entries, LiveEntries)
     _assert_same(pairs, want_pairs, "pairs")
     want = live_entries(a, b, want_pairs)
-    assert entries.select is None
     _assert_same(entries, want, "entries")
 
 
@@ -155,9 +153,24 @@ def _banded():
     return a, a
 
 
-@pytest.mark.parametrize("operands,join", [(_cop_like, "column"), (_banded, "filter")])
+def _sparse_band():
+    """A band at 5 % fill: ~4.5 live entries per matched pair, more than
+    one but fewer than ``_COLUMN_ENTRIES_PER_PAIR``."""
+    a = TileMatrix.from_csr(gen.banded(600, 40, fill=0.05, seed=3).to_csr())
+    return a, a
+
+
+def _entries_per_pair(a, b):
+    matched = int(pairs_module._matched_row_end(a, b)[-1])
+    return pairs_module._count_entries(a, pairs_module._b_row_ptr(b), 1 << 62) / matched
+
+
+@pytest.mark.parametrize("operands,join", [(_cop_like, "column"), (_banded, "filter"),
+                                           (_sparse_band, "column")])
 def test_the_rule_takes_the_smaller_expansion(operands, join):
     a, b = operands()
+    if operands is _sparse_band:
+        assert 1 < _entries_per_pair(a, b) < pairs_module._COLUMN_ENTRIES_PER_PAIR
     _, took = _traced(tile_spgemm, a, b)
     assert took == join
 
@@ -170,7 +183,7 @@ def _spy_live_entries(monkeypatch):
         calls.append(args)
         return live_entries(*args, **kwargs)
 
-    for module in (pairs_module, step2_module, step3_module):
+    for module in (pairs_module, step3_module):
         monkeypatch.setattr(module, "live_entries", spy)
     return calls
 

@@ -19,7 +19,7 @@ import pytest
 import repro.core.tilespgemm as tilespgemm_module
 from repro.core import TileMatrix, masked_tile_spgemm, tile_spgemm
 from repro.core.pairs import enumerate_live_pairs
-from repro.core.step2 import step2_entries, step2_symbolic
+from repro.core.step2 import step2_symbolic
 from repro.core.step3 import default_tnnz, step3_numeric
 from repro.core.tilespgemm import (
     _restrict_to_mask,
@@ -70,17 +70,17 @@ def _kwargs(name: str):
 
 
 def _oracle(a, b, mask=None, tnnz=None, force_accumulator=None, value_dtype=np.float64):
-    """The driver with steps 2 and 3 run over every candidate tile."""
+    """The driver with steps 2 and 3 run over every candidate tile, step 2
+    on packed bit rows and step 3 listing its own entries."""
     tnnz = default_tnnz(T) if tnnz is None else tnnz
     pairs = enumerate_live_pairs(a, b)
     tile_flops_step1 = int(pairs.matched.sum())
     mask_rows = None
     if mask is not None:
         pairs, mask_rows = _restrict_to_mask(pairs, mask)
-    entries = step2_entries(a, b, pairs)
-    sym = step2_symbolic(a, b, pairs, live=entries, mask=mask_rows)
+    sym = step2_symbolic(a, b, pairs, mask=mask_rows)
     num = step3_numeric(a, b, pairs, sym, tnnz=tnnz, force_accumulator=force_accumulator,
-                        mask_filter=mask is not None, value_dtype=value_dtype, live=entries)
+                        mask_filter=mask is not None, value_dtype=value_dtype)
     c = TileMatrix((a.shape[0], b.shape[1]), T,
                    _tileptr_from_rows(pairs.c_tilerow, a.num_tile_rows), pairs.c_tilecol,
                    sym.tilennz, sym.rowptr, num.rowidx, num.colidx, num.val, sym.mask,

@@ -149,9 +149,11 @@ class TestArtifact:
             tile_spgemm(a, a)
         good = profiler.to_dict()
         validate_profile(good)
+        assert "flops" not in good["totals"]  # it is 2 * products
 
         # Sections older artifacts carried are ignored, not checked.
         old = copy.deepcopy(good)
+        old["totals"]["flops"] = 2 * good["totals"]["products"]
         old["phases"] = {"step3": {"seconds": 0.5, "count": 1}}
         old["tnnz"] = {"192": {"sparse_tiles": 1, "dense_tiles": 0}}
         old["plans"] = [{"mode": "serial", "executor": "thread"}]

@@ -1,46 +1,47 @@
 """Step 2's two paths give the same bytes, and step 3 expands only scatter tiles.
 
-Step 2 ORs a pair's product masks on packed bit rows when the pair's
-``A`` tile holds at least ``PACKED_MIN_NNZ`` nonzeros, and entry by
-entry otherwise.  Forcing every pair onto one path, then onto the other,
-must leave the masks, row pointers, tile offsets, ``symbolic_ops``, the
-per-pair product counts and the product itself byte-equal.  Run under
-another backend with ``REPRO_BACKEND=<name>``.
+Step 2 ORs every pair's product masks entry by entry when it is handed
+the live entries of every pair (step 1's column pass lists them), and on
+packed bit rows when it is not.  Forcing every pair onto one path, then
+onto the other, must leave the masks, row pointers, tile offsets,
+``symbolic_ops``, the per-pair product counts and the product itself
+byte-equal.  Run under another backend with ``REPRO_BACKEND=<name>``.
 """
 
 from __future__ import annotations
 
 import inspect
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 
-import repro.core.step2 as step2_module
+import repro.core.pairs as pairs_module
 import repro.core.step3 as step3_module
 from repro.core import TileMatrix, tile_spgemm
 from repro.core.pairs import enumerate_pairs_expand, live_entries
-from repro.core.step2 import PACKED_MIN_NNZ, step2_symbolic
+from repro.core.step2 import step2_symbolic
 from repro.formats.coo import COOMatrix
 from repro.matrices.generators import banded
 from tests.conftest import random_csr
 from tests.corpus import CORPUS
 from tests.test_step3_golden import tile_digest
 
-#: Thresholds that force one path for every pair.
-_PATHS = {"packed": 0, "entry": 1 << 30}
+_PATHS = ("packed", "entry")
 
 
-@contextmanager
-def _path(name):
-    with mock.patch.object(step2_module, "PACKED_MIN_NNZ", _PATHS[name]):
-        yield
-
-
-def _step2(a, b):
+def _step2(a, b, path):
+    """Step 2 over the reference join's pairs, every pair on ``path``."""
     pairs = enumerate_pairs_expand(a, b)
-    return step2_symbolic(a, b, pairs)
+    live = live_entries(a, b, pairs) if path == "entry" else None
+    return step2_symbolic(a, b, pairs, live=live)
+
+
+def _multiply(a, b, path, **kwargs):
+    """``tile_spgemm`` with step 1's join forced, so step 2 takes ``path``."""
+    with mock.patch.object(pairs_module, "_use_column_join",
+                           lambda num_matched, num_entries: path == "entry"):
+        return tile_spgemm(a, b, **kwargs)
 
 
 def _assert_symbolic_equal(x, y):
@@ -57,9 +58,9 @@ def test_corpus_paths_agree(name):
     a, b = TileMatrix.from_csr(case.a), TileMatrix.from_csr(case.b)
     syms, digests = {}, {}
     for path in _PATHS:
-        with _path(path), np.errstate(over="ignore", invalid="ignore"):
-            syms[path] = _step2(a, b)
-            digests[path] = tile_digest(tile_spgemm(a, b, **case.kwargs).c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            syms[path] = _step2(a, b, path)
+            digests[path] = tile_digest(_multiply(a, b, path, **case.kwargs).c)
     _assert_symbolic_equal(syms["packed"], syms["entry"])
     assert digests["packed"] == digests["entry"]
 
@@ -79,23 +80,17 @@ def _tiles_with_nnz(counts, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tiles_at_the_threshold(seed):
-    # Every A tile holds PACKED_MIN_NNZ - 1, PACKED_MIN_NNZ or
-    # PACKED_MIN_NNZ + 1 nonzeros, so the default run splits the pairs.
-    counts = [PACKED_MIN_NNZ + d for d in (-1, 0, 1, 0, 1, -1, 1, -1, 0)]
-    a = _tiles_with_nnz(counts, seed)
+def test_random_tiles_paths_agree(seed):
+    # Tiles from one nonzero to nearly full, against a random B.
+    rng = np.random.default_rng(seed)
+    a = _tiles_with_nnz(rng.integers(1, 250, size=9), seed)
     b = TileMatrix.from_csr(random_csr(48, 48, 0.15, seed=100 + seed))
-    pairs = enumerate_pairs_expand(a, b)
-    a_nnz = a.tile_nnz_counts()[pairs.pair_a]
-    assert np.any(a_nnz < PACKED_MIN_NNZ) and np.any(a_nnz >= PACKED_MIN_NNZ)
-    default = step2_symbolic(a, b, pairs)
-    digest = tile_digest(tile_spgemm(a, b).c)
-    for path in _PATHS:
-        with _path(path):
-            _assert_symbolic_equal(step2_symbolic(a, b, pairs), default)
-            assert tile_digest(tile_spgemm(a, b).c) == digest
+    packed, entry = _step2(a, b, "packed"), _step2(a, b, "entry")
+    _assert_symbolic_equal(packed, entry)
+    assert tile_digest(_multiply(a, b, "packed").c) == tile_digest(_multiply(a, b, "entry").c)
     # The per-pair products are the expanded entries' products.
-    assert np.array_equal(default.pair_products, np.diff(live_entries(a, b, pairs).csum))
+    pairs = enumerate_pairs_expand(a, b)
+    assert np.array_equal(packed.pair_products, np.diff(live_entries(a, b, pairs).csum))
 
 
 def test_step3_expands_only_scatter_tiles():
