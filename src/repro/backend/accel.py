@@ -12,17 +12,18 @@ reassociating a sum changes its last ulp.
 
 * :class:`NumbaKernelSet` (``numba``) — *sequential* compiled loops, not
   ``prange`` + atomics, on purpose: parallel atomic float adds reorder
-  the partial sums between runs.  A fixed input-order accumulation into
-  a fresh buffer — the same operation sequence as ``np.bincount`` — is
-  both deterministic and conformant, and the JIT still removes the
-  Python interpreter overhead that makes ``pyloops`` slow.
+  the partial sums between runs.  A fixed input-order add of each weight
+  onto ``out`` — the same operation sequence as ``np.add.at`` — is both
+  deterministic and conformant, and the JIT still removes the Python
+  interpreter overhead that makes ``pyloops`` slow.
 * :class:`NumbaParKernelSet` (``numba-par``) — ``prange`` variants.
   The scatters are *sort-and-segment*, not atomics: the coordinator
   stable-sorts the scatter positions once in NumPy, and the compiled
   kernel then ``prange``-s over the distinct output positions, each
-  thread summing its own position's weights privately, in input order,
-  from ``+0.0``.  Each segment is reduced by exactly one thread in a
-  fixed order, so every position sees bincount's operation sequence.
+  thread adding its own position's weights, in input order, onto that
+  position's value in ``out``.  Each segment is reduced by exactly one
+  thread in a fixed order, so every position sees ``np.add.at``'s
+  operation sequence.
 
 A CuPy backend is deliberately *not* shipped: ``cupyx.scatter_add``
 runs on GPU atomics whose accumulation order is nondeterministic
@@ -127,13 +128,10 @@ def _compile_kernels():
 
     @njit(cache=True)
     def scatter_add(out, positions, weights):
-        # Fresh buffer + input-order accumulation + one final add: the
-        # np.bincount operation sequence, hence byte-identical results.
-        buf = np.zeros(out.size, dtype=out.dtype)
+        # Input-order adds straight into out: the np.add.at operation
+        # sequence, hence byte-identical results.
         for i in range(positions.size):
-            buf[positions[i]] += weights[i]
-        for j in range(out.size):
-            out[j] += buf[j]
+            out[positions[i]] += weights[i]
 
     return mask_or, popcount, prefix_popcount, nth_set_bit, scatter_add
 
@@ -190,13 +188,13 @@ def _compile_par_kernels():
 
     @njit(cache=True, parallel=True)
     def seg_add(out, uniq, starts, ends, order, weights):
-        # Fresh per-segment accumulator summed in stable input order,
-        # then one add onto out — the bincount sequence per position.
+        # Each segment adds its weights in stable input order onto its
+        # out slot — the np.add.at sequence per position.
         for s in prange(uniq.size):
-            acc = 0.0
+            acc = out[uniq[s]]
             for k in range(starts[s], ends[s]):
                 acc += weights[order[k]]
-            out[uniq[s]] += acc
+            out[uniq[s]] = acc
 
     return popcount, prefix_popcount, nth_set_bit, seg_or, seg_add
 
@@ -208,7 +206,7 @@ def _sorted_segments(positions: np.ndarray):
     stable permutation sorting ``positions``, ``uniq`` the distinct
     positions, and ``positions[order[starts[s]:ends[s]]] == uniq[s]``.
     The stable sort preserves input order *within* each segment, so a
-    sequential per-segment reduction reproduces bincount's partial sums
+    sequential per-segment reduction reproduces ``np.add.at``'s sums
     exactly; parallelism comes from segments being independent.
     """
     order = np.argsort(positions, kind="stable")
@@ -337,9 +335,6 @@ class NumbaParKernelSet(KernelSet):
 
     def scatter_add_into(self, out, positions, weights):
         self._tick("scatter_add_into")
-        # bincount adds its zero buffer everywhere, which turns an
-        # untouched -0.0 into +0.0; the segments only visit touched slots.
-        out += 0.0
         pos = np.ascontiguousarray(positions, dtype=np.int64).reshape(-1)
         if pos.size == 0:
             return

@@ -31,13 +31,13 @@ Backends are interchangeable only if they are **byte-identical** to the
 * ``mask_or_into`` must be an unbuffered OR scatter (OR is idempotent and
   commutative, so any ordering is conformant);
 * ``scatter_add_into(out, positions, weights)`` must equal
-  ``out += np.bincount(positions, weights, minlength=out.size)`` down to
-  the last bit: accumulate the weights *in input order* into a fresh
-  zero buffer, then add the buffer onto ``out`` elementwise.  Both the
-  input-order partial sums and the separate final add are observable in
-  the float64 results; a backend that adds directly into ``out`` (or
-  reassociates the partial sums) produces values that differ in the last
-  ulp and fails conformance.
+  ``np.add.at(out, positions, weights)`` down to the last bit: add each
+  weight onto its ``out`` element, one at a time *in input order*, with
+  no intermediate buffer.  The order is observable in the float64
+  results; a backend that reassociates the sums (or first sums them in
+  a buffer) produces values that differ in the last ulp and fails
+  conformance.  An element no weight reaches keeps its bytes, ``-0.0``
+  included.
 
 Every kernel invocation ticks ``KernelSet.calls[<kernel>]``; the tests
 and benches use the counters to prove which backend actually executed.
@@ -115,11 +115,10 @@ class KernelSet:
     def scatter_add_into(
         self, out: np.ndarray, positions: np.ndarray, weights: np.ndarray
     ) -> None:
-        """``out += bincount(positions, weights, minlength=out.size)``.
+        """Add each weight onto ``out[position]``, in input order (step 3).
 
-        The partial sums must be accumulated in input order into a fresh
-        zero buffer which is then added onto ``out`` — see the module
-        docstring's conformance contract.
+        The unbuffered ``np.add.at`` — see the module docstring's
+        conformance contract.
 
         ``out`` may be a contiguous slice view of ``C``'s values: step 3
         passes each chunk its window ``val_c[lo:hi]``, and ``positions``

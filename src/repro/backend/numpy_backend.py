@@ -2,9 +2,9 @@
 
 These are exactly the kernels the pipeline ran before the backend seam
 existed — thin wrappers over :mod:`repro.util.bits` (``np.bitwise_count``
-popcounts, the ``nth_set_bit`` table) and the ``np.bitwise_or.at`` /
-``np.bincount`` scatters — so the reference
-backend *defines* the byte-level conformance contract rather than merely
+popcounts, the ``nth_set_bit`` table) and the unbuffered
+``np.bitwise_or.at`` / ``np.add.at`` scatters — so the reference backend
+*defines* the byte-level conformance contract rather than merely
 satisfying it.
 """
 
@@ -41,4 +41,4 @@ class NumpyKernelSet(KernelSet):
 
     def scatter_add_into(self, out, positions, weights):
         self._tick("scatter_add_into")
-        out += np.bincount(positions, weights=weights, minlength=out.size)
+        np.add.at(out, positions, weights)

@@ -8,11 +8,10 @@ coincide.  It is deliberately slow (orders of magnitude behind
 *byte-identical* results:
 
 * popcounts are recomputed bit by bit per element;
-* ``scatter_add_into`` accumulates Python floats in input order into a
-  fresh zero buffer and then adds the buffer onto ``out`` — the same
-  IEEE-754 operation sequence as ``out += np.bincount(...)``, which is
-  what makes the float64 results match the reference exactly rather
-  than just closely.
+* ``scatter_add_into`` adds each weight onto its ``out`` element, one
+  at a time in input order — the same IEEE-754 operation sequence as
+  ``np.add.at``, which is what makes the float64 results match the
+  reference exactly rather than just closely.
 """
 
 from __future__ import annotations
@@ -75,11 +74,7 @@ class PyLoopsKernelSet(KernelSet):
 
     def scatter_add_into(self, out, positions, weights):
         self._tick("scatter_add_into")
-        # Fresh zero buffer, input-order accumulation, single final add:
-        # the exact operation sequence of `out += np.bincount(...)`.
-        buf = [0.0] * int(out.size)
         for p, w in zip(
             np.asarray(positions).tolist(), np.asarray(weights).tolist()
         ):
-            buf[p] += w
-        out += np.asarray(buf, dtype=out.dtype)
+            out[p] += w

@@ -23,10 +23,10 @@ included, so the choice does not depend on which pairs the join holds):
 * **scatter** — per ``A`` nonzero, gather its ``C`` row's base offset
   ``tilennz[slot] + rowptr[slot, r]`` and mask; per product, add the
   popcount rank of its column; scatter-add.  Products come from the live
-  entries (:func:`repro.core.pairs.live_entries`) of the scatter tiles'
-  pairs only: step 1's column-pass list of every pair when there is one
-  and no tile is dense, otherwise a list built here for just those
-  pairs.
+  entries of the scatter tiles' pairs only: step 1's column-pass list
+  when there is one (restricted to those pairs when some tile is dense),
+  otherwise a list built here for just those pairs
+  (:func:`repro.core.pairs.live_entries`).
 * **dense** — for fill ``>= DENSE_MIN_FILL``: ``acc = 0``, then per live
   pair in pair order and per column ``c`` of ``A`` in order,
   ``acc += A[:, c] (outer) B[c, :]`` on the densified tiles, 128 ``C``
@@ -38,27 +38,31 @@ per entry.  Both give every destination the same products in the same order (pai
 then ``A``'s column) summed from ``+0.0``; the dense path adds ``±0.0``
 padding terms, which leave such a sum unchanged, so the bytes are equal.
 A tile stays on the scatter path unless that argument holds for it: the
-products are double precision, the operands are finite (``0 * inf`` is
-``nan``) and the tile is not split across chunks.  ``force_accumulator``
-forces the executed path too, on every tile where it holds.  The
-crossover was measured on random tiles (one core of a 2-vCPU VM): dense
-is 0.74x the scatter speed at fill 0.05, 1.06x at 0.08, 1.22x at 0.12 and
-1.8x at 0.2.  The paper's rule is the wrong selector here: it marks almost
-every ``C`` tile of ``conf5_4-8x8-05`` dense, at a product fill of 0.03.
+products are double precision and the operands are finite (``0 * inf`` is
+``nan``).  ``force_accumulator`` forces the executed path too, on every
+tile where it holds.  The crossover was measured on random tiles (one core
+of a 2-vCPU VM): dense is 0.74x the scatter speed at fill 0.05, 1.06x at
+0.08, 1.22x at 0.12 and 1.8x at 0.2.  The paper's rule is the wrong
+selector here: it marks almost every ``C`` tile of ``conf5_4-8x8-05``
+dense, at a product fill of 0.03.
 
-The CUDA ``AtomicAdd`` becomes one ``np.bincount``-with-weights scatter-add
-per chunk.  Product expansion is chunked so the working set stays
-cache-resident — the CPU analogue of the kernels' on-chip shared-memory
-accumulator.  A chunk makes ~44 B of temporaries per product, so the
-default budget of ``1 << 18`` products keeps them near 11 MB.  Timed over
-the numeric-bound benchmark matrices (one core of a 2-vCPU VM), step 3 is
-flat between 2^17 and 2^19; below that the fixed per-chunk cost (a few
-dozen numpy calls) shows (2^16: 9 % slower, 2^14: 28 %), and above it the
+The CUDA ``AtomicAdd`` becomes the backend's ``scatter_add_into``
+(``np.add.at`` in the reference): each product is added straight onto
+its value of ``C``, in product order, with no intermediate buffer.
+Product expansion is chunked so the working set stays cache-resident —
+the CPU analogue of the kernels' on-chip shared-memory accumulator.
+Chunks end on pair boundaries, inside a tile too; every destination
+still gets its products in pair order, added onto the ``+0.0`` it starts
+at, so the chunk budget (``CHUNK_PRODUCTS``) changes speed, never bytes.
+A chunk makes ~44 B of temporaries per product, so the budget of
+``1 << 18`` products keeps them near 11 MB.  Timed over the numeric-bound
+benchmark matrices (one core of a 2-vCPU VM), step 3 is flat between
+2^17 and 2^19; below that the fixed per-chunk cost (a few dozen numpy
+calls) shows (2^16: 9 % slower, 2^14: 28 %), and above it the
 temporaries fall out of cache and are freshly page-faulted on every
 chunk (2^20: 6 % slower, ``1 << 22``: 43 %).  Each chunk scatters into
 its own window ``val_c[lo:hi]`` — the values of the C tiles its pairs
-cover — with positions relative to ``lo``, so a chunk's ``bincount``
-spans its window, not all of ``C``.  The ambient tracer gets the
+cover — with positions relative to ``lo``.  The ambient tracer gets the
 sub-phases as spans: ``step3.expand``, ``step3.address`` and
 ``step3.scatter`` per chunk, ``step3.dense`` (attribute ``tiles``) for
 the dense path, and ``step3.compact`` for ``C``'s local indices.
@@ -94,6 +98,9 @@ DEFAULT_TNNZ: int = 192
 #: the tile takes the dense-tile path.  Measured crossover, see the module
 #: docstring.
 DENSE_MIN_FILL: float = 0.1
+
+#: Intermediate products expanded at once (see the module docstring).
+CHUNK_PRODUCTS: int = 1 << 18
 
 #: C tiles accumulated together on the dense-tile path: their accumulator,
 #: products and operand tiles take 1 MB, which stays in a core's L2.
@@ -197,7 +204,6 @@ def step3_numeric(
     pairs: TilePairs,
     sym: SymbolicResult,
     tnnz: Optional[int] = None,
-    chunk_products: int = 1 << 18,
     force_accumulator: str | None = None,
     mask_filter: bool = False,
     value_dtype=np.float64,
@@ -219,14 +225,6 @@ def step3_numeric(
         to :func:`default_tnnz` — the paper's 192 for 16x16 tiles and the
         same 75 %-of-capacity ratio for other tile sizes, matching the
         cost model's sparse/dense prediction.
-    chunk_products:
-        Upper bound on intermediate products expanded at once.  The
-        default ``1 << 18`` keeps a chunk's temporaries cache-resident:
-        smaller budgets pay the per-chunk overhead more often, larger
-        ones pay cache misses and page faults (see the module docstring).
-        A tile whose products exceed the budget is split at pair
-        boundaries, which changes its accumulation order; the default
-        keeps whole every 16x16 tile of at most 64 fully dense pairs.
     force_accumulator:
         ``"sparse"`` or ``"dense"`` to disable the adaptive selection
         (ablation hook); ``None`` keeps the paper's recorded choice and
@@ -256,9 +254,8 @@ def step3_numeric(
     live:
         The live entries of every pair (step 1's column-pass list, or
         :func:`~repro.core.pairs.live_entries` of the pairs), which
-        step 2 ORed, or ``None``.  They are reused when no tile takes
-        the dense path; otherwise, or without them, the scatter tiles'
-        pairs are expanded here.
+        step 2 ORed, or ``None``.  The scatter tiles' pairs are taken
+        from them; without them, those pairs are expanded here.
     """
     kernels = resolve_backend(backend)
     tracer = current_obs().tracer
@@ -274,44 +271,24 @@ def step3_numeric(
     use_dense = paper_accumulator(sym.tile_nnz_counts, tnnz, force_accumulator)
     num_dense = int(use_dense.sum())
 
-    if live is not None:  # step 1 listed every pair's entries
-        pair_csum = live.csum
-    else:
-        pair_csum = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
-        np.cumsum(sym.pair_products, out=pair_csum[1:])
-    dense = _dense_path_tiles(
-        a, b, pairs, pair_csum, chunk_products, force_accumulator, value_dtype
-    )
-    if live is not None and dense.size == 0:
-        scatter = live
-    else:
-        scatter = _scatter_entries(a, b, pairs, sym, dense, kernels)
+    pair_csum = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
+    np.cumsum(sym.pair_products, out=pair_csum[1:])
+    dense = _dense_path_tiles(a, b, pairs, pair_csum, force_accumulator, value_dtype)
+    scatter = _scatter_entries(a, b, pairs, sym, dense, kernels, live)
     entry_ptr, csum = scatter.entry_ptr, scatter.csum
 
     # --- chunked expansion + scatter-add --------------------------------
-    # Chunk ends are rounded down to C-tile boundaries (``pairs.pair_ptr``)
-    # whenever that still makes progress, so no tile's products straddle a
-    # chunk.  A tile's accumulation order then depends only on its own pair
-    # sequence and the chunk budget — never on which other tiles share the
-    # run — which is what makes chunked re-execution and sharded parallel
-    # execution bit-identical to the single-shot product.  A single tile
-    # whose products exceed the budget is chunked internally at tile-local
-    # offsets, which are equally partition-invariant.  The dense path's
-    # tiles are left out: their pairs read as dead here.
+    # Chunks end on pair boundaries.  Every destination gets its products
+    # in pair order, each added onto C's value in turn, so where a chunk
+    # ends — and which other tiles share it, in a chunked or sharded run —
+    # moves no byte.  The dense path's tiles are left out: their pairs
+    # read as dead here.
     start = 0
     num_pairs = pairs.num_pairs
-    tile_bounds = pairs.pair_ptr
     pair_c_slot = pairs.pair_c_slot()
     while start < num_pairs:
-        end = int(np.searchsorted(csum, csum[start] + chunk_products, side="left"))
-        end = max(end, start + 1)
-        end = min(end, num_pairs)
-        if end < num_pairs:
-            aligned = int(
-                tile_bounds[np.searchsorted(tile_bounds, end, side="right") - 1]
-            )
-            if aligned > start:
-                end = aligned
+        end = int(np.searchsorted(csum, csum[start] + CHUNK_PRODUCTS, side="left"))
+        end = min(max(end, start + 1), num_pairs)
         part = slice(entry_ptr[start], entry_ptr[end])
         if part.stop > part.start:
             # The chunk's window of C's values, from its first and last
@@ -403,7 +380,6 @@ def _dense_path_tiles(
     b: TileMatrix,
     pairs: TilePairs,
     csum: np.ndarray,
-    chunk_products: int,
     force_accumulator: str | None,
     value_dtype,
 ) -> np.ndarray:
@@ -411,8 +387,8 @@ def _dense_path_tiles(
 
     A tile qualifies by product fill (``DENSE_MIN_FILL`` of its matched
     pairs' ``T**3``, or any product under ``force_accumulator="dense"``)
-    if the dense path gives its scatter bytes: double precision, no split
-    across chunks, and finite operands (``0 * inf`` is ``nan``).
+    if the dense path gives its scatter bytes: double precision and finite
+    operands (``0 * inf`` is ``nan``).
     """
     none = np.empty(0, dtype=np.int64)
     if force_accumulator == "sparse" or np.dtype(value_dtype) != np.float64:
@@ -423,7 +399,6 @@ def _dense_path_tiles(
         wanted = tile_products > 0
     else:
         wanted = tile_products >= DENSE_MIN_FILL * T**3 * pairs.matched
-    wanted &= tile_products <= chunk_products
     tiles = np.flatnonzero(wanted)
     if tiles.size and not (np.isfinite(a.val).all() and np.isfinite(b.val).all()):
         return none
@@ -437,17 +412,29 @@ def _scatter_entries(
     sym: SymbolicResult,
     dense: np.ndarray,
     kernels,
+    live: LiveEntries | None,
 ) -> LiveEntries:
     """The live entries of the pairs with products of every C tile not in ``dense``.
 
-    The dense tiles' pairs read as dead, so the chunk loop's tile-local
-    cuts are unchanged.
+    Taken from ``live`` (step 1's list of every pair) when there is one,
+    else listed here.  The dense tiles' pairs read as dead, so the chunk
+    loop skips them.
     """
+    if live is not None and dense.size == 0:
+        return live
     need = sym.pair_products > 0
     if dense.size:
         drop = np.zeros(pairs.num_c_tiles, dtype=bool)
         drop[dense] = True
         need &= ~np.repeat(drop, np.diff(pairs.pair_ptr))
+    if live is not None:
+        keep = need[live.pair_of]
+        entry_ptr = np.zeros_like(live.entry_ptr)
+        np.cumsum(np.diff(live.entry_ptr) * need, out=entry_ptr[1:])
+        csum = np.zeros_like(live.csum)
+        np.cumsum(sym.pair_products * need, out=csum[1:])
+        return LiveEntries(live.a_idx[keep], live.pair_of[keep], live.row_len[keep],
+                           entry_ptr, csum)
     if not need.any():  # no scatter tile has products: list nothing
         zeros = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
         return LiveEntries(zeros[:0], zeros[:0], zeros[:0], zeros, zeros)

@@ -295,6 +295,7 @@ def _tile_spgemm(
                 backend=kernels,
                 live=entries,
             )
+            del entries  # step 1's list is spent: free it before C and its stats are built
             if live is not pairs:
                 sym, num = _on_candidates(pairs, live_tiles, sym, num, force_accumulator)
 

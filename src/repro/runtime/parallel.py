@@ -14,10 +14,10 @@ pool.
 **Determinism.**  The merged result is byte-identical to the serial run —
 indices, values and tile structure.  Two properties make that true: the
 stitch concatenates shard outputs in tile-row order, and the numeric
-phase chunks its product stream at C-tile boundaries
-(:func:`repro.core.step3.step3_numeric`), so each tile's accumulation
-order is independent of how the tile-row space was partitioned — or
-re-split after an OOM.  The test suite asserts exact equality of all
+phase adds each product onto its value in pair order wherever its chunks
+end (:func:`repro.core.step3.step3_numeric`), so each tile's
+accumulation order is independent of how the tile-row space was
+partitioned — or re-split after an OOM.  The test suite asserts exact equality of all
 eight output arrays.
 
 **Backends.**  The kernel-backend spec is resolved to a

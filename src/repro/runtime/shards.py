@@ -4,9 +4,9 @@ Tile row ``i`` of ``C`` depends only on tile row ``i`` of ``A`` (and all
 of ``B``) across all three TileSpGEMM steps.  Any partition of ``A``'s
 tile rows into contiguous ranges therefore multiplies independently and
 stitches back byte-identically
-(:func:`~repro.runtime.chunked.stitch_results`; the numeric phase chunks
-its product stream at C-tile boundaries, so no tile's accumulation order
-depends on the partition).  The same fact makes recovery local: a range
+(:func:`~repro.runtime.chunked.stitch_results`; the numeric phase adds
+each product onto its value in pair order wherever its chunks end, so no
+tile's accumulation order depends on the partition).  The same fact makes recovery local: a range
 that blows its memory budget is halved and requeued — the progressive
 re-allocation of Liu & Vinter (arXiv:1504.05022) — and only the lost
 range of a failed or dead worker runs again.

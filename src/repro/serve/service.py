@@ -20,9 +20,9 @@ on the service's pool, under the failure rules every entry point shares
 halved and both halves are *requeued to the pool*, a transient fault
 retries after an **awaited** backoff, a broken pool is replaced once,
 and a deadline cancels the request.  Because the stitch is
-order-preserving and the numeric phase chunks at C-tile boundaries, the
-served product is byte-identical to a serial ``tile_spgemm`` run no
-matter how many re-splits it took.
+order-preserving and the numeric phase sums every value in product
+order wherever its chunks end, the served product is byte-identical to
+a serial ``tile_spgemm`` run no matter how many re-splits it took.
 
 **Ordering.**  Responses resolve in submission order per tenant: each
 request chains on the previous one's gate, so a client iterating its

@@ -421,33 +421,33 @@ class TestKernelUnitConformance:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_scatter_add_into_offset_view(self, backend):
         # Step 3 scatters each chunk into its window of C's values, with
-        # positions relative to the window's start.
-        pos, w = _scatter_inputs()
-        ref = np.zeros(7)
-        get_backend("numpy").scatter_add_into(ref, pos, w)
-        full = np.full(12, 3.5)
+        # positions relative to the window's start.  Each weight is added
+        # onto the window in turn: on a base of 1e16, where 1.0 is half an
+        # ulp, in-order adds round every 1.0 away, while summing the
+        # weights first would keep them.
+        pos = np.array([0, 2, 0, 2, 5, 0, 2, 2], dtype=np.int64)
+        w = np.array([1.0, 1.0, 1.0, 3.0, -0.0, 1.0, 1.0, 1.0])
+        full = np.full(12, 1e16)
         get_backend(backend).scatter_add_into(full[3:10], pos, w)
-        expected = np.full(12, 3.5)
-        expected[3:10] += ref
-        assert full.tobytes() == expected.tobytes()
+        expected = [1e16] * 12
+        for p, x in zip(pos.tolist(), w.tolist()):
+            expected[3 + p] += x
+        assert full.tobytes() == np.array(expected).tobytes()
+        assert full[3] == 1e16 and full[5] == 1e16 + 4
 
-    @pytest.mark.parametrize("backend", NON_REFERENCE)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_scatter_add_signed_zero_everywhere(self, backend):
-        # bincount adds its zero buffer to every slot, so an untouched
-        # -0.0 comes out as +0.0; a backend must do the same.
-        pos = np.array([1, 4, 1], dtype=np.int64)
-        w = np.array([-0.0, 2.0, -2.0])
-        ref = np.full(6, -0.0)
+        # Only the positions listed are added to: an untouched -0.0 stays
+        # -0.0, and -0.0 + -0.0 is -0.0.
+        pos = np.array([1, 4, 1, 3], dtype=np.int64)
+        w = np.array([-0.0, 2.0, -2.0, -0.0])
         got = np.full(6, -0.0)
-        get_backend("numpy").scatter_add_into(ref, pos, w)
         get_backend(backend).scatter_add_into(got, pos, w)
-        assert ref.tobytes() == got.tobytes()
+        assert got.tobytes() == np.array([-0.0, -2.0, -0.0, -0.0, 2.0, -0.0]).tobytes()
         empty = np.empty(0, dtype=np.int64)
-        ref = np.full(3, -0.0)
         got = np.full(3, -0.0)
-        get_backend("numpy").scatter_add_into(ref, empty, empty.astype(float))
         get_backend(backend).scatter_add_into(got, empty, empty.astype(float))
-        assert ref.tobytes() == got.tobytes()
+        assert got.tobytes() == np.full(3, -0.0).tobytes()
 
     @pytest.mark.parametrize("backend", NON_REFERENCE)
     def test_mask_popcount_rank_roundtrip(self, backend):

@@ -1,12 +1,14 @@
 """Tests for the individual TileSpGEMM steps and their kernels."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.step3 as step3_module
 from repro.core.intersect import (
     binary_search_cost,
     intersect,
@@ -209,9 +211,8 @@ class TestStep3:
         b = TileMatrix.from_csr(b_csr)
         pairs = enumerate_pairs_expand(a, b)
         sym = step2_symbolic(a, b, pairs)
-        num = step3_numeric(
-            a, b, pairs, sym, tnnz=tnnz, chunk_products=chunk, force_accumulator=force
-        )
+        with mock.patch.object(step3_module, "CHUNK_PRODUCTS", chunk):
+            num = step3_numeric(a, b, pairs, sym, tnnz=tnnz, force_accumulator=force)
         return a_csr, b_csr, pairs, sym, num
 
     def test_sparse_equals_dense_accumulator(self):
@@ -226,7 +227,7 @@ class TestStep3:
     def test_chunking_invariant(self):
         _, _, _, _, num_big = self._full(72, chunk=1 << 22)
         _, _, _, _, num_small = self._full(72, chunk=64)
-        assert np.allclose(num_big.val, num_small.val)
+        assert num_big.val.tobytes() == num_small.val.tobytes()
 
     def test_adaptive_threshold_splits_tiles(self):
         # tnnz=0 forces everything dense; huge tnnz forces everything sparse.

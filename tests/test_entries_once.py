@@ -4,23 +4,26 @@ Step 2 picks its path once per multiply: it ORs step 1's column-pass
 entries, or every pair's packed bit rows after the filter join.  So the
 filter join lists entries only in step 3, for its scatter tiles' pairs,
 and a multiply that needs no list (every tile dense, or step 1's list
-reused) calls ``live_entries`` not at all.  The spy replaces
-``live_entries`` under every name a ``repro`` module imported it by.
+reused, also when some tiles take the dense path) calls ``live_entries``
+not at all.  The spy replaces ``live_entries`` under every name a
+``repro`` module imported it by.
 """
 
 from __future__ import annotations
 
-import inspect
 import sys
 
 import numpy as np
 
+import repro.core.pairs as pairs_module
 import repro.core.step3 as step3_module
 from repro.core import TileMatrix, tile_spgemm
 from repro.core.pairs import live_entries
+from repro.formats.coo import COOMatrix
 from repro.matrices import generators as gen
 from repro.obs import Tracer, obs_context
 from tests.test_live_tiles import _cop_like
+from tests.test_step3_golden import tile_digest
 
 
 def _spy(monkeypatch):
@@ -49,8 +52,7 @@ def _multiply(a):
 
 def _dense_path_tiles(a, pairs, full):
     """The C tiles step 3 accumulates as dense tiles."""
-    chunk = inspect.signature(step3_module.step3_numeric).parameters["chunk_products"].default
-    return step3_module._dense_path_tiles(a, a, pairs, full.csum, chunk, None, np.float64)
+    return step3_module._dense_path_tiles(a, a, pairs, full.csum, None, np.float64)
 
 
 def _pwtk_like():
@@ -100,3 +102,39 @@ def test_column_join_without_dense_tiles_lists_nothing(monkeypatch):
     assert join == "column"
     assert res.stats["dense_tiles"] == 0 and res.stats["num_products"] > 0
     assert calls == []
+
+
+def _cop_like_with_dense_block():
+    """A permuted narrow band (column join) with a dense 64x64 block
+    appended on the diagonal: 16 dense-path C tiles beside the scatter
+    tiles."""
+    band = gen.permute_symmetric(gen.banded(2000, 4, fill=0.95, seed=5), seed=5)
+    rng = np.random.default_rng(5)
+    block_row, block_col = np.divmod(np.arange(64 * 64), 64)
+    coo = COOMatrix(
+        (2064, 2064),
+        np.r_[band.row, 2000 + block_row],
+        np.r_[band.col, 2000 + block_col],
+        np.r_[band.val, rng.uniform(-1, 1, 64 * 64)],
+    )
+    return TileMatrix.from_csr(coo.to_csr())
+
+
+def test_column_join_with_dense_tiles_lists_once(monkeypatch):
+    a = _cop_like_with_dense_block()
+    with monkeypatch.context() as m:  # the filter join lists entries in step 3
+        m.setattr(pairs_module, "_use_column_join", lambda num_matched, num_entries: False)
+        filtered = tile_digest(tile_spgemm(a, a).c)
+    calls = _spy(monkeypatch)
+    tracer = Tracer()
+    with obs_context(tracer=tracer):
+        res = tile_spgemm(a, a)
+    (step1,) = tracer.find("step1")
+    (dense,) = tracer.find("step3.dense")
+    assert step1.args["join"] == "column"
+    assert dense.args["tiles"] == 16 and res.stats["num_products"] > 0
+    # Step 1's list is the only one: step 3 takes its scatter tiles' pairs from it.
+    assert calls == []
+    assert tile_digest(res.c) == filtered
+    assert tile_digest(tile_spgemm(a, a, force_accumulator="sparse").c) == filtered
+

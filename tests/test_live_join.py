@@ -11,7 +11,6 @@ count, and a masked run must report the paper's statistics.
 
 from __future__ import annotations
 
-import inspect
 from unittest import mock
 
 import numpy as np
@@ -90,6 +89,8 @@ def test_modes_take_their_paths(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(pairs_module, "_group", spy)
+    # The modes group the filter join's pairs: force it, whatever the rule picks.
+    monkeypatch.setattr(pairs_module, "_use_column_join", lambda num_matched, num_entries: False)
     for mode, sorts in (("count_per_row", False), ("sort", True)):
         with monkeypatch.context() as m:
             for attr, value in _MODES[mode].items():
@@ -149,8 +150,7 @@ def test_step3_picks_dense_tiles_by_matched_pairs():
 
     ref = enumerate_pairs_expand(a, b)
     full = live_entries(a, b, ref)
-    chunk = inspect.signature(step3_module.step3_numeric).parameters["chunk_products"].default
-    expected = real(a, b, ref, full.csum, chunk, None, np.float64)
+    expected = real(a, b, ref, full.csum, None, np.float64)
     (got,) = chosen
     assert got.tolist() == expected.tolist() == [1, 2, 3]
 

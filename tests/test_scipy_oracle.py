@@ -14,8 +14,10 @@ point: :func:`~repro.core.tile_spgemm` under each accumulator setting,
 workers and under a memory budget one byte below the serial run's peak
 (so its ranges re-split), one :class:`~repro.serve.SpGEMMService`
 submission, and :func:`~repro.core.masked.masked_tile_spgemm`, compared
-at its mask's positions only.  No case differs.  The fp16 cases use
-different arithmetic and are not compared.  scipy is used here only,
+at its mask's positions only.  No case differs.  So does a dense strip
+product whose one C tile has more products than step 3's chunk budget:
+the tile is split across chunks, and its bytes stay scipy's.  The fp16
+cases use different arithmetic and are not compared.  scipy is used here only,
 never by ``repro.core``.
 """
 
@@ -28,6 +30,7 @@ import pytest
 
 from repro.core import TileMatrix, masked_tile_spgemm, tile_spgemm
 from repro.formats.coo import COOMatrix
+from repro.formats.csr import CSRMatrix
 from repro.runtime.parallel import parallel_tile_spgemm
 from repro.serve import SpGEMMService
 from tests.corpus import CORPUS, corpus_names
@@ -107,8 +110,8 @@ def _assert_matches(c, ref, keep=None):
     assert val[rest].tobytes() == np.zeros(int(rest.sum())).tobytes()
 
 
-def _reference(case):
-    a_sp, b_sp = case.a.to_scipy(), case.b.to_scipy()
+def _reference(a, b):
+    a_sp, b_sp = a.to_scipy(), b.to_scipy()
     assert a_sp.has_sorted_indices, "scipy's order needs sorted A indices"
     return (a_sp @ b_sp).tocoo()
 
@@ -120,15 +123,27 @@ FP64 = corpus_names(exclude_tags=("fp16",))
 @pytest.mark.parametrize("name", FP64)
 def test_matches_scipy_by_bytes(name, entry):
     case = CORPUS[name]
-    ref = _reference(case)
+    ref = _reference(case.a, case.b)
     c = ENTRY_POINTS[entry](TileMatrix.from_csr(case.a), TileMatrix.from_csr(case.b))
     _assert_matches(c, ref)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("k", [65, 200])
+def test_split_tile_matches_scipy_by_bytes(k, entry):
+    # A dense 16 x 16k strip times a dense 16k x 16 strip: one C tile of
+    # k * 4096 products, more than the default chunk budget (2^18).
+    rng = np.random.default_rng(k)
+    a = CSRMatrix.from_dense(rng.uniform(-1, 1, (16, 16 * k)))
+    b = CSRMatrix.from_dense(rng.uniform(-1, 1, (16 * k, 16)))
+    c = ENTRY_POINTS[entry](TileMatrix.from_csr(a), TileMatrix.from_csr(b))
+    _assert_matches(c, _reference(a, b))
 
 
 @pytest.mark.parametrize("name", FP64)
 def test_masked_matches_scipy_at_the_mask(name):
     case = CORPUS[name]
-    ref = _reference(case)
+    ref = _reference(case.a, case.b)
     keep = _mask_keys(ref)
     ncols = ref.shape[1]
     mask = COOMatrix(ref.shape, keep // ncols, keep % ncols, np.ones(keep.size)).to_csr()

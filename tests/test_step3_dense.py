@@ -8,9 +8,11 @@ running:
 
 * the path runs (a ``step3.dense`` span with ``tiles > 0``) on a full tile
   and, under ``force_accumulator="dense"``, on every tile with products;
+* tiles over the chunk budget take it too, with the bytes of the scatter
+  path's split tiles;
 * tiles that the paper's ``tnnz`` rule calls dense but whose product fill
-  is low, tiles over the chunk budget, the fp16 value mode and non-finite
-  operands stay on the scatter path;
+  is low, the fp16 value mode and non-finite operands stay on the scatter
+  path;
 * over block-dense matrices with signed zeros, stored zeros, subnormals
   and ``1e±300`` magnitudes, the adaptive and all-dense bytes equal the
   all-scatter bytes.
@@ -18,11 +20,14 @@ running:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.step3 as step3_module
 from repro.core import TileMatrix, tile_spgemm
 from repro.core.pairs import enumerate_pairs_expand, live_entries
 from repro.core.step2 import step2_symbolic
@@ -83,7 +88,7 @@ def test_paper_dense_tiles_with_low_fill_stay_on_scatter():
     assert tiles == 0
 
 
-def test_tiles_over_the_chunk_budget_stay_on_scatter():
+def test_tiles_over_the_chunk_budget_take_dense_path():
     # Every C tile of a full 48x48 matrix has 3 pairs of 4096 products.
     m = TileMatrix.from_csr(_full(48, seed=1))
     pairs = enumerate_pairs_expand(m, m)
@@ -92,18 +97,17 @@ def test_tiles_over_the_chunk_budget_stay_on_scatter():
 
     def run(budget, acc):
         tracer = Tracer()
-        with obs_context(tracer=tracer):
-            res = step3_numeric(m, m, pairs, sym, chunk_products=budget,
-                                force_accumulator=acc, live=live)
+        with obs_context(tracer=tracer), mock.patch.object(step3_module, "CHUNK_PRODUCTS", budget):
+            res = step3_numeric(m, m, pairs, sym, force_accumulator=acc, live=live)
         spans = tracer.find("step3.dense")
         return res.val.tobytes(), (spans[0].args["tiles"] if spans else 0)
 
-    # 2 * 4096 splits every tile after its second pair.
-    for budget, dense_tiles in ((3 * 4096, 9), (3 * 4096 - 1, 0), (2 * 4096, 0)):
+    whole = run(3 * 4096, "sparse")[0]
+    # 2 * 4096 splits every tile after its second pair, 64 after every pair.
+    for budget in (3 * 4096, 3 * 4096 - 1, 2 * 4096, 64):
+        assert run(budget, "sparse") == (whole, 0), budget
         for acc in (None, "dense"):
-            got, tiles = run(budget, acc)
-            assert tiles == dense_tiles, (budget, acc)
-            assert got == run(budget, "sparse")[0], (budget, acc)
+            assert run(budget, acc) == (whole, 9), (budget, acc)
 
 
 @pytest.mark.parametrize("acc", [None, "dense"])

@@ -2,17 +2,18 @@
 
 Each step-3 chunk scatters into its own window ``val_c[lo:hi]`` of C's
 values, with positions taken relative to ``lo``; the window's ends come
-from the chunk's first and last *pair*.  These tests pin that the window
-never moves a byte:
+from the chunk's first and last *pair*.  Chunks end on pair boundaries,
+inside a tile too, and each product is added onto C's value in pair
+order.  These tests pin that neither the budget nor the window moves a
+byte:
 
-* every budget from the largest per-tile product count up to ``1 << 22``
-  gives the single-chunk bytes, over the corpus and over a hypersparse
-  case whose pairs are mostly dead (no ``A`` nonzero meets a nonempty
-  ``B`` row), so that chunks start on dead pairs;
+* every budget from 64 products up to ``1 << 22`` gives the single-chunk
+  bytes, over the corpus and over a hypersparse case whose pairs are
+  mostly dead (no ``A`` nonzero meets a nonempty ``B`` row), so that
+  chunks start on dead pairs;
 * a tile whose products exceed the budget is split across chunks and
-  still matches ``test_step3_golden``'s ``chunk=64`` digests;
-* the default budget is at least every corpus tile's product count, so
-  default-budget digests equal the ``1 << 22`` digests the golden table
+  still matches ``test_step3_golden``'s default-budget digests;
+* default-budget digests equal the ``1 << 22`` digests the golden table
   was recorded with.
 """
 
@@ -43,7 +44,6 @@ from tests.test_step3_golden import (
 
 #: The budget the golden digests' ``chunk=default`` entries were recorded at.
 RECORDED_BUDGET = 1 << 22
-DEFAULT_BUDGET = inspect.signature(step3_numeric).parameters["chunk_products"].default
 
 
 def hypersparse(n: int = 400, seed: int = 7):
@@ -91,9 +91,11 @@ class _Steps:
         self.tile_products = np.diff(csum[self.pairs.pair_ptr])
 
     def numeric(self, budget: int):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(
+            step3_module, "CHUNK_PRODUCTS", budget
+        ):
             return step3_numeric(
-                self.a, self.b, self.pairs, self.sym, chunk_products=budget,
+                self.a, self.b, self.pairs, self.sym,
                 value_dtype=self.value_dtype, live=self.live,
             )
 
@@ -103,11 +105,10 @@ class _Steps:
         live_per_tile = np.diff(np.r_[0, np.cumsum(live)][self.pairs.pair_ptr])
         return bool(np.any((self.tile_products > budget) & (live_per_tile >= 2)))
 
-    def budgets(self):
-        """The largest per-tile product count, then powers of two to 2^22."""
-        largest = max(int(self.tile_products.max(initial=0)), 1)
-        powers = [1 << k for k in range(23) if (1 << k) > largest]
-        return [largest] + powers
+    @staticmethod
+    def budgets():
+        """Powers of two from 64 to 2^22."""
+        return [1 << k for k in range(6, 23)]
 
 
 @pytest.fixture(scope="module")
@@ -138,22 +139,23 @@ def test_hypersparse_chunks_start_on_dead_pairs(steps):
     s = steps("hypersparse_dead_pairs")
     dead = np.diff(s.live.entry_ptr) == 0
     assert dead.mean() > 0.8
-    budget = s.budgets()[0]
-    first_live = []
+    budget = int(s.tile_products.max())
+    windows = []
     real = step3_module._accumulate_chunk
 
     def spy(*args):
-        pair_of = inspect.signature(real).bind(*args).arguments["pair_of"]
-        first_live.append(int(pair_of[0]))
+        bound = inspect.signature(real).bind(*args).arguments
+        windows.append((bound["lo"], int(bound["pair_of"][0])))
         real(*args)
 
     with mock.patch.object(step3_module, "_accumulate_chunk", spy):
         s.numeric(budget)
-    assert len(first_live) > 1
-    # Tile-aligned chunks start at a tile's first pair; a first live pair
-    # past that means the chunk began on dead pairs of the same tile.
-    tile_of = np.searchsorted(s.pairs.pair_ptr, first_live, side="right") - 1
-    assert np.any(np.asarray(first_live) > s.pairs.pair_ptr[tile_of])
+    assert len(windows) > 1
+    # A window that begins before its first live pair's C tile belongs to
+    # a chunk that began on dead pairs of an earlier tile.
+    lo, first_live = np.array(windows).T
+    slot = s.pairs.pair_c_slot()[first_live]
+    assert np.any(lo < s.sym.tilennz[slot])
 
 
 def test_split_tile_matches_golden_chunk_64(steps):
@@ -163,14 +165,9 @@ def test_split_tile_matches_golden_chunk_64(steps):
     assert "moderate_random" in split
     for name in split:
         for dtype in _DTYPES:
-            assert plain_digest(name, None, dtype, 64) == GOLDEN[_plain_id(name, None, dtype, 64)]
+            assert plain_digest(name, None, dtype, 64) == GOLDEN[_plain_id(name, None, dtype, None)]
         for tnnz in _MASKED_TNNZ:
-            assert masked_digest(name, tnnz, 64) == GOLDEN[_masked_id(name, tnnz, 64)]
-
-
-def test_default_budget_holds_every_corpus_tile(steps):
-    largest = max(int(steps(name).tile_products.max(initial=0)) for name in CORPUS)
-    assert DEFAULT_BUDGET >= largest
+            assert masked_digest(name, tnnz, 64) == GOLDEN[_masked_id(name, tnnz, None)]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
