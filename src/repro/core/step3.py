@@ -36,15 +36,40 @@ The fill comes from step 2's per-pair product counts
 (``SymbolicResult.pair_products``), so no dense tile's pair is expanded
 per entry.  Both give every destination the same products in the same order (pair,
 then ``A``'s column) summed from ``+0.0``; the dense path adds ``±0.0``
-padding terms, which leave such a sum unchanged, so the bytes are equal.
+padding terms and turns ``-0.0`` products into ``+0.0``, which leave such
+a sum unchanged (it can never become ``-0.0``), so the bytes are equal.
 A tile stays on the scatter path unless that argument holds for it: the
 products are double precision and the operands are finite (``0 * inf`` is
 ``nan``).  ``force_accumulator`` forces the executed path too, on every
-tile where it holds.  The crossover was measured on random tiles (one core
-of a 2-vCPU VM): dense is 0.74x the scatter speed at fill 0.05, 1.06x at
-0.08, 1.22x at 0.12 and 1.8x at 0.2.  The paper's rule is the wrong
-selector here: it marks almost every ``C`` tile of ``conf5_4-8x8-05``
-dense, at a product fill of 0.03.
+tile where it holds.
+
+The crossover was measured with ``step3_numeric`` on 512x512 random
+operands, forced dense against forced scatter (the scatter path given
+step 1's entry list), median of 7 interleaved runs on one core of a
+2-vCPU VM.  Dense speed over scatter speed by product fill:
+
+=================  ====  ====  ====  ====  =====  ====  ====
+fill               0.02  0.03  0.04  0.05  0.065  0.08  0.10
+=================  ====  ====  ====  ====  =====  ====  ====
+broadcast multiply 0.45  0.62  0.74  0.90  0.95   1.15  1.32
+einsum             0.61  0.85  1.04  1.18  1.42   1.59  1.87
+=================  ====  ====  ====  ====  =====  ====  ====
+
+The einsum moved the crossover from ~0.07 to ~0.04; ``DENSE_MIN_FILL``
+sits at 0.05, where dense wins with margin.  When step 3 lists the
+scatter tiles' entries itself (the filter join), dense already ties at
+0.03 and wins 1.49x at 0.05.  The group size was swept on the
+numeric-bound benchmark operands (dense time summed over the four, on a
+prototype): 32 tiles 299 ms, 64 tiles 242 ms, 128 tiles 212 ms, 256 tiles
+220 ms; 128 and 256 stayed within noise of each other when re-measured.
+Tried and slower, not to be retried as is: a tile-innermost ``(T, T, n)``
+layout (dense time 524 -> 648 ms over the four numeric-bound operands),
+and per-tile lists that skip the empty ``(pair, c)`` updates (numeric-bound
+217 -> 251 ms, planned-parallel 129 -> 130 ms, although only 73-95 % of
+the updates are nonempty).  The einsum holds the GIL, so the dense path
+of two shards does not overlap on two threads.  The paper's rule is the
+wrong selector here: it marks almost every ``C`` tile of
+``conf5_4-8x8-05`` dense, at a product fill of 0.03.
 
 The CUDA ``AtomicAdd`` becomes the backend's ``scatter_add_into``
 (``np.add.at`` in the reference): each product is added straight onto
@@ -95,9 +120,9 @@ __all__ = [
 DEFAULT_TNNZ: int = 192
 
 #: Product fill — a C tile's products over ``pairs * T**3`` — from which
-#: the tile takes the dense-tile path.  Measured crossover, see the module
-#: docstring.
-DENSE_MIN_FILL: float = 0.1
+#: the tile takes the dense-tile path.  Just above the measured crossover
+#: (~0.04), see the module docstring.
+DENSE_MIN_FILL: float = 0.05
 
 #: Intermediate products expanded at once (see the module docstring).
 CHUNK_PRODUCTS: int = 1 << 18
@@ -456,7 +481,8 @@ def _accumulate_dense(
     column ``c`` of ``A`` in order, ``acc += A[:, c] (outer) B[c, :]``.
     Every destination sees the scatter path's products in the scatter
     path's order, plus ``±0.0`` terms from the padding, which leave a sum
-    begun at ``+0.0`` unchanged.  ``acc`` is then read through the step-2
+    begun at ``+0.0`` unchanged; the einsum's ``+0.0`` in place of a
+    ``-0.0`` product does too.  ``acc`` is then read through the step-2
     mask, row-major: the compacted tile's order.
     """
     T = a.tile_size
@@ -490,7 +516,7 @@ def _accumulate_dense(
             at = a_cols[a_of[first[:n] + k]]
             bt = b_rows[b_of[first[:n] + k]]
             for c in range(T):
-                np.multiply(at[:, c, :, None], bt[:, c, None, :], out=prod[:n])
+                np.einsum("ti,tj->tij", at[:, c], bt[:, c], out=prod[:n])
                 np.add(acc[:n], prod[:n], out=acc[:n])
         slots = tiles[g0:g1][order]
         in_mask = (sym.mask[slots][:, :, None] >> bit) & 1 == 1

@@ -100,17 +100,16 @@ def test_modes_take_their_paths(monkeypatch):
             assert bool(calls) == sorts, mode
 
 
-def _dead_pair_trap():
+def _dead_pair_trap(dead: int = 12):
     """Operands whose C tile (0, 0) is dense over its live pair only.
 
     Tile (0, 0) has one live pair of full 16x16 tiles (4096 products) and
-    12 dead ones: ``A(0, k)`` holds column 0 only, ``B(k, 0)`` row 1
-    only.  Its product fill is 1.0 over the live pair and 4096 / (13 *
-    4096) < ``DENSE_MIN_FILL`` over the matched pairs.  Tiles (0, 1),
-    (1, 0) and (1, 1) have one live full pair each, so they are dense
-    either way.
+    ``dead >= 12`` dead ones: ``A(0, k)`` holds column 0 only, ``B(k, 0)``
+    row 1 only.  Its product fill is 1.0 over the live pair and 4096 /
+    ((1 + dead) * 4096) over the matched pairs, below ``DENSE_MIN_FILL``
+    for ``dead=31``.  Tiles (0, 1), (1, 0) and (1, 1) have one live full
+    pair each, so they are dense either way.
     """
-    dead = 12
     k = 1 + dead
     rng = np.random.default_rng(71)
     full = np.arange(T * T)
@@ -125,18 +124,23 @@ def _dead_pair_trap():
         b_cols.append(np.arange(T))
     a_row, a_col = np.concatenate(a_rows), np.concatenate(a_cols)
     b_row, b_col = np.concatenate(b_rows), np.concatenate(b_cols)
-    a = COOMatrix((2 * T, k * T), a_row, a_col, rng.uniform(-1, 1, a_row.size)).to_csr()
-    b = COOMatrix((k * T, 2 * T), b_row, b_col, rng.uniform(-1, 1, b_row.size)).to_csr()
+    # Values are drawn as for 12 dead pairs, whose C _TRAP_DIGEST recorded;
+    # the entries of further dead pairs store 1.0 and meet no nonzero.
+    extra = np.ones(T * (dead - 12))
+    a_val = np.r_[rng.uniform(-1, 1, a_row.size - extra.size), extra]
+    b_val = np.r_[rng.uniform(-1, 1, b_row.size - extra.size), extra]
+    a = COOMatrix((2 * T, k * T), a_row, a_col, a_val).to_csr()
+    b = COOMatrix((k * T, 2 * T), b_row, b_col, b_val).to_csr()
     return TileMatrix.from_csr(a), TileMatrix.from_csr(b)
 
 
-#: ``tile_digest`` of ``tile_spgemm(*_dead_pair_trap())``, recorded with
-#: the join that held every matched pair.
+#: ``tile_digest`` of ``tile_spgemm(*_dead_pair_trap(dead))`` for every
+#: ``dead``, recorded with the join that held every matched pair.
 _TRAP_DIGEST = "c2224e7ce6799d3a6ac7612d47c3f753290da1ff5a7f674a27b9e62bc9fd3f47"
 
 
 def test_step3_picks_dense_tiles_by_matched_pairs():
-    a, b = _dead_pair_trap()
+    a, b = _dead_pair_trap(dead=31)
     chosen = []
     real = step3_module._dense_path_tiles
 
@@ -157,7 +161,7 @@ def test_step3_picks_dense_tiles_by_matched_pairs():
     # Over its held (live) pairs tile 0 would cross the fill threshold.
     held = np.diff(res.pairs.pair_ptr)
     products = res.stats["products_per_tile"]
-    assert held[0] == 1 and res.pairs.matched[0] == 13
+    assert held[0] == 1 and res.pairs.matched[0] == 32
     assert products[0] >= step3_module.DENSE_MIN_FILL * T**3 * held[0]
 
 

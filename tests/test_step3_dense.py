@@ -10,9 +10,14 @@ running:
   and, under ``force_accumulator="dense"``, on every tile with products;
 * tiles over the chunk budget take it too, with the bytes of the scatter
   path's split tiles;
+* a tile just above ``DENSE_MIN_FILL`` takes it and one just below does
+  not, with equal bytes;
 * tiles that the paper's ``tnnz`` rule calls dense but whose product fill
   is low, the fp16 value mode and non-finite operands stay on the scatter
   path;
+* the kernel itself equals a plain per-(pair, column) loop by bytes:
+  its einsum writes ``+0.0`` where the product is ``-0.0``, which a sum
+  begun at ``+0.0`` cannot tell apart;
 * over block-dense matrices with signed zeros, stored zeros, subnormals
   and ``1e±300`` magnitudes, the adaptive and all-dense bytes equal the
   all-scatter bytes.
@@ -31,7 +36,8 @@ import repro.core.step3 as step3_module
 from repro.core import TileMatrix, tile_spgemm
 from repro.core.pairs import enumerate_pairs_expand, live_entries
 from repro.core.step2 import step2_symbolic
-from repro.core.step3 import DENSE_MIN_FILL, step3_numeric
+from repro.core.step3 import DENSE_MIN_FILL, _accumulate_dense, step3_numeric
+from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.matrices import generators
 from repro.obs import Tracer, obs_context
@@ -86,6 +92,97 @@ def test_paper_dense_tiles_with_low_fill_stay_on_scatter():
     fill = np.asarray(st["products_per_tile"]) / (np.asarray(st["pairs_per_tile"]) * 16**3)
     assert fill.max() < DENSE_MIN_FILL
     assert tiles == 0
+
+
+@pytest.mark.parametrize("above", [True, False])
+def test_fill_cut_picks_the_path(above):
+    # One pair: a full A tile times a B tile of m entries makes 16 * m
+    # products, a fill of m / 256.
+    T = 16
+    m = int(np.ceil(DENSE_MIN_FILL * T * T)) - (0 if above else 1)
+    rng = np.random.default_rng(17)
+    a = TileMatrix.from_csr(CSRMatrix.from_dense(rng.uniform(-2, 2, (T, T))))
+    b_dense = np.zeros((T, T))
+    b_dense.flat[rng.choice(T * T, m, replace=False)] = rng.uniform(-2, 2, m)
+    b = TileMatrix.from_csr(CSRMatrix.from_dense(b_dense))
+    tracer = Tracer()
+    with obs_context(tracer=tracer):
+        res = tile_spgemm(a, b)
+    assert (res.stats["products_per_tile"][0] >= DENSE_MIN_FILL * T**3) == above
+    spans = tracer.find("step3.dense")
+    if above:
+        assert [sp.args["tiles"] for sp in spans] == [1]
+    else:
+        assert spans == []
+    sparse, _ = _traced(a, b, force_accumulator="sparse")
+    assert tile_digest(res.c) == tile_digest(sparse.c)
+
+
+def _stored(tiles, seed, positive_rows=()):
+    """A COO operand on the nonempty 16x16 tiles of ``tiles`` and its dense
+    twin.  Stored values are signed, a quarter of them from :data:`SPECIAL`
+    (no overflowing magnitudes); row 3 stores ``-0.0`` at every column of
+    its tiles, and the rows ``positive_rows`` store magnitudes only."""
+    T = 16
+    rng = np.random.default_rng(seed)
+    shape = (T * len(tiles), T * len(tiles[0]))
+    on = np.kron(np.asarray(tiles, dtype=bool), np.ones((T, T), dtype=bool))
+    on &= rng.random(shape) < 0.45
+    on[3] = np.repeat(np.asarray(tiles[0], dtype=bool), T)
+    rows, cols = np.nonzero(on)
+    vals = rng.uniform(-2, 2, rows.size)
+    swap = rng.random(rows.size) < 0.25
+    vals[swap] = rng.choice(SPECIAL[np.abs(SPECIAL) < 1e100], int(swap.sum()))
+    vals[rows == 3] = -0.0
+    unsigned = np.isin(rows, positive_rows)
+    vals[unsigned] = np.abs(vals[unsigned])
+    dense = np.zeros(shape)
+    dense[rows, cols] = vals
+    return TileMatrix.from_coo(COOMatrix(shape, rows, cols, vals)), dense
+
+
+@pytest.mark.parametrize("group", [2, step3_module.DENSE_GROUP_TILES])
+def test_dense_kernel_matches_a_plain_loop(group):
+    T = 16
+    # C tiles have 1 to 3 pairs.  B is unsigned on the rows that A's row 3
+    # stores (its tile rows 0 and 2), so every term of C's row 3, padding
+    # included, is -0.0.
+    a, a_dense = _stored([[1, 0, 1, 0], [1, 1, 1, 1], [0, 1, 1, 0]], seed=5)
+    row3 = np.flatnonzero(np.signbit(a_dense[3]))
+    b, b_dense = _stored([[1, 1, 0], [1, 0, 1], [1, 1, 1], [0, 1, 1]], seed=6,
+                         positive_rows=row3)
+    assert row3.size and not np.signbit(b_dense[row3]).any()
+    pairs = enumerate_pairs_expand(a, b)
+    sym = step2_symbolic(a, b, pairs, live=live_entries(a, b, pairs))
+    pair_csum = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
+    np.cumsum(sym.pair_products, out=pair_csum[1:])
+    tiles = np.flatnonzero(np.diff(pair_csum[pairs.pair_ptr]))
+    assert len(set(np.diff(pairs.pair_ptr)[tiles])) > 1
+    got = np.zeros(sym.nnz)
+    with mock.patch.object(step3_module, "DENSE_GROUP_TILES", group):
+        _accumulate_dense(a, b, pairs, sym, pair_csum, tiles, got)
+
+    want = np.zeros(sym.nnz)
+    for s in tiles:
+        i, j = pairs.c_tilerow[s], pairs.c_tilecol[s]
+        acc = np.zeros((T, T))
+        for p in range(pairs.pair_ptr[s], pairs.pair_ptr[s + 1]):
+            k = a.tilecolidx[pairs.pair_a[p]]
+            at = a_dense[i * T:(i + 1) * T, k * T:(k + 1) * T]
+            bt = b_dense[k * T:(k + 1) * T, j * T:(j + 1) * T]
+            for c in range(T):
+                acc += np.multiply.outer(at[:, c], bt[c])
+        in_mask = (sym.mask[s][:, None] >> np.arange(T, dtype=sym.mask.dtype)) & 1 == 1
+        want[sym.tilennz[s]:sym.tilennz[s + 1]] = acc[in_mask]
+    assert got.tobytes() == want.tobytes()
+    # Row 3 of C receives only -0.0 products; its values read +0.0.
+    in_row3 = np.zeros(sym.nnz, dtype=bool)
+    for s in tiles[pairs.c_tilerow[tiles] == 0]:
+        lo = sym.tilennz[s] + sym.rowptr[s, 3]
+        in_row3[lo:lo + np.bitwise_count(sym.mask[s, 3])] = True
+    assert in_row3.any()
+    assert (got[in_row3] == 0).all() and not np.signbit(got[in_row3]).any()
+    assert (got != 0).any() and np.signbit(got).any()
 
 
 def test_tiles_over_the_chunk_budget_take_dense_path():
